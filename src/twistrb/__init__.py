@@ -7,7 +7,7 @@ algebras, and twisted generalized complex structures.
 """
 
 from .exactlin import Matrix, scalar, scalar_str
-from .multilin import Bilinear, Cochain, enumerate_unshuffles, ext_basis
+from .multilin import Bilinear, Cochain, ext_basis
 from .liealg import (
     LieAlgebra,
     Representation,

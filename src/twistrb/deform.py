@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidStructure
+from .errors import InternalInconsistency, InvalidStructure
 from .exactlin import (
     Matrix,
     Vector,
@@ -29,7 +29,7 @@ from .exactlin import (
 from .linfty import d_t_matrix, d_t_unchecked, operator_element
 from .multilin import Cochain, ext_basis
 from .operators import Operator, TrbSetup, induced_action_matrices, require_trb
-from .report import CheckReport, EquationReport, failed, passed
+from .report import CheckReport, EquationReport, first_failure
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,12 @@ def deformation_equation_defects(d: FormalDeformation, up_to: int | None = None)
 
     Coefficients beyond the stored order count as zero, so passing a larger
     `up_to` checks the polynomial deformation at higher orders (up to 3k the
-    defects can still be nonzero).
+    defects can still be nonzero).  `up_to` defaults to the stored order.
     """
     s = d.setup
     m = s.module_dim
     out = []
-    for n in range(1, (up_to or d.order) + 1):
+    for n in range(1, (d.order if up_to is None else up_to) + 1):
         values = {(i, j): _order_defect(d, n, i, j) for i, j in ext_basis(m, 2)}
         out.append(Cochain.from_values(2, m, s.dim, values))
     return out
@@ -109,7 +109,7 @@ def infinitesimal_is_cocycle(setup: TrbSetup, t: Operator, t1: Operator) -> bool
     closed = d_t_unchecked(setup, t, operator_element(setup, t1)).is_zero()
     order1 = deformation_equation_defects(formal_deformation(setup, t, [t1]))[0].is_zero()
     if closed != order1:
-        raise InvalidStructure("cocycle route disagrees with order-1 defect; bug")
+        raise InternalInconsistency("cocycle route disagrees with order-1 defect")
     return closed
 
 
@@ -136,90 +136,64 @@ def _nijenhuis_conditions(
     xv = vector(x)
     n, m = s.dim, s.module_dim
     tx_action = induced_action_matrices(s, t)
-    out: list[tuple[str, CheckReport]] = []
+    pairs = ext_basis(n, 2)
+    mixed = list(itertools.product(range(n), range(m)))
 
     # [x, u .bar x] = 0 for all u
-    rep_ok: CheckReport = passed()
-    for a in range(m):
+    def bracket_action(a: int) -> Vector:
         ubar_x = zero_vector(n)
         for k, c in enumerate(vector(xv)):
             if c != 0:
                 ubar_x = vec_add(ubar_x, vec_scale(c, tx_action[a].col(k)))
-        defect = s.algebra.bracket_vec(xv, ubar_x)
-        if not vec_is_zero(defect):
-            rep_ok = failed("[x, u.x] = 0", (a,), defect)
-            break
-    out.append(("bracket-action", rep_ok))
+        return s.algebra.bracket_vec(xv, ubar_x)
 
     # [[x,y],[x,z]] = 0 for all y, z
-    lie_ok: CheckReport = passed()
-    for i, j in itertools.combinations(range(n), 2):
-        defect = s.algebra.bracket_vec(
+    def lie_hom(i: int, j: int) -> Vector:
+        return s.algebra.bracket_vec(
             s.algebra.bracket_vec(xv, basis_vector(n, i)),
             s.algebra.bracket_vec(xv, basis_vector(n, j)),
         )
-        if not vec_is_zero(defect):
-            lie_ok = failed("[[x,y],[x,z]] = 0", (i, j), defect)
-            break
-    out.append(("lie-hom", lie_ok))
 
     # H(x, T(y.u)) = y.H(x, Tu) for all y, u
-    act1: CheckReport = passed()
-    for i in range(n):
-        for a in range(m):
-            yu = s.rep.act_basis(i, a)
-            lhs = s.cocycle.skew_eval([xv, t.apply(yu)])
-            rhs = s.rep.action[i].apply(s.cocycle.skew_eval([xv, t.col(a)]))
-            defect = vec_sub(lhs, rhs)
-            if not vec_is_zero(defect):
-                act1 = failed("H(x,T(y.u)) = y.H(x,Tu)", (i, a), defect)
-                break
-        if not act1.ok:
-            break
-    out.append(("action-pre-1", act1))
+    def action_pre_1(i: int, a: int) -> Vector:
+        yu = s.rep.act_basis(i, a)
+        lhs = s.cocycle.skew_eval([xv, t.apply(yu)])
+        rhs = s.rep.action[i].apply(s.cocycle.skew_eval([xv, t.col(a)]))
+        return vec_sub(lhs, rhs)
 
     # [x,y].(x.u + H(x,Tu)) = 0 for all y, u
-    act2: CheckReport = passed()
-    for i in range(n):
+    def action_pre_2(i: int, a: int) -> Vector:
         xy = s.algebra.bracket_vec(xv, basis_vector(n, i))
-        for a in range(m):
-            inner = vec_add(
-                s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)])
-            )
-            defect = s.rep.act(xy, inner)
-            if not vec_is_zero(defect):
-                act2 = failed("[x,y].(x.u + H(x,Tu)) = 0", (i, a), defect)
-                break
-        if not act2.ok:
-            break
-    out.append(("action-pre-2", act2))
+        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
+        return s.rep.act(xy, inner)
 
     # x.H(y,z) + H(x, T H(y,z)) = H([x,y], z) + H(y, [x,z]) for all y, z
-    new1a: CheckReport = passed()
-    for i, j in itertools.combinations(range(n), 2):
+    def twist_compat_1(i: int, j: int) -> Vector:
         hyz = s.cocycle.value_on_basis((i, j))
         lhs = vec_add(s.rep.act(xv, hyz), s.cocycle.skew_eval([xv, t.apply(hyz)]))
         rhs = vec_add(
             s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, i)), (j,)),
             vec_scale(-1, s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, j)), (i,))),
         )
-        defect = vec_sub(lhs, rhs)
-        if not vec_is_zero(defect):
-            new1a = failed("x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])", (i, j), defect)
-            break
-    out.append(("twist-compat-1", new1a))
+        return vec_sub(lhs, rhs)
 
     # H([x,y], [x,z]) = 0 for all y, z
-    new1b: CheckReport = passed()
-    for i, j in itertools.combinations(range(n), 2):
-        defect = s.cocycle.skew_eval(
+    def twist_compat_2(i: int, j: int) -> Vector:
+        return s.cocycle.skew_eval(
             [s.algebra.bracket_vec(xv, basis_vector(n, i)), s.algebra.bracket_vec(xv, basis_vector(n, j))]
         )
-        if not vec_is_zero(defect):
-            new1b = failed("H([x,y],[x,z]) = 0", (i, j), defect)
-            break
-    out.append(("twist-compat-2", new1b))
-    return out
+
+    return [
+        (name, first_failure(kind, cases, defect))
+        for name, kind, cases, defect in (
+            ("bracket-action", "[x, u.x] = 0", [(a,) for a in range(m)], bracket_action),
+            ("lie-hom", "[[x,y],[x,z]] = 0", pairs, lie_hom),
+            ("action-pre-1", "H(x,T(y.u)) = y.H(x,Tu)", mixed, action_pre_1),
+            ("action-pre-2", "[x,y].(x.u + H(x,Tu)) = 0", mixed, action_pre_2),
+            ("twist-compat-1", "x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])", pairs, twist_compat_1),
+            ("twist-compat-2", "H([x,y],[x,z]) = 0", pairs, twist_compat_2),
+        )
+    ]
 
 
 def nijenhuis_element_check(setup: TrbSetup, t: Operator, x: Sequence) -> EquationReport:
@@ -240,36 +214,32 @@ def equivalence_check(
     xv = vector(x)
     n, m = s.dim, s.module_dim
     conditions = [c for c in _nijenhuis_conditions(setup, t, x) if c[0] != "bracket-action"]
+    module_basis = [(a,) for a in range(m)]
 
     # T_1(u) + [x, Tu] = T(x.u + H(x,Tu)) + T_1'(u)
-    newa: CheckReport = passed()
-    for a in range(m):
+    def transport(a: int) -> Vector:
         lhs = vec_add(t1.col(a), s.algebra.bracket_vec(xv, t.col(a)))
         inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
         rhs = vec_add(t.apply(inner), t1p.col(a))
-        defect = vec_sub(lhs, rhs)
-        if not vec_is_zero(defect):
-            newa = failed("T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)", (a,), defect)
-            break
-    conditions.append(("transport", newa))
+        return vec_sub(lhs, rhs)
 
     # [x, T_1(u)] = T_1'(x.u + H(x,Tu))
-    newb: CheckReport = passed()
-    for a in range(m):
+    def transport_higher(a: int) -> Vector:
         lhs = s.algebra.bracket_vec(xv, t1.col(a))
         inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
-        defect = vec_sub(lhs, t1p.apply(inner))
-        if not vec_is_zero(defect):
-            newb = failed("[x,T1(u)] = T1'(x.u+H(x,Tu))", (a,), defect)
-            break
-    conditions.append(("transport-higher", newb))
+        return vec_sub(lhs, t1p.apply(inner))
+
+    kind = "T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)"
+    conditions.append(("transport", first_failure(kind, module_basis, transport)))
+    kind = "[x,T1(u)] = T1'(x.u+H(x,Tu))"
+    conditions.append(("transport-higher", first_failure(kind, module_basis, transport_higher)))
 
     report = EquationReport(tuple(conditions))
     if report.ok:
         diff = operator_element(s, t1 - t1p)
         dx = d_t_unchecked(s, t, Cochain(0, m, n, Matrix(n, 1, xv)))
         if diff != dx:
-            raise InvalidStructure("equivalence passed but T1 - T1' != d_T(x); bug")
+            raise InternalInconsistency("equivalence passed but T1 - T1' != d_T(x)")
     return report
 
 
@@ -306,6 +276,7 @@ def rigidity_probe(setup: TrbSetup, t: Operator, grid: int = 2) -> RigidityRepor
     d1 = d_t_matrix(s, t, 1)
     d0 = d_t_matrix(s, t, 0)
     kernel = d1.kernel_basis()
+    homogeneous = d0.kernel_basis()
     probes = []
     all_found = True
     for f in kernel:
@@ -314,10 +285,9 @@ def rigidity_probe(setup: TrbSetup, t: Operator, grid: int = 2) -> RigidityRepor
             probes.append(CocycleProbe(f, None, False))
             all_found = False
             continue
-        homogeneous = d0.kernel_basis()
         found = None
-        coeff_iter = itertools.product(range(-grid, grid + 1), repeat=len(homogeneous))
-        for coeffs in sorted(coeff_iter):
+        # product() yields the grid in lexicographic order already
+        for coeffs in itertools.product(range(-grid, grid + 1), repeat=len(homogeneous)):
             x = list(particular)
             for c, k in zip(coeffs, homogeneous):
                 x = [a + c * b for a, b in zip(x, k)]

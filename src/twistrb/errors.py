@@ -30,6 +30,10 @@ class InvalidStructure(ToolkitError):
     non-cocycle twisting term, inconsistent instance file)."""
 
 
+class InternalInconsistency(ToolkitError):
+    """Two routes that must agree on every input disagreed: a bug, not bad input."""
+
+
 class NotNijenhuis(ToolkitError):
     """Operator fails the Nijenhuis identity."""
 

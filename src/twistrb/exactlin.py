@@ -291,14 +291,6 @@ class Matrix:
         return tuple(x)
 
 
-def matrix_str(m: Matrix) -> list[list[str]]:
-    return [[scalar_str(x) for x in m.row(i)] for i in range(m.rows)]
-
-
-def assemble_columns(columns: Sequence[Sequence[ScalarLike]], rows: int) -> Matrix:
-    return Matrix.from_cols([vector(c) for c in columns], rows=rows)
-
-
 def permutation_sign(word: Sequence[int]) -> int:
     """Parity of a permutation given in word form (image sequence)."""
     sign = 1

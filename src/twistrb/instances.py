@@ -3,19 +3,21 @@
 One JSON document carries every section a command might need; commands pick
 the sections they use and complain precisely about missing ones.  Basis
 indices in files are 1-based ("[1,2]" keys, i < j for skew tables); scalars
-are exact rationals written as integers or "p/q" strings.  Loading performs
-shape and cross-dimension checks only; mathematical validation (Jacobi,
+are exact rationals written as JSON integers or "p"/"p/q" strings with q > 0,
+and dimensions are positive JSON integers (not booleans).  Loading performs
+type, shape and cross-dimension checks only; mathematical validation (Jacobi,
 representation and cocycle axioms) belongs to the commands.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .errors import InvalidStructure
-from .exactlin import Matrix, scalar, scalar_str
+from .exactlin import Matrix, scalar_str
 from .multilin import Bilinear, Cochain
 from .nslie import AssocNs, NsLie
 from .tgcs import LieGcsTriple
@@ -23,6 +25,30 @@ from .tgcs import LieGcsTriple
 
 class MissingSection(InvalidStructure):
     """A command needs a section the document does not carry."""
+
+
+_SCALAR = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _object(raw: Any, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise InvalidStructure(f"{where}: expected an object")
+    return raw
+
+
+def _section(data: Mapping, name: str) -> Mapping | None:
+    raw = data.get(name)
+    return None if raw is None else _object(raw, name)
+
+
+def _positive_int(raw: Any, where: str) -> int:
+    if not _is_int(raw) or raw < 1:
+        raise InvalidStructure(f"{where} must be a positive integer")
+    return raw
 
 
 def _parse_key(key: str, arity: int, dim: int, where: str) -> tuple[int, ...]:
@@ -33,18 +59,19 @@ def _parse_key(key: str, arity: int, dim: int, where: str) -> tuple[int, ...]:
     if not isinstance(idx, list) or len(idx) != arity:
         raise InvalidStructure(f"{where}: key {key!r} must list {arity} indices")
     for i in idx:
-        if not isinstance(i, int) or not (1 <= i <= dim):
+        if not _is_int(i) or not (1 <= i <= dim):
             raise InvalidStructure(f"{where}: index {i} out of range 1..{dim} in {key!r}")
     return tuple(i - 1 for i in idx)
 
 
-def _parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]:
+def parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]:
+    """A list of exact scalars: integers, or strings "p" or "p/q" with q > 0."""
     if not isinstance(raw, list) or len(raw) != length:
         raise InvalidStructure(f"{where}: expected a list of {length} scalars")
-    try:
-        return tuple(scalar(x) for x in raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InvalidStructure(f"{where}: bad scalar ({exc})") from exc
+    for x in raw:
+        if not (_is_int(x) or (isinstance(x, str) and _SCALAR.fullmatch(x))):
+            raise InvalidStructure(f'{where}: bad scalar {x!r} (expected an integer or "p/q")')
+    return tuple(Fraction(x) for x in raw)
 
 
 def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Matrix:
@@ -57,33 +84,31 @@ def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Ma
         raise InvalidStructure(f"{where}: expected {cols} columns, got {c}")
     entries = []
     for row in raw:
-        entries.extend(_parse_vector(row, c, where))
+        entries.extend(parse_vector(row, c, where))
     return Matrix(r, c, entries)
 
 
 def _parse_cochain(
     raw: Mapping, degree: int, source_dim: int, target_dim: int, where: str
 ) -> Cochain:
-    if not isinstance(raw, Mapping):
-        raise InvalidStructure(f"{where}: expected an object")
+    _object(raw, where)
     for field, expected in (("degree", degree), ("source_dim", source_dim), ("target_dim", target_dim)):
-        if field in raw and raw[field] != expected:
+        if field in raw and (not _is_int(raw[field]) or raw[field] != expected):
             raise InvalidStructure(f"{where}: {field} must be {expected}, got {raw[field]}")
-    values = raw.get("values", {})
     parsed = {}
-    for key, vec in values.items():
+    for key, vec in _object(raw.get("values", {}), f"{where}.values").items():
         t = _parse_key(key, degree, source_dim, where)
         if any(a >= b for a, b in zip(t, t[1:])):
             raise InvalidStructure(f"{where}: key {key!r} must be strictly increasing")
-        parsed[t] = _parse_vector(vec, target_dim, f"{where}[{key}]")
+        parsed[t] = parse_vector(vec, target_dim, f"{where}[{key}]")
     return Cochain.from_values(degree, source_dim, target_dim, parsed)
 
 
 def _parse_bilinear(raw: Mapping, dim: int, where: str) -> Bilinear:
     parsed = {}
-    for key, vec in raw.items():
+    for key, vec in _object(raw, where).items():
         i, j = _parse_key(key, 2, dim, where)
-        parsed[(i, j)] = _parse_vector(vec, dim, f"{where}[{key}]")
+        parsed[(i, j)] = parse_vector(vec, dim, f"{where}[{key}]")
     return Bilinear.from_values(dim, dim, parsed)
 
 
@@ -131,33 +156,27 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         raise InvalidStructure("instance document must be a JSON object")
     fields: dict[str, Any] = {}
 
-    lie = data.get("lie_algebra")
+    lie = _section(data, "lie_algebra")
     dim = None
     if lie is not None:
-        dim = lie.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise InvalidStructure("lie_algebra.dim must be a positive integer")
+        dim = _positive_int(lie.get("dim"), "lie_algebra.dim")
         table = {}
-        for key, vec in lie.get("brackets", {}).items():
+        for key, vec in _object(lie.get("brackets", {}), "lie_algebra.brackets").items():
             i, j = _parse_key(key, 2, dim, "lie_algebra.brackets")
-            table[(i, j)] = _parse_vector(vec, dim, f"lie_algebra.brackets[{key}]")
+            table[(i, j)] = parse_vector(vec, dim, f"lie_algebra.brackets[{key}]")
         fields["lie_dim"] = dim
         fields["brackets"] = table
 
-    mod = data.get("module")
+    mod = _section(data, "module")
     m_dim = None
     if mod is not None:
-        m_dim = mod.get("dim")
-        if not isinstance(m_dim, int) or m_dim < 1:
-            raise InvalidStructure("module.dim must be a positive integer")
+        m_dim = _positive_int(mod.get("dim"), "module.dim")
 
-    rep = data.get("representation")
+    rep = _section(data, "representation")
     if rep is not None:
         if dim is None:
             raise InvalidStructure("representation needs a lie_algebra section")
-        rep_dim = rep.get("module_dim", m_dim)
-        if not isinstance(rep_dim, int) or rep_dim < 1:
-            raise InvalidStructure("representation.module_dim must be a positive integer")
+        rep_dim = _positive_int(rep.get("module_dim", m_dim), "representation.module_dim")
         if m_dim is not None and rep_dim != m_dim:
             raise InvalidStructure("module.dim and representation.module_dim disagree")
         m_dim = rep_dim
@@ -182,25 +201,21 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     if "derivation_d" in data:
         fields["derivation_d"] = parse_matrix(data["derivation_d"], dim, dim, "derivation_d")
 
-    ns = data.get("ns_lie")
+    ns = _section(data, "ns_lie")
     if ns is not None:
-        ns_dim = ns.get("dim")
-        if not isinstance(ns_dim, int) or ns_dim < 1:
-            raise InvalidStructure("ns_lie.dim must be a positive integer")
+        ns_dim = _positive_int(ns.get("dim"), "ns_lie.dim")
         circ = _parse_bilinear(ns.get("circ", {}), ns_dim, "ns_lie.circ")
         vee_vals = {}
-        for key, vec in ns.get("vee", {}).items():
+        for key, vec in _object(ns.get("vee", {}), "ns_lie.vee").items():
             i, j = _parse_key(key, 2, ns_dim, "ns_lie.vee")
             if i >= j:
                 raise InvalidStructure(f"ns_lie.vee key {key!r} must have i < j")
-            vee_vals[(i, j)] = _parse_vector(vec, ns_dim, f"ns_lie.vee[{key}]")
+            vee_vals[(i, j)] = parse_vector(vec, ns_dim, f"ns_lie.vee[{key}]")
         fields["ns"] = NsLie(ns_dim, circ, Cochain.from_values(2, ns_dim, ns_dim, vee_vals))
 
-    assoc = data.get("assoc_ns")
+    assoc = _section(data, "assoc_ns")
     if assoc is not None:
-        a_dim = assoc.get("dim")
-        if not isinstance(a_dim, int) or a_dim < 1:
-            raise InvalidStructure("assoc_ns.dim must be a positive integer")
+        a_dim = _positive_int(assoc.get("dim"), "assoc_ns.dim")
         fields["assoc"] = AssocNs(
             a_dim,
             _parse_bilinear(assoc.get("prec", {}), a_dim, "assoc_ns.prec"),
@@ -208,7 +223,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
             _parse_bilinear(assoc.get("box", {}), a_dim, "assoc_ns.box"),
         )
 
-    gcs = data.get("gcs_components")
+    gcs = _section(data, "gcs_components")
     if gcs is not None:
         if dim is None or m_dim is None:
             raise InvalidStructure("gcs_components needs lie_algebra and a module dimension")
@@ -219,7 +234,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
             parse_matrix(gcs.get("S"), m_dim, m_dim, "gcs_components.S"),
         )
 
-    lg = data.get("lie_gcs")
+    lg = _section(data, "lie_gcs")
     if lg is not None:
         if dim is None:
             raise InvalidStructure("lie_gcs needs a lie_algebra section")
@@ -229,7 +244,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
             parse_matrix(lg.get("sigma"), dim, dim, "lie_gcs.sigma"),
         )
 
-    defo = data.get("deformation")
+    defo = _section(data, "deformation")
     if defo is not None:
         if dim is None or m_dim is None:
             raise InvalidStructure("deformation needs lie_algebra and a module dimension")
@@ -237,7 +252,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         if not isinstance(coeffs, list) or not coeffs:
             raise InvalidStructure("deformation.coefficients must be a nonempty list")
         order = defo.get("order", len(coeffs))
-        if order != len(coeffs):
+        if not _is_int(order) or order != len(coeffs):
             raise InvalidStructure("deformation.order disagrees with coefficient count")
         fields["deformation"] = tuple(
             parse_matrix(c, dim, m_dim, f"deformation.coefficients[{k}]")
@@ -300,9 +315,4 @@ def bilinear_json(b: Bilinear) -> dict:
 
 
 def ns_json(ns: NsLie) -> dict:
-    vee = {}
-    for t in ns.vee.basis_tuples():
-        col = ns.vee.value_on_basis(t)
-        if any(x != 0 for x in col):
-            vee[json.dumps([i + 1 for i in t], separators=(",", ""))] = vector_json(col)
-    return {"dim": ns.dim, "circ": bilinear_json(ns.circ), "vee": vee}
+    return {"dim": ns.dim, "circ": bilinear_json(ns.circ), "vee": cochain_json(ns.vee)["values"]}

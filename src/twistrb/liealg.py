@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence, Union
 
-from .errors import InvalidStructure, NotNijenhuis, NotNilpotent
+from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
     Matrix,
     Vector,
@@ -25,7 +26,7 @@ from .exactlin import (
     zero_vector,
 )
 from .multilin import Cochain, ext_basis
-from .report import CheckReport, Violation, failed, passed
+from .report import CheckReport, Violation, first_failure
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,8 @@ def jacobi_defect(bracket: Cochain, i: int, j: int, k: int) -> Vector:
 
 
 def _first_jacobi_violation(bracket: Cochain) -> Violation | None:
-    dim = bracket.source_dim
-    for t in ext_basis(dim, 3):
-        defect = jacobi_defect(bracket, *t)
-        if not vec_is_zero(defect):
-            return Violation("jacobi", t, defect)
-    return None
+    cases = ext_basis(bracket.source_dim, 3)
+    return first_failure("jacobi", cases, partial(jacobi_defect, bracket)).violation
 
 
 def validate_lie(
@@ -171,24 +168,17 @@ def validate_rep(
     for m in action:
         if m.rows != module_dim or m.cols != module_dim:
             return Violation("action matrix shape", (m.rows, m.cols), ())
-    rep = Representation(module_dim, tuple(action))
-    for i, j in ext_basis(algebra.dim, 2):
+
+    def defect(i: int, j: int) -> tuple:
         lhs = Matrix.zero(module_dim, module_dim)
         for k, c in enumerate(algebra.bracket_basis(i, j)):
             if c != 0:
                 lhs = lhs + action[k].scale(c)
         rhs = action[i] @ action[j] - action[j] @ action[i]
-        diff = lhs - rhs
-        if not diff.is_zero():
-            return Violation("representation", (i, j), diff.entries)
-    return rep
+        return (lhs - rhs).entries
 
-
-def representation(algebra: LieAlgebra, module_dim: int, action: Sequence[Matrix]) -> Representation:
-    out = validate_rep(algebra, module_dim, action)
-    if isinstance(out, Violation):
-        raise InvalidStructure(out.describe())
-    return out
+    report = first_failure("representation", ext_basis(algebra.dim, 2), defect)
+    return Representation(module_dim, tuple(action)) if report.ok else report.violation
 
 
 def adjoint_rep(algebra: LieAlgebra) -> Representation:
@@ -204,7 +194,8 @@ def coadjoint_rep(algebra: LieAlgebra) -> Representation:
     """Coadjoint action (ad*_x a)(y) = -a([x,y]); matrices are -ad(e_i)^T."""
     action = tuple((-algebra.ad(i)).transpose() for i in range(algebra.dim))
     rep = validate_rep(algebra, algebra.dim, action)
-    assert isinstance(rep, Representation)
+    if isinstance(rep, Violation):
+        raise InternalInconsistency(f"coadjoint action is not a representation: {rep.describe()}")
     return rep
 
 
@@ -272,8 +263,9 @@ def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
     dims = []
     prev_rank = 0
     for d in deltas:
-        dims.append(d.nullity() - prev_rank)
-        prev_rank = d.rank()
+        rank = d.rank()
+        dims.append(d.cols - rank - prev_rank)
+        prev_rank = rank
     return dims
 
 
@@ -316,18 +308,7 @@ def ce_cohomology_representatives(
 def is_two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> CheckReport:
     """True iff delta_CE h = 0; on failure carries the first violating triple."""
     dh = ce_differential_cochain(algebra.bracket, rep, h)
-    for t in ext_basis(algebra.dim, 3):
-        v = dh.value_on_basis(t)
-        if not vec_is_zero(v):
-            return failed("2-cocycle", t, v)
-    return passed()
-
-
-def two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> Cochain:
-    rep_ok = is_two_cocycle(algebra, rep, h)
-    if not rep_ok:
-        raise InvalidStructure(rep_ok.violation.describe())
-    return h
+    return first_failure("2-cocycle", ext_basis(algebra.dim, 3), lambda *t: dh.value_on_basis(t))
 
 
 # -- Nijenhuis operators ------------------------------------------------
@@ -347,11 +328,7 @@ def nijenhuis_defect(algebra: LieAlgebra, n_op: Matrix, i: int, j: int) -> Vecto
 
 
 def nijenhuis_check(algebra: LieAlgebra, n_op: Matrix) -> CheckReport:
-    for i, j in ext_basis(algebra.dim, 2):
-        defect = nijenhuis_defect(algebra, n_op, i, j)
-        if not vec_is_zero(defect):
-            return failed("nijenhuis", (i, j), defect)
-    return passed()
+    return first_failure("nijenhuis", ext_basis(algebra.dim, 2), partial(nijenhuis_defect, algebra, n_op))
 
 
 def deformed_bracket_cochain(algebra: LieAlgebra, n_op: Matrix) -> Cochain:
@@ -384,16 +361,16 @@ def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:
 
 def derivation_check(algebra: LieAlgebra, d: Matrix) -> CheckReport:
     """d[x,y] = [dx,y] + [x,dy] on basis pairs."""
-    for i, j in ext_basis(algebra.dim, 2):
+
+    def defect(i: int, j: int) -> Vector:
         lhs = d.apply(algebra.bracket_basis(i, j))
         rhs = vec_add(
             algebra.bracket.eval_mixed(d.col(i), (j,)),
             vec_scale(-1, algebra.bracket.eval_mixed(d.col(j), (i,))),
         )
-        defect = vec_sub(lhs, rhs)
-        if not vec_is_zero(defect):
-            return failed("derivation", (i, j), defect)
-    return passed()
+        return vec_sub(lhs, rhs)
+
+    return first_failure("derivation", ext_basis(algebra.dim, 2), defect)
 
 
 def nilpotency_index(d: Matrix) -> int:

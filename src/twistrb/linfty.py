@@ -15,13 +15,14 @@ on degree-0 elements of g.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInconsistency
 from .exactlin import Matrix, permutation_sign, vec_add, vec_scale, zero_vector
 from .liealg import (
+    LieAlgebra,
     Representation,
+    ce_differential,
     ce_differential_cochain,
     cohomology_dims_from_matrices,
 )
@@ -29,15 +30,11 @@ from .multilin import Cochain, ext_basis, iter_unshuffles
 from .operators import (
     Operator,
     TrbSetup,
+    check_trb,
     induced_action_matrices,
     induced_bracket_cochain,
     require_trb,
 )
-
-
-def graded_element(setup: TrbSetup, degree: int, matrix: Matrix) -> Cochain:
-    """A homogeneous element: a cochain from M to g tagged by its degree."""
-    return Cochain(degree, setup.module_dim, setup.dim, matrix)
 
 
 def _check_element(setup: TrbSetup, p: Cochain) -> None:
@@ -179,15 +176,14 @@ def bracket3(setup: TrbSetup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:
 def mc_defect(setup: TrbSetup, t: Operator) -> Cochain:
     """(1/2)[[T,T]] - (1/6)[[T,T,T]]; zero exactly when T passes check_trb.
 
-    The biconditional with the direct identity is asserted on every call.
+    The biconditional with the direct identity is checked on every call.
     """
     te = operator_element(setup, t)
     b2 = bracket2(setup, te, te)
     b3 = bracket3(setup, te, te, te)
     defect = b2.scale(Fraction(1, 2)) - b3.scale(Fraction(1, 6))
-    from .operators import check_trb
-
-    assert defect.is_zero() == check_trb(setup, t).ok
+    if defect.is_zero() != check_trb(setup, t).ok:
+        raise InternalInconsistency("Maurer-Cartan and direct verdicts disagree")
     return defect
 
 
@@ -202,27 +198,28 @@ def d_t_unchecked(setup: TrbSetup, t: Operator, f: Cochain) -> Cochain:
     return bracket2(setup, te, f) - bracket3(setup, te, te, f).scale(Fraction(1, 2))
 
 
+def _induced_structure(setup: TrbSetup, t: Operator) -> tuple[LieAlgebra, Representation]:
+    """(M, [.,.]_T) acting on g, unvalidated: only meaningful when T passes check_trb."""
+    algebra = LieAlgebra(setup.module_dim, induced_bracket_cochain(setup, t))
+    return algebra, Representation(setup.dim, induced_action_matrices(setup, t))
+
+
 def d_t_matrix(setup: TrbSetup, t: Operator, degree: int) -> Matrix:
-    """Matrix of d_T on degree-`degree` elements in the flattened lex bases."""
-    m, n = setup.module_dim, setup.dim
-    domain = comb(m, degree) * n if degree >= 0 else 0
-    codomain = comb(m, degree + 1) * n
-    cols = []
-    for j in range(domain):
-        flat = [0] * domain
-        flat[j] = 1
-        f = Cochain.from_vec(degree, m, n, flat)
-        cols.append(d_t_unchecked(setup, t, f).vec())
-    return Matrix.from_cols(cols, rows=codomain)
+    """Matrix of d_T on degree-`degree` elements in the flattened lex bases.
+
+    Built as (-1)^degree delta_CE of the induced structure, which equals d_T
+    for an operator passing check_trb (`compare_dt_ce` checks it per cochain).
+    """
+    delta = ce_differential(*_induced_structure(setup, t), degree)
+    return -delta if degree % 2 == 1 else delta
 
 
 def compare_dt_ce(setup: TrbSetup, t: Operator, f: Cochain) -> bool:
     """d_T f = (-1)^n delta_CE f over the induced structure on M, exactly."""
     require_trb(setup, t)
     left = d_t_unchecked(setup, t, f)
-    bracket = induced_bracket_cochain(setup, t)
-    rep = Representation(setup.dim, induced_action_matrices(setup, t))
-    right = ce_differential_cochain(bracket, rep, f)
+    algebra, rep = _induced_structure(setup, t)
+    right = ce_differential_cochain(algebra.bracket, rep, f)
     if f.degree % 2 == 1:
         right = -right
     return left == right
@@ -245,7 +242,7 @@ def twisted_bracket2(setup: TrbSetup, t: Operator, p: Cochain, q: Cochain) -> Co
 def mc_defect_shifted(setup: TrbSetup, t: Operator, t_prime: Operator) -> Cochain:
     """d_T(T') + (1/2)[[T',T']]_T - (1/6)[[T',T',T']]; zero iff T+T' passes.
 
-    The biconditional with check_trb on the sum is asserted on every call.
+    The biconditional with check_trb on the sum is checked on every call.
     """
     require_trb(setup, t)
     te = operator_element(setup, t)
@@ -254,9 +251,8 @@ def mc_defect_shifted(setup: TrbSetup, t: Operator, t_prime: Operator) -> Cochai
     quad = (bracket2(setup, tp, tp) - bracket3(setup, te, tp, tp)).scale(Fraction(1, 2))
     cub = bracket3(setup, tp, tp, tp).scale(Fraction(1, 6))
     defect = lin + quad - cub
-    from .operators import check_trb
-
-    assert defect.is_zero() == check_trb(setup, t + t_prime).ok
+    if defect.is_zero() != check_trb(setup, t + t_prime).ok:
+        raise InternalInconsistency("shifted Maurer-Cartan and direct verdicts disagree")
     return defect
 
 

@@ -13,10 +13,9 @@ arguments are trivial and unshuffle signs are plain permutation parities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
@@ -64,15 +63,6 @@ def sort_with_sign(t: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
     return tuple(lst), sign
 
 
-@dataclass(frozen=True)
-class Unshuffle:
-    """A permutation increasing within each block, with its parity."""
-
-    blocks: tuple[int, ...]
-    word: tuple[int, ...]
-    sign: int
-
-
 def iter_unshuffles(blocks: Sequence[int]) -> Iterable[tuple[tuple[int, ...], int]]:
     """Yield (word, sign) for every permutation increasing on each block.
 
@@ -102,18 +92,6 @@ def iter_unshuffles(blocks: Sequence[int]) -> Iterable[tuple[tuple[int, ...], in
             yield from rec(rest, bi + 1, word + picked, s)
 
     yield from rec(universe, 0, (), 1)
-
-
-def enumerate_unshuffles(blocks: Sequence[int]) -> list[Unshuffle]:
-    return [Unshuffle(tuple(blocks), word, sign) for word, sign in iter_unshuffles(blocks)]
-
-
-def multinomial(blocks: Sequence[int]) -> int:
-    n = sum(blocks)
-    out = factorial(n)
-    for b in blocks:
-        out //= factorial(b)
-    return out
 
 
 class Cochain:

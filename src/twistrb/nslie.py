@@ -15,11 +15,13 @@ Rota-Baxter operators.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .errors import InvalidStructure, NotAssocNs, NotNijenhuis, NotNsLie
-from .exactlin import Matrix, Vector, vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector
+from .errors import InternalInconsistency, InvalidStructure, NotAssocNs, NotNijenhuis, NotNsLie
+from .exactlin import Matrix, Vector, vec_add, vec_scale, vec_sub, zero_vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -29,7 +31,7 @@ from .liealg import (
 )
 from .multilin import Bilinear, Cochain, ext_basis
 from .operators import Operator, TrbSetup, require_trb, trb_setup
-from .report import CheckReport, EquationReport, Violation, failed, passed
+from .report import EquationReport, Violation, first_failure
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,6 @@ class NsLie:
             self.vee.value_on_tuple((i, j)),
         )
 
-    def star_vec(self, x: Sequence, y: Sequence) -> Vector:
-        return vec_add(
-            vec_sub(self.circ.eval(x, y), self.circ.eval(y, x)),
-            self.vee.skew_eval([x, y]),
-        )
-
-
-def ns_lie(dim: int, circ: Bilinear, vee: Cochain) -> NsLie:
-    if circ.source_dim != dim or circ.target_dim != dim:
-        raise InvalidStructure("circ must be a bilinear product on the space")
-    if vee.degree != 2 or vee.source_dim != dim or vee.target_dim != dim:
-        raise InvalidStructure("vee must be a skew bilinear product on the space")
-    return NsLie(dim, circ, vee)
 
 
 def ns1_defect(ns: NsLie, i: int, j: int, k: int) -> Vector:
@@ -87,24 +76,9 @@ def ns2_defect(ns: NsLie, i: int, j: int, k: int) -> Vector:
 
 def ns_check(ns: NsLie) -> EquationReport:
     """NS1 on all ordered basis triples, NS2 on strictly increasing triples."""
-    ns1: CheckReport = passed()
-    for i in range(ns.dim):
-        for j in range(ns.dim):
-            for k in range(ns.dim):
-                defect = ns1_defect(ns, i, j, k)
-                if not vec_is_zero(defect):
-                    ns1 = failed("NS1", (i, j, k), defect)
-                    break
-            if not ns1.ok:
-                break
-        if not ns1.ok:
-            break
-    ns2: CheckReport = passed()
-    for t in ext_basis(ns.dim, 3):
-        defect = ns2_defect(ns, *t)
-        if not vec_is_zero(defect):
-            ns2 = failed("NS2", t, defect)
-            break
+    triples = itertools.product(range(ns.dim), repeat=3)
+    ns1 = first_failure("NS1", triples, partial(ns1_defect, ns))
+    ns2 = first_failure("NS2", ext_basis(ns.dim, 3), partial(ns2_defect, ns))
     return EquationReport((("NS1", ns1), ("NS2", ns2)))
 
 
@@ -112,7 +86,7 @@ def adjacent_lie(ns: NsLie) -> tuple[LieAlgebra, Representation]:
     """The Lie algebra (L, x*y) with circ as its action on L."""
     rep_check = ns_check(ns)
     if not rep_check.ok:
-        raise NotNsLie(_first_violation(rep_check).describe())
+        raise NotNsLie(rep_check.first_violation().describe())
     values = {t: ns.star(*t) for t in ext_basis(ns.dim, 2)}
     algebra = lie_algebra_from_cochain(Cochain.from_values(2, ns.dim, ns.dim, values))
     action = []
@@ -123,13 +97,6 @@ def adjacent_lie(ns: NsLie) -> tuple[LieAlgebra, Representation]:
     if isinstance(rep, Violation):
         raise InvalidStructure(f"adjacent action is not a representation: {rep.describe()}")
     return algebra, rep
-
-
-def _first_violation(report: EquationReport) -> Violation:
-    for _, rep in report.equations:
-        if not rep.ok:
-            return rep.violation
-    raise ValueError("report has no violation")
 
 
 def ns_from_nijenhuis(algebra: LieAlgebra, n_op: Matrix) -> NsLie:
@@ -150,8 +117,8 @@ def ns_from_nijenhuis(algebra: LieAlgebra, n_op: Matrix) -> NsLie:
         Bilinear.from_values(dim, dim, circ_vals),
         Cochain.from_values(2, dim, dim, vee_vals),
     )
-    verdict = ns_check(ns)
-    assert verdict.ok
+    if not ns_check(ns).ok:
+        raise InternalInconsistency("the Nijenhuis construction fails the NS-Lie axioms")
     return ns
 
 
@@ -176,35 +143,35 @@ def assoc_ns_check(a: AssocNs) -> EquationReport:
     dim = a.dim
     basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
 
-    def defects(i, j, k):
+    def prec_assoc(i, j, k):
         x, y, z = basis[i], basis[j], basis[k]
-        star_yz = a.star_all(y, z)
-        star_xy = a.star_all(x, y)
-        d1 = vec_sub(a.prec.eval(a.prec.eval(x, y), z), a.prec.eval(x, star_yz))
-        d2 = vec_sub(a.prec.eval(a.succ.eval(x, y), z), a.succ.eval(x, a.prec.eval(y, z)))
-        d3 = vec_sub(a.succ.eval(star_xy, z), a.succ.eval(x, a.succ.eval(y, z)))
-        d4 = vec_sub(
-            vec_add(a.prec.eval(a.box.eval(x, y), z), a.box.eval(star_xy, z)),
-            vec_add(a.succ.eval(x, a.box.eval(y, z)), a.box.eval(x, star_yz)),
-        )
-        return (d1, d2, d3, d4)
+        return vec_sub(a.prec.eval(a.prec.eval(x, y), z), a.prec.eval(x, a.star_all(y, z)))
 
-    labels = ("prec-assoc", "succ-prec", "succ-assoc", "box")
-    reports: list[CheckReport] = [passed()] * 4
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for idx, d in enumerate(defects(i, j, k)):
-                    if reports[idx].ok and not vec_is_zero(d):
-                        reports[idx] = failed(labels[idx], (i, j, k), d)
-    return EquationReport(tuple(zip(labels, reports)))
+    def succ_prec(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(a.prec.eval(a.succ.eval(x, y), z), a.succ.eval(x, a.prec.eval(y, z)))
+
+    def succ_assoc(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(a.succ.eval(a.star_all(x, y), z), a.succ.eval(x, a.succ.eval(y, z)))
+
+    def box(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(
+            vec_add(a.prec.eval(a.box.eval(x, y), z), a.box.eval(a.star_all(x, y), z)),
+            vec_add(a.succ.eval(x, a.box.eval(y, z)), a.box.eval(x, a.star_all(y, z))),
+        )
+
+    triples = list(itertools.product(range(dim), repeat=3))
+    identities = {"prec-assoc": prec_assoc, "succ-prec": succ_prec, "succ-assoc": succ_assoc, "box": box}
+    return EquationReport(tuple((k, first_failure(k, triples, f)) for k, f in identities.items()))
 
 
 def ns_from_assoc(a: AssocNs) -> NsLie:
     """x circ y = x succ y - y prec x, x vee y = x box y - y box x."""
     verdict = assoc_ns_check(a)
     if not verdict.ok:
-        raise NotAssocNs(_first_violation(verdict).describe())
+        raise NotAssocNs(verdict.first_violation().describe())
     dim = a.dim
     basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
     circ_vals = {
@@ -221,8 +188,8 @@ def ns_from_assoc(a: AssocNs) -> NsLie:
         Bilinear.from_values(dim, dim, circ_vals),
         Cochain.from_values(2, dim, dim, vee_vals),
     )
-    out = ns_check(ns)
-    assert out.ok
+    if not ns_check(ns).ok:
+        raise InternalInconsistency("the associative NS construction fails the NS-Lie axioms")
     return ns
 
 
@@ -241,8 +208,8 @@ def ns_from_trb(setup: TrbSetup, t: Operator) -> NsLie:
         Bilinear.from_values(m, m, circ_vals),
         Cochain.from_values(2, m, m, vee_vals),
     )
-    verdict = ns_check(ns)
-    assert verdict.ok
+    if not ns_check(ns).ok:
+        raise InternalInconsistency("the operator construction fails the NS-Lie axioms")
     return ns
 
 
@@ -250,7 +217,7 @@ def trb_from_ns(ns: NsLie) -> tuple[TrbSetup, Operator]:
     """The identity map over the adjacent Lie algebra, twisted by vee."""
     verdict = ns_check(ns)
     if not verdict.ok:
-        raise NotNsLie(_first_violation(verdict).describe())
+        raise NotNsLie(verdict.first_violation().describe())
     algebra, rep = adjacent_lie(ns)
     setup = trb_setup(algebra, rep, ns.vee)
     ident = Matrix.identity(ns.dim)

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
+    InternalInconsistency,
     InvalidStructure,
     NotAdmissible,
     NotCocycle,
@@ -30,7 +32,6 @@ from .exactlin import (
     Matrix,
     Vector,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     vector,
@@ -53,7 +54,7 @@ from .liealg import (
     validate_rep,
 )
 from .multilin import Cochain, ext_basis
-from .report import CheckReport, Violation, failed, passed
+from .report import CheckReport, Violation, first_failure
 
 Operator = Matrix
 
@@ -114,11 +115,7 @@ def trb_defect(setup: TrbSetup, t: Operator, i: int, j: int) -> Vector:
 def check_trb(setup: TrbSetup, t: Operator) -> CheckReport:
     """The defining identity on all basis pairs, first defect as witness."""
     _check_shape(setup, t)
-    for i, j in ext_basis(setup.module_dim, 2):
-        defect = trb_defect(setup, t, i, j)
-        if not vec_is_zero(defect):
-            return failed("twisted Rota-Baxter", (i, j), defect)
-    return passed()
+    return first_failure("twisted Rota-Baxter", ext_basis(setup.module_dim, 2), partial(trb_defect, setup, t))
 
 
 def require_trb(setup: TrbSetup, t: Operator) -> None:
@@ -224,7 +221,7 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
     """T_B = T(id + B.T)^{-1} for a T-admissible 1-cocycle B.
 
     The transport identity (id + B.T)[u,v]_T = [(id+B.T)u, (id+B.T)v]_{T_B}
-    is asserted on all basis pairs before returning.
+    is checked on all basis pairs before returning.
     """
     _check_shape(setup, t)
     if b.rows != setup.module_dim or b.cols != setup.dim:
@@ -240,11 +237,14 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
     require_trb(setup, t_b)
     before = induced_bracket_cochain(setup, t)
     after = induced_bracket_cochain(setup, t_b)
-    for i, j in ext_basis(setup.module_dim, 2):
+
+    def transport(i: int, j: int) -> Vector:
         lhs = perturbed.apply(before.value_on_basis((i, j)))
-        rhs = after.skew_eval([perturbed.col(i), perturbed.col(j)])
-        if lhs != rhs:
-            raise InvalidStructure("gauge transport identity failed")
+        return vec_sub(lhs, after.skew_eval([perturbed.col(i), perturbed.col(j)]))
+
+    verdict = first_failure("gauge transport", ext_basis(setup.module_dim, 2), transport)
+    if not verdict.ok:
+        raise InternalInconsistency(verdict.violation.describe())
     return t_b
 
 
@@ -323,8 +323,8 @@ def reynolds_check(algebra: LieAlgebra, r: Matrix) -> CheckReport:
     Both the direct identity and the (H = -bracket, adjoint) twisted
     Rota-Baxter check are computed; they must agree.
     """
-    direct: CheckReport = passed()
-    for i, j in ext_basis(algebra.dim, 2):
+
+    def defect(i: int, j: int) -> Vector:
         rx, ry = r.col(i), r.col(j)
         lhs = algebra.bracket_vec(rx, ry)
         inner = vec_add(
@@ -332,13 +332,12 @@ def reynolds_check(algebra: LieAlgebra, r: Matrix) -> CheckReport:
             vec_scale(-1, algebra.bracket.eval_mixed(ry, (i,))),
         )
         inner = vec_sub(inner, lhs)
-        defect = vec_sub(lhs, r.apply(inner))
-        if not vec_is_zero(defect):
-            direct = failed("reynolds", (i, j), defect)
-            break
+        return vec_sub(lhs, r.apply(inner))
+
+    direct = first_failure("reynolds", ext_basis(algebra.dim, 2), defect)
     twisted = check_trb(reynolds_setup(algebra), r)
     if direct.ok != twisted.ok:
-        raise InvalidStructure("Reynolds routes disagree; transcription bug")
+        raise InternalInconsistency("direct and twisted Reynolds routes disagree")
     return direct
 
 
@@ -353,8 +352,8 @@ def reynolds_from_derivation(algebra: LieAlgebra, d: Matrix) -> Operator:
     for n in range(k):
         r = r + power.scale(Fraction((-1) ** n))
         power = power @ d
-    verdict = reynolds_check(algebra, r)
-    assert verdict.ok
+    if not reynolds_check(algebra, r).ok:
+        raise InternalInconsistency("the derivation series fails the Reynolds identity")
     return r
 
 
@@ -416,7 +415,7 @@ def r_matrix_check(
 
     Delegates to the twisted Rota-Baxter check over the coadjoint module with
     H built from psi.  On success also returns the induced dual-space Lie
-    algebra and asserts r is a morphism onto it.
+    algebra and checks that r is a morphism onto it.
     """
     if not r.is_skew():
         raise NotSkew("r must be skew-symmetric")
@@ -427,9 +426,11 @@ def r_matrix_check(
     if not verdict:
         return verdict, None
     dual = induced_bracket(setup, r)
-    for i, j in ext_basis(algebra.dim, 2):
-        lhs = algebra.bracket_vec(r.col(i), r.col(j))
-        rhs = r.apply(dual.bracket_basis(i, j))
-        if lhs != rhs:
-            raise InvalidStructure("r fails to be a morphism onto the dual bracket")
+
+    def morphism(i: int, j: int) -> Vector:
+        return vec_sub(algebra.bracket_vec(r.col(i), r.col(j)), r.apply(dual.bracket_basis(i, j)))
+
+    morphism_check = first_failure("r morphism onto the dual bracket", ext_basis(algebra.dim, 2), morphism)
+    if not morphism_check.ok:
+        raise InternalInconsistency(morphism_check.violation.describe())
     return verdict, dual

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,13 @@ class EquationReport:
     def verdicts(self) -> dict[str, bool]:
         return {name: rep.ok for name, rep in self.equations}
 
+    def first_violation(self) -> Violation:
+        """The witness of the first failing identity; the report must have failed."""
+        for _, rep in self.equations:
+            if not rep.ok:
+                return rep.violation
+        raise ValueError("report has no violation")
+
     def __getitem__(self, name: str) -> CheckReport:
         for key, rep in self.equations:
             if key == name:
@@ -64,3 +71,18 @@ def passed() -> CheckReport:
 
 def failed(kind: str, where: tuple, defect) -> CheckReport:
     return CheckReport(False, Violation(kind, tuple(where), tuple(defect)))
+
+
+def first_failure(
+    kind: str, cases: Iterable[tuple], defect: Callable[..., Sequence[Fraction]]
+) -> CheckReport:
+    """Scan basis tuples in the given (lexicographic) order for a nonzero defect.
+
+    `defect` takes the entries of a case as arguments; the first case whose
+    defect has a nonzero entry is the witness of the failed identity `kind`.
+    """
+    for where in cases:
+        values = defect(*where)
+        if any(c != 0 for c in values):
+            return failed(kind, where, values)
+    return passed()

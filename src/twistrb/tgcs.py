@@ -9,15 +9,16 @@ with the coadjoint module and a twist built from a scalar 3-cocycle.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
+from .errors import InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
 from .exactlin import (
     Matrix,
+    Vector,
     basis_vector,
     vec_add,
-    vec_is_zero,
     vec_sub,
 )
 from .liealg import LieAlgebra, Representation, coadjoint_rep
@@ -31,7 +32,7 @@ from .operators import (
     trb_setup,
     twisted_semidirect,
 )
-from .report import CheckReport, EquationReport, failed, passed
+from .report import CheckReport, EquationReport, failed, first_failure, passed
 
 
 @dataclass(frozen=True)
@@ -73,25 +74,24 @@ def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     sq = big @ big + Matrix.identity(total)
     if not sq.is_zero():
         square = failed("J^2 = -id", (), sq.entries)
-    integ: CheckReport = passed()
     semi = twisted_semidirect(setup)
-    for a, b in ext_basis(total, 2):
+
+    def integrability(a: int, b: int) -> Vector:
         ra = basis_vector(total, a)
         rb = basis_vector(total, b)
         ja, jb = big.col(a), big.col(b)
         defect = vec_sub(semi.bracket_vec(ja, jb), semi.bracket_basis(a, b))
         mix = vec_add(semi.bracket_vec(ja, rb), semi.bracket_vec(ra, jb))
-        defect = vec_sub(defect, big.apply(mix))
-        if not vec_is_zero(defect):
-            integ = failed("integrability", (a, b), defect)
-            break
+        return vec_sub(defect, big.apply(mix))
+
+    integ = first_failure("integrability", ext_basis(total, 2), integrability)
     return EquationReport((("almost-complex", square), ("integrability", integ)))
 
 
 def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     """The ten component identities; conjunction equals the direct verdict.
 
-    The agreement with `tgcs_check_direct` is asserted on every call: the
+    The agreement with `tgcs_check_direct` is checked on every call: the
     direct definition acts as a built-in oracle.
     """
     s = setup
@@ -109,74 +109,47 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     matrix_eq("S^2 + sigma.T = -id", sm @ sm + sg @ tm, -Matrix.identity(m))
 
     # (5) [Tu,Tv] = T(Tu.v - Tv.u)
-    eq5: CheckReport = passed()
-    for a, b in ext_basis(m, 2):
+    def eq5(a: int, b: int) -> Vector:
         tu, tv = tm.col(a), tm.col(b)
         inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
-        defect = vec_sub(s.algebra.bracket_vec(tu, tv), tm.apply(inner))
-        if not vec_is_zero(defect):
-            eq5 = failed("[Tu,Tv] = T(Tu.v - Tv.u)", (a, b), defect)
-            break
-    eqs.append(("untwisted-rb", eq5))
+        return vec_sub(s.algebra.bracket_vec(tu, tv), tm.apply(inner))
 
     # (6) Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)
-    eq6: CheckReport = passed()
-    for a, b in ext_basis(m, 2):
+    def eq6(a: int, b: int) -> Vector:
         tu, tv = tm.col(a), tm.col(b)
         lhs = vec_sub(s.rep.act(tu, sm.col(b)), s.rep.act(tv, sm.col(a)))
         lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, tv]))
         inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
-        defect = vec_sub(lhs, sm.apply(inner))
-        if not vec_is_zero(defect):
-            eq6 = failed("Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)", (a, b), defect)
-            break
-    eqs.append(("graph-TS", eq6))
+        return vec_sub(lhs, sm.apply(inner))
 
     # (7) [Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))
-    eq7: CheckReport = passed()
-    for i in range(n):
-        for a in range(m):
-            x = basis_vector(n, i)
-            tu = tm.col(a)
-            lhs = vec_sub(
-                s.algebra.bracket_vec(nm.col(i), tu),
-                nm.apply(s.algebra.bracket_vec(x, tu)),
-            )
-            inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
-            inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
-            defect = vec_sub(lhs, tm.apply(inner))
-            if not vec_is_zero(defect):
-                eq7 = failed("[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))", (i, a), defect)
-                break
-        if not eq7.ok:
-            break
-    eqs.append(("mixed-g", eq7))
+    def eq7(i: int, a: int) -> Vector:
+        x = basis_vector(n, i)
+        tu = tm.col(a)
+        lhs = vec_sub(
+            s.algebra.bracket_vec(nm.col(i), tu),
+            nm.apply(s.algebra.bracket_vec(x, tu)),
+        )
+        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
+        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
+        return vec_sub(lhs, tm.apply(inner))
 
     # (8) sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx)
     #     = x.u + Nx.Su - S(Nx.u - x.Su + H(x,Tu))
-    eq8: CheckReport = passed()
-    for i in range(n):
-        for a in range(m):
-            x = basis_vector(n, i)
-            tu = tm.col(a)
-            lhs = sg.apply(s.algebra.bracket_vec(tu, x))
-            lhs = vec_sub(lhs, s.rep.act(tu, sg.col(i)))
-            lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, nm.col(i)]))
-            rhs = vec_add(s.rep.act_basis(i, a), s.rep.act(nm.col(i), sm.col(a)))
-            inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
-            inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
-            rhs = vec_sub(rhs, sm.apply(inner))
-            defect = vec_sub(lhs, rhs)
-            if not vec_is_zero(defect):
-                eq8 = failed("sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...", (i, a), defect)
-                break
-        if not eq8.ok:
-            break
-    eqs.append(("mixed-m", eq8))
+    def eq8(i: int, a: int) -> Vector:
+        x = basis_vector(n, i)
+        tu = tm.col(a)
+        lhs = sg.apply(s.algebra.bracket_vec(tu, x))
+        lhs = vec_sub(lhs, s.rep.act(tu, sg.col(i)))
+        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, nm.col(i)]))
+        rhs = vec_add(s.rep.act_basis(i, a), s.rep.act(nm.col(i), sm.col(a)))
+        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
+        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
+        rhs = vec_sub(rhs, sm.apply(inner))
+        return vec_sub(lhs, rhs)
 
     # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
-    eq9: CheckReport = passed()
-    for i, k in ext_basis(n, 2):
+    def eq9(i: int, k: int) -> Vector:
         x, y = basis_vector(n, i), basis_vector(n, k)
         lhs = vec_sub(s.algebra.bracket_vec(nm.col(i), nm.col(k)), s.algebra.bracket_basis(i, k))
         mix = vec_add(
@@ -186,16 +159,11 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
         inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
         inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
         inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
-        defect = vec_sub(lhs, tm.apply(inner))
-        if not vec_is_zero(defect):
-            eq9 = failed("nijenhuis-type = T(...)", (i, k), defect)
-            break
-    eqs.append(("nijenhuis-type", eq9))
+        return vec_sub(lhs, tm.apply(inner))
 
     # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
     #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
-    eq10: CheckReport = passed()
-    for i, k in ext_basis(n, 2):
+    def eq10(i: int, k: int) -> Vector:
         x, y = basis_vector(n, i), basis_vector(n, k)
         lhs = vec_sub(s.rep.act(nm.col(i), sg.col(k)), s.rep.act(nm.col(k), sg.col(i)))
         lhs = vec_add(lhs, s.cocycle.skew_eval([nm.col(i), nm.col(k)]))
@@ -207,16 +175,24 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
         inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
         inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
         inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
-        defect = vec_add(lhs, sm.apply(inner))
-        if not vec_is_zero(defect):
-            eq10 = failed("dual-nijenhuis-type = -S(...)", (i, k), defect)
-            break
-    eqs.append(("dual-nijenhuis-type", eq10))
+        return vec_add(lhs, sm.apply(inner))
+
+    pairs_m, pairs_n = ext_basis(m, 2), ext_basis(n, 2)
+    mixed = list(itertools.product(range(n), range(m)))
+    for name, kind, cases, defect in (
+        ("untwisted-rb", "[Tu,Tv] = T(Tu.v - Tv.u)", pairs_m, eq5),
+        ("graph-TS", "Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)", pairs_m, eq6),
+        ("mixed-g", "[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))", mixed, eq7),
+        ("mixed-m", "sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...", mixed, eq8),
+        ("nijenhuis-type", "nijenhuis-type = T(...)", pairs_n, eq9),
+        ("dual-nijenhuis-type", "dual-nijenhuis-type = -S(...)", pairs_n, eq10),
+    ):
+        eqs.append((name, first_failure(kind, cases, defect)))
 
     report = EquationReport(tuple(eqs))
     direct = tgcs_check_direct(setup, j)
     if report.ok != direct.ok:
-        raise InvalidStructure("component characterization disagrees with the definition; bug")
+        raise InternalInconsistency("component characterization disagrees with the definition")
     return report
 
 
@@ -230,8 +206,8 @@ def gcs_from_invertible_rb(setup: TrbSetup, t: Operator) -> GcsComponents:
         raise InvalidStructure("T must be square to be invertible")
     inv = t.invert()
     j = GcsComponents(Matrix.zero(n, n), t, -inv, Matrix.zero(m, m))
-    verdict = tgcs_check_direct(setup, j)
-    assert verdict.ok
+    if not tgcs_check_direct(setup, j).ok:
+        raise InternalInconsistency("J = [[0, T],[-T^{-1}, 0]] fails the direct definition")
     return j
 
 
@@ -242,8 +218,8 @@ def opposite(setup: TrbSetup, j: GcsComponents) -> tuple[TrbSetup, GcsComponents
         raise NotGcs("input does not pass the direct check")
     flipped = trb_setup(setup.algebra, setup.rep, -setup.cocycle)
     out = GcsComponents(j.n_map, -j.t_map, -j.sigma, j.s_map)
-    check = tgcs_check_direct(flipped, out)
-    assert check.ok
+    if not tgcs_check_direct(flipped, out).ok:
+        raise InternalInconsistency("the opposite structure fails the direct definition")
     return flipped, out
 
 
@@ -255,35 +231,30 @@ def complex_structure_check(
     eqs: list[tuple[str, CheckReport]] = []
     sq = i_map @ i_map + Matrix.identity(n)
     eqs.append(("I^2 = -id", passed() if sq.is_zero() else failed("I^2 = -id", (), sq.entries)))
-    integ: CheckReport = passed()
-    for a, b in ext_basis(n, 2):
+
+    def integrability(a: int, b: int) -> Vector:
         x, y = basis_vector(n, a), basis_vector(n, b)
         defect = vec_sub(
             algebra.bracket_vec(i_map.col(a), i_map.col(b)), algebra.bracket_basis(a, b)
         )
         mix = vec_add(algebra.bracket_vec(i_map.col(a), y), algebra.bracket_vec(x, i_map.col(b)))
-        defect = vec_sub(defect, i_map.apply(mix))
-        if not vec_is_zero(defect):
-            integ = failed("integrability of I", (a, b), defect)
-            break
-    eqs.append(("integrability", integ))
+        return vec_sub(defect, i_map.apply(mix))
+
+    eqs.append(("integrability", first_failure("integrability of I", ext_basis(n, 2), integrability)))
     sqm = i_mod @ i_mod + Matrix.identity(m)
     eqs.append(
         ("I_M^2 = -id", passed() if sqm.is_zero() else failed("I_M^2 = -id", (), sqm.entries))
     )
-    compat: CheckReport = passed()
-    for a in range(n):
-        for u in range(m):
-            x = basis_vector(n, a)
-            lhs = rep.act(i_map.col(a), i_mod.col(u))
-            lhs = vec_sub(lhs, rep.act_basis(a, u))
-            inner = vec_add(rep.act_vec_on_basis(i_map.col(a), u), rep.act(x, i_mod.col(u)))
-            defect = vec_sub(lhs, i_mod.apply(inner))
-            if not vec_is_zero(defect):
-                compat = failed("I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0", (a, u), defect)
-                break
-        if not compat.ok:
-            break
+
+    def compatibility(a: int, u: int) -> Vector:
+        x = basis_vector(n, a)
+        lhs = rep.act(i_map.col(a), i_mod.col(u))
+        lhs = vec_sub(lhs, rep.act_basis(a, u))
+        inner = vec_add(rep.act_vec_on_basis(i_map.col(a), u), rep.act(x, i_mod.col(u)))
+        return vec_sub(lhs, i_mod.apply(inner))
+
+    kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"
+    compat = first_failure(kind, itertools.product(range(n), range(m)), compatibility)
     eqs.append(("module-compat", compat))
     return EquationReport(tuple(eqs))
 

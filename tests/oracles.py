@@ -1,15 +1,19 @@
 """Independent oracles used by the test suite.
 
-Nothing here imports the package's elimination or bracket machinery on the
-code path it checks: the rank oracle is a straight-line Gaussian elimination
-on plain Fraction lists, and the ternary-bracket oracle is a literal
-transcription of the six-unshuffle-sum display (valid for degrees >= 1).
+Nothing here imports the package's machinery on the code path it checks:
+the rank oracle is a straight-line Gaussian elimination on plain Fraction
+lists, the ternary-bracket oracle is a literal transcription of the
+six-unshuffle-sum display (valid for degrees >= 1), and the d_T matrix
+oracle pushes unit cochains through the L-infinity brackets, where the
+library builds the matrix as a Chevalley-Eilenberg differential.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from twistrb.exactlin import Matrix, vec_add, vec_scale, zero_vector
+from twistrb.linfty import d_t_unchecked
 from twistrb.multilin import Cochain, ext_basis, iter_unshuffles
 
 
@@ -40,6 +44,25 @@ def rank_oracle(rows: list[list[Fraction]]) -> int:
 
 def matrix_rows(m: Matrix) -> list[list[Fraction]]:
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def d_t_matrix_bracket3(setup, t, degree: int) -> Matrix:
+    """d_T(f) = [[T,f]] - (1/2)[[T,T,f]] on each unit cochain, as columns."""
+    m, n = setup.module_dim, setup.dim
+    domain = math.comb(m, degree) * n
+    cols = []
+    for j in range(domain):
+        flat = [0] * domain
+        flat[j] = 1
+        cols.append(d_t_unchecked(setup, t, Cochain.from_vec(degree, m, n, flat)).vec())
+    return Matrix.from_cols(cols, rows=math.comb(m, degree + 1) * n)
+
+
+def cohomology_dims_oracle(setup, t, n_max: int) -> list[int]:
+    """Operator cohomology dimensions from the bracket route and the rank oracle."""
+    deltas = [d_t_matrix_bracket3(setup, t, k) for k in range(n_max + 1)]
+    ranks = [rank_oracle(matrix_rows(d)) for d in deltas]
+    return [d.cols - rank - prev for d, rank, prev in zip(deltas, ranks, [0] + ranks)]
 
 
 def bracket3_six_sum(setup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:

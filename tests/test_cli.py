@@ -1,11 +1,17 @@
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from twistrb import tgcs
 from twistrb.cli import main
+from twistrb.report import EquationReport, failed
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+SRC = Path(__file__).resolve().parent.parent / "src" / "twistrb"
 
 
 def run_cli(args, capsys):
@@ -166,6 +172,85 @@ def test_invalid_input_exit_two(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _, err = run_cli(["validate", str(garbled)], capsys)
     assert code == 2
+
+
+SL2_SECTIONS = json.loads((INSTANCES / "sl2_reynolds.json").read_text())
+
+
+MALFORMED = {
+    "section-not-object": {"lie_algebra": [1, 2]},
+    "brackets-not-object": {"lie_algebra": {"dim": 2, "brackets": []}},
+    "bool-dim": {"lie_algebra": {"dim": True, "brackets": {}}},
+    "bool-index": {"lie_algebra": {"dim": 2, "brackets": {"[true,2]": ["0", "1"]}}},
+    "decimal-scalar": {"lie_algebra": {"dim": 2, "brackets": {"[1,2]": ["1.5", "0"]}}},
+    "exponent-scalar": {"lie_algebra": {"dim": 2, "brackets": {"[1,2]": ["1e3", "0"]}}},
+    "bool-scalar": {"lie_algebra": {"dim": 2, "brackets": {"[1,2]": [True, 0]}}},
+    "zero-denominator": {"lie_algebra": {"dim": 2, "brackets": {"[1,2]": ["1/0", "0"]}}},
+    "padded-scalar": {"lie_algebra": {"dim": 2, "brackets": {"[1,2]": [" 1", "0"]}}},
+    "module-not-object": {"lie_algebra": {"dim": 2}, "module": "2"},
+    "values-not-object": {"lie_algebra": {"dim": 2}, "module": {"dim": 2}, "cocycle_H": {"values": []}},
+    "circ-not-object": {"ns_lie": {"dim": 2, "circ": [], "vee": {}}},
+    "vee-not-object": {"ns_lie": {"dim": 2, "circ": {}, "vee": []}},
+    "float-dim": {"assoc_ns": {"dim": 1.0}},
+    "representation-not-object": {**SL2_SECTIONS, "representation": [SL2_SECTIONS["representation"]]},
+    "bool-order": {**SL2_SECTIONS, "deformation": {"order": True, "coefficients": [SL2_SECTIONS["operator_T"]]}},
+    "gcs-not-object": {**SL2_SECTIONS, "gcs_components": "N"},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_exit_two(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology-of-t", "heisenberg_derivation.json", "--nmax", "-3"],
+        ["ce-cohomology", "sl2_reynolds.json", "--nmax", "-1"],
+        ["witt-report", "--nmax", "-1"],
+        ["rigidity-probe", "affine_hinv.json", "--grid", "-1"],
+        ["deform-check", "affine_hinv.json", "--order", "0"],
+        ["deform-check", "affine_hinv.json", "--order", "-2"],
+        ["deform-check", "affine_hinv.json", "--order", "two"],
+        ["nijenhuis-element", "affine_hinv.json", "--x", "1.5,0"],
+    ],
+)
+def test_out_of_range_flags_exit_two(argv, capsys):
+    argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_smallest_flag_values_accepted(capsys):
+    code, out, _ = run_cli(["witt-report", "--nmax", "0"], capsys)
+    assert code == 0 and "rows: 1" in out
+    code, out, _ = run_cli(["deform-check", str(INSTANCES / "affine_hinv.json"), "--order", "1"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "order 1 defect zero: pass"
+
+
+def test_internal_inconsistency_exit_three(monkeypatch, capsys):
+    """A disagreement between cross-checked routes is a bug: exit 3, not 1 or 2."""
+    wrong = EquationReport((("integrability", failed("integrability", (), ())),))
+    monkeypatch.setattr(tgcs, "tgcs_check_direct", lambda setup, j: wrong)
+    code, out, err = run_cli(["check-tgcs", str(INSTANCES / "dim1_gcs.json")], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+
+
+def test_library_has_no_assert_statements():
+    """`python -O` strips asserts, so cross-checks must raise named errors."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
 def test_reports_are_byte_identical(capsys):

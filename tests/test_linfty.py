@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bracket3_six_sum
+from oracles import bracket3_six_sum, cohomology_dims_oracle, d_t_matrix_bracket3
 from twistrb import corpus
 from twistrb.errors import NotTwistedRB
 from twistrb.exactlin import Matrix, vec_scale, vec_sub
-from twistrb.liealg import ce_cohomology_dims
 from twistrb.linfty import (
     bracket2,
     bracket3,
     cohomology_of_t_dims,
     compare_dt_ce,
     d_t,
+    d_t_matrix,
     d_t_unchecked,
     graded_perm_sign,
     linfty_jacobi_defect,
@@ -25,7 +25,7 @@ from twistrb.linfty import (
     zero_element,
 )
 from twistrb.multilin import Cochain, ext_basis
-from twistrb.operators import check_trb, induced_bracket, induced_rep
+from twistrb.operators import check_trb
 
 
 def random_element(rng, setup, degree):
@@ -209,11 +209,16 @@ def test_compare_dt_ce_basis_sweep(trb_corpus):
                 assert compare_dt_ce(setup, t, f), (name, deg, j)
 
 
+def test_d_t_matrix_matches_bracket_route(trb_corpus):
+    """The CE-built matrix equals the bracket3-route oracle entry for entry."""
+    for name, setup, t in trb_corpus:
+        for k in (0, 1, 2):
+            assert d_t_matrix(setup, t, k) == d_t_matrix_bracket3(setup, t, k), (name, k)
+
+
 def test_cohomology_pipeline_equality(trb_corpus):
     for name, setup, t in trb_corpus:
-        dims_t = cohomology_of_t_dims(setup, t, 3)
-        dims_ce = ce_cohomology_dims(induced_bracket(setup, t), induced_rep(setup, t), 3)
-        assert dims_t == dims_ce, name
+        assert cohomology_of_t_dims(setup, t, 3) == cohomology_dims_oracle(setup, t, 3), name
 
 
 def test_cohomology_all_differentials_vanish_case():
