@@ -34,7 +34,7 @@ def main() -> int:
         else:
             name, setup = frames[rng.randrange(len(frames))]
         t = corpus.random_operator(rng, setup)
-        mc_zero = mc_defect(setup, t).is_zero()
+        mc_zero = mc_defect(setup, t)[0].is_zero()
         direct = check_trb(setup, t).ok
         if mc_zero != direct:
             print(f"DISAGREEMENT on {name}: mc={mc_zero} direct={direct}")

@@ -160,8 +160,7 @@ def cmd_check_trb(doc, args):
 def cmd_check_mc(doc, args):
     setup = _setup(doc)
     t = _operator(doc)
-    defect = linfty.mc_defect(setup, t)
-    direct = check_trb(setup, t)
+    defect, direct = linfty.mc_defect(setup, t)
     ok = defect.is_zero()
     lines = [
         f"Maurer-Cartan defect zero: {'pass' if ok else 'FAIL'}",

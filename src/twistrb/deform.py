@@ -26,7 +26,8 @@ from .exactlin import (
     vector,
     zero_vector,
 )
-from .linfty import d_t_matrix, d_t_unchecked, operator_element
+from .liealg import ce_differential
+from .linfty import d_t_unchecked, induced_structure, operator_element
 from .multilin import Cochain, ext_basis
 from .operators import Operator, TrbSetup, induced_action_matrices, require_trb
 from .report import CheckReport, EquationReport, first_failure
@@ -273,9 +274,11 @@ def rigidity_probe(setup: TrbSetup, t: Operator, grid: int = 2) -> RigidityRepor
     require_trb(setup, t)
     s = setup
     n = s.dim
-    d1 = d_t_matrix(s, t, 1)
-    d0 = d_t_matrix(s, t, 0)
-    kernel = d1.kernel_basis()
+    # one induced structure for both degrees; d_T = +delta_CE in degree 0, and
+    # in degree 1 the sign of d_T = -delta_CE does not change the kernel Z^1
+    algebra, rep = induced_structure(s, t)
+    d0 = ce_differential(algebra, rep, 0)
+    kernel = ce_differential(algebra, rep, 1).kernel_basis()
     homogeneous = d0.kernel_basis()
     probes = []
     all_found = True

@@ -2,8 +2,9 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
-below is exact.  Elimination uses the first nonzero pivot in column order and
-kernel bases come from the reduced row echelon parametrization with each free
+below is exact.  Matrices are dense; elimination runs on sparse rows
+(`RowSpace`) and pivots on the first nonzero entry in column order.  Kernel
+bases come from the reduced row echelon parametrization with each free
 variable set to 1 in column order, which makes all outputs reproducible.
 
 No floating point anywhere.
@@ -209,32 +210,21 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns.
 
-        First nonzero entry in column order is the pivot; rows are rescaled
-        to pivot 1 and cleared above and below.
+        The pivot of each row is its first nonzero entry in column order;
+        pivot rows are scaled to pivot 1 and every other row is cleared in the
+        pivot columns.  The form is unique, so the order in which the sparse
+        elimination meets the rows does not show in the result: it takes the
+        sparsest rows first, which keeps the kept rows sparse for longer.
         """
-        m = self.row_list()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix.from_rows(m) if self.rows else self, tuple(pivots)
+        space = RowSpace()
+        for row in sorted((sparse_row(self.row(i)) for i in range(self.rows)), key=len):
+            space.add(row)
+        pivots = tuple(sorted(space.rows))
+        entries = [ZERO] * (self.rows * self.cols)
+        for r, c in enumerate(pivots):
+            for k, x in space.rows[c].items():
+                entries[r * self.cols + k] = x
+        return Matrix(self.rows, self.cols, entries), pivots
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -289,6 +279,62 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = aug[r, self.cols]
         return tuple(x)
+
+
+def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The nonzero entries of a vector, keyed by position."""
+    return {c: x for c, x in enumerate(v) if x}
+
+
+class RowSpace:
+    """A row space kept in reduced row echelon form, one sparse row at a time.
+
+    Rows are `{column: Fraction}` dicts keyed by the column of their leading
+    1, and every kept row is zero in the other rows' leading columns.  This is
+    the elimination kernel: `Matrix.rref` feeds it the rows of a matrix, and
+    callers that ask whether a vector lies in the span of earlier ones feed it
+    vectors one at a time.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def add(self, row: dict[int, Fraction]) -> bool:
+        """Reduce `row` (consumed) by the kept rows; keep what is left, if anything.
+
+        A kept row is zero in every other pivot column, so clearing one pivot
+        column of `row` never refills another.  A new pivot row is then
+        cleared out of the kept rows, which keeps the form reduced.
+        """
+        rows = self.rows
+        for c in [c for c in row if c in rows]:
+            _axpy(row, -row.pop(c), rows[c], c)
+        if not row:
+            return False
+        lead = min(row)
+        pv = row[lead]
+        if pv != 1:
+            row = {k: x / pv for k, x in row.items()}
+        for kept in rows.values():
+            f = kept.pop(lead, None)
+            if f is not None:
+                _axpy(kept, -f, row, lead)
+        rows[lead] = row
+        return True
+
+
+def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction], skip: int) -> None:
+    """row += f * other in place, leaving out column `skip` and dropping zeros."""
+    for k, y in other.items():
+        if k == skip:
+            continue
+        new = row.get(k, ZERO) + f * y
+        if new:
+            row[k] = new
+        else:
+            row.pop(k, None)
 
 
 def permutation_sign(word: Sequence[int]) -> int:

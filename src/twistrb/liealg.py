@@ -16,8 +16,11 @@ from typing import Mapping, Sequence, Union
 
 from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
+    ZERO,
     Matrix,
+    RowSpace,
     Vector,
+    sparse_row,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -236,26 +239,50 @@ def ce_differential_cochain(
 
 def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
     """Matrix of delta_CE : C^n -> C^{n+1} in the flattened lex bases."""
-    return _differential_matrix(
-        lambda f: ce_differential_cochain(algebra.bracket, rep, f),
-        n,
-        algebra.dim,
-        rep.module_dim,
-    )
+    return _differential_matrix(algebra, rep, n)
 
 
-def _differential_matrix(diff, n: int, source_dim: int, target_dim: int) -> Matrix:
-    from math import comb
+def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
+    """delta_CE assembled straight from the action matrices and structure constants.
 
-    domain = comb(source_dim, n) * target_dim if n >= 0 else 0
-    codomain = comb(source_dim, n + 1) * target_dim
-    cols = []
-    for j in range(domain):
-        flat = [0] * domain
-        flat[j] = 1
-        f = Cochain.from_vec(n, source_dim, target_dim, flat)
-        cols.append(diff(f).vec())
-    return Matrix.from_cols(cols, rows=codomain)
+    Rows and columns come in blocks of the module dimension m, one block per
+    lex basis tuple, as in `Cochain.vec`.  For each (n+1)-tuple x:
+    - the action term at position p adds (-1)^p rho(x_p) at the block of x
+      with x_p removed;
+    - the bracket term at positions a < b adds (-1)^{a+b} c^l_{x_a x_b} times
+      the m x m identity at the block of sort(l, rest), with the sign of that
+      sort, where rest is x without x_a and x_b; it vanishes when l is in rest.
+    """
+    dim, m = algebra.dim, rep.module_dim
+    row_tuples = ext_basis(dim, n + 1)
+    col_block = {t: j * m for j, t in enumerate(ext_basis(dim, n))}
+    width = len(col_block) * m
+    entries = [ZERO] * (len(row_tuples) * m * width)
+    structure = algebra.bracket.matrix
+    constants = {
+        pair: [(l, c) for l, c in enumerate(structure.col(j)) if c]
+        for j, pair in enumerate(ext_basis(dim, 2))
+    }
+    for r, xs in enumerate(row_tuples):
+        top = r * m * width
+        for pos, x in enumerate(xs):
+            block = top + col_block[xs[:pos] + xs[pos + 1 :]]
+            rho = rep.action[x].entries
+            for i in range(m):
+                for k, v in enumerate(rho[i * m : (i + 1) * m]):
+                    if v:
+                        entries[block + i * width + k] += -v if pos % 2 else v
+        for a, b in itertools.combinations(range(n + 1), 2):
+            rest = xs[:a] + xs[a + 1 : b] + xs[b + 1 :]
+            for l, c in constants[(xs[a], xs[b])]:
+                if l in rest:
+                    continue
+                p = sum(1 for y in rest if y < l)
+                block = top + col_block[rest[:p] + (l,) + rest[p:]]
+                v = -c if (a + b + p) % 2 else c
+                for i in range(m):
+                    entries[block + i * width + i] += v
+    return Matrix(len(row_tuples) * m, width, entries)
 
 
 def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
@@ -281,27 +308,20 @@ def ce_cohomology_representatives(
 
     Kernel vectors of the degree-n differential are kept greedily, in the
     deterministic kernel order, whenever they are independent modulo the
-    image of the previous differential.  Dimensions are the primary surface;
-    this is the flag-gated extra.
+    image of the previous differential: one elimination reduces the image
+    columns once, then keeps each candidate that leaves a nonzero remainder.
+    Dimensions are the primary surface; this is the flag-gated extra.
     """
-    dn = ce_differential(algebra, rep, n)
-    kernel = dn.kernel_basis()
-    if n == 0:
-        image_cols: list = []
-    else:
+    kernel = ce_differential(algebra, rep, n).kernel_basis()
+    span = RowSpace()
+    if n > 0:
         prev = ce_differential(algebra, rep, n - 1)
-        image_cols = [prev.col(j) for j in range(prev.cols)]
-    m = rep.module_dim
-    chosen: list[Cochain] = []
-    kept_cols = list(image_cols)
-    rows = dn.cols
-    rank_now = Matrix.from_cols(kept_cols, rows=rows).rank() if kept_cols else 0
+        for j in range(prev.cols):
+            span.add(sparse_row(prev.col(j)))
+    chosen = []
     for candidate in kernel:
-        trial = Matrix.from_cols(kept_cols + [candidate], rows=rows)
-        if trial.rank() > rank_now:
-            kept_cols.append(candidate)
-            rank_now += 1
-            chosen.append(Cochain.from_vec(n, algebra.dim, m, candidate))
+        if span.add(sparse_row(candidate)):
+            chosen.append(Cochain.from_vec(n, algebra.dim, rep.module_dim, candidate))
     return chosen
 
 

@@ -22,9 +22,9 @@ from .exactlin import Matrix, permutation_sign, vec_add, vec_scale, zero_vector
 from .liealg import (
     LieAlgebra,
     Representation,
+    ce_cohomology_dims,
     ce_differential,
     ce_differential_cochain,
-    cohomology_dims_from_matrices,
 )
 from .multilin import Cochain, ext_basis, iter_unshuffles
 from .operators import (
@@ -35,6 +35,7 @@ from .operators import (
     induced_bracket_cochain,
     require_trb,
 )
+from .report import CheckReport
 
 
 def _check_element(setup: TrbSetup, p: Cochain) -> None:
@@ -173,8 +174,9 @@ def bracket3(setup: TrbSetup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:
     return _restrict(setup, raw, out_deg).scale(Fraction((-1) ** (q.degree + 1)))
 
 
-def mc_defect(setup: TrbSetup, t: Operator) -> Cochain:
-    """(1/2)[[T,T]] - (1/6)[[T,T,T]]; zero exactly when T passes check_trb.
+def mc_defect(setup: TrbSetup, t: Operator) -> tuple[Cochain, CheckReport]:
+    """(1/2)[[T,T]] - (1/6)[[T,T,T]], which is zero exactly when T passes
+    check_trb, together with the check_trb report it is compared with.
 
     The biconditional with the direct identity is checked on every call.
     """
@@ -182,9 +184,10 @@ def mc_defect(setup: TrbSetup, t: Operator) -> Cochain:
     b2 = bracket2(setup, te, te)
     b3 = bracket3(setup, te, te, te)
     defect = b2.scale(Fraction(1, 2)) - b3.scale(Fraction(1, 6))
-    if defect.is_zero() != check_trb(setup, t).ok:
+    direct = check_trb(setup, t)
+    if defect.is_zero() != direct.ok:
         raise InternalInconsistency("Maurer-Cartan and direct verdicts disagree")
-    return defect
+    return defect, direct
 
 
 def d_t(setup: TrbSetup, t: Operator, f: Cochain) -> Cochain:
@@ -198,7 +201,7 @@ def d_t_unchecked(setup: TrbSetup, t: Operator, f: Cochain) -> Cochain:
     return bracket2(setup, te, f) - bracket3(setup, te, te, f).scale(Fraction(1, 2))
 
 
-def _induced_structure(setup: TrbSetup, t: Operator) -> tuple[LieAlgebra, Representation]:
+def induced_structure(setup: TrbSetup, t: Operator) -> tuple[LieAlgebra, Representation]:
     """(M, [.,.]_T) acting on g, unvalidated: only meaningful when T passes check_trb."""
     algebra = LieAlgebra(setup.module_dim, induced_bracket_cochain(setup, t))
     return algebra, Representation(setup.dim, induced_action_matrices(setup, t))
@@ -210,7 +213,7 @@ def d_t_matrix(setup: TrbSetup, t: Operator, degree: int) -> Matrix:
     Built as (-1)^degree delta_CE of the induced structure, which equals d_T
     for an operator passing check_trb (`compare_dt_ce` checks it per cochain).
     """
-    delta = ce_differential(*_induced_structure(setup, t), degree)
+    delta = ce_differential(*induced_structure(setup, t), degree)
     return -delta if degree % 2 == 1 else delta
 
 
@@ -218,7 +221,7 @@ def compare_dt_ce(setup: TrbSetup, t: Operator, f: Cochain) -> bool:
     """d_T f = (-1)^n delta_CE f over the induced structure on M, exactly."""
     require_trb(setup, t)
     left = d_t_unchecked(setup, t, f)
-    algebra, rep = _induced_structure(setup, t)
+    algebra, rep = induced_structure(setup, t)
     right = ce_differential_cochain(algebra.bracket, rep, f)
     if f.degree % 2 == 1:
         right = -right
@@ -226,10 +229,13 @@ def compare_dt_ce(setup: TrbSetup, t: Operator, f: Cochain) -> bool:
 
 
 def cohomology_of_t_dims(setup: TrbSetup, t: Operator, n_max: int) -> list[int]:
-    """Dimensions of the operator's cohomology in degrees 0..n_max."""
+    """Dimensions of the operator's cohomology in degrees 0..n_max.
+
+    Signs do not change ranks, so these are the Chevalley-Eilenberg
+    dimensions of the induced structure.
+    """
     require_trb(setup, t)
-    deltas = [d_t_matrix(setup, t, k) for k in range(n_max + 1)]
-    return cohomology_dims_from_matrices(deltas)
+    return ce_cohomology_dims(*induced_structure(setup, t), n_max)
 
 
 def twisted_bracket2(setup: TrbSetup, t: Operator, p: Cochain, q: Cochain) -> Cochain:

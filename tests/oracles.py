@@ -1,11 +1,14 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports the package's machinery on the code path it checks:
-the rank oracle is a straight-line Gaussian elimination on plain Fraction
-lists, the ternary-bracket oracle is a literal transcription of the
-six-unshuffle-sum display (valid for degrees >= 1), and the d_T matrix
-oracle pushes unit cochains through the L-infinity brackets, where the
-library builds the matrix as a Chevalley-Eilenberg differential.
+the rank and RREF oracles are straight-line Gaussian eliminations on dense
+Fraction lists (the library eliminates on sparse rows), the ternary-bracket
+oracle is a literal transcription of the six-unshuffle-sum display (valid
+for degrees >= 1), the Chevalley-Eilenberg matrix oracle applies the
+alternating-sum formula to each unit cochain (the library assembles the
+matrix from structure constants), and the d_T matrix oracle pushes unit
+cochains through the L-infinity brackets, where the library builds the
+matrix as a Chevalley-Eilenberg differential.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import math
 from fractions import Fraction
 
 from twistrb.exactlin import Matrix, vec_add, vec_scale, zero_vector
+from twistrb.liealg import ce_differential_cochain
 from twistrb.linfty import d_t_unchecked
 from twistrb.multilin import Cochain, ext_basis, iter_unshuffles
 
@@ -42,20 +46,56 @@ def rank_oracle(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def rref_oracle(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Gauss-Jordan on dense row lists: first nonzero pivot in column order."""
+    m = matrix_rows(matrix)
+    pivots: list[int] = []
+    r = 0
+    for c in range(matrix.cols):
+        if r == matrix.rows:
+            break
+        pivot_row = next((i for i in range(r, matrix.rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(matrix.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(matrix.rows, matrix.cols, [x for row in m for x in row]), tuple(pivots)
+
+
 def matrix_rows(m: Matrix) -> list[list[Fraction]]:
     return [list(m.row(i)) for i in range(m.rows)]
 
 
-def d_t_matrix_bracket3(setup, t, degree: int) -> Matrix:
-    """d_T(f) = [[T,f]] - (1/2)[[T,T,f]] on each unit cochain, as columns."""
-    m, n = setup.module_dim, setup.dim
-    domain = math.comb(m, degree) * n
+def _unit_vector_matrix(diff, degree: int, source_dim: int, target_dim: int) -> Matrix:
+    """Columns diff(f) for the unit cochains f of the given degree, flattened."""
+    domain = math.comb(source_dim, degree) * target_dim
     cols = []
     for j in range(domain):
         flat = [0] * domain
         flat[j] = 1
-        cols.append(d_t_unchecked(setup, t, Cochain.from_vec(degree, m, n, flat)).vec())
-    return Matrix.from_cols(cols, rows=math.comb(m, degree + 1) * n)
+        cols.append(diff(Cochain.from_vec(degree, source_dim, target_dim, flat)).vec())
+    return Matrix.from_cols(cols, rows=math.comb(source_dim, degree + 1) * target_dim)
+
+
+def ce_differential_unit_vectors(algebra, rep, n: int) -> Matrix:
+    """delta_CE : C^n -> C^{n+1} by the alternating-sum formula on each unit cochain."""
+    return _unit_vector_matrix(
+        lambda f: ce_differential_cochain(algebra.bracket, rep, f), n, algebra.dim, rep.module_dim
+    )
+
+
+def d_t_matrix_bracket3(setup, t, degree: int) -> Matrix:
+    """d_T(f) = [[T,f]] - (1/2)[[T,T,f]] on each unit cochain, as columns."""
+    return _unit_vector_matrix(
+        lambda f: d_t_unchecked(setup, t, f), degree, setup.module_dim, setup.dim
+    )
 
 
 def cohomology_dims_oracle(setup, t, n_max: int) -> list[int]:

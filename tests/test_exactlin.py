@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rows, rank_oracle
+from oracles import matrix_rows, rank_oracle, rref_oracle
 from twistrb.errors import SingularMatrix
-from twistrb.exactlin import Matrix, scalar, scalar_str, vec_is_zero
+from twistrb.exactlin import Matrix, RowSpace, scalar, scalar_str, sparse_row, vec_is_zero
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -21,6 +21,28 @@ def matrices(max_dim=4):
             rationals, min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]
         ).map(lambda es: Matrix(rc[0], rc[1], es))
     )
+
+
+# zero-heavy entries, so rows and columns that vanish come up often
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+
+
+def shaped(rows, cols, entries=sparse_rationals):
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: Matrix(rows, cols, es)
+    )
+
+
+def rectangular(max_dim=6):
+    """Any shape up to max_dim on each side, the empty shapes included."""
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(lambda rc: shaped(*rc))
+
+
+def low_rank(max_dim=6):
+    """Products (r x k)(k x c) with k <= 2: rank at most 2, deficient on most shapes."""
+    return st.tuples(
+        st.integers(1, max_dim), st.integers(0, 2), st.integers(1, max_dim)
+    ).flatmap(lambda rkc: st.tuples(shaped(rkc[0], rkc[1], rationals), shaped(rkc[1], rkc[2], rationals)))
 
 
 def test_scalar_parsing_round_trip():
@@ -105,3 +127,43 @@ def test_solve_consistency(m, target_coeffs):
     x = m.solve(b)
     assert x is not None
     assert list(m.apply(x)) == b
+
+
+@settings(max_examples=150)
+@given(rectangular())
+def test_rref_matches_dense_oracle(m):
+    assert m.rref() == rref_oracle(m)
+
+
+@settings(max_examples=100)
+@given(low_rank())
+def test_rref_matches_dense_oracle_rank_deficient(factors):
+    m = factors[0] @ factors[1]
+    assert m.rref() == rref_oracle(m)
+
+
+@settings(max_examples=100)
+@given(rectangular(5), st.integers(1, 6))
+def test_rref_matches_dense_oracle_wide_augmented(m, extra):
+    for aug in (m.hstack(Matrix.identity(m.rows)), m.hstack(Matrix(m.rows, 1, [1] * m.rows))):
+        assert aug.rref() == rref_oracle(aug)
+    wide = m.hstack(Matrix(m.rows, extra, [Fraction(i % 3 - 1) for i in range(m.rows * extra)]))
+    assert wide.rref() == rref_oracle(wide)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_rref_of_empty_shapes(k):
+    for m in (Matrix(0, k, []), Matrix(k, 0, [])):
+        assert m.rref() == rref_oracle(m) == (m, ())
+
+
+@settings(max_examples=100)
+@given(rectangular())
+def test_row_space_keeps_exactly_the_rank_raising_rows(m):
+    space, kept = RowSpace(), []
+    for i in range(m.rows):
+        row = list(m.row(i))
+        raises = rank_oracle(kept + [row]) > rank_oracle(kept)
+        assert space.add(sparse_row(row)) == raises
+        if raises:
+            kept.append(row)

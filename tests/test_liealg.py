@@ -1,9 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import matrix_rows, rank_oracle
+from oracles import ce_differential_unit_vectors, matrix_rows, rank_oracle
+from twistrb import corpus
 from twistrb.errors import NotNijenhuis, NotNilpotent
 from twistrb.exactlin import Matrix, vec_is_zero
 from twistrb.liealg import (
@@ -23,6 +27,7 @@ from twistrb.liealg import (
     validate_lie,
     validate_rep,
 )
+from twistrb.linfty import induced_structure
 from twistrb.multilin import Cochain
 
 
@@ -108,6 +113,34 @@ def test_delta_squared_zero(algebras):
                 assert (dn1 @ dn).is_zero(), (name, n)
 
 
+def _assert_ce_matrix_matches_unit_vectors(algebra, rep, label):
+    for n in range(4):
+        assert ce_differential(algebra, rep, n) == ce_differential_unit_vectors(algebra, rep, n), (label, n)
+
+
+def test_ce_differential_matches_unit_vector_oracle_on_induced_structures(trb_corpus):
+    for name, setup, t in trb_corpus:
+        _assert_ce_matrix_matches_unit_vectors(*induced_structure(setup, t), name)
+
+
+def test_ce_differential_matches_unit_vector_oracle_on_named_algebras(algebras):
+    for name, g in algebras.items():
+        for rep in (adjoint_rep(g), coadjoint_rep(g), trivial_rep(g, 2)):
+            _assert_ce_matrix_matches_unit_vectors(g, rep, name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ce_differential_matches_unit_vector_oracle_on_random_setups(seed):
+    """Random closed twists, and the induced data of a random operator, which
+    need not be a Lie algebra: the assembly is the literal formula either way."""
+    rng = random.Random(seed)
+    setup = next(iter(corpus.random_setups(rng, 1)))
+    _assert_ce_matrix_matches_unit_vectors(setup.algebra, setup.rep, seed)
+    t = corpus.random_operator(rng, setup)
+    _assert_ce_matrix_matches_unit_vectors(*induced_structure(setup, t), seed)
+
+
 def test_cohomology_dims_examples(algebras):
     one = abelian(1)
     assert ce_cohomology_dims(one, trivial_rep(one, 1), 1) == [1, 1]
@@ -156,6 +189,26 @@ def test_cohomology_representatives(algebras):
         assert ce_differential_cochain(heis.bracket, triv, f).is_zero()
     sl2 = algebras["sl2"]
     assert ce_cohomology_representatives(sl2, adjoint_rep(sl2), 1) == []
+
+
+def test_cohomology_representatives_follow_greedy_rank_rule(trb_corpus):
+    """Each kernel vector is kept iff it raises the rank of the image plus the
+    vectors kept before it (ranks from the oracle)."""
+    from twistrb.liealg import ce_cohomology_representatives
+
+    for name, setup, t in trb_corpus:
+        algebra, rep = induced_structure(setup, t)
+        for n in range(3):
+            kept = []
+            if n:
+                prev = ce_differential(algebra, rep, n - 1)
+                kept = [list(prev.col(j)) for j in range(prev.cols)]
+            expected = []
+            for v in ce_differential(algebra, rep, n).kernel_basis():
+                if rank_oracle(kept + [list(v)]) > rank_oracle(kept):
+                    kept.append(list(v))
+                    expected.append(Cochain.from_vec(n, algebra.dim, rep.module_dim, v))
+            assert ce_cohomology_representatives(algebra, rep, n) == expected, (name, n)
 
 
 def test_two_cocycle_examples(algebras):
