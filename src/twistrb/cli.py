@@ -284,7 +284,8 @@ def cmd_deform_check(doc, args):
     t = _operator(doc)
     doc.require("deformation")
     _need_pass("twisted Rota-Baxter identity (base)", check_trb(setup, t))
-    d = deform_mod.formal_deformation(setup, t, doc.deformation)
+    # the coefficients were shape-checked on parsing
+    d = deform_mod.FormalDeformation(setup, t, doc.deformation)
     defects = deform_mod.deformation_equation_defects(d, up_to=args.order)
     verdicts = [dd.is_zero() for dd in defects]
     lines = [f"order {n+1} defect zero: {'pass' if v else 'FAIL'}" for n, v in enumerate(verdicts)]

@@ -58,6 +58,13 @@ def formal_deformation(
     setup: TrbSetup, base: Operator, coefficients: Sequence[Operator]
 ) -> FormalDeformation:
     require_trb(setup, base)
+    return _deformation(setup, base, coefficients)
+
+
+def _deformation(
+    setup: TrbSetup, base: Operator, coefficients: Sequence[Operator]
+) -> FormalDeformation:
+    """`formal_deformation` for a base operator the caller has already checked."""
     rows, cols = setup.operator_shape()
     for c in coefficients:
         if c.rows != rows or c.cols != cols:
@@ -108,7 +115,7 @@ def infinitesimal_is_cocycle(setup: TrbSetup, t: Operator, t1: Operator) -> bool
     """d_T(T_1) = 0; agrees with the vanishing of the order-1 defect."""
     require_trb(setup, t)
     closed = d_t_unchecked(setup, t, operator_element(setup, t1)).is_zero()
-    order1 = deformation_equation_defects(formal_deformation(setup, t, [t1]))[0].is_zero()
+    order1 = deformation_equation_defects(_deformation(setup, t, [t1]))[0].is_zero()
     if closed != order1:
         raise InternalInconsistency("cocycle route disagrees with order-1 defect")
     return closed
@@ -118,7 +125,6 @@ def linear_deformation_check(
     setup: TrbSetup, t: Operator, t1: Operator
 ) -> tuple[bool, bool, bool]:
     """Exact vanishing of the t^1, t^2, t^3 coefficients for T + tT_1."""
-    require_trb(setup, t)
     d = formal_deformation(setup, t, [t1])
     s = setup
     m = s.module_dim

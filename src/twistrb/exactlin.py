@@ -70,10 +70,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
-
-
 class Matrix:
     """Immutable dense matrix of exact rationals, row-major."""
 
@@ -164,20 +160,34 @@ class Matrix:
         return Matrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product accumulates a_ik * (row k of other) over nonzero a_ik."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        width = other.cols
+        other_rows = [sparse_row(other.row(k)).items() for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)), ZERO))
-        return Matrix(self.rows, other.cols, out)
+            acc = [ZERO] * width
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in other_rows[k]:
+                        acc[j] += a * b
+            out.extend(acc)
+        return Matrix(self.rows, width, out)
 
     def apply(self, v: Sequence[ScalarLike]) -> Vector:
+        """self @ v, visiting only the columns where v is nonzero."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} matrix applied to length-{len(v)} vector")
-        vv = vector(v)
-        return tuple(dot(self.row(i), vv) for i in range(self.rows))
+        width, entries = self.cols, self.entries
+        out = [ZERO] * self.rows
+        for k, c in enumerate(vector(v)):
+            if c:
+                for i in range(self.rows):
+                    x = entries[i * width + k]
+                    if x:
+                        out[i] += c * x
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence, Union
 
-from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
+from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
     ZERO,
     Matrix,
@@ -69,22 +69,35 @@ class Representation:
         return self.action[i].col(u_idx)
 
     def act(self, x: Sequence, u: Sequence) -> Vector:
-        xv = vector(x)
-        out = zero_vector(self.module_dim)
-        for i, c in enumerate(xv):
-            if c == 0:
-                continue
-            out = vec_add(out, vec_scale(c, self.action[i].apply(u)))
-        return out
+        """x . u = sum_i x_i rho(e_i) u, over the nonzero x_i and u_k only."""
+        m = self.module_dim
+        if len(u) != m:
+            raise DimensionMismatch(f"module vector of length {len(u)}, expected {m}")
+        us = sparse_row(vector(u)).items()
+        out = [ZERO] * m
+        for i, c in enumerate(vector(x)):
+            if c:
+                rho = self.action[i].entries
+                for k, b in us:
+                    cb = c * b
+                    for r in range(m):
+                        y = rho[r * m + k]
+                        if y:
+                            out[r] += cb * y
+        return tuple(out)
 
     def act_vec_on_basis(self, x: Sequence, u_idx: int) -> Vector:
-        xv = vector(x)
-        out = zero_vector(self.module_dim)
-        for i, c in enumerate(xv):
-            if c == 0:
-                continue
-            out = vec_add(out, vec_scale(c, self.action[i].col(u_idx)))
-        return out
+        """x . u_idx = sum_i x_i (column u_idx of rho(e_i)), over the nonzero x_i."""
+        m = self.module_dim
+        out = [ZERO] * m
+        for i, c in enumerate(vector(x)):
+            if c:
+                rho = self.action[i].entries
+                for r in range(m):
+                    y = rho[r * m + u_idx]
+                    if y:
+                        out[r] += c * y
+        return tuple(out)
 
 
 BracketTable = Mapping[tuple[int, int], Sequence]
@@ -166,11 +179,14 @@ def validate_rep(
     algebra: LieAlgebra, module_dim: int, action: Sequence[Matrix]
 ) -> Union[Representation, Violation]:
     """Check rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on all pairs."""
+    # `where` holds basis indices only (`describe` prints them 1-based), so the
+    # count and the shape go into the kind text
     if len(action) != algebra.dim:
-        return Violation("action matrix count", (len(action),), ())
-    for m in action:
+        return Violation(f"action matrix count ({len(action)} for dimension {algebra.dim})", (), ())
+    for i, m in enumerate(action):
         if m.rows != module_dim or m.cols != module_dim:
-            return Violation("action matrix shape", (m.rows, m.cols), ())
+            kind = f"action matrix shape ({m.rows}x{m.cols} for module dimension {module_dim})"
+            return Violation(kind, (i,), ())
 
     def defect(i: int, j: int) -> tuple:
         lhs = Matrix.zero(module_dim, module_dim)

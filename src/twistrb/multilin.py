@@ -24,7 +24,6 @@ from .exactlin import (
     Vector,
     ZERO,
     scalar,
-    vec_add,
     vec_scale,
     vector,
     zero_vector,
@@ -45,6 +44,33 @@ def ext_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _tuple_index(dim: int, degree: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(ext_basis(dim, degree))}
+
+
+@lru_cache(maxsize=None)
+def _fold_table(dim: int, degree: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Index tuple -> (column of its sorted basis tuple, sign), filled by `_fold`."""
+    return {}
+
+
+def _fold(table: dict, dim: int, degree: int, idx: tuple[int, ...]) -> tuple[int, int]:
+    """Fold an index tuple into `table`; a tuple with a repeat gets sign 0."""
+    sorted_t, sign = sort_with_sign(idx)
+    table[idx] = (0, 0) if sorted_t is None else (_tuple_index(dim, degree)[sorted_t], sign)
+    return table[idx]
+
+
+def _combine(matrix: Matrix, coeffs: Mapping[int, Fraction]) -> Vector:
+    """sum_j coeffs[j] * (column j of matrix), touching only nonzero entries."""
+    rows, width, entries = matrix.rows, matrix.cols, matrix.entries
+    out = [ZERO] * rows
+    for j, c in coeffs.items():
+        if not c:
+            continue
+        for i in range(rows):
+            x = entries[i * width + j]
+            if x:
+                out[i] += c * x
+    return tuple(out)
 
 
 def sort_with_sign(t: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
@@ -178,16 +204,26 @@ class Cochain:
         """Evaluate on (vector, basis, ..., basis), linear in the first slot."""
         if len(rest) + 1 != self.degree:
             raise DimensionMismatch("argument count does not match degree")
-        out = zero_vector(self.target_dim)
+        fold = _fold_table(self.source_dim, self.degree)
         rest = tuple(rest)
+        coeffs: dict[int, Fraction] = {}
         for i, c in enumerate(first):
             if c == 0:
                 continue
-            out = vec_add(out, vec_scale(scalar(c), self.value_on_tuple((i, *rest))))
-        return out
+            idx = (i, *rest)
+            col, sign = fold.get(idx) or _fold(fold, self.source_dim, self.degree, idx)
+            # distinct i give distinct basis tuples, so each column is met once
+            if sign:
+                coeffs[col] = scalar(c) if sign > 0 else -scalar(c)
+        return _combine(self.matrix, coeffs)
 
     def skew_eval(self, args: Sequence[Sequence]) -> Vector:
-        """Fully multilinear, skew evaluation on arbitrary coordinate vectors."""
+        """Fully multilinear, skew evaluation on arbitrary coordinate vectors.
+
+        Only the product of the arguments' supports is visited: each index
+        tuple is folded once to its basis column and sign, the coefficients
+        are summed per column, and the nonzero columns are combined.
+        """
         if len(args) != self.degree:
             raise DimensionMismatch(f"expected {self.degree} arguments, got {len(args)}")
         vs = [vector(a) for a in args]
@@ -196,17 +232,18 @@ class Cochain:
                 raise DimensionMismatch("argument dimension mismatch")
         if self.degree == 0:
             return self.matrix.col(0)
-        out = zero_vector(self.target_dim)
-        for idx in itertools.product(range(self.source_dim), repeat=self.degree):
-            coeff = Fraction(1)
-            for k, i in enumerate(idx):
-                coeff *= vs[k][i]
-                if coeff == 0:
-                    break
-            if coeff == 0:
+        fold = _fold_table(self.source_dim, self.degree)
+        supports = [[i for i, x in enumerate(v) if x] for v in vs]
+        coeffs: dict[int, Fraction] = {}
+        for idx in itertools.product(*supports):
+            col, sign = fold.get(idx) or _fold(fold, self.source_dim, self.degree, idx)
+            if not sign:
                 continue
-            out = vec_add(out, vec_scale(coeff, self.value_on_tuple(idx)))
-        return out
+            c = vs[0][idx[0]]
+            for k in range(1, len(idx)):
+                c *= vs[k][idx[k]]
+            coeffs[col] = coeffs.get(col, ZERO) + (c if sign > 0 else -c)
+        return _combine(self.matrix, coeffs)
 
     # -- linear structure ----------------------------------------------
 
@@ -314,15 +351,10 @@ class Bilinear:
 
     def eval(self, x: Sequence, y: Sequence) -> Vector:
         xv, yv = vector(x), vector(y)
-        out = zero_vector(self.target_dim)
-        for i, a in enumerate(xv):
-            if a == 0:
-                continue
-            for j, b in enumerate(yv):
-                if b == 0:
-                    continue
-                out = vec_add(out, vec_scale(a * b, self.value_on_basis(i, j)))
-        return out
+        n = self.source_dim
+        ys = [(j, b) for j, b in enumerate(yv) if b]
+        coeffs = {i * n + j: a * b for i, a in enumerate(xv) if a for j, b in ys}
+        return _combine(self.matrix, coeffs)
 
     def __eq__(self, other) -> bool:
         return (

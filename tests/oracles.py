@@ -8,17 +8,20 @@ for degrees >= 1), the Chevalley-Eilenberg matrix oracle applies the
 alternating-sum formula to each unit cochain (the library assembles the
 matrix from structure constants), and the d_T matrix oracle pushes unit
 cochains through the L-infinity brackets, where the library builds the
-matrix as a Chevalley-Eilenberg differential.
+matrix as a Chevalley-Eilenberg differential.  The dense evaluation oracles
+walk every index tuple and every matrix entry, where the library's kernels
+visit only the nonzero coordinates.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from twistrb.exactlin import Matrix, vec_add, vec_scale, zero_vector
+from twistrb.exactlin import ZERO, Matrix, Vector, scalar, vec_add, vec_scale, vector, zero_vector
 from twistrb.liealg import ce_differential_cochain
 from twistrb.linfty import d_t_unchecked
-from twistrb.multilin import Cochain, ext_basis, iter_unshuffles
+from twistrb.multilin import Bilinear, Cochain, ext_basis, iter_unshuffles
 
 
 def rank_oracle(rows: list[list[Fraction]]) -> int:
@@ -140,3 +143,62 @@ def bracket3_six_sum(setup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:
                 )
         cols.append(vec_scale(prefactor, total))
     return Cochain(out_deg, m, n, Matrix.from_cols(cols, rows=n))
+
+
+# -- dense evaluation ---------------------------------------------------
+
+
+def skew_eval_dense(f: Cochain, args) -> Vector:
+    """Sum over all source_dim^degree index tuples of the coefficient times f(tuple)."""
+    vs = [vector(a) for a in args]
+    if f.degree == 0:
+        return f.matrix.col(0)
+    out = zero_vector(f.target_dim)
+    for idx in itertools.product(range(f.source_dim), repeat=f.degree):
+        coeff = Fraction(1)
+        for k, i in enumerate(idx):
+            coeff *= vs[k][i]
+        if coeff != 0:
+            out = vec_add(out, vec_scale(coeff, f.value_on_tuple(idx)))
+    return out
+
+
+def eval_mixed_dense(f: Cochain, first, rest) -> Vector:
+    """f(first, e_rest...) as the sum of first_i f(e_i, e_rest...)."""
+    out = zero_vector(f.target_dim)
+    for i, c in enumerate(first):
+        if c != 0:
+            out = vec_add(out, vec_scale(scalar(c), f.value_on_tuple((i, *rest))))
+    return out
+
+
+def bilinear_eval_dense(b: Bilinear, x, y) -> Vector:
+    out = zero_vector(b.target_dim)
+    for i, a in enumerate(vector(x)):
+        for j, c in enumerate(vector(y)):
+            if a * c != 0:
+                out = vec_add(out, vec_scale(a * c, b.value_on_basis(i, j)))
+    return out
+
+
+def matmul_dense(a: Matrix, b: Matrix) -> Matrix:
+    """Every entry as a full inner product of a row of a and a column of b."""
+    out = [
+        sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO)
+        for i in range(a.rows)
+        for j in range(b.cols)
+    ]
+    return Matrix(a.rows, b.cols, out)
+
+
+def apply_dense(m: Matrix, v) -> Vector:
+    vv = vector(v)
+    return tuple(sum((m[i, k] * vv[k] for k in range(m.cols)), ZERO) for i in range(m.rows))
+
+
+def act_dense(rep, x, u) -> Vector:
+    """x . u as the sum of x_i rho(e_i) u over every generator."""
+    out = zero_vector(rep.module_dim)
+    for c, rho in zip(vector(x), rep.action):
+        out = vec_add(out, vec_scale(c, apply_dense(rho, u)))
+    return out

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twistrb import tgcs
 from twistrb.cli import main
@@ -128,6 +130,23 @@ def test_deform_check(capsys):
     assert "order 1 defect zero: pass" in out
 
 
+def test_deform_check_runs_check_trb_once(monkeypatch, capsys):
+    from twistrb import cli, operators
+
+    calls = []
+    original = operators.check_trb
+
+    def counted(setup, t):
+        calls.append(1)
+        return original(setup, t)
+
+    monkeypatch.setattr(cli, "check_trb", counted)
+    monkeypatch.setattr(operators, "check_trb", counted)
+    code, _, _ = run_cli(["deform-check", str(INSTANCES / "affine_hinv.json")], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_nijenhuis_element(capsys):
     code, out, _ = run_cli(
         ["nijenhuis-element", str(INSTANCES / "affine_hinv.json"), "--x", "0,0"], capsys
@@ -206,6 +225,104 @@ def test_malformed_document_exit_two(doc, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# -- fuzzed document shapes ------------------------------------------------
+
+FUZZ_SEEDS = list(MALFORMED.values()) + [
+    json.loads(path.read_text()) for path in sorted(INSTANCES.glob("*.json"))
+]
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _paths(value, prefix + (k,))
+
+
+FUZZ_KEYS = sorted({key for doc in FUZZ_SEEDS for key in _keys(doc)})
+# small integers only: a fuzzed dimension must not ask for a large computation
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-1, 4),
+        st.just(1.5),
+        st.sampled_from(["0", "1", "-1", "1/2", "1/0", "1.5", "x", "", "[1,2]", "[2,1]", "[1,1]"]),
+    ),
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(FUZZ_KEYS), kids, max_size=3)),
+    max_leaves=6,
+)
+FUZZ_COMMANDS = [
+    ["validate"],
+    ["check-trb"],
+    ["check-mc"],
+    ["deform-check"],
+    ["ce-cohomology", "--nmax", "1"],
+    ["cohomology-of-t", "--nmax", "1"],
+    ["check-reynolds"],
+    ["check-r-matrix"],
+    ["check-ns"],
+    ["trb-from-ns"],
+    ["ns-from", "trb"],
+    ["check-tgcs"],
+    ["lie-tgcs"],
+]
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A seed document with one to three parts replaced, deleted or added."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if not path:
+            if action == "replace" or not isinstance(doc, (dict, list)):
+                doc = draw(json_values)
+                continue
+            node = doc
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            node = parent[path[-1]]
+            if action == "replace":
+                parent[path[-1]] = draw(json_values)
+                continue
+            if action == "delete":
+                del parent[path[-1]]
+                continue
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(FUZZ_KEYS))] = draw(json_values)
+        elif isinstance(node, list):
+            node.append(draw(json_values))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=fuzzed_documents(), command=st.sampled_from(FUZZ_COMMANDS), as_json=st.booleans())
+def test_fuzzed_documents_exit_cleanly(doc, command, as_json, tmp_path, capsys):
+    """Any document shape gets a documented exit code and no traceback."""
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(command + [str(path)] + (["--json"] if as_json else []), capsys)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 
-from twistrb import corpus
+from twistrb import corpus, operators
 from twistrb.deform import (
     deformation_equation_defects,
     equivalence_check,
@@ -237,3 +237,21 @@ def test_rigidity_probe_deterministic(trb_corpus):
     first = rigidity_probe(setup, t)
     second = rigidity_probe(setup, t)
     assert first == second
+
+
+def test_deformation_checks_run_check_trb_once(monkeypatch, trb_corpus):
+    """Each entry point checks the base operator once, not again inside formal_deformation."""
+    calls = []
+    original = operators.check_trb
+
+    def counted(setup, t):
+        calls.append(1)
+        return original(setup, t)
+
+    monkeypatch.setattr(operators, "check_trb", counted)
+    _, setup, t = trb_corpus[0]
+    t1 = Matrix.zero(setup.dim, setup.module_dim)
+    for entry in (formal_deformation, infinitesimal_is_cocycle, linear_deformation_check):
+        calls.clear()
+        entry(setup, t, [t1] if entry is formal_deformation else t1)
+        assert len(calls) == 1, entry.__name__

@@ -61,6 +61,22 @@ def test_validate_rep_examples(algebras):
     assert isinstance(validate_rep(sl2, 3, broken), Violation)
 
 
+def test_validate_rep_reports_real_count_and_shape(algebras):
+    """Count and shape are not basis indices: they are printed as they are."""
+    sl2 = algebras["sl2"]
+    action = adjoint_rep(sl2).action
+    few = validate_rep(sl2, 3, action[:2])
+    assert few.describe() == "action matrix count (2 for dimension 3) fails at (): defect ()"
+    many = validate_rep(algebras["affine"], 3, action)
+    assert many.describe() == "action matrix count (3 for dimension 2) fails at (): defect ()"
+    misshapen = list(action)
+    misshapen[1] = Matrix.zero(2, 3)
+    # the location is the generator e_2 whose matrix has the wrong shape
+    assert validate_rep(sl2, 3, misshapen).describe() == (
+        "action matrix shape (2x3 for module dimension 3) fails at (2): defect ()"
+    )
+
+
 def test_coadjoint_examples(algebras):
     sl2 = algebras["sl2"]
     co = coadjoint_rep(sl2)
