@@ -467,10 +467,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on the first call and kept for the process.
+
+    Parsing leaves no state on the parser: each call gets a fresh namespace
+    filled from the declared defaults.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0

@@ -84,6 +84,15 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(scalar(e) for e in entries))
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: Sequence[Fraction]) -> "Matrix":
+        """A result whose `rows * cols` entries are Fractions already: no coercion, no check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple(entries))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -146,18 +155,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c: ScalarLike) -> "Matrix":
         c = scalar(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, [c * a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Row i of the product accumulates a_ik * (row k of other) over nonzero a_ik."""
@@ -173,7 +182,7 @@ class Matrix:
                     for j, b in other_rows[k]:
                         acc[j] += a * b
             out.extend(acc)
-        return Matrix(self.rows, width, out)
+        return Matrix._of(self.rows, width, out)
 
     def apply(self, v: Sequence[ScalarLike]) -> Vector:
         """self @ v, visiting only the columns where v is nonzero."""
@@ -190,7 +199,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._of(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)

@@ -28,7 +28,7 @@ from .exactlin import (
     vector,
     zero_vector,
 )
-from .multilin import Cochain, ext_basis
+from .multilin import Cochain, _tuple_index, ext_basis
 from .report import CheckReport, Violation, first_failure
 
 
@@ -130,12 +130,30 @@ def bracket_cochain(dim: int, table: BracketTable) -> tuple[Cochain | None, Viol
 
 
 def jacobi_defect(bracket: Cochain, i: int, j: int, k: int) -> Vector:
-    """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
-    total = zero_vector(bracket.target_dim)
+    """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
+
+    Accumulated in one list straight from the structure constants: each term
+    is [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a].
+    """
+    n, entries = bracket.target_dim, bracket.matrix.entries
+    width = bracket.matrix.cols
+    index = _tuple_index(bracket.source_dim, 2)
+    total = [ZERO] * n
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = bracket.value_on_tuple((b, c))
-        total = vec_add(total, bracket.eval_mixed(inner, (a,)))
-    return total
+        if b == c:
+            continue
+        inner_col, inner_sign = (index[(b, c)], 1) if b < c else (index[(c, b)], -1)
+        for l in range(n):
+            x = entries[l * width + inner_col]
+            if not x or l == a:
+                continue
+            col, sign = (index[(l, a)], inner_sign) if l < a else (index[(a, l)], -inner_sign)
+            x = x if sign > 0 else -x
+            for r in range(n):
+                y = entries[r * width + col]
+                if y:
+                    total[r] += x * y
+    return tuple(total)
 
 
 def _first_jacobi_violation(bracket: Cochain) -> Violation | None:
@@ -188,13 +206,24 @@ def validate_rep(
             kind = f"action matrix shape ({m.rows}x{m.cols} for module dimension {module_dim})"
             return Violation(kind, (i,), ())
 
+    m = module_dim
+    sparse_rows = [[sparse_row(rho.row(r)).items() for r in range(m)] for rho in action]
+
     def defect(i: int, j: int) -> tuple:
-        lhs = Matrix.zero(module_dim, module_dim)
+        """rho([e_i,e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i), entry by entry in one list."""
+        out = [ZERO] * (m * m)
         for k, c in enumerate(algebra.bracket_basis(i, j)):
-            if c != 0:
-                lhs = lhs + action[k].scale(c)
-        rhs = action[i] @ action[j] - action[j] @ action[i]
-        return (lhs - rhs).entries
+            if c:
+                for r in range(m):
+                    for s, y in sparse_rows[k][r]:
+                        out[r * m + s] += c * y
+        for left, right, sign in ((i, j, -1), (j, i, 1)):
+            for r in range(m):
+                for s, a in sparse_rows[left][r]:
+                    a = a if sign > 0 else -a
+                    for col, b in sparse_rows[right][s]:
+                        out[r * m + col] += a * b
+        return tuple(out)
 
     report = first_failure("representation", ext_basis(algebra.dim, 2), defect)
     return Representation(module_dim, tuple(action)) if report.ok else report.violation

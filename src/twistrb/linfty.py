@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactlin import Matrix, permutation_sign, vec_add, vec_scale, zero_vector
+from .exactlin import ZERO, Matrix, permutation_sign, vec_add, vec_scale, zero_vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -26,7 +26,7 @@ from .liealg import (
     ce_differential,
     ce_differential_cochain,
 )
-from .multilin import Cochain, ext_basis, iter_unshuffles
+from .multilin import Cochain, _combine, _fold, _fold_table, ext_basis, iter_unshuffles
 from .operators import (
     Operator,
     TrbSetup,
@@ -98,20 +98,32 @@ def bracket2(setup: TrbSetup, p: Cochain, q: Cochain) -> Cochain:
 
 
 def _nr_insert(a: Cochain, b: Cochain) -> Cochain:
-    """(A o B)(v_*) = sum over Sh(arity B, arity A - 1) of sgn A(B(...), rest)."""
+    """(A o B)(v_*) = sum over Sh(arity B, arity A - 1) of sgn A(B(...), rest).
+
+    Per basis tuple, every unshuffle term is folded into one coefficient per
+    column of A, and the columns are combined once.
+    """
     big = a.source_dim
     alpha, beta = a.degree, b.degree
     arity = alpha + beta - 1
     if arity < 0:
         return Cochain.zero(arity, big, big)
+    shuffles = [(word[:beta], word[beta:], sgn) for word, sgn in iter_unshuffles((beta, alpha - 1))]
+    fold = _fold_table(big, alpha)
     cols = []
     for us in ext_basis(big, arity):
-        total = zero_vector(big)
-        for word, sgn in iter_unshuffles((beta, alpha - 1)):
-            bv = b.value_on_basis(tuple(us[k] for k in word[:beta]))
-            rest = tuple(us[k] for k in word[beta:])
-            total = vec_add(total, vec_scale(Fraction(sgn), a.eval_mixed(bv, rest)))
-        cols.append(total)
+        coeffs: dict[int, Fraction] = {}
+        for head, tail, sgn in shuffles:
+            bv = b.value_on_basis(tuple(us[k] for k in head))
+            rest = tuple(us[k] for k in tail)
+            for i, c in enumerate(bv):
+                if not c:
+                    continue
+                idx = (i, *rest)
+                col, sign = fold.get(idx) or _fold(fold, big, alpha, idx)
+                if sign:
+                    coeffs[col] = coeffs.get(col, ZERO) + (c if sign * sgn > 0 else -c)
+        cols.append(_combine(a.matrix, coeffs))
     return Cochain(arity, big, big, Matrix.from_cols(cols, rows=big))
 
 

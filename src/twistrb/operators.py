@@ -103,13 +103,32 @@ def _check_shape(setup: TrbSetup, t: Operator) -> None:
 
 
 def trb_defect(setup: TrbSetup, t: Operator, i: int, j: int) -> Vector:
-    """[Tu_i, Tu_j] - T(Tu_i . u_j - Tu_j . u_i + H(Tu_i, Tu_j))."""
+    """[Tu_i, Tu_j] - T(Tu_i . u_j - Tu_j . u_i + H(Tu_i, Tu_j)).
+
+    The argument of T and the defect are each accumulated in one list.
+    """
     tu = t.col(i)
     tv = t.col(j)
-    lhs = setup.algebra.bracket_vec(tu, tv)
-    inner = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
-    inner = vec_add(inner, setup.cocycle.skew_eval([tu, tv]))
-    return vec_sub(lhs, t.apply(inner))
+    m, action = setup.module_dim, setup.rep.action
+    inner = list(setup.cocycle.skew_eval([tu, tv]))
+    for x_vec, u_idx, sign in ((tu, j, 1), (tv, i, -1)):
+        for x, c in enumerate(x_vec):
+            if c:
+                c = c if sign > 0 else -c
+                rho = action[x].entries
+                for r in range(m):
+                    y = rho[r * m + u_idx]
+                    if y:
+                        inner[r] += c * y
+    out = list(setup.algebra.bracket_vec(tu, tv))
+    width, entries = t.cols, t.entries
+    for k, c in enumerate(inner):
+        if c:
+            for r in range(t.rows):
+                y = entries[r * width + k]
+                if y:
+                    out[r] -= c * y
+    return tuple(out)
 
 
 def check_trb(setup: TrbSetup, t: Operator) -> CheckReport:

@@ -10,7 +10,9 @@ matrix from structure constants), and the d_T matrix oracle pushes unit
 cochains through the L-infinity brackets, where the library builds the
 matrix as a Chevalley-Eilenberg differential.  The dense evaluation oracles
 walk every index tuple and every matrix entry, where the library's kernels
-visit only the nonzero coordinates.
+visit only the nonzero coordinates.  The term-by-term defect oracles build
+each identity from one evaluation and one vector or matrix temporary per
+term, where the library accumulates each defect in one list.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from twistrb.exactlin import ZERO, Matrix, Vector, scalar, vec_add, vec_scale, vector, zero_vector
+from twistrb.exactlin import ZERO, Matrix, Vector, scalar, vec_add, vec_scale, vec_sub, vector, zero_vector
 from twistrb.liealg import ce_differential_cochain
 from twistrb.linfty import d_t_unchecked
 from twistrb.multilin import Bilinear, Cochain, ext_basis, iter_unshuffles
@@ -202,3 +204,54 @@ def act_dense(rep, x, u) -> Vector:
     for c, rho in zip(vector(x), rep.action):
         out = vec_add(out, vec_scale(c, apply_dense(rho, u)))
     return out
+
+
+# -- term-by-term insertion and defects ---------------------------------
+
+
+def nr_insert_terms(a: Cochain, b: Cochain) -> Cochain:
+    """(A o B)(v_*) = sum over Sh(arity B, arity A - 1) of sgn A(B(...), rest),
+    one `eval_mixed` and one vector sum per unshuffle term."""
+    big = a.source_dim
+    alpha, beta = a.degree, b.degree
+    arity = alpha + beta - 1
+    if arity < 0:
+        return Cochain.zero(arity, big, big)
+    cols = []
+    for us in ext_basis(big, arity):
+        total = zero_vector(big)
+        for word, sgn in iter_unshuffles((beta, alpha - 1)):
+            bv = b.value_on_basis(tuple(us[k] for k in word[:beta]))
+            rest = tuple(us[k] for k in word[beta:])
+            total = vec_add(total, vec_scale(Fraction(sgn), a.eval_mixed(bv, rest)))
+        cols.append(total)
+    return Cochain(arity, big, big, Matrix.from_cols(cols, rows=big))
+
+
+def rep_defect_matrices(algebra, module_dim: int, action, i: int, j: int) -> tuple:
+    """rho([e_i,e_j]) - (rho(e_i)rho(e_j) - rho(e_j)rho(e_i)) through Matrix temporaries."""
+    lhs = Matrix.zero(module_dim, module_dim)
+    for k, c in enumerate(algebra.bracket_basis(i, j)):
+        if c != 0:
+            lhs = lhs + action[k].scale(c)
+    rhs = action[i] @ action[j] - action[j] @ action[i]
+    return (lhs - rhs).entries
+
+
+def jacobi_defect_terms(bracket: Cochain, i: int, j: int, k: int) -> Vector:
+    """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], one vector sum per term."""
+    total = zero_vector(bracket.target_dim)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = bracket.value_on_tuple((b, c))
+        total = vec_add(total, bracket.eval_mixed(inner, (a,)))
+    return total
+
+
+def trb_defect_terms(setup, t: Matrix, i: int, j: int) -> Vector:
+    """[Tu_i, Tu_j] - T(Tu_i . u_j - Tu_j . u_i + H(Tu_i, Tu_j)), one vector per term."""
+    tu = t.col(i)
+    tv = t.col(j)
+    lhs = setup.algebra.bracket_vec(tu, tv)
+    inner = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
+    inner = vec_add(inner, setup.cocycle.skew_eval([tu, tv]))
+    return vec_sub(lhs, t.apply(inner))

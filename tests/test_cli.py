@@ -386,3 +386,64 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all pass: yes" in proc.stdout
+
+
+# -- one parser per process ----------------------------------------------
+
+
+def run_alone(args, monkeypatch, capsys):
+    """A call on a freshly built parser, as in a new process."""
+    from twistrb import cli
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    return run_cli(args, capsys)
+
+
+SL2 = str(INSTANCES / "sl2_reynolds.json")
+AFFINE = str(INSTANCES / "affine_hinv.json")
+HEIS = str(INSTANCES / "heisenberg_derivation.json")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["cohomology-of-t", HEIS, "--nmax", "-3"], ["cohomology-of-t", HEIS, "--nmax", "1"]),
+        (["no-such-command", SL2], ["check-trb", SL2]),
+        (["check-trb"], ["check-trb", SL2]),
+        (["check-mc", SL2, "--json"], ["check-mc", SL2]),
+        # flag values and defaults: --seed, --order and --nmax must not carry over
+        (["check-trb", SL2, "--seed", "9"], ["check-trb", SL2]),
+        (["check-trb", SL2, "--seed", "9", "--json"], ["check-trb", SL2, "--json"]),
+        (["deform-check", AFFINE, "--order", "3"], ["deform-check", AFFINE]),
+        (["ce-cohomology", SL2, "--nmax", "0"], ["ce-cohomology", SL2]),
+        (["ns-from", "bogus", SL2], ["ns-from", "trb", AFFINE]),
+    ],
+)
+def test_reused_parser_leaks_nothing_between_calls(first, second, monkeypatch, capsys):
+    """Each call of a sequence on one parser matches the same call run alone."""
+    from twistrb import cli
+
+    alone = [run_alone(args, monkeypatch, capsys) for args in (first, second)]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    in_sequence = [run_cli(args, capsys) for args in (first, second, first)]
+    assert in_sequence == alone + alone[:1]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from twistrb import cli
+
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    codes = [run_cli(args, capsys)[0] for args in (
+        ["check-trb", SL2], ["no-such-command"], ["witt-report", "--nmax", "1"], ["check-mc", SL2, "--json"],
+        ["ce-cohomology", SL2, "--nmax", "-1"],
+    )]
+    assert codes == [0, 2, 0, 0, 2]
+    assert len(built) == 1

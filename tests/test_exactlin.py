@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rows, rank_oracle, rref_oracle
-from twistrb.errors import SingularMatrix
+from oracles import matmul_dense, matrix_rows, rank_oracle, rref_oracle
+from twistrb.errors import DimensionMismatch, SingularMatrix
 from twistrb.exactlin import Matrix, RowSpace, scalar, scalar_str, sparse_row, vec_is_zero
 
 rationals = st.fractions(
@@ -167,3 +167,30 @@ def test_row_space_keeps_exactly_the_rank_raising_rows(m):
         assert space.add(sparse_row(row)) == raises
         if raises:
             kept.append(row)
+
+
+def test_public_constructor_still_coerces_and_rejects():
+    assert Matrix(1, 1, ["1/2"]).entries == (Fraction(1, 2),)
+    assert Matrix(2, 1, [3, " -4/6 "]).entries == (Fraction(3), Fraction(-2, 3))
+    with pytest.raises(TypeError):
+        Matrix(1, 1, [1.5])
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 2, [1, 2, 3])
+
+
+@settings(max_examples=100)
+@given(rectangular())
+def test_arithmetic_results_hold_fractions(m):
+    """Results built without coercion equal the coerced ones and hold Fractions only."""
+    other = Matrix(m.rows, m.cols, [x * 2 - 1 for x in m.entries])
+    results = [
+        (m + other, m.rows, m.cols, [a + b for a, b in zip(m.entries, other.entries)]),
+        (m - other, m.rows, m.cols, [a - b for a, b in zip(m.entries, other.entries)]),
+        (-m, m.rows, m.cols, [-a for a in m.entries]),
+        (m.scale("2/3"), m.rows, m.cols, [Fraction(2, 3) * a for a in m.entries]),
+        (m.transpose(), m.cols, m.rows, [m[i, j] for j in range(m.cols) for i in range(m.rows)]),
+        (m @ m.transpose(), m.rows, m.rows, matmul_dense(m, m.transpose()).entries),
+    ]
+    for got, rows, cols, entries in results:
+        assert got == Matrix(rows, cols, list(entries))
+        assert type(got.entries) is tuple and all(type(x) is Fraction for x in got.entries)
