@@ -14,23 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInconsistency, InvalidStructure
-from .exactlin import (
-    Matrix,
-    Vector,
-    basis_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vector,
-    zero_vector,
-)
+from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure
+from .exactlin import Matrix, Vector, vector
 from .liealg import ce_differential
 from .linfty import d_t_unchecked, induced_structure, operator_element
-from .multilin import Cochain, ext_basis
+from .multilin import Cochain, ext_basis, term_defect
 from .operators import Operator, TrbSetup, induced_action_matrices, require_trb
-from .report import CheckReport, EquationReport, first_failure
+from .report import EquationReport, identity_reports
 
 
 @dataclass(frozen=True)
@@ -72,27 +62,20 @@ def _deformation(
     return FormalDeformation(setup, base, tuple(coefficients))
 
 
-def _order_defect(d: FormalDeformation, n: int, i: int, j: int) -> Vector:
-    """Coefficient of t^n in the twisted Rota-Baxter defect at (u_i, u_j)."""
-    s = d.setup
-    lhs = zero_vector(s.dim)
+def _order_terms(d: FormalDeformation, n: int) -> list:
+    """Coefficient of t^n in the twisted Rota-Baxter defect at (u, v), as signed terms.
+
+    It is the sum of [T_a u, T_b v] - T_a(T_b u.v - T_b v.u) over a + b = n,
+    minus the sum of T_a H(T_b u, T_c v) over a + b + c = n.
+    """
+    s, co = d.setup, d.coefficient
+    c, rho, h = s.algebra.bracket, s.rep.action, s.cocycle
+    terms = []
     for a in range(n + 1):
-        ta, tb = d.coefficient(a), d.coefficient(n - a)
-        lhs = vec_add(lhs, s.algebra.bracket_vec(ta.col(i), tb.col(j)))
-    rhs = zero_vector(s.dim)
-    for a in range(n + 1):
-        ta, tb = d.coefficient(a), d.coefficient(n - a)
-        inner = vec_sub(
-            s.rep.act_vec_on_basis(tb.col(i), j), s.rep.act_vec_on_basis(tb.col(j), i)
-        )
-        rhs = vec_add(rhs, ta.apply(inner))
-    for a in range(n + 1):
-        for b in range(n + 1 - a):
-            c = n - a - b
-            ta, tb, tc = d.coefficient(a), d.coefficient(b), d.coefficient(c)
-            hv = s.cocycle.skew_eval([tb.col(i), tc.col(j)])
-            rhs = vec_add(rhs, ta.apply(hv))
-    return vec_sub(lhs, rhs)
+        ta, tb = co(a), co(n - a)
+        terms += [(1, (c, (ta, 0), (tb, 1))), (-1, (ta, [(1, (rho, (tb, 0), 1)), (-1, (rho, (tb, 1), 0))]))]
+        terms += [(-1, (ta, (h, (co(b), 0), (co(n - a - b), 1)))) for b in range(n + 1 - a)]
+    return terms
 
 
 def deformation_equation_defects(d: FormalDeformation, up_to: int | None = None) -> list[Cochain]:
@@ -106,8 +89,8 @@ def deformation_equation_defects(d: FormalDeformation, up_to: int | None = None)
     m = s.module_dim
     out = []
     for n in range(1, (d.order if up_to is None else up_to) + 1):
-        values = {(i, j): _order_defect(d, n, i, j) for i, j in ext_basis(m, 2)}
-        out.append(Cochain.from_values(2, m, s.dim, values))
+        defect = term_defect(_order_terms(d, n))
+        out.append(Cochain.from_values(2, m, s.dim, {t: defect(*t) for t in ext_basis(m, 2)}))
     return out
 
 
@@ -125,88 +108,42 @@ def linear_deformation_check(
     setup: TrbSetup, t: Operator, t1: Operator
 ) -> tuple[bool, bool, bool]:
     """Exact vanishing of the t^1, t^2, t^3 coefficients for T + tT_1."""
-    d = formal_deformation(setup, t, [t1])
+    defects = deformation_equation_defects(formal_deformation(setup, t, [t1]), up_to=3)
+    return tuple(defect.is_zero() for defect in defects)
+
+
+def _nijenhuis_identities(setup: TrbSetup, t: Operator, x: Vector) -> list[tuple[str, str, list, list]]:
+    """The identities on a fixed x in g shared by Nijenhuis elements and equivalences.
+
+    Each is (name, kind, basis tuples, signed terms).
+    """
     s = setup
-    m = s.module_dim
-    orders = []
-    for n in (1, 2, 3):
-        ok = all(vec_is_zero(_order_defect(d, n, i, j)) for i, j in ext_basis(m, 2))
-        orders.append(ok)
-    return tuple(orders)
-
-
-def _nijenhuis_conditions(
-    setup: TrbSetup, t: Operator, x: Sequence
-) -> list[tuple[str, CheckReport]]:
-    """The trivial-deformation identities that do not involve T_1, T_1'."""
-    s = setup
-    xv = vector(x)
-    n, m = s.dim, s.module_dim
-    tx_action = induced_action_matrices(s, t)
-    pairs = ext_basis(n, 2)
-    mixed = list(itertools.product(range(n), range(m)))
-
-    # [x, u .bar x] = 0 for all u
-    def bracket_action(a: int) -> Vector:
-        ubar_x = zero_vector(n)
-        for k, c in enumerate(vector(xv)):
-            if c != 0:
-                ubar_x = vec_add(ubar_x, vec_scale(c, tx_action[a].col(k)))
-        return s.algebra.bracket_vec(xv, ubar_x)
-
-    # [[x,y],[x,z]] = 0 for all y, z
-    def lie_hom(i: int, j: int) -> Vector:
-        return s.algebra.bracket_vec(
-            s.algebra.bracket_vec(xv, basis_vector(n, i)),
-            s.algebra.bracket_vec(xv, basis_vector(n, j)),
-        )
-
-    # H(x, T(y.u)) = y.H(x, Tu) for all y, u
-    def action_pre_1(i: int, a: int) -> Vector:
-        yu = s.rep.act_basis(i, a)
-        lhs = s.cocycle.skew_eval([xv, t.apply(yu)])
-        rhs = s.rep.action[i].apply(s.cocycle.skew_eval([xv, t.col(a)]))
-        return vec_sub(lhs, rhs)
-
-    # [x,y].(x.u + H(x,Tu)) = 0 for all y, u
-    def action_pre_2(i: int, a: int) -> Vector:
-        xy = s.algebra.bracket_vec(xv, basis_vector(n, i))
-        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
-        return s.rep.act(xy, inner)
-
-    # x.H(y,z) + H(x, T H(y,z)) = H([x,y], z) + H(y, [x,z]) for all y, z
-    def twist_compat_1(i: int, j: int) -> Vector:
-        hyz = s.cocycle.value_on_basis((i, j))
-        lhs = vec_add(s.rep.act(xv, hyz), s.cocycle.skew_eval([xv, t.apply(hyz)]))
-        rhs = vec_add(
-            s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, i)), (j,)),
-            vec_scale(-1, s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, j)), (i,))),
-        )
-        return vec_sub(lhs, rhs)
-
-    # H([x,y], [x,z]) = 0 for all y, z
-    def twist_compat_2(i: int, j: int) -> Vector:
-        return s.cocycle.skew_eval(
-            [s.algebra.bracket_vec(xv, basis_vector(n, i)), s.algebra.bracket_vec(xv, basis_vector(n, j))]
-        )
-
+    if len(x) != s.dim:
+        raise DimensionMismatch(f"x has length {len(x)}, expected {s.dim}")
+    c, rho, h = s.algebra.bracket, s.rep.action, s.cocycle
+    pairs = ext_basis(s.dim, 2)
+    mixed = list(itertools.product(range(s.dim), range(s.module_dim)))
+    x_dot_u = [(1, (rho, x, 1)), (1, (h, x, (t, 1)))]  # x.u + H(x,Tu), with u in slot 1
+    # x.H(y,z) + H(x, T H(y,z)) = H([x,y], z) + H(y, [x,z])
+    twist_1 = [(1, (rho, x, (h, 0, 1))), (1, (h, x, (t, (h, 0, 1)))), (-1, (h, (c, x, 0), 1)), (-1, (h, 0, (c, x, 1)))]
     return [
-        (name, first_failure(kind, cases, defect))
-        for name, kind, cases, defect in (
-            ("bracket-action", "[x, u.x] = 0", [(a,) for a in range(m)], bracket_action),
-            ("lie-hom", "[[x,y],[x,z]] = 0", pairs, lie_hom),
-            ("action-pre-1", "H(x,T(y.u)) = y.H(x,Tu)", mixed, action_pre_1),
-            ("action-pre-2", "[x,y].(x.u + H(x,Tu)) = 0", mixed, action_pre_2),
-            ("twist-compat-1", "x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])", pairs, twist_compat_1),
-            ("twist-compat-2", "H([x,y],[x,z]) = 0", pairs, twist_compat_2),
-        )
+        ("lie-hom", "[[x,y],[x,z]] = 0", pairs, [(1, (c, (c, x, 0), (c, x, 1)))]),
+        ("action-pre-1", "H(x,T(y.u)) = y.H(x,Tu)", mixed, [(1, (h, x, (t, (rho, 0, 1)))), (-1, (rho, 0, (h, x, (t, 1))))]),
+        ("action-pre-2", "[x,y].(x.u + H(x,Tu)) = 0", mixed, [(1, (rho, (c, x, 0), x_dot_u))]),
+        ("twist-compat-1", "x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])", pairs, twist_1),
+        ("twist-compat-2", "H([x,y],[x,z]) = 0", pairs, [(1, (h, (c, x, 0), (c, x, 1)))]),
     ]
 
 
 def nijenhuis_element_check(setup: TrbSetup, t: Operator, x: Sequence) -> EquationReport:
     """Is x a Nijenhuis element for the operator?"""
     require_trb(setup, t)
-    return EquationReport(tuple(_nijenhuis_conditions(setup, t, x)))
+    xv = vector(x)
+    module_basis = [(a,) for a in range(setup.module_dim)]
+    # [x, u.x] = 0 for the induced action of u in M on g
+    bracket_action = [(1, (setup.algebra.bracket, xv, (induced_action_matrices(setup, t), 0, xv)))]
+    identities = [("bracket-action", "[x, u.x] = 0", module_basis, bracket_action)]
+    return EquationReport(identity_reports(identities + _nijenhuis_identities(setup, t, xv)))
 
 
 def equivalence_check(
@@ -220,28 +157,17 @@ def equivalence_check(
     s = setup
     xv = vector(x)
     n, m = s.dim, s.module_dim
-    conditions = [c for c in _nijenhuis_conditions(setup, t, x) if c[0] != "bracket-action"]
+    c = s.algebra.bracket
+    x_dot_u = [(1, (s.rep.action, xv, 0)), (1, (s.cocycle, xv, (t, 0)))]
     module_basis = [(a,) for a in range(m)]
-
-    # T_1(u) + [x, Tu] = T(x.u + H(x,Tu)) + T_1'(u)
-    def transport(a: int) -> Vector:
-        lhs = vec_add(t1.col(a), s.algebra.bracket_vec(xv, t.col(a)))
-        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
-        rhs = vec_add(t.apply(inner), t1p.col(a))
-        return vec_sub(lhs, rhs)
-
-    # [x, T_1(u)] = T_1'(x.u + H(x,Tu))
-    def transport_higher(a: int) -> Vector:
-        lhs = s.algebra.bracket_vec(xv, t1.col(a))
-        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
-        return vec_sub(lhs, t1p.apply(inner))
-
-    kind = "T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)"
-    conditions.append(("transport", first_failure(kind, module_basis, transport)))
-    kind = "[x,T1(u)] = T1'(x.u+H(x,Tu))"
-    conditions.append(("transport-higher", first_failure(kind, module_basis, transport_higher)))
-
-    report = EquationReport(tuple(conditions))
+    # T_1(u) + [x,Tu] = T(x.u + H(x,Tu)) + T_1'(u) and [x,T_1(u)] = T_1'(x.u + H(x,Tu))
+    transport = [(1, (t1, 0)), (1, (c, xv, (t, 0))), (-1, (t, x_dot_u)), (-1, (t1p, 0))]
+    higher = [(1, (c, xv, (t1, 0))), (-1, (t1p, x_dot_u))]
+    transports = [
+        ("transport", "T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)", module_basis, transport),
+        ("transport-higher", "[x,T1(u)] = T1'(x.u+H(x,Tu))", module_basis, higher),
+    ]
+    report = EquationReport(identity_reports(_nijenhuis_identities(setup, t, xv) + transports))
     if report.ok:
         diff = operator_element(s, t1 - t1p)
         dx = d_t_unchecked(s, t, Cochain(0, m, n, Matrix(n, 1, xv)))

@@ -21,14 +21,12 @@ from .exactlin import (
     RowSpace,
     Vector,
     sparse_row,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
     vector,
-    zero_vector,
 )
-from .multilin import Cochain, _tuple_index, ext_basis
+from .multilin import Cochain, _tuple_index, ext_basis, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -255,31 +253,11 @@ def ce_differential_cochain(
 ) -> Cochain:
     """delta_CE f for a degree-n cochain with values in the module.
 
-    Works for any bracket/action data, valid or not: it is the literal
-    alternating-sum formula.
+    Works for any bracket/action data, valid or not: the matrix of
+    `_differential_matrix` applied to the flattened cochain.
     """
-    n = f.degree
-    dim = bracket.source_dim
-    m = rep.module_dim
-    cols = []
-    for xs in ext_basis(dim, n + 1):
-        total = zero_vector(m)
-        for pos, xi in enumerate(xs):
-            rest = xs[:pos] + xs[pos + 1 :]
-            term = rep.action[xi].apply(f.value_on_basis(rest))
-            if pos % 2 == 1:
-                term = vec_scale(-1, term)
-            total = vec_add(total, term)
-        for a, b in itertools.combinations(range(n + 1), 2):
-            rest = tuple(x for p, x in enumerate(xs) if p not in (a, b))
-            inner = bracket.value_on_tuple((xs[a], xs[b]))
-            term = f.eval_mixed(inner, rest) if n >= 1 else zero_vector(m)
-            # (-1)^{i+j} for 1-based positions equals (-1)^{a+b} for 0-based
-            if (a + b) % 2 == 1:
-                term = vec_scale(-1, term)
-            total = vec_add(total, term)
-        cols.append(total)
-    return Cochain(n + 1, dim, m, Matrix.from_cols(cols, rows=m))
+    delta = _differential_matrix(LieAlgebra(bracket.source_dim, bracket), rep, f.degree)
+    return Cochain.from_vec(f.degree + 1, bracket.source_dim, rep.module_dim, delta.apply(f.vec()))
 
 
 def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
@@ -327,7 +305,7 @@ def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Ma
                 v = -c if (a + b + p) % 2 else c
                 for i in range(m):
                     entries[block + i * width + i] += v
-    return Matrix(len(row_tuples) * m, width, entries)
+    return Matrix._of(len(row_tuples) * m, width, entries)
 
 
 def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
@@ -379,34 +357,22 @@ def is_two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> Chec
 # -- Nijenhuis operators ------------------------------------------------
 
 
-def nijenhuis_defect(algebra: LieAlgebra, n_op: Matrix, i: int, j: int) -> Vector:
-    """[Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) on a basis pair."""
-    nx = n_op.col(i)
-    ny = n_op.col(j)
-    lhs = algebra.bracket_vec(nx, ny)
-    inner = vec_add(
-        algebra.bracket.eval_mixed(nx, (j,)),
-        vec_scale(-1, algebra.bracket.eval_mixed(ny, (i,))),
-    )
-    inner = vec_sub(inner, n_op.apply(algebra.bracket_basis(i, j)))
-    return vec_sub(lhs, n_op.apply(inner))
+def _deformed_terms(c: Cochain, n_op: Matrix) -> list:
+    """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as signed terms on the basis pair in slots 0, 1."""
+    return [(1, (c, (n_op, 0), 1)), (1, (c, 0, (n_op, 1))), (-1, (n_op, (c, 0, 1)))]
 
 
 def nijenhuis_check(algebra: LieAlgebra, n_op: Matrix) -> CheckReport:
-    return first_failure("nijenhuis", ext_basis(algebra.dim, 2), partial(nijenhuis_defect, algebra, n_op))
+    """[Nx,Ny] = N[x,y]_N on basis pairs."""
+    c = algebra.bracket
+    terms = [(1, (c, (n_op, 0), (n_op, 1))), (-1, (n_op, _deformed_terms(c, n_op)))]
+    return first_failure("nijenhuis", ext_basis(algebra.dim, 2), term_defect(terms))
 
 
 def deformed_bracket_cochain(algebra: LieAlgebra, n_op: Matrix) -> Cochain:
     """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as a degree-2 cochain."""
-    values = {}
-    for i, j in ext_basis(algebra.dim, 2):
-        v = vec_add(
-            algebra.bracket.eval_mixed(n_op.col(i), (j,)),
-            vec_scale(-1, algebra.bracket.eval_mixed(n_op.col(j), (i,))),
-        )
-        v = vec_sub(v, n_op.apply(algebra.bracket_basis(i, j)))
-        values[(i, j)] = v
-    return Cochain.from_values(2, algebra.dim, algebra.dim, values)
+    value = term_defect(_deformed_terms(algebra.bracket, n_op))
+    return Cochain.from_values(2, algebra.dim, algebra.dim, {t: value(*t) for t in ext_basis(algebra.dim, 2)})
 
 
 def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:
@@ -426,16 +392,9 @@ def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:
 
 def derivation_check(algebra: LieAlgebra, d: Matrix) -> CheckReport:
     """d[x,y] = [dx,y] + [x,dy] on basis pairs."""
-
-    def defect(i: int, j: int) -> Vector:
-        lhs = d.apply(algebra.bracket_basis(i, j))
-        rhs = vec_add(
-            algebra.bracket.eval_mixed(d.col(i), (j,)),
-            vec_scale(-1, algebra.bracket.eval_mixed(d.col(j), (i,))),
-        )
-        return vec_sub(lhs, rhs)
-
-    return first_failure("derivation", ext_basis(algebra.dim, 2), defect)
+    c = algebra.bracket
+    terms = [(1, (d, (c, 0, 1))), (-1, (c, (d, 0), 1)), (-1, (c, 0, (d, 1)))]
+    return first_failure("derivation", ext_basis(algebra.dim, 2), term_defect(terms))
 
 
 def nilpotency_index(d: Matrix) -> int:

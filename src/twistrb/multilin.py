@@ -16,10 +16,11 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
 from .exactlin import (
+    ONE,
     Matrix,
     Vector,
     ZERO,
@@ -369,3 +370,103 @@ class Bilinear:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
+
+
+# -- identities as signed terms ------------------------------------------
+
+
+def _table(op) -> tuple[dict, tuple[int, ...], int]:
+    """Sparse table {argument index or index pair: nonzero (output index, coefficient)} of a map,
+    with the map's argument dimensions and target dimension.
+
+    `op` is a Matrix (linear), a degree-2 Cochain (skew), a Bilinear, or a
+    tuple of action matrices, where the pair (x, u) maps to rho(e_x) e_u.
+    """
+    if isinstance(op, Matrix):
+        blocks, dims = [(op, range(op.cols), 1)], (op.cols,)
+    elif isinstance(op, Cochain):
+        pairs = ext_basis(op.source_dim, 2)
+        blocks = [(op.matrix, pairs, 1), (op.matrix, [t[::-1] for t in pairs], -1)]
+        dims = (op.source_dim, op.source_dim)
+    elif isinstance(op, Bilinear):
+        blocks = [(op.matrix, [divmod(j, op.source_dim) for j in range(op.matrix.cols)], 1)]
+        dims = (op.source_dim, op.source_dim)
+    else:
+        blocks = [(rho, [(x, u) for u in range(rho.cols)], 1) for x, rho in enumerate(op)]
+        dims = (len(op), op[0].cols)
+    table: dict = {}
+    for matrix, keys, sign in blocks:
+        for idx, x in enumerate(matrix.entries):
+            if x:
+                row, col = divmod(idx, matrix.cols)
+                table.setdefault(keys[col], []).append((row, x if sign > 0 else -x))
+    return table, dims, blocks[0][0].rows
+
+
+def term_defect(terms: list) -> Callable[..., Vector]:
+    """Compile an identity stated as signed terms; the result is its defect on one basis tuple.
+
+    A term is (sign, expr) with sign +1 or -1.  An expr is an int (that slot
+    of the basis tuple), a fixed Vector, a list of terms (their sum), or
+    (op, arg) / (op, arg, arg): an op of `_table` applied to sub-expressions.
+    Each op becomes a sparse table once; the defect is a dense Fraction tuple.
+    Dimensions that do not compose raise DimensionMismatch.
+    """
+    tables: dict[int, tuple[dict, tuple[int, ...], int]] = {}
+
+    def compile(expr) -> tuple[object, int | None]:
+        """The evaluation node of expr and its dimension (None for a slot)."""
+        if isinstance(expr, int):
+            return expr, None
+        if isinstance(expr, list):
+            parts = [(sign, compile(e)) for sign, e in expr]
+            dims = {dim for _, (_, dim) in parts} - {None}
+            if len(dims) > 1:
+                raise DimensionMismatch(f"terms of dimensions {sorted(dims)} added")
+            return [(sign, node) for sign, (node, _) in parts], dims.pop() if dims else None
+        if isinstance(expr[0], Fraction):
+            return {i: x for i, x in enumerate(expr) if x}, len(expr)
+        if id(expr[0]) not in tables:
+            tables[id(expr[0])] = _table(expr[0])
+        table, arg_dims, dim = tables[id(expr[0])]
+        args = [compile(a) for a in expr[1:]]
+        if len(args) != len(arg_dims) or any(d not in (None, want) for (_, d), want in zip(args, arg_dims)):
+            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d in args]}")
+        return (table, *(node for node, _ in args)), dim
+
+    def support(arg, case) -> list:
+        """(index, coefficient) pairs of an argument; a slot has coefficient None, meaning 1."""
+        if isinstance(arg, int):
+            return [(case[arg], None)]
+        return [(k, x) for k, x in value(arg, case).items() if x]
+
+    def value(node, case) -> dict[int, Fraction]:
+        if isinstance(node, int):
+            return {case[node]: ONE}
+        if isinstance(node, dict):
+            return node
+        if isinstance(node, list):
+            items = [(k, x if sign > 0 else -x) for sign, e in node for k, x in value(e, case).items()]
+        else:
+            table, args = node[0], [support(a, case) for a in node[1:]]
+            if len(args) == 1:
+                pairs = [(table.get(k), c) for k, c in args[0]]
+            else:
+                pairs = [
+                    (table.get((i, j)), x if y is None else y if x is None else x * y)
+                    for i, x in args[0]
+                    for j, y in args[1]
+                ]
+            items = [(k, y if c is None else c * y) for col, c in pairs for k, y in col or ()]
+        out: dict[int, Fraction] = {}
+        for k, x in items:
+            out[k] = out[k] + x if k in out else x
+        return out
+
+    root, dim = compile(list(terms))
+
+    def defect(*case) -> Vector:
+        sums = value(root, case)
+        return tuple(sums.get(k, ZERO) for k in range(dim))
+
+    return defect

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidStructure, NotAssocNs, NotNijenhuis, NotNsLie
-from .exactlin import Matrix, Vector, vec_add, vec_scale, vec_sub, zero_vector
+from .exactlin import Matrix, Vector, vec_add, vec_scale, vec_sub
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -31,7 +29,7 @@ from .liealg import (
 )
 from .multilin import Bilinear, Cochain, ext_basis
 from .operators import Operator, TrbSetup, require_trb, trb_setup
-from .report import EquationReport, Violation, first_failure
+from .report import EquationReport, Violation, identity_reports
 
 
 @dataclass(frozen=True)
@@ -50,36 +48,24 @@ class NsLie:
         )
 
 
-
-def ns1_defect(ns: NsLie, i: int, j: int, k: int) -> Vector:
-    """(x o y) o z - x o (y o z) - (y o x) o z + y o (x o z) + (x vee y) o z."""
-    circ = ns.circ
-    ek = tuple(1 if t == k else 0 for t in range(ns.dim))
-    out = circ.eval(circ.value_on_basis(i, j), ek)
-    out = vec_sub(out, circ.eval(tuple(1 if t == i else 0 for t in range(ns.dim)), circ.value_on_basis(j, k)))
-    out = vec_sub(out, circ.eval(circ.value_on_basis(j, i), ek))
-    out = vec_add(out, circ.eval(tuple(1 if t == j else 0 for t in range(ns.dim)), circ.value_on_basis(i, k)))
-    out = vec_add(out, circ.eval(ns.vee.value_on_tuple((i, j)), ek))
-    return out
-
-
-def ns2_defect(ns: NsLie, i: int, j: int, k: int) -> Vector:
-    """x vee (y*z) + cyclic + x circ (y vee z) + cyclic."""
-    total = zero_vector(ns.dim)
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        ea = tuple(1 if t == a else 0 for t in range(ns.dim))
-        # e_a vee (e_b * e_c) = -vee(e_b * e_c, e_a)
-        total = vec_sub(total, ns.vee.eval_mixed(ns.star(b, c), (a,)))
-        total = vec_add(total, ns.circ.eval(ea, ns.vee.value_on_tuple((b, c))))
-    return total
-
-
 def ns_check(ns: NsLie) -> EquationReport:
     """NS1 on all ordered basis triples, NS2 on strictly increasing triples."""
-    triples = itertools.product(range(ns.dim), repeat=3)
-    ns1 = first_failure("NS1", triples, partial(ns1_defect, ns))
-    ns2 = first_failure("NS2", ext_basis(ns.dim, 3), partial(ns2_defect, ns))
-    return EquationReport((("NS1", ns1), ("NS2", ns2)))
+    circ, vee = ns.circ, ns.vee
+    # NS1: (x o y) o z - x o (y o z) - (y o x) o z + y o (x o z) + (x vee y) o z
+    ns1 = [
+        (1, (circ, (circ, 0, 1), 2)),
+        (-1, (circ, 0, (circ, 1, 2))),
+        (-1, (circ, (circ, 1, 0), 2)),
+        (1, (circ, 1, (circ, 0, 2))),
+        (1, (circ, (vee, 0, 1), 2)),
+    ]
+    # NS2: x vee (y*z) + x o (y vee z), summed over the cyclic shifts, with y*z = y o z - z o y + y vee z
+    ns2 = []
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        star = [(1, (circ, b, c)), (-1, (circ, c, b)), (1, (vee, b, c))]
+        ns2 += [(1, (vee, a, star)), (1, (circ, a, (vee, b, c)))]
+    triples = list(itertools.product(range(ns.dim), repeat=3))
+    return EquationReport(identity_reports([("NS1", "NS1", triples, ns1), ("NS2", "NS2", ext_basis(ns.dim, 3), ns2)]))
 
 
 def adjacent_lie(ns: NsLie) -> tuple[LieAlgebra, Representation]:
@@ -131,40 +117,28 @@ class AssocNs:
     succ: Bilinear
     box: Bilinear
 
-    def star_all(self, x: Sequence, y: Sequence) -> Vector:
-        """x (*) y = x prec y + x succ y + x box y."""
-        return vec_add(
-            vec_add(self.prec.eval(x, y), self.succ.eval(x, y)), self.box.eval(x, y)
-        )
-
 
 def assoc_ns_check(a: AssocNs) -> EquationReport:
-    """The four defining identities on all ordered basis triples."""
-    dim = a.dim
-    basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
+    """The four defining identities on all ordered basis triples, with x*y = x prec y + x succ y + x box y."""
+    prec, succ, box = a.prec, a.succ, a.box
+    triples = list(itertools.product(range(a.dim), repeat=3))
 
-    def prec_assoc(i, j, k):
-        x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(a.prec.eval(a.prec.eval(x, y), z), a.prec.eval(x, a.star_all(y, z)))
+    def star(x, y) -> list:
+        return [(1, (prec, x, y)), (1, (succ, x, y)), (1, (box, x, y))]
 
-    def succ_prec(i, j, k):
-        x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(a.prec.eval(a.succ.eval(x, y), z), a.succ.eval(x, a.prec.eval(y, z)))
-
-    def succ_assoc(i, j, k):
-        x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(a.succ.eval(a.star_all(x, y), z), a.succ.eval(x, a.succ.eval(y, z)))
-
-    def box(i, j, k):
-        x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(
-            vec_add(a.prec.eval(a.box.eval(x, y), z), a.box.eval(a.star_all(x, y), z)),
-            vec_add(a.succ.eval(x, a.box.eval(y, z)), a.box.eval(x, a.star_all(y, z))),
-        )
-
-    triples = list(itertools.product(range(dim), repeat=3))
-    identities = {"prec-assoc": prec_assoc, "succ-prec": succ_prec, "succ-assoc": succ_assoc, "box": box}
-    return EquationReport(tuple((k, first_failure(k, triples, f)) for k, f in identities.items()))
+    # (x box y) prec z + (x * y) box z = x succ (y box z) + x box (y * z)
+    box_terms = [(1, (prec, (box, 0, 1), 2)), (1, (box, star(0, 1), 2))]
+    box_terms += [(-1, (succ, 0, (box, 1, 2))), (-1, (box, 0, star(1, 2)))]
+    identities = [
+        # (x prec y) prec z = x prec (y * z)
+        ("prec-assoc", [(1, (prec, (prec, 0, 1), 2)), (-1, (prec, 0, star(1, 2)))]),
+        # (x succ y) prec z = x succ (y prec z)
+        ("succ-prec", [(1, (prec, (succ, 0, 1), 2)), (-1, (succ, 0, (prec, 1, 2)))]),
+        # (x * y) succ z = x succ (y succ z)
+        ("succ-assoc", [(1, (succ, star(0, 1), 2)), (-1, (succ, 0, (succ, 1, 2)))]),
+        ("box", box_terms),
+    ]
+    return EquationReport(identity_reports([(name, name, triples, terms) for name, terms in identities]))
 
 
 def ns_from_assoc(a: AssocNs) -> NsLie:
@@ -215,9 +189,6 @@ def ns_from_trb(setup: TrbSetup, t: Operator) -> NsLie:
 
 def trb_from_ns(ns: NsLie) -> tuple[TrbSetup, Operator]:
     """The identity map over the adjacent Lie algebra, twisted by vee."""
-    verdict = ns_check(ns)
-    if not verdict.ok:
-        raise NotNsLie(verdict.first_violation().describe())
     algebra, rep = adjacent_lie(ns)
     setup = trb_setup(algebra, rep, ns.vee)
     ident = Matrix.identity(ns.dim)

@@ -53,7 +53,7 @@ from .liealg import (
     validate_lie,
     validate_rep,
 )
-from .multilin import Cochain, ext_basis
+from .multilin import Cochain, ext_basis, term_defect
 from .report import CheckReport, Violation, first_failure
 
 Operator = Matrix
@@ -342,18 +342,10 @@ def reynolds_check(algebra: LieAlgebra, r: Matrix) -> CheckReport:
     Both the direct identity and the (H = -bracket, adjoint) twisted
     Rota-Baxter check are computed; they must agree.
     """
-
-    def defect(i: int, j: int) -> Vector:
-        rx, ry = r.col(i), r.col(j)
-        lhs = algebra.bracket_vec(rx, ry)
-        inner = vec_add(
-            algebra.bracket.eval_mixed(rx, (j,)),
-            vec_scale(-1, algebra.bracket.eval_mixed(ry, (i,))),
-        )
-        inner = vec_sub(inner, lhs)
-        return vec_sub(lhs, r.apply(inner))
-
-    direct = first_failure("reynolds", ext_basis(algebra.dim, 2), defect)
+    c = algebra.bracket
+    inner = [(1, (c, (r, 0), 1)), (1, (c, 0, (r, 1))), (-1, (c, (r, 0), (r, 1)))]
+    terms = [(1, (c, (r, 0), (r, 1))), (-1, (r, inner))]
+    direct = first_failure("reynolds", ext_basis(algebra.dim, 2), term_defect(terms))
     twisted = check_trb(reynolds_setup(algebra), r)
     if direct.ok != twisted.ok:
         raise InternalInconsistency("direct and twisted Reynolds routes disagree")

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from .multilin import term_defect
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -86,3 +88,8 @@ def first_failure(
         if any(c != 0 for c in values):
             return failed(kind, where, values)
     return passed()
+
+
+def identity_reports(identities: Iterable[tuple[str, str, Iterable[tuple], list]]) -> tuple[tuple[str, CheckReport], ...]:
+    """(name, first-failure report) of each identity given as (name, kind, basis tuples, signed terms)."""
+    return tuple((name, first_failure(kind, cases, term_defect(terms))) for name, kind, cases, terms in identities)

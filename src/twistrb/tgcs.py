@@ -22,7 +22,7 @@ from .exactlin import (
     vec_sub,
 )
 from .liealg import LieAlgebra, Representation, coadjoint_rep
-from .multilin import Cochain, ext_basis
+from .multilin import Cochain, ext_basis, term_defect
 from .operators import (
     Operator,
     TrbSetup,
@@ -32,7 +32,7 @@ from .operators import (
     trb_setup,
     twisted_semidirect,
 )
-from .report import CheckReport, EquationReport, failed, first_failure, passed
+from .report import CheckReport, EquationReport, failed, first_failure, identity_reports, passed
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,48 @@ def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     return EquationReport((("almost-complex", square), ("integrability", integ)))
 
 
+def _component_identities(s: TrbSetup, j: GcsComponents) -> list[tuple[str, str, list, list]]:
+    """Equations (5)-(10) as (name, kind, basis tuples, signed terms); x, y in g and u, v in M."""
+    c, rho, h = s.algebra.bracket, s.rep.action, s.cocycle
+    nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
+    tu_v = [(1, (rho, (tm, 0), 1)), (-1, (rho, (tm, 1), 0))]  # Tu.v - Tv.u
+    nx_u = [(1, (rho, (nm, 0), 1)), (-1, (rho, 0, (sm, 1))), (1, (h, 0, (tm, 1)))]  # Nx.u - x.Su + H(x,Tu)
+    x_sy = [(1, (rho, 0, (sg, 1))), (-1, (rho, 1, (sg, 0))), (1, (h, 0, (nm, 1))), (-1, (h, 1, (nm, 0)))]
+    n_xy = [(1, (c, (nm, 0), 1)), (1, (c, 0, (nm, 1)))]  # [Nx,y] + [x,Ny]
+    # (5) [Tu,Tv] = T(Tu.v - Tv.u)
+    eq5 = [(1, (c, (tm, 0), (tm, 1))), (-1, (tm, tu_v))]
+    # (6) Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)
+    eq6 = [(1, (rho, (tm, 0), (sm, 1))), (-1, (rho, (tm, 1), (sm, 0))), (-1, (h, (tm, 0), (tm, 1))), (-1, (sm, tu_v))]
+    # (7) [Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))
+    eq7 = [(1, (c, (nm, 0), (tm, 1))), (-1, (nm, (c, 0, (tm, 1)))), (-1, (tm, nx_u))]
+    # (8) sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = x.u + Nx.Su - S(Nx.u - x.Su + H(x,Tu))
+    eq8 = [(1, (sg, (c, (tm, 1), 0))), (-1, (rho, (tm, 1), (sg, 0))), (-1, (h, (tm, 1), (nm, 0)))]
+    eq8 += [(-1, (rho, 0, 1)), (-1, (rho, (nm, 0), (sm, 1))), (1, (sm, nx_u))]
+    # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
+    eq9 = [(1, (c, (nm, 0), (nm, 1))), (-1, (c, 0, 1)), (-1, (nm, n_xy)), (-1, (tm, x_sy))]
+    # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
+    #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
+    eq10 = [(1, (rho, (nm, 0), (sg, 1))), (-1, (rho, (nm, 1), (sg, 0))), (1, (h, (nm, 0), (nm, 1))), (-1, (h, 0, 1))]
+    eq10 += [(-1, (sg, n_xy)), (1, (sm, x_sy))]
+    pairs_m, pairs_n = ext_basis(s.module_dim, 2), ext_basis(s.dim, 2)
+    mixed = list(itertools.product(range(s.dim), range(s.module_dim)))
+    return [
+        ("untwisted-rb", "[Tu,Tv] = T(Tu.v - Tv.u)", pairs_m, eq5),
+        ("graph-TS", "Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)", pairs_m, eq6),
+        ("mixed-g", "[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))", mixed, eq7),
+        ("mixed-m", "sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...", mixed, eq8),
+        ("nijenhuis-type", "nijenhuis-type = T(...)", pairs_n, eq9),
+        ("dual-nijenhuis-type", "dual-nijenhuis-type = -S(...)", pairs_n, eq10),
+    ]
+
+
 def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     """The ten component identities; conjunction equals the direct verdict.
 
     The agreement with `tgcs_check_direct` is checked on every call: the
     direct definition acts as a built-in oracle.
     """
-    s = setup
-    n, m = s.dim, s.module_dim
+    n, m = setup.dim, setup.module_dim
     nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
     eqs: list[tuple[str, CheckReport]] = []
 
@@ -108,87 +142,7 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     matrix_eq("S.sigma = sigma.N", sm @ sg, sg @ nm)
     matrix_eq("S^2 + sigma.T = -id", sm @ sm + sg @ tm, -Matrix.identity(m))
 
-    # (5) [Tu,Tv] = T(Tu.v - Tv.u)
-    def eq5(a: int, b: int) -> Vector:
-        tu, tv = tm.col(a), tm.col(b)
-        inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
-        return vec_sub(s.algebra.bracket_vec(tu, tv), tm.apply(inner))
-
-    # (6) Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)
-    def eq6(a: int, b: int) -> Vector:
-        tu, tv = tm.col(a), tm.col(b)
-        lhs = vec_sub(s.rep.act(tu, sm.col(b)), s.rep.act(tv, sm.col(a)))
-        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, tv]))
-        inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
-        return vec_sub(lhs, sm.apply(inner))
-
-    # (7) [Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))
-    def eq7(i: int, a: int) -> Vector:
-        x = basis_vector(n, i)
-        tu = tm.col(a)
-        lhs = vec_sub(
-            s.algebra.bracket_vec(nm.col(i), tu),
-            nm.apply(s.algebra.bracket_vec(x, tu)),
-        )
-        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
-        return vec_sub(lhs, tm.apply(inner))
-
-    # (8) sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx)
-    #     = x.u + Nx.Su - S(Nx.u - x.Su + H(x,Tu))
-    def eq8(i: int, a: int) -> Vector:
-        x = basis_vector(n, i)
-        tu = tm.col(a)
-        lhs = sg.apply(s.algebra.bracket_vec(tu, x))
-        lhs = vec_sub(lhs, s.rep.act(tu, sg.col(i)))
-        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, nm.col(i)]))
-        rhs = vec_add(s.rep.act_basis(i, a), s.rep.act(nm.col(i), sm.col(a)))
-        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
-        rhs = vec_sub(rhs, sm.apply(inner))
-        return vec_sub(lhs, rhs)
-
-    # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
-    def eq9(i: int, k: int) -> Vector:
-        x, y = basis_vector(n, i), basis_vector(n, k)
-        lhs = vec_sub(s.algebra.bracket_vec(nm.col(i), nm.col(k)), s.algebra.bracket_basis(i, k))
-        mix = vec_add(
-            s.algebra.bracket_vec(nm.col(i), y), s.algebra.bracket_vec(x, nm.col(k))
-        )
-        lhs = vec_sub(lhs, nm.apply(mix))
-        inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
-        inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
-        return vec_sub(lhs, tm.apply(inner))
-
-    # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
-    #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
-    def eq10(i: int, k: int) -> Vector:
-        x, y = basis_vector(n, i), basis_vector(n, k)
-        lhs = vec_sub(s.rep.act(nm.col(i), sg.col(k)), s.rep.act(nm.col(k), sg.col(i)))
-        lhs = vec_add(lhs, s.cocycle.skew_eval([nm.col(i), nm.col(k)]))
-        lhs = vec_sub(lhs, s.cocycle.value_on_basis((i, k)))
-        mix = vec_add(
-            s.algebra.bracket_vec(nm.col(i), y), s.algebra.bracket_vec(x, nm.col(k))
-        )
-        lhs = vec_sub(lhs, sg.apply(mix))
-        inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
-        inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
-        return vec_add(lhs, sm.apply(inner))
-
-    pairs_m, pairs_n = ext_basis(m, 2), ext_basis(n, 2)
-    mixed = list(itertools.product(range(n), range(m)))
-    for name, kind, cases, defect in (
-        ("untwisted-rb", "[Tu,Tv] = T(Tu.v - Tv.u)", pairs_m, eq5),
-        ("graph-TS", "Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)", pairs_m, eq6),
-        ("mixed-g", "[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))", mixed, eq7),
-        ("mixed-m", "sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...", mixed, eq8),
-        ("nijenhuis-type", "nijenhuis-type = T(...)", pairs_n, eq9),
-        ("dual-nijenhuis-type", "dual-nijenhuis-type = -S(...)", pairs_n, eq10),
-    ):
-        eqs.append((name, first_failure(kind, cases, defect)))
-
+    eqs.extend(identity_reports(_component_identities(setup, j)))
     report = EquationReport(tuple(eqs))
     direct = tgcs_check_direct(setup, j)
     if report.ok != direct.ok:
@@ -232,29 +186,20 @@ def complex_structure_check(
     sq = i_map @ i_map + Matrix.identity(n)
     eqs.append(("I^2 = -id", passed() if sq.is_zero() else failed("I^2 = -id", (), sq.entries)))
 
-    def integrability(a: int, b: int) -> Vector:
-        x, y = basis_vector(n, a), basis_vector(n, b)
-        defect = vec_sub(
-            algebra.bracket_vec(i_map.col(a), i_map.col(b)), algebra.bracket_basis(a, b)
-        )
-        mix = vec_add(algebra.bracket_vec(i_map.col(a), y), algebra.bracket_vec(x, i_map.col(b)))
-        return vec_sub(defect, i_map.apply(mix))
-
-    eqs.append(("integrability", first_failure("integrability of I", ext_basis(n, 2), integrability)))
+    c, rho = algebra.bracket, rep.action
+    # [Ix,Iy] - [x,y] - I([Ix,y] + [x,Iy])
+    mix = [(1, (c, (i_map, 0), 1)), (1, (c, 0, (i_map, 1)))]
+    terms = [(1, (c, (i_map, 0), (i_map, 1))), (-1, (c, 0, 1)), (-1, (i_map, mix))]
+    eqs.append(("integrability", first_failure("integrability of I", ext_basis(n, 2), term_defect(terms))))
     sqm = i_mod @ i_mod + Matrix.identity(m)
     eqs.append(
         ("I_M^2 = -id", passed() if sqm.is_zero() else failed("I_M^2 = -id", (), sqm.entries))
     )
 
-    def compatibility(a: int, u: int) -> Vector:
-        x = basis_vector(n, a)
-        lhs = rep.act(i_map.col(a), i_mod.col(u))
-        lhs = vec_sub(lhs, rep.act_basis(a, u))
-        inner = vec_add(rep.act_vec_on_basis(i_map.col(a), u), rep.act(x, i_mod.col(u)))
-        return vec_sub(lhs, i_mod.apply(inner))
-
+    inner = [(1, (rho, (i_map, 0), 1)), (1, (rho, 0, (i_mod, 1)))]
+    terms = [(1, (rho, (i_map, 0), (i_mod, 1))), (-1, (rho, 0, 1)), (-1, (i_mod, inner))]
     kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"
-    compat = first_failure(kind, itertools.product(range(n), range(m)), compatibility)
+    compat = first_failure(kind, itertools.product(range(n), range(m)), term_defect(terms))
     eqs.append(("module-compat", compat))
     return EquationReport(tuple(eqs))
 

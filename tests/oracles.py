@@ -4,15 +4,18 @@ Nothing here imports the package's machinery on the code path it checks:
 the rank and RREF oracles are straight-line Gaussian eliminations on dense
 Fraction lists (the library eliminates on sparse rows), the ternary-bracket
 oracle is a literal transcription of the six-unshuffle-sum display (valid
-for degrees >= 1), the Chevalley-Eilenberg matrix oracle applies the
-alternating-sum formula to each unit cochain (the library assembles the
-matrix from structure constants), and the d_T matrix oracle pushes unit
-cochains through the L-infinity brackets, where the library builds the
-matrix as a Chevalley-Eilenberg differential.  The dense evaluation oracles
-walk every index tuple and every matrix entry, where the library's kernels
-visit only the nonzero coordinates.  The term-by-term defect oracles build
-each identity from one evaluation and one vector or matrix temporary per
-term, where the library accumulates each defect in one list.
+for degrees >= 1), the Chevalley-Eilenberg oracle is the literal
+alternating-sum formula, applied to each unit cochain for the matrix (the
+library assembles the matrix from structure constants and applies it to a
+single cochain too), and the d_T matrix oracle pushes unit cochains through
+the L-infinity brackets, where the library builds the matrix as a
+Chevalley-Eilenberg differential.  The dense evaluation oracles walk every
+index tuple and every matrix entry, where the library's kernels visit only
+the nonzero coordinates.  The term-by-term defect oracles build each
+identity from one evaluation and one vector or matrix temporary per term,
+where the library either accumulates the defect in one hand-fused list
+(`_nr_insert`, `validate_rep`, `jacobi_defect`, `trb_defect`) or states
+the identity as signed terms for `multilin.term_defect`.
 """
 from __future__ import annotations
 
@@ -20,8 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from twistrb.exactlin import ZERO, Matrix, Vector, scalar, vec_add, vec_scale, vec_sub, vector, zero_vector
-from twistrb.liealg import ce_differential_cochain
+from twistrb.exactlin import ZERO, Matrix, Vector, basis_vector, scalar, vec_add, vec_scale, vec_sub, vector, zero_vector
 from twistrb.linfty import d_t_unchecked
 from twistrb.multilin import Bilinear, Cochain, ext_basis, iter_unshuffles
 
@@ -92,7 +94,7 @@ def _unit_vector_matrix(diff, degree: int, source_dim: int, target_dim: int) -> 
 def ce_differential_unit_vectors(algebra, rep, n: int) -> Matrix:
     """delta_CE : C^n -> C^{n+1} by the alternating-sum formula on each unit cochain."""
     return _unit_vector_matrix(
-        lambda f: ce_differential_cochain(algebra.bracket, rep, f), n, algebra.dim, rep.module_dim
+        lambda f: ce_differential_alternating(algebra.bracket, rep, f), n, algebra.dim, rep.module_dim
     )
 
 
@@ -255,3 +257,301 @@ def trb_defect_terms(setup, t: Matrix, i: int, j: int) -> Vector:
     inner = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
     inner = vec_add(inner, setup.cocycle.skew_eval([tu, tv]))
     return vec_sub(lhs, t.apply(inner))
+
+
+def ce_differential_alternating(bracket: Cochain, rep, f: Cochain) -> Cochain:
+    """delta_CE f by the literal alternating-sum formula, one vector sum per term."""
+    n = f.degree
+    dim = bracket.source_dim
+    m = rep.module_dim
+    cols = []
+    for xs in ext_basis(dim, n + 1):
+        total = zero_vector(m)
+        for pos, xi in enumerate(xs):
+            rest = xs[:pos] + xs[pos + 1 :]
+            term = rep.action[xi].apply(f.value_on_basis(rest))
+            if pos % 2 == 1:
+                term = vec_scale(-1, term)
+            total = vec_add(total, term)
+        for a, b in itertools.combinations(range(n + 1), 2):
+            rest = tuple(x for p, x in enumerate(xs) if p not in (a, b))
+            inner = bracket.value_on_tuple((xs[a], xs[b]))
+            term = f.eval_mixed(inner, rest) if n >= 1 else zero_vector(m)
+            # (-1)^{i+j} for 1-based positions equals (-1)^{a+b} for 0-based
+            if (a + b) % 2 == 1:
+                term = vec_scale(-1, term)
+            total = vec_add(total, term)
+        cols.append(total)
+    return Cochain(n + 1, dim, m, Matrix.from_cols(cols, rows=m))
+
+
+# -- identity defects, one evaluation and one vector temporary per term -----
+
+
+def tgcs_component_defects(s, j) -> dict:
+    """Equations (5)-(10) of the component characterization, keyed by kind."""
+    n = s.dim
+    nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
+
+    # (5) [Tu,Tv] = T(Tu.v - Tv.u)
+    def eq5(a: int, b: int) -> Vector:
+        tu, tv = tm.col(a), tm.col(b)
+        inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
+        return vec_sub(s.algebra.bracket_vec(tu, tv), tm.apply(inner))
+
+    # (6) Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)
+    def eq6(a: int, b: int) -> Vector:
+        tu, tv = tm.col(a), tm.col(b)
+        lhs = vec_sub(s.rep.act(tu, sm.col(b)), s.rep.act(tv, sm.col(a)))
+        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, tv]))
+        inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
+        return vec_sub(lhs, sm.apply(inner))
+
+    # (7) [Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))
+    def eq7(i: int, a: int) -> Vector:
+        x = basis_vector(n, i)
+        tu = tm.col(a)
+        lhs = vec_sub(s.algebra.bracket_vec(nm.col(i), tu), nm.apply(s.algebra.bracket_vec(x, tu)))
+        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
+        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
+        return vec_sub(lhs, tm.apply(inner))
+
+    # (8) sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = x.u + Nx.Su - S(Nx.u - x.Su + H(x,Tu))
+    def eq8(i: int, a: int) -> Vector:
+        x = basis_vector(n, i)
+        tu = tm.col(a)
+        lhs = sg.apply(s.algebra.bracket_vec(tu, x))
+        lhs = vec_sub(lhs, s.rep.act(tu, sg.col(i)))
+        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, nm.col(i)]))
+        rhs = vec_add(s.rep.act_basis(i, a), s.rep.act(nm.col(i), sm.col(a)))
+        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
+        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
+        rhs = vec_sub(rhs, sm.apply(inner))
+        return vec_sub(lhs, rhs)
+
+    # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
+    def eq9(i: int, k: int) -> Vector:
+        x, y = basis_vector(n, i), basis_vector(n, k)
+        lhs = vec_sub(s.algebra.bracket_vec(nm.col(i), nm.col(k)), s.algebra.bracket_basis(i, k))
+        mix = vec_add(s.algebra.bracket_vec(nm.col(i), y), s.algebra.bracket_vec(x, nm.col(k)))
+        lhs = vec_sub(lhs, nm.apply(mix))
+        inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
+        inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
+        inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
+        return vec_sub(lhs, tm.apply(inner))
+
+    # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
+    #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
+    def eq10(i: int, k: int) -> Vector:
+        x, y = basis_vector(n, i), basis_vector(n, k)
+        lhs = vec_sub(s.rep.act(nm.col(i), sg.col(k)), s.rep.act(nm.col(k), sg.col(i)))
+        lhs = vec_add(lhs, s.cocycle.skew_eval([nm.col(i), nm.col(k)]))
+        lhs = vec_sub(lhs, s.cocycle.value_on_basis((i, k)))
+        mix = vec_add(s.algebra.bracket_vec(nm.col(i), y), s.algebra.bracket_vec(x, nm.col(k)))
+        lhs = vec_sub(lhs, sg.apply(mix))
+        inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
+        inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
+        inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
+        return vec_add(lhs, sm.apply(inner))
+
+    return {
+        "[Tu,Tv] = T(Tu.v - Tv.u)": eq5,
+        "Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)": eq6,
+        "[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))": eq7,
+        "sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...": eq8,
+        "nijenhuis-type = T(...)": eq9,
+        "dual-nijenhuis-type = -S(...)": eq10,
+    }
+
+
+def complex_structure_defects(algebra, rep, i_map: Matrix, i_mod: Matrix) -> dict:
+    """Integrability of I and its compatibility with I_M, keyed by kind."""
+    n = algebra.dim
+
+    def integrability(a: int, b: int) -> Vector:
+        x, y = basis_vector(n, a), basis_vector(n, b)
+        defect = vec_sub(algebra.bracket_vec(i_map.col(a), i_map.col(b)), algebra.bracket_basis(a, b))
+        mix = vec_add(algebra.bracket_vec(i_map.col(a), y), algebra.bracket_vec(x, i_map.col(b)))
+        return vec_sub(defect, i_map.apply(mix))
+
+    def compatibility(a: int, u: int) -> Vector:
+        x = basis_vector(n, a)
+        lhs = rep.act(i_map.col(a), i_mod.col(u))
+        lhs = vec_sub(lhs, rep.act_basis(a, u))
+        inner = vec_add(rep.act_vec_on_basis(i_map.col(a), u), rep.act(x, i_mod.col(u)))
+        return vec_sub(lhs, i_mod.apply(inner))
+
+    return {"integrability of I": integrability, "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0": compatibility}
+
+
+def ns_defects(ns) -> dict:
+    """NS1 and NS2, keyed by kind."""
+    circ, dim = ns.circ, ns.dim
+
+    def unit(i: int) -> Vector:
+        return basis_vector(dim, i)
+
+    def ns1(i: int, j: int, k: int) -> Vector:
+        """(x o y) o z - x o (y o z) - (y o x) o z + y o (x o z) + (x vee y) o z."""
+        out = circ.eval(circ.value_on_basis(i, j), unit(k))
+        out = vec_sub(out, circ.eval(unit(i), circ.value_on_basis(j, k)))
+        out = vec_sub(out, circ.eval(circ.value_on_basis(j, i), unit(k)))
+        out = vec_add(out, circ.eval(unit(j), circ.value_on_basis(i, k)))
+        return vec_add(out, circ.eval(ns.vee.value_on_tuple((i, j)), unit(k)))
+
+    def ns2(i: int, j: int, k: int) -> Vector:
+        """x vee (y*z) + cyclic + x circ (y vee z) + cyclic."""
+        total = zero_vector(dim)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            # e_a vee (e_b * e_c) = -vee(e_b * e_c, e_a)
+            total = vec_sub(total, ns.vee.eval_mixed(ns.star(b, c), (a,)))
+            total = vec_add(total, circ.eval(unit(a), ns.vee.value_on_tuple((b, c))))
+        return total
+
+    return {"NS1": ns1, "NS2": ns2}
+
+
+def assoc_ns_defects(a) -> dict:
+    """The four associative NS identities, keyed by name."""
+    basis = [basis_vector(a.dim, i) for i in range(a.dim)]
+
+    def star_all(x, y) -> Vector:
+        return vec_add(vec_add(a.prec.eval(x, y), a.succ.eval(x, y)), a.box.eval(x, y))
+
+    def prec_assoc(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(a.prec.eval(a.prec.eval(x, y), z), a.prec.eval(x, star_all(y, z)))
+
+    def succ_prec(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(a.prec.eval(a.succ.eval(x, y), z), a.succ.eval(x, a.prec.eval(y, z)))
+
+    def succ_assoc(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(a.succ.eval(star_all(x, y), z), a.succ.eval(x, a.succ.eval(y, z)))
+
+    def box(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return vec_sub(
+            vec_add(a.prec.eval(a.box.eval(x, y), z), a.box.eval(star_all(x, y), z)),
+            vec_add(a.succ.eval(x, a.box.eval(y, z)), a.box.eval(x, star_all(y, z))),
+        )
+
+    return {"prec-assoc": prec_assoc, "succ-prec": succ_prec, "succ-assoc": succ_assoc, "box": box}
+
+
+def order_defect(d, n: int, i: int, j: int) -> Vector:
+    """Coefficient of t^n in the twisted Rota-Baxter defect at (u_i, u_j)."""
+    s = d.setup
+    lhs = zero_vector(s.dim)
+    for a in range(n + 1):
+        ta, tb = d.coefficient(a), d.coefficient(n - a)
+        lhs = vec_add(lhs, s.algebra.bracket_vec(ta.col(i), tb.col(j)))
+    rhs = zero_vector(s.dim)
+    for a in range(n + 1):
+        ta, tb = d.coefficient(a), d.coefficient(n - a)
+        inner = vec_sub(s.rep.act_vec_on_basis(tb.col(i), j), s.rep.act_vec_on_basis(tb.col(j), i))
+        rhs = vec_add(rhs, ta.apply(inner))
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            ta, tb, tc = d.coefficient(a), d.coefficient(b), d.coefficient(n - a - b)
+            rhs = vec_add(rhs, ta.apply(s.cocycle.skew_eval([tb.col(i), tc.col(j)])))
+    return vec_sub(lhs, rhs)
+
+
+def nijenhuis_element_defects(s, t: Matrix, x, induced_action) -> dict:
+    """The Nijenhuis-element identities for a fixed x, keyed by kind."""
+    xv = vector(x)
+    n = s.dim
+
+    # [x, u .bar x] = 0 for all u
+    def bracket_action(a: int) -> Vector:
+        ubar_x = zero_vector(n)
+        for k, c in enumerate(xv):
+            if c != 0:
+                ubar_x = vec_add(ubar_x, vec_scale(c, induced_action[a].col(k)))
+        return s.algebra.bracket_vec(xv, ubar_x)
+
+    # [[x,y],[x,z]] = 0 for all y, z
+    def lie_hom(i: int, j: int) -> Vector:
+        return s.algebra.bracket_vec(
+            s.algebra.bracket_vec(xv, basis_vector(n, i)), s.algebra.bracket_vec(xv, basis_vector(n, j))
+        )
+
+    # H(x, T(y.u)) = y.H(x, Tu) for all y, u
+    def action_pre_1(i: int, a: int) -> Vector:
+        lhs = s.cocycle.skew_eval([xv, t.apply(s.rep.act_basis(i, a))])
+        return vec_sub(lhs, s.rep.action[i].apply(s.cocycle.skew_eval([xv, t.col(a)])))
+
+    # [x,y].(x.u + H(x,Tu)) = 0 for all y, u
+    def action_pre_2(i: int, a: int) -> Vector:
+        xy = s.algebra.bracket_vec(xv, basis_vector(n, i))
+        return s.rep.act(xy, vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)])))
+
+    # x.H(y,z) + H(x, T H(y,z)) = H([x,y], z) + H(y, [x,z]) for all y, z
+    def twist_compat_1(i: int, j: int) -> Vector:
+        hyz = s.cocycle.value_on_basis((i, j))
+        lhs = vec_add(s.rep.act(xv, hyz), s.cocycle.skew_eval([xv, t.apply(hyz)]))
+        rhs = vec_add(
+            s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, i)), (j,)),
+            vec_scale(-1, s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, j)), (i,))),
+        )
+        return vec_sub(lhs, rhs)
+
+    # H([x,y], [x,z]) = 0 for all y, z
+    def twist_compat_2(i: int, j: int) -> Vector:
+        return s.cocycle.skew_eval(
+            [s.algebra.bracket_vec(xv, basis_vector(n, i)), s.algebra.bracket_vec(xv, basis_vector(n, j))]
+        )
+
+    return {
+        "[x, u.x] = 0": bracket_action,
+        "[[x,y],[x,z]] = 0": lie_hom,
+        "H(x,T(y.u)) = y.H(x,Tu)": action_pre_1,
+        "[x,y].(x.u + H(x,Tu)) = 0": action_pre_2,
+        "x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])": twist_compat_1,
+        "H([x,y],[x,z]) = 0": twist_compat_2,
+    }
+
+
+def transport_defects(s, t: Matrix, t1: Matrix, t1p: Matrix, x) -> dict:
+    """The two transport identities of an equivalence, keyed by kind."""
+    xv = vector(x)
+
+    # T_1(u) + [x, Tu] = T(x.u + H(x,Tu)) + T_1'(u)
+    def transport(a: int) -> Vector:
+        lhs = vec_add(t1.col(a), s.algebra.bracket_vec(xv, t.col(a)))
+        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
+        return vec_sub(lhs, vec_add(t.apply(inner), t1p.col(a)))
+
+    # [x, T_1(u)] = T_1'(x.u + H(x,Tu))
+    def transport_higher(a: int) -> Vector:
+        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
+        return vec_sub(s.algebra.bracket_vec(xv, t1.col(a)), t1p.apply(inner))
+
+    return {"T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)": transport, "[x,T1(u)] = T1'(x.u+H(x,Tu))": transport_higher}
+
+
+def deformed_bracket_value(algebra, n_op: Matrix, i: int, j: int) -> Vector:
+    """[Nx,y] + [x,Ny] - N[x,y] on a basis pair."""
+    v = vec_add(algebra.bracket.eval_mixed(n_op.col(i), (j,)), vec_scale(-1, algebra.bracket.eval_mixed(n_op.col(j), (i,))))
+    return vec_sub(v, n_op.apply(algebra.bracket_basis(i, j)))
+
+
+def nijenhuis_defect(algebra, n_op: Matrix, i: int, j: int) -> Vector:
+    """[Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) on a basis pair."""
+    return vec_sub(algebra.bracket_vec(n_op.col(i), n_op.col(j)), n_op.apply(deformed_bracket_value(algebra, n_op, i, j)))
+
+
+def derivation_defect(algebra, d: Matrix, i: int, j: int) -> Vector:
+    """d[x,y] - [dx,y] - [x,dy] on a basis pair."""
+    rhs = vec_add(algebra.bracket.eval_mixed(d.col(i), (j,)), vec_scale(-1, algebra.bracket.eval_mixed(d.col(j), (i,))))
+    return vec_sub(d.apply(algebra.bracket_basis(i, j)), rhs)
+
+
+def reynolds_defect(algebra, r: Matrix, i: int, j: int) -> Vector:
+    """[Rx,Ry] - R([Rx,y] + [x,Ry] - [Rx,Ry]) on a basis pair."""
+    rx, ry = r.col(i), r.col(j)
+    lhs = algebra.bracket_vec(rx, ry)
+    inner = vec_add(algebra.bracket.eval_mixed(rx, (j,)), vec_scale(-1, algebra.bracket.eval_mixed(ry, (i,))))
+    return vec_sub(lhs, r.apply(vec_sub(inner, lhs)))

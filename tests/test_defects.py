@@ -1,27 +1,34 @@
-"""The single-pass insertion and defects against the term-by-term oracles.
+"""Single-pass and signed-term defects against the term-by-term oracles.
 
 `linfty._nr_insert` folds every unshuffle term of a basis tuple into one
 coefficient per column; `validate_rep`, `jacobi_defect` and `trb_defect`
-accumulate each defect in one list.  The oracles in `oracles.py` build the
-same values one evaluation and one temporary per term.  Inputs are
-zero-heavy with non-integer entries, all-zero cochains included.
+accumulate each defect in one list; every other identity check states its
+identity as signed terms for `multilin.term_defect`.  The oracles in
+`oracles.py` build the same values one evaluation and one temporary per
+term.  A signed-term defect is taken from the call the check makes to
+`report.first_failure`, so what is compared is what the check scans.
+Inputs are zero-heavy with non-integer entries, all-zero data included.
 """
 import itertools
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, trb_defect_terms
-from twistrb import corpus
-from twistrb.exactlin import Matrix
-from twistrb.liealg import Representation, jacobi_defect, validate_rep
+from twistrb import corpus, deform, liealg, nslie, operators, report, tgcs
+from twistrb.errors import DimensionMismatch
+from twistrb.exactlin import Matrix, vector
+from twistrb.liealg import Representation, abelian, jacobi_defect, trivial_rep, validate_rep
 from twistrb.linfty import _nr_insert
-from twistrb.multilin import Cochain, ext_basis
-from twistrb.operators import trb_defect
+from twistrb.multilin import Bilinear, Cochain, ext_basis, term_defect
+from twistrb.operators import induced_action_matrices, trb_defect, trb_setup
 from twistrb.report import Violation, first_failure
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -131,3 +138,224 @@ def test_validate_rep_matches_oracle_on_drawn_actions(data):
     m = data.draw(st.integers(1, 4))
     action = tuple(data.draw(matrices(m, m)) for _ in range(algebra.dim))
     assert validate_rep(algebra, m, action) == rep_oracle(algebra, m, action)
+
+
+# -- signed-term identities ------------------------------------------------
+
+
+def scanned(module, check, *args):
+    """Run `check`, keeping each (kind, cases, defect, report) that `first_failure` is handed and returns,
+    called from `module` or through `report.identity_reports`."""
+    seen = []
+    real = report.first_failure
+
+    def recording(kind, cases, defect):
+        cases = list(cases)
+        verdict = real(kind, cases, defect)
+        seen.append((kind, cases, defect, verdict))
+        return verdict
+
+    with ExitStack() as stack:
+        for target in {module, report}:
+            if hasattr(target, "first_failure"):
+                stack.enter_context(mock.patch.object(target, "first_failure", recording))
+        result = check(*args)
+    return result, seen
+
+
+def assert_scans_match(seen, expected: dict):
+    """Each oracle's identity was scanned; on every scanned case its defect equals the oracle's,
+    and its first-failure report is the one the oracle gives."""
+    assert sorted(kind for kind, *_ in seen if kind in expected) == sorted(expected)
+    for kind, cases, defect, verdict in seen:
+        if kind in expected:
+            for case in cases:
+                assert_same(defect(*case), tuple(expected[kind](*case)))
+            assert verdict == first_failure(kind, cases, expected[kind])
+
+
+def vectors(n):
+    return st.lists(sparse_rationals, min_size=n, max_size=n).map(vector)
+
+
+def untwisted(n, m):
+    g = abelian(n)
+    return trb_setup(g, trivial_rep(g, m), None)
+
+
+ROT = Matrix(2, 2, [0, -1, 1, 0])
+# complex and generalized complex structures that pass, next to the drawn ones that mostly fail
+PASSING_GCS = [
+    (untwisted(1, 1), tgcs.GcsComponents(Matrix.zero(1, 1), Matrix(1, 1, [1]), Matrix(1, 1, [-1]), Matrix.zero(1, 1))),
+    (untwisted(2, 2), tgcs.embed_complex(ROT, ROT)),
+    (untwisted(2, 2), tgcs.gcs_from_invertible_rb(untwisted(2, 2), Matrix(2, 2, [1, 1, 0, 1]))),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tgcs_components_match_oracle(data):
+    if data.draw(st.booleans()):
+        setup, j = data.draw(st.sampled_from(PASSING_GCS))
+    else:
+        setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+        n, m = setup.dim, setup.module_dim
+        j = tgcs.GcsComponents(*(data.draw(matrices(r, c)) for r, c in ((n, n), (n, m), (m, n), (m, m))))
+    _, seen = scanned(tgcs, tgcs.tgcs_check_components, setup, j)
+    assert_scans_match(seen, oracles.tgcs_component_defects(setup, j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_complex_structure_matches_oracle(data):
+    setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+    if data.draw(st.booleans()):
+        setup = untwisted(2, 2)
+        i_map, i_mod = ROT, data.draw(st.sampled_from([ROT, Matrix.identity(2)]))
+    else:
+        i_map, i_mod = data.draw(matrices(setup.dim, setup.dim)), data.draw(matrices(setup.module_dim, setup.module_dim))
+    args = (setup.algebra, setup.rep, i_map, i_mod)
+    _, seen = scanned(tgcs, tgcs.complex_structure_check, *args)
+    assert_scans_match(seen, oracles.complex_structure_defects(*args))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ns_check_matches_oracle(data):
+    """Drawn candidates (mostly failing), and the NS-Lie structures of corpus operators (passing)."""
+    if data.draw(st.booleans()):
+        setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+        ns = nslie.ns_from_trb(setup, t)
+    else:
+        dim = data.draw(st.integers(1, 4))
+        ns = nslie.NsLie(dim, Bilinear(dim, dim, data.draw(matrices(dim, dim * dim))), data.draw(cochains(dim, 2)))
+    _, seen = scanned(nslie, nslie.ns_check, ns)
+    assert_scans_match(seen, oracles.ns_defects(ns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_assoc_ns_check_matches_oracle(data):
+    dim = data.draw(st.integers(1, 3))
+    prec, succ, box = (Bilinear(dim, dim, data.draw(matrices(dim, dim * dim))) for _ in range(3))
+    a = nslie.AssocNs(dim, prec, succ, box)
+    _, seen = scanned(nslie, nslie.assoc_ns_check, a)
+    assert_scans_match(seen, oracles.assoc_ns_defects(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deformation_defects_match_oracle(data):
+    """Every order up to 4 on every basis pair, the base operator drawn or from the corpus."""
+    setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+    shape = setup.operator_shape()
+    base = t if data.draw(st.booleans()) else data.draw(matrices(*shape))
+    coefficients = [data.draw(matrices(*shape)) for _ in range(data.draw(st.integers(1, 2)))]
+    d = deform.FormalDeformation(setup, base, tuple(coefficients))
+    up_to = data.draw(st.integers(1, 4))
+    defects = deform.deformation_equation_defects(d, up_to=up_to)
+    assert len(defects) == up_to
+    for n, defect in enumerate(defects, start=1):
+        for pair in ext_basis(setup.module_dim, 2):
+            assert_same(defect.value_on_basis(pair), oracles.order_defect(d, n, *pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_linear_deformation_check_matches_oracle(data):
+    """Each of the three verdicts is the vanishing of that order's oracle defect on every pair."""
+    setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+    t1 = data.draw(matrices(*setup.operator_shape()))
+    d = deform.FormalDeformation(setup, t, (t1,))
+    pairs = ext_basis(setup.module_dim, 2)
+    expected = tuple(all(not any(oracles.order_defect(d, n, *pair)) for pair in pairs) for n in (1, 2, 3))
+    assert deform.linear_deformation_check(setup, t, t1) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nijenhuis_element_and_equivalence_match_oracle(data):
+    """x = 0 and T_1 = T_1' pass every identity; drawn x, T_1 and T_1' mostly fail."""
+    setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+    x = data.draw(vectors(setup.dim))
+    _, seen = scanned(deform, deform.nijenhuis_element_check, setup, t, x)
+    assert_scans_match(seen, oracles.nijenhuis_element_defects(setup, t, x, induced_action_matrices(setup, t)))
+    t1 = data.draw(matrices(*setup.operator_shape()))
+    t1p = t1 if data.draw(st.booleans()) else data.draw(matrices(*setup.operator_shape()))
+    equivalence, seen = scanned(deform, deform.equivalence_check, setup, t, t1, t1p, x)
+    expected = oracles.nijenhuis_element_defects(setup, t, x, None) | oracles.transport_defects(setup, t, t1, t1p, x)
+    del expected["[x, u.x] = 0"]
+    assert_scans_match(seen, expected)
+    assert "[x, u.x] = 0" not in [kind for kind, *_ in seen]
+    assert [name for name, _ in equivalence.equations][-2:] == ["transport", "transport-higher"]
+
+
+def test_nijenhuis_element_rejects_wrong_length():
+    _, setup, t = corpus.trb_instances()[0]
+    with pytest.raises(DimensionMismatch):
+        deform.nijenhuis_element_check(setup, t, [0] * (setup.dim + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lie_operator_identities_match_oracle(data):
+    """Nijenhuis, derivation and Reynolds identities and the deformed bracket, on drawn maps (the zero map passes)."""
+    _, algebra = data.draw(st.sampled_from(corpus.named_algebras()))
+    n = algebra.dim
+    op = data.draw(matrices(n, n))
+    _, seen = scanned(liealg, liealg.nijenhuis_check, algebra, op)
+    assert_scans_match(seen, {"nijenhuis": partial(oracles.nijenhuis_defect, algebra, op)})
+    _, seen = scanned(liealg, liealg.derivation_check, algebra, op)
+    assert_scans_match(seen, {"derivation": partial(oracles.derivation_defect, algebra, op)})
+    _, seen = scanned(operators, operators.reynolds_check, algebra, op)
+    assert_scans_match(seen, {"reynolds": partial(oracles.reynolds_defect, algebra, op)})
+    bracket = liealg.deformed_bracket_cochain(algebra, op)
+    for pair in ext_basis(n, 2):
+        assert_same(bracket.value_on_basis(pair), oracles.deformed_bracket_value(algebra, op, *pair))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ce_differential_cochain_matches_alternating_sum(data):
+    """Any skew bracket and any action matrices (neither need be valid), degrees 0-3."""
+    dim, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    bracket = data.draw(cochains(dim, 2))
+    rep = Representation(m, tuple(data.draw(matrices(m, m)) for _ in range(dim)))
+    degree = data.draw(st.integers(0, 3))
+    f = Cochain(degree, dim, m, data.draw(matrices(m, comb(dim, degree))))
+    got, expected = liealg.ce_differential_cochain(bracket, rep, f), oracles.ce_differential_alternating(bracket, rep, f)
+    assert (got.degree, got.source_dim, got.target_dim) == (degree + 1, dim, m)
+    assert_same(got.matrix.entries, expected.matrix.entries)
+    if degree == 2:
+        algebra = liealg.LieAlgebra(dim, bracket)
+        expected_report = first_failure("2-cocycle", ext_basis(dim, 3), lambda *t: expected.value_on_basis(t))
+        assert liealg.is_two_cocycle(algebra, rep, f) == expected_report
+
+
+def test_term_defect_forms():
+    """Slots, fixed vectors, nested sums and each kind of table, on a 2-dimensional example."""
+    half = Fraction(1, 2)
+    c = Cochain(2, 2, 2, Matrix(2, 1, [half, 0]))
+    b = Bilinear(2, 2, Matrix(2, 4, [1, 0, 0, half, 0, 0, 3, 0]))
+    a = Matrix(2, 2, [0, 1, half, 0])
+    rho = (Matrix(2, 2, [1, 0, 0, 0]), Matrix.zero(2, 2))
+    x = vector([half, 2])
+    terms = [(1, (c, 1, 0)), (-1, (a, [(1, (b, 0, x)), (-1, (rho, 0, 1))])), (1, (b, x, (a, 1)))]
+    # c(e1,e0) = (-1/2, 0); A(b(e0,x) - rho(e0)e1) = A(1/2, 0) = (0, 1/4); b(x, A e1) = b(x, e0) = (1/2, 6)
+    assert_same(term_defect(terms)(0, 1), (Fraction(0), Fraction(23, 4)))
+
+
+def test_term_defect_rejects_maps_that_do_not_compose():
+    """A map applied to a value of another dimension, a sum of two dimensions, a fixed vector of the wrong length."""
+    c, a = Cochain.zero(2, 3, 3), Matrix.zero(2, 2)
+    for terms in (
+        [(1, (c, (a, 0), 1))],
+        [(1, (a, 0)), (-1, (c, 0, 1))],
+        [(1, (c, vector([1, 2]), 0))],
+        [(1, (a, 0, 1))],
+    ):
+        with pytest.raises(DimensionMismatch):
+            term_defect(terms)
+    _, sl2 = corpus.named_algebras()[0]
+    with pytest.raises(DimensionMismatch):
+        liealg.nijenhuis_check(sl2, Matrix.identity(sl2.dim - 1))

@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import pytest
 
-from twistrb import corpus
+from twistrb import corpus, nslie
 from twistrb.errors import NotNsLie
-from twistrb.exactlin import Matrix, vec_is_zero
+from twistrb.exactlin import Matrix
 from twistrb.liealg import Representation, ce_differential_cochain, deformed_bracket
 from twistrb.multilin import Bilinear, Cochain, ext_basis
 from twistrb.nslie import (
@@ -12,7 +13,6 @@ from twistrb.nslie import (
     NsLie,
     adjacent_lie,
     assoc_ns_check,
-    ns2_defect,
     ns_check,
     ns_from_assoc,
     ns_from_nijenhuis,
@@ -62,6 +62,21 @@ def test_ns_check_rejects_junk():
     assert not report["NS1"].ok
     with pytest.raises(NotNsLie):
         adjacent_lie(bad)
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_trb_from_ns_checks_the_axioms_once(monkeypatch, ok):
+    """The NS check runs once, inside `adjacent_lie`, and a failure raises its witness."""
+    circ = upper_triangular_product() if ok else Bilinear.from_values(3, 3, {(0, 1): (1, 0, 0)})
+    ns = NsLie(3, circ, Cochain.zero(2, 3, 3))
+    calls = []
+    monkeypatch.setattr(nslie, "ns_check", lambda candidate: calls.append(candidate) or ns_check(candidate))
+    if ok:
+        trb_from_ns(ns)
+    else:
+        with pytest.raises(NotNsLie, match=re.escape(ns_check(ns).first_violation().describe())):
+            trb_from_ns(ns)
+    assert calls == [ns]
 
 
 def test_ns_from_nijenhuis_cases(algebras):
@@ -160,7 +175,7 @@ def test_trb_from_ns_pre_lie_gives_untwisted_operator():
 
 
 def test_ns2_iff_vee_closed_over_adjacent_data(rng):
-    """NS2 defect = the formal closedness defect of vee, both directions."""
+    """NS2 holds iff vee is closed over the adjacent data, both directions."""
     dim = 3
     for _ in range(25):
         circ = Bilinear(dim, dim, corpus.random_matrix(rng, dim, dim * dim, bound=1))
@@ -176,5 +191,5 @@ def test_ns2_iff_vee_closed_over_adjacent_data(rng):
         )
         formal_rep = Representation(dim, action)
         closed = ce_differential_cochain(star, formal_rep, vee).is_zero()
-        ns2 = all(vec_is_zero(ns2_defect(cand, *t)) for t in ext_basis(dim, 3))
+        ns2 = ns_check(cand)["NS2"].ok
         assert closed == ns2
