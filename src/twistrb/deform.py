@@ -138,10 +138,17 @@ def _nijenhuis_identities(setup: TrbSetup, t: Operator, x: Vector) -> list[tuple
 def nijenhuis_element_check(setup: TrbSetup, t: Operator, x: Sequence) -> EquationReport:
     """Is x a Nijenhuis element for the operator?"""
     require_trb(setup, t)
+    return _nijenhuis_element_report(setup, t, x, induced_action_matrices(setup, t))
+
+
+def _nijenhuis_element_report(
+    setup: TrbSetup, t: Operator, x: Sequence, induced_action: tuple[Matrix, ...]
+) -> EquationReport:
+    """`nijenhuis_element_check` for an operator already checked, given its induced action on g."""
     xv = vector(x)
     module_basis = [(a,) for a in range(setup.module_dim)]
     # [x, u.x] = 0 for the induced action of u in M on g
-    bracket_action = [(1, (setup.algebra.bracket, xv, (induced_action_matrices(setup, t), 0, xv)))]
+    bracket_action = [(1, (setup.algebra.bracket, xv, (induced_action, 0, xv)))]
     identities = [("bracket-action", "[x, u.x] = 0", module_basis, bracket_action)]
     return EquationReport(identity_reports(identities + _nijenhuis_identities(setup, t, xv)))
 
@@ -226,7 +233,7 @@ def rigidity_probe(setup: TrbSetup, t: Operator, grid: int = 2) -> RigidityRepor
             x = list(particular)
             for c, k in zip(coeffs, homogeneous):
                 x = [a + c * b for a, b in zip(x, k)]
-            if nijenhuis_element_check(s, t, x).ok:
+            if _nijenhuis_element_report(s, t, x, rep.action).ok:
                 found = tuple(x)
                 break
         if found is None:

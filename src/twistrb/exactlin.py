@@ -2,16 +2,29 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
-below is exact.  Matrices are dense; elimination runs on sparse rows
-(`RowSpace`) and pivots on the first nonzero entry in column order.  Kernel
-bases come from the reduced row echelon parametrization with each free
-variable set to 1 in column order, which makes all outputs reproducible.
+below is exact.  Matrices are dense; elimination runs on sparse rows and
+pivots on the first nonzero entry in column order.  Kernel bases come from
+the reduced row echelon parametrization with each free variable set to 1 in
+column order, which makes all outputs reproducible.
+
+`Matrix.rref` takes a certified modular route first.  It clears each row's
+denominators, eliminates the integer rows modulo the prime p = 2^61 - 1,
+lifts every entry of the reduced form back to a rational by rational
+reconstruction, and then checks over Z that every row of the matrix is the
+combination of the lifted rows given by its own pivot-column entries.  The
+rank modulo p is a lower bound for the rank over Q, and the check puts every
+row in the span of the lifted rows, so it is an upper bound too; the lifted
+rows are then the reduced row echelon form over Q, which is unique.  When a
+lift or the check fails, the matrix goes through `RowSpace`, the Fraction
+elimination, instead.  No result ever rests on a probabilistic argument.
+`RowSpace` also serves callers that feed vectors one at a time.
 
 No floating point anywhere.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -24,6 +37,12 @@ ScalarLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# The modulus of the certified route of `Matrix.rref`, and the bound on the
+# numerators and denominators that rational reconstruction recovers: any two
+# fractions within it are distinct modulo the prime, since 2 * bound^2 < prime.
+_PRIME = (1 << 61) - 1
+_BOUND = math.isqrt(_PRIME // 2)
 
 
 def scalar(x: ScalarLike) -> Fraction:
@@ -216,7 +235,7 @@ class Matrix:
         for i in range(self.rows):
             ent.extend(self.row(i))
             ent.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, ent)
+        return Matrix._of(self.rows, self.cols + other.cols, ent)
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -231,19 +250,24 @@ class Matrix:
 
         The pivot of each row is its first nonzero entry in column order;
         pivot rows are scaled to pivot 1 and every other row is cleared in the
-        pivot columns.  The form is unique, so the order in which the sparse
-        elimination meets the rows does not show in the result: it takes the
-        sparsest rows first, which keeps the kept rows sparse for longer.
+        pivot columns.  The form is unique, so neither the route (modular and
+        certified, or `RowSpace` when that fails) nor the order in which the
+        rows are met shows in the result: both routes take the sparsest rows
+        first, which keeps the kept rows sparse for longer.
         """
-        space = RowSpace()
-        for row in sorted((sparse_row(self.row(i)) for i in range(self.rows)), key=len):
-            space.add(row)
-        pivots = tuple(sorted(space.rows))
+        rows = sorted((sparse_row(self.row(i)) for i in range(self.rows)), key=len)
+        reduced = _certified_rref(rows, self.cols)
+        if reduced is None:
+            space = RowSpace()
+            for row in rows:
+                space.add(row)
+            reduced = space.rows
+        pivots = tuple(sorted(reduced))
         entries = [ZERO] * (self.rows * self.cols)
         for r, c in enumerate(pivots):
-            for k, x in space.rows[c].items():
+            for k, x in reduced[c].items():
                 entries[r * self.cols + k] = x
-        return Matrix(self.rows, self.cols, entries), pivots
+        return Matrix._of(self.rows, self.cols, entries), pivots
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -279,7 +303,7 @@ class Matrix:
         aug, pivots = self.hstack(Matrix.identity(n)).rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
             raise SingularMatrix(f"rank {self.rank()} < {n}")
-        return Matrix(n, n, [aug[i, n + j] for i in range(n) for j in range(n)])
+        return Matrix._of(n, n, [aug[i, n + j] for i in range(n) for j in range(n)])
 
     def solve(self, b: Sequence[ScalarLike]) -> Vector | None:
         """One exact solution of self @ x = b, or None when inconsistent.
@@ -309,10 +333,10 @@ class RowSpace:
     """A row space kept in reduced row echelon form, one sparse row at a time.
 
     Rows are `{column: Fraction}` dicts keyed by the column of their leading
-    1, and every kept row is zero in the other rows' leading columns.  This is
-    the elimination kernel: `Matrix.rref` feeds it the rows of a matrix, and
-    callers that ask whether a vector lies in the span of earlier ones feed it
-    vectors one at a time.
+    1, and every kept row is zero in the other rows' leading columns.
+    `Matrix.rref` feeds it the rows of a matrix when the modular route cannot
+    certify its result, and callers that ask whether a vector lies in the span
+    of earlier ones feed it vectors one at a time.
     """
 
     __slots__ = ("rows",)
@@ -354,6 +378,116 @@ def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction], ski
             row[k] = new
         else:
             row.pop(k, None)
+
+
+def _certified_rref(rows: list[dict[int, Fraction]], width: int) -> dict[int, dict[int, Fraction]] | None:
+    """The reduced rows keyed by pivot column, or None when they cannot be certified.
+
+    Each row is cleared to integers and the rows are eliminated modulo the
+    prime in the order given.  Each entry of the reduced rows is lifted to the
+    rational with numerator and denominator at most the bound that has that
+    residue, and the lifted rows R_c are scaled to integers by the lcm L of
+    their denominators.  The result is returned only when every integer row
+    A_i satisfies L * A_i = sum over pivot columns c of A_i[c] * (L * R_c).
+    A new row is reduced in a dense list of plain ints and taken modulo the
+    prime once; the kept rows stay reduced modulo the prime.
+    """
+    prime, bound = _PRIME, _BOUND
+    integer_rows = [_integer_row(row) for row in rows]
+    kept: dict[int, dict[int, int]] = {}  # leading 1 left out
+    for row in integer_rows:
+        residues = {c: r for c, x in row.items() if (r := x % prime)}
+        hits = [c for c in residues if c in kept]
+        if hits:
+            acc = [0] * width
+            for c, x in residues.items():
+                acc[c] = x
+            for c in hits:
+                f = acc[c]
+                acc[c] = 0
+                for k, y in kept[c].items():
+                    acc[k] -= f * y
+            residues = {k: r for k, x in enumerate(acc) if x and (r := x % prime)}
+        if not residues:
+            continue
+        lead = min(residues)
+        pivot = residues.pop(lead)
+        if pivot == 1:
+            new = residues
+        else:
+            inverse = pow(pivot, -1, prime)
+            new = {k: x * inverse % prime for k, x in residues.items()}
+        for other in kept.values():
+            f = other.pop(lead, None)
+            if f is not None:
+                _axpy_mod(other, f, new, prime)
+        kept[lead] = new
+    reduced: dict[int, dict[int, Fraction]] = {}
+    lifts: dict[int, Fraction] = {}  # entries repeat, so each residue is lifted once
+    lcm = 1
+    for c, residues in kept.items():
+        row = reduced[c] = {c: ONE}
+        for k, x in residues.items():
+            q = lifts.get(x)
+            if q is None:
+                q = lifts[x] = _reconstruct(x, prime, bound)
+                if q is None:
+                    return None
+            row[k] = q
+            if q.denominator != 1:
+                lcm = math.lcm(lcm, q.denominator)
+    scaled = {c: [(k, x.numerator * (lcm // x.denominator)) for k, x in row.items()] for c, row in reduced.items()}
+    for row in integer_rows:
+        acc = [0] * width
+        for c, a in row.items():
+            acc[c] -= lcm * a
+            for k, y in scaled.get(c, ()):
+                acc[k] += a * y
+        if any(acc):
+            return None
+    return reduced
+
+
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """The row times the lcm of its denominators."""
+    lcm = 1
+    for x in row.values():
+        if x.denominator != 1:
+            lcm = math.lcm(lcm, x.denominator)
+    if lcm == 1:
+        return {c: x.numerator for c, x in row.items()}
+    return {c: x.numerator * (lcm // x.denominator) for c, x in row.items()}
+
+
+def _axpy_mod(row: dict[int, int], f: int, other: dict[int, int], prime: int) -> None:
+    """row -= f * other modulo the prime, in place, dropping zeros."""
+    for k, y in other.items():
+        x = (row.get(k, 0) - f * y) % prime
+        if x:
+            row[k] = x
+        else:
+            row.pop(k, None)
+
+
+def _reconstruct(x: int, prime: int, bound: int) -> Fraction | None:
+    """The fraction n/d with |n|, |d| <= bound and n = d * x modulo the prime, if any.
+
+    Residues within the bound of 0 or of the prime are integers; any other
+    residue runs the extended Euclidean algorithm on (prime, x) until the
+    remainder falls within the bound (Wang's rational reconstruction).
+    """
+    if x <= bound:
+        return Fraction(x)
+    if x >= prime - bound:
+        return Fraction(x - prime)
+    r0, r1, s0, s1 = prime, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
 
 
 def permutation_sign(word: Sequence[int]) -> int:

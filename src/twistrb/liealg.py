@@ -128,10 +128,12 @@ def bracket_cochain(dim: int, table: BracketTable) -> tuple[Cochain | None, Viol
 
 
 def jacobi_defect(bracket: Cochain, i: int, j: int, k: int) -> Vector:
-    """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
+    """[[e_j,e_k],e_i] + [[e_k,e_i],e_j] + [[e_i,e_j],e_k].
 
-    Accumulated in one list straight from the structure constants: each term
-    is [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a].
+    This is the negative of [e_i,[e_j,e_k]] + cyclic; both vanish exactly
+    when the bracket satisfies Jacobi on the triple.  Accumulated in one list
+    straight from the structure constants: each term is
+    [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a].
     """
     n, entries = bracket.target_dim, bracket.matrix.entries
     width = bracket.matrix.cols

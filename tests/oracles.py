@@ -241,7 +241,7 @@ def rep_defect_matrices(algebra, module_dim: int, action, i: int, j: int) -> tup
 
 
 def jacobi_defect_terms(bracket: Cochain, i: int, j: int, k: int) -> Vector:
-    """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], one vector sum per term."""
+    """[[e_j,e_k],e_i] + [[e_k,e_i],e_j] + [[e_i,e_j],e_k], one vector sum per term."""
     total = zero_vector(bracket.target_dim)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         inner = bracket.value_on_tuple((b, c))

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 
-from twistrb import corpus, operators
+from twistrb import corpus, deform, operators
 from twistrb.deform import (
     deformation_equation_defects,
     equivalence_check,
@@ -255,3 +255,31 @@ def test_deformation_checks_run_check_trb_once(monkeypatch, trb_corpus):
         calls.clear()
         entry(setup, t, [t1] if entry is formal_deformation else t1)
         assert len(calls) == 1, entry.__name__
+
+
+def test_rigidity_probe_runs_check_trb_once(monkeypatch, trb_corpus):
+    """The grid scan reuses the probe's one induced structure: no check_trb per Nijenhuis attempt."""
+    calls, attempts = [], []
+    original_check, original_report = operators.check_trb, deform._nijenhuis_element_report
+
+    def counted(setup, t):
+        calls.append(1)
+        return original_check(setup, t)
+
+    def attempted(*args):
+        attempts.append(1)
+        return original_report(*args)
+
+    monkeypatch.setattr(operators, "check_trb", counted)
+    monkeypatch.setattr(deform, "_nijenhuis_element_report", attempted)
+    g = abelian(1)
+    dim1 = setup_from_invertible_cochain(g, Representation(1, (Matrix.from_rows([[1]]),)), Matrix.from_rows([[1]]))
+    for setup, t in (dim1, trb_corpus[0][1:]):
+        calls.clear()
+        attempts.clear()
+        report = rigidity_probe(setup, t)
+        assert len(calls) == 1
+        assert attempts, "the probe never reached the grid scan"
+        for probe in report.probes:
+            if probe.nijenhuis:
+                assert nijenhuis_element_check(setup, t, probe.preimage).ok

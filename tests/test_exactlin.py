@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import matmul_dense, matrix_rows, rank_oracle, rref_oracle
+from twistrb import corpus, exactlin
 from twistrb.errors import DimensionMismatch, SingularMatrix
 from twistrb.exactlin import Matrix, RowSpace, scalar, scalar_str, sparse_row, vec_is_zero
+from twistrb.liealg import adjoint_rep, ce_differential, coadjoint_rep, validate_lie
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -190,7 +193,125 @@ def test_arithmetic_results_hold_fractions(m):
         (m.scale("2/3"), m.rows, m.cols, [Fraction(2, 3) * a for a in m.entries]),
         (m.transpose(), m.cols, m.rows, [m[i, j] for j in range(m.cols) for i in range(m.rows)]),
         (m @ m.transpose(), m.rows, m.rows, matmul_dense(m, m.transpose()).entries),
+        (m.rref()[0], m.rows, m.cols, rref_oracle(m)[0].entries),
+        (m.hstack(other), m.rows, 2 * m.cols, [x for i in range(m.rows) for x in m.row(i) + other.row(i)]),
     ]
+    if m.rows == m.cols and m.rank() == m.rows:
+        aug = rref_oracle(m.hstack(Matrix.identity(m.rows)))[0]
+        results.append((m.invert(), m.rows, m.cols, [x for i in range(m.rows) for x in aug.row(i)[m.cols :]]))
     for got, rows, cols, entries in results:
         assert got == Matrix(rows, cols, list(entries))
         assert type(got.entries) is tuple and all(type(x) is Fraction for x in got.entries)
+
+
+# -- the certified modular route of rref ---------------------------------------
+
+# numerators and denominators past 2^31, where the lifted entries need not fit
+# the reconstruction bound and the route must fall back
+huge_rationals = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+mixed_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals, huge_rationals)
+
+
+def mixed(max_rows=6, max_cols=9):
+    """Zero-heavy matrices up to max_rows x max_cols, wide shapes included, with small and huge entries."""
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(
+        lambda rc: shaped(*rc, entries=mixed_rationals)
+    )
+
+
+@settings(max_examples=200)
+@given(mixed())
+def test_rref_matches_dense_oracle_with_huge_entries(m):
+    assert m.rref() == rref_oracle(m)
+
+
+@settings(max_examples=100)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(1, 9)).flatmap(
+        lambda rkc: st.tuples(shaped(rkc[0], rkc[1], mixed_rationals), shaped(rkc[1], rkc[2], mixed_rationals))
+    )
+)
+def test_rref_matches_dense_oracle_rank_deficient_huge(factors):
+    m = factors[0] @ factors[1]
+    assert m.rref() == rref_oracle(m)
+
+
+@settings(max_examples=200)
+@given(st.integers(-exactlin._BOUND, exactlin._BOUND).filter(bool), st.integers(1, exactlin._BOUND))
+def test_reconstruct_recovers_every_fraction_within_the_bound(n, d):
+    p = exactlin._PRIME
+    assert exactlin._reconstruct(n * pow(d, -1, p) % p, p, exactlin._BOUND) == Fraction(n, d)
+
+
+def _fallback_calls(monkeypatch) -> list:
+    """A list that grows by one each time the Fraction elimination takes in a row."""
+    calls, original = [], RowSpace.add
+
+    def add(space, row):
+        calls.append(1)
+        return original(space, row)
+
+    monkeypatch.setattr(RowSpace, "add", add)
+    return calls
+
+
+def test_rref_falls_back_when_the_prime_divides_a_pivot_minor(monkeypatch):
+    # det [[1, 1], [1, 102]] = 101: rank 2 over Q, rank 1 modulo 101
+    monkeypatch.setattr(exactlin, "_PRIME", 101)
+    monkeypatch.setattr(exactlin, "_BOUND", math.isqrt(101 // 2))
+    fallback = _fallback_calls(monkeypatch)
+    m = Matrix.from_rows([[1, 1], [1, 102], [2, 2]])
+    assert m.rref() == rref_oracle(m) == (Matrix.from_rows([[1, 0], [0, 1], [0, 0]]), (0, 1))
+    assert fallback
+    # the same matrix is certified modulo the full prime
+    monkeypatch.undo()
+    fallback = _fallback_calls(monkeypatch)
+    assert m.rref() == rref_oracle(m)
+    assert not fallback
+
+
+def test_rref_falls_back_when_reconstruction_fails(monkeypatch):
+    p, bound = exactlin._PRIME, exactlin._BOUND
+    entry = Fraction(3**45, 7)
+    assert exactlin._reconstruct(entry.numerator * pow(entry.denominator, -1, p) % p, p, bound) is None
+    fallback = _fallback_calls(monkeypatch)
+    m = Matrix.from_rows([[7, 3**45, 0], [0, 0, 2]])
+    assert m.rref() == rref_oracle(m)
+    assert m.rref()[0][0, 1] == entry
+    assert fallback
+
+
+def test_rref_falls_back_when_the_certificate_fails(monkeypatch):
+    # 2^70 = 2^9 modulo 2^61 - 1, so 2^70/3 lifts to the wrong fraction 512/3
+    p, bound = exactlin._PRIME, exactlin._BOUND
+    assert exactlin._reconstruct(2**70 * pow(3, -1, p) % p, p, bound) == Fraction(512, 3)
+    fallback = _fallback_calls(monkeypatch)
+    m = Matrix.from_rows([[3, 2**70], [6, 2**71]])
+    assert m.rref() == rref_oracle(m) == (Matrix.from_rows([[1, Fraction(2**70, 3)], [0, 0]]), (0,))
+    assert fallback
+
+
+def _heisenberg(k: int):
+    """h_{2k+1}: [x_i, y_i] = z, with z the last basis vector."""
+    n = 2 * k + 1
+    table = {(i, k + i): tuple(1 if j == n - 1 else 0 for j in range(n)) for i in range(k)}
+    return validate_lie(n, table)
+
+
+def test_modular_route_ranks_heisenberg_ce_matrices_alone(monkeypatch):
+    """No CE matrix of h3 or h5 needs the Fraction fallback, so a route that always fell back would fail here."""
+
+    def refuse(space, row):
+        raise RuntimeError("Fraction elimination reached")
+
+    matrices = [
+        ce_differential(g, rep(g), n)
+        for g in (corpus.heisenberg(), _heisenberg(2))
+        for rep in (adjoint_rep, coadjoint_rep)
+        for n in range(3)
+    ]
+    expected = [rref_oracle(m) for m in matrices]
+    monkeypatch.setattr(RowSpace, "add", refuse)
+    assert [m.rref() for m in matrices] == expected
+    assert [m.rank() for m in matrices] == [len(pivots) for _, pivots in expected]
+    assert sum(m.rank() for m in matrices) > 0

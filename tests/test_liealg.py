@@ -15,12 +15,14 @@ from twistrb.liealg import (
     Violation,
     abelian,
     adjoint_rep,
+    bracket_cochain,
     ce_cohomology_dims,
     ce_differential,
     coadjoint_rep,
     deformed_bracket,
     derivation_check,
     is_two_cocycle,
+    jacobi_defect,
     nijenhuis_check,
     nilpotency_index,
     trivial_rep,
@@ -46,6 +48,22 @@ def test_validate_lie_catches_jacobi():
     assert bad.kind == "jacobi"
     assert bad.where == (0, 1, 2)
     assert not vec_is_zero(bad.defect)
+
+
+def test_jacobi_defect_sign_by_hand():
+    """[[e_j,e_k],e_i] + cyclic, not its negative [e_i,[e_j,e_k]] + cyclic.
+
+    With [e1,e2] = e3 and [e2,e3] = e2 (0-based: [e0,e1] = e2, [e1,e2] = e1):
+    [[e1,e2],e0] = [e1,e0] = -e2, [[e2,e0],e1] = 0 and [[e0,e1],e2] = [e2,e2] = 0.
+    """
+    bracket, violation = bracket_cochain(3, {(0, 1): (0, 0, 1), (1, 2): (0, 1, 0)})
+    assert violation is None
+    minus_e2 = (Fraction(0), Fraction(0), Fraction(-1))
+    assert jacobi_defect(bracket, 0, 1, 2) == minus_e2
+    # cyclic in (i, j, k), and negated by a transposition
+    assert jacobi_defect(bracket, 1, 2, 0) == jacobi_defect(bracket, 2, 0, 1) == minus_e2
+    assert jacobi_defect(bracket, 1, 0, 2) == (0, 0, 1)
+    assert validate_lie(3, {(0, 1): (0, 0, 1), (1, 2): (0, 1, 0)}).defect == minus_e2
 
 
 def test_validate_rep_examples(algebras):
