@@ -401,69 +401,45 @@ def _int_at_least(low: int):
     return parse
 
 
-COMMANDS = {
-    "validate": (cmd_validate, True),
-    "ce-cohomology": (cmd_ce_cohomology, True),
-    "check-trb": (cmd_check_trb, True),
-    "check-mc": (cmd_check_mc, True),
-    "cohomology-of-t": (cmd_cohomology_of_t, True),
-    "check-reynolds": (cmd_check_reynolds, True),
-    "reynolds-from-derivation": (cmd_reynolds_from_derivation, True),
-    "witt-report": (cmd_witt_report, False),
-    "check-r-matrix": (cmd_check_r_matrix, True),
-    "check-ns": (cmd_check_ns, True),
-    "ns-from": (cmd_ns_from, True),
-    "trb-from-ns": (cmd_trb_from_ns, True),
-    "deform-check": (cmd_deform_check, True),
-    "nijenhuis-element": (cmd_nijenhuis_element, True),
-    "rigidity-probe": (cmd_rigidity_probe, True),
-    "check-tgcs": (cmd_check_tgcs, True),
-    "lie-tgcs": (cmd_lie_tgcs, True),
-    "gauge": (cmd_gauge, True),
-    "shift": (cmd_shift, True),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistrb",
         description="Exact verification toolkit for twisted Rota-Baxter operators on Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = ("input", dict(help="instance JSON file"))
 
-    def add(name: str, needs_input: bool, head=None, **extra):
+    def add(name: str, handler, *positionals, **flags):
         p = sub.add_parser(name)
-        if head is not None:
-            p.add_argument(head[0], **head[1])
-        if needs_input:
-            p.add_argument("input", help="instance JSON file")
-        else:
-            p.add_argument("input", nargs="?", help="ignored for this command")
+        p.set_defaults(handler=handler)
+        for dest, kwargs in positionals:
+            p.add_argument(dest, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0, help="echoed in the report header")
-        for flag, kwargs in extra.items():
+        for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        return p
 
-    add("validate", True)
-    add("ce-cohomology", True, **{"--nmax": dict(type=_int_at_least(0), default=2)})
-    add("check-trb", True)
-    add("check-mc", True)
-    add("cohomology-of-t", True, **{"--nmax": dict(type=_int_at_least(0), default=2)})
-    add("check-reynolds", True)
-    add("reynolds-from-derivation", True)
-    add("witt-report", False, **{"--nmax": dict(type=_int_at_least(0), default=10)})
-    add("check-r-matrix", True)
-    add("check-ns", True)
-    add("ns-from", True, head=("source", dict(choices=["nijenhuis", "assoc", "trb"])))
-    add("trb-from-ns", True)
-    add("deform-check", True, **{"--order": dict(type=_int_at_least(1), default=None)})
-    add("nijenhuis-element", True, **{"--x": dict(required=True, help="comma-separated rationals")})
-    add("rigidity-probe", True, **{"--grid": dict(type=_int_at_least(0), default=2)})
-    add("check-tgcs", True)
-    add("lie-tgcs", True)
-    add("gauge", True, **{"--b": dict(required=True, help="matrix as inline JSON or a file path")})
-    add("shift", True, **{"--h": dict(required=True, help="matrix as inline JSON or a file path")})
+    nmax = dict(type=_int_at_least(0), default=2)
+    matrix = dict(required=True, help="matrix as inline JSON or a file path")
+    add("validate", cmd_validate, instance)
+    add("ce-cohomology", cmd_ce_cohomology, instance, **{"--nmax": nmax})
+    add("check-trb", cmd_check_trb, instance)
+    add("check-mc", cmd_check_mc, instance)
+    add("cohomology-of-t", cmd_cohomology_of_t, instance, **{"--nmax": nmax})
+    add("check-reynolds", cmd_check_reynolds, instance)
+    add("reynolds-from-derivation", cmd_reynolds_from_derivation, instance)
+    add("witt-report", cmd_witt_report, **{"--nmax": dict(type=_int_at_least(0), default=10)})
+    add("check-r-matrix", cmd_check_r_matrix, instance)
+    add("check-ns", cmd_check_ns, instance)
+    add("ns-from", cmd_ns_from, ("source", dict(choices=["nijenhuis", "assoc", "trb"])), instance)
+    add("trb-from-ns", cmd_trb_from_ns, instance)
+    add("deform-check", cmd_deform_check, instance, **{"--order": dict(type=_int_at_least(1), default=None)})
+    add("nijenhuis-element", cmd_nijenhuis_element, instance, **{"--x": dict(required=True, help="comma-separated rationals")})
+    add("rigidity-probe", cmd_rigidity_probe, instance, **{"--grid": dict(type=_int_at_least(0), default=2)})
+    add("check-tgcs", cmd_check_tgcs, instance)
+    add("lie-tgcs", cmd_lie_tgcs, instance)
+    add("gauge", cmd_gauge, instance, **{"--b": matrix})
+    add("shift", cmd_shift, instance, **{"--h": matrix})
     return parser
 
 
@@ -488,17 +464,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
-    handler, needs_input = COMMANDS[args.command]
     try:
-        doc = InstanceDocument()
-        if needs_input:
-            if not args.input:
-                print("error: this command needs an instance file", file=sys.stderr)
-                return 2
-            doc = load_instance(args.input)
-        elif args.input:
-            doc = load_instance(args.input)
-        ok, payload, lines = handler(doc, args)
+        doc = load_instance(args.input) if "input" in args else InstanceDocument()
+        ok, payload, lines = args.handler(doc, args)
         verdict = "pass" if ok else "fail"
         exit_code = 0 if ok else 1
     except (MissingSection,) as exc:

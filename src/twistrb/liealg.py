@@ -18,7 +18,6 @@ from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, 
 from .exactlin import (
     ZERO,
     Matrix,
-    RowSpace,
     Vector,
     sparse_row,
     vec_is_zero,
@@ -333,21 +332,21 @@ def ce_cohomology_representatives(
 
     Kernel vectors of the degree-n differential are kept greedily, in the
     deterministic kernel order, whenever they are independent modulo the
-    image of the previous differential: one elimination reduces the image
-    columns once, then keeps each candidate that leaves a nonzero remainder.
+    image of the previous differential: they are the kernel columns that are
+    pivots in one RREF of the image columns followed by the kernel columns.
     Dimensions are the primary surface; this is the flag-gated extra.
     """
     kernel = ce_differential(algebra, rep, n).kernel_basis()
-    span = RowSpace()
-    if n > 0:
-        prev = ce_differential(algebra, rep, n - 1)
-        for j in range(prev.cols):
-            span.add(sparse_row(prev.col(j)))
-    chosen = []
-    for candidate in kernel:
-        if span.add(sparse_row(candidate)):
-            chosen.append(Cochain.from_vec(n, algebra.dim, rep.module_dim, candidate))
-    return chosen
+    if not kernel:
+        return []
+    candidates = Matrix.from_cols(kernel)
+    prev = ce_differential(algebra, rep, n - 1) if n > 0 else Matrix.zero(candidates.rows, 0)
+    _, pivots = prev.hstack(candidates).rref()
+    return [
+        Cochain.from_vec(n, algebra.dim, rep.module_dim, kernel[c - prev.cols])
+        for c in pivots
+        if c >= prev.cols
+    ]
 
 
 def is_two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> CheckReport:

@@ -1,16 +1,22 @@
 """The governing graded structure on multilinear maps from the module to g.
 
 Hom(wedge^p M, g) sits in degree p, so operators T : M -> g are the degree-1
-elements.  The binary bracket preserves degree and the ternary bracket
-(which carries the twisting cochain H) lowers it by one.  An operator
-satisfies the twisted Rota-Baxter identity exactly when its Maurer-Cartan
-expression (1/2)[[T,T]] - (1/6)[[T,T,T]] vanishes, and
+elements.  Every bracket is a derived bracket (Voronov): the elements are
+embedded as skew maps on g (+) M, nested into the graded bracket of skew maps
+with the twisted semidirect bracket Delta = mu + H, and the result is
+restricted back to maps M -> g (the projection P).  The binary bracket
+preserves degree and the ternary bracket (which carries H) lowers it by one:
+
+    [[P,Q]] = (-1)^{|P|} P[[Delta,P],Q],
+    [[P,Q,R]] = (-1)^{|Q|+1} P[[[Delta,P],Q],R].
+
+An operator satisfies the twisted Rota-Baxter identity exactly when its
+Maurer-Cartan expression (1/2)[[T,T]] - (1/6)[[T,T,T]] vanishes, and
 
     d_T(f) = [[T, f]] - (1/2)[[T, T, f]]
 
-is the differential of the operator's cohomology.  Unshuffle blocks of
-negative size contribute empty sums, which is what makes every formula work
-on degree-0 elements of g.
+is the differential of the operator's cohomology.  The same formulas hold on
+degree-0 elements of g.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactlin import ZERO, Matrix, permutation_sign, vec_add, vec_scale, zero_vector
+from .exactlin import ZERO, Matrix, permutation_sign, zero_vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -34,6 +40,7 @@ from .operators import (
     induced_action_matrices,
     induced_bracket_cochain,
     require_trb,
+    twisted_semidirect_cochain,
 )
 from .report import CheckReport
 
@@ -51,50 +58,13 @@ def operator_element(setup: TrbSetup, t: Operator) -> Cochain:
     return Cochain.from_matrix_map(t)
 
 
-def bracket2(setup: TrbSetup, p: Cochain, q: Cochain) -> Cochain:
-    """The degree-preserving bracket: three unshuffle sums with parity signs."""
-    _check_element(setup, p)
-    _check_element(setup, q)
-    dp, dq = p.degree, q.degree
-    out_deg = dp + dq
-    m, n = setup.module_dim, setup.dim
-    sign_pq = (-1) ** (dp * dq)
-    cols = []
-    for us in ext_basis(m, out_deg):
-        total = zero_vector(n)
-        # P( Q(...) . u, rest )
-        for word, sgn in iter_unshuffles((dq, 1, dp - 1)):
-            qv = q.value_on_basis(tuple(us[k] for k in word[:dq]))
-            acted = setup.rep.act_vec_on_basis(qv, us[word[dq]])
-            rest = tuple(us[k] for k in word[dq + 1 :])
-            total = vec_add(total, vec_scale(Fraction(sgn), p.eval_mixed(acted, rest)))
-        # - (-1)^{pq} Q( P(...) . u, rest )
-        for word, sgn in iter_unshuffles((dp, 1, dq - 1)):
-            pv = p.value_on_basis(tuple(us[k] for k in word[:dp]))
-            acted = setup.rep.act_vec_on_basis(pv, us[word[dp]])
-            rest = tuple(us[k] for k in word[dp + 1 :])
-            total = vec_add(
-                total, vec_scale(Fraction(-sign_pq * sgn), q.eval_mixed(acted, rest))
-            )
-        # + (-1)^{pq} [ P(...), Q(...) ]
-        for word, sgn in iter_unshuffles((dp, dq)):
-            pv = p.value_on_basis(tuple(us[k] for k in word[:dp]))
-            qv = q.value_on_basis(tuple(us[k] for k in word[dp:]))
-            total = vec_add(
-                total,
-                vec_scale(Fraction(sign_pq * sgn), setup.algebra.bracket_vec(pv, qv)),
-            )
-        cols.append(total)
-    return Cochain(out_deg, m, n, Matrix.from_cols(cols, rows=n))
-
-
-# The ternary bracket is computed through the graded bracket of skew
-# multilinear maps on the direct sum g (+) M (insertion bracket), applied
-# three times to the lifted twisting cochain and then restricted back to
-# maps from M to g.  The paper's six-unshuffle-sum expansion agrees with
-# this on elements of degree >= 1 (the tests assert it) but its literal
-# extension to degree-0 arguments breaks the higher Jacobi identities,
-# so the insertion-bracket form is the definition used everywhere.
+# Every bracket below is a derived bracket: the graded bracket of skew
+# multilinear maps on g (+) M, built from the insertion of one map into
+# another, nested with Delta and the embedded elements, then restricted.  The
+# paper's three-unshuffle-sum display of the binary bracket agrees with it in
+# every degree, and the six-sum display of the ternary bracket whenever all
+# arguments have degree >= 1 (the tests compare both); extended literally to
+# degree-0 arguments, the six-sum display breaks the higher Jacobi identities.
 
 
 def _nr_insert(a: Cochain, b: Cochain) -> Cochain:
@@ -145,11 +115,10 @@ def _embed(setup: TrbSetup, p: Cochain) -> Cochain:
     return Cochain.from_values(p.degree, big, big, vals)
 
 
-def _restrict(setup: TrbSetup, a: Cochain, out_deg: int) -> Cochain:
+def _restrict(setup: TrbSetup, a: Cochain) -> Cochain:
     """Restrict inputs to M and project values to g; zero outside range."""
     n, m = setup.dim, setup.module_dim
-    if a.degree != out_deg:
-        return Cochain.zero(out_deg, m, n)
+    out_deg = a.degree
     if out_deg < 0 or out_deg > m:
         return Cochain.zero(out_deg, m, n)
     vals = {}
@@ -158,44 +127,49 @@ def _restrict(setup: TrbSetup, a: Cochain, out_deg: int) -> Cochain:
     return Cochain.from_values(out_deg, m, n, vals)
 
 
-def _lifted_twist(setup: TrbSetup) -> Cochain:
-    """The twisting cochain as a skew map on g (+) M with values in M."""
-    n, m = setup.dim, setup.module_dim
-    big = n + m
-    vals = {}
-    for i, j in ext_basis(big, 2):
-        if j < n:
-            vals[(i, j)] = zero_vector(n) + tuple(setup.cocycle.value_on_basis((i, j)))
-    return Cochain.from_values(2, big, big, vals)
+def _derived(setup: TrbSetup, elements: Sequence[Cochain], head: Cochain | None = None) -> list[Cochain]:
+    """P[head, e_1], P[[head, e_1], e_2], ...: one projection per element.
+
+    `head` is a skew map on g (+) M and defaults to the twisted semidirect
+    bracket Delta; each element is checked and embedded before it is
+    bracketed in.
+    """
+    raw = twisted_semidirect_cochain(setup) if head is None else head
+    out = []
+    for e in elements:
+        _check_element(setup, e)
+        raw = nr_bracket(raw, _embed(setup, e))
+        out.append(_restrict(setup, raw))
+    return out
+
+
+def bracket2(setup: TrbSetup, p: Cochain, q: Cochain) -> Cochain:
+    """The degree-preserving bracket (-1)^{|P|} P[[Delta,P],Q]; on constants
+    it is the bracket of g."""
+    return _derived(setup, (p, q))[1].scale(Fraction((-1) ** p.degree))
 
 
 def bracket3(setup: TrbSetup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:
-    """The degree-lowering ternary bracket carrying the twisting cochain.
+    """The degree-lowering ternary bracket (-1)^{|Q|+1} P[[[Delta,P],Q],R].
 
-    Defined as (-1)^{deg q + 1} times the triple insertion bracket of the
-    lifted twist with the three elements, restricted back to maps M -> g;
-    the sign is pinned by [[T,T,T]](u,v) = -6 T(H(Tu,Tv)) and by the
-    degree-0 formula used by the deformation differential.
+    Only H contributes, and the sign is pinned by [[T,T,T]](u,v) =
+    -6 T(H(Tu,Tv)) and by the degree-0 formula used by the deformation
+    differential.
     """
-    _check_element(setup, p)
-    _check_element(setup, q)
-    _check_element(setup, r)
-    out_deg = p.degree + q.degree + r.degree - 1
-    h = _lifted_twist(setup)
-    raw = nr_bracket(nr_bracket(nr_bracket(h, _embed(setup, p)), _embed(setup, q)), _embed(setup, r))
-    return _restrict(setup, raw, out_deg).scale(Fraction((-1) ** (q.degree + 1)))
+    return _derived(setup, (p, q, r))[2].scale(Fraction((-1) ** (q.degree + 1)))
 
 
 def mc_defect(setup: TrbSetup, t: Operator) -> tuple[Cochain, CheckReport]:
     """(1/2)[[T,T]] - (1/6)[[T,T,T]], which is zero exactly when T passes
     check_trb, together with the check_trb report it is compared with.
 
-    The biconditional with the direct identity is checked on every call.
+    Both brackets come from one chain [Delta,T], [[Delta,T],T],
+    [[[Delta,T],T],T].  The biconditional with the direct identity is checked
+    on every call.
     """
     te = operator_element(setup, t)
-    b2 = bracket2(setup, te, te)
-    b3 = bracket3(setup, te, te, te)
-    defect = b2.scale(Fraction(1, 2)) - b3.scale(Fraction(1, 6))
+    _, b2, b3 = _derived(setup, (te, te, te))
+    defect = b2.scale(Fraction(-1, 2)) - b3.scale(Fraction(1, 6))
     direct = check_trb(setup, t)
     if defect.is_zero() != direct.ok:
         raise InternalInconsistency("Maurer-Cartan and direct verdicts disagree")
@@ -209,8 +183,13 @@ def d_t(setup: TrbSetup, t: Operator, f: Cochain) -> Cochain:
 
 
 def d_t_unchecked(setup: TrbSetup, t: Operator, f: Cochain) -> Cochain:
+    """-P[[Delta,T] + (1/2)[[Delta,T],T], f]; the f-independent part is formed once."""
     te = operator_element(setup, t)
-    return bracket2(setup, te, f) - bracket3(setup, te, te, f).scale(Fraction(1, 2))
+    _check_element(setup, te)
+    lifted = _embed(setup, te)
+    once = nr_bracket(twisted_semidirect_cochain(setup), lifted)
+    head = once + nr_bracket(once, lifted).scale(Fraction(1, 2))
+    return -_derived(setup, (f,), head)[0]
 
 
 def induced_structure(setup: TrbSetup, t: Operator) -> tuple[LieAlgebra, Representation]:

@@ -50,7 +50,6 @@ from .liealg import (
     nijenhuis_check,
     nilpotency_index,
     trivial_rep,
-    validate_lie,
     validate_rep,
 )
 from .multilin import Cochain, ext_basis, term_defect
@@ -143,25 +142,28 @@ def require_trb(setup: TrbSetup, t: Operator) -> None:
         raise NotTwistedRB(rep.violation.describe())
 
 
-def twisted_semidirect(setup: TrbSetup) -> LieAlgebra:
-    """Bracket [(x,u),(y,v)] = ([x,y], x.v - y.u + H(x,y)) on g + M.
+def twisted_semidirect_cochain(setup: TrbSetup) -> Cochain:
+    """Bracket [(x,u),(y,v)] = ([x,y], x.v - y.u + H(x,y)) on g + M, unvalidated.
 
-    Coordinates 0..dim-1 are g, the rest are M; Jacobi is re-validated.
+    Coordinates 0..dim-1 are g, the rest are M.
     """
     n, m = setup.dim, setup.module_dim
-    total = n + m
     values = {}
     for i, j in ext_basis(n, 2):
-        g_part = setup.algebra.bracket_basis(i, j)
-        m_part = setup.cocycle.value_on_basis((i, j))
-        values[(i, j)] = g_part + m_part
+        values[(i, j)] = setup.algebra.bracket_basis(i, j) + setup.cocycle.value_on_basis((i, j))
     for i in range(n):
         for a in range(m):
             values[(i, n + a)] = zero_vector(n) + setup.rep.act_basis(i, a)
-    out = validate_lie(total, values)
-    if isinstance(out, Violation):
-        raise InvalidStructure(f"twisted semidirect product broke Jacobi: {out.describe()}")
-    return out
+    return Cochain.from_values(2, n + m, n + m, values)
+
+
+def twisted_semidirect(setup: TrbSetup) -> LieAlgebra:
+    """The twisted semidirect product g + M, with Jacobi re-validated."""
+    bracket = twisted_semidirect_cochain(setup)
+    try:
+        return lie_algebra_from_cochain(bracket)
+    except InvalidStructure as exc:
+        raise InvalidStructure(f"twisted semidirect product broke Jacobi: {exc}") from None
 
 
 def graph_subalgebra_check(setup: TrbSetup, t: Operator) -> bool:
@@ -436,7 +438,7 @@ def r_matrix_check(
     verdict = check_trb(setup, r)
     if not verdict:
         return verdict, None
-    dual = induced_bracket(setup, r)
+    dual = lie_algebra_from_cochain(induced_bracket_cochain(setup, r))
 
     def morphism(i: int, j: int) -> Vector:
         return vec_sub(algebra.bracket_vec(r.col(i), r.col(j)), r.apply(dual.bracket_basis(i, j)))

@@ -2,14 +2,17 @@
 
 Nothing here imports the package's machinery on the code path it checks:
 the rank and RREF oracles are straight-line Gaussian eliminations on dense
-Fraction lists (the library eliminates on sparse rows), the ternary-bracket
-oracle is a literal transcription of the six-unshuffle-sum display (valid
-for degrees >= 1), the Chevalley-Eilenberg oracle is the literal
-alternating-sum formula, applied to each unit cochain for the matrix (the
-library assembles the matrix from structure constants and applies it to a
-single cochain too), and the d_T matrix oracle pushes unit cochains through
-the L-infinity brackets, where the library builds the matrix as a
-Chevalley-Eilenberg differential.  The dense evaluation oracles walk every
+Fraction lists (the library eliminates on sparse rows), the bracket
+oracles are literal transcriptions of the three-unshuffle-sum binary and
+six-unshuffle-sum ternary displays (the library derives both from the twisted
+semidirect bracket on g + M; the six-sum form is valid for degrees >= 1),
+the cohomology-representative oracle keeps kernel vectors one at a time in a
+`RowSpace` (the library takes the pivots of one RREF), the Chevalley-Eilenberg
+oracle is the literal alternating-sum formula, applied to each unit cochain
+for the matrix (the library assembles the matrix from structure constants
+and applies it to a single cochain too), and the d_T matrix oracle pushes unit
+cochains through the L-infinity brackets, where the library builds the matrix
+as a Chevalley-Eilenberg differential.  The dense evaluation oracles walk every
 index tuple and every matrix entry, where the library's kernels visit only
 the nonzero coordinates.  The term-by-term defect oracles build each
 identity from one evaluation and one vector or matrix temporary per term,
@@ -23,7 +26,21 @@ import itertools
 import math
 from fractions import Fraction
 
-from twistrb.exactlin import ZERO, Matrix, Vector, basis_vector, scalar, vec_add, vec_scale, vec_sub, vector, zero_vector
+from twistrb.exactlin import (
+    ZERO,
+    Matrix,
+    RowSpace,
+    Vector,
+    basis_vector,
+    scalar,
+    sparse_row,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    vector,
+    zero_vector,
+)
+from twistrb.liealg import ce_differential
 from twistrb.linfty import d_t_unchecked
 from twistrb.multilin import Bilinear, Cochain, ext_basis, iter_unshuffles
 
@@ -110,6 +127,53 @@ def cohomology_dims_oracle(setup, t, n_max: int) -> list[int]:
     deltas = [d_t_matrix_bracket3(setup, t, k) for k in range(n_max + 1)]
     ranks = [rank_oracle(matrix_rows(d)) for d in deltas]
     return [d.cols - rank - prev for d, rank, prev in zip(deltas, ranks, [0] + ranks)]
+
+
+def ce_representatives_incremental(algebra, rep, n: int) -> list[Cochain]:
+    """Cohomology representatives kept one at a time: the image columns are
+    reduced once into a `RowSpace`, then each kernel vector is kept when it
+    leaves a nonzero remainder."""
+    span = RowSpace()
+    if n > 0:
+        prev = ce_differential(algebra, rep, n - 1)
+        for j in range(prev.cols):
+            span.add(sparse_row(prev.col(j)))
+    return [
+        Cochain.from_vec(n, algebra.dim, rep.module_dim, candidate)
+        for candidate in ce_differential(algebra, rep, n).kernel_basis()
+        if span.add(sparse_row(candidate))
+    ]
+
+
+def bracket2_unshuffle(setup, p: Cochain, q: Cochain) -> Cochain:
+    """The binary bracket as three unshuffle sums with parity signs.
+
+    P(Q(...).u, rest) - (-1)^{pq} Q(P(...).u, rest) + (-1)^{pq} [P(...), Q(...)],
+    written straight from the module action and the bracket of g.
+    """
+    dp, dq = p.degree, q.degree
+    out_deg = dp + dq
+    m, n = setup.module_dim, setup.dim
+    sign_pq = (-1) ** (dp * dq)
+    cols = []
+    for us in ext_basis(m, out_deg):
+        total = zero_vector(n)
+        for word, sgn in iter_unshuffles((dq, 1, dp - 1)):
+            qv = q.value_on_basis(tuple(us[k] for k in word[:dq]))
+            acted = setup.rep.act_vec_on_basis(qv, us[word[dq]])
+            rest = tuple(us[k] for k in word[dq + 1 :])
+            total = vec_add(total, vec_scale(Fraction(sgn), p.eval_mixed(acted, rest)))
+        for word, sgn in iter_unshuffles((dp, 1, dq - 1)):
+            pv = p.value_on_basis(tuple(us[k] for k in word[:dp]))
+            acted = setup.rep.act_vec_on_basis(pv, us[word[dp]])
+            rest = tuple(us[k] for k in word[dp + 1 :])
+            total = vec_add(total, vec_scale(Fraction(-sign_pq * sgn), q.eval_mixed(acted, rest)))
+        for word, sgn in iter_unshuffles((dp, dq)):
+            pv = p.value_on_basis(tuple(us[k] for k in word[:dp]))
+            qv = q.value_on_basis(tuple(us[k] for k in word[dp:]))
+            total = vec_add(total, vec_scale(Fraction(sign_pq * sgn), setup.algebra.bracket_vec(pv, qv)))
+        cols.append(total)
+    return Cochain(out_deg, m, n, Matrix.from_cols(cols, rows=n))
 
 
 def bracket3_six_sum(setup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:

@@ -147,6 +147,30 @@ def test_deform_check_runs_check_trb_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_check_r_matrix_runs_check_trb_once(monkeypatch, capsys):
+    """The verdict's check is not repeated when the dual bracket is built."""
+    from twistrb import operators
+
+    calls = []
+    original = operators.check_trb
+
+    def counted(setup, t):
+        calls.append(1)
+        return original(setup, t)
+
+    monkeypatch.setattr(operators, "check_trb", counted)
+    code, _, _ = run_cli(["check-r-matrix", str(INSTANCES / "abelian3_twisted_rmatrix.json")], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", ["x.json", str(INSTANCES / "sl2_reynolds.json")])
+def test_witt_report_takes_no_input_file(path, capsys):
+    code, out, _ = run_cli(["witt-report", path], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_nijenhuis_element(capsys):
     code, out, _ = run_cli(
         ["nijenhuis-element", str(INSTANCES / "affine_hinv.json"), "--x", "0,0"], capsys
@@ -281,6 +305,13 @@ FUZZ_COMMANDS = [
     ["ns-from", "trb"],
     ["check-tgcs"],
     ["lie-tgcs"],
+    ["reynolds-from-derivation"],
+    ["ns-from", "nijenhuis"],
+    ["ns-from", "assoc"],
+    ["nijenhuis-element", "--x", "1,0"],
+    ["rigidity-probe", "--grid", "1"],
+    ["gauge", "--b", "[[0,0],[0,0]]"],
+    ["shift", "--h", "[[0,0],[0,0]]"],
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ce_differential_unit_vectors, matrix_rows, rank_oracle
+from oracles import ce_differential_unit_vectors, ce_representatives_incremental, matrix_rows, rank_oracle
 from twistrb import corpus
 from twistrb.errors import NotNijenhuis, NotNilpotent
 from twistrb.exactlin import Matrix, vec_is_zero
@@ -243,6 +243,20 @@ def test_cohomology_representatives_follow_greedy_rank_rule(trb_corpus):
                     kept.append(list(v))
                     expected.append(Cochain.from_vec(n, algebra.dim, rep.module_dim, v))
             assert ce_cohomology_representatives(algebra, rep, n) == expected, (name, n)
+
+
+def test_cohomology_representatives_match_incremental_oracle(trb_corpus, algebras):
+    """One RREF keeps the same kernel vectors as the incremental elimination."""
+    from twistrb.liealg import ce_cohomology_representatives
+
+    structures = [induced_structure(setup, t) for _, setup, t in trb_corpus]
+    for g in algebras.values():
+        structures += [(g, adjoint_rep(g)), (g, coadjoint_rep(g)), (g, trivial_rep(g, 2))]
+    structures += [(s.algebra, s.rep) for s in corpus.random_setups(random.Random(8), 5)]
+    for k, (algebra, rep) in enumerate(structures):
+        for n in range(3):
+            got = ce_cohomology_representatives(algebra, rep, n)
+            assert got == ce_representatives_incremental(algebra, rep, n), (k, n)
 
 
 def test_two_cocycle_examples(algebras):

@@ -3,8 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bracket3_six_sum, cohomology_dims_oracle, d_t_matrix_bracket3
+from oracles import bracket2_unshuffle, bracket3_six_sum, cohomology_dims_oracle, d_t_matrix_bracket3
 from twistrb import corpus
 from twistrb.errors import NotTwistedRB
 from twistrb.exactlin import Matrix, vec_scale, vec_sub
@@ -267,3 +269,61 @@ def test_higher_jacobi(rng, trb_corpus):
                 degs = [rng.randint(0, 2) for _ in range(n)]
                 els = [random_element(rng, setup, d) for d in degs]
                 assert linfty_jacobi_defect(setup, n, els).is_zero(), (name, n, degs)
+
+
+# -- the derived brackets against the hand-written forms ------------------
+
+CORPUS = corpus.trb_instances()
+# zero-heavy, non-integer entries
+SCALARS = st.sampled_from([Fraction(0)] * 5 + [Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(-5, 7)])
+
+
+def setups():
+    return st.sampled_from([setup for _, setup, _ in CORPUS])
+
+
+def entries(size):
+    return st.lists(SCALARS, min_size=size, max_size=size)
+
+
+@st.composite
+def elements(draw, setup):
+    degree = draw(st.integers(0, 3))
+    m, n = setup.module_dim, setup.dim
+    return Cochain.from_vec(degree, m, n, draw(entries(math.comb(m, degree) * n)))
+
+
+@st.composite
+def operators(draw, setup):
+    return Matrix(setup.dim, setup.module_dim, draw(entries(setup.dim * setup.module_dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bracket2_matches_unshuffle_oracle(data):
+    setup = data.draw(setups())
+    p, q = data.draw(elements(setup)), data.draw(elements(setup))
+    assert bracket2(setup, p, q) == bracket2_unshuffle(setup, p, q), (p.degree, q.degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mc_defect_is_half_bracket2_minus_sixth_bracket3(data):
+    setup = data.draw(setups())
+    t = data.draw(operators(setup))
+    te = operator_element(setup, t)
+    expected = bracket2(setup, te, te).scale(Fraction(1, 2)) - bracket3(setup, te, te, te).scale(Fraction(1, 6))
+    defect, direct = mc_defect(setup, t)
+    assert defect == expected
+    assert direct == check_trb(setup, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_d_t_unchecked_matches_brackets(data):
+    setup = data.draw(setups())
+    t = data.draw(operators(setup))
+    f = data.draw(elements(setup))
+    te = operator_element(setup, t)
+    expected = bracket2(setup, te, f) - bracket3(setup, te, te, f).scale(Fraction(1, 2))
+    assert d_t_unchecked(setup, t, f) == expected, f.degree

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twistrb import corpus
-from twistrb.errors import NotAdmissible, NotCocycle, NotSkew
+from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
 from twistrb.exactlin import Matrix
 from twistrb.liealg import (
     Violation,
@@ -16,6 +16,7 @@ from twistrb.liealg import (
 )
 from twistrb.multilin import Cochain, ext_basis
 from twistrb.operators import (
+    TrbSetup,
     check_trb,
     gauge_transform,
     graph_subalgebra_check,
@@ -31,6 +32,7 @@ from twistrb.operators import (
     shift_by_coboundary,
     trb_setup,
     twisted_semidirect,
+    twisted_semidirect_cochain,
     witt_report,
 )
 
@@ -57,6 +59,30 @@ def test_invertible_cochain_construction(algebras):
         setup, t = setup_from_invertible_cochain(g, rep, h)
         assert check_trb(setup, t).ok
         assert t == h.invert()
+
+
+def test_twisted_semidirect_cochain_blocks(trb_corpus):
+    """([e_i,e_j], H(e_i,e_j)) on g x g, (0, e_i.u_a) on g x M, zero on M x M."""
+    for name, setup, _ in trb_corpus:
+        n, m = setup.dim, setup.module_dim
+        delta = twisted_semidirect_cochain(setup)
+        assert delta == twisted_semidirect(setup).bracket, name
+        for i, j in ext_basis(n + m, 2):
+            if j < n:
+                expected = setup.algebra.bracket_basis(i, j) + setup.cocycle.value_on_basis((i, j))
+            elif i < n:
+                expected = (0,) * n + setup.rep.act_basis(i, j - n)
+            else:
+                expected = (0,) * (n + m)
+            assert delta.value_on_basis((i, j)) == expected, (name, i, j)
+
+
+def test_twisted_semidirect_rejects_a_twist_that_is_not_closed(algebras):
+    """The unvalidated setup bypasses trb_setup; the semidirect product still checks Jacobi."""
+    g = algebras["sl2"]
+    setup = TrbSetup(g, adjoint_rep(g), Cochain.from_values(2, 3, 3, {(0, 1): (1, 0, 0)}))
+    with pytest.raises(InvalidStructure, match=r"^twisted semidirect product broke Jacobi: jacobi fails at \(1,2,3\)"):
+        twisted_semidirect(setup)
 
 
 def test_twisted_semidirect_jacobi(trb_corpus):
