@@ -15,12 +15,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
 from .exactlin import (
-    ONE,
     Matrix,
     Vector,
     ZERO,
@@ -385,6 +384,8 @@ def _table(op) -> tuple[dict, tuple[int, ...], int]:
     if isinstance(op, Matrix):
         blocks, dims = [(op, range(op.cols), 1)], (op.cols,)
     elif isinstance(op, Cochain):
+        if op.degree != 2:
+            raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a binary map")
         pairs = ext_basis(op.source_dim, 2)
         blocks = [(op.matrix, pairs, 1), (op.matrix, [t[::-1] for t in pairs], -1)]
         dims = (op.source_dim, op.source_dim)
@@ -403,36 +404,60 @@ def _table(op) -> tuple[dict, tuple[int, ...], int]:
     return table, dims, blocks[0][0].rows
 
 
+def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
+    """`_table` with integer coefficients, each times the table's scale (the lcm of its denominators),
+    then that scale, the argument dimensions and the target dimension."""
+    table, dims, dim = _table(op)
+    scale = lcm(*(x.denominator for col in table.values() for _, x in col))
+    ints = {key: [(row, x.numerator * (scale // x.denominator)) for row, x in col] for key, col in table.items()}
+    return ints, scale, dims, dim
+
+
 def term_defect(terms: list) -> Callable[..., Vector]:
     """Compile an identity stated as signed terms; the result is its defect on one basis tuple.
 
     A term is (sign, expr) with sign +1 or -1.  An expr is an int (that slot
     of the basis tuple), a fixed Vector, a list of terms (their sum), or
     (op, arg) / (op, arg, arg): an op of `_table` applied to sub-expressions.
-    Each op becomes a sparse table once; the defect is a dense Fraction tuple.
     Dimensions that do not compose raise DimensionMismatch.
-    """
-    tables: dict[int, tuple[dict, tuple[int, ...], int]] = {}
 
-    def compile(expr) -> tuple[object, int | None]:
-        """The evaluation node of expr and its dimension (None for a slot)."""
+    Evaluation is over the integers.  Each op's table and each fixed Vector
+    is multiplied by the lcm of its denominators, and every compiled node
+    carries the integer scale of its values: an op's is its table's times
+    its arguments', a sum's is the lcm of its terms', each term's sign
+    folded into the integer factor sign * (lcm // scale).  An op with an
+    empty table, a zero Vector and a sum of such compile to nothing once
+    their dimensions are checked.  The defect is the root's integer sums
+    over its scale, a dense tuple of Fractions in lowest terms.
+    """
+    tables: dict[int, tuple[dict, int, tuple[int, ...], int]] = {}
+
+    def compile(expr) -> tuple[object, int | None, int]:
+        """The evaluation node of expr (None when it is zero), its dimension (None for a slot) and scale."""
         if isinstance(expr, int):
-            return expr, None
+            return expr, None, 1
         if isinstance(expr, list):
             parts = [(sign, compile(e)) for sign, e in expr]
-            dims = {dim for _, (_, dim) in parts} - {None}
+            dims = {dim for _, (_, dim, _) in parts} - {None}
             if len(dims) > 1:
                 raise DimensionMismatch(f"terms of dimensions {sorted(dims)} added")
-            return [(sign, node) for sign, (node, _) in parts], dims.pop() if dims else None
+            live = [(sign, node, scale) for sign, (node, _, scale) in parts if node is not None]
+            scale = lcm(*(s for _, _, s in live))
+            node = [(sign * (scale // s), node) for sign, node, s in live]
+            return node or None, dims.pop() if dims else None, scale
         if isinstance(expr[0], Fraction):
-            return {i: x for i, x in enumerate(expr) if x}, len(expr)
+            scale = lcm(*(x.denominator for x in expr))
+            ints = {i: x.numerator * (scale // x.denominator) for i, x in enumerate(expr) if x}
+            return ints or None, len(expr), scale
         if id(expr[0]) not in tables:
-            tables[id(expr[0])] = _table(expr[0])
-        table, arg_dims, dim = tables[id(expr[0])]
+            tables[id(expr[0])] = _int_table(expr[0])
+        table, scale, arg_dims, dim = tables[id(expr[0])]
         args = [compile(a) for a in expr[1:]]
-        if len(args) != len(arg_dims) or any(d not in (None, want) for (_, d), want in zip(args, arg_dims)):
-            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d in args]}")
-        return (table, *(node for node, _ in args)), dim
+        if len(args) != len(arg_dims) or any(d not in (None, want) for (_, d, _), want in zip(args, arg_dims)):
+            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d, _ in args]}")
+        if not table or any(node is None for node, _, _ in args):
+            return None, dim, 1
+        return (table, *(node for node, _, _ in args)), dim, scale * prod(s for _, _, s in args)
 
     def support(arg, case) -> list:
         """(index, coefficient) pairs of an argument; a slot has coefficient None, meaning 1."""
@@ -440,13 +465,13 @@ def term_defect(terms: list) -> Callable[..., Vector]:
             return [(case[arg], None)]
         return [(k, x) for k, x in value(arg, case).items() if x]
 
-    def value(node, case) -> dict[int, Fraction]:
+    def value(node, case) -> dict[int, int]:
         if isinstance(node, int):
-            return {case[node]: ONE}
+            return {case[node]: 1}
         if isinstance(node, dict):
             return node
         if isinstance(node, list):
-            items = [(k, x if sign > 0 else -x) for sign, e in node for k, x in value(e, case).items()]
+            items = [(k, f * x) for f, e in node for k, x in value(e, case).items()]
         else:
             table, args = node[0], [support(a, case) for a in node[1:]]
             if len(args) == 1:
@@ -458,15 +483,15 @@ def term_defect(terms: list) -> Callable[..., Vector]:
                     for j, y in args[1]
                 ]
             items = [(k, y if c is None else c * y) for col, c in pairs for k, y in col or ()]
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k, x in items:
             out[k] = out[k] + x if k in out else x
         return out
 
-    root, dim = compile(list(terms))
+    root, dim, scale = compile(list(terms))
 
     def defect(*case) -> Vector:
-        sums = value(root, case)
-        return tuple(sums.get(k, ZERO) for k in range(dim))
+        sums = {} if root is None else value(root, case)
+        return tuple(Fraction(sums[k], scale) if sums.get(k) else ZERO for k in range(dim))
 
     return defect

@@ -18,15 +18,21 @@ the nonzero coordinates.  The term-by-term defect oracles build each
 identity from one evaluation and one vector or matrix temporary per term,
 where the library either accumulates the defect in one hand-fused list
 (`_nr_insert`, `validate_rep`, `jacobi_defect`, `trb_defect`) or states
-the identity as signed terms for `multilin.term_defect`.
+the identity as signed terms for `multilin.term_defect`.  That evaluator
+sums integers over one scale per compiled node; `term_defect_fraction`
+evaluates the same signed terms on the same sparse tables (`multilin._table`)
+in Fractions, term by term.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Callable
 
+from twistrb.errors import DimensionMismatch
 from twistrb.exactlin import (
+    ONE,
     ZERO,
     Matrix,
     RowSpace,
@@ -42,7 +48,7 @@ from twistrb.exactlin import (
 )
 from twistrb.liealg import ce_differential
 from twistrb.linfty import d_t_unchecked
-from twistrb.multilin import Bilinear, Cochain, ext_basis, iter_unshuffles
+from twistrb.multilin import Bilinear, Cochain, _table, ext_basis, iter_unshuffles
 
 
 def rank_oracle(rows: list[list[Fraction]]) -> int:
@@ -619,3 +625,65 @@ def reynolds_defect(algebra, r: Matrix, i: int, j: int) -> Vector:
     lhs = algebra.bracket_vec(rx, ry)
     inner = vec_add(algebra.bracket.eval_mixed(rx, (j,)), vec_scale(-1, algebra.bracket.eval_mixed(ry, (i,))))
     return vec_sub(lhs, r.apply(vec_sub(inner, lhs)))
+
+
+def term_defect_fraction(terms: list) -> Callable[..., Vector]:
+    """`multilin.term_defect` with every value a Fraction: no scales, each sign applied to each entry."""
+    tables: dict[int, tuple[dict, tuple[int, ...], int]] = {}
+
+    def compile(expr) -> tuple[object, int | None]:
+        """The evaluation node of expr and its dimension (None for a slot)."""
+        if isinstance(expr, int):
+            return expr, None
+        if isinstance(expr, list):
+            parts = [(sign, compile(e)) for sign, e in expr]
+            dims = {dim for _, (_, dim) in parts} - {None}
+            if len(dims) > 1:
+                raise DimensionMismatch(f"terms of dimensions {sorted(dims)} added")
+            return [(sign, node) for sign, (node, _) in parts], dims.pop() if dims else None
+        if isinstance(expr[0], Fraction):
+            return {i: x for i, x in enumerate(expr) if x}, len(expr)
+        if id(expr[0]) not in tables:
+            tables[id(expr[0])] = _table(expr[0])
+        table, arg_dims, dim = tables[id(expr[0])]
+        args = [compile(a) for a in expr[1:]]
+        if len(args) != len(arg_dims) or any(d not in (None, want) for (_, d), want in zip(args, arg_dims)):
+            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d in args]}")
+        return (table, *(node for node, _ in args)), dim
+
+    def support(arg, case) -> list:
+        """(index, coefficient) pairs of an argument; a slot has coefficient None, meaning 1."""
+        if isinstance(arg, int):
+            return [(case[arg], None)]
+        return [(k, x) for k, x in value(arg, case).items() if x]
+
+    def value(node, case) -> dict[int, Fraction]:
+        if isinstance(node, int):
+            return {case[node]: ONE}
+        if isinstance(node, dict):
+            return node
+        if isinstance(node, list):
+            items = [(k, x if sign > 0 else -x) for sign, e in node for k, x in value(e, case).items()]
+        else:
+            table, args = node[0], [support(a, case) for a in node[1:]]
+            if len(args) == 1:
+                pairs = [(table.get(k), c) for k, c in args[0]]
+            else:
+                pairs = [
+                    (table.get((i, j)), x if y is None else y if x is None else x * y)
+                    for i, x in args[0]
+                    for j, y in args[1]
+                ]
+            items = [(k, y if c is None else c * y) for col, c in pairs for k, y in col or ()]
+        out: dict[int, Fraction] = {}
+        for k, x in items:
+            out[k] = out[k] + x if k in out else x
+        return out
+
+    root, dim = compile(list(terms))
+
+    def defect(*case) -> Vector:
+        sums = value(root, case)
+        return tuple(sums.get(k, ZERO) for k in range(dim))
+
+    return defect

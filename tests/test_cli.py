@@ -1,16 +1,22 @@
 import ast
+import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from twistrb import tgcs
 from twistrb.cli import main
-from twistrb.report import EquationReport, failed
+from twistrb.instances import load_instance
+from twistrb.liealg import validate_lie, validate_rep
+from twistrb.operators import induced_action_matrices, trb_setup
+from twistrb.report import EquationReport, failed, first_failure
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 SRC = Path(__file__).resolve().parent.parent / "src" / "twistrb"
@@ -176,6 +182,25 @@ def test_nijenhuis_element(capsys):
         ["nijenhuis-element", str(INSTANCES / "affine_hinv.json"), "--x", "0,0"], capsys
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("name, x", [("affine_hinv.json", "1/2,-2/3"), ("sl2_reynolds.json", "1/2,-2/3,5/7")])
+def test_nijenhuis_element_fractional_x_witnesses_match_oracle(name, x, capsys):
+    """Every witness line is the oracle's first failure of that identity, with a non-integer defect."""
+    doc = load_instance(str(INSTANCES / name))
+    algebra = validate_lie(doc.lie_dim, doc.brackets or {})
+    setup = trb_setup(algebra, validate_rep(algebra, doc.module_dim, doc.action), doc.cocycle_h)
+    t, xv = doc.operator_t, [Fraction(c) for c in x.split(",")]
+    defects = oracles.nijenhuis_element_defects(setup, t, xv, induced_action_matrices(setup, t))
+    pairs = list(itertools.combinations(range(setup.dim), 2))
+    mixed = list(itertools.product(range(setup.dim), range(setup.module_dim)))
+    cases = [[(a,) for a in range(setup.module_dim)], pairs, mixed, mixed, pairs, pairs]
+    reports = [first_failure(kind, c, defect) for (kind, defect), c in zip(defects.items(), cases)]
+    expected = [r.violation.describe() for r in reports if not r.ok]
+    assert expected and any("/" in line for line in expected)
+    code, out, _ = run_cli(["nijenhuis-element", str(INSTANCES / name), "--x", x], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if " fails at " in line] == expected
 
 
 def test_rigidity_probe_exit_code_matches_verdict(capsys):

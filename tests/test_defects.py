@@ -8,6 +8,8 @@ identity as signed terms for `multilin.term_defect`.  The oracles in
 term.  A signed-term defect is taken from the call the check makes to
 `report.first_failure`, so what is compared is what the check scans.
 Inputs are zero-heavy with non-integer entries, all-zero data included.
+`term_defect` itself, which sums integers over one scale per node, is also
+compared with `oracles.term_defect_fraction` on drawn identities.
 """
 import itertools
 from contextlib import ExitStack
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, trb_defect_terms
+from oracles import jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, term_defect_fraction, trb_defect_terms
 from twistrb import corpus, deform, liealg, nslie, operators, report, tgcs
 from twistrb.errors import DimensionMismatch
 from twistrb.exactlin import Matrix, vector
@@ -33,16 +35,21 @@ from twistrb.report import Violation, first_failure
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+# large coprime denominators (2^61 - 1 and 10^9 + 7 are prime) and numerators past 2^70
+wide_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-(2**72), 2**72)),
+    st.sampled_from([1, 2, 3, 7, 2**61 - 1, 10**9 + 7]),
+)
+wide_sparse_rationals = st.one_of(st.just(Fraction(0)), sparse_rationals, wide_rationals)
 CORPUS = {name: (setup, t) for name, setup, t in corpus.trb_instances()}
 
 
-def matrices(rows, cols):
+def matrices(rows, cols, entries=sparse_rationals):
     """Zero-heavy rational matrices, the all-zero matrix drawn on its own too."""
     return st.one_of(
         st.just(Matrix.zero(rows, cols)),
-        st.lists(sparse_rationals, min_size=rows * cols, max_size=rows * cols).map(
-            lambda es: Matrix(rows, cols, es)
-        ),
+        st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(lambda es: Matrix(rows, cols, es)),
     )
 
 
@@ -348,14 +355,90 @@ def test_term_defect_forms():
 def test_term_defect_rejects_maps_that_do_not_compose():
     """A map applied to a value of another dimension, a sum of two dimensions, a fixed vector of the wrong length."""
     c, a = Cochain.zero(2, 3, 3), Matrix.zero(2, 2)
+
+    def ones(degree, dim):
+        return Cochain(degree, dim, dim, Matrix(dim, comb(dim, degree), [1] * dim * comb(dim, degree)))
+
     for terms in (
         [(1, (c, (a, 0), 1))],
         [(1, (a, 0)), (-1, (c, 0, 1))],
         [(1, (c, vector([1, 2]), 0))],
         [(1, (a, 0, 1))],
+        # cochains of degree other than 2 applied as binary maps: as many columns as pairs
+        # (degree 1 on dim 3), fewer (degree 3 on dim 4), more (degree 1 on dim 2)
+        [(1, (ones(1, 3), 0, 1))],
+        [(1, (ones(3, 4), 0, 1))],
+        [(1, (ones(1, 2), 0, 1))],
     ):
         with pytest.raises(DimensionMismatch):
             term_defect(terms)
     _, sl2 = corpus.named_algebras()[0]
     with pytest.raises(DimensionMismatch):
         liealg.nijenhuis_check(sl2, Matrix.identity(sl2.dim - 1))
+
+
+SLOTS = 2
+
+
+def identity_maps(n):
+    """One map of each kind on dimension n, each possibly all-zero, entries of wide scales."""
+    wide = partial(matrices, entries=wide_sparse_rationals)
+    return st.tuples(
+        wide(n, n),
+        wide(n, comb(n, 2)).map(lambda m: Cochain(2, n, n, m)),
+        wide(n, n * n).map(lambda m: Bilinear(n, n, m)),
+        st.tuples(*[wide(n, n)] * n),
+    )
+
+
+def identity_expr(data, maps, n, depth, kinds=("slot", "vector", "sum", "op")):
+    """A drawn signed-term expression of dimension n (or a slot) over `maps`."""
+    kind = data.draw(st.sampled_from(kinds if depth else ("slot", "vector")))
+    if kind == "slot":
+        return data.draw(st.integers(0, SLOTS - 1))
+    if kind == "vector":
+        return vector(data.draw(st.lists(wide_sparse_rationals, min_size=n, max_size=n)))
+    if kind == "sum":
+        count = data.draw(st.integers(1, 3))
+        return [(data.draw(st.sampled_from([1, -1])), identity_expr(data, maps, n, depth - 1)) for _ in range(count)]
+    op = data.draw(st.sampled_from(maps))
+    return (op, *(identity_expr(data, maps, n, depth - 1) for _ in range(1 if isinstance(op, Matrix) else 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_term_defect_matches_fraction_oracle(data):
+    """Drawn identities over all four kinds of map: nested sums of terms with different scales,
+    fixed vectors, all-zero maps, large coprime denominators; every basis tuple."""
+    n = data.draw(st.integers(1, 3))
+    maps = data.draw(identity_maps(n))
+    terms = [
+        (data.draw(st.sampled_from([1, -1])), identity_expr(data, maps, n, data.draw(st.integers(1, 3)), kinds=("op",)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    got, expected = term_defect(terms), term_defect_fraction(terms)
+    for case in itertools.product(range(n), repeat=SLOTS):
+        assert_same(got(*case), expected(*case))
+
+
+# x with a distinct odd-prime-power denominator in each coordinate
+FRACTIONAL_X = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 11), Fraction(11, 13))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_nijenhuis_element_witness_of_fractional_x_matches_oracle(name):
+    """Each identity's verdict and `Violation.describe()` line equal those of the oracle route."""
+    setup, t = CORPUS[name]
+    x = FRACTIONAL_X[: setup.dim]
+    report, seen = scanned(deform, deform.nijenhuis_element_check, setup, t, x)
+    expected = oracles.nijenhuis_element_defects(setup, t, x, induced_action_matrices(setup, t))
+    assert [verdict for *_, verdict in seen] == [rep for _, rep in report.equations]
+    lines = []
+    for kind, cases, _, verdict in seen:
+        oracle = first_failure(kind, cases, expected[kind])
+        assert verdict.ok == oracle.ok
+        if not verdict.ok:
+            lines.append(verdict.violation.describe())
+            assert lines[-1] == oracle.violation.describe()
+    # x passes every identity on the Heisenberg and abelian setups; elsewhere the witnesses are not integral
+    assert not lines or any("/" in line for line in lines)
