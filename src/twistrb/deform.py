@@ -18,8 +18,8 @@ from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure
 from .exactlin import Matrix, Vector, vector
 from .liealg import ce_differential
 from .linfty import d_t_unchecked, induced_structure, operator_element
-from .multilin import Cochain, ext_basis, term_defect
-from .operators import Operator, TrbSetup, induced_action_matrices, require_trb
+from .multilin import Cochain, ext_basis, tabulate
+from .operators import Operator, TrbSetup, induced_action_matrices, require_trb, trb_terms
 from .report import EquationReport, identity_reports
 
 
@@ -62,36 +62,19 @@ def _deformation(
     return FormalDeformation(setup, base, tuple(coefficients))
 
 
-def _order_terms(d: FormalDeformation, n: int) -> list:
-    """Coefficient of t^n in the twisted Rota-Baxter defect at (u, v), as signed terms.
-
-    It is the sum of [T_a u, T_b v] - T_a(T_b u.v - T_b v.u) over a + b = n,
-    minus the sum of T_a H(T_b u, T_c v) over a + b + c = n.
-    """
-    s, co = d.setup, d.coefficient
-    c, rho, h = s.algebra.bracket, s.rep.action, s.cocycle
-    terms = []
-    for a in range(n + 1):
-        ta, tb = co(a), co(n - a)
-        terms += [(1, (c, (ta, 0), (tb, 1))), (-1, (ta, [(1, (rho, (tb, 0), 1)), (-1, (rho, (tb, 1), 0))]))]
-        terms += [(-1, (ta, (h, (co(b), 0), (co(n - a - b), 1)))) for b in range(n + 1 - a)]
-    return terms
-
-
 def deformation_equation_defects(d: FormalDeformation, up_to: int | None = None) -> list[Cochain]:
     """Defect 2-cochains for orders 1..k; all zero iff T_t is twisted RB mod t^{k+1}.
 
-    Coefficients beyond the stored order count as zero, so passing a larger
-    `up_to` checks the polynomial deformation at higher orders (up to 3k the
-    defects can still be nonzero).  `up_to` defaults to the stored order.
+    The order-n defect is the t^n coefficient of the twisted Rota-Baxter
+    identity (`operators.trb_terms`).  Coefficients beyond the stored order
+    count as zero, so passing a larger `up_to` checks the polynomial
+    deformation at higher orders; past 3k the defects vanish identically.
+    `up_to` defaults to the stored order.
     """
-    s = d.setup
+    s, ts = d.setup, (d.base, *d.coefficients)
     m = s.module_dim
-    out = []
-    for n in range(1, (d.order if up_to is None else up_to) + 1):
-        defect = term_defect(_order_terms(d, n))
-        out.append(Cochain.from_values(2, m, s.dim, {t: defect(*t) for t in ext_basis(m, 2)}))
-    return out
+    orders = range(1, (d.order if up_to is None else up_to) + 1)
+    return [Cochain(2, m, s.dim, tabulate(trb_terms(s, ts, n), ext_basis(m, 2), s.dim)) for n in orders]
 
 
 def infinitesimal_is_cocycle(setup: TrbSetup, t: Operator, t1: Operator) -> bool:

@@ -25,7 +25,7 @@ from .exactlin import (
     vec_sub,
     vector,
 )
-from .multilin import Cochain, _tuple_index, ext_basis, term_defect
+from .multilin import Cochain, _tuple_index, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -372,8 +372,8 @@ def nijenhuis_check(algebra: LieAlgebra, n_op: Matrix) -> CheckReport:
 
 def deformed_bracket_cochain(algebra: LieAlgebra, n_op: Matrix) -> Cochain:
     """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as a degree-2 cochain."""
-    value = term_defect(_deformed_terms(algebra.bracket, n_op))
-    return Cochain.from_values(2, algebra.dim, algebra.dim, {t: value(*t) for t in ext_basis(algebra.dim, 2)})
+    n = algebra.dim
+    return Cochain(2, n, n, tabulate(_deformed_terms(algebra.bracket, n_op), ext_basis(n, 2), n))
 
 
 def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:

@@ -495,3 +495,19 @@ def term_defect(terms: list) -> Callable[..., Vector]:
         return tuple(Fraction(sums[k], scale) if sums.get(k) else ZERO for k in range(dim))
 
     return defect
+
+
+def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
+    """The values of signed terms on each case, one column per case, as a `rows`-row Matrix.
+
+    No terms means the zero matrix: `term_defect` needs at least one term
+    to know its dimension.
+    """
+    cases = list(cases)
+    if not terms:
+        return Matrix.zero(rows, len(cases))
+    value = term_defect(terms)
+    cols = [value(*case) for case in cases]
+    if cols and len(cols[0]) != rows:
+        raise DimensionMismatch(f"terms of dimension {len(cols[0])} tabulated in {rows} rows")
+    return Matrix._of(rows, len(cols), [col[i] for i in range(rows) for col in cols])

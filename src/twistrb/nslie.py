@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidStructure, NotAssocNs, NotNijenhuis, NotNsLie
-from .exactlin import Matrix, Vector, vec_add, vec_scale, vec_sub
+from .exactlin import Matrix, Vector, vec_add, vec_sub
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -27,7 +27,7 @@ from .liealg import (
     nijenhuis_check,
     validate_rep,
 )
-from .multilin import Bilinear, Cochain, ext_basis
+from .multilin import Bilinear, Cochain, ext_basis, tabulate
 from .operators import Operator, TrbSetup, require_trb, trb_setup
 from .report import EquationReport, Violation, identity_reports
 
@@ -85,27 +85,26 @@ def adjacent_lie(ns: NsLie) -> tuple[LieAlgebra, Representation]:
     return algebra, rep
 
 
+def _tabulated(dim: int, circ: list, vee: list, construction: str) -> NsLie:
+    """The NsLie of circ and vee stated as signed terms on slots 0 and 1, required to pass `ns_check`."""
+    pairs = itertools.product(range(dim), repeat=2)
+    ns = NsLie(
+        dim,
+        Bilinear(dim, dim, tabulate(circ, pairs, dim)),
+        Cochain(2, dim, dim, tabulate(vee, ext_basis(dim, 2), dim)),
+    )
+    if not ns_check(ns).ok:
+        raise InternalInconsistency(f"the {construction} construction fails the NS-Lie axioms")
+    return ns
+
+
 def ns_from_nijenhuis(algebra: LieAlgebra, n_op: Matrix) -> NsLie:
     """x circ y = [Nx, y], x vee y = -N[x, y]."""
     check = nijenhuis_check(algebra, n_op)
     if not check:
         raise NotNijenhuis(check.violation.describe())
-    dim = algebra.dim
-    circ_vals = {}
-    for i in range(dim):
-        for j in range(dim):
-            circ_vals[(i, j)] = algebra.bracket.eval_mixed(n_op.col(i), (j,))
-    vee_vals = {
-        t: vec_scale(-1, n_op.apply(algebra.bracket_basis(*t))) for t in ext_basis(dim, 2)
-    }
-    ns = NsLie(
-        dim,
-        Bilinear.from_values(dim, dim, circ_vals),
-        Cochain.from_values(2, dim, dim, vee_vals),
-    )
-    if not ns_check(ns).ok:
-        raise InternalInconsistency("the Nijenhuis construction fails the NS-Lie axioms")
-    return ns
+    c = algebra.bracket
+    return _tabulated(algebra.dim, [(1, (c, (n_op, 0), 1))], [(-1, (n_op, (c, 0, 1)))], "Nijenhuis")
 
 
 @dataclass(frozen=True)
@@ -146,45 +145,15 @@ def ns_from_assoc(a: AssocNs) -> NsLie:
     verdict = assoc_ns_check(a)
     if not verdict.ok:
         raise NotAssocNs(verdict.first_violation().describe())
-    dim = a.dim
-    basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
-    circ_vals = {
-        (i, j): vec_sub(a.succ.eval(basis[i], basis[j]), a.prec.eval(basis[j], basis[i]))
-        for i in range(dim)
-        for j in range(dim)
-    }
-    vee_vals = {
-        (i, j): vec_sub(a.box.eval(basis[i], basis[j]), a.box.eval(basis[j], basis[i]))
-        for i, j in ext_basis(dim, 2)
-    }
-    ns = NsLie(
-        dim,
-        Bilinear.from_values(dim, dim, circ_vals),
-        Cochain.from_values(2, dim, dim, vee_vals),
-    )
-    if not ns_check(ns).ok:
-        raise InternalInconsistency("the associative NS construction fails the NS-Lie axioms")
-    return ns
+    circ = [(1, (a.succ, 0, 1)), (-1, (a.prec, 1, 0))]
+    return _tabulated(a.dim, circ, [(1, (a.box, 0, 1)), (-1, (a.box, 1, 0))], "associative NS")
 
 
 def ns_from_trb(setup: TrbSetup, t: Operator) -> NsLie:
     """u circ v = T(u).v, u vee v = H(Tu, Tv) on the module."""
     require_trb(setup, t)
-    m = setup.module_dim
-    circ_vals = {
-        (i, j): setup.rep.act_vec_on_basis(t.col(i), j) for i in range(m) for j in range(m)
-    }
-    vee_vals = {
-        (i, j): setup.cocycle.skew_eval([t.col(i), t.col(j)]) for i, j in ext_basis(m, 2)
-    }
-    ns = NsLie(
-        m,
-        Bilinear.from_values(m, m, circ_vals),
-        Cochain.from_values(2, m, m, vee_vals),
-    )
-    if not ns_check(ns).ok:
-        raise InternalInconsistency("the operator construction fails the NS-Lie axioms")
-    return ns
+    circ = [(1, (setup.rep.action, (t, 0), 1))]
+    return _tabulated(setup.module_dim, circ, [(1, (setup.cocycle, (t, 0), (t, 1)))], "operator")
 
 
 def trb_from_ns(ns: NsLie) -> tuple[TrbSetup, Operator]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from typing import Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -28,15 +28,7 @@ from .errors import (
     NotTwistedRB,
     SingularMatrix,
 )
-from .exactlin import (
-    Matrix,
-    Vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    vector,
-    zero_vector,
-)
+from .exactlin import Matrix, vector, zero_vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -52,7 +44,7 @@ from .liealg import (
     trivial_rep,
     validate_rep,
 )
-from .multilin import Cochain, ext_basis, term_defect
+from .multilin import Cochain, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 Operator = Matrix
@@ -101,39 +93,33 @@ def _check_shape(setup: TrbSetup, t: Operator) -> None:
         )
 
 
-def trb_defect(setup: TrbSetup, t: Operator, i: int, j: int) -> Vector:
-    """[Tu_i, Tu_j] - T(Tu_i . u_j - Tu_j . u_i + H(Tu_i, Tu_j)).
+def bracket_terms(setup: TrbSetup, ts: Sequence[Operator], n: int) -> list:
+    """Coefficient of t^n in [u,v]_T = Tu.v - Tv.u + H(Tu,Tv) for T = sum_k t^k ts[k], as signed terms.
 
-    The argument of T and the defect are each accumulated in one list.
+    u and v are the basis vectors in slots 0 and 1.  Only the stored
+    coefficients enter, so past order 2(len(ts) - 1) there are no terms.
     """
-    tu = t.col(i)
-    tv = t.col(j)
-    m, action = setup.module_dim, setup.rep.action
-    inner = list(setup.cocycle.skew_eval([tu, tv]))
-    for x_vec, u_idx, sign in ((tu, j, 1), (tv, i, -1)):
-        for x, c in enumerate(x_vec):
-            if c:
-                c = c if sign > 0 else -c
-                rho = action[x].entries
-                for r in range(m):
-                    y = rho[r * m + u_idx]
-                    if y:
-                        inner[r] += c * y
-    out = list(setup.algebra.bracket_vec(tu, tv))
-    width, entries = t.cols, t.entries
-    for k, c in enumerate(inner):
-        if c:
-            for r in range(t.rows):
-                y = entries[r * width + k]
-                if y:
-                    out[r] -= c * y
-    return tuple(out)
+    rho, h, k = setup.rep.action, setup.cocycle, len(ts)
+    terms = [(1, (rho, (ts[n], 0), 1)), (-1, (rho, (ts[n], 1), 0))] if 0 <= n < k else []
+    return terms + [(1, (h, (ts[a], 0), (ts[n - a], 1))) for a in range(k) if 0 <= n - a < k]
+
+
+def trb_terms(setup: TrbSetup, ts: Sequence[Operator], n: int) -> list:
+    """Coefficient of t^n in [Tu,Tv] - T[u,v]_T for T = sum_k t^k ts[k], as signed terms on slots 0 and 1.
+
+    With (T,) and n = 0 this is the defining identity; with a deformation's
+    coefficients it is the order-n deformation equation.  Past order
+    3(len(ts) - 1) there are no terms: the coefficient vanishes identically.
+    """
+    c, k = setup.algebra.bracket, len(ts)
+    terms = [(1, (c, (ts[a], 0), (ts[n - a], 1))) for a in range(k) if 0 <= n - a < k]
+    return terms + [(-1, (ts[a], inner)) for a in range(k) if (inner := bracket_terms(setup, ts, n - a))]
 
 
 def check_trb(setup: TrbSetup, t: Operator) -> CheckReport:
     """The defining identity on all basis pairs, first defect as witness."""
     _check_shape(setup, t)
-    return first_failure("twisted Rota-Baxter", ext_basis(setup.module_dim, 2), partial(trb_defect, setup, t))
+    return first_failure("twisted Rota-Baxter", ext_basis(setup.module_dim, 2), term_defect(trb_terms(setup, (t,), 0)))
 
 
 def require_trb(setup: TrbSetup, t: Operator) -> None:
@@ -188,13 +174,7 @@ def graph_subalgebra_check(setup: TrbSetup, t: Operator) -> bool:
 def induced_bracket_cochain(setup: TrbSetup, t: Operator) -> Cochain:
     """[u,v]_T = T(u).v - T(v).u + H(Tu,Tv) as a degree-2 cochain on M."""
     m = setup.module_dim
-    values = {}
-    for i, j in ext_basis(m, 2):
-        tu, tv = t.col(i), t.col(j)
-        v = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
-        v = vec_add(v, setup.cocycle.skew_eval([tu, tv]))
-        values[(i, j)] = v
-    return Cochain.from_values(2, m, m, values)
+    return Cochain(2, m, m, tabulate(bracket_terms(setup, (t,), 0), ext_basis(m, 2), m))
 
 
 def induced_bracket(setup: TrbSetup, t: Operator) -> LieAlgebra:
@@ -204,20 +184,10 @@ def induced_bracket(setup: TrbSetup, t: Operator) -> LieAlgebra:
 
 
 def induced_action_matrices(setup: TrbSetup, t: Operator) -> tuple[Matrix, ...]:
-    """Action of (M,[.,.]_T) on g: u . x = [Tu, x] + T(x.u + H(x, Tu))."""
-    n, m = setup.dim, setup.module_dim
-    mats = []
-    for a in range(m):
-        ta = t.col(a)
-        cols = []
-        for x in range(n):
-            lead = setup.algebra.bracket.eval_mixed(ta, (x,))
-            # H(e_x, Tu) = -H(Tu, e_x)
-            h_term = vec_scale(-1, setup.cocycle.eval_mixed(ta, (x,)))
-            inner = vec_add(setup.rep.act_basis(x, a), h_term)
-            cols.append(vec_add(lead, t.apply(inner)))
-        mats.append(Matrix.from_cols(cols, rows=n))
-    return tuple(mats)
+    """Action of (M,[.,.]_T) on g: u . x = [Tu, x] + T(x.u + H(x, Tu)), with u in slot 0 and x in slot 1."""
+    n, c, rho, h = setup.dim, setup.algebra.bracket, setup.rep.action, setup.cocycle
+    terms = [(1, (c, (t, 0), 1)), (1, (t, [(1, (rho, 1, 0)), (1, (h, 1, (t, 0)))]))]
+    return tuple(tabulate(terms, [(a, x) for x in range(n)], n) for a in range(setup.module_dim))
 
 
 def induced_rep(setup: TrbSetup, t: Operator) -> Representation:
@@ -256,14 +226,9 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
         raise NotAdmissible("id + B.T is singular") from exc
     t_b = t @ inv
     require_trb(setup, t_b)
-    before = induced_bracket_cochain(setup, t)
     after = induced_bracket_cochain(setup, t_b)
-
-    def transport(i: int, j: int) -> Vector:
-        lhs = perturbed.apply(before.value_on_basis((i, j)))
-        return vec_sub(lhs, after.skew_eval([perturbed.col(i), perturbed.col(j)]))
-
-    verdict = first_failure("gauge transport", ext_basis(setup.module_dim, 2), transport)
+    transport = [(1, (perturbed, bracket_terms(setup, (t,), 0))), (-1, (after, (perturbed, 0), (perturbed, 1)))]
+    verdict = first_failure("gauge transport", ext_basis(setup.module_dim, 2), term_defect(transport))
     if not verdict.ok:
         raise InternalInconsistency(verdict.violation.describe())
     return t_b
@@ -309,19 +274,13 @@ def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Op
     if not check:
         raise NotNijenhuis(check.violation.describe())
     g_n = deformed_bracket(algebra, n_op)
-    dim = algebra.dim
-    action = []
-    for i in range(dim):
-        cols = [algebra.bracket.eval_mixed(n_op.col(i), (j,)) for j in range(dim)]
-        action.append(Matrix.from_cols(cols, rows=dim))
+    dim, c = algebra.dim, algebra.bracket
+    # x.y = [Nx, y] and H(x, y) = -N[x, y]
+    action = [tabulate([(1, (c, (n_op, 0), 1))], [(i, j) for j in range(dim)], dim) for i in range(dim)]
     rep = validate_rep(g_n, dim, action)
     if isinstance(rep, Violation):
         raise InvalidStructure(f"Nijenhuis action is not a representation: {rep.describe()}")
-    h_values = {
-        (i, j): vec_scale(-1, n_op.apply(algebra.bracket_basis(i, j)))
-        for i, j in ext_basis(dim, 2)
-    }
-    cocycle = Cochain.from_values(2, dim, dim, h_values)
+    cocycle = Cochain(2, dim, dim, tabulate([(-1, (n_op, (c, 0, 1)))], ext_basis(dim, 2), dim))
     setup = trb_setup(g_n, rep, cocycle)
     t = Matrix.identity(dim)
     require_trb(setup, t)
@@ -439,11 +398,9 @@ def r_matrix_check(
     if not verdict:
         return verdict, None
     dual = lie_algebra_from_cochain(induced_bracket_cochain(setup, r))
-
-    def morphism(i: int, j: int) -> Vector:
-        return vec_sub(algebra.bracket_vec(r.col(i), r.col(j)), r.apply(dual.bracket_basis(i, j)))
-
-    morphism_check = first_failure("r morphism onto the dual bracket", ext_basis(algebra.dim, 2), morphism)
+    c = algebra.bracket
+    morphism = [(1, (c, (r, 0), (r, 1))), (-1, (r, (dual.bracket, 0, 1)))]
+    morphism_check = first_failure("r morphism onto the dual bracket", ext_basis(algebra.dim, 2), term_defect(morphism))
     if not morphism_check.ok:
         raise InternalInconsistency(morphism_check.violation.describe())
     return verdict, dual

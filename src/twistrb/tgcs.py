@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
-from .exactlin import (
-    Matrix,
-    Vector,
-    basis_vector,
-    vec_add,
-    vec_sub,
-)
+from .exactlin import Matrix
 from .liealg import LieAlgebra, Representation, coadjoint_rep
 from .multilin import Cochain, ext_basis, term_defect
 from .operators import (
@@ -65,6 +59,12 @@ def gcs_components(setup: TrbSetup, n_map: Matrix, t_map: Matrix, sigma: Matrix,
     return GcsComponents(n_map, t_map, sigma, s_map)
 
 
+def _integrability_terms(c: Cochain, j: Matrix) -> list:
+    """[Jx,Jy] - [x,y] - J([Jx,y] + [x,Jy]) as signed terms on the basis pair in slots 0, 1."""
+    mix = [(1, (c, (j, 0), 1)), (1, (c, 0, (j, 1)))]
+    return [(1, (c, (j, 0), (j, 1))), (-1, (c, 0, 1)), (-1, (j, mix))]
+
+
 def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     """J^2 = -id and the integrability defect over the twisted semidirect bracket."""
     n, m = setup.dim, setup.module_dim
@@ -75,16 +75,7 @@ def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     if not sq.is_zero():
         square = failed("J^2 = -id", (), sq.entries)
     semi = twisted_semidirect(setup)
-
-    def integrability(a: int, b: int) -> Vector:
-        ra = basis_vector(total, a)
-        rb = basis_vector(total, b)
-        ja, jb = big.col(a), big.col(b)
-        defect = vec_sub(semi.bracket_vec(ja, jb), semi.bracket_basis(a, b))
-        mix = vec_add(semi.bracket_vec(ja, rb), semi.bracket_vec(ra, jb))
-        return vec_sub(defect, big.apply(mix))
-
-    integ = first_failure("integrability", ext_basis(total, 2), integrability)
+    integ = first_failure("integrability", ext_basis(total, 2), term_defect(_integrability_terms(semi.bracket, big)))
     return EquationReport((("almost-complex", square), ("integrability", integ)))
 
 
@@ -106,7 +97,7 @@ def _component_identities(s: TrbSetup, j: GcsComponents) -> list[tuple[str, str,
     eq8 = [(1, (sg, (c, (tm, 1), 0))), (-1, (rho, (tm, 1), (sg, 0))), (-1, (h, (tm, 1), (nm, 0)))]
     eq8 += [(-1, (rho, 0, 1)), (-1, (rho, (nm, 0), (sm, 1))), (1, (sm, nx_u))]
     # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
-    eq9 = [(1, (c, (nm, 0), (nm, 1))), (-1, (c, 0, 1)), (-1, (nm, n_xy)), (-1, (tm, x_sy))]
+    eq9 = _integrability_terms(c, nm) + [(-1, (tm, x_sy))]
     # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
     #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
     eq10 = [(1, (rho, (nm, 0), (sg, 1))), (-1, (rho, (nm, 1), (sg, 0))), (1, (h, (nm, 0), (nm, 1))), (-1, (h, 0, 1))]
@@ -186,16 +177,14 @@ def complex_structure_check(
     sq = i_map @ i_map + Matrix.identity(n)
     eqs.append(("I^2 = -id", passed() if sq.is_zero() else failed("I^2 = -id", (), sq.entries)))
 
-    c, rho = algebra.bracket, rep.action
-    # [Ix,Iy] - [x,y] - I([Ix,y] + [x,Iy])
-    mix = [(1, (c, (i_map, 0), 1)), (1, (c, 0, (i_map, 1)))]
-    terms = [(1, (c, (i_map, 0), (i_map, 1))), (-1, (c, 0, 1)), (-1, (i_map, mix))]
-    eqs.append(("integrability", first_failure("integrability of I", ext_basis(n, 2), term_defect(terms))))
+    integ = first_failure("integrability of I", ext_basis(n, 2), term_defect(_integrability_terms(algebra.bracket, i_map)))
+    eqs.append(("integrability", integ))
     sqm = i_mod @ i_mod + Matrix.identity(m)
     eqs.append(
         ("I_M^2 = -id", passed() if sqm.is_zero() else failed("I_M^2 = -id", (), sqm.entries))
     )
 
+    rho = rep.action
     inner = [(1, (rho, (i_map, 0), 1)), (1, (rho, 0, (i_mod, 1)))]
     terms = [(1, (rho, (i_map, 0), (i_mod, 1))), (-1, (rho, 0, 1)), (-1, (i_mod, inner))]
     kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"

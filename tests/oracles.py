@@ -17,11 +17,13 @@ index tuple and every matrix entry, where the library's kernels visit only
 the nonzero coordinates.  The term-by-term defect oracles build each
 identity from one evaluation and one vector or matrix temporary per term,
 where the library either accumulates the defect in one hand-fused list
-(`_nr_insert`, `validate_rep`, `jacobi_defect`, `trb_defect`) or states
-the identity as signed terms for `multilin.term_defect`.  That evaluator
-sums integers over one scale per compiled node; `term_defect_fraction`
-evaluates the same signed terms on the same sparse tables (`multilin._table`)
-in Fractions, term by term.
+(`_nr_insert`, `validate_rep`, `jacobi_defect`) or states the identity as
+signed terms for `multilin.term_defect`.  That evaluator sums integers over
+one scale per compiled node; `term_defect_fraction` evaluates the same
+signed terms on the same sparse tables (`multilin._table`) in Fractions,
+term by term.  The derived-structure oracles build the induced bracket and
+action and the NS-Lie tables of the three constructions by vector
+arithmetic on each basis tuple, where the library tabulates signed terms.
 """
 from __future__ import annotations
 
@@ -353,6 +355,72 @@ def ce_differential_alternating(bracket: Cochain, rep, f: Cochain) -> Cochain:
             total = vec_add(total, term)
         cols.append(total)
     return Cochain(n + 1, dim, m, Matrix.from_cols(cols, rows=m))
+
+
+# -- derived structures, one vector temporary per term ----------------------
+
+
+def induced_bracket_cochain(setup, t: Matrix) -> Cochain:
+    """[u,v]_T = T(u).v - T(v).u + H(Tu,Tv) on each basis pair."""
+    m = setup.module_dim
+    values = {}
+    for i, j in ext_basis(m, 2):
+        tu, tv = t.col(i), t.col(j)
+        v = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
+        values[(i, j)] = vec_add(v, setup.cocycle.skew_eval([tu, tv]))
+    return Cochain.from_values(2, m, m, values)
+
+
+def induced_action_matrices(setup, t: Matrix) -> tuple[Matrix, ...]:
+    """u . x = [Tu, x] + T(x.u + H(x, Tu)), one matrix per basis vector u of the module."""
+    n, m = setup.dim, setup.module_dim
+    mats = []
+    for a in range(m):
+        ta = t.col(a)
+        cols = []
+        for x in range(n):
+            lead = setup.algebra.bracket.eval_mixed(ta, (x,))
+            # H(e_x, Tu) = -H(Tu, e_x)
+            h_term = vec_scale(-1, setup.cocycle.eval_mixed(ta, (x,)))
+            inner = vec_add(setup.rep.act_basis(x, a), h_term)
+            cols.append(vec_add(lead, t.apply(inner)))
+        mats.append(Matrix.from_cols(cols, rows=n))
+    return tuple(mats)
+
+
+def _ns_tables(dim: int, circ_vals: dict, vee_vals: dict) -> tuple[Bilinear, Cochain]:
+    return Bilinear.from_values(dim, dim, circ_vals), Cochain.from_values(2, dim, dim, vee_vals)
+
+
+def ns_tables_from_nijenhuis(algebra, n_op: Matrix) -> tuple[Bilinear, Cochain]:
+    """x circ y = [Nx, y] and x vee y = -N[x, y] on basis tuples."""
+    dim = algebra.dim
+    circ_vals = {(i, j): algebra.bracket.eval_mixed(n_op.col(i), (j,)) for i in range(dim) for j in range(dim)}
+    vee_vals = {t: vec_scale(-1, n_op.apply(algebra.bracket_basis(*t))) for t in ext_basis(dim, 2)}
+    return _ns_tables(dim, circ_vals, vee_vals)
+
+
+def ns_tables_from_assoc(a) -> tuple[Bilinear, Cochain]:
+    """x circ y = x succ y - y prec x and x vee y = x box y - y box x on basis tuples."""
+    dim = a.dim
+    basis = [basis_vector(dim, i) for i in range(dim)]
+    circ_vals = {
+        (i, j): vec_sub(a.succ.eval(basis[i], basis[j]), a.prec.eval(basis[j], basis[i]))
+        for i in range(dim)
+        for j in range(dim)
+    }
+    vee_vals = {
+        (i, j): vec_sub(a.box.eval(basis[i], basis[j]), a.box.eval(basis[j], basis[i])) for i, j in ext_basis(dim, 2)
+    }
+    return _ns_tables(dim, circ_vals, vee_vals)
+
+
+def ns_tables_from_trb(setup, t: Matrix) -> tuple[Bilinear, Cochain]:
+    """u circ v = T(u).v and u vee v = H(Tu, Tv) on basis tuples of the module."""
+    m = setup.module_dim
+    circ_vals = {(i, j): setup.rep.act_vec_on_basis(t.col(i), j) for i in range(m) for j in range(m)}
+    vee_vals = {(i, j): setup.cocycle.skew_eval([t.col(i), t.col(j)]) for i, j in ext_basis(m, 2)}
+    return _ns_tables(m, circ_vals, vee_vals)
 
 
 # -- identity defects, one evaluation and one vector temporary per term -----

@@ -15,7 +15,7 @@ from twistrb import tgcs
 from twistrb.cli import main
 from twistrb.instances import load_instance
 from twistrb.liealg import validate_lie, validate_rep
-from twistrb.operators import induced_action_matrices, trb_setup
+from twistrb.operators import trb_setup
 from twistrb.report import EquationReport, failed, first_failure
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -191,7 +191,7 @@ def test_nijenhuis_element_fractional_x_witnesses_match_oracle(name, x, capsys):
     algebra = validate_lie(doc.lie_dim, doc.brackets or {})
     setup = trb_setup(algebra, validate_rep(algebra, doc.module_dim, doc.action), doc.cocycle_h)
     t, xv = doc.operator_t, [Fraction(c) for c in x.split(",")]
-    defects = oracles.nijenhuis_element_defects(setup, t, xv, induced_action_matrices(setup, t))
+    defects = oracles.nijenhuis_element_defects(setup, t, xv, oracles.induced_action_matrices(setup, t))
     pairs = list(itertools.combinations(range(setup.dim), 2))
     mixed = list(itertools.product(range(setup.dim), range(setup.module_dim)))
     cases = [[(a,) for a in range(setup.module_dim)], pairs, mixed, mixed, pairs, pairs]
@@ -406,6 +406,13 @@ def test_smallest_flag_values_accepted(capsys):
     assert code == 0 and "rows: 1" in out
     code, out, _ = run_cli(["deform-check", str(INSTANCES / "affine_hinv.json"), "--order", "1"], capsys)
     assert code == 0 and out.splitlines()[-1] == "order 1 defect zero: pass"
+
+
+def test_deform_check_orders_past_three_k(capsys):
+    """An order-1 deformation checked to order 200: every order past 3 has no terms and passes."""
+    code, out, _ = run_cli(["deform-check", str(INSTANCES / "affine_hinv.json"), "--order", "200"], capsys)
+    lines = [line for line in out.splitlines() if line.startswith("order ")]
+    assert code == 0 and lines == [f"order {n} defect zero: pass" for n in range(1, 201)]
 
 
 def test_internal_inconsistency_exit_three(monkeypatch, capsys):

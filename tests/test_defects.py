@@ -1,15 +1,18 @@
 """Single-pass and signed-term defects against the term-by-term oracles.
 
 `linfty._nr_insert` folds every unshuffle term of a basis tuple into one
-coefficient per column; `validate_rep`, `jacobi_defect` and `trb_defect`
-accumulate each defect in one list; every other identity check states its
-identity as signed terms for `multilin.term_defect`.  The oracles in
-`oracles.py` build the same values one evaluation and one temporary per
-term.  A signed-term defect is taken from the call the check makes to
-`report.first_failure`, so what is compared is what the check scans.
-Inputs are zero-heavy with non-integer entries, all-zero data included.
-`term_defect` itself, which sums integers over one scale per node, is also
-compared with `oracles.term_defect_fraction` on drawn identities.
+coefficient per column; `validate_rep` and `jacobi_defect` accumulate each
+defect in one list; every other identity check, the twisted Rota-Baxter
+check included, states its identity as signed terms for
+`multilin.term_defect`, and the derived structures (induced bracket and
+action, the NS-Lie tables) are signed terms tabulated by `multilin.tabulate`.
+The oracles in `oracles.py` build the same values one evaluation and one
+temporary per term.  A signed-term defect is taken from the call the check
+makes to `report.first_failure`, so what is compared is what the check
+scans.  Inputs are zero-heavy with non-integer entries, all-zero data
+included.  `term_defect` itself, which sums integers over one scale per
+node, is also compared with `oracles.term_defect_fraction` on drawn
+identities.
 """
 import itertools
 from contextlib import ExitStack
@@ -30,8 +33,8 @@ from twistrb.exactlin import Matrix, vector
 from twistrb.liealg import Representation, abelian, jacobi_defect, trivial_rep, validate_rep
 from twistrb.linfty import _nr_insert
 from twistrb.multilin import Bilinear, Cochain, ext_basis, term_defect
-from twistrb.operators import induced_action_matrices, trb_defect, trb_setup
-from twistrb.report import Violation, first_failure
+from twistrb.operators import trb_setup
+from twistrb.report import EquationReport, Violation, first_failure, passed
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
@@ -100,11 +103,17 @@ def test_jacobi_defect_matches_terms(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_trb_defect_matches_terms(data):
-    """Corpus setups with drawn operators, every ordered basis pair."""
-    setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
-    t = data.draw(matrices(setup.dim, setup.module_dim))
+    """The defect `check_trb` scans, on corpus setups with drawn (mostly failing) or corpus operators;
+    compared on every ordered basis pair, repeats included, beyond the scanned ones."""
+    setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+    if data.draw(st.booleans()):
+        t = data.draw(matrices(setup.dim, setup.module_dim, entries=wide_sparse_rationals))
+    expected = partial(trb_defect_terms, setup, t)
+    _, seen = scanned(operators, operators.check_trb, setup, t)
+    assert_scans_match(seen, {"twisted Rota-Baxter": expected})
+    [(_, _, defect, _)] = seen
     for i, j in itertools.product(range(setup.module_dim), repeat=2):
-        assert_same(trb_defect(setup, t, i, j), trb_defect_terms(setup, t, i, j))
+        assert_same(defect(i, j), expected(i, j))
 
 
 def rep_oracle(algebra, module_dim, action):
@@ -253,13 +262,14 @@ def test_assoc_ns_check_matches_oracle(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_deformation_defects_match_oracle(data):
-    """Every order up to 4 on every basis pair, the base operator drawn or from the corpus."""
+    """Every order up to 3k + 2 on every basis pair, the base operator drawn or from the corpus;
+    the orders past 3k have no terms and must still be the oracle's zero defects."""
     setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
     shape = setup.operator_shape()
     base = t if data.draw(st.booleans()) else data.draw(matrices(*shape))
     coefficients = [data.draw(matrices(*shape)) for _ in range(data.draw(st.integers(1, 2)))]
     d = deform.FormalDeformation(setup, base, tuple(coefficients))
-    up_to = data.draw(st.integers(1, 4))
+    up_to = data.draw(st.integers(1, 3 * len(coefficients) + 2))
     defects = deform.deformation_equation_defects(d, up_to=up_to)
     assert len(defects) == up_to
     for n, defect in enumerate(defects, start=1):
@@ -286,7 +296,7 @@ def test_nijenhuis_element_and_equivalence_match_oracle(data):
     setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
     x = data.draw(vectors(setup.dim))
     _, seen = scanned(deform, deform.nijenhuis_element_check, setup, t, x)
-    assert_scans_match(seen, oracles.nijenhuis_element_defects(setup, t, x, induced_action_matrices(setup, t)))
+    assert_scans_match(seen, oracles.nijenhuis_element_defects(setup, t, x, oracles.induced_action_matrices(setup, t)))
     t1 = data.draw(matrices(*setup.operator_shape()))
     t1p = t1 if data.draw(st.booleans()) else data.draw(matrices(*setup.operator_shape()))
     equivalence, seen = scanned(deform, deform.equivalence_check, setup, t, t1, t1p, x)
@@ -295,6 +305,57 @@ def test_nijenhuis_element_and_equivalence_match_oracle(data):
     assert_scans_match(seen, expected)
     assert "[x, u.x] = 0" not in [kind for kind, *_ in seen]
     assert [name for name, _ in equivalence.equations][-2:] == ["transport", "transport-higher"]
+
+
+def unvalidated_ns():
+    """Patch out the checks the NS-Lie constructions make, so their tables can be built from any input."""
+    stack = ExitStack()
+    verdicts = {"require_trb": None, "nijenhuis_check": passed(), "assoc_ns_check": EquationReport(), "ns_check": EquationReport()}
+    for name, verdict in verdicts.items():
+        stack.enter_context(mock.patch.object(nslie, name, lambda *_, verdict=verdict: verdict))
+    return stack
+
+
+def assert_ns_tables(ns, expected):
+    circ, vee = expected
+    assert_same(ns.circ.matrix.entries, circ.matrix.entries)
+    assert_same(ns.vee.matrix.entries, vee.matrix.entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_derived_structures_match_oracle(data):
+    """The induced bracket and action and the circ and vee of the three NS-Lie constructions, entry for entry.
+
+    Operators are corpus ones (passing), zero or drawn zero-heavy with wide denominators (mostly failing):
+    the induced builders take any operator, and the NS constructions run with their checks patched out.
+    """
+    setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+    n, m = setup.operator_shape()
+    wide = partial(matrices, entries=wide_sparse_rationals)
+    if data.draw(st.booleans()):
+        t = data.draw(wide(n, m))
+    assert_same(operators.induced_bracket_cochain(setup, t).matrix.entries, oracles.induced_bracket_cochain(setup, t).matrix.entries)
+    got, expected = operators.induced_action_matrices(setup, t), oracles.induced_action_matrices(setup, t)
+    assert len(got) == len(expected) == m
+    for a, b in zip(got, expected):
+        assert_same(a.entries, b.entries)
+    n_op = data.draw(wide(n, n))
+    dim = data.draw(st.integers(1, 3))
+    assoc = nslie.AssocNs(dim, *(Bilinear(dim, dim, data.draw(wide(dim, dim * dim))) for _ in range(3)))
+    with unvalidated_ns():
+        assert_ns_tables(nslie.ns_from_trb(setup, t), oracles.ns_tables_from_trb(setup, t))
+        assert_ns_tables(nslie.ns_from_nijenhuis(setup.algebra, n_op), oracles.ns_tables_from_nijenhuis(setup.algebra, n_op))
+        assert_ns_tables(nslie.ns_from_assoc(assoc), oracles.ns_tables_from_assoc(assoc))
+    # x.y = [Nx, y] and H = -N[.,.] of the Nijenhuis setup are circ and vee of the Nijenhuis NS-Lie algebra;
+    # a scalar multiple of the identity is a Nijenhuis operator on any Lie algebra
+    n_op = Matrix.identity(n).scale(data.draw(wide_rationals))
+    nij_setup, _ = operators.nijenhuis_trb_setup(setup.algebra, n_op)
+    circ, vee = oracles.ns_tables_from_nijenhuis(setup.algebra, n_op)
+    assert_same(nij_setup.cocycle.matrix.entries, vee.matrix.entries)
+    for i, rho in enumerate(nij_setup.rep.action):
+        for j in range(n):
+            assert_same(rho.col(j), circ.value_on_basis(i, j))
 
 
 def test_nijenhuis_element_rejects_wrong_length():
@@ -431,7 +492,7 @@ def test_nijenhuis_element_witness_of_fractional_x_matches_oracle(name):
     setup, t = CORPUS[name]
     x = FRACTIONAL_X[: setup.dim]
     report, seen = scanned(deform, deform.nijenhuis_element_check, setup, t, x)
-    expected = oracles.nijenhuis_element_defects(setup, t, x, induced_action_matrices(setup, t))
+    expected = oracles.nijenhuis_element_defects(setup, t, x, oracles.induced_action_matrices(setup, t))
     assert [verdict for *_, verdict in seen] == [rep for _, rep in report.equations]
     lines = []
     for kind, cases, _, verdict in seen:

@@ -34,6 +34,15 @@ def test_zero_coefficient_deformation(trb_corpus):
         assert all(d.is_zero() for d in defects), name
 
 
+def test_trb_terms_vanish_past_three_k(rng, trb_corpus):
+    """With k stored higher coefficients the t^n coefficient has terms at n = 3k and none past it."""
+    for name, setup, t in trb_corpus:
+        for k in range(4):
+            ts = (t, *(corpus.random_operator(rng, setup) for _ in range(k)))
+            assert operators.trb_terms(setup, ts, 3 * k), name
+            assert all(operators.trb_terms(setup, ts, n) == [] for n in range(3 * k + 1, 3 * k + 5)), name
+
+
 def test_order_one_defect_iff_cocycle(rng, trb_corpus):
     for name, setup, t in trb_corpus:
         for _ in range(8):
