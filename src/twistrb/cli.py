@@ -102,6 +102,13 @@ def _operator(doc: InstanceDocument):
     return doc.operator_t
 
 
+def _passing_operator(doc: InstanceDocument) -> tuple[TrbSetup, Matrix]:
+    """The setup and the operator, which must pass the twisted Rota-Baxter identity."""
+    setup, t = _setup(doc), _operator(doc)
+    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
+    return setup, t
+
+
 def _equation_lines(report: EquationReport) -> tuple[list[str], list[str]]:
     lines, witnesses = [], []
     for name, rep in report.equations:
@@ -170,9 +177,7 @@ def cmd_check_mc(doc, args):
 
 
 def cmd_cohomology_of_t(doc, args):
-    setup = _setup(doc)
-    t = _operator(doc)
-    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
+    setup, t = _passing_operator(doc)
     dims = linfty.cohomology_of_t_dims(setup, t, args.nmax)
     lines = [f"H^{n}_T dimension: {d}" for n, d in enumerate(dims)]
     return True, {"dimensions": dims}, lines
@@ -294,9 +299,7 @@ def cmd_deform_check(doc, args):
 
 
 def cmd_nijenhuis_element(doc, args):
-    setup = _setup(doc)
-    t = _operator(doc)
-    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
+    setup, t = _passing_operator(doc)
     x = parse_vector([p.strip() for p in args.x.split(",")], setup.dim, "--x")
     rep = deform_mod.nijenhuis_element_check(setup, t, x)
     lines, witnesses = _equation_lines(rep)
@@ -304,9 +307,7 @@ def cmd_nijenhuis_element(doc, args):
 
 
 def cmd_rigidity_probe(doc, args):
-    setup = _setup(doc)
-    t = _operator(doc)
-    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
+    setup, t = _passing_operator(doc)
     report = deform_mod.rigidity_probe(setup, t, grid=args.grid)
     lines = [f"verdict: {report.verdict}"]
     for k, probe in enumerate(report.probes):
@@ -349,9 +350,7 @@ def cmd_lie_tgcs(doc, args):
 
 
 def cmd_gauge(doc, args):
-    setup = _setup(doc)
-    t = _operator(doc)
-    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
+    setup, t = _passing_operator(doc)
     b = _parse_matrix_flag(args.b, setup.module_dim, setup.dim, "--b")
     t_b = gauge_transform(setup, t, b)
     lines = ["gauge transform:"]
@@ -361,9 +360,7 @@ def cmd_gauge(doc, args):
 
 
 def cmd_shift(doc, args):
-    setup = _setup(doc)
-    t = _operator(doc)
-    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
+    setup, t = _passing_operator(doc)
     h = _parse_matrix_flag(args.h, setup.module_dim, setup.dim, "--h")
     shifted, t_new = shift_by_coboundary(setup, t, h)
     lines = ["shifted twist: " + json.dumps(cochain_json(shifted.cocycle), sort_keys=True)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence, Union
 
-from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
+from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
     ZERO,
     Matrix,
@@ -64,37 +64,6 @@ class Representation:
 
     def act_basis(self, i: int, u_idx: int) -> Vector:
         return self.action[i].col(u_idx)
-
-    def act(self, x: Sequence, u: Sequence) -> Vector:
-        """x . u = sum_i x_i rho(e_i) u, over the nonzero x_i and u_k only."""
-        m = self.module_dim
-        if len(u) != m:
-            raise DimensionMismatch(f"module vector of length {len(u)}, expected {m}")
-        us = sparse_row(vector(u)).items()
-        out = [ZERO] * m
-        for i, c in enumerate(vector(x)):
-            if c:
-                rho = self.action[i].entries
-                for k, b in us:
-                    cb = c * b
-                    for r in range(m):
-                        y = rho[r * m + k]
-                        if y:
-                            out[r] += cb * y
-        return tuple(out)
-
-    def act_vec_on_basis(self, x: Sequence, u_idx: int) -> Vector:
-        """x . u_idx = sum_i x_i (column u_idx of rho(e_i)), over the nonzero x_i."""
-        m = self.module_dim
-        out = [ZERO] * m
-        for i, c in enumerate(vector(x)):
-            if c:
-                rho = self.action[i].entries
-                for r in range(m):
-                    y = rho[r * m + u_idx]
-                    if y:
-                        out[r] += c * y
-        return tuple(out)
 
 
 BracketTable = Mapping[tuple[int, int], Sequence]

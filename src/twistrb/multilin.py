@@ -23,7 +23,7 @@ from .exactlin import (
     Matrix,
     Vector,
     ZERO,
-    scalar,
+    basis_vector,
     vec_scale,
     vector,
     zero_vector,
@@ -201,21 +201,12 @@ class Cochain:
         return v if sign == 1 else vec_scale(Fraction(-1), v)
 
     def eval_mixed(self, first, rest: Sequence[int]) -> Vector:
-        """Evaluate on (vector, basis, ..., basis), linear in the first slot."""
+        """Evaluate on (vector, basis, ..., basis): `skew_eval` with unit vectors for `rest`."""
         if len(rest) + 1 != self.degree:
             raise DimensionMismatch("argument count does not match degree")
-        fold = _fold_table(self.source_dim, self.degree)
-        rest = tuple(rest)
-        coeffs: dict[int, Fraction] = {}
-        for i, c in enumerate(first):
-            if c == 0:
-                continue
-            idx = (i, *rest)
-            col, sign = fold.get(idx) or _fold(fold, self.source_dim, self.degree, idx)
-            # distinct i give distinct basis tuples, so each column is met once
-            if sign:
-                coeffs[col] = scalar(c) if sign > 0 else -scalar(c)
-        return _combine(self.matrix, coeffs)
+        if any(not 0 <= i < self.source_dim for i in rest):
+            raise IndexOutOfRange(f"basis indices {tuple(rest)} out of range for dimension {self.source_dim}")
+        return self.skew_eval([first, *(basis_vector(self.source_dim, i) for i in rest)])
 
     def skew_eval(self, args: Sequence[Sequence]) -> Vector:
         """Fully multilinear, skew evaluation on arbitrary coordinate vectors.
@@ -348,13 +339,6 @@ class Bilinear:
 
     def value_on_basis(self, i: int, j: int) -> Vector:
         return self.matrix.col(i * self.source_dim + j)
-
-    def eval(self, x: Sequence, y: Sequence) -> Vector:
-        xv, yv = vector(x), vector(y)
-        n = self.source_dim
-        ys = [(j, b) for j, b in enumerate(yv) if b]
-        coeffs = {i * n + j: a * b for i, a in enumerate(xv) if a for j, b in ys}
-        return _combine(self.matrix, coeffs)
 
     def __eq__(self, other) -> bool:
         return (

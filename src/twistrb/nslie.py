@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidStructure, NotAssocNs, NotNijenhuis, NotNsLie
-from .exactlin import Matrix, Vector, vec_add, vec_sub
+from .exactlin import Matrix
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -40,12 +40,10 @@ class NsLie:
     circ: Bilinear
     vee: Cochain
 
-    def star(self, i: int, j: int) -> Vector:
-        """x*y = x circ y - y circ x + x vee y on basis pairs."""
-        return vec_add(
-            vec_sub(self.circ.value_on_basis(i, j), self.circ.value_on_basis(j, i)),
-            self.vee.value_on_tuple((i, j)),
-        )
+
+def _star_terms(ns: NsLie, b, c) -> list:
+    """x*y = x circ y - y circ x + x vee y on the sub-expressions b and c, as signed terms."""
+    return [(1, (ns.circ, b, c)), (-1, (ns.circ, c, b)), (1, (ns.vee, b, c))]
 
 
 def ns_check(ns: NsLie) -> EquationReport:
@@ -59,11 +57,10 @@ def ns_check(ns: NsLie) -> EquationReport:
         (1, (circ, 1, (circ, 0, 2))),
         (1, (circ, (vee, 0, 1), 2)),
     ]
-    # NS2: x vee (y*z) + x o (y vee z), summed over the cyclic shifts, with y*z = y o z - z o y + y vee z
+    # NS2: x vee (y*z) + x o (y vee z), summed over the cyclic shifts
     ns2 = []
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        star = [(1, (circ, b, c)), (-1, (circ, c, b)), (1, (vee, b, c))]
-        ns2 += [(1, (vee, a, star)), (1, (circ, a, (vee, b, c)))]
+        ns2 += [(1, (vee, a, _star_terms(ns, b, c))), (1, (circ, a, (vee, b, c)))]
     triples = list(itertools.product(range(ns.dim), repeat=3))
     return EquationReport(identity_reports([("NS1", "NS1", triples, ns1), ("NS2", "NS2", ext_basis(ns.dim, 3), ns2)]))
 
@@ -73,8 +70,8 @@ def adjacent_lie(ns: NsLie) -> tuple[LieAlgebra, Representation]:
     rep_check = ns_check(ns)
     if not rep_check.ok:
         raise NotNsLie(rep_check.first_violation().describe())
-    values = {t: ns.star(*t) for t in ext_basis(ns.dim, 2)}
-    algebra = lie_algebra_from_cochain(Cochain.from_values(2, ns.dim, ns.dim, values))
+    star = tabulate(_star_terms(ns, 0, 1), ext_basis(ns.dim, 2), ns.dim)
+    algebra = lie_algebra_from_cochain(Cochain(2, ns.dim, ns.dim, star))
     action = []
     for i in range(ns.dim):
         cols = [ns.circ.value_on_basis(i, j) for j in range(ns.dim)]

@@ -14,22 +14,29 @@ and applies it to a single cochain too), and the d_T matrix oracle pushes unit
 cochains through the L-infinity brackets, where the library builds the matrix
 as a Chevalley-Eilenberg differential.  The dense evaluation oracles walk every
 index tuple and every matrix entry, where the library's kernels visit only
-the nonzero coordinates.  The term-by-term defect oracles build each
-identity from one evaluation and one vector or matrix temporary per term,
-where the library either accumulates the defect in one hand-fused list
-(`_nr_insert`, `validate_rep`, `jacobi_defect`) or states the identity as
-signed terms for `multilin.term_defect`.  That evaluator sums integers over
+the nonzero coordinates.  Every evaluation the other oracles make goes
+through them, never through the index folding (`multilin._fold`) that
+`Cochain.skew_eval` shares with the library's insertion `linfty._nr_insert`;
+only the d_T matrix oracle reaches that code, through the library's
+brackets, since it checks the Chevalley-Eilenberg route against the bracket
+route.  The term-by-term defect oracles build each identity from one
+evaluation and one vector or matrix temporary per term, where the library
+either accumulates the defect in one hand-fused list (`_nr_insert`,
+`validate_rep`, `jacobi_defect`) or states the identity as signed terms for
+`multilin.term_defect`.  That evaluator sums integers over
 one scale per compiled node; `term_defect_fraction` evaluates the same
 signed terms on the same sparse tables (`multilin._table`) in Fractions,
 term by term.  The derived-structure oracles build the induced bracket and
-action and the NS-Lie tables of the three constructions by vector
-arithmetic on each basis tuple, where the library tabulates signed terms.
+action, the NS-Lie tables of the three constructions and the adjacent Lie
+algebra of an NS-Lie algebra by vector arithmetic on each basis tuple, where
+the library tabulates signed terms.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from twistrb.errors import DimensionMismatch
@@ -168,18 +175,18 @@ def bracket2_unshuffle(setup, p: Cochain, q: Cochain) -> Cochain:
         total = zero_vector(n)
         for word, sgn in iter_unshuffles((dq, 1, dp - 1)):
             qv = q.value_on_basis(tuple(us[k] for k in word[:dq]))
-            acted = setup.rep.act_vec_on_basis(qv, us[word[dq]])
+            acted = act_on_basis_dense(setup.rep, qv, us[word[dq]])
             rest = tuple(us[k] for k in word[dq + 1 :])
-            total = vec_add(total, vec_scale(Fraction(sgn), p.eval_mixed(acted, rest)))
+            total = vec_add(total, vec_scale(Fraction(sgn), eval_mixed_dense(p, acted, rest)))
         for word, sgn in iter_unshuffles((dp, 1, dq - 1)):
             pv = p.value_on_basis(tuple(us[k] for k in word[:dp]))
-            acted = setup.rep.act_vec_on_basis(pv, us[word[dp]])
+            acted = act_on_basis_dense(setup.rep, pv, us[word[dp]])
             rest = tuple(us[k] for k in word[dp + 1 :])
-            total = vec_add(total, vec_scale(Fraction(-sign_pq * sgn), q.eval_mixed(acted, rest)))
+            total = vec_add(total, vec_scale(Fraction(-sign_pq * sgn), eval_mixed_dense(q, acted, rest)))
         for word, sgn in iter_unshuffles((dp, dq)):
             pv = p.value_on_basis(tuple(us[k] for k in word[:dp]))
             qv = q.value_on_basis(tuple(us[k] for k in word[dp:]))
-            total = vec_add(total, vec_scale(Fraction(sign_pq * sgn), setup.algebra.bracket_vec(pv, qv)))
+            total = vec_add(total, vec_scale(Fraction(sign_pq * sgn), bracket_dense(setup.algebra, pv, qv)))
         cols.append(total)
     return Cochain(out_deg, m, n, Matrix.from_cols(cols, rows=n))
 
@@ -212,10 +219,10 @@ def bracket3_six_sum(setup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:
             for word, sgn in iter_unshuffles(blocks):
                 lv = left.value_on_basis(tuple(us[k] for k in word[:a]))
                 rv = right.value_on_basis(tuple(us[k] for k in word[a : a + b]))
-                hv = h.skew_eval([lv, rv])
+                hv = skew_eval_dense(h, [lv, rv])
                 rest = tuple(us[k] for k in word[a + b :])
                 total = vec_add(
-                    total, vec_scale(Fraction(coeff * sgn), outer.eval_mixed(hv, rest))
+                    total, vec_scale(Fraction(coeff * sgn), eval_mixed_dense(outer, hv, rest))
                 )
         cols.append(vec_scale(prefactor, total))
     return Cochain(out_deg, m, n, Matrix.from_cols(cols, rows=n))
@@ -224,37 +231,47 @@ def bracket3_six_sum(setup, p: Cochain, q: Cochain, r: Cochain) -> Cochain:
 # -- dense evaluation ---------------------------------------------------
 
 
+def _accumulate(out: list, coeff, value: Vector) -> None:
+    """out += coeff * value, entry by entry."""
+    for r, y in enumerate(value):
+        if y:
+            out[r] += coeff * y
+
+
 def skew_eval_dense(f: Cochain, args) -> Vector:
     """Sum over all source_dim^degree index tuples of the coefficient times f(tuple)."""
     vs = [vector(a) for a in args]
     if f.degree == 0:
         return f.matrix.col(0)
-    out = zero_vector(f.target_dim)
+    out = [ZERO] * f.target_dim
     for idx in itertools.product(range(f.source_dim), repeat=f.degree):
-        coeff = Fraction(1)
-        for k, i in enumerate(idx):
-            coeff *= vs[k][i]
-        if coeff != 0:
-            out = vec_add(out, vec_scale(coeff, f.value_on_tuple(idx)))
-    return out
+        coeff = ONE
+        for v, i in zip(vs, idx):
+            coeff *= v[i]
+            if not coeff:
+                break
+        if coeff:
+            _accumulate(out, coeff, f.value_on_tuple(idx))
+    return tuple(out)
 
 
 def eval_mixed_dense(f: Cochain, first, rest) -> Vector:
     """f(first, e_rest...) as the sum of first_i f(e_i, e_rest...)."""
-    out = zero_vector(f.target_dim)
+    out = [ZERO] * f.target_dim
     for i, c in enumerate(first):
         if c != 0:
-            out = vec_add(out, vec_scale(scalar(c), f.value_on_tuple((i, *rest))))
-    return out
+            _accumulate(out, scalar(c), f.value_on_tuple((i, *rest)))
+    return tuple(out)
 
 
 def bilinear_eval_dense(b: Bilinear, x, y) -> Vector:
-    out = zero_vector(b.target_dim)
-    for i, a in enumerate(vector(x)):
-        for j, c in enumerate(vector(y)):
-            if a * c != 0:
-                out = vec_add(out, vec_scale(a * c, b.value_on_basis(i, j)))
-    return out
+    out = [ZERO] * b.target_dim
+    xv, yv = vector(x), vector(y)
+    for i, a in enumerate(xv):
+        for j, c in enumerate(yv):
+            if a and c:
+                _accumulate(out, a * c, b.value_on_basis(i, j))
+    return tuple(out)
 
 
 def matmul_dense(a: Matrix, b: Matrix) -> Matrix:
@@ -274,10 +291,27 @@ def apply_dense(m: Matrix, v) -> Vector:
 
 def act_dense(rep, x, u) -> Vector:
     """x . u as the sum of x_i rho(e_i) u over every generator."""
-    out = zero_vector(rep.module_dim)
+    out = [ZERO] * rep.module_dim
     for c, rho in zip(vector(x), rep.action):
-        out = vec_add(out, vec_scale(c, apply_dense(rho, u)))
-    return out
+        if c:
+            _accumulate(out, c, apply_dense(rho, u))
+    return tuple(out)
+
+
+def act_on_basis_dense(rep, x, u: int) -> Vector:
+    """x . e_u for the u-th basis vector of the module."""
+    return act_dense(rep, x, basis_vector(rep.module_dim, u))
+
+
+def bracket_dense(algebra, x, y) -> Vector:
+    """[x, y] on coordinate vectors."""
+    return skew_eval_dense(algebra.bracket, [x, y])
+
+
+def star_dense(ns, x, y) -> Vector:
+    """x*y = x circ y - y circ x + x vee y on coordinate vectors."""
+    circ = vec_sub(bilinear_eval_dense(ns.circ, x, y), bilinear_eval_dense(ns.circ, y, x))
+    return vec_add(circ, skew_eval_dense(ns.vee, [x, y]))
 
 
 # -- term-by-term insertion and defects ---------------------------------
@@ -297,7 +331,7 @@ def nr_insert_terms(a: Cochain, b: Cochain) -> Cochain:
         for word, sgn in iter_unshuffles((beta, alpha - 1)):
             bv = b.value_on_basis(tuple(us[k] for k in word[:beta]))
             rest = tuple(us[k] for k in word[beta:])
-            total = vec_add(total, vec_scale(Fraction(sgn), a.eval_mixed(bv, rest)))
+            total = vec_add(total, vec_scale(Fraction(sgn), eval_mixed_dense(a, bv, rest)))
         cols.append(total)
     return Cochain(arity, big, big, Matrix.from_cols(cols, rows=big))
 
@@ -317,7 +351,7 @@ def jacobi_defect_terms(bracket: Cochain, i: int, j: int, k: int) -> Vector:
     total = zero_vector(bracket.target_dim)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         inner = bracket.value_on_tuple((b, c))
-        total = vec_add(total, bracket.eval_mixed(inner, (a,)))
+        total = vec_add(total, eval_mixed_dense(bracket, inner, (a,)))
     return total
 
 
@@ -325,9 +359,9 @@ def trb_defect_terms(setup, t: Matrix, i: int, j: int) -> Vector:
     """[Tu_i, Tu_j] - T(Tu_i . u_j - Tu_j . u_i + H(Tu_i, Tu_j)), one vector per term."""
     tu = t.col(i)
     tv = t.col(j)
-    lhs = setup.algebra.bracket_vec(tu, tv)
-    inner = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
-    inner = vec_add(inner, setup.cocycle.skew_eval([tu, tv]))
+    lhs = bracket_dense(setup.algebra, tu, tv)
+    inner = vec_sub(act_on_basis_dense(setup.rep, tu, j), act_on_basis_dense(setup.rep, tv, i))
+    inner = vec_add(inner, skew_eval_dense(setup.cocycle, [tu, tv]))
     return vec_sub(lhs, t.apply(inner))
 
 
@@ -348,7 +382,7 @@ def ce_differential_alternating(bracket: Cochain, rep, f: Cochain) -> Cochain:
         for a, b in itertools.combinations(range(n + 1), 2):
             rest = tuple(x for p, x in enumerate(xs) if p not in (a, b))
             inner = bracket.value_on_tuple((xs[a], xs[b]))
-            term = f.eval_mixed(inner, rest) if n >= 1 else zero_vector(m)
+            term = eval_mixed_dense(f, inner, rest) if n >= 1 else zero_vector(m)
             # (-1)^{i+j} for 1-based positions equals (-1)^{a+b} for 0-based
             if (a + b) % 2 == 1:
                 term = vec_scale(-1, term)
@@ -366,8 +400,8 @@ def induced_bracket_cochain(setup, t: Matrix) -> Cochain:
     values = {}
     for i, j in ext_basis(m, 2):
         tu, tv = t.col(i), t.col(j)
-        v = vec_sub(setup.rep.act_vec_on_basis(tu, j), setup.rep.act_vec_on_basis(tv, i))
-        values[(i, j)] = vec_add(v, setup.cocycle.skew_eval([tu, tv]))
+        v = vec_sub(act_on_basis_dense(setup.rep, tu, j), act_on_basis_dense(setup.rep, tv, i))
+        values[(i, j)] = vec_add(v, skew_eval_dense(setup.cocycle, [tu, tv]))
     return Cochain.from_values(2, m, m, values)
 
 
@@ -379,9 +413,9 @@ def induced_action_matrices(setup, t: Matrix) -> tuple[Matrix, ...]:
         ta = t.col(a)
         cols = []
         for x in range(n):
-            lead = setup.algebra.bracket.eval_mixed(ta, (x,))
+            lead = eval_mixed_dense(setup.algebra.bracket, ta, (x,))
             # H(e_x, Tu) = -H(Tu, e_x)
-            h_term = vec_scale(-1, setup.cocycle.eval_mixed(ta, (x,)))
+            h_term = vec_scale(-1, eval_mixed_dense(setup.cocycle, ta, (x,)))
             inner = vec_add(setup.rep.act_basis(x, a), h_term)
             cols.append(vec_add(lead, t.apply(inner)))
         mats.append(Matrix.from_cols(cols, rows=n))
@@ -395,7 +429,7 @@ def _ns_tables(dim: int, circ_vals: dict, vee_vals: dict) -> tuple[Bilinear, Coc
 def ns_tables_from_nijenhuis(algebra, n_op: Matrix) -> tuple[Bilinear, Cochain]:
     """x circ y = [Nx, y] and x vee y = -N[x, y] on basis tuples."""
     dim = algebra.dim
-    circ_vals = {(i, j): algebra.bracket.eval_mixed(n_op.col(i), (j,)) for i in range(dim) for j in range(dim)}
+    circ_vals = {(i, j): eval_mixed_dense(algebra.bracket, n_op.col(i), (j,)) for i in range(dim) for j in range(dim)}
     vee_vals = {t: vec_scale(-1, n_op.apply(algebra.bracket_basis(*t))) for t in ext_basis(dim, 2)}
     return _ns_tables(dim, circ_vals, vee_vals)
 
@@ -404,23 +438,31 @@ def ns_tables_from_assoc(a) -> tuple[Bilinear, Cochain]:
     """x circ y = x succ y - y prec x and x vee y = x box y - y box x on basis tuples."""
     dim = a.dim
     basis = [basis_vector(dim, i) for i in range(dim)]
-    circ_vals = {
-        (i, j): vec_sub(a.succ.eval(basis[i], basis[j]), a.prec.eval(basis[j], basis[i]))
-        for i in range(dim)
-        for j in range(dim)
-    }
-    vee_vals = {
-        (i, j): vec_sub(a.box.eval(basis[i], basis[j]), a.box.eval(basis[j], basis[i])) for i, j in ext_basis(dim, 2)
-    }
+    prec, succ, box = (partial(bilinear_eval_dense, b) for b in (a.prec, a.succ, a.box))
+    pairs = itertools.product(range(dim), repeat=2)
+    circ_vals = {(i, j): vec_sub(succ(basis[i], basis[j]), prec(basis[j], basis[i])) for i, j in pairs}
+    vee_vals = {(i, j): vec_sub(box(basis[i], basis[j]), box(basis[j], basis[i])) for i, j in ext_basis(dim, 2)}
     return _ns_tables(dim, circ_vals, vee_vals)
 
 
 def ns_tables_from_trb(setup, t: Matrix) -> tuple[Bilinear, Cochain]:
     """u circ v = T(u).v and u vee v = H(Tu, Tv) on basis tuples of the module."""
     m = setup.module_dim
-    circ_vals = {(i, j): setup.rep.act_vec_on_basis(t.col(i), j) for i in range(m) for j in range(m)}
-    vee_vals = {(i, j): setup.cocycle.skew_eval([t.col(i), t.col(j)]) for i, j in ext_basis(m, 2)}
+    circ_vals = {(i, j): act_on_basis_dense(setup.rep, t.col(i), j) for i in range(m) for j in range(m)}
+    vee_vals = {(i, j): skew_eval_dense(setup.cocycle, [t.col(i), t.col(j)]) for i, j in ext_basis(m, 2)}
     return _ns_tables(m, circ_vals, vee_vals)
+
+
+def adjacent_tables(ns) -> tuple[Cochain, tuple[Matrix, ...]]:
+    """The adjacent bracket x*y on basis pairs and the action matrices of x circ -, by dense evaluation."""
+    dim = ns.dim
+    basis = [basis_vector(dim, i) for i in range(dim)]
+    star = {(i, j): star_dense(ns, basis[i], basis[j]) for i, j in ext_basis(dim, 2)}
+    action = tuple(
+        Matrix.from_cols([bilinear_eval_dense(ns.circ, basis[i], basis[j]) for j in range(dim)], rows=dim)
+        for i in range(dim)
+    )
+    return Cochain.from_values(2, dim, dim, star), action
 
 
 # -- identity defects, one evaluation and one vector temporary per term -----
@@ -434,62 +476,62 @@ def tgcs_component_defects(s, j) -> dict:
     # (5) [Tu,Tv] = T(Tu.v - Tv.u)
     def eq5(a: int, b: int) -> Vector:
         tu, tv = tm.col(a), tm.col(b)
-        inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
-        return vec_sub(s.algebra.bracket_vec(tu, tv), tm.apply(inner))
+        inner = vec_sub(act_on_basis_dense(s.rep, tu, b), act_on_basis_dense(s.rep, tv, a))
+        return vec_sub(bracket_dense(s.algebra, tu, tv), tm.apply(inner))
 
     # (6) Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)
     def eq6(a: int, b: int) -> Vector:
         tu, tv = tm.col(a), tm.col(b)
-        lhs = vec_sub(s.rep.act(tu, sm.col(b)), s.rep.act(tv, sm.col(a)))
-        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, tv]))
-        inner = vec_sub(s.rep.act_vec_on_basis(tu, b), s.rep.act_vec_on_basis(tv, a))
+        lhs = vec_sub(act_dense(s.rep, tu, sm.col(b)), act_dense(s.rep, tv, sm.col(a)))
+        lhs = vec_sub(lhs, skew_eval_dense(s.cocycle, [tu, tv]))
+        inner = vec_sub(act_on_basis_dense(s.rep, tu, b), act_on_basis_dense(s.rep, tv, a))
         return vec_sub(lhs, sm.apply(inner))
 
     # (7) [Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))
     def eq7(i: int, a: int) -> Vector:
         x = basis_vector(n, i)
         tu = tm.col(a)
-        lhs = vec_sub(s.algebra.bracket_vec(nm.col(i), tu), nm.apply(s.algebra.bracket_vec(x, tu)))
-        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
+        lhs = vec_sub(bracket_dense(s.algebra, nm.col(i), tu), nm.apply(bracket_dense(s.algebra, x, tu)))
+        inner = vec_sub(act_on_basis_dense(s.rep, nm.col(i), a), act_dense(s.rep, x, sm.col(a)))
+        inner = vec_add(inner, skew_eval_dense(s.cocycle, [x, tu]))
         return vec_sub(lhs, tm.apply(inner))
 
     # (8) sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = x.u + Nx.Su - S(Nx.u - x.Su + H(x,Tu))
     def eq8(i: int, a: int) -> Vector:
         x = basis_vector(n, i)
         tu = tm.col(a)
-        lhs = sg.apply(s.algebra.bracket_vec(tu, x))
-        lhs = vec_sub(lhs, s.rep.act(tu, sg.col(i)))
-        lhs = vec_sub(lhs, s.cocycle.skew_eval([tu, nm.col(i)]))
-        rhs = vec_add(s.rep.act_basis(i, a), s.rep.act(nm.col(i), sm.col(a)))
-        inner = vec_sub(s.rep.act_vec_on_basis(nm.col(i), a), s.rep.act(x, sm.col(a)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, tu]))
+        lhs = sg.apply(bracket_dense(s.algebra, tu, x))
+        lhs = vec_sub(lhs, act_dense(s.rep, tu, sg.col(i)))
+        lhs = vec_sub(lhs, skew_eval_dense(s.cocycle, [tu, nm.col(i)]))
+        rhs = vec_add(s.rep.act_basis(i, a), act_dense(s.rep, nm.col(i), sm.col(a)))
+        inner = vec_sub(act_on_basis_dense(s.rep, nm.col(i), a), act_dense(s.rep, x, sm.col(a)))
+        inner = vec_add(inner, skew_eval_dense(s.cocycle, [x, tu]))
         rhs = vec_sub(rhs, sm.apply(inner))
         return vec_sub(lhs, rhs)
 
     # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
     def eq9(i: int, k: int) -> Vector:
         x, y = basis_vector(n, i), basis_vector(n, k)
-        lhs = vec_sub(s.algebra.bracket_vec(nm.col(i), nm.col(k)), s.algebra.bracket_basis(i, k))
-        mix = vec_add(s.algebra.bracket_vec(nm.col(i), y), s.algebra.bracket_vec(x, nm.col(k)))
+        lhs = vec_sub(bracket_dense(s.algebra, nm.col(i), nm.col(k)), s.algebra.bracket_basis(i, k))
+        mix = vec_add(bracket_dense(s.algebra, nm.col(i), y), bracket_dense(s.algebra, x, nm.col(k)))
         lhs = vec_sub(lhs, nm.apply(mix))
-        inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
-        inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
+        inner = vec_sub(act_dense(s.rep, x, sg.col(k)), act_dense(s.rep, y, sg.col(i)))
+        inner = vec_add(inner, skew_eval_dense(s.cocycle, [x, nm.col(k)]))
+        inner = vec_sub(inner, skew_eval_dense(s.cocycle, [y, nm.col(i)]))
         return vec_sub(lhs, tm.apply(inner))
 
     # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
     #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
     def eq10(i: int, k: int) -> Vector:
         x, y = basis_vector(n, i), basis_vector(n, k)
-        lhs = vec_sub(s.rep.act(nm.col(i), sg.col(k)), s.rep.act(nm.col(k), sg.col(i)))
-        lhs = vec_add(lhs, s.cocycle.skew_eval([nm.col(i), nm.col(k)]))
+        lhs = vec_sub(act_dense(s.rep, nm.col(i), sg.col(k)), act_dense(s.rep, nm.col(k), sg.col(i)))
+        lhs = vec_add(lhs, skew_eval_dense(s.cocycle, [nm.col(i), nm.col(k)]))
         lhs = vec_sub(lhs, s.cocycle.value_on_basis((i, k)))
-        mix = vec_add(s.algebra.bracket_vec(nm.col(i), y), s.algebra.bracket_vec(x, nm.col(k)))
+        mix = vec_add(bracket_dense(s.algebra, nm.col(i), y), bracket_dense(s.algebra, x, nm.col(k)))
         lhs = vec_sub(lhs, sg.apply(mix))
-        inner = vec_sub(s.rep.act(x, sg.col(k)), s.rep.act(y, sg.col(i)))
-        inner = vec_add(inner, s.cocycle.skew_eval([x, nm.col(k)]))
-        inner = vec_sub(inner, s.cocycle.skew_eval([y, nm.col(i)]))
+        inner = vec_sub(act_dense(s.rep, x, sg.col(k)), act_dense(s.rep, y, sg.col(i)))
+        inner = vec_add(inner, skew_eval_dense(s.cocycle, [x, nm.col(k)]))
+        inner = vec_sub(inner, skew_eval_dense(s.cocycle, [y, nm.col(i)]))
         return vec_add(lhs, sm.apply(inner))
 
     return {
@@ -508,15 +550,15 @@ def complex_structure_defects(algebra, rep, i_map: Matrix, i_mod: Matrix) -> dic
 
     def integrability(a: int, b: int) -> Vector:
         x, y = basis_vector(n, a), basis_vector(n, b)
-        defect = vec_sub(algebra.bracket_vec(i_map.col(a), i_map.col(b)), algebra.bracket_basis(a, b))
-        mix = vec_add(algebra.bracket_vec(i_map.col(a), y), algebra.bracket_vec(x, i_map.col(b)))
+        defect = vec_sub(bracket_dense(algebra, i_map.col(a), i_map.col(b)), algebra.bracket_basis(a, b))
+        mix = vec_add(bracket_dense(algebra, i_map.col(a), y), bracket_dense(algebra, x, i_map.col(b)))
         return vec_sub(defect, i_map.apply(mix))
 
     def compatibility(a: int, u: int) -> Vector:
         x = basis_vector(n, a)
-        lhs = rep.act(i_map.col(a), i_mod.col(u))
+        lhs = act_dense(rep, i_map.col(a), i_mod.col(u))
         lhs = vec_sub(lhs, rep.act_basis(a, u))
-        inner = vec_add(rep.act_vec_on_basis(i_map.col(a), u), rep.act(x, i_mod.col(u)))
+        inner = vec_add(act_on_basis_dense(rep, i_map.col(a), u), act_dense(rep, x, i_mod.col(u)))
         return vec_sub(lhs, i_mod.apply(inner))
 
     return {"integrability of I": integrability, "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0": compatibility}
@@ -531,19 +573,19 @@ def ns_defects(ns) -> dict:
 
     def ns1(i: int, j: int, k: int) -> Vector:
         """(x o y) o z - x o (y o z) - (y o x) o z + y o (x o z) + (x vee y) o z."""
-        out = circ.eval(circ.value_on_basis(i, j), unit(k))
-        out = vec_sub(out, circ.eval(unit(i), circ.value_on_basis(j, k)))
-        out = vec_sub(out, circ.eval(circ.value_on_basis(j, i), unit(k)))
-        out = vec_add(out, circ.eval(unit(j), circ.value_on_basis(i, k)))
-        return vec_add(out, circ.eval(ns.vee.value_on_tuple((i, j)), unit(k)))
+        out = bilinear_eval_dense(circ, circ.value_on_basis(i, j), unit(k))
+        out = vec_sub(out, bilinear_eval_dense(circ, unit(i), circ.value_on_basis(j, k)))
+        out = vec_sub(out, bilinear_eval_dense(circ, circ.value_on_basis(j, i), unit(k)))
+        out = vec_add(out, bilinear_eval_dense(circ, unit(j), circ.value_on_basis(i, k)))
+        return vec_add(out, bilinear_eval_dense(circ, ns.vee.value_on_tuple((i, j)), unit(k)))
 
     def ns2(i: int, j: int, k: int) -> Vector:
         """x vee (y*z) + cyclic + x circ (y vee z) + cyclic."""
         total = zero_vector(dim)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             # e_a vee (e_b * e_c) = -vee(e_b * e_c, e_a)
-            total = vec_sub(total, ns.vee.eval_mixed(ns.star(b, c), (a,)))
-            total = vec_add(total, circ.eval(unit(a), ns.vee.value_on_tuple((b, c))))
+            total = vec_sub(total, eval_mixed_dense(ns.vee, star_dense(ns, unit(b), unit(c)), (a,)))
+            total = vec_add(total, bilinear_eval_dense(circ, unit(a), ns.vee.value_on_tuple((b, c))))
         return total
 
     return {"NS1": ns1, "NS2": ns2}
@@ -552,30 +594,31 @@ def ns_defects(ns) -> dict:
 def assoc_ns_defects(a) -> dict:
     """The four associative NS identities, keyed by name."""
     basis = [basis_vector(a.dim, i) for i in range(a.dim)]
+    prec, succ, box = (partial(bilinear_eval_dense, b) for b in (a.prec, a.succ, a.box))
 
     def star_all(x, y) -> Vector:
-        return vec_add(vec_add(a.prec.eval(x, y), a.succ.eval(x, y)), a.box.eval(x, y))
+        return vec_add(vec_add(prec(x, y), succ(x, y)), box(x, y))
 
     def prec_assoc(i, j, k):
         x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(a.prec.eval(a.prec.eval(x, y), z), a.prec.eval(x, star_all(y, z)))
+        return vec_sub(prec(prec(x, y), z), prec(x, star_all(y, z)))
 
     def succ_prec(i, j, k):
         x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(a.prec.eval(a.succ.eval(x, y), z), a.succ.eval(x, a.prec.eval(y, z)))
+        return vec_sub(prec(succ(x, y), z), succ(x, prec(y, z)))
 
     def succ_assoc(i, j, k):
         x, y, z = basis[i], basis[j], basis[k]
-        return vec_sub(a.succ.eval(star_all(x, y), z), a.succ.eval(x, a.succ.eval(y, z)))
+        return vec_sub(succ(star_all(x, y), z), succ(x, succ(y, z)))
 
-    def box(i, j, k):
+    def box_identity(i, j, k):
         x, y, z = basis[i], basis[j], basis[k]
         return vec_sub(
-            vec_add(a.prec.eval(a.box.eval(x, y), z), a.box.eval(star_all(x, y), z)),
-            vec_add(a.succ.eval(x, a.box.eval(y, z)), a.box.eval(x, star_all(y, z))),
+            vec_add(prec(box(x, y), z), box(star_all(x, y), z)),
+            vec_add(succ(x, box(y, z)), box(x, star_all(y, z))),
         )
 
-    return {"prec-assoc": prec_assoc, "succ-prec": succ_prec, "succ-assoc": succ_assoc, "box": box}
+    return {"prec-assoc": prec_assoc, "succ-prec": succ_prec, "succ-assoc": succ_assoc, "box": box_identity}
 
 
 def order_defect(d, n: int, i: int, j: int) -> Vector:
@@ -584,16 +627,16 @@ def order_defect(d, n: int, i: int, j: int) -> Vector:
     lhs = zero_vector(s.dim)
     for a in range(n + 1):
         ta, tb = d.coefficient(a), d.coefficient(n - a)
-        lhs = vec_add(lhs, s.algebra.bracket_vec(ta.col(i), tb.col(j)))
+        lhs = vec_add(lhs, bracket_dense(s.algebra, ta.col(i), tb.col(j)))
     rhs = zero_vector(s.dim)
     for a in range(n + 1):
         ta, tb = d.coefficient(a), d.coefficient(n - a)
-        inner = vec_sub(s.rep.act_vec_on_basis(tb.col(i), j), s.rep.act_vec_on_basis(tb.col(j), i))
+        inner = vec_sub(act_on_basis_dense(s.rep, tb.col(i), j), act_on_basis_dense(s.rep, tb.col(j), i))
         rhs = vec_add(rhs, ta.apply(inner))
     for a in range(n + 1):
         for b in range(n + 1 - a):
             ta, tb, tc = d.coefficient(a), d.coefficient(b), d.coefficient(n - a - b)
-            rhs = vec_add(rhs, ta.apply(s.cocycle.skew_eval([tb.col(i), tc.col(j)])))
+            rhs = vec_add(rhs, ta.apply(skew_eval_dense(s.cocycle, [tb.col(i), tc.col(j)])))
     return vec_sub(lhs, rhs)
 
 
@@ -608,39 +651,38 @@ def nijenhuis_element_defects(s, t: Matrix, x, induced_action) -> dict:
         for k, c in enumerate(xv):
             if c != 0:
                 ubar_x = vec_add(ubar_x, vec_scale(c, induced_action[a].col(k)))
-        return s.algebra.bracket_vec(xv, ubar_x)
+        return bracket_dense(s.algebra, xv, ubar_x)
 
     # [[x,y],[x,z]] = 0 for all y, z
     def lie_hom(i: int, j: int) -> Vector:
-        return s.algebra.bracket_vec(
-            s.algebra.bracket_vec(xv, basis_vector(n, i)), s.algebra.bracket_vec(xv, basis_vector(n, j))
-        )
+        y, z = basis_vector(n, i), basis_vector(n, j)
+        return bracket_dense(s.algebra, bracket_dense(s.algebra, xv, y), bracket_dense(s.algebra, xv, z))
 
     # H(x, T(y.u)) = y.H(x, Tu) for all y, u
     def action_pre_1(i: int, a: int) -> Vector:
-        lhs = s.cocycle.skew_eval([xv, t.apply(s.rep.act_basis(i, a))])
-        return vec_sub(lhs, s.rep.action[i].apply(s.cocycle.skew_eval([xv, t.col(a)])))
+        lhs = skew_eval_dense(s.cocycle, [xv, t.apply(s.rep.act_basis(i, a))])
+        return vec_sub(lhs, s.rep.action[i].apply(skew_eval_dense(s.cocycle, [xv, t.col(a)])))
 
     # [x,y].(x.u + H(x,Tu)) = 0 for all y, u
     def action_pre_2(i: int, a: int) -> Vector:
-        xy = s.algebra.bracket_vec(xv, basis_vector(n, i))
-        return s.rep.act(xy, vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)])))
+        xy = bracket_dense(s.algebra, xv, basis_vector(n, i))
+        inner = vec_add(act_on_basis_dense(s.rep, xv, a), skew_eval_dense(s.cocycle, [xv, t.col(a)]))
+        return act_dense(s.rep, xy, inner)
 
     # x.H(y,z) + H(x, T H(y,z)) = H([x,y], z) + H(y, [x,z]) for all y, z
     def twist_compat_1(i: int, j: int) -> Vector:
         hyz = s.cocycle.value_on_basis((i, j))
-        lhs = vec_add(s.rep.act(xv, hyz), s.cocycle.skew_eval([xv, t.apply(hyz)]))
+        lhs = vec_add(act_dense(s.rep, xv, hyz), skew_eval_dense(s.cocycle, [xv, t.apply(hyz)]))
         rhs = vec_add(
-            s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, i)), (j,)),
-            vec_scale(-1, s.cocycle.eval_mixed(s.algebra.bracket_vec(xv, basis_vector(n, j)), (i,))),
+            eval_mixed_dense(s.cocycle, bracket_dense(s.algebra, xv, basis_vector(n, i)), (j,)),
+            vec_scale(-1, eval_mixed_dense(s.cocycle, bracket_dense(s.algebra, xv, basis_vector(n, j)), (i,))),
         )
         return vec_sub(lhs, rhs)
 
     # H([x,y], [x,z]) = 0 for all y, z
     def twist_compat_2(i: int, j: int) -> Vector:
-        return s.cocycle.skew_eval(
-            [s.algebra.bracket_vec(xv, basis_vector(n, i)), s.algebra.bracket_vec(xv, basis_vector(n, j))]
-        )
+        y, z = basis_vector(n, i), basis_vector(n, j)
+        return skew_eval_dense(s.cocycle, [bracket_dense(s.algebra, xv, y), bracket_dense(s.algebra, xv, z)])
 
     return {
         "[x, u.x] = 0": bracket_action,
@@ -658,40 +700,44 @@ def transport_defects(s, t: Matrix, t1: Matrix, t1p: Matrix, x) -> dict:
 
     # T_1(u) + [x, Tu] = T(x.u + H(x,Tu)) + T_1'(u)
     def transport(a: int) -> Vector:
-        lhs = vec_add(t1.col(a), s.algebra.bracket_vec(xv, t.col(a)))
-        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
+        lhs = vec_add(t1.col(a), bracket_dense(s.algebra, xv, t.col(a)))
+        inner = vec_add(act_on_basis_dense(s.rep, xv, a), skew_eval_dense(s.cocycle, [xv, t.col(a)]))
         return vec_sub(lhs, vec_add(t.apply(inner), t1p.col(a)))
 
     # [x, T_1(u)] = T_1'(x.u + H(x,Tu))
     def transport_higher(a: int) -> Vector:
-        inner = vec_add(s.rep.act_vec_on_basis(xv, a), s.cocycle.skew_eval([xv, t.col(a)]))
-        return vec_sub(s.algebra.bracket_vec(xv, t1.col(a)), t1p.apply(inner))
+        inner = vec_add(act_on_basis_dense(s.rep, xv, a), skew_eval_dense(s.cocycle, [xv, t.col(a)]))
+        return vec_sub(bracket_dense(s.algebra, xv, t1.col(a)), t1p.apply(inner))
 
     return {"T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)": transport, "[x,T1(u)] = T1'(x.u+H(x,Tu))": transport_higher}
 
 
 def deformed_bracket_value(algebra, n_op: Matrix, i: int, j: int) -> Vector:
     """[Nx,y] + [x,Ny] - N[x,y] on a basis pair."""
-    v = vec_add(algebra.bracket.eval_mixed(n_op.col(i), (j,)), vec_scale(-1, algebra.bracket.eval_mixed(n_op.col(j), (i,))))
+    mixed = partial(eval_mixed_dense, algebra.bracket)
+    v = vec_sub(mixed(n_op.col(i), (j,)), mixed(n_op.col(j), (i,)))
     return vec_sub(v, n_op.apply(algebra.bracket_basis(i, j)))
 
 
 def nijenhuis_defect(algebra, n_op: Matrix, i: int, j: int) -> Vector:
     """[Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) on a basis pair."""
-    return vec_sub(algebra.bracket_vec(n_op.col(i), n_op.col(j)), n_op.apply(deformed_bracket_value(algebra, n_op, i, j)))
+    lhs = bracket_dense(algebra, n_op.col(i), n_op.col(j))
+    return vec_sub(lhs, n_op.apply(deformed_bracket_value(algebra, n_op, i, j)))
 
 
 def derivation_defect(algebra, d: Matrix, i: int, j: int) -> Vector:
     """d[x,y] - [dx,y] - [x,dy] on a basis pair."""
-    rhs = vec_add(algebra.bracket.eval_mixed(d.col(i), (j,)), vec_scale(-1, algebra.bracket.eval_mixed(d.col(j), (i,))))
+    mixed = partial(eval_mixed_dense, algebra.bracket)
+    rhs = vec_sub(mixed(d.col(i), (j,)), mixed(d.col(j), (i,)))
     return vec_sub(d.apply(algebra.bracket_basis(i, j)), rhs)
 
 
 def reynolds_defect(algebra, r: Matrix, i: int, j: int) -> Vector:
     """[Rx,Ry] - R([Rx,y] + [x,Ry] - [Rx,Ry]) on a basis pair."""
     rx, ry = r.col(i), r.col(j)
-    lhs = algebra.bracket_vec(rx, ry)
-    inner = vec_add(algebra.bracket.eval_mixed(rx, (j,)), vec_scale(-1, algebra.bracket.eval_mixed(ry, (i,))))
+    lhs = bracket_dense(algebra, rx, ry)
+    mixed = partial(eval_mixed_dense, algebra.bracket)
+    inner = vec_sub(mixed(rx, (j,)), mixed(ry, (i,)))
     return vec_sub(lhs, r.apply(vec_sub(inner, lhs)))
 
 

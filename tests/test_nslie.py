@@ -3,9 +3,10 @@ import re
 
 import pytest
 
+from oracles import bilinear_eval_dense, star_dense
 from twistrb import corpus, nslie
 from twistrb.errors import NotNsLie
-from twistrb.exactlin import Matrix
+from twistrb.exactlin import Matrix, basis_vector
 from twistrb.liealg import Representation, ce_differential_cochain, deformed_bracket
 from twistrb.multilin import Bilinear, Cochain, ext_basis
 from twistrb.nslie import (
@@ -112,7 +113,7 @@ def test_assoc_ns_examples():
     basis = [tuple(1 if k == i else 0 for k in range(3)) for i in range(3)]
     for i in range(3):
         for j in range(3):
-            expected = tuple(-x for x in prod.eval(basis[j], basis[i]))
+            expected = tuple(-x for x in bilinear_eval_dense(prod, basis[j], basis[i]))
             assert ns.circ.value_on_basis(i, j) == expected
     zero = AssocNs(2, Bilinear.zero(2, 2), Bilinear.zero(2, 2), Bilinear.zero(2, 2))
     assert assoc_ns_check(zero).ok
@@ -184,7 +185,9 @@ def test_ns2_iff_vee_closed_over_adjacent_data(rng):
         }
         vee = Cochain.from_values(2, dim, dim, vee_vals)
         cand = NsLie(dim, circ, vee)
-        star = Cochain.from_values(2, dim, dim, {t: cand.star(*t) for t in ext_basis(dim, 2)})
+        basis = [basis_vector(dim, i) for i in range(dim)]
+        star_vals = {(i, j): star_dense(cand, basis[i], basis[j]) for i, j in ext_basis(dim, 2)}
+        star = Cochain.from_values(2, dim, dim, star_vals)
         action = tuple(
             Matrix.from_cols([circ.value_on_basis(i, j) for j in range(dim)], rows=dim)
             for i in range(dim)
