@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactlin import ZERO, Matrix, permutation_sign, zero_vector
+from .exactlin import Matrix, permutation_sign, zero_vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -32,7 +32,7 @@ from .liealg import (
     ce_differential,
     ce_differential_cochain,
 )
-from .multilin import Cochain, _combine, _fold, _fold_table, ext_basis, iter_unshuffles
+from .multilin import Cochain, ext_basis, iter_unshuffles, tabulate
 from .operators import (
     Operator,
     TrbSetup,
@@ -67,40 +67,25 @@ def operator_element(setup: TrbSetup, t: Operator) -> Cochain:
 # degree-0 arguments, the six-sum display breaks the higher Jacobi identities.
 
 
-def _nr_insert(a: Cochain, b: Cochain) -> Cochain:
-    """(A o B)(v_*) = sum over Sh(arity B, arity A - 1) of sgn A(B(...), rest).
-
-    Per basis tuple, every unshuffle term is folded into one coefficient per
-    column of A, and the columns are combined once.
-    """
-    big = a.source_dim
+def _insertion_terms(a: Cochain, b: Cochain, sign: int) -> list:
+    """Signed terms of sign * (A o B), where (A o B)(v_*) is the sum over
+    Sh(arity B, arity A - 1) of sgn A(B(...), rest); slot k is v_k."""
     alpha, beta = a.degree, b.degree
-    arity = alpha + beta - 1
-    if arity < 0:
-        return Cochain.zero(arity, big, big)
-    shuffles = [(word[:beta], word[beta:], sgn) for word, sgn in iter_unshuffles((beta, alpha - 1))]
-    fold = _fold_table(big, alpha)
-    cols = []
-    for us in ext_basis(big, arity):
-        coeffs: dict[int, Fraction] = {}
-        for head, tail, sgn in shuffles:
-            bv = b.value_on_basis(tuple(us[k] for k in head))
-            rest = tuple(us[k] for k in tail)
-            for i, c in enumerate(bv):
-                if not c:
-                    continue
-                idx = (i, *rest)
-                col, sign = fold.get(idx) or _fold(fold, big, alpha, idx)
-                if sign:
-                    coeffs[col] = coeffs.get(col, ZERO) + (c if sign * sgn > 0 else -c)
-        cols.append(_combine(a.matrix, coeffs))
-    return Cochain(arity, big, big, Matrix.from_cols(cols, rows=big))
+    terms = []
+    for word, sgn in iter_unshuffles((beta, alpha - 1)):
+        inner = (b, *word[:beta]) if beta else b.matrix.col(0)
+        terms.append((sign * sgn, (a, inner, *word[beta:])))
+    return terms
 
 
 def nr_bracket(a: Cochain, b: Cochain) -> Cochain:
-    """Graded bracket of skew maps; the grading is arity minus one."""
-    da, db = a.degree - 1, b.degree - 1
-    return _nr_insert(a, b) - _nr_insert(b, a).scale(Fraction((-1) ** (da * db)))
+    """Graded bracket A o B - (-1)^{|A||B|} B o A of skew maps, where the
+    grading is arity minus one, tabulated on the basis tuples of its arity."""
+    big = a.source_dim
+    arity = a.degree + b.degree - 1
+    odd = (a.degree - 1) * (b.degree - 1) % 2
+    terms = _insertion_terms(a, b, 1) + _insertion_terms(b, a, 1 if odd else -1)
+    return Cochain(arity, big, big, tabulate(terms, ext_basis(big, arity), big))
 
 
 def _embed(setup: TrbSetup, p: Cochain) -> Cochain:

@@ -16,6 +16,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
@@ -24,6 +25,7 @@ from .exactlin import (
     Vector,
     ZERO,
     basis_vector,
+    permutation_sign,
     vec_scale,
     vector,
     zero_vector,
@@ -44,33 +46,6 @@ def ext_basis(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _tuple_index(dim: int, degree: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(ext_basis(dim, degree))}
-
-
-@lru_cache(maxsize=None)
-def _fold_table(dim: int, degree: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Index tuple -> (column of its sorted basis tuple, sign), filled by `_fold`."""
-    return {}
-
-
-def _fold(table: dict, dim: int, degree: int, idx: tuple[int, ...]) -> tuple[int, int]:
-    """Fold an index tuple into `table`; a tuple with a repeat gets sign 0."""
-    sorted_t, sign = sort_with_sign(idx)
-    table[idx] = (0, 0) if sorted_t is None else (_tuple_index(dim, degree)[sorted_t], sign)
-    return table[idx]
-
-
-def _combine(matrix: Matrix, coeffs: Mapping[int, Fraction]) -> Vector:
-    """sum_j coeffs[j] * (column j of matrix), touching only nonzero entries."""
-    rows, width, entries = matrix.rows, matrix.cols, matrix.entries
-    out = [ZERO] * rows
-    for j, c in coeffs.items():
-        if not c:
-            continue
-        for i in range(rows):
-            x = entries[i * width + j]
-            if x:
-                out[i] += c * x
-    return tuple(out)
 
 
 def sort_with_sign(t: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
@@ -209,12 +184,8 @@ class Cochain:
         return self.skew_eval([first, *(basis_vector(self.source_dim, i) for i in rest)])
 
     def skew_eval(self, args: Sequence[Sequence]) -> Vector:
-        """Fully multilinear, skew evaluation on arbitrary coordinate vectors.
-
-        Only the product of the arguments' supports is visited: each index
-        tuple is folded once to its basis column and sign, the coefficients
-        are summed per column, and the nonzero columns are combined.
-        """
+        """Fully multilinear, skew evaluation on arbitrary coordinate vectors:
+        the one signed term `self(*args)` for `term_defect`."""
         if len(args) != self.degree:
             raise DimensionMismatch(f"expected {self.degree} arguments, got {len(args)}")
         vs = [vector(a) for a in args]
@@ -223,18 +194,7 @@ class Cochain:
                 raise DimensionMismatch("argument dimension mismatch")
         if self.degree == 0:
             return self.matrix.col(0)
-        fold = _fold_table(self.source_dim, self.degree)
-        supports = [[i for i, x in enumerate(v) if x] for v in vs]
-        coeffs: dict[int, Fraction] = {}
-        for idx in itertools.product(*supports):
-            col, sign = fold.get(idx) or _fold(fold, self.source_dim, self.degree, idx)
-            if not sign:
-                continue
-            c = vs[0][idx[0]]
-            for k in range(1, len(idx)):
-                c *= vs[k][idx[k]]
-            coeffs[col] = coeffs.get(col, ZERO) + (c if sign > 0 else -c)
-        return _combine(self.matrix, coeffs)
+        return term_defect([(1, (self, *vs))])()
 
     # -- linear structure ----------------------------------------------
 
@@ -358,21 +318,36 @@ class Bilinear:
 # -- identities as signed terms ------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _orderings(dim: int, degree: int) -> tuple[tuple[tuple, int], ...]:
+    """For each ordering of `degree` slots, the basis tuples so reordered and its sign.
+
+    A degree-1 key is the index itself, as for a Matrix.
+    """
+    basis = ext_basis(dim, degree)
+    return tuple(
+        (tuple(map(itemgetter(*word), basis)), permutation_sign(word))
+        for word in itertools.permutations(range(degree))
+    )
+
+
 def _table(op) -> tuple[dict, tuple[int, ...], int]:
-    """Sparse table {argument index or index pair: nonzero (output index, coefficient)} of a map,
+    """Sparse table {argument index or index tuple: nonzero (output index, coefficient)} of a map,
     with the map's argument dimensions and target dimension.
 
-    `op` is a Matrix (linear), a degree-2 Cochain (skew), a Bilinear, or a
-    tuple of action matrices, where the pair (x, u) maps to rho(e_x) e_u.
+    `op` is a Matrix (linear), a Bilinear, a tuple of action matrices, where
+    the pair (x, u) maps to rho(e_x) e_u, or a Cochain of degree p >= 1: its
+    matrix as a linear map for p = 1, and for p >= 2 every ordering of each
+    basis tuple, signed by its permutation.  A degree-0 cochain is a
+    constant, not a map.
     """
     if isinstance(op, Matrix):
         blocks, dims = [(op, range(op.cols), 1)], (op.cols,)
     elif isinstance(op, Cochain):
-        if op.degree != 2:
-            raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a binary map")
-        pairs = ext_basis(op.source_dim, 2)
-        blocks = [(op.matrix, pairs, 1), (op.matrix, [t[::-1] for t in pairs], -1)]
-        dims = (op.source_dim, op.source_dim)
+        if op.degree < 1:
+            raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a map")
+        blocks = [(op.matrix, keys, sign) for keys, sign in _orderings(op.source_dim, op.degree)]
+        dims = (op.source_dim,) * op.degree
     elif isinstance(op, Bilinear):
         blocks = [(op.matrix, [divmod(j, op.source_dim) for j in range(op.matrix.cols)], 1)]
         dims = (op.source_dim, op.source_dim)
@@ -402,7 +377,8 @@ def term_defect(terms: list) -> Callable[..., Vector]:
 
     A term is (sign, expr) with sign +1 or -1.  An expr is an int (that slot
     of the basis tuple), a fixed Vector, a list of terms (their sum), or
-    (op, arg) / (op, arg, arg): an op of `_table` applied to sub-expressions.
+    (op, arg, ...): an op of `_table` applied to as many sub-expressions as
+    it takes arguments; a k-ary op visits the product of their supports.
     Dimensions that do not compose raise DimensionMismatch.
 
     Evaluation is over the integers.  Each op's table and each fixed Vector
@@ -429,7 +405,7 @@ def term_defect(terms: list) -> Callable[..., Vector]:
             scale = lcm(*(s for _, _, s in live))
             node = [(sign * (scale // s), node) for sign, node, s in live]
             return node or None, dims.pop() if dims else None, scale
-        if isinstance(expr[0], Fraction):
+        if not expr or isinstance(expr[0], Fraction):
             scale = lcm(*(x.denominator for x in expr))
             ints = {i: x.numerator * (scale // x.denominator) for i, x in enumerate(expr) if x}
             return ints or None, len(expr), scale
@@ -443,12 +419,6 @@ def term_defect(terms: list) -> Callable[..., Vector]:
             return None, dim, 1
         return (table, *(node for node, _, _ in args)), dim, scale * prod(s for _, _, s in args)
 
-    def support(arg, case) -> list:
-        """(index, coefficient) pairs of an argument; a slot has coefficient None, meaning 1."""
-        if isinstance(arg, int):
-            return [(case[arg], None)]
-        return [(k, x) for k, x in value(arg, case).items() if x]
-
     def value(node, case) -> dict[int, int]:
         if isinstance(node, int):
             return {case[node]: 1}
@@ -457,16 +427,13 @@ def term_defect(terms: list) -> Callable[..., Vector]:
         if isinstance(node, list):
             items = [(k, f * x) for f, e in node for k, x in value(e, case).items()]
         else:
-            table, args = node[0], [support(a, case) for a in node[1:]]
+            table, args = node[0], [value(a, case) for a in node[1:]]
             if len(args) == 1:
-                pairs = [(table.get(k), c) for k, c in args[0]]
+                hits = [(table.get(k), c) for k, c in args[0].items()]
             else:
-                pairs = [
-                    (table.get((i, j)), x if y is None else y if x is None else x * y)
-                    for i, x in args[0]
-                    for j, y in args[1]
-                ]
-            items = [(k, y if c is None else c * y) for col, c in pairs for k, y in col or ()]
+                coeffs = itertools.product(*[arg.values() for arg in args])
+                hits = [(col, prod(cs)) for col, cs in zip(map(table.get, itertools.product(*args)), coeffs) if col]
+            items = [(k, c * y) for col, c in hits if col for k, y in col]
         out: dict[int, int] = {}
         for k, x in items:
             out[k] = out[k] + x if k in out else x

@@ -153,22 +153,20 @@ def twisted_semidirect(setup: TrbSetup) -> LieAlgebra:
 
 
 def graph_subalgebra_check(setup: TrbSetup, t: Operator) -> bool:
-    """Closure of {(Tu, u)} under the semidirect bracket, via rank tests.
+    """Closure of {(Tu, u)} under the semidirect bracket, via a rank test.
 
     Independent oracle for check_trb: goes through the semidirect product's
-    structure constants and exact rank computations only.
+    structure constants and exact rank computations only.  The brackets of
+    all pairs of spanning vectors are tabulated at once, and the graph is
+    closed when adjoining them leaves the rank unchanged.
     """
     _check_shape(setup, t)
     semi = twisted_semidirect(setup)
     n, m = setup.dim, setup.module_dim
     span_cols = [tuple(t.col(a)) + tuple(1 if b == a else 0 for b in range(m)) for a in range(m)]
     span = Matrix.from_cols([vector(c) for c in span_cols], rows=n + m)
-    base_rank = span.rank()
-    for a, b in ext_basis(m, 2):
-        w = semi.bracket_vec(span.col(a), span.col(b))
-        if span.hstack(Matrix.from_cols([w], rows=n + m)).rank() != base_rank:
-            return False
-    return True
+    brackets = tabulate([(1, (semi.bracket, (span, 0), (span, 1)))], ext_basis(m, 2), n + m)
+    return span.hstack(brackets).rank() == span.rank()
 
 
 def induced_bracket_cochain(setup: TrbSetup, t: Operator) -> Cochain:
@@ -389,6 +387,8 @@ def r_matrix_check(
     H built from psi.  On success also returns the induced dual-space Lie
     algebra and checks that r is a morphism onto it.
     """
+    if r.rows != algebra.dim or r.cols != algebra.dim:
+        raise InvalidStructure(f"r must be {algebra.dim}x{algebra.dim}, got {r.rows}x{r.cols}")
     if not r.is_skew():
         raise NotSkew("r must be skew-symmetric")
     if not is_scalar_cocycle(algebra, psi):

@@ -13,23 +13,23 @@ for the matrix (the library assembles the matrix from structure constants
 and applies it to a single cochain too), and the d_T matrix oracle pushes unit
 cochains through the L-infinity brackets, where the library builds the matrix
 as a Chevalley-Eilenberg differential.  The dense evaluation oracles walk every
-index tuple and every matrix entry, where the library's kernels visit only
-the nonzero coordinates.  Every evaluation the other oracles make goes
-through them, never through the index folding (`multilin._fold`) that
-`Cochain.skew_eval` shares with the library's insertion `linfty._nr_insert`;
-only the d_T matrix oracle reaches that code, through the library's
-brackets, since it checks the Chevalley-Eilenberg route against the bracket
-route.  The term-by-term defect oracles build each identity from one
-evaluation and one vector or matrix temporary per term, where the library
-either accumulates the defect in one hand-fused list (`_nr_insert`,
-`validate_rep`, `jacobi_defect`) or states the identity as signed terms for
-`multilin.term_defect`.  That evaluator sums integers over
-one scale per compiled node; `term_defect_fraction` evaluates the same
-signed terms on the same sparse tables (`multilin._table`) in Fractions,
-term by term.  The derived-structure oracles build the induced bracket and
-action, the NS-Lie tables of the three constructions and the adjacent Lie
-algebra of an NS-Lie algebra by vector arithmetic on each basis tuple, where
-the library tabulates signed terms.
+index tuple and every matrix entry, where the library evaluates every
+multilinear map, `Cochain.skew_eval` and the insertion behind
+`linfty.nr_bracket` included, through `multilin.term_defect`, which visits
+only the nonzero coordinates.  Every evaluation the other oracles make goes
+through the dense forms, never through that evaluator; only the d_T matrix
+oracle reaches it, through the library's brackets, since it checks the
+Chevalley-Eilenberg route against the bracket route.  The term-by-term
+defect oracles build each identity from one evaluation and one vector or
+matrix temporary per term, where the library either accumulates the defect
+in one hand-fused list (`validate_rep`, `jacobi_defect`) or states the
+identity, or the insertion, as signed terms for `multilin.term_defect`.
+That evaluator sums integers over one scale per compiled node;
+`term_defect_fraction` evaluates the same signed terms on the same sparse
+tables (`multilin._table`) in Fractions, term by term.  The derived-structure
+oracles build the induced bracket and action, the NS-Lie tables of the three
+constructions and the adjacent Lie algebra of an NS-Lie algebra by vector
+arithmetic on each basis tuple, where the library tabulates signed terms.
 """
 from __future__ import annotations
 
@@ -742,7 +742,8 @@ def reynolds_defect(algebra, r: Matrix, i: int, j: int) -> Vector:
 
 
 def term_defect_fraction(terms: list) -> Callable[..., Vector]:
-    """`multilin.term_defect` with every value a Fraction: no scales, each sign applied to each entry."""
+    """`multilin.term_defect` with every value a Fraction: no scales, each sign applied to each entry,
+    and an op's value summed over every combination of its arguments' entries, one at a time."""
     tables: dict[int, tuple[dict, tuple[int, ...], int]] = {}
 
     def compile(expr) -> tuple[object, int | None]:
@@ -755,7 +756,7 @@ def term_defect_fraction(terms: list) -> Callable[..., Vector]:
             if len(dims) > 1:
                 raise DimensionMismatch(f"terms of dimensions {sorted(dims)} added")
             return [(sign, node) for sign, (node, _) in parts], dims.pop() if dims else None
-        if isinstance(expr[0], Fraction):
+        if not expr or isinstance(expr[0], Fraction):
             return {i: x for i, x in enumerate(expr) if x}, len(expr)
         if id(expr[0]) not in tables:
             tables[id(expr[0])] = _table(expr[0])
@@ -765,12 +766,6 @@ def term_defect_fraction(terms: list) -> Callable[..., Vector]:
             raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d in args]}")
         return (table, *(node for node, _ in args)), dim
 
-    def support(arg, case) -> list:
-        """(index, coefficient) pairs of an argument; a slot has coefficient None, meaning 1."""
-        if isinstance(arg, int):
-            return [(case[arg], None)]
-        return [(k, x) for k, x in value(arg, case).items() if x]
-
     def value(node, case) -> dict[int, Fraction]:
         if isinstance(node, int):
             return {case[node]: ONE}
@@ -779,16 +774,12 @@ def term_defect_fraction(terms: list) -> Callable[..., Vector]:
         if isinstance(node, list):
             items = [(k, x if sign > 0 else -x) for sign, e in node for k, x in value(e, case).items()]
         else:
-            table, args = node[0], [support(a, case) for a in node[1:]]
-            if len(args) == 1:
-                pairs = [(table.get(k), c) for k, c in args[0]]
-            else:
-                pairs = [
-                    (table.get((i, j)), x if y is None else y if x is None else x * y)
-                    for i, x in args[0]
-                    for j, y in args[1]
-                ]
-            items = [(k, y if c is None else c * y) for col, c in pairs for k, y in col or ()]
+            table, args = node[0], [value(a, case) for a in node[1:]]
+            items = []
+            for combo in itertools.product(*(arg.items() for arg in args)):
+                key = combo[0][0] if len(combo) == 1 else tuple(k for k, _ in combo)
+                coeff = math.prod(x for _, x in combo)
+                items += [(k, coeff * y) for k, y in table.get(key, ())]
         out: dict[int, Fraction] = {}
         for k, x in items:
             out[k] = out[k] + x if k in out else x

@@ -100,6 +100,15 @@ def test_check_r_matrix(capsys):
     assert payload["dual_bracket"]["values"] == {"[1,2]": ["0", "0", "1"]}
 
 
+def test_check_r_matrix_non_square_exit_two(tmp_path, capsys):
+    """A 3x2 r on a 3-dimensional algebra is invalid input, not a failed skew-symmetry check."""
+    path = tmp_path / "nonsquare.json"
+    path.write_text(json.dumps({"lie_algebra": {"dim": 3, "brackets": {}}, "operator_T": [["0", "1"], ["-1", "0"], ["0", "0"]]}))
+    code, out, err = run_cli(["check-r-matrix", str(path)], capsys)
+    assert code == 2
+    assert "r must be 3x3, got 3x2" in err and "Traceback" not in out + err
+
+
 def test_check_tgcs(capsys):
     code, out, _ = run_cli(["check-tgcs", str(INSTANCES / "dim1_gcs.json"), "--json"], capsys)
     assert code == 0

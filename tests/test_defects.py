@@ -1,11 +1,10 @@
 """Single-pass and signed-term defects against the term-by-term oracles.
 
-`linfty._nr_insert` folds every unshuffle term of a basis tuple into one
-coefficient per column; `validate_rep` and `jacobi_defect` accumulate each
-defect in one list; every other identity check, the twisted Rota-Baxter
-check included, states its identity as signed terms for
-`multilin.term_defect`, and the derived structures (induced bracket and
-action, the NS-Lie tables) are signed terms tabulated by `multilin.tabulate`.
+`validate_rep` and `jacobi_defect` accumulate each defect in one list;
+every other identity check, the twisted Rota-Baxter check included, states
+its identity as signed terms for `multilin.term_defect`, and the derived
+structures (induced bracket and action, the NS-Lie tables) and the graded
+bracket `linfty.nr_bracket` are signed terms tabulated by `multilin.tabulate`.
 The oracles in `oracles.py` build the same values one evaluation and one
 temporary per term.  A signed-term defect is taken from the call the check
 makes to `report.first_failure`, so what is compared is what the check
@@ -31,7 +30,7 @@ from twistrb import corpus, deform, liealg, nslie, operators, report, tgcs
 from twistrb.errors import DimensionMismatch
 from twistrb.exactlin import Matrix, vector
 from twistrb.liealg import Representation, abelian, jacobi_defect, trivial_rep, validate_rep
-from twistrb.linfty import _nr_insert
+from twistrb.linfty import nr_bracket
 from twistrb.multilin import Bilinear, Cochain, ext_basis, term_defect
 from twistrb.operators import trb_setup
 from twistrb.report import EquationReport, Violation, first_failure, passed
@@ -67,27 +66,48 @@ def assert_same(got, expected):
     assert got == expected
 
 
+def nr_bracket_terms(a, b):
+    """A o B - (-1)^{|A||B|} B o A from the term-by-term insertions, |A| = degree - 1."""
+    flip = nr_insert_terms(b, a)
+    return nr_insert_terms(a, b) + (flip if (a.degree - 1) * (b.degree - 1) % 2 else -flip)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_nr_insert_matches_terms(data):
+def test_nr_bracket_matches_terms(data):
     """Source dims 1-5, degrees 0-3: degree > dim and arity < 0 included."""
     dim = data.draw(st.integers(1, 5))
     a = data.draw(cochains(dim, data.draw(st.integers(0, 3))))
     b = data.draw(cochains(dim, data.draw(st.integers(0, 3))))
-    got, expected = _nr_insert(a, b), nr_insert_terms(a, b)
+    got, expected = nr_bracket(a, b), nr_bracket_terms(a, b)
     assert (got.degree, got.source_dim, got.target_dim) == (expected.degree, dim, dim)
     assert_same(got.matrix.entries, expected.matrix.entries)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-def test_nr_insert_negative_arity_and_zero_cochains(dim):
+def test_nr_bracket_negative_arity_and_zero_cochains(dim):
     a, b = Cochain.zero(0, dim, dim), Cochain(0, dim, dim, Matrix(dim, 1, [Fraction(1, 2)] * dim))
-    out = _nr_insert(a, b)
-    assert out.degree == -1 and out == nr_insert_terms(a, b)
+    out = nr_bracket(a, b)
+    assert out.degree == -1 and out == nr_bracket_terms(a, b)
     zero = Cochain.zero(2, dim, dim)
     for degree in range(4):
         other = Cochain.zero(degree, dim, dim)
-        assert _nr_insert(zero, other).is_zero() and _nr_insert(zero, other) == nr_insert_terms(zero, other)
+        for x, y in ((zero, other), (other, zero)):
+            assert nr_bracket(x, y).is_zero() and nr_bracket(x, y) == nr_bracket_terms(x, y)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_nr_bracket_with_a_constant_pins_each_insertion(dim):
+    """A o B has no terms when A has degree 0, so the bracket of a constant A with a
+    degree-p map B is (-1)^p B o A, and the bracket the other way round is B o A alone."""
+    const = Cochain(0, dim, dim, Matrix(dim, 1, [Fraction(k + 1, 2) for k in range(dim)]))
+    for degree in (1, 2, 3):
+        cols = comb(dim, degree)
+        other = Cochain(degree, dim, dim, Matrix(dim, cols, [Fraction(k % 3 - 1, 3) for k in range(dim * cols)]))
+        assert nr_insert_terms(const, other).is_zero()
+        inserted = nr_insert_terms(other, const)
+        assert nr_bracket(const, other) == (-inserted if degree % 2 else inserted)
+        assert nr_bracket(other, const) == inserted
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,7 +459,8 @@ def test_term_defect_forms():
 
 
 def test_term_defect_rejects_maps_that_do_not_compose():
-    """A map applied to a value of another dimension, a sum of two dimensions, a fixed vector of the wrong length."""
+    """A map applied to a value of another dimension or to the wrong number of arguments, a sum
+    of two dimensions, a fixed vector of the wrong length, a constant used as a map."""
     c, a = Cochain.zero(2, 3, 3), Matrix.zero(2, 2)
 
     def ones(degree, dim):
@@ -450,11 +471,16 @@ def test_term_defect_rejects_maps_that_do_not_compose():
         [(1, (a, 0)), (-1, (c, 0, 1))],
         [(1, (c, vector([1, 2]), 0))],
         [(1, (a, 0, 1))],
-        # cochains of degree other than 2 applied as binary maps: as many columns as pairs
-        # (degree 1 on dim 3), fewer (degree 3 on dim 4), more (degree 1 on dim 2)
+        # cochains given other than as many arguments as their degree: as many columns as
+        # pairs (degree 1 on dim 3), fewer (degree 3 on dim 4), more (degree 1 on dim 2)
         [(1, (ones(1, 3), 0, 1))],
         [(1, (ones(3, 4), 0, 1))],
         [(1, (ones(1, 2), 0, 1))],
+        [(1, (ones(3, 3), 0, 1))],
+        [(1, (ones(2, 3), 0, 1, 2))],
+        # a degree-0 cochain is a constant, not a map, whatever it is given
+        [(1, (ones(0, 3), 0))],
+        [(1, (ones(0, 3),))],
     ):
         with pytest.raises(DimensionMismatch):
             term_defect(terms)
@@ -463,15 +489,23 @@ def test_term_defect_rejects_maps_that_do_not_compose():
         liealg.nijenhuis_check(sl2, Matrix.identity(sl2.dim - 1))
 
 
-SLOTS = 2
+SLOTS = 3
+
+
+def arity(op):
+    """How many arguments a map of `identity_maps` takes."""
+    if isinstance(op, Matrix):
+        return 1
+    return op.degree if isinstance(op, Cochain) else 2
 
 
 def identity_maps(n):
-    """One map of each kind on dimension n, each possibly all-zero, entries of wide scales."""
+    """One map of each kind on dimension n, cochains of degrees 1-3, each possibly all-zero,
+    entries of wide scales."""
     wide = partial(matrices, entries=wide_sparse_rationals)
     return st.tuples(
         wide(n, n),
-        wide(n, comb(n, 2)).map(lambda m: Cochain(2, n, n, m)),
+        *(wide(n, comb(n, p)).map(partial(Cochain, p, n, n)) for p in (1, 2, 3)),
         wide(n, n * n).map(lambda m: Bilinear(n, n, m)),
         st.tuples(*[wide(n, n)] * n),
     )
@@ -488,14 +522,14 @@ def identity_expr(data, maps, n, depth, kinds=("slot", "vector", "sum", "op")):
         count = data.draw(st.integers(1, 3))
         return [(data.draw(st.sampled_from([1, -1])), identity_expr(data, maps, n, depth - 1)) for _ in range(count)]
     op = data.draw(st.sampled_from(maps))
-    return (op, *(identity_expr(data, maps, n, depth - 1) for _ in range(1 if isinstance(op, Matrix) else 2)))
+    return (op, *(identity_expr(data, maps, n, depth - 1) for _ in range(arity(op))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_term_defect_matches_fraction_oracle(data):
-    """Drawn identities over all four kinds of map: nested sums of terms with different scales,
-    fixed vectors, all-zero maps, large coprime denominators; every basis tuple."""
+    """Drawn identities over every kind of map, unary to ternary: nested sums of terms with
+    different scales, fixed vectors, all-zero maps, large coprime denominators; every basis tuple."""
     n = data.draw(st.integers(1, 3))
     maps = data.draw(identity_maps(n))
     terms = [

@@ -69,6 +69,11 @@ def test_skew_eval_basis_behaviour():
     assert f.skew_eval([e[0], e[0]]) == (0, 0, 0)
     const = Cochain.from_values(0, 3, 2, {(): (5, 7)})
     assert const.skew_eval([]) == (5, 7)
+    # on a 0-dimensional source every argument is the empty vector and every value is zero
+    for degree in (1, 2):
+        assert Cochain.zero(degree, 0, 2).skew_eval([()] * degree) == (0, 0)
+    with pytest.raises(DimensionMismatch):
+        f.skew_eval([e[0]])
 
 
 @settings(max_examples=40)

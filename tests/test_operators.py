@@ -323,6 +323,8 @@ def test_r_matrix_rejections(algebras):
     sl2 = algebras["sl2"]
     with pytest.raises(NotSkew):
         r_matrix_check(sl2, Matrix.identity(3), Cochain.zero(3, 3, 1))
+    with pytest.raises(InvalidStructure):
+        r_matrix_check(sl2, Matrix.zero(3, 2), Cochain.zero(3, 3, 1))
     heis = algebras["heisenberg"]
     # a scalar 3-cochain on sl2 that is not closed does not exist in top degree;
     # build a non-cocycle on a 4-dimensional algebra instead
