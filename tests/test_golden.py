@@ -3,7 +3,8 @@
 Every file in `instances/` is run through every command whose sections it
 carries, in text and in `--json` mode, with `--nmax 2`.  The flag values of
 `--x`, `--b` and `--h` are the zero vector and zero matrices used in
-test_cli.py, sized to the instance.  `tests/golden/<instance>.json` maps
+test_cli.py, sized to the instance; the zero `--x` always passes, so
+`FLAG_CASES` adds a failing one.  `tests/golden/<instance>.json` maps
 each case to its recorded exit code and stdout; running this file as a
 script (with `src` on PYTHONPATH) re-records them; do so only for an
 intended output change.
@@ -44,6 +45,8 @@ COMMANDS = (
     ("gauge", ("--b",), ("lie_algebra", "representation", "operator_T")),
     ("shift", ("--h",), ("lie_algebra", "representation", "operator_T")),
 )
+# (instance, command, flag arguments) run besides the zero flag values
+FLAG_CASES = (("affine_failing_deformation", "nijenhuis-element", ("--x", "1/2,-2/3")),)
 
 
 def _zeros(rows: int, cols: int) -> str:
@@ -73,6 +76,11 @@ def cases() -> list[tuple[str, str, list[str]]]:
             argv = _argv(command, extra, path, doc)
             out.append((path.stem, command, argv))
             out.append((path.stem, command + " --json", argv + ["--json"]))
+    for stem, command, flags in FLAG_CASES:
+        argv = [command, str(INSTANCES / f"{stem}.json"), *flags]
+        name = " ".join([command, *flags])
+        out.append((stem, name, argv))
+        out.append((stem, name + " --json", argv + ["--json"]))
     out.append(("witt-report", "witt-report", ["witt-report", "--nmax", "2"]))
     out.append(("witt-report", "witt-report --json", ["witt-report", "--nmax", "2", "--json"]))
     return out
