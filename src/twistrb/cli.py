@@ -61,29 +61,37 @@ class MathFailure(Exception):
         self.witnesses = witnesses
 
 
-def _witness(v: Violation | None) -> list[str]:
-    return [] if v is None else [v.describe()]
+def _witnesses(report: CheckReport | EquationReport) -> list[str]:
+    """The witness of a failed check; for equations, those of the failed identities in order."""
+    if isinstance(report, EquationReport):
+        return [w for _, rep in report.equations for w in _witnesses(rep)]
+    return [] if report.ok or report.violation is None else [report.violation.describe()]
 
 
 def _need_pass(name: str, report: CheckReport) -> None:
     if not report.ok:
-        raise MathFailure(name, _witness(report.violation))
+        raise MathFailure(name, _witnesses(report))
+
+
+def _as_report(out) -> CheckReport:
+    """A validator's result as a check: failed with its violation, or passed."""
+    return CheckReport(False, out) if isinstance(out, Violation) else CheckReport(True)
+
+
+def _valid(name: str, out):
+    """A validator's structure, or a MathFailure naming the section and its violation."""
+    _need_pass(name, _as_report(out))
+    return out
 
 
 def _algebra(doc: InstanceDocument) -> LieAlgebra:
     doc.require("lie_algebra")
-    out = validate_lie(doc.lie_dim, doc.brackets or {})
-    if isinstance(out, Violation):
-        raise MathFailure("lie_algebra", [out.describe()])
-    return out
+    return _valid("lie_algebra", validate_lie(doc.lie_dim, doc.brackets or {}))
 
 
 def _representation(doc: InstanceDocument, algebra: LieAlgebra) -> Representation:
     doc.require("representation")
-    out = validate_rep(algebra, doc.module_dim, doc.action)
-    if isinstance(out, Violation):
-        raise MathFailure("representation", [out.describe()])
-    return out
+    return _valid("representation", validate_rep(algebra, doc.module_dim, doc.action))
 
 
 def _setup(doc: InstanceDocument) -> TrbSetup:
@@ -109,145 +117,131 @@ def _passing_operator(doc: InstanceDocument) -> tuple[TrbSetup, Matrix]:
     return setup, t
 
 
-def _equation_lines(report: EquationReport) -> tuple[list[str], list[str]]:
-    lines, witnesses = [], []
-    for name, rep in report.equations:
-        lines.append(f"{name}: {'pass' if rep.ok else 'FAIL'}")
-        if not rep.ok and rep.violation is not None:
-            witnesses.append(rep.violation.describe())
-    return lines, witnesses
+# -- renderers: the one text and JSON form of each report kind ---------------
+# each returns (verdict_ok, payload dict, human lines), as the handlers do
+
+
+def _verdict(title: str, ok: bool) -> str:
+    return f"{title}: {'pass' if ok else 'FAIL'}"
+
+
+def _check(title: str, report: CheckReport, *extra: str, **payload: Any):
+    """'title: pass/FAIL', the extra lines, then the witness."""
+    witnesses = _witnesses(report)
+    return report.ok, {"witnesses": witnesses, **payload}, [_verdict(title, report.ok), *extra, *witnesses]
+
+
+def _equations(report: EquationReport, *extra: str, **payload: Any):
+    """One verdict line per identity, the extra lines, then the witnesses."""
+    witnesses = _witnesses(report)
+    lines = [_verdict(name, rep.ok) for name, rep in report.equations]
+    return report.ok, {"equations": report.verdicts(), "witnesses": witnesses, **payload}, [*lines, *extra, *witnesses]
+
+
+def _dimensions(group: str, dims: list[int]):
+    return True, {"dimensions": dims}, [f"{group.format(n)} dimension: {d}" for n, d in enumerate(dims)]
+
+
+def _operator_matrix(heading: str, m: Matrix, passes: str):
+    """The heading, one indented line per row, then the identity the matrix passes."""
+    rows = matrix_json(m)
+    return True, {"operator": rows}, [heading, *("  " + " ".join(row) for row in rows), _verdict(passes, True)]
+
+
+_WITT_FIELDS = ("m", "n", "lhs", "rhs", "induced", "ok")
+
+
+def _witt(report: list) -> tuple[bool, dict, list[str]]:
+    """One JSON row per pair; each text line lists the row's fields, ok as yes/NO."""
+    yes = {True: "yes", False: "NO"}
+    rows = [
+        dict(zip(_WITT_FIELDS, (r.m, r.n, scalar_str(r.lhs), scalar_str(r.rhs), scalar_str(r.induced), r.ok)))
+        for r in report
+    ]
+    all_ok = all(row["ok"] for row in rows)
+    lines = [" ".join(_WITT_FIELDS)]
+    lines += [" ".join(yes[v] if k == "ok" else str(v) for k, v in row.items()) for row in rows]
+    lines.append(f"rows: {len(rows)}  all pass: {yes[all_ok]}")
+    return all_ok, {"rows": rows}, lines
 
 
 # -- command handlers ------------------------------------------------------
-# each returns (verdict_ok, payload dict, human lines)
 
 
 def cmd_validate(doc: InstanceDocument, args) -> tuple[bool, dict, list[str]]:
-    results: dict[str, bool] = {}
-    witnesses: list[str] = []
-
-    def record(name: str, violation: Violation | None) -> bool:
-        results[name] = violation is None
-        witnesses.extend(_witness(violation))
-        return violation is None
-
+    sections: dict[str, CheckReport | EquationReport] = {}
     if doc.lie_dim is not None:
-        out = validate_lie(doc.lie_dim, doc.brackets or {})
-        if record("lie_algebra", out if isinstance(out, Violation) else None) and doc.action is not None:
-            rep = validate_rep(out, doc.module_dim, doc.action)
-            if record("representation", rep if isinstance(rep, Violation) else None) and doc.cocycle_h is not None:
-                record("cocycle_H", is_two_cocycle(out, rep, doc.cocycle_h).violation)
+        algebra = validate_lie(doc.lie_dim, doc.brackets or {})
+        sections["lie_algebra"] = _as_report(algebra)
+        if sections["lie_algebra"].ok and doc.action is not None:
+            rep = validate_rep(algebra, doc.module_dim, doc.action)
+            sections["representation"] = _as_report(rep)
+            if sections["representation"].ok and doc.cocycle_h is not None:
+                sections["cocycle_H"] = is_two_cocycle(algebra, rep, doc.cocycle_h)
     for name, section, check in (("ns_lie", doc.ns, nslie.ns_check), ("assoc_ns", doc.assoc, nslie.assoc_ns_check)):
         if section is not None:
-            report = check(section)
-            results[name] = report.ok
-            witnesses.extend(_equation_lines(report)[1])
-    if not results:
+            sections[name] = check(section)
+    if not sections:
         raise MissingSection("nothing to validate: no recognized sections present")
-    lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in results.items()]
-    return all(results.values()), {"sections": results, "witnesses": witnesses}, lines + witnesses
+    witnesses = [w for report in sections.values() for w in _witnesses(report)]
+    lines = [_verdict(name, report.ok) for name, report in sections.items()]
+    verdicts = {name: report.ok for name, report in sections.items()}
+    return all(verdicts.values()), {"sections": verdicts, "witnesses": witnesses}, lines + witnesses
 
 
 def cmd_ce_cohomology(doc, args):
     algebra = _algebra(doc)
-    rep = _representation(doc, algebra)
-    dims = ce_cohomology_dims(algebra, rep, args.nmax)
-    lines = [f"H^{n} dimension: {d}" for n, d in enumerate(dims)]
-    return True, {"dimensions": dims}, lines
+    return _dimensions("H^{}", ce_cohomology_dims(algebra, _representation(doc, algebra), args.nmax))
 
 
 def cmd_check_trb(doc, args):
     setup = _setup(doc)
-    t = _operator(doc)
-    rep = check_trb(setup, t)
-    lines = [f"twisted Rota-Baxter identity: {'pass' if rep.ok else 'FAIL'}"]
-    return rep.ok, {"witnesses": _witness(rep.violation)}, lines + _witness(rep.violation)
+    return _check("twisted Rota-Baxter identity", check_trb(setup, _operator(doc)))
 
 
 def cmd_check_mc(doc, args):
     setup = _setup(doc)
-    t = _operator(doc)
-    defect, direct = linfty.mc_defect(setup, t)
+    defect, direct = linfty.mc_defect(setup, _operator(doc))
     ok = defect.is_zero()
-    lines = [
-        f"Maurer-Cartan defect zero: {'pass' if ok else 'FAIL'}",
-        f"direct identity agrees: {'pass' if direct.ok == ok else 'FAIL'}",
-    ]
-    return ok, {"maurer_cartan": ok, "direct": direct.ok, "witnesses": _witness(direct.violation)}, lines
+    lines = [_verdict("Maurer-Cartan defect zero", ok), _verdict("direct identity agrees", direct.ok == ok)]
+    return ok, {"maurer_cartan": ok, "direct": direct.ok, "witnesses": _witnesses(direct)}, lines
 
 
 def cmd_cohomology_of_t(doc, args):
     setup, t = _passing_operator(doc)
-    dims = linfty.cohomology_of_t_dims(setup, t, args.nmax)
-    lines = [f"H^{n}_T dimension: {d}" for n, d in enumerate(dims)]
-    return True, {"dimensions": dims}, lines
+    return _dimensions("H^{}_T", linfty.cohomology_of_t_dims(setup, t, args.nmax))
 
 
 def cmd_check_reynolds(doc, args):
     algebra = _algebra(doc)
-    doc.require("operator_T")
-    r = doc.operator_t
-    if r.rows != algebra.dim or r.cols != algebra.dim:
-        raise InvalidStructure("Reynolds operator must be square of the algebra dimension")
-    rep = reynolds_check(algebra, r)
-    lines = [f"Reynolds identity: {'pass' if rep.ok else 'FAIL'}"]
-    return rep.ok, {"witnesses": _witness(rep.violation)}, lines + _witness(rep.violation)
+    return _check("Reynolds identity", reynolds_check(algebra, _operator(doc)))
 
 
 def cmd_reynolds_from_derivation(doc, args):
     algebra = _algebra(doc)
     doc.require("derivation_d")
     r = reynolds_from_derivation(algebra, doc.derivation_d)
-    lines = ["Reynolds operator from the derivation series:"]
-    lines += ["  " + " ".join(row) for row in matrix_json(r)]
-    lines.append("Reynolds identity: pass")
-    return True, {"operator": matrix_json(r)}, lines
+    return _operator_matrix("Reynolds operator from the derivation series:", r, "Reynolds identity")
 
 
 def cmd_witt_report(doc, args):
-    rows = witt_report(args.nmax)
-    all_ok = all(r.ok for r in rows)
-    lines = ["m n lhs rhs induced ok"]
-    for r in rows:
-        lines.append(
-            f"{r.m} {r.n} {scalar_str(r.lhs)} {scalar_str(r.rhs)} "
-            f"{scalar_str(r.induced)} {'yes' if r.ok else 'NO'}"
-        )
-    lines.append(f"rows: {len(rows)}  all pass: {'yes' if all_ok else 'NO'}")
-    payload = {
-        "rows": [
-            {
-                "m": r.m,
-                "n": r.n,
-                "lhs": scalar_str(r.lhs),
-                "rhs": scalar_str(r.rhs),
-                "induced": scalar_str(r.induced),
-                "ok": r.ok,
-            }
-            for r in rows
-        ]
-    }
-    return all_ok, payload, lines
+    return _witt(witt_report(args.nmax))
 
 
 def cmd_check_r_matrix(doc, args):
     algebra = _algebra(doc)
-    doc.require("operator_T")
+    r = _operator(doc)
     psi = doc.psi if doc.psi is not None else Cochain.zero(3, algebra.dim, 1)
-    verdict, dual = r_matrix_check(algebra, doc.operator_t, psi)
-    lines = [f"twisted triangular r-matrix: {'pass' if verdict.ok else 'FAIL'}"]
-    payload: dict[str, Any] = {"witnesses": _witness(verdict.violation)}
-    if dual is not None:
-        payload["dual_bracket"] = cochain_json(dual.bracket)
-        lines.append("dual bracket computed; r is a morphism onto it")
-    return verdict.ok, payload, lines + _witness(verdict.violation)
+    verdict, dual = r_matrix_check(algebra, r, psi)
+    if dual is None:
+        return _check("twisted triangular r-matrix", verdict)
+    morphism = "dual bracket computed; r is a morphism onto it"
+    return _check("twisted triangular r-matrix", verdict, morphism, dual_bracket=cochain_json(dual.bracket))
 
 
 def cmd_check_ns(doc, args):
     doc.require("ns_lie")
-    rep = nslie.ns_check(doc.ns)
-    lines, witnesses = _equation_lines(rep)
-    return rep.ok, {"equations": rep.verdicts(), "witnesses": witnesses}, lines + witnesses
+    return _equations(nslie.ns_check(doc.ns))
 
 
 def cmd_ns_from(doc, args):
@@ -260,11 +254,9 @@ def cmd_ns_from(doc, args):
         ns = nslie.ns_from_assoc(doc.assoc)
     else:
         setup = _setup(doc)
-        t = _operator(doc)
-        ns = nslie.ns_from_trb(setup, t)
+        ns = nslie.ns_from_trb(setup, _operator(doc))
     payload = {"ns_lie": ns_json(ns)}
-    lines = ["constructed NS-Lie structure:", json.dumps(payload["ns_lie"], sort_keys=True)]
-    lines.append("ns_check: pass")
+    lines = ["constructed NS-Lie structure:", json.dumps(payload["ns_lie"], sort_keys=True), _verdict("ns_check", True)]
     return True, payload, lines
 
 
@@ -279,7 +271,7 @@ def cmd_trb_from_ns(doc, args):
     lines = [
         "adjacent Lie algebra bracket: " + json.dumps(payload["adjacent_bracket"], sort_keys=True),
         "twist: " + json.dumps(payload["cocycle_H"], sort_keys=True),
-        "identity operator passes: pass",
+        _verdict("identity operator passes", True),
     ]
     return True, payload, lines
 
@@ -291,19 +283,15 @@ def cmd_deform_check(doc, args):
     _need_pass("twisted Rota-Baxter identity (base)", check_trb(setup, t))
     # the coefficients were shape-checked on parsing
     d = deform_mod.FormalDeformation(setup, t, doc.deformation)
-    defects = deform_mod.deformation_equation_defects(d, up_to=args.order)
-    verdicts = [dd.is_zero() for dd in defects]
-    lines = [f"order {n+1} defect zero: {'pass' if v else 'FAIL'}" for n, v in enumerate(verdicts)]
-    ok = all(verdicts)
-    return ok, {"orders": verdicts}, lines
+    verdicts = [dd.is_zero() for dd in deform_mod.deformation_equation_defects(d, up_to=args.order)]
+    lines = [_verdict(f"order {n + 1} defect zero", v) for n, v in enumerate(verdicts)]
+    return all(verdicts), {"orders": verdicts}, lines
 
 
 def cmd_nijenhuis_element(doc, args):
     setup, t = _passing_operator(doc)
     x = parse_vector([p.strip() for p in args.x.split(",")], setup.dim, "--x")
-    rep = deform_mod.nijenhuis_element_check(setup, t, x)
-    lines, witnesses = _equation_lines(rep)
-    return rep.ok, {"equations": rep.verdicts(), "witnesses": witnesses}, lines + witnesses
+    return _equations(deform_mod.nijenhuis_element_check(setup, t, x))
 
 
 def cmd_rigidity_probe(doc, args):
@@ -334,40 +322,29 @@ def cmd_check_tgcs(doc, args):
     # the components report is cross-checked against the direct definition,
     # so its verdict is the direct verdict too
     components = tgcs.tgcs_check_components(setup, j)
-    ok = components.ok
-    lines, witnesses = _equation_lines(components)
-    lines.append(f"direct definition: {'pass' if ok else 'FAIL'}")
-    return ok, {"equations": components.verdicts(), "direct": ok, "witnesses": witnesses}, lines + witnesses
+    return _equations(components, _verdict("direct definition", components.ok), direct=components.ok)
 
 
 def cmd_lie_tgcs(doc, args):
     algebra = _algebra(doc)
     doc.require("lie_gcs")
     psi = doc.psi if doc.psi is not None else Cochain.zero(3, algebra.dim, 1)
-    rep = tgcs.lie_tgcs_check(algebra, psi, doc.lie_gcs)
-    lines, witnesses = _equation_lines(rep)
-    return rep.ok, {"equations": rep.verdicts(), "witnesses": witnesses}, lines + witnesses
+    return _equations(tgcs.lie_tgcs_check(algebra, psi, doc.lie_gcs))
 
 
 def cmd_gauge(doc, args):
     setup, t = _passing_operator(doc)
     b = _parse_matrix_flag(args.b, setup.module_dim, setup.dim, "--b")
-    t_b = gauge_transform(setup, t, b)
-    lines = ["gauge transform:"]
-    lines += ["  " + " ".join(row) for row in matrix_json(t_b)]
-    lines.append("transformed operator passes: pass")
-    return True, {"operator": matrix_json(t_b)}, lines
+    return _operator_matrix("gauge transform:", gauge_transform(setup, t, b), "transformed operator passes")
 
 
 def cmd_shift(doc, args):
     setup, t = _passing_operator(doc)
     h = _parse_matrix_flag(args.h, setup.module_dim, setup.dim, "--h")
     shifted, t_new = shift_by_coboundary(setup, t, h)
-    lines = ["shifted twist: " + json.dumps(cochain_json(shifted.cocycle), sort_keys=True)]
-    lines += ["shifted operator:"]
-    lines += ["  " + " ".join(row) for row in matrix_json(t_new)]
-    lines.append("shifted operator passes: pass")
-    return True, {"cocycle_H": cochain_json(shifted.cocycle), "operator": matrix_json(t_new)}, lines
+    twist = cochain_json(shifted.cocycle)
+    ok, payload, lines = _operator_matrix("shifted operator:", t_new, "shifted operator passes")
+    return ok, {"cocycle_H": twist, **payload}, ["shifted twist: " + json.dumps(twist, sort_keys=True), *lines]
 
 
 def _parse_matrix_flag(text: str, rows: int, cols: int, flag: str) -> Matrix:
@@ -378,8 +355,10 @@ def _parse_matrix_flag(text: str, rows: int, cols: int, flag: str) -> Matrix:
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InvalidStructure(f"{flag}: neither inline JSON nor a readable JSON file ({exc})")
+    except (ValueError, RecursionError) as exc:  # an over-long integer or too deep nesting
+        raise InvalidStructure(f"{flag}: {exc}") from None
     return parse_matrix(raw, rows, cols, flag)
 
 
@@ -464,16 +443,11 @@ def main(argv=None) -> int:
     try:
         doc = load_instance(args.input) if "input" in args else InstanceDocument()
         ok, payload, lines = args.handler(doc, args)
-        verdict = "pass" if ok else "fail"
-        exit_code = 0 if ok else 1
-    except (MissingSection,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MathFailure as exc:
         _emit(args, "fail", {"failed_check": exc.name, "witnesses": exc.witnesses},
-              [f"{exc.name}: FAIL"] + exc.witnesses)
+              [_verdict(exc.name, False)] + exc.witnesses)
         return 1
-    except InvalidStructure as exc:
+    except InvalidStructure as exc:  # MissingSection too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistency as exc:
@@ -483,25 +457,17 @@ def main(argv=None) -> int:
         _emit(args, "fail", {"failed_check": type(exc).__name__, "witnesses": [str(exc)]},
               [f"{type(exc).__name__}: {exc}"])
         return 1
-    _emit(args, verdict, payload, lines)
-    return exit_code
+    _emit(args, "pass" if ok else "fail", payload, lines)
+    return 0 if ok else 1
 
 
 def _emit(args, verdict: str, payload: dict, lines: list[str]) -> None:
+    """Every report's envelope: one JSON object, or the header lines and then the report's lines."""
     if getattr(args, "json", False):
-        out = {
-            "command": args.command,
-            "seed": args.seed,
-            "verdict": verdict,
-        }
-        out.update(payload)
+        out = {"command": args.command, "seed": args.seed, "verdict": verdict, **payload}
         print(json.dumps(out, sort_keys=True, default=str))
     else:
-        print(f"command: {args.command}")
-        print(f"seed: {args.seed}")
-        print(f"verdict: {verdict}")
-        for line in lines:
-            print(line)
+        print("\n".join([f"command: {args.command}", f"seed: {args.seed}", f"verdict: {verdict}", *lines]))
 
 
 if __name__ == "__main__":

@@ -6,15 +6,18 @@ indices in files are 1-based ("[1,2]" keys, i < j for skew tables); scalars
 are exact rationals written as JSON integers or "p"/"p/q" strings with q > 0,
 and dimensions are positive JSON integers (not booleans).  Loading performs
 type, shape and cross-dimension checks only; mathematical validation (Jacobi,
-representation and cocycle axioms) belongs to the commands.
+representation and cocycle axioms) belongs to the commands.  Every index
+table (brackets, cochain values, vee, the bilinear maps) is read by
+`_parse_table` and written by `_index_table`.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidStructure
 from .exactlin import Matrix, scalar_str
@@ -54,7 +57,7 @@ def _positive_int(raw: Any, where: str) -> int:
 def _parse_key(key: str, arity: int, dim: int, where: str) -> tuple[int, ...]:
     try:
         idx = json.loads(key)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidStructure(f"{where}: bad index key {key!r}") from exc
     if not isinstance(idx, list) or len(idx) != arity:
         raise InvalidStructure(f"{where}: key {key!r} must list {arity} indices")
@@ -71,7 +74,10 @@ def parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]
     for x in raw:
         if not (_is_int(x) or (isinstance(x, str) and _SCALAR.fullmatch(x))):
             raise InvalidStructure(f'{where}: bad scalar {x!r} (expected an integer or "p/q")')
-    return tuple(Fraction(x) for x in raw)
+    try:
+        return tuple(Fraction(x) for x in raw)
+    except ValueError:  # a numerator or denominator past Python's int-string digit limit
+        raise InvalidStructure(f"{where}: a scalar has more digits than Python converts") from None
 
 
 def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Matrix:
@@ -88,6 +94,22 @@ def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Ma
     return Matrix(r, c, entries)
 
 
+def _parse_table(
+    raw: Any, arity: int, dim: int, length: int, where: str, increasing: bool
+) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+    """An index table: keys list `arity` indices in 1..dim (strictly increasing
+    if `increasing`), values `length` scalars, and no two keys name one tuple."""
+    table = {}
+    for key, vec in _object(raw, where).items():
+        t = _parse_key(key, arity, dim, where)
+        if increasing and any(a >= b for a, b in zip(t, t[1:])):
+            raise InvalidStructure(f"{where}: key {key!r} must be strictly increasing")
+        if t in table:
+            raise InvalidStructure(f"{where}: key {key!r} names the same index tuple as an earlier key")
+        table[t] = parse_vector(vec, length, f"{where}[{key}]")
+    return table
+
+
 def _parse_cochain(
     raw: Mapping, degree: int, source_dim: int, target_dim: int, where: str
 ) -> Cochain:
@@ -95,21 +117,12 @@ def _parse_cochain(
     for field, expected in (("degree", degree), ("source_dim", source_dim), ("target_dim", target_dim)):
         if field in raw and (not _is_int(raw[field]) or raw[field] != expected):
             raise InvalidStructure(f"{where}: {field} must be {expected}, got {raw[field]}")
-    parsed = {}
-    for key, vec in _object(raw.get("values", {}), f"{where}.values").items():
-        t = _parse_key(key, degree, source_dim, where)
-        if any(a >= b for a, b in zip(t, t[1:])):
-            raise InvalidStructure(f"{where}: key {key!r} must be strictly increasing")
-        parsed[t] = parse_vector(vec, target_dim, f"{where}[{key}]")
-    return Cochain.from_values(degree, source_dim, target_dim, parsed)
+    values = _parse_table(raw.get("values", {}), degree, source_dim, target_dim, f"{where}.values", increasing=True)
+    return Cochain.from_values(degree, source_dim, target_dim, values)
 
 
 def _parse_bilinear(raw: Mapping, dim: int, where: str) -> Bilinear:
-    parsed = {}
-    for key, vec in _object(raw, where).items():
-        i, j = _parse_key(key, 2, dim, where)
-        parsed[(i, j)] = parse_vector(vec, dim, f"{where}[{key}]")
-    return Bilinear.from_values(dim, dim, parsed)
+    return Bilinear.from_values(dim, dim, _parse_table(raw, 2, dim, dim, where, increasing=False))
 
 
 @dataclass(frozen=True)
@@ -160,12 +173,10 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     dim = None
     if lie is not None:
         dim = _positive_int(lie.get("dim"), "lie_algebra.dim")
-        table = {}
-        for key, vec in _object(lie.get("brackets", {}), "lie_algebra.brackets").items():
-            i, j = _parse_key(key, 2, dim, "lie_algebra.brackets")
-            table[(i, j)] = parse_vector(vec, dim, f"lie_algebra.brackets[{key}]")
         fields["lie_dim"] = dim
-        fields["brackets"] = table
+        fields["brackets"] = _parse_table(
+            lie.get("brackets", {}), 2, dim, dim, "lie_algebra.brackets", increasing=False
+        )
 
     mod = _section(data, "module")
     m_dim = None
@@ -205,13 +216,8 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     if ns is not None:
         ns_dim = _positive_int(ns.get("dim"), "ns_lie.dim")
         circ = _parse_bilinear(ns.get("circ", {}), ns_dim, "ns_lie.circ")
-        vee_vals = {}
-        for key, vec in _object(ns.get("vee", {}), "ns_lie.vee").items():
-            i, j = _parse_key(key, 2, ns_dim, "ns_lie.vee")
-            if i >= j:
-                raise InvalidStructure(f"ns_lie.vee key {key!r} must have i < j")
-            vee_vals[(i, j)] = parse_vector(vec, ns_dim, f"ns_lie.vee[{key}]")
-        fields["ns"] = NsLie(ns_dim, circ, Cochain.from_values(2, ns_dim, ns_dim, vee_vals))
+        vee = _parse_table(ns.get("vee", {}), 2, ns_dim, ns_dim, "ns_lie.vee", increasing=True)
+        fields["ns"] = NsLie(ns_dim, circ, Cochain.from_values(2, ns_dim, ns_dim, vee))
 
     assoc = _section(data, "assoc_ns")
     if assoc is not None:
@@ -273,7 +279,7 @@ def load_instance(path: str) -> InstanceDocument:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidStructure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, an over-long integer or too deep
         raise InvalidStructure(f"{path} is not valid JSON: {exc}") from exc
     return parse_instance(data)
 
@@ -289,29 +295,23 @@ def vector_json(v) -> list[str]:
     return [scalar_str(x) for x in v]
 
 
-def cochain_json(c: Cochain) -> dict:
-    values = {}
-    for t in c.basis_tuples():
-        col = c.value_on_basis(t)
+def _index_table(tuples: Iterable[tuple[int, ...]], column: Callable[[tuple[int, ...]], Sequence]) -> dict:
+    """The nonzero columns, in the order of `tuples`, keyed by their 1-based index tuple."""
+    out = {}
+    for t in tuples:
+        col = column(t)
         if any(x != 0 for x in col):
-            key = json.dumps([i + 1 for i in t], separators=(",", ""))
-            values[key] = vector_json(col)
-    return {
-        "degree": c.degree,
-        "source_dim": c.source_dim,
-        "target_dim": c.target_dim,
-        "values": values,
-    }
+            out[json.dumps([i + 1 for i in t], separators=(",", ""))] = vector_json(col)
+    return out
+
+
+def cochain_json(c: Cochain) -> dict:
+    values = _index_table(c.basis_tuples(), c.value_on_basis)
+    return {"degree": c.degree, "source_dim": c.source_dim, "target_dim": c.target_dim, "values": values}
 
 
 def bilinear_json(b: Bilinear) -> dict:
-    out = {}
-    for i in range(b.source_dim):
-        for j in range(b.source_dim):
-            col = b.value_on_basis(i, j)
-            if any(x != 0 for x in col):
-                out[json.dumps([i + 1, j + 1], separators=(",", ""))] = vector_json(col)
-    return out
+    return _index_table(itertools.product(range(b.source_dim), repeat=2), lambda t: b.value_on_basis(*t))
 
 
 def ns_json(ns: NsLie) -> dict:

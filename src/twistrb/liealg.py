@@ -40,9 +40,6 @@ class LieAlgebra:
     dim: int
     bracket: Cochain
 
-    def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        return self.bracket.skew_eval([x, y])
-
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.bracket.value_on_tuple((i, j))
 
@@ -303,7 +300,8 @@ def ce_cohomology_representatives(
     deterministic kernel order, whenever they are independent modulo the
     image of the previous differential: they are the kernel columns that are
     pivots in one RREF of the image columns followed by the kernel columns.
-    Dimensions are the primary surface; this is the flag-gated extra.
+    Dimensions are the primary surface; representatives are library-only:
+    no CLI command prints them.
     """
     kernel = ce_differential(algebra, rep, n).kernel_basis()
     if not kernel:

@@ -301,6 +301,8 @@ def reynolds_check(algebra: LieAlgebra, r: Matrix) -> CheckReport:
     Both the direct identity and the (H = -bracket, adjoint) twisted
     Rota-Baxter check are computed; they must agree.
     """
+    if r.rows != algebra.dim or r.cols != algebra.dim:
+        raise InvalidStructure("Reynolds operator must be square of the algebra dimension")
     c = algebra.bracket
     inner = [(1, (c, (r, 0), 1)), (1, (c, 0, (r, 1))), (-1, (c, (r, 0), (r, 1)))]
     terms = [(1, (c, (r, 0), (r, 1))), (-1, (r, inner))]

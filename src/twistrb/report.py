@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from .exactlin import Matrix
 from .multilin import term_defect
 
 
@@ -73,6 +74,11 @@ def passed() -> CheckReport:
 
 def failed(kind: str, where: tuple, defect) -> CheckReport:
     return CheckReport(False, Violation(kind, tuple(where), tuple(defect)))
+
+
+def vanishes(kind: str, m: Matrix) -> CheckReport:
+    """A whole-matrix identity: passed when every entry of m is zero, else failed at () with every entry."""
+    return passed() if m.is_zero() else failed(kind, (), m.entries)
 
 
 def first_failure(

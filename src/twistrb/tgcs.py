@@ -26,7 +26,7 @@ from .operators import (
     trb_setup,
     twisted_semidirect,
 )
-from .report import CheckReport, EquationReport, failed, first_failure, identity_reports, passed
+from .report import EquationReport, first_failure, identity_reports, vanishes
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,9 @@ def _integrability_terms(c: Cochain, j: Matrix) -> list:
 
 def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     """J^2 = -id and the integrability defect over the twisted semidirect bracket."""
-    n, m = setup.dim, setup.module_dim
-    total = n + m
+    total = setup.dim + setup.module_dim
     big = j.block()
-    square: CheckReport = passed()
-    sq = big @ big + Matrix.identity(total)
-    if not sq.is_zero():
-        square = failed("J^2 = -id", (), sq.entries)
+    square = vanishes("J^2 = -id", big @ big + Matrix.identity(total))
     semi = twisted_semidirect(setup)
     integ = first_failure("integrability", ext_basis(total, 2), term_defect(_integrability_terms(semi.bracket, big)))
     return EquationReport((("almost-complex", square), ("integrability", integ)))
@@ -120,21 +116,15 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     The agreement with `tgcs_check_direct` is checked on every call: the
     direct definition acts as a built-in oracle.
     """
-    n, m = setup.dim, setup.module_dim
     nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
-    eqs: list[tuple[str, CheckReport]] = []
-
-    def matrix_eq(label: str, lhs: Matrix, rhs: Matrix) -> None:
-        diff = lhs - rhs
-        eqs.append((label, passed() if diff.is_zero() else failed(label, (), diff.entries)))
-
-    matrix_eq("NT = TS", nm @ tm, tm @ sm)
-    matrix_eq("N^2 + T.sigma = -id", nm @ nm + tm @ sg, -Matrix.identity(n))
-    matrix_eq("S.sigma = sigma.N", sm @ sg, sg @ nm)
-    matrix_eq("S^2 + sigma.T = -id", sm @ sm + sg @ tm, -Matrix.identity(m))
-
-    eqs.extend(identity_reports(_component_identities(setup, j)))
-    report = EquationReport(tuple(eqs))
+    differences = (
+        ("NT = TS", nm @ tm - tm @ sm),
+        ("N^2 + T.sigma = -id", nm @ nm + tm @ sg + Matrix.identity(setup.dim)),
+        ("S.sigma = sigma.N", sm @ sg - sg @ nm),
+        ("S^2 + sigma.T = -id", sm @ sm + sg @ tm + Matrix.identity(setup.module_dim)),
+    )
+    matrix_eqs = tuple((label, vanishes(label, diff)) for label, diff in differences)
+    report = EquationReport(matrix_eqs + identity_reports(_component_identities(setup, j)))
     direct = tgcs_check_direct(setup, j)
     if report.ok != direct.ok:
         raise InternalInconsistency("component characterization disagrees with the definition")
@@ -173,24 +163,16 @@ def complex_structure_check(
 ) -> EquationReport:
     """A complex structure on the module over the algebra: four conditions."""
     n, m = algebra.dim, rep.module_dim
-    eqs: list[tuple[str, CheckReport]] = []
-    sq = i_map @ i_map + Matrix.identity(n)
-    eqs.append(("I^2 = -id", passed() if sq.is_zero() else failed("I^2 = -id", (), sq.entries)))
-
+    square = vanishes("I^2 = -id", i_map @ i_map + Matrix.identity(n))
     integ = first_failure("integrability of I", ext_basis(n, 2), term_defect(_integrability_terms(algebra.bracket, i_map)))
-    eqs.append(("integrability", integ))
-    sqm = i_mod @ i_mod + Matrix.identity(m)
-    eqs.append(
-        ("I_M^2 = -id", passed() if sqm.is_zero() else failed("I_M^2 = -id", (), sqm.entries))
-    )
-
+    square_m = vanishes("I_M^2 = -id", i_mod @ i_mod + Matrix.identity(m))
     rho = rep.action
     inner = [(1, (rho, (i_map, 0), 1)), (1, (rho, 0, (i_mod, 1)))]
     terms = [(1, (rho, (i_map, 0), (i_mod, 1))), (-1, (rho, 0, 1)), (-1, (i_mod, inner))]
     kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"
     compat = first_failure(kind, itertools.product(range(n), range(m)), term_defect(terms))
-    eqs.append(("module-compat", compat))
-    return EquationReport(tuple(eqs))
+    eqs = (("I^2 = -id", square), ("integrability", integ), ("I_M^2 = -id", square_m), ("module-compat", compat))
+    return EquationReport(eqs)
 
 
 def embed_complex(i_map: Matrix, i_mod: Matrix) -> GcsComponents:
@@ -240,9 +222,6 @@ def lie_tgcs_check(algebra: LieAlgebra, psi: Cochain, triple: LieGcsTriple) -> E
     j = GcsComponents(triple.n_map, triple.r, triple.sigma, triple.n_map.transpose())
     big = j.block()
     g = _pairing_matrix(n)
-    orth = big.transpose() @ g @ big - g
-    orth_report: CheckReport = (
-        passed() if orth.is_zero() else failed("orthogonality", (), orth.entries)
-    )
+    orth_report = vanishes("orthogonality", big.transpose() @ g @ big - g)
     components = tgcs_check_components(setup, j)
     return EquationReport((("orthogonality", orth_report),) + components.equations)

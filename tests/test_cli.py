@@ -285,6 +285,74 @@ def test_malformed_document_exit_two(doc, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+# two keys that name one index tuple, in each of the four index tables
+DUPLICATE_TUPLE = {
+    "lie_algebra.brackets": {"lie_algebra": {"dim": 2, "brackets": {"[1,2]": ["0", "1"], "[1, 2]": ["0", "2"]}}},
+    "ns_lie.vee": {"ns_lie": {"dim": 2, "circ": {}, "vee": {"[1,2]": ["0", "1"], "[1, 2]": ["0", "2"]}}},
+    "ns_lie.circ": {"ns_lie": {"dim": 2, "circ": {"[2,1]": ["1", "0"], " [2,1]": ["0", "1"]}, "vee": {}}},
+    "cocycle_H.values": {
+        "lie_algebra": {"dim": 2, "brackets": {}},
+        "module": {"dim": 1},
+        "cocycle_H": {"degree": 2, "values": {"[1,2]": ["1"], "[1,2 ]": ["2"]}},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", DUPLICATE_TUPLE.values(), ids=DUPLICATE_TUPLE.keys())
+def test_keys_naming_one_tuple_exit_two(doc, tmp_path, capsys):
+    """The last of two such keys used to win silently."""
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "same index tuple" in err
+
+
+LONG = "1" * 5000  # past Python's 4,300-digit limit on int <-> str conversion
+DEEP = "[" * 100_000 + "]" * 100_000
+BRACKETS_2 = '{"lie_algebra": {"dim": 2, "brackets": {%s: %s}}}'
+BOUNDARY_FILES = {
+    "long-p/q-scalar": BRACKETS_2 % ('"[1,2]"', f'["1/{LONG}", "0"]'),
+    "long-integer-literal": BRACKETS_2 % ('"[1,2]"', f"[{LONG}, 0]"),
+    "long-index-in-key": BRACKETS_2 % (f'"[{LONG},2]"', '["0", "1"]'),
+    "deep-index-key": BRACKETS_2 % (json.dumps(DEEP), '["0", "1"]'),
+    "deep-document": DEEP,
+}
+
+
+@pytest.mark.parametrize("text", BOUNDARY_FILES.values(), ids=BOUNDARY_FILES.keys())
+def test_boundary_documents_exit_two(text, tmp_path, capsys):
+    path = tmp_path / "boundary.json"
+    path.write_text(text)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nijenhuis-element", "--x", f"1/{LONG},0"],
+        ["nijenhuis-element", "--x", f"{LONG},0"],
+        ["gauge", "--b", f"[[{LONG},0],[0,0]]"],
+        ["shift", "--h", f"[[0,0],[0,{LONG}]]"],
+        ["gauge", "--b", DEEP],
+        ["gauge", "--b", "FILE"],
+    ],
+    ids=["x-long-p/q", "x-long-integer", "b-long-integer", "h-long-integer", "b-deep", "b-file-long-integer"],
+)
+def test_boundary_flag_values_exit_two(argv, tmp_path, capsys):
+    matrix_file = tmp_path / "b.json"
+    matrix_file.write_text(f"[[{LONG},0],[0,0]]")
+    argv = [a if a != "FILE" else str(matrix_file) for a in argv]
+    code, out, err = run_cli(argv[:1] + [str(INSTANCES / "affine_hinv.json")] + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # -- fuzzed document shapes ------------------------------------------------
 
 FUZZ_SEEDS = list(MALFORMED.values()) + [

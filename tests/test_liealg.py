@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ce_differential_unit_vectors, ce_representatives_incremental, matrix_rows, rank_oracle
+from oracles import (
+    bracket_dense,
+    ce_differential_unit_vectors,
+    ce_representatives_incremental,
+    matrix_rows,
+    rank_oracle,
+)
 from twistrb import corpus
 from twistrb.errors import NotNijenhuis, NotNilpotent
 from twistrb.exactlin import Matrix, vec_is_zero
@@ -289,7 +295,7 @@ def test_nijenhuis_examples(algebras):
         n = Matrix.from_rows([[lam, 0], [0, mu]])
         assert nijenhuis_check(aff, n).ok
         # both sides of the identity equal lam*mu*e2 on the only pair
-        lhs = aff.bracket_vec(n.col(0), n.col(1))
+        lhs = bracket_dense(aff, n.col(0), n.col(1))
         assert lhs == (0, Fraction(lam * mu))
         g_n = deformed_bracket(aff, n)
         assert g_n.bracket_basis(0, 1) == (0, Fraction(lam))

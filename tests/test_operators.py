@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import bracket_dense
 from twistrb import corpus
 from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
 from twistrb.exactlin import Matrix
@@ -153,10 +154,10 @@ def test_induced_rep_corner_cases(algebras, trb_corpus):
             for x in range(n):
                 ru = r.col(a)
                 xv = basis_vector(n, x)
-                lead = s.algebra.bracket_vec(ru, xv)
+                lead = bracket_dense(s.algebra, ru, xv)
                 inner = vec_sub(
-                    s.algebra.bracket_vec(xv, basis_vector(n, a)),
-                    s.algebra.bracket_vec(xv, ru),
+                    bracket_dense(s.algebra, xv, basis_vector(n, a)),
+                    bracket_dense(s.algebra, xv, ru),
                 )
                 expected = vec_add(lead, r.apply(inner))
                 assert rep.action[a].col(x) == expected, name
@@ -245,6 +246,13 @@ def test_reynolds_examples(algebras):
     assert reynolds_check(heis, r).ok
     # a non-Reynolds operator fails both routes coherently
     assert not reynolds_check(algebras["sl2"], Matrix.identity(3).scale(2)).ok
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (2, 2)])
+def test_reynolds_check_rejects_non_square_r(algebras, rows, cols):
+    """r must be dim x dim of the algebra: invalid input, not a failed identity."""
+    with pytest.raises(InvalidStructure, match="Reynolds operator must be square"):
+        reynolds_check(algebras["sl2"], Matrix.zero(rows, cols))
 
 
 def test_reynolds_from_derivation(algebras):

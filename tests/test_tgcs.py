@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import act_on_basis_dense
+from oracles import act_on_basis_dense, bracket_dense
 from twistrb import corpus
 from twistrb.errors import NonzeroH, NotGcs, NotSkew
 from twistrb.exactlin import Matrix
@@ -169,7 +169,7 @@ def test_equation6_is_graph_closure_in_flipped_twist(rng, trb_corpus):
             for a, b in ext_basis(m, 2):
                 ga = tuple(j.t_map.col(a)) + tuple(j.s_map.col(a))
                 gb = tuple(j.t_map.col(b)) + tuple(j.s_map.col(b))
-                bracket = semi.bracket_vec(ga, gb)
+                bracket = bracket_dense(semi, ga, gb)
                 w = vec_sub(
                     act_on_basis_dense(setup.rep, j.t_map.col(a), b),
                     act_on_basis_dense(setup.rep, j.t_map.col(b), a),
@@ -187,7 +187,7 @@ def test_equation6_is_graph_closure_in_flipped_twist(rng, trb_corpus):
                 )
                 base_rank = span.rank()
                 for a, b in ext_basis(m, 2):
-                    w = semi.bracket_vec(span.col(a), span.col(b))
+                    w = bracket_dense(semi, span.col(a), span.col(b))
                     grown = span.hstack(Matrix.from_cols([w], rows=n + m)).rank()
                     assert grown == base_rank, name
 
