@@ -135,28 +135,31 @@ def _equations(report: EquationReport, *extra: str, **payload: Any):
     """One verdict line per identity, the extra lines, then the witnesses."""
     witnesses = _witnesses(report)
     lines = [_verdict(name, rep.ok) for name, rep in report.equations]
-    return report.ok, {"equations": report.verdicts(), "witnesses": witnesses, **payload}, [*lines, *extra, *witnesses]
+    payload = {"equations": report.verdicts(), "witnesses": witnesses, **payload}
+    return report.ok, payload, [*lines, *extra, *witnesses]
 
 
 def _dimensions(group: str, dims: list[int]):
+    """One line per degree n: the group's name, formatted with n, and its dimension."""
     return True, {"dimensions": dims}, [f"{group.format(n)} dimension: {d}" for n, d in enumerate(dims)]
 
 
 def _operator_matrix(heading: str, m: Matrix, passes: str):
     """The heading, one indented line per row, then the identity the matrix passes."""
     rows = matrix_json(m)
-    return True, {"operator": rows}, [heading, *("  " + " ".join(row) for row in rows), _verdict(passes, True)]
+    lines = [heading, *("  " + " ".join(row) for row in rows), _verdict(passes, True)]
+    return True, {"operator": rows}, lines
 
 
 _WITT_FIELDS = ("m", "n", "lhs", "rhs", "induced", "ok")
 
 
-def _witt(report: list) -> tuple[bool, dict, list[str]]:
+def _witt(witt_rows: list) -> tuple[bool, dict, list[str]]:
     """One JSON row per pair; each text line lists the row's fields, ok as yes/NO."""
     yes = {True: "yes", False: "NO"}
     rows = [
         dict(zip(_WITT_FIELDS, (r.m, r.n, scalar_str(r.lhs), scalar_str(r.rhs), scalar_str(r.induced), r.ok)))
-        for r in report
+        for r in witt_rows
     ]
     all_ok = all(row["ok"] for row in rows)
     lines = [" ".join(_WITT_FIELDS)]
@@ -191,7 +194,8 @@ def cmd_validate(doc: InstanceDocument, args) -> tuple[bool, dict, list[str]]:
 
 def cmd_ce_cohomology(doc, args):
     algebra = _algebra(doc)
-    return _dimensions("H^{}", ce_cohomology_dims(algebra, _representation(doc, algebra), args.nmax))
+    rep = _representation(doc, algebra)
+    return _dimensions("H^{}", ce_cohomology_dims(algebra, rep, args.nmax))
 
 
 def cmd_check_trb(doc, args):
@@ -256,7 +260,8 @@ def cmd_ns_from(doc, args):
         setup = _setup(doc)
         ns = nslie.ns_from_trb(setup, _operator(doc))
     payload = {"ns_lie": ns_json(ns)}
-    lines = ["constructed NS-Lie structure:", json.dumps(payload["ns_lie"], sort_keys=True), _verdict("ns_check", True)]
+    lines = ["constructed NS-Lie structure:", json.dumps(payload["ns_lie"], sort_keys=True)]
+    lines.append(_verdict("ns_check", True))
     return True, payload, lines
 
 
@@ -283,7 +288,8 @@ def cmd_deform_check(doc, args):
     _need_pass("twisted Rota-Baxter identity (base)", check_trb(setup, t))
     # the coefficients were shape-checked on parsing
     d = deform_mod.FormalDeformation(setup, t, doc.deformation)
-    verdicts = [dd.is_zero() for dd in deform_mod.deformation_equation_defects(d, up_to=args.order)]
+    defects = deform_mod.deformation_equation_defects(d, up_to=args.order)
+    verdicts = [dd.is_zero() for dd in defects]
     lines = [_verdict(f"order {n + 1} defect zero", v) for n, v in enumerate(verdicts)]
     return all(verdicts), {"orders": verdicts}, lines
 
@@ -462,12 +468,15 @@ def main(argv=None) -> int:
 
 
 def _emit(args, verdict: str, payload: dict, lines: list[str]) -> None:
-    """Every report's envelope: one JSON object, or the header lines and then the report's lines."""
+    """The report's envelope: its header fields and payload as one JSON object, or as lines."""
+    header = {"command": args.command, "seed": args.seed, "verdict": verdict}
     if getattr(args, "json", False):
-        out = {"command": args.command, "seed": args.seed, "verdict": verdict, **payload}
-        print(json.dumps(out, sort_keys=True, default=str))
+        print(json.dumps({**header, **payload}, sort_keys=True, default=str))
     else:
-        print("\n".join([f"command: {args.command}", f"seed: {args.seed}", f"verdict: {verdict}", *lines]))
+        for key, value in header.items():
+            print(f"{key}: {value}")
+        for line in lines:
+            print(line)
 
 
 if __name__ == "__main__":

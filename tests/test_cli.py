@@ -318,13 +318,14 @@ BOUNDARY_FILES = {
     "long-index-in-key": BRACKETS_2 % (f'"[{LONG},2]"', '["0", "1"]'),
     "deep-index-key": BRACKETS_2 % (json.dumps(DEEP), '["0", "1"]'),
     "deep-document": DEEP,
+    "not-utf-8": b'{"lie_algebra": {"dim": 1, "brackets": {}}, "module": "\xff"}',
 }
 
 
 @pytest.mark.parametrize("text", BOUNDARY_FILES.values(), ids=BOUNDARY_FILES.keys())
 def test_boundary_documents_exit_two(text, tmp_path, capsys):
     path = tmp_path / "boundary.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert code == 2
     assert out == ""
