@@ -27,6 +27,7 @@ from .instances import (
     ns_json,
     parse_matrix,
     parse_vector,
+    unique_keys,
     vector_json,
 )
 from .liealg import (
@@ -356,14 +357,14 @@ def cmd_shift(doc, args):
 def _parse_matrix_flag(text: str, rows: int, cols: int, flag: str) -> Matrix:
     """Inline JSON rows, or a path to a JSON file holding them."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError:
         try:
             with open(text, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=unique_keys)
         except (OSError, ValueError, RecursionError) as exc:
             raise InvalidStructure(f"{flag}: neither inline JSON nor a readable JSON file ({exc})")
-    except (ValueError, RecursionError) as exc:  # an over-long integer or too deep nesting
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting or a repeated key
         raise InvalidStructure(f"{flag}: {exc}") from None
     return parse_matrix(raw, rows, cols, flag)
 

@@ -2,22 +2,24 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
-below is exact.  Matrices are dense; elimination runs on sparse rows and
-pivots on the first nonzero entry in column order.  Kernel bases come from
-the reduced row echelon parametrization with each free variable set to 1 in
-column order, which makes all outputs reproducible.
+below is exact.  Matrices are dense; elimination runs on sparse rows of ints
+or Fractions (`rref_rows`) and pivots on the first nonzero entry in column
+order.  Kernel bases come from the reduced row echelon parametrization with
+each free variable set to 1 in column order, which makes all outputs
+reproducible.
 
-`Matrix.rref` takes a certified modular route first.  It clears each row's
-denominators, eliminates the integer rows modulo the prime p = 2^61 - 1,
-lifts every entry of the reduced form back to a rational by rational
-reconstruction, and then checks over Z that every row of the matrix is the
-combination of the lifted rows given by its own pivot-column entries.  The
-rank modulo p is a lower bound for the rank over Q, and the check puts every
-row in the span of the lifted rows, so it is an upper bound too; the lifted
-rows are then the reduced row echelon form over Q, which is unique.  When a
-lift or the check fails, the matrix goes through `RowSpace`, the Fraction
-elimination, instead.  No result ever rests on a probabilistic argument.
-`RowSpace` also serves callers that feed vectors one at a time.
+`rref_rows`, behind `Matrix.rref`, takes a certified modular route first.  It
+clears the denominators of each row that has any, eliminates the integer rows
+modulo the prime p = 2^61 - 1, lifts every entry of the reduced form back to
+a rational by rational reconstruction, and then checks over Z that every row
+of the matrix is the combination of the lifted rows given by its own
+pivot-column entries.  The rank modulo p is a lower bound for the rank over
+Q, and the check puts every row in the span of the lifted rows, so it is an
+upper bound too; the lifted rows are then the reduced row echelon form over
+Q, which is unique.  When a lift or the check fails, the rows go through
+`RowSpace`, the Fraction elimination, instead.  No result ever rests on a
+probabilistic argument.  `RowSpace` also serves callers that feed vectors
+one at a time.
 
 No floating point anywhere.
 """
@@ -57,8 +59,32 @@ def scalar(x: ScalarLike) -> Fraction:
 
 
 def scalar_str(x: Fraction) -> str:
-    """Render in lowest terms, omitting the denominator when it is 1."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """Render in lowest terms, omitting the denominator when it is 1.
+
+    This is the one renderer of exact scalars in reports and documents; it
+    writes integers of any length (`_int_str`).
+    """
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+# `str` refuses an int of more than 4,300 digits (Python's int-string limit, at
+# least 640 when lowered), so longer ones are written 600 digits at a time.
+# The limit is left in place: input parsing relies on it to refuse long literals.
+_CHUNK = 10**600
+
+
+def _int_str(n: int) -> str:
+    """n in decimal, whatever its length."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0600d}")
+    return sign + str(n) + "".join(reversed(chunks))
 
 
 def vector(entries: Iterable[ScalarLike]) -> Vector:
@@ -250,18 +276,9 @@ class Matrix:
 
         The pivot of each row is its first nonzero entry in column order;
         pivot rows are scaled to pivot 1 and every other row is cleared in the
-        pivot columns.  The form is unique, so neither the route (modular and
-        certified, or `RowSpace` when that fails) nor the order in which the
-        rows are met shows in the result: both routes take the sparsest rows
-        first, which keeps the kept rows sparse for longer.
+        pivot columns.  The rows are reduced by `rref_rows`.
         """
-        rows = sorted((sparse_row(self.row(i)) for i in range(self.rows)), key=len)
-        reduced = _certified_rref(rows, self.cols)
-        if reduced is None:
-            space = RowSpace()
-            for row in rows:
-                space.add(row)
-            reduced = space.rows
+        reduced = rref_rows((sparse_row(self.row(i)) for i in range(self.rows)), self.cols)
         pivots = tuple(sorted(reduced))
         entries = [ZERO] * (self.rows * self.cols)
         for r, c in enumerate(pivots):
@@ -324,6 +341,26 @@ class Matrix:
         return tuple(x)
 
 
+def rref_rows(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict[int, dict[int, Fraction]]:
+    """The reduced row echelon form of sparse rows, each row keyed by its pivot column.
+
+    Each row is a `{column: nonzero int or Fraction}` dict of a matrix with
+    `width` columns.  The rows are taken sparsest first, which keeps the kept
+    rows sparse for longer, by the certified modular route, and by `RowSpace`
+    when that route cannot certify its result.  The form is unique, so
+    neither the route nor the order shows in it.  `Matrix.rref` and the
+    ranks of `liealg.ce_cohomology_dims` both come from here.
+    """
+    rows = sorted(rows, key=len)
+    reduced = _certified_rref(rows, width)
+    if reduced is None:
+        space = RowSpace()
+        for row in rows:
+            space.add({c: Fraction(x) for c, x in row.items()})
+        reduced = space.rows
+    return reduced
+
+
 def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
     """The nonzero entries of a vector, keyed by position."""
     return {c: x for c, x in enumerate(v) if x}
@@ -334,7 +371,7 @@ class RowSpace:
 
     Rows are `{column: Fraction}` dicts keyed by the column of their leading
     1, and every kept row is zero in the other rows' leading columns.
-    `Matrix.rref` feeds it the rows of a matrix when the modular route cannot
+    `rref_rows` feeds it the rows of a matrix when the modular route cannot
     certify its result, and callers that ask whether a vector lies in the span
     of earlier ones feed it vectors one at a time.
     """
@@ -380,14 +417,14 @@ def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction], ski
             row.pop(k, None)
 
 
-def _certified_rref(rows: list[dict[int, Fraction]], width: int) -> dict[int, dict[int, Fraction]] | None:
+def _certified_rref(rows: list[dict[int, int | Fraction]], width: int) -> dict[int, dict[int, Fraction]] | None:
     """The reduced rows keyed by pivot column, or None when they cannot be certified.
 
-    Each row is cleared to integers and the rows are eliminated modulo the
-    prime in the order given.  Each entry of the reduced rows is lifted to the
-    rational with numerator and denominator at most the bound that has that
-    residue, and the lifted rows R_c are scaled to integers by the lcm L of
-    their denominators.  The result is returned only when every integer row
+    Each row holding a Fraction is cleared to integers, and the rows are
+    eliminated modulo the prime in the order given.  Each entry of the
+    reduced rows is lifted to the rational with numerator and denominator at
+    most the bound that has that residue, and the lifted rows R_c are scaled
+    to integers by the lcm L of their denominators.  The result is returned only when every integer row
     A_i satisfies L * A_i = sum over pivot columns c of A_i[c] * (L * R_c).
     A new row is reduced in a dense list of plain ints and taken modulo the
     prime once; the kept rows stay reduced modulo the prime.
@@ -448,8 +485,10 @@ def _certified_rref(rows: list[dict[int, Fraction]], width: int) -> dict[int, di
     return reduced
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """The row times the lcm of its denominators."""
+def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
+    """The row times the lcm of its denominators; a row of ints as it is."""
+    if all(type(x) is int for x in row.values()):
+        return row
     lcm = 1
     for x in row.values():
         if x.denominator != 1:

@@ -273,13 +273,29 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     return InstanceDocument(**fields)
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """`object_pairs_hook` for `json.load`: a JSON object, refused when a key repeats.
+
+    Without it the last value of a repeated key silently wins.  Raises
+    ValueError, which the callers report as invalid input.
+    """
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return out
+
+
 def load_instance(path: str) -> InstanceDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InvalidStructure(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # also not UTF-8, an over-long integer or too deep
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, an over-long integer, too deep or a repeated key
         raise InvalidStructure(f"{path} is not valid JSON: {exc}") from exc
     return parse_instance(data)
 

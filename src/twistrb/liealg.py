@@ -6,26 +6,32 @@ representation is one action matrix per basis element.  Validators are
 report-style: they return the structure or the lexicographically first
 violating tuple with its defect vector, never raising on mathematical
 failure.
+
+Validation and the Chevalley-Eilenberg differential run on integers: the
+structure constants and the action matrices are multiplied by the lcm of
+their denominators (`_scale`), sums are taken over ints, and a Fraction is
+formed only for a returned defect, matrix entry or cochain value.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Mapping, Sequence, Union
+from fractions import Fraction
+from math import lcm
+from typing import Callable, Mapping, Sequence, Union
 
-from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
+from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
     ZERO,
     Matrix,
     Vector,
-    sparse_row,
+    rref_rows,
     vec_is_zero,
     vec_scale,
     vec_sub,
     vector,
 )
-from .multilin import Cochain, _tuple_index, ext_basis, tabulate, term_defect
+from .multilin import Cochain, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -92,38 +98,74 @@ def bracket_cochain(dim: int, table: BracketTable) -> tuple[Cochain | None, Viol
     return Cochain.from_values(2, dim, dim, values), None
 
 
+def _scale(*matrices: Matrix) -> int:
+    """The lcm of the denominators of every entry: the factor that clears them all."""
+    return lcm(*{x.denominator for m in matrices for x in m.entries})
+
+
+def _bracket_table(bracket: Cochain, scale: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """{(a, b): [(l, scale * c^l_ab) for each nonzero constant]} on both orders of every pair with a nonzero bracket."""
+    m = bracket.matrix
+    table = {}
+    for j, (a, b) in enumerate(ext_basis(bracket.source_dim, 2)):
+        col = [(l, x.numerator * (scale // x.denominator)) for l in range(m.rows) if (x := m.entries[l * m.cols + j])]
+        if col:
+            table[a, b] = col
+            table[b, a] = [(l, -y) for l, y in col]
+    return table
+
+
+def _action_rows(action: Sequence[Matrix], scale: int) -> list[list[list[tuple[int, int]]]]:
+    """rows[x][i]: the nonzero (column, scale * entry) pairs of row i of rho(e_x)."""
+    return [
+        [
+            [(k, y.numerator * (scale // y.denominator)) for k, y in enumerate(rho.row(i)) if y]
+            for i in range(rho.rows)
+        ]
+        for rho in action
+    ]
+
+
+def _quotients(sums: list[int], denominator: int) -> Vector:
+    """The integer sums over the denominator, in lowest terms."""
+    if not any(sums):
+        return (ZERO,) * len(sums)
+    return tuple(Fraction(x, denominator) if x else ZERO for x in sums)
+
+
+def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:
+    """`jacobi_defect` on any triple, from one integer table of the structure constants.
+
+    Each term [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a] is a product of two
+    constants, so the integer sums are over the square of the table's scale.
+    """
+    n = bracket.target_dim
+    scale = _scale(bracket.matrix)
+    table = _bracket_table(bracket, scale)
+
+    def defect(i: int, j: int, k: int) -> Vector:
+        total = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in table.get((b, c), ()):
+                for r, y in table.get((l, a), ()):
+                    total[r] += x * y
+        return _quotients(total, scale * scale)
+
+    return defect
+
+
 def jacobi_defect(bracket: Cochain, i: int, j: int, k: int) -> Vector:
     """[[e_j,e_k],e_i] + [[e_k,e_i],e_j] + [[e_i,e_j],e_k].
 
     This is the negative of [e_i,[e_j,e_k]] + cyclic; both vanish exactly
-    when the bracket satisfies Jacobi on the triple.  Accumulated in one list
-    straight from the structure constants: each term is
-    [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a].
+    when the bracket satisfies Jacobi on the triple.
     """
-    n, entries = bracket.target_dim, bracket.matrix.entries
-    width = bracket.matrix.cols
-    index = _tuple_index(bracket.source_dim, 2)
-    total = [ZERO] * n
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        if b == c:
-            continue
-        inner_col, inner_sign = (index[(b, c)], 1) if b < c else (index[(c, b)], -1)
-        for l in range(n):
-            x = entries[l * width + inner_col]
-            if not x or l == a:
-                continue
-            col, sign = (index[(l, a)], inner_sign) if l < a else (index[(a, l)], -inner_sign)
-            x = x if sign > 0 else -x
-            for r in range(n):
-                y = entries[r * width + col]
-                if y:
-                    total[r] += x * y
-    return tuple(total)
+    return _jacobi_defects(bracket)(i, j, k)
 
 
 def _first_jacobi_violation(bracket: Cochain) -> Violation | None:
     cases = ext_basis(bracket.source_dim, 3)
-    return first_failure("jacobi", cases, partial(jacobi_defect, bracket)).violation
+    return first_failure("jacobi", cases, _jacobi_defects(bracket)).violation
 
 
 def validate_lie(
@@ -171,24 +213,25 @@ def validate_rep(
             kind = f"action matrix shape ({m.rows}x{m.cols} for module dimension {module_dim})"
             return Violation(kind, (i,), ())
 
+    # both terms are products of two entries, so the sums are over the square of one scale
     m = module_dim
-    sparse_rows = [[sparse_row(rho.row(r)).items() for r in range(m)] for rho in action]
+    scale = _scale(algebra.bracket.matrix, *action)
+    brackets, rows = _bracket_table(algebra.bracket, scale), _action_rows(action, scale)
 
-    def defect(i: int, j: int) -> tuple:
+    def defect(i: int, j: int) -> Vector:
         """rho([e_i,e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i), entry by entry in one list."""
-        out = [ZERO] * (m * m)
-        for k, c in enumerate(algebra.bracket_basis(i, j)):
-            if c:
-                for r in range(m):
-                    for s, y in sparse_rows[k][r]:
-                        out[r * m + s] += c * y
+        out = [0] * (m * m)
+        for k, c in brackets.get((i, j), ()):
+            for r, row in enumerate(rows[k]):
+                for s, y in row:
+                    out[r * m + s] += c * y
         for left, right, sign in ((i, j, -1), (j, i, 1)):
-            for r in range(m):
-                for s, a in sparse_rows[left][r]:
-                    a = a if sign > 0 else -a
-                    for col, b in sparse_rows[right][s]:
+            for r, row in enumerate(rows[left]):
+                for s, a in row:
+                    a *= sign
+                    for col, b in rows[right][s]:
                         out[r * m + col] += a * b
-        return tuple(out)
+        return _quotients(out, scale * scale)
 
     report = first_failure("representation", ext_basis(algebra.dim, 2), defect)
     return Representation(module_dim, tuple(action)) if report.ok else report.violation
@@ -220,11 +263,17 @@ def ce_differential_cochain(
 ) -> Cochain:
     """delta_CE f for a degree-n cochain with values in the module.
 
-    Works for any bracket/action data, valid or not: the matrix of
-    `_differential_matrix` applied to the flattened cochain.
+    Works for any bracket/action data, valid or not: the integer rows of
+    `_differential_rows` applied to f cleared of its denominators.
     """
-    delta = _differential_matrix(LieAlgebra(bracket.source_dim, bracket), rep, f.degree)
-    return Cochain.from_vec(f.degree + 1, bracket.source_dim, rep.module_dim, delta.apply(f.vec()))
+    rows, width, scale = _differential_rows(LieAlgebra(bracket.source_dim, bracket), rep, f.degree)
+    flat = f.vec()
+    if len(flat) != width:
+        raise DimensionMismatch(f"a cochain of {len(flat)} coordinates given to a differential on {width}")
+    f_scale = lcm(*{x.denominator for x in flat})
+    cleared = {c: x.numerator * (f_scale // x.denominator) for c, x in enumerate(flat) if x}
+    sums = [sum(x * cleared[c] for c, x in row.items() if c in cleared) for row in rows]
+    return Cochain.from_vec(f.degree + 1, bracket.source_dim, rep.module_dim, _quotients(sums, scale * f_scale))
 
 
 def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
@@ -233,10 +282,26 @@ def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
 
 
 def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
-    """delta_CE assembled straight from the action matrices and structure constants.
+    """delta_CE as a Fraction Matrix: the rows of `_differential_rows` over their scale."""
+    rows, width, scale = _differential_rows(algebra, rep, n)
+    entries = [ZERO] * (len(rows) * width)
+    values: dict[int, Fraction] = {}  # entries repeat, so each is divided once
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            q = values.get(x)
+            if q is None:
+                q = values[x] = Fraction(x, scale)
+            entries[r * width + c] = q
+    return Matrix._of(len(rows), width, entries)
 
-    Rows and columns come in blocks of the module dimension m, one block per
-    lex basis tuple, as in `Cochain.vec`.  For each (n+1)-tuple x:
+
+def _differential_rows(algebra: LieAlgebra, rep: Representation, n: int) -> tuple[list[dict[int, int]], int, int]:
+    """The rows of delta_CE : C^n -> C^{n+1} times a scale, as sparse int rows, with their width and that scale.
+
+    The scale clears every denominator of the structure constants and the
+    action matrices.  Rows and columns come in blocks of the module
+    dimension m, one block per lex basis tuple, as in `Cochain.vec`.  For
+    each (n+1)-tuple x:
     - the action term at position p adds (-1)^p rho(x_p) at the block of x
       with x_p removed;
     - the bracket term at positions a < b adds (-1)^{a+b} c^l_{x_a x_b} times
@@ -244,35 +309,30 @@ def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Ma
       sort, where rest is x without x_a and x_b; it vanishes when l is in rest.
     """
     dim, m = algebra.dim, rep.module_dim
-    row_tuples = ext_basis(dim, n + 1)
+    scale = _scale(algebra.bracket.matrix, *rep.action)
+    constants, action = _bracket_table(algebra.bracket, scale), _action_rows(rep.action, scale)
     col_block = {t: j * m for j, t in enumerate(ext_basis(dim, n))}
-    width = len(col_block) * m
-    entries = [ZERO] * (len(row_tuples) * m * width)
-    structure = algebra.bracket.matrix
-    constants = {
-        pair: [(l, c) for l, c in enumerate(structure.col(j)) if c]
-        for j, pair in enumerate(ext_basis(dim, 2))
-    }
-    for r, xs in enumerate(row_tuples):
-        top = r * m * width
+    rows = []
+    for xs in ext_basis(dim, n + 1):
+        block_rows: list[dict[int, int]] = [{} for _ in range(m)]
         for pos, x in enumerate(xs):
-            block = top + col_block[xs[:pos] + xs[pos + 1 :]]
-            rho = rep.action[x].entries
-            for i in range(m):
-                for k, v in enumerate(rho[i * m : (i + 1) * m]):
-                    if v:
-                        entries[block + i * width + k] += -v if pos % 2 else v
+            block = col_block[xs[:pos] + xs[pos + 1 :]]
+            for row, rho_row in zip(block_rows, action[x]):
+                for k, v in rho_row:
+                    col = block + k
+                    row[col] = row.get(col, 0) + (-v if pos % 2 else v)
         for a, b in itertools.combinations(range(n + 1), 2):
             rest = xs[:a] + xs[a + 1 : b] + xs[b + 1 :]
-            for l, c in constants[(xs[a], xs[b])]:
+            for l, c in constants.get((xs[a], xs[b]), ()):
                 if l in rest:
                     continue
                 p = sum(1 for y in rest if y < l)
-                block = top + col_block[rest[:p] + (l,) + rest[p:]]
+                block = col_block[rest[:p] + (l,) + rest[p:]]
                 v = -c if (a + b + p) % 2 else c
-                for i in range(m):
-                    entries[block + i * width + i] += v
-    return Matrix._of(len(row_tuples) * m, width, entries)
+                for i, row in enumerate(block_rows):
+                    row[block + i] = row.get(block + i, 0) + v
+        rows.extend({col: x for col, x in row.items() if x} for row in block_rows)
+    return rows, len(col_block) * m, scale
 
 
 def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
@@ -287,8 +347,19 @@ def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
 
 
 def ce_cohomology_dims(algebra: LieAlgebra, rep: Representation, n_max: int) -> list[int]:
-    deltas = [ce_differential(algebra, rep, n) for n in range(n_max + 1)]
-    return cohomology_dims_from_matrices(deltas)
+    """dim H^n = nullity(delta^n) - rank(delta^{n-1}) for n in 0..n_max.
+
+    Each rank comes from `rref_rows` on the integer rows of delta^n, with no
+    Fraction matrix in between.
+    """
+    dims = []
+    prev_rank = 0
+    for n in range(n_max + 1):
+        rows, width, _ = _differential_rows(algebra, rep, n)
+        rank = len(rref_rows(rows, width))
+        dims.append(width - rank - prev_rank)
+        prev_rank = rank
+    return dims
 
 
 def ce_cohomology_representatives(

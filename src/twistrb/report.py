@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactlin import Matrix
+from .exactlin import Matrix, scalar_str
 from .multilin import term_defect
 
 
@@ -23,7 +23,7 @@ class Violation:
 
     def describe(self) -> str:
         loc = ",".join(str(i + 1) for i in self.where)
-        vals = ", ".join(str(c) for c in self.defect)
+        vals = ", ".join(scalar_str(c) for c in self.defect)
         return f"{self.kind} fails at ({loc}): defect ({vals})"
 
 

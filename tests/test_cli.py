@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,6 +308,65 @@ def test_keys_naming_one_tuple_exit_two(doc, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "same index tuple" in err
+
+
+# the same key twice in one JSON object: `json.load` alone lets the last one win
+REPEATED_KEYS = {
+    "table-key": '{"lie_algebra": {"dim": 3, "brackets": {"[1,2]": ["0", "0", "1"], "[1,2]": ["0", "0", "0"]}}}',
+    "section": '{"lie_algebra": {"dim": 3, "brackets": {"[1,2]": ["0", "0", "1"]}}, "lie_algebra": {"dim": 2, "brackets": {}}}',
+}
+
+
+@pytest.mark.parametrize("text", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+def test_repeated_json_keys_exit_two(text, tmp_path, capsys):
+    """Both documents used to validate with exit 0."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "appears twice" in err
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_repeated_json_key_in_a_matrix_flag_exit_two(inline, tmp_path, capsys):
+    text = '{"rows": [[0, 0], [0, 0]], "rows": [[1, 0], [0, 1]]}'
+    matrix_file = tmp_path / "b.json"
+    matrix_file.write_text(text)
+    flag = text if inline else str(matrix_file)
+    code, out, err = run_cli(["gauge", str(INSTANCES / "affine_hinv.json"), "--b", flag], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --b") and "appears twice" in err
+
+
+def _decimal(x: Fraction) -> str:
+    """x in decimal through `decimal`, which has no digit limit: an oracle for `scalar_str`."""
+    digits = str(Decimal(x.numerator))
+    return digits if x.denominator == 1 else f"{digits}/{Decimal(x.denominator)}"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_witness_past_the_int_string_limit(as_json, tmp_path, capsys):
+    """A diagonal operator of 3,001-digit entries: its defect squares them, past the
+    4,300-digit limit of `str` on ints, which used to end in a traceback."""
+    doc = json.loads((INSTANCES / "heisenberg_failing_checks.json").read_text())
+    big = "7" + "3" * 3000
+    doc["operator_T"] = [[big if i == j else "0" for j in range(3)] for i in range(3)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_instance(str(path))
+    algebra = validate_lie(loaded.lie_dim, loaded.brackets)
+    setup = trb_setup(algebra, validate_rep(algebra, loaded.module_dim, loaded.action), loaded.cocycle_h)
+    defect = oracles.trb_defect_terms(setup, loaded.operator_t, 0, 1)
+    assert max(abs(x.numerator) for x in defect) > 10**5000
+    witness = f"twisted Rota-Baxter fails at (1,2): defect ({', '.join(_decimal(x) for x in defect)})"
+    code, out, err = run_cli(["check-trb", str(path)] + ["--json"] * as_json, capsys)
+    assert code == 1 and err == ""
+    if as_json:
+        assert json.loads(out)["witnesses"] == [witness]
+    else:
+        assert out.splitlines()[-1] == witness
 
 
 LONG = "1" * 5000  # past Python's 4,300-digit limit on int <-> str conversion

@@ -1,0 +1,151 @@
+"""The integer Chevalley-Eilenberg pipeline against its Fraction oracles, on wide denominators.
+
+Jacobi and representation validation, the CE differential (as a matrix and
+on one cochain) and the ranks of `ce_cohomology_dims` multiply the structure
+constants and the action matrices by one scale, the lcm of their
+denominators, and sum Python ints.  Every benchmark structure has integer
+entries, so there that scale is 1.  Here the corpus structures are divided
+by large q: 2^61 - 1 (the modulus of the modular elimination), 10^9 + 7 and
+2^64.  Dividing the bracket and the action by one q gives an isomorphic
+structure (x -> q x) with the same cohomology; dividing them by two
+different q gives a bracket and an action that are no representation, with
+wide-denominator witnesses.  The oracles in `oracles.py` compute in
+Fractions throughout.
+"""
+import itertools
+from fractions import Fraction
+from functools import partial
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from twistrb import corpus, exactlin, liealg
+from twistrb.exactlin import Matrix, RowSpace
+from twistrb.liealg import LieAlgebra, Representation, abelian, adjoint_rep, coadjoint_rep, trivial_rep
+from twistrb.linfty import induced_structure
+from twistrb.multilin import Cochain, ext_basis
+from twistrb.report import first_failure
+
+WIDE = {"2^61-1": 2**61 - 1, "10^9+7": 10**9 + 7, "2^64": 2**64}
+QS = tuple(WIDE.values())
+by_q = pytest.mark.parametrize("q", QS, ids=WIDE.keys())
+
+
+def divided(algebra, rep, q_bracket, q_action=None):
+    """The bracket divided by q_bracket and every action matrix by q_action (by default the same q)."""
+    q_action = q_bracket if q_action is None else q_action
+    g = LieAlgebra(algebra.dim, algebra.bracket.scale(Fraction(1, q_bracket)))
+    return g, Representation(rep.module_dim, tuple(rho.scale(Fraction(1, q_action)) for rho in rep.action))
+
+
+def structures():
+    """(label, algebra, representation): each named algebra on its adjoint, coadjoint and a trivial
+    module, and the induced structure of each corpus operator, whose entries have denominators already."""
+    out = []
+    for name, g in corpus.named_algebras():
+        for rep in (adjoint_rep(g), coadjoint_rep(g), trivial_rep(g, 2)):
+            out.append((name, g, rep))
+    for name, setup, t in corpus.trb_instances():
+        out.append((f"{name}-induced", *induced_structure(setup, t)))
+    return out
+
+
+STRUCTURES = structures()
+
+
+def oracle_dims(algebra, rep, n_max):
+    """dim H^n from `rank_oracle` on the unit-vector matrices of delta_CE."""
+    ranks = [oracles.rank_oracle(oracles.matrix_rows(oracles.ce_differential_unit_vectors(algebra, rep, n))) for n in range(n_max + 1)]
+    widths = [comb(algebra.dim, n) * rep.module_dim for n in range(n_max + 1)]
+    return [widths[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(n_max + 1)]
+
+
+@by_q
+def test_ce_differential_matches_unit_vectors(q):
+    """Degrees 0-3 of every structure divided by q, entry for entry."""
+    for label, g, rep in STRUCTURES:
+        g, rep = divided(g, rep, q)
+        for n in range(4):
+            assert liealg.ce_differential(g, rep, n) == oracles.ce_differential_unit_vectors(g, rep, n), (label, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ce_differential_cochain_matches_alternating_sum(data):
+    """A structure divided by q, applied to a cochain whose entries have other wide denominators."""
+    label, g, rep = data.draw(st.sampled_from(STRUCTURES))
+    g, rep = divided(g, rep, data.draw(st.sampled_from(QS)))
+    degree = data.draw(st.integers(0, 3))
+    entry = st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from((1, 3, 2**61 - 1, 10**9 + 7)))
+    cols = comb(g.dim, degree)
+    flat = data.draw(st.lists(st.one_of(st.just(0), entry), min_size=cols * rep.module_dim, max_size=cols * rep.module_dim))
+    f = Cochain.from_vec(degree, g.dim, rep.module_dim, flat)
+    assert liealg.ce_differential_cochain(g.bracket, rep, f) == oracles.ce_differential_alternating(g.bracket, rep, f)
+
+
+def rep_oracle(algebra, module_dim, action):
+    """The first violation of the representation identity through Matrix temporaries, or None."""
+    return first_failure(
+        "representation", ext_basis(algebra.dim, 2), partial(oracles.rep_defect_matrices, algebra, module_dim, action)
+    ).violation
+
+
+@pytest.mark.parametrize(
+    "q_bracket, q_action", itertools.product(QS, repeat=2), ids=[f"{a},{b}" for a, b in itertools.product(WIDE, repeat=2)]
+)
+def test_validate_rep_witness_matches_matrix_oracle(q_bracket, q_action):
+    """Equal divisors keep each action a representation; different ones break every nonabelian one."""
+    failures = 0
+    for label, g, rep in STRUCTURES:
+        g, rep = divided(g, rep, q_bracket, q_action)
+        got, expected = liealg.validate_rep(g, rep.module_dim, rep.action), rep_oracle(g, rep.module_dim, rep.action)
+        if expected is None:
+            assert got == Representation(rep.module_dim, rep.action), label
+        else:
+            failures += 1
+            assert got == expected, label
+    assert (failures > 0) == (q_bracket != q_action)
+
+
+@by_q
+def test_jacobi_defect_matches_terms_on_divided_brackets(q):
+    """Every index triple, repeats included, of each bracket divided by q and of the same bracket
+    with one constant moved by 1/q^2, which mostly breaks Jacobi."""
+    for label, g, _ in STRUCTURES:
+        bracket = g.bracket.scale(Fraction(1, q))
+        if bracket.matrix.cols:
+            entries = list(bracket.matrix.entries)
+            entries[-1] += Fraction(1, q * q)
+            moved = Cochain(2, g.dim, g.dim, Matrix(g.dim, bracket.matrix.cols, entries))
+        else:
+            moved = bracket
+        for b in (bracket, moved):
+            for i, j, k in itertools.product(range(g.dim), repeat=3):
+                assert liealg.jacobi_defect(b, i, j, k) == oracles.jacobi_defect_terms(b, i, j, k), (label, i, j, k)
+            expected = first_failure("jacobi", ext_basis(g.dim, 3), partial(oracles.jacobi_defect_terms, b)).violation
+            assert liealg._first_jacobi_violation(b) == expected, label
+
+
+@by_q
+def test_ce_cohomology_dims_match_rank_oracle(q):
+    for label, g, rep in STRUCTURES:
+        g, rep = divided(g, rep, q)
+        assert liealg.ce_cohomology_dims(g, rep, 2) == oracle_dims(g, rep, 2), label
+
+
+def test_ce_cohomology_dims_take_the_fraction_route_past_the_reconstruction_bound(monkeypatch):
+    """delta^0 of the line acting on Q^2 by A/q is A/q; its reduced form holds 3^45/7, past the bound
+    of rational reconstruction, so the rank comes from `RowSpace`."""
+    big = 3**45
+    assert exactlin._reconstruct(big * pow(7, -1, exactlin._PRIME) % exactlin._PRIME, exactlin._PRIME, exactlin._BOUND) is None
+    calls, add = [], RowSpace.add
+    monkeypatch.setattr(RowSpace, "add", lambda space, row: calls.append(row) or add(space, row))
+    for q in QS:
+        line = abelian(1)
+        rep = Representation(2, (Matrix.from_rows([[Fraction(7, q), Fraction(big, q)], [0, 0]]),))
+        calls.clear()
+        assert liealg.ce_cohomology_dims(line, rep, 1) == oracle_dims(line, rep, 1) == [1, 1]
+        assert calls and all(type(x) is Fraction for row in calls for x in row.values())
