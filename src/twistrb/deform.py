@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure
 from .exactlin import Matrix, Vector, vector
-from .liealg import ce_differential
+from .liealg import Representation, ce_differential
 from .linfty import d_t_unchecked, induced_structure, operator_element
 from .multilin import Cochain, ext_basis, tabulate
 from .operators import Operator, TrbSetup, induced_action_matrices, require_trb, trb_terms
@@ -103,7 +103,7 @@ def _nijenhuis_identities(setup: TrbSetup, t: Operator, x: Vector) -> list[tuple
     s = setup
     if len(x) != s.dim:
         raise DimensionMismatch(f"x has length {len(x)}, expected {s.dim}")
-    c, rho, h = s.algebra.bracket, s.rep.action, s.cocycle
+    c, rho, h = s.algebra.bracket, s.rep, s.cocycle
     pairs = ext_basis(s.dim, 2)
     mixed = list(itertools.product(range(s.dim), range(s.module_dim)))
     x_dot_u = [(1, (rho, x, 1)), (1, (h, x, (t, 1)))]  # x.u + H(x,Tu), with u in slot 1
@@ -121,13 +121,13 @@ def _nijenhuis_identities(setup: TrbSetup, t: Operator, x: Vector) -> list[tuple
 def nijenhuis_element_check(setup: TrbSetup, t: Operator, x: Sequence) -> EquationReport:
     """Is x a Nijenhuis element for the operator?"""
     require_trb(setup, t)
-    return _nijenhuis_element_report(setup, t, x, induced_action_matrices(setup, t))
+    return _nijenhuis_element_report(setup, t, x, Representation(setup.dim, induced_action_matrices(setup, t)))
 
 
 def _nijenhuis_element_report(
-    setup: TrbSetup, t: Operator, x: Sequence, induced_action: tuple[Matrix, ...]
+    setup: TrbSetup, t: Operator, x: Sequence, induced_action: Representation
 ) -> EquationReport:
-    """`nijenhuis_element_check` for an operator already checked, given its induced action on g."""
+    """`nijenhuis_element_check` for an operator already checked, given its induced representation on g."""
     xv = vector(x)
     module_basis = [(a,) for a in range(setup.module_dim)]
     # [x, u.x] = 0 for the induced action of u in M on g
@@ -148,7 +148,7 @@ def equivalence_check(
     xv = vector(x)
     n, m = s.dim, s.module_dim
     c = s.algebra.bracket
-    x_dot_u = [(1, (s.rep.action, xv, 0)), (1, (s.cocycle, xv, (t, 0)))]
+    x_dot_u = [(1, (s.rep, xv, 0)), (1, (s.cocycle, xv, (t, 0)))]
     module_basis = [(a,) for a in range(m)]
     # T_1(u) + [x,Tu] = T(x.u + H(x,Tu)) + T_1'(u) and [x,T_1(u)] = T_1'(x.u + H(x,Tu))
     transport = [(1, (t1, 0)), (1, (c, xv, (t, 0))), (-1, (t, x_dot_u)), (-1, (t1p, 0))]
@@ -216,7 +216,7 @@ def rigidity_probe(setup: TrbSetup, t: Operator, grid: int = 2) -> RigidityRepor
             x = list(particular)
             for c, k in zip(coeffs, homogeneous):
                 x = [a + c * b for a, b in zip(x, k)]
-            if _nijenhuis_element_report(s, t, x, rep.action).ok:
+            if _nijenhuis_element_report(s, t, x, rep).ok:
                 found = tuple(x)
                 break
         if found is None:

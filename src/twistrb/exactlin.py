@@ -116,9 +116,13 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, row-major."""
+    """Immutable dense matrix of exact rationals, row-major.
 
-    __slots__ = ("rows", "cols", "entries")
+    `_ints` holds the integer table `multilin._int_table` builds of the
+    matrix as a linear map, on first use; it takes no part in `==` or `hash`.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[ScalarLike]):
         if len(entries) != rows * cols:
@@ -128,6 +132,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(scalar(e) for e in entries))
+        object.__setattr__(self, "_ints", None)
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: Sequence[Fraction]) -> "Matrix":
@@ -136,6 +141,7 @@ class Matrix:
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "entries", tuple(entries))
+        object.__setattr__(m, "_ints", None)
         return m
 
     def __setattr__(self, name, value):

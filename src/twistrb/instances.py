@@ -30,7 +30,7 @@ class MissingSection(InvalidStructure):
     """A command needs a section the document does not carry."""
 
 
-_SCALAR = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def _is_int(x: Any) -> bool:
@@ -71,11 +71,17 @@ def parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]
     """A list of exact scalars: integers, or strings "p" or "p/q" with q > 0."""
     if not isinstance(raw, list) or len(raw) != length:
         raise InvalidStructure(f"{where}: expected a list of {length} scalars")
+    matches = []
     for x in raw:
-        if not (_is_int(x) or (isinstance(x, str) and _SCALAR.fullmatch(x))):
+        match = _SCALAR.fullmatch(x) if isinstance(x, str) else None
+        if not (match or _is_int(x)):
             raise InvalidStructure(f'{where}: bad scalar {x!r} (expected an integer or "p/q")')
+        matches.append(match)
     try:
-        return tuple(Fraction(x) for x in raw)
+        return tuple(
+            Fraction(x) if match is None else Fraction(int(match[1]), int(match[2] or 1))
+            for x, match in zip(raw, matches)
+        )
     except ValueError:  # a numerator or denominator past Python's int-string digit limit
         raise InvalidStructure(f"{where}: a scalar has more digits than Python converts") from None
 
@@ -91,7 +97,7 @@ def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Ma
     entries = []
     for row in raw:
         entries.extend(parse_vector(row, c, where))
-    return Matrix(r, c, entries)
+    return Matrix._of(r, c, entries)
 
 
 def _parse_table(

@@ -15,7 +15,7 @@ formed only for a returned defect, matrix entry or cochain value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence, Union
@@ -60,10 +60,16 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class Representation:
-    """Action of a Lie algebra on a module, one matrix per generator."""
+    """Action of a Lie algebra on a module, one matrix per generator.
+
+    As a map of signed terms (`multilin.term_defect`) it takes (x, u) to
+    rho(e_x) e_u; `_ints` holds the integer table `multilin._int_table`
+    builds of it, on first use, and takes no part in `==`, `hash` or `repr`.
+    """
 
     module_dim: int
     action: tuple[Matrix, ...]
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def act_basis(self, i: int, u_idx: int) -> Vector:
         return self.action[i].col(u_idx)

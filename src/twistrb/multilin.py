@@ -96,9 +96,13 @@ def iter_unshuffles(blocks: Sequence[int]) -> Iterable[tuple[tuple[int, ...], in
 
 
 class Cochain:
-    """Skew p-linear map source^p -> target, columns over the lex exterior basis."""
+    """Skew p-linear map source^p -> target, columns over the lex exterior basis.
 
-    __slots__ = ("degree", "source_dim", "target_dim", "matrix")
+    `_ints` holds the integer table `_int_table` builds of the map, on first
+    use; it takes no part in `==` or `hash`.
+    """
+
+    __slots__ = ("degree", "source_dim", "target_dim", "matrix", "_ints")
 
     def __init__(self, degree: int, source_dim: int, target_dim: int, matrix: Matrix):
         expected = comb(source_dim, degree) if degree >= 0 else 0
@@ -111,6 +115,7 @@ class Cochain:
         object.__setattr__(self, "source_dim", source_dim)
         object.__setattr__(self, "target_dim", target_dim)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
@@ -261,9 +266,11 @@ class Bilinear:
     """A full (not necessarily skew) bilinear map source x source -> target.
 
     Columns run over ordered pairs (i, j) with index i * source_dim + j.
+    `_ints` holds the integer table `_int_table` builds of the map, on first
+    use; it takes no part in `==` or `hash`.
     """
 
-    __slots__ = ("source_dim", "target_dim", "matrix")
+    __slots__ = ("source_dim", "target_dim", "matrix", "_ints")
 
     def __init__(self, source_dim: int, target_dim: int, matrix: Matrix):
         if matrix.cols != source_dim * source_dim or matrix.rows != target_dim:
@@ -271,6 +278,7 @@ class Bilinear:
         object.__setattr__(self, "source_dim", source_dim)
         object.__setattr__(self, "target_dim", target_dim)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bilinear is immutable")
@@ -335,7 +343,7 @@ def _table(op) -> tuple[dict, tuple[int, ...], int]:
     """Sparse table {argument index or index tuple: nonzero (output index, coefficient)} of a map,
     with the map's argument dimensions and target dimension.
 
-    `op` is a Matrix (linear), a Bilinear, a tuple of action matrices, where
+    `op` is a Matrix (linear), a Bilinear, a Representation (liealg), where
     the pair (x, u) maps to rho(e_x) e_u, or a Cochain of degree p >= 1: its
     matrix as a linear map for p = 1, and for p >= 2 every ordering of each
     basis tuple, signed by its permutation.  A degree-0 cochain is a
@@ -352,8 +360,9 @@ def _table(op) -> tuple[dict, tuple[int, ...], int]:
         blocks = [(op.matrix, [divmod(j, op.source_dim) for j in range(op.matrix.cols)], 1)]
         dims = (op.source_dim, op.source_dim)
     else:
-        blocks = [(rho, [(x, u) for u in range(rho.cols)], 1) for x, rho in enumerate(op)]
-        dims = (len(op), op[0].cols)
+        action = op.action
+        blocks = [(rho, [(x, u) for u in range(rho.cols)], 1) for x, rho in enumerate(action)]
+        dims = (len(action), action[0].cols)
     table: dict = {}
     for matrix, keys, sign in blocks:
         for idx, x in enumerate(matrix.entries):
@@ -364,12 +373,112 @@ def _table(op) -> tuple[dict, tuple[int, ...], int]:
 
 
 def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
-    """`_table` with integer coefficients, each times the table's scale (the lcm of its denominators),
-    then that scale, the argument dimensions and the target dimension."""
-    table, dims, dim = _table(op)
-    scale = lcm(*(x.denominator for col in table.values() for _, x in col))
-    ints = {key: [(row, x.numerator * (scale // x.denominator)) for row, x in col] for key, col in table.items()}
-    return ints, scale, dims, dim
+    """`_table` with each column a {output index: integer coefficient} dict, each coefficient times
+    the table's scale (the lcm of its denominators), then that scale, the argument dimensions and
+    the target dimension.
+
+    Built once per map and kept on it (its `_ints`) for its lifetime: every
+    map `_table` takes is immutable.
+    """
+    cached = op._ints
+    if cached is None:
+        table, dims, dim = _table(op)
+        scale = lcm(*(x.denominator for col in table.values() for _, x in col))
+        ints = {key: {row: x.numerator * (scale // x.denominator) for row, x in col} for key, col in table.items()}
+        cached = ints, scale, dims, dim
+        object.__setattr__(op, "_ints", cached)
+    return cached
+
+
+def _closure(node) -> Callable[[tuple], dict[int, int] | None]:
+    """A compiled node as a closure: a slot s becomes case -> {case[s]: 1}."""
+    if isinstance(node, int):
+        return lambda case: {case[node]: 1}
+    return node
+
+
+def _add(parts: list[tuple[int, Callable]]) -> Callable[[tuple], dict[int, int]]:
+    """The sum of (integer factor, closure) parts."""
+
+    def total(case):
+        out: dict[int, int] = {}
+        for f, part in parts:
+            value = part(case)
+            if value:
+                for k, x in value.items():
+                    if k in out:
+                        out[k] += f * x
+                    else:
+                        out[k] = f * x
+        return out
+
+    return total
+
+
+def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]:
+    """A map of integer table `table` applied to compiled nodes (slots or closures)."""
+    if all(isinstance(node, int) for node in nodes):
+        # the value is that column of the table itself: shared, so never changed
+        key = itemgetter(*nodes)
+        return lambda case: table.get(key(case))
+    fs = [_closure(node) for node in nodes]
+    if len(fs) == 1:
+        (f,) = fs
+
+        def unary(case):
+            out: dict[int, int] = {}
+            arg = f(case)
+            if arg:
+                for k, c in arg.items():
+                    col = table.get(k)
+                    if col:
+                        for row, y in col.items():
+                            if row in out:
+                                out[row] += c * y
+                            else:
+                                out[row] = c * y
+            return out
+
+        return unary
+    if len(fs) == 2:
+        f, g = fs
+
+        def binary(case):
+            out: dict[int, int] = {}
+            first, second = f(case), g(case)
+            if first and second:
+                pairs = second.items()
+                for i, ci in first.items():
+                    for j, cj in pairs:
+                        col = table.get((i, j))
+                        if col:
+                            c = ci * cj
+                            for row, y in col.items():
+                                if row in out:
+                                    out[row] += c * y
+                                else:
+                                    out[row] = c * y
+            return out
+
+        return binary
+
+    def multi(case):
+        out: dict[int, int] = {}
+        args = [f(case) for f in fs]
+        if all(args):
+            coeffs = itertools.product(*[arg.values() for arg in args])
+            for key, cs in zip(itertools.product(*args), coeffs):
+                col = table.get(key)
+                if col:
+                    c = prod(cs)
+                    for row, y in col.items():
+                        if row in out:
+                            out[row] += c * y
+                        else:
+                            out[row] = c * y
+        return out
+
+    return multi
 
 
 def term_defect(terms: list) -> Callable[..., Vector]:
@@ -381,19 +490,24 @@ def term_defect(terms: list) -> Callable[..., Vector]:
     it takes arguments; a k-ary op visits the product of their supports.
     Dimensions that do not compose raise DimensionMismatch.
 
-    Evaluation is over the integers.  Each op's table and each fixed Vector
-    is multiplied by the lcm of its denominators, and every compiled node
-    carries the integer scale of its values: an op's is its table's times
-    its arguments', a sum's is the lcm of its terms', each term's sign
-    folded into the integer factor sign * (lcm // scale).  An op with an
-    empty table, a zero Vector and a sum of such compile to nothing once
-    their dimensions are checked.  The defect is the root's integer sums
-    over its scale, a dense tuple of Fractions in lowest terms.
+    Evaluation is over the integers.  Each op's table (`_int_table`, built
+    once per op) and each fixed Vector is multiplied by the lcm of its
+    denominators, and every compiled node carries the integer scale of its
+    values: an op's is its table's times its arguments', a sum's is the lcm
+    of its terms', each term's sign folded into the integer factor
+    sign * (lcm // scale).  An op with an empty table, a zero Vector and a
+    sum of such compile to nothing once their dimensions are checked.
+
+    Every other node compiles once into a closure from the basis tuple to
+    its {output index: integer} values (None or empty when zero): an op on
+    slots only looks up that column of its table, a sum of one +1 term is
+    that term, and no closure changes a value another returned.  The defect
+    is the root's integer sums over its scale, a dense tuple of Fractions in
+    lowest terms.
     """
-    tables: dict[int, tuple[dict, int, tuple[int, ...], int]] = {}
 
     def compile(expr) -> tuple[object, int | None, int]:
-        """The evaluation node of expr (None when it is zero), its dimension (None for a slot) and scale."""
+        """The node of expr (a slot, a closure, or None when it is zero), its dimension (None for a slot) and scale."""
         if isinstance(expr, int):
             return expr, None, 1
         if isinstance(expr, list):
@@ -401,48 +515,32 @@ def term_defect(terms: list) -> Callable[..., Vector]:
             dims = {dim for _, (_, dim, _) in parts} - {None}
             if len(dims) > 1:
                 raise DimensionMismatch(f"terms of dimensions {sorted(dims)} added")
+            dim = dims.pop() if dims else None
             live = [(sign, node, scale) for sign, (node, _, scale) in parts if node is not None]
             scale = lcm(*(s for _, _, s in live))
-            node = [(sign * (scale // s), node) for sign, node, s in live]
-            return node or None, dims.pop() if dims else None, scale
+            if len(live) == 1 and live[0][0] == 1:
+                return live[0][1], dim, scale
+            node = [(sign * (scale // s), _closure(node)) for sign, node, s in live]
+            return _add(node) if node else None, dim, scale
         if not expr or isinstance(expr[0], Fraction):
             scale = lcm(*(x.denominator for x in expr))
             ints = {i: x.numerator * (scale // x.denominator) for i, x in enumerate(expr) if x}
-            return ints or None, len(expr), scale
-        if id(expr[0]) not in tables:
-            tables[id(expr[0])] = _int_table(expr[0])
-        table, scale, arg_dims, dim = tables[id(expr[0])]
+            return (lambda case: ints) if ints else None, len(expr), scale
+        table, scale, arg_dims, dim = _int_table(expr[0])
         args = [compile(a) for a in expr[1:]]
         if len(args) != len(arg_dims) or any(d not in (None, want) for (_, d, _), want in zip(args, arg_dims)):
             raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d, _ in args]}")
         if not table or any(node is None for node, _, _ in args):
             return None, dim, 1
-        return (table, *(node for node, _, _ in args)), dim, scale * prod(s for _, _, s in args)
-
-    def value(node, case) -> dict[int, int]:
-        if isinstance(node, int):
-            return {case[node]: 1}
-        if isinstance(node, dict):
-            return node
-        if isinstance(node, list):
-            items = [(k, f * x) for f, e in node for k, x in value(e, case).items()]
-        else:
-            table, args = node[0], [value(a, case) for a in node[1:]]
-            if len(args) == 1:
-                hits = [(table.get(k), c) for k, c in args[0].items()]
-            else:
-                coeffs = itertools.product(*[arg.values() for arg in args])
-                hits = [(col, prod(cs)) for col, cs in zip(map(table.get, itertools.product(*args)), coeffs) if col]
-            items = [(k, c * y) for col, c in hits if col for k, y in col]
-        out: dict[int, int] = {}
-        for k, x in items:
-            out[k] = out[k] + x if k in out else x
-        return out
+        return _apply(table, [node for node, _, _ in args]), dim, scale * prod(s for _, _, s in args)
 
     root, dim, scale = compile(list(terms))
+    value = None if root is None else _closure(root)
 
     def defect(*case) -> Vector:
-        sums = {} if root is None else value(root, case)
+        sums = value(case) if value else None
+        if not sums:
+            return (ZERO,) * dim
         return tuple(Fraction(sums[k], scale) if sums.get(k) else ZERO for k in range(dim))
 
     return defect

@@ -149,7 +149,7 @@ def ns_from_assoc(a: AssocNs) -> NsLie:
 def ns_from_trb(setup: TrbSetup, t: Operator) -> NsLie:
     """u circ v = T(u).v, u vee v = H(Tu, Tv) on the module."""
     require_trb(setup, t)
-    circ = [(1, (setup.rep.action, (t, 0), 1))]
+    circ = [(1, (setup.rep, (t, 0), 1))]
     return _tabulated(setup.module_dim, circ, [(1, (setup.cocycle, (t, 0), (t, 1)))], "operator")
 
 

@@ -99,7 +99,7 @@ def bracket_terms(setup: TrbSetup, ts: Sequence[Operator], n: int) -> list:
     u and v are the basis vectors in slots 0 and 1.  Only the stored
     coefficients enter, so past order 2(len(ts) - 1) there are no terms.
     """
-    rho, h, k = setup.rep.action, setup.cocycle, len(ts)
+    rho, h, k = setup.rep, setup.cocycle, len(ts)
     terms = [(1, (rho, (ts[n], 0), 1)), (-1, (rho, (ts[n], 1), 0))] if 0 <= n < k else []
     return terms + [(1, (h, (ts[a], 0), (ts[n - a], 1))) for a in range(k) if 0 <= n - a < k]
 
@@ -183,7 +183,7 @@ def induced_bracket(setup: TrbSetup, t: Operator) -> LieAlgebra:
 
 def induced_action_matrices(setup: TrbSetup, t: Operator) -> tuple[Matrix, ...]:
     """Action of (M,[.,.]_T) on g: u . x = [Tu, x] + T(x.u + H(x, Tu)), with u in slot 0 and x in slot 1."""
-    n, c, rho, h = setup.dim, setup.algebra.bracket, setup.rep.action, setup.cocycle
+    n, c, rho, h = setup.dim, setup.algebra.bracket, setup.rep, setup.cocycle
     terms = [(1, (c, (t, 0), 1)), (1, (t, [(1, (rho, 1, 0)), (1, (h, 1, (t, 0)))]))]
     return tuple(tabulate(terms, [(a, x) for x in range(n)], n) for a in range(setup.module_dim))
 

@@ -77,7 +77,7 @@ def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
 
 def _component_identities(s: TrbSetup, j: GcsComponents) -> list[tuple[str, str, list, list]]:
     """Equations (5)-(10) as (name, kind, basis tuples, signed terms); x, y in g and u, v in M."""
-    c, rho, h = s.algebra.bracket, s.rep.action, s.cocycle
+    c, rho, h = s.algebra.bracket, s.rep, s.cocycle
     nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
     tu_v = [(1, (rho, (tm, 0), 1)), (-1, (rho, (tm, 1), 0))]  # Tu.v - Tv.u
     nx_u = [(1, (rho, (nm, 0), 1)), (-1, (rho, 0, (sm, 1))), (1, (h, 0, (tm, 1)))]  # Nx.u - x.Su + H(x,Tu)
@@ -166,9 +166,8 @@ def complex_structure_check(
     square = vanishes("I^2 = -id", i_map @ i_map + Matrix.identity(n))
     integ = first_failure("integrability of I", ext_basis(n, 2), term_defect(_integrability_terms(algebra.bracket, i_map)))
     square_m = vanishes("I_M^2 = -id", i_mod @ i_mod + Matrix.identity(m))
-    rho = rep.action
-    inner = [(1, (rho, (i_map, 0), 1)), (1, (rho, 0, (i_mod, 1)))]
-    terms = [(1, (rho, (i_map, 0), (i_mod, 1))), (-1, (rho, 0, 1)), (-1, (i_mod, inner))]
+    inner = [(1, (rep, (i_map, 0), 1)), (1, (rep, 0, (i_mod, 1)))]
+    terms = [(1, (rep, (i_map, 0), (i_mod, 1))), (-1, (rep, 0, 1)), (-1, (i_mod, inner))]
     kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"
     compat = first_failure(kind, itertools.product(range(n), range(m)), term_defect(terms))
     eqs = (("I^2 = -id", square), ("integrability", integ), ("I_M^2 = -id", square_m), ("module-compat", compat))

@@ -13,6 +13,7 @@ included.  `term_defect` itself, which sums integers over one scale per
 node, is also compared with `oracles.term_defect_fraction` on drawn
 identities.
 """
+import copy
 import itertools
 from contextlib import ExitStack
 from fractions import Fraction
@@ -26,12 +27,12 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, term_defect_fraction, trb_defect_terms
-from twistrb import corpus, deform, liealg, nslie, operators, report, tgcs
+from twistrb import corpus, deform, liealg, multilin, nslie, operators, report, tgcs
 from twistrb.errors import DimensionMismatch
 from twistrb.exactlin import Matrix, vector
 from twistrb.liealg import Representation, abelian, jacobi_defect, trivial_rep, validate_rep
 from twistrb.linfty import nr_bracket
-from twistrb.multilin import Bilinear, Cochain, ext_basis, term_defect
+from twistrb.multilin import Bilinear, Cochain, _int_table, ext_basis, term_defect
 from twistrb.operators import trb_setup
 from twistrb.report import EquationReport, Violation, first_failure, passed
 
@@ -451,7 +452,7 @@ def test_term_defect_forms():
     c = Cochain(2, 2, 2, Matrix(2, 1, [half, 0]))
     b = Bilinear(2, 2, Matrix(2, 4, [1, 0, 0, half, 0, 0, 3, 0]))
     a = Matrix(2, 2, [0, 1, half, 0])
-    rho = (Matrix(2, 2, [1, 0, 0, 0]), Matrix.zero(2, 2))
+    rho = Representation(2, (Matrix(2, 2, [1, 0, 0, 0]), Matrix.zero(2, 2)))
     x = vector([half, 2])
     terms = [(1, (c, 1, 0)), (-1, (a, [(1, (b, 0, x)), (-1, (rho, 0, 1))])), (1, (b, x, (a, 1)))]
     # c(e1,e0) = (-1/2, 0); A(b(e0,x) - rho(e0)e1) = A(1/2, 0) = (0, 1/4); b(x, A e1) = b(x, e0) = (1/2, 6)
@@ -507,7 +508,7 @@ def identity_maps(n):
         wide(n, n),
         *(wide(n, comb(n, p)).map(partial(Cochain, p, n, n)) for p in (1, 2, 3)),
         wide(n, n * n).map(lambda m: Bilinear(n, n, m)),
-        st.tuples(*[wide(n, n)] * n),
+        st.tuples(*[wide(n, n)] * n).map(partial(Representation, n)),
     )
 
 
@@ -539,6 +540,89 @@ def test_term_defect_matches_fraction_oracle(data):
     got, expected = term_defect(terms), term_defect_fraction(terms)
     for case in itertools.product(range(n), repeat=SLOTS):
         assert_same(got(*case), expected(*case))
+
+
+def shared_map_terms(data, maps, n):
+    """A bare map on slots (the root is then that column of its table), or a sum of terms that all
+    apply one map, on slots or on drawn expressions that may apply it again."""
+    op = data.draw(st.sampled_from(maps))
+    slots = st.integers(0, SLOTS - 1)
+    if data.draw(st.booleans()):
+        return [(1, (op, *(data.draw(slots) for _ in range(arity(op)))))]
+    terms = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        args = [
+            data.draw(slots) if data.draw(st.booleans()) else identity_expr(data, (op, *maps), n, 1)
+            for _ in range(arity(op))
+        ]
+        terms.append((data.draw(st.sampled_from([1, -1])), (op, *args)))
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compiled_defect_leaks_no_state_between_cases(data):
+    """One compiled defect evaluated twice over every basis tuple, in drawn orders, equals the
+    Fraction oracle each time, and leaves every cached integer table as it was before."""
+    n = data.draw(st.integers(1, 3))
+    maps = data.draw(identity_maps(n))
+    terms = shared_map_terms(data, maps, n)
+    got, expected = term_defect(terms), term_defect_fraction(terms)
+    tables = [copy.deepcopy(_int_table(op)) for op in maps]
+    cases = list(itertools.product(range(n), repeat=SLOTS))
+    for _ in range(2):
+        for case in data.draw(st.permutations(cases)):
+            assert_same(got(*case), expected(*case))
+    assert [_int_table(op) for op in maps] == tables
+
+
+def fresh(setup, t):
+    """A copy of (setup, T) sharing no map with it, so no integer table is built yet."""
+
+    def matrix(m):
+        return Matrix(m.rows, m.cols, m.entries)
+
+    def cochain(c):
+        return Cochain(c.degree, c.source_dim, c.target_dim, matrix(c.matrix))
+
+    algebra = liealg.LieAlgebra(setup.dim, cochain(setup.algebra.bracket))
+    rep = Representation(setup.module_dim, tuple(matrix(rho) for rho in setup.rep.action))
+    return operators.TrbSetup(algebra, rep, cochain(setup.cocycle)), matrix(t)
+
+
+def test_integer_tables_are_built_once_per_map():
+    """A second check of one (setup, T) builds no table; the cached table takes no part in `==`
+    or `hash`; a new map (an operation's result included) starts without one."""
+    table, builds = multilin._table, []
+
+    def counted(op):
+        builds.append(op)
+        return table(op)
+
+    setup, t = fresh(*CORPUS[sorted(CORPUS)[0]])
+    with mock.patch.object(multilin, "_table", counted):
+        first = operators.check_trb(setup, t)
+        built = len(builds)
+        assert operators.check_trb(setup, t) == first
+    assert 0 < built == len(builds) == len({id(op) for op in builds})
+
+    m = Matrix(2, 2, [1, Fraction(1, 2), 0, 3])
+    c = Cochain(2, 2, 2, Matrix(2, 1, [Fraction(2, 3), 1]))
+    b = Bilinear(2, 2, Matrix(2, 4, [1, 0, 0, Fraction(1, 2), 0, 0, 3, 0]))
+    rep = Representation(2, (m, m.transpose()))
+    twins = [
+        (m, Matrix(2, 2, m.entries)),
+        (c, Cochain(2, 2, 2, Matrix(2, 1, c.matrix.entries))),
+        (b, Bilinear(2, 2, Matrix(2, 4, b.matrix.entries))),
+        (rep, Representation(2, rep.action)),
+    ]
+    for op, twin in twins:
+        assert op._ints is None
+        _int_table(op)
+        assert op._ints is not None and twin._ints is None
+        assert op == twin and twin == op and hash(op) == hash(twin)
+    for result in (m + m, m - m, -m, m @ m, m.scale(2), m.transpose(), Matrix._of(2, 2, m.entries), c + c, c.scale(2)):
+        assert result._ints is None
 
 
 # x with a distinct odd-prime-power denominator in each coordinate
