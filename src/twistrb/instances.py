@@ -69,24 +69,44 @@ def _parse_key(key: str, arity: int, dim: int, where: str) -> tuple[int, ...]:
 
 def parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]:
     """A list of exact scalars: integers, or strings "p" or "p/q" with q > 0."""
+    return _parse_vector(raw, length, where, {})
+
+
+def _parse_vector(raw: Sequence, length: int, where: str, seen: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """`parse_vector`, remembering in `seen` the value of each scalar string it parses.
+
+    `seen` is keyed by strings only, so a bool, a float or an int never
+    passes for a remembered scalar it equals.  Every entry is checked before
+    any is converted, as in a list read on its own.
+    """
     if not isinstance(raw, list) or len(raw) != length:
         raise InvalidStructure(f"{where}: expected a list of {length} scalars")
-    matches = []
+    new = {}
     for x in raw:
-        match = _SCALAR.fullmatch(x) if isinstance(x, str) else None
-        if not (match or _is_int(x)):
-            raise InvalidStructure(f'{where}: bad scalar {x!r} (expected an integer or "p/q")')
-        matches.append(match)
+        if isinstance(x, str):
+            if x in seen or x in new:
+                continue
+            match = _SCALAR.fullmatch(x)
+            if match:
+                new[x] = match
+                continue
+        elif _is_int(x):
+            continue
+        raise InvalidStructure(f'{where}: bad scalar {x!r} (expected an integer or "p/q")')
     try:
-        return tuple(
-            Fraction(x) if match is None else Fraction(int(match[1]), int(match[2] or 1))
-            for x, match in zip(raw, matches)
-        )
+        for x, match in new.items():
+            seen[x] = Fraction(int(match[1]), int(match[2] or 1))
     except ValueError:  # a numerator or denominator past Python's int-string digit limit
         raise InvalidStructure(f"{where}: a scalar has more digits than Python converts") from None
+    return tuple([seen[x] if isinstance(x, str) else Fraction(x) for x in raw])
 
 
 def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Matrix:
+    return _parse_matrix(raw, rows, cols, where, {})
+
+
+def _parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str, seen: dict[str, Fraction]) -> Matrix:
+    """`parse_matrix`, with the scalar strings of `seen` as in `_parse_vector`."""
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise InvalidStructure(f"{where}: expected a list of rows")
     r, c = len(raw), len(raw[0])
@@ -96,12 +116,12 @@ def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Ma
         raise InvalidStructure(f"{where}: expected {cols} columns, got {c}")
     entries = []
     for row in raw:
-        entries.extend(parse_vector(row, c, where))
+        entries.extend(_parse_vector(row, c, where, seen))
     return Matrix._of(r, c, entries)
 
 
 def _parse_table(
-    raw: Any, arity: int, dim: int, length: int, where: str, increasing: bool
+    raw: Any, arity: int, dim: int, length: int, where: str, increasing: bool, seen: dict[str, Fraction]
 ) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
     """An index table: keys list `arity` indices in 1..dim (strictly increasing
     if `increasing`), values `length` scalars, and no two keys name one tuple."""
@@ -112,23 +132,23 @@ def _parse_table(
             raise InvalidStructure(f"{where}: key {key!r} must be strictly increasing")
         if t in table:
             raise InvalidStructure(f"{where}: key {key!r} names the same index tuple as an earlier key")
-        table[t] = parse_vector(vec, length, f"{where}[{key}]")
+        table[t] = _parse_vector(vec, length, f"{where}[{key}]", seen)
     return table
 
 
 def _parse_cochain(
-    raw: Mapping, degree: int, source_dim: int, target_dim: int, where: str
+    raw: Mapping, degree: int, source_dim: int, target_dim: int, where: str, seen: dict[str, Fraction]
 ) -> Cochain:
     _object(raw, where)
     for field, expected in (("degree", degree), ("source_dim", source_dim), ("target_dim", target_dim)):
         if field in raw and (not _is_int(raw[field]) or raw[field] != expected):
             raise InvalidStructure(f"{where}: {field} must be {expected}, got {raw[field]}")
-    values = _parse_table(raw.get("values", {}), degree, source_dim, target_dim, f"{where}.values", increasing=True)
+    values = _parse_table(raw.get("values", {}), degree, source_dim, target_dim, f"{where}.values", increasing=True, seen=seen)
     return Cochain.from_values(degree, source_dim, target_dim, values)
 
 
-def _parse_bilinear(raw: Mapping, dim: int, where: str) -> Bilinear:
-    return Bilinear.from_values(dim, dim, _parse_table(raw, 2, dim, dim, where, increasing=False))
+def _parse_bilinear(raw: Mapping, dim: int, where: str, seen: dict[str, Fraction]) -> Bilinear:
+    return Bilinear.from_values(dim, dim, _parse_table(raw, 2, dim, dim, where, increasing=False, seen=seen))
 
 
 @dataclass(frozen=True)
@@ -174,6 +194,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     if not isinstance(data, Mapping):
         raise InvalidStructure("instance document must be a JSON object")
     fields: dict[str, Any] = {}
+    seen: dict[str, Fraction] = {}  # the value of each scalar string read so far
 
     lie = _section(data, "lie_algebra")
     dim = None
@@ -181,7 +202,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         dim = _positive_int(lie.get("dim"), "lie_algebra.dim")
         fields["lie_dim"] = dim
         fields["brackets"] = _parse_table(
-            lie.get("brackets", {}), 2, dim, dim, "lie_algebra.brackets", increasing=False
+            lie.get("brackets", {}), 2, dim, dim, "lie_algebra.brackets", increasing=False, seen=seen
         )
 
     mod = _section(data, "module")
@@ -201,7 +222,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         if not isinstance(raw_action, list) or len(raw_action) != dim:
             raise InvalidStructure(f"representation.action must list {dim} matrices")
         fields["action"] = tuple(
-            parse_matrix(a, m_dim, m_dim, f"representation.action[{k}]")
+            _parse_matrix(a, m_dim, m_dim, f"representation.action[{k}]", seen)
             for k, a in enumerate(raw_action)
         )
     fields["module_dim"] = m_dim
@@ -209,20 +230,20 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     if "cocycle_H" in data:
         if dim is None or m_dim is None:
             raise InvalidStructure("cocycle_H needs lie_algebra and a module dimension")
-        fields["cocycle_h"] = _parse_cochain(data["cocycle_H"], 2, dim, m_dim, "cocycle_H")
+        fields["cocycle_h"] = _parse_cochain(data["cocycle_H"], 2, dim, m_dim, "cocycle_H", seen)
 
     if "operator_T" in data:
-        fields["operator_t"] = parse_matrix(data["operator_T"], dim, m_dim, "operator_T")
+        fields["operator_t"] = _parse_matrix(data["operator_T"], dim, m_dim, "operator_T", seen)
     if "operator_N" in data:
-        fields["operator_n"] = parse_matrix(data["operator_N"], dim, dim, "operator_N")
+        fields["operator_n"] = _parse_matrix(data["operator_N"], dim, dim, "operator_N", seen)
     if "derivation_d" in data:
-        fields["derivation_d"] = parse_matrix(data["derivation_d"], dim, dim, "derivation_d")
+        fields["derivation_d"] = _parse_matrix(data["derivation_d"], dim, dim, "derivation_d", seen)
 
     ns = _section(data, "ns_lie")
     if ns is not None:
         ns_dim = _positive_int(ns.get("dim"), "ns_lie.dim")
-        circ = _parse_bilinear(ns.get("circ", {}), ns_dim, "ns_lie.circ")
-        vee = _parse_table(ns.get("vee", {}), 2, ns_dim, ns_dim, "ns_lie.vee", increasing=True)
+        circ = _parse_bilinear(ns.get("circ", {}), ns_dim, "ns_lie.circ", seen)
+        vee = _parse_table(ns.get("vee", {}), 2, ns_dim, ns_dim, "ns_lie.vee", increasing=True, seen=seen)
         fields["ns"] = NsLie(ns_dim, circ, Cochain.from_values(2, ns_dim, ns_dim, vee))
 
     assoc = _section(data, "assoc_ns")
@@ -230,9 +251,9 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         a_dim = _positive_int(assoc.get("dim"), "assoc_ns.dim")
         fields["assoc"] = AssocNs(
             a_dim,
-            _parse_bilinear(assoc.get("prec", {}), a_dim, "assoc_ns.prec"),
-            _parse_bilinear(assoc.get("succ", {}), a_dim, "assoc_ns.succ"),
-            _parse_bilinear(assoc.get("box", {}), a_dim, "assoc_ns.box"),
+            _parse_bilinear(assoc.get("prec", {}), a_dim, "assoc_ns.prec", seen),
+            _parse_bilinear(assoc.get("succ", {}), a_dim, "assoc_ns.succ", seen),
+            _parse_bilinear(assoc.get("box", {}), a_dim, "assoc_ns.box", seen),
         )
 
     gcs = _section(data, "gcs_components")
@@ -240,10 +261,10 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         if dim is None or m_dim is None:
             raise InvalidStructure("gcs_components needs lie_algebra and a module dimension")
         fields["gcs"] = (
-            parse_matrix(gcs.get("N"), dim, dim, "gcs_components.N"),
-            parse_matrix(gcs.get("T"), dim, m_dim, "gcs_components.T"),
-            parse_matrix(gcs.get("sigma"), m_dim, dim, "gcs_components.sigma"),
-            parse_matrix(gcs.get("S"), m_dim, m_dim, "gcs_components.S"),
+            _parse_matrix(gcs.get("N"), dim, dim, "gcs_components.N", seen),
+            _parse_matrix(gcs.get("T"), dim, m_dim, "gcs_components.T", seen),
+            _parse_matrix(gcs.get("sigma"), m_dim, dim, "gcs_components.sigma", seen),
+            _parse_matrix(gcs.get("S"), m_dim, m_dim, "gcs_components.S", seen),
         )
 
     lg = _section(data, "lie_gcs")
@@ -251,9 +272,9 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         if dim is None:
             raise InvalidStructure("lie_gcs needs a lie_algebra section")
         fields["lie_gcs"] = LieGcsTriple(
-            parse_matrix(lg.get("N"), dim, dim, "lie_gcs.N"),
-            parse_matrix(lg.get("r"), dim, dim, "lie_gcs.r"),
-            parse_matrix(lg.get("sigma"), dim, dim, "lie_gcs.sigma"),
+            _parse_matrix(lg.get("N"), dim, dim, "lie_gcs.N", seen),
+            _parse_matrix(lg.get("r"), dim, dim, "lie_gcs.r", seen),
+            _parse_matrix(lg.get("sigma"), dim, dim, "lie_gcs.sigma", seen),
         )
 
     defo = _section(data, "deformation")
@@ -267,14 +288,14 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         if not _is_int(order) or order != len(coeffs):
             raise InvalidStructure("deformation.order disagrees with coefficient count")
         fields["deformation"] = tuple(
-            parse_matrix(c, dim, m_dim, f"deformation.coefficients[{k}]")
+            _parse_matrix(c, dim, m_dim, f"deformation.coefficients[{k}]", seen)
             for k, c in enumerate(coeffs)
         )
 
     if "psi" in data:
         if dim is None:
             raise InvalidStructure("psi needs a lie_algebra section")
-        fields["psi"] = _parse_cochain(data["psi"], 3, dim, 1, "psi")
+        fields["psi"] = _parse_cochain(data["psi"], 3, dim, 1, "psi", seen)
 
     return InstanceDocument(**fields)
 

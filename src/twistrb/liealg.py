@@ -394,9 +394,15 @@ def ce_cohomology_representatives(
 
 
 def is_two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> CheckReport:
-    """True iff delta_CE h = 0; on failure carries the first violating triple."""
-    dh = ce_differential_cochain(algebra.bracket, rep, h)
-    return first_failure("2-cocycle", ext_basis(algebra.dim, 3), lambda *t: dh.value_on_basis(t))
+    """True iff delta_CE h = 0; on failure carries the first violating triple.
+
+    delta_CE h(x, y, z) = x.h(y,z) - y.h(x,z) + z.h(x,y) - h([x,y],z) + h([x,z],y) - h([y,z],x),
+    with the signs of `_differential_rows`, as signed terms on the basis triple in slots 0-2.
+    """
+    c = algebra.bracket
+    terms = [(1, (rep, 0, (h, 1, 2))), (-1, (rep, 1, (h, 0, 2))), (1, (rep, 2, (h, 0, 1)))]
+    terms += [(-1, (h, (c, 0, 1), 2)), (1, (h, (c, 0, 2), 1)), (-1, (h, (c, 1, 2), 0))]
+    return first_failure("2-cocycle", ext_basis(algebra.dim, 3), term_defect(terms))
 
 
 # -- Nijenhuis operators ------------------------------------------------

@@ -392,7 +392,7 @@ def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
 
 def _closure(node) -> Callable[[tuple], dict[int, int] | None]:
     """A compiled node as a closure: a slot s becomes case -> {case[s]: 1}."""
-    if isinstance(node, int):
+    if type(node) is int:
         return lambda case: {case[node]: 1}
     return node
 
@@ -417,7 +417,10 @@ def _add(parts: list[tuple[int, Callable]]) -> Callable[[tuple], dict[int, int]]
 
 def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]:
     """A map of integer table `table` applied to compiled nodes (slots or closures)."""
-    if all(isinstance(node, int) for node in nodes):
+    for node in nodes:
+        if type(node) is not int:
+            break
+    else:
         # the value is that column of the table itself: shared, so never changed
         key = itemgetter(*nodes)
         return lambda case: table.get(key(case))
@@ -507,32 +510,56 @@ def term_defect(terms: list) -> Callable[..., Vector]:
     """
 
     def compile(expr) -> tuple[object, int | None, int]:
-        """The node of expr (a slot, a closure, or None when it is zero), its dimension (None for a slot) and scale."""
-        if isinstance(expr, int):
+        """The node of expr (a slot, a closure, or None when it is zero), its dimension (None for a slot) and scale.
+
+        One pass over the expression: dimensions are checked as its parts
+        come back, each before any of them is pruned as zero.
+        """
+        kind = type(expr)
+        if kind is int:
             return expr, None, 1
-        if isinstance(expr, list):
-            parts = [(sign, compile(e)) for sign, e in expr]
-            dims = {dim for _, (_, dim, _) in parts} - {None}
-            if len(dims) > 1:
-                raise DimensionMismatch(f"terms of dimensions {sorted(dims)} added")
-            dim = dims.pop() if dims else None
-            live = [(sign, node, scale) for sign, (node, _, scale) in parts if node is not None]
-            scale = lcm(*(s for _, _, s in live))
+        if kind is list:
+            dim, others, live, scale = None, None, [], 1
+            for sign, e in expr:
+                node, d, s = (e, None, 1) if type(e) is int else compile(e)
+                if d is not None:
+                    if dim is None:
+                        dim = d
+                    elif d != dim:
+                        others = {dim, d} if others is None else others | {d}
+                if node is not None:
+                    live.append((sign, node, s))
+                    if s != scale:
+                        scale = lcm(scale, s)
+            if others is not None:
+                raise DimensionMismatch(f"terms of dimensions {sorted(others)} added")
             if len(live) == 1 and live[0][0] == 1:
                 return live[0][1], dim, scale
-            node = [(sign * (scale // s), _closure(node)) for sign, node, s in live]
-            return _add(node) if node else None, dim, scale
-        if not expr or isinstance(expr[0], Fraction):
+            parts = [(sign * (scale // s), _closure(node)) for sign, node, s in live]
+            return _add(parts) if parts else None, dim, scale
+        if not expr or type(expr[0]) is Fraction:
             scale = lcm(*(x.denominator for x in expr))
             ints = {i: x.numerator * (scale // x.denominator) for i, x in enumerate(expr) if x}
             return (lambda case: ints) if ints else None, len(expr), scale
-        table, scale, arg_dims, dim = _int_table(expr[0])
-        args = [compile(a) for a in expr[1:]]
-        if len(args) != len(arg_dims) or any(d not in (None, want) for (_, d, _), want in zip(args, arg_dims)):
-            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {[d for _, d, _ in args]}")
-        if not table or any(node is None for node, _, _ in args):
+        op = expr[0]
+        table, scale, arg_dims, dim = op._ints or _int_table(op)
+        bad, zero, nodes, dims = len(expr) != len(arg_dims) + 1, not table, [], []
+        for k in range(1, len(expr)):
+            a = expr[k]
+            node, d, s = (a, None, 1) if type(a) is int else compile(a)
+            dims.append(d)
+            if d is not None and not bad and d != arg_dims[k - 1]:
+                bad = True
+            if node is None:
+                zero = True
+            else:
+                nodes.append(node)
+                scale *= s
+        if bad:
+            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {dims}")
+        if zero:
             return None, dim, 1
-        return _apply(table, [node for node, _, _ in args]), dim, scale * prod(s for _, _, s in args)
+        return _apply(table, nodes), dim, scale
 
     root, dim, scale = compile(list(terms))
     value = None if root is None else _closure(root)

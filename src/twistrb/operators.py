@@ -202,8 +202,10 @@ def induced_rep(setup: TrbSetup, t: Operator) -> Representation:
 
 
 def is_one_cocycle(setup: TrbSetup, b: Matrix) -> bool:
-    f = Cochain.from_matrix_map(b)
-    return ce_differential_cochain(setup.algebra.bracket, setup.rep, f).is_zero()
+    """True iff delta_CE B(x, y) = x.B(y) - y.B(x) - B([x,y]) vanishes on every basis pair."""
+    rho, c = setup.rep, setup.algebra.bracket
+    terms = [(1, (rho, 0, (b, 1))), (-1, (rho, 1, (b, 0))), (-1, (b, (c, 0, 1)))]
+    return first_failure("1-cocycle", ext_basis(setup.dim, 2), term_defect(terms)).ok
 
 
 def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:

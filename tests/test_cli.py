@@ -1,4 +1,5 @@
 import ast
+import copy
 import itertools
 import json
 import subprocess
@@ -414,6 +415,65 @@ def test_boundary_flag_values_exit_two(argv, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+# -- exact error texts of bad scalars and vectors ----------------------------
+
+AFFINE_DOC = json.loads((INSTANCES / "affine_hinv.json").read_text())
+
+
+def with_values(doc, *changes):
+    """A deep copy of doc with each (path, value) of `changes` set."""
+    doc = copy.deepcopy(doc)
+    for path, value in changes:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+BAD_SCALAR = 'expected an integer or "p/q")'
+
+
+@pytest.mark.parametrize(
+    "path, value, line",
+    [
+        (("operator_T", 0, 1), "1.5", f"error: operator_T: bad scalar '1.5' ({BAD_SCALAR}"),
+        (("cocycle_H", "values", "[1,2]", 0), LONG, "error: cocycle_H.values[[1,2]]: a scalar has more digits than Python converts"),
+        (("lie_algebra", "brackets", "[1,2]"), ["0"], "error: lie_algebra.brackets[[1,2]]: expected a list of 2 scalars"),
+    ],
+    ids=["bad-scalar", "past-digit-limit", "wrong-length"],
+)
+def test_bad_scalar_in_a_file_message(path, value, line, tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(with_values(AFFINE_DOC, (path, value))))
+    assert run_cli(["validate", str(doc)], capsys) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "x, line",
+    [
+        ("1.5,0", f"error: --x: bad scalar '1.5' ({BAD_SCALAR}"),
+        (f"{LONG},0", "error: --x: a scalar has more digits than Python converts"),
+        ("0,0,0", "error: --x: expected a list of 2 scalars"),
+    ],
+    ids=["bad-scalar", "past-digit-limit", "wrong-length"],
+)
+def test_bad_scalar_in_x_message(x, line, capsys):
+    assert run_cli(["nijenhuis-element", str(INSTANCES / "affine_hinv.json"), "--x", x], capsys) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("earlier", ["1", 1], ids=["string", "integer"])
+@pytest.mark.parametrize(
+    "value, shown", [(True, "True"), (1.0, "1.0"), ("1.0", "'1.0'")], ids=["bool", "float", "decimal-string"]
+)
+def test_scalars_equal_to_an_earlier_one_are_still_refused(earlier, value, shown, tmp_path, capsys):
+    """A bool, a float or a decimal string equal to a scalar seen earlier in the document is
+    refused as if it came first: parsed scalars are remembered by their string only."""
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(with_values(AFFINE_DOC, (("operator_T", 0, 0), earlier), (("operator_T", 1, 1), value))))
+    assert run_cli(["validate", str(doc)], capsys) == (2, "", f"error: operator_T: bad scalar {shown} ({BAD_SCALAR}\n")
+
+
 # -- fuzzed document shapes ------------------------------------------------
 
 FUZZ_SEEDS = list(MALFORMED.values()) + [
@@ -569,6 +629,17 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_library_imports_only_the_standard_library():
+    """The library runs on the standard library alone: every module it imports, wherever the
+    import stands, is a standard-library module, twistrb itself, or relative to it."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+        foreign = [name for name in names if name.split(".")[0] not in (*sys.stdlib_module_names, "twistrb")]
+        assert foreign == [], f"{path.relative_to(SRC)}: imports {foreign}"
 
 
 def test_reports_are_byte_identical(capsys):

@@ -15,6 +15,7 @@ identities.
 """
 import copy
 import itertools
+import re
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
@@ -440,10 +441,46 @@ def test_ce_differential_cochain_matches_alternating_sum(data):
     got, expected = liealg.ce_differential_cochain(bracket, rep, f), oracles.ce_differential_alternating(bracket, rep, f)
     assert (got.degree, got.source_dim, got.target_dim) == (degree + 1, dim, m)
     assert_same(got.matrix.entries, expected.matrix.entries)
-    if degree == 2:
-        algebra = liealg.LieAlgebra(dim, bracket)
-        expected_report = first_failure("2-cocycle", ext_basis(dim, 3), lambda *t: expected.value_on_basis(t))
-        assert liealg.is_two_cocycle(algebra, rep, f) == expected_report
+
+
+def drawn_cochain(data, algebra, rep, degree):
+    """A degree-`degree` cochain of (algebra, rep): drawn, or delta_CE of a drawn one (a cocycle
+    when both are valid), either of them possibly moved at one entry."""
+    dim, m = algebra.dim, rep.module_dim
+    wide = partial(matrices, entries=wide_sparse_rationals)
+    if data.draw(st.booleans()):
+        f = Cochain(degree - 1, dim, m, data.draw(wide(m, comb(dim, degree - 1))))
+        c = oracles.ce_differential_alternating(algebra.bracket, rep, f)
+    else:
+        c = Cochain(degree, dim, m, data.draw(wide(m, comb(dim, degree))))
+    if c.matrix.cols and data.draw(st.booleans()):
+        entries = list(c.matrix.entries)
+        entries[data.draw(st.integers(0, len(entries) - 1))] += data.draw(wide_rationals)
+        c = Cochain(degree, dim, m, Matrix(m, c.matrix.cols, entries))
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cocycle_checks_match_alternating_sum(data):
+    """`is_two_cocycle` is the first failure of delta_CE H by the alternating sum and `is_one_cocycle`
+    is delta_CE B = 0, on corpus setups and on drawn brackets and actions (neither need be valid),
+    for H and B drawn or coboundaries, moved or not; entries reach denominators 2^61 - 1 and 10^9 + 7."""
+    if data.draw(st.booleans()):
+        setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+        algebra, rep = setup.algebra, setup.rep
+    else:
+        dim, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        wide = partial(matrices, entries=wide_sparse_rationals)
+        algebra = liealg.LieAlgebra(dim, Cochain(2, dim, dim, data.draw(wide(dim, comb(dim, 2)))))
+        rep = Representation(m, tuple(data.draw(wide(m, m)) for _ in range(dim)))
+    h = drawn_cochain(data, algebra, rep, 2)
+    dh = oracles.ce_differential_alternating(algebra.bracket, rep, h)
+    expected = first_failure("2-cocycle", ext_basis(algebra.dim, 3), lambda *t: dh.value_on_basis(t))
+    assert liealg.is_two_cocycle(algebra, rep, h) == expected
+    b = drawn_cochain(data, algebra, rep, 1)
+    closed = oracles.ce_differential_alternating(algebra.bracket, rep, b).is_zero()
+    assert operators.is_one_cocycle(operators.TrbSetup(algebra, rep, h), b.matrix) is closed
 
 
 def test_term_defect_forms():
@@ -461,32 +498,33 @@ def test_term_defect_forms():
 
 def test_term_defect_rejects_maps_that_do_not_compose():
     """A map applied to a value of another dimension or to the wrong number of arguments, a sum
-    of two dimensions, a fixed vector of the wrong length, a constant used as a map."""
+    of two dimensions, a fixed vector of the wrong length, a constant used as a map; each with
+    its whole message."""
     c, a = Cochain.zero(2, 3, 3), Matrix.zero(2, 2)
 
     def ones(degree, dim):
         return Cochain(degree, dim, dim, Matrix(dim, comb(dim, degree), [1] * dim * comb(dim, degree)))
 
-    for terms in (
-        [(1, (c, (a, 0), 1))],
-        [(1, (a, 0)), (-1, (c, 0, 1))],
-        [(1, (c, vector([1, 2]), 0))],
-        [(1, (a, 0, 1))],
+    for terms, message in (
+        ([(1, (c, (a, 0), 1))], "a map on dimensions (3, 3) applied to [2, None]"),
+        ([(1, (a, 0)), (-1, (c, 0, 1))], "terms of dimensions [2, 3] added"),
+        ([(1, (c, vector([1, 2]), 0))], "a map on dimensions (3, 3) applied to [2, None]"),
+        ([(1, (a, 0, 1))], "a map on dimensions (2,) applied to [None, None]"),
         # cochains given other than as many arguments as their degree: as many columns as
         # pairs (degree 1 on dim 3), fewer (degree 3 on dim 4), more (degree 1 on dim 2)
-        [(1, (ones(1, 3), 0, 1))],
-        [(1, (ones(3, 4), 0, 1))],
-        [(1, (ones(1, 2), 0, 1))],
-        [(1, (ones(3, 3), 0, 1))],
-        [(1, (ones(2, 3), 0, 1, 2))],
+        ([(1, (ones(1, 3), 0, 1))], "a map on dimensions (3,) applied to [None, None]"),
+        ([(1, (ones(3, 4), 0, 1))], "a map on dimensions (4, 4, 4) applied to [None, None]"),
+        ([(1, (ones(1, 2), 0, 1))], "a map on dimensions (2,) applied to [None, None]"),
+        ([(1, (ones(3, 3), 0, 1))], "a map on dimensions (3, 3, 3) applied to [None, None]"),
+        ([(1, (ones(2, 3), 0, 1, 2))], "a map on dimensions (3, 3) applied to [None, None, None]"),
         # a degree-0 cochain is a constant, not a map, whatever it is given
-        [(1, (ones(0, 3), 0))],
-        [(1, (ones(0, 3),))],
+        ([(1, (ones(0, 3), 0))], "a degree-0 cochain applied as a map"),
+        ([(1, (ones(0, 3),))], "a degree-0 cochain applied as a map"),
     ):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             term_defect(terms)
     _, sl2 = corpus.named_algebras()[0]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape('a map on dimensions (3, 3) applied to [2, 2]')}$"):
         liealg.nijenhuis_check(sl2, Matrix.identity(sl2.dim - 1))
 
 
