@@ -8,18 +8,12 @@ order.  Kernel bases come from the reduced row echelon parametrization with
 each free variable set to 1 in column order, which makes all outputs
 reproducible.
 
-`rref_rows`, behind `Matrix.rref`, takes a certified modular route first.  It
-clears the denominators of each row that has any, eliminates the integer rows
-modulo the prime p = 2^61 - 1, lifts every entry of the reduced form back to
-a rational by rational reconstruction, and then checks over Z that every row
-of the matrix is the combination of the lifted rows given by its own
-pivot-column entries.  The rank modulo p is a lower bound for the rank over
-Q, and the check puts every row in the span of the lifted rows, so it is an
-upper bound too; the lifted rows are then the reduced row echelon form over
-Q, which is unique.  When a lift or the check fails, the rows go through
-`RowSpace`, the Fraction elimination, instead.  No result ever rests on a
-probabilistic argument.  `RowSpace` also serves callers that feed vectors
-one at a time.
+`rref_rows`, behind `Matrix.rref`, is one exact fraction-free Gauss-Jordan
+elimination over Python ints (`_integer_rref`).  Each row is cleared of its
+denominators, and every kept row stays primitive, with a positive pivot and
+zeros in the other kept rows' pivot columns, so it is the reduced row of the
+rational form times its pivot; dividing it by the pivot gives that row.
+Every step is exact, so no result rests on a probabilistic argument.
 
 No floating point anywhere.
 """
@@ -39,12 +33,6 @@ ScalarLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# The modulus of the certified route of `Matrix.rref`, and the bound on the
-# numerators and denominators that rational reconstruction recovers: any two
-# fractions within it are distinct modulo the prime, since 2 * bound^2 < prime.
-_PRIME = (1 << 61) - 1
-_BOUND = math.isqrt(_PRIME // 2)
 
 
 def scalar(x: ScalarLike) -> Fraction:
@@ -351,19 +339,21 @@ def rref_rows(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict[int
     """The reduced row echelon form of sparse rows, each row keyed by its pivot column.
 
     Each row is a `{column: nonzero int or Fraction}` dict of a matrix with
-    `width` columns.  The rows are taken sparsest first, which keeps the kept
-    rows sparse for longer, by the certified modular route, and by `RowSpace`
-    when that route cannot certify its result.  The form is unique, so
-    neither the route nor the order shows in it.  `Matrix.rref` and the
-    ranks of `liealg.ce_cohomology_dims` both come from here.
+    `width` columns.  `_integer_rref` reduces them over the integers; each of
+    its primitive rows is then divided by its pivot, so the pivot becomes 1.
+    The form is unique, so the order in which rows are taken does not show
+    in it.  `Matrix.rref` comes from here, and the ranks of
+    `liealg.ce_cohomology_dims` from `_integer_rref` itself.
     """
-    rows = sorted(rows, key=len)
-    reduced = _certified_rref(rows, width)
-    if reduced is None:
-        space = RowSpace()
-        for row in rows:
-            space.add({c: Fraction(x) for c, x in row.items()})
-        reduced = space.rows
+    reduced = {}
+    for c, row in _integer_rref(rows, width).items():
+        pivot, quotients = row[c], {}  # entries repeat within a row
+        out = reduced[c] = {}
+        for k, x in row.items():
+            q = quotients.get(x)
+            if q is None:
+                q = quotients[x] = Fraction(x, pivot)
+            out[k] = q
     return reduced
 
 
@@ -372,167 +362,76 @@ def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
     return {c: x for c, x in enumerate(v) if x}
 
 
-class RowSpace:
-    """A row space kept in reduced row echelon form, one sparse row at a time.
+def _integer_rref(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form over Z: each row primitive, keyed by its pivot column.
 
-    Rows are `{column: Fraction}` dicts keyed by the column of their leading
-    1, and every kept row is zero in the other rows' leading columns.
-    `rref_rows` feeds it the rows of a matrix when the modular route cannot
-    certify its result, and callers that ask whether a vector lies in the span
-    of earlier ones feed it vectors one at a time.
+    Each row is cleared to integers (`_integer_row`) and the rows are taken
+    sparsest first, which keeps the kept rows sparse for longer.  Every kept
+    row is primitive (the gcd of its entries is 1), has a positive pivot and
+    is zero in every other kept row's pivot column, so it is the reduced row
+    of the rational form times its pivot.  A new row is reduced in a dense
+    list of plain ints: it is scaled once by the lcm D of the pivots p_c of
+    the kept rows it hits, and (row[c] * D / p_c) * kept[c] is subtracted for
+    each hit column c.  Kept rows are zero in each other's pivot columns, so
+    no subtraction changes another hit entry.  What is left is divided by
+    its content and by the sign of its pivot, and its pivot column is
+    cleared out of the kept rows the same way.  Every step is exact.
     """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def add(self, row: dict[int, Fraction]) -> bool:
-        """Reduce `row` (consumed) by the kept rows; keep what is left, if anything.
-
-        A kept row is zero in every other pivot column, so clearing one pivot
-        column of `row` never refills another.  A new pivot row is then
-        cleared out of the kept rows, which keeps the form reduced.
-        """
-        rows = self.rows
-        for c in [c for c in row if c in rows]:
-            _axpy(row, -row.pop(c), rows[c], c)
-        if not row:
-            return False
-        lead = min(row)
-        pv = row[lead]
-        if pv != 1:
-            row = {k: x / pv for k, x in row.items()}
-        for kept in rows.values():
-            f = kept.pop(lead, None)
-            if f is not None:
-                _axpy(kept, -f, row, lead)
-        rows[lead] = row
-        return True
-
-
-def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction], skip: int) -> None:
-    """row += f * other in place, leaving out column `skip` and dropping zeros."""
-    for k, y in other.items():
-        if k == skip:
-            continue
-        new = row.get(k, ZERO) + f * y
-        if new:
-            row[k] = new
-        else:
-            row.pop(k, None)
-
-
-def _certified_rref(rows: list[dict[int, int | Fraction]], width: int) -> dict[int, dict[int, Fraction]] | None:
-    """The reduced rows keyed by pivot column, or None when they cannot be certified.
-
-    Each row holding a Fraction is cleared to integers, and the rows are
-    eliminated modulo the prime in the order given.  Each entry of the
-    reduced rows is lifted to the rational with numerator and denominator at
-    most the bound that has that residue, and the lifted rows R_c are scaled
-    to integers by the lcm L of their denominators.  The result is returned only when every integer row
-    A_i satisfies L * A_i = sum over pivot columns c of A_i[c] * (L * R_c).
-    A new row is reduced in a dense list of plain ints and taken modulo the
-    prime once; the kept rows stay reduced modulo the prime.
-    """
-    prime, bound = _PRIME, _BOUND
-    integer_rows = [_integer_row(row) for row in rows]
-    kept: dict[int, dict[int, int]] = {}  # leading 1 left out
-    for row in integer_rows:
-        residues = {c: r for c, x in row.items() if (r := x % prime)}
-        hits = [c for c in residues if c in kept]
+    kept: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        row = _integer_row(row)
+        hits = [c for c in row if c in kept]
         if hits:
-            acc = [0] * width
-            for c, x in residues.items():
-                acc[c] = x
+            scale = 1
             for c in hits:
-                f = acc[c]
-                acc[c] = 0
-                for k, y in kept[c].items():
+                scale = math.lcm(scale, kept[c][c])
+            acc = [0] * width
+            for k, x in row.items():
+                acc[k] = x * scale
+            for c in hits:
+                other = kept[c]
+                f = row[c] * scale // other[c]
+                for k, y in other.items():
                     acc[k] -= f * y
-            residues = {k: r for k, x in enumerate(acc) if x and (r := x % prime)}
-        if not residues:
+            row = {k: x for k, x in enumerate(acc) if x}
+        if not row:
             continue
-        lead = min(residues)
-        pivot = residues.pop(lead)
-        if pivot == 1:
-            new = residues
-        else:
-            inverse = pow(pivot, -1, prime)
-            new = {k: x * inverse % prime for k, x in residues.items()}
-        for other in kept.values():
-            f = other.pop(lead, None)
+        lead = min(row)
+        new = _primitive(row, row[lead])
+        pivot = new[lead]
+        for c, other in kept.items():
+            f = other.get(lead)
             if f is not None:
-                _axpy_mod(other, f, new, prime)
+                g = math.gcd(pivot, f)
+                a, b = pivot // g, f // g
+                merged = {k: a * x for k, x in other.items()}
+                for k, y in new.items():
+                    x = merged.get(k, 0) - b * y
+                    if x:
+                        merged[k] = x
+                    else:
+                        del merged[k]
+                kept[c] = _primitive(merged, merged[c])
         kept[lead] = new
-    reduced: dict[int, dict[int, Fraction]] = {}
-    lifts: dict[int, Fraction] = {}  # entries repeat, so each residue is lifted once
-    lcm = 1
-    for c, residues in kept.items():
-        row = reduced[c] = {c: ONE}
-        for k, x in residues.items():
-            q = lifts.get(x)
-            if q is None:
-                q = lifts[x] = _reconstruct(x, prime, bound)
-                if q is None:
-                    return None
-            row[k] = q
-            if q.denominator != 1:
-                lcm = math.lcm(lcm, q.denominator)
-    scaled = {c: [(k, x.numerator * (lcm // x.denominator)) for k, x in row.items()] for c, row in reduced.items()}
-    for row in integer_rows:
-        acc = [0] * width
-        for c, a in row.items():
-            acc[c] -= lcm * a
-            for k, y in scaled.get(c, ()):
-                acc[k] += a * y
-        if any(acc):
-            return None
-    return reduced
+    return kept
 
 
 def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
-    """The row times the lcm of its denominators; a row of ints as it is."""
-    if all(type(x) is int for x in row.values()):
-        return row
-    lcm = 1
-    for x in row.values():
-        if x.denominator != 1:
-            lcm = math.lcm(lcm, x.denominator)
+    """The row times the lcm of its denominators, as a row of ints."""
+    lcm = math.lcm(*{x.denominator for x in row.values()})
     if lcm == 1:
         return {c: x.numerator for c, x in row.items()}
     return {c: x.numerator * (lcm // x.denominator) for c, x in row.items()}
 
 
-def _axpy_mod(row: dict[int, int], f: int, other: dict[int, int], prime: int) -> None:
-    """row -= f * other modulo the prime, in place, dropping zeros."""
-    for k, y in other.items():
-        x = (row.get(k, 0) - f * y) % prime
-        if x:
-            row[k] = x
-        else:
-            row.pop(k, None)
-
-
-def _reconstruct(x: int, prime: int, bound: int) -> Fraction | None:
-    """The fraction n/d with |n|, |d| <= bound and n = d * x modulo the prime, if any.
-
-    Residues within the bound of 0 or of the prime are integers; any other
-    residue runs the extended Euclidean algorithm on (prime, x) until the
-    remainder falls within the bound (Wang's rational reconstruction).
-    """
-    if x <= bound:
-        return Fraction(x)
-    if x >= prime - bound:
-        return Fraction(x - prime)
-    r0, r1, s0, s1 = prime, x, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound:
-        return None
-    return Fraction(r1, s1)
+def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
+    """The row divided by the gcd of its entries, and negated when its `pivot` entry is negative."""
+    g = math.gcd(*row.values())
+    if pivot < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {k: x // g for k, x in row.items()}
 
 
 def permutation_sign(word: Sequence[int]) -> int:

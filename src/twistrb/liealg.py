@@ -25,7 +25,7 @@ from .exactlin import (
     ZERO,
     Matrix,
     Vector,
-    rref_rows,
+    _integer_rref,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -355,14 +355,14 @@ def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
 def ce_cohomology_dims(algebra: LieAlgebra, rep: Representation, n_max: int) -> list[int]:
     """dim H^n = nullity(delta^n) - rank(delta^{n-1}) for n in 0..n_max.
 
-    Each rank comes from `rref_rows` on the integer rows of delta^n, with no
-    Fraction matrix in between.
+    Each rank counts the rows `exactlin._integer_rref` keeps of the integer
+    rows of delta^n, with no Fraction in between.
     """
     dims = []
     prev_rank = 0
     for n in range(n_max + 1):
         rows, width, _ = _differential_rows(algebra, rep, n)
-        rank = len(rref_rows(rows, width))
+        rank = len(_integer_rref(rows, width))
         dims.append(width - rank - prev_rank)
         prev_rank = rank
     return dims

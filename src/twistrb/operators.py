@@ -41,7 +41,6 @@ from .liealg import (
     lie_algebra_from_cochain,
     nijenhuis_check,
     nilpotency_index,
-    trivial_rep,
     validate_rep,
 )
 from .multilin import Cochain, ext_basis, tabulate, term_defect
@@ -379,7 +378,16 @@ def psi_sharp(algebra: LieAlgebra, psi: Cochain) -> Cochain:
 
 
 def is_scalar_cocycle(algebra: LieAlgebra, psi: Cochain) -> bool:
-    return ce_differential_cochain(algebra.bracket, trivial_rep(algebra, 1), psi).is_zero()
+    """delta_CE psi = 0 for a 3-cochain psi with values in the trivial module Q.
+
+    delta_CE psi(x_0, x_1, x_2, x_3) is the sum over a < b of (-1)^{a+b} psi([x_a, x_b], rest), rest
+    the other two in order, with the signs of `liealg._differential_rows`, as signed terms on the
+    basis 4-tuple in slots 0-3.
+    """
+    c = algebra.bracket
+    terms = [(-1, (psi, (c, 0, 1), 2, 3)), (1, (psi, (c, 0, 2), 1, 3)), (-1, (psi, (c, 0, 3), 1, 2))]
+    terms += [(-1, (psi, (c, 1, 2), 0, 3)), (1, (psi, (c, 1, 3), 0, 2)), (-1, (psi, (c, 2, 3), 0, 1))]
+    return first_failure("3-cocycle", ext_basis(algebra.dim, 4), term_defect(terms)).ok
 
 
 def r_matrix_check(

@@ -7,7 +7,8 @@ oracles are literal transcriptions of the three-unshuffle-sum binary and
 six-unshuffle-sum ternary displays (the library derives both from the twisted
 semidirect bracket on g + M; the six-sum form is valid for degrees >= 1),
 the cohomology-representative oracle keeps kernel vectors one at a time in a
-`RowSpace` (the library takes the pivots of one RREF), the Chevalley-Eilenberg
+`RowSpace`, a Fraction elimination on sparse rows (the library takes the
+pivots of one RREF of integer rows), the Chevalley-Eilenberg
 oracle is the literal alternating-sum formula, applied to each unit cochain
 for the matrix (the library assembles the matrix from structure constants
 and applies it to a single cochain too), and the d_T matrix oracle pushes unit
@@ -44,7 +45,6 @@ from twistrb.exactlin import (
     ONE,
     ZERO,
     Matrix,
-    RowSpace,
     Vector,
     basis_vector,
     scalar,
@@ -142,6 +142,56 @@ def cohomology_dims_oracle(setup, t, n_max: int) -> list[int]:
     deltas = [d_t_matrix_bracket3(setup, t, k) for k in range(n_max + 1)]
     ranks = [rank_oracle(matrix_rows(d)) for d in deltas]
     return [d.cols - rank - prev for d, rank, prev in zip(deltas, ranks, [0] + ranks)]
+
+
+class RowSpace:
+    """A row space kept in reduced row echelon form, one sparse row at a time.
+
+    Rows are `{column: Fraction}` dicts keyed by the column of their leading
+    1, and every kept row is zero in the other rows' leading columns.
+    `add` says whether a vector lies outside the span of the earlier ones,
+    which is how `ce_representatives_incremental` keeps kernel vectors.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def add(self, row: dict[int, Fraction]) -> bool:
+        """Reduce `row` (consumed) by the kept rows; keep what is left, if anything.
+
+        A kept row is zero in every other pivot column, so clearing one pivot
+        column of `row` never refills another.  A new pivot row is then
+        cleared out of the kept rows, which keeps the form reduced.
+        """
+        rows = self.rows
+        for c in [c for c in row if c in rows]:
+            _axpy(row, -row.pop(c), rows[c], c)
+        if not row:
+            return False
+        lead = min(row)
+        pv = row[lead]
+        if pv != 1:
+            row = {k: x / pv for k, x in row.items()}
+        for kept in rows.values():
+            f = kept.pop(lead, None)
+            if f is not None:
+                _axpy(kept, -f, row, lead)
+        rows[lead] = row
+        return True
+
+
+def _axpy(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction], skip: int) -> None:
+    """row += f * other in place, leaving out column `skip` and dropping zeros."""
+    for k, y in other.items():
+        if k == skip:
+            continue
+        new = row.get(k, ZERO) + f * y
+        if new:
+            row[k] = new
+        else:
+            row.pop(k, None)
 
 
 def ce_representatives_incremental(algebra, rep, n: int) -> list[Cochain]:

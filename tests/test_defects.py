@@ -463,9 +463,10 @@ def drawn_cochain(data, algebra, rep, degree):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_cocycle_checks_match_alternating_sum(data):
-    """`is_two_cocycle` is the first failure of delta_CE H by the alternating sum and `is_one_cocycle`
-    is delta_CE B = 0, on corpus setups and on drawn brackets and actions (neither need be valid),
-    for H and B drawn or coboundaries, moved or not; entries reach denominators 2^61 - 1 and 10^9 + 7."""
+    """`is_two_cocycle` is the first failure of delta_CE H by the alternating sum, and `is_one_cocycle`
+    and `is_scalar_cocycle` are delta_CE B = 0 and delta_CE psi = 0 (psi a scalar 3-cochain), on corpus setups and
+    on drawn brackets and actions (neither need be valid), for H, B and psi drawn or coboundaries,
+    moved or not; entries reach denominators 2^61 - 1 and 10^9 + 7."""
     if data.draw(st.booleans()):
         setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
         algebra, rep = setup.algebra, setup.rep
@@ -481,6 +482,10 @@ def test_cocycle_checks_match_alternating_sum(data):
     b = drawn_cochain(data, algebra, rep, 1)
     closed = oracles.ce_differential_alternating(algebra.bracket, rep, b).is_zero()
     assert operators.is_one_cocycle(operators.TrbSetup(algebra, rep, h), b.matrix) is closed
+    scalars = trivial_rep(algebra, 1)
+    psi = drawn_cochain(data, algebra, scalars, 3)
+    closed = oracles.ce_differential_alternating(algebra.bracket, scalars, psi).is_zero()
+    assert operators.is_scalar_cocycle(algebra, psi) is closed
 
 
 def test_term_defect_forms():

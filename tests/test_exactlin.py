@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import matmul_dense, matrix_rows, rank_oracle, rref_oracle
 from twistrb import corpus, exactlin
 from twistrb.errors import DimensionMismatch, SingularMatrix
-from twistrb.exactlin import Matrix, RowSpace, scalar, scalar_str, sparse_row, vec_is_zero
+from twistrb.exactlin import Matrix, scalar, scalar_str, sparse_row, vec_is_zero
 from twistrb.liealg import adjoint_rep, ce_differential, coadjoint_rep, validate_lie
 
 rationals = st.fractions(
@@ -160,18 +160,6 @@ def test_rref_of_empty_shapes(k):
         assert m.rref() == rref_oracle(m) == (m, ())
 
 
-@settings(max_examples=100)
-@given(rectangular())
-def test_row_space_keeps_exactly_the_rank_raising_rows(m):
-    space, kept = RowSpace(), []
-    for i in range(m.rows):
-        row = list(m.row(i))
-        raises = rank_oracle(kept + [row]) > rank_oracle(kept)
-        assert space.add(sparse_row(row)) == raises
-        if raises:
-            kept.append(row)
-
-
 def test_public_constructor_still_coerces_and_rejects():
     assert Matrix(1, 1, ["1/2"]).entries == (Fraction(1, 2),)
     assert Matrix(2, 1, [3, " -4/6 "]).entries == (Fraction(3), Fraction(-2, 3))
@@ -204,10 +192,10 @@ def test_arithmetic_results_hold_fractions(m):
         assert type(got.entries) is tuple and all(type(x) is Fraction for x in got.entries)
 
 
-# -- the certified modular route of rref ---------------------------------------
+# -- the integer elimination kernel ------------------------------------------
 
-# numerators and denominators past 2^31, where the lifted entries need not fit
-# the reconstruction bound and the route must fall back
+# numerators and denominators past 2^61, so entries of the reduced form grow
+# past a machine word
 huge_rationals = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
 mixed_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals, huge_rationals)
 
@@ -219,6 +207,13 @@ def mixed(max_rows=6, max_cols=9):
     )
 
 
+def rank_deficient_huge():
+    """Products (r x k)(k x c) with k <= 3 of mixed entries, up to 6 x 9."""
+    return st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(1, 9)).flatmap(
+        lambda rkc: st.tuples(shaped(rkc[0], rkc[1], mixed_rationals), shaped(rkc[1], rkc[2], mixed_rationals))
+    ).map(lambda factors: factors[0] @ factors[1])
+
+
 @settings(max_examples=200)
 @given(mixed())
 def test_rref_matches_dense_oracle_with_huge_entries(m):
@@ -226,69 +221,49 @@ def test_rref_matches_dense_oracle_with_huge_entries(m):
 
 
 @settings(max_examples=100)
-@given(
-    st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(1, 9)).flatmap(
-        lambda rkc: st.tuples(shaped(rkc[0], rkc[1], mixed_rationals), shaped(rkc[1], rkc[2], mixed_rationals))
-    )
-)
-def test_rref_matches_dense_oracle_rank_deficient_huge(factors):
-    m = factors[0] @ factors[1]
+@given(rank_deficient_huge())
+def test_rref_matches_dense_oracle_rank_deficient_huge(m):
     assert m.rref() == rref_oracle(m)
 
 
 @settings(max_examples=200)
-@given(st.integers(-exactlin._BOUND, exactlin._BOUND).filter(bool), st.integers(1, exactlin._BOUND))
-def test_reconstruct_recovers_every_fraction_within_the_bound(n, d):
-    p = exactlin._PRIME
-    assert exactlin._reconstruct(n * pow(d, -1, p) % p, p, exactlin._BOUND) == Fraction(n, d)
+@given(st.one_of(mixed(), rank_deficient_huge()))
+def test_integer_rref_keeps_primitive_reduced_rows(m):
+    """Every kept row is primitive, has a positive pivot at its key, is zero in the other pivot
+    columns, and is the oracle's reduced row times that pivot."""
+    kept = exactlin._integer_rref([sparse_row(m.row(i)) for i in range(m.rows)], m.cols)
+    form, pivots = rref_oracle(m)
+    assert sorted(kept) == list(pivots)
+    for r, c in enumerate(pivots):
+        row = kept[c]
+        assert min(row) == c and row[c] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert not any(k in row for k in pivots if k != c)
+        assert {k: Fraction(x, row[c]) for k, x in row.items()} == sparse_row(form.row(r))
 
 
-def _fallback_calls(monkeypatch) -> list:
-    """A list that grows by one each time the Fraction elimination takes in a row."""
-    calls, original = [], RowSpace.add
-
-    def add(space, row):
-        calls.append(1)
-        return original(space, row)
-
-    monkeypatch.setattr(RowSpace, "add", add)
-    return calls
+@settings(max_examples=200)
+@given(st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+def test_rref_divides_a_row_by_its_pivot(n, d):
+    m = Matrix.from_rows([[d, n]])
+    assert m.rref() == rref_oracle(m) == (Matrix.from_rows([[1, Fraction(n, d)]]), (0,))
 
 
-def test_rref_falls_back_when_the_prime_divides_a_pivot_minor(monkeypatch):
-    # det [[1, 1], [1, 102]] = 101: rank 2 over Q, rank 1 modulo 101
-    monkeypatch.setattr(exactlin, "_PRIME", 101)
-    monkeypatch.setattr(exactlin, "_BOUND", math.isqrt(101 // 2))
-    fallback = _fallback_calls(monkeypatch)
+def test_rref_of_a_pivot_minor_of_determinant_101():
     m = Matrix.from_rows([[1, 1], [1, 102], [2, 2]])
     assert m.rref() == rref_oracle(m) == (Matrix.from_rows([[1, 0], [0, 1], [0, 0]]), (0, 1))
-    assert fallback
-    # the same matrix is certified modulo the full prime
-    monkeypatch.undo()
-    fallback = _fallback_calls(monkeypatch)
-    assert m.rref() == rref_oracle(m)
-    assert not fallback
 
 
-def test_rref_falls_back_when_reconstruction_fails(monkeypatch):
-    p, bound = exactlin._PRIME, exactlin._BOUND
-    entry = Fraction(3**45, 7)
-    assert exactlin._reconstruct(entry.numerator * pow(entry.denominator, -1, p) % p, p, bound) is None
-    fallback = _fallback_calls(monkeypatch)
+def test_rref_of_an_entry_3_to_the_45_over_7():
     m = Matrix.from_rows([[7, 3**45, 0], [0, 0, 2]])
     assert m.rref() == rref_oracle(m)
-    assert m.rref()[0][0, 1] == entry
-    assert fallback
+    assert m.rref()[0][0, 1] == Fraction(3**45, 7)
 
 
-def test_rref_falls_back_when_the_certificate_fails(monkeypatch):
-    # 2^70 = 2^9 modulo 2^61 - 1, so 2^70/3 lifts to the wrong fraction 512/3
-    p, bound = exactlin._PRIME, exactlin._BOUND
-    assert exactlin._reconstruct(2**70 * pow(3, -1, p) % p, p, bound) == Fraction(512, 3)
-    fallback = _fallback_calls(monkeypatch)
+def test_rref_of_an_entry_2_to_the_70_over_3():
     m = Matrix.from_rows([[3, 2**70], [6, 2**71]])
     assert m.rref() == rref_oracle(m) == (Matrix.from_rows([[1, Fraction(2**70, 3)], [0, 0]]), (0,))
-    assert fallback
 
 
 def _heisenberg(k: int):
@@ -298,12 +273,7 @@ def _heisenberg(k: int):
     return validate_lie(n, table)
 
 
-def test_modular_route_ranks_heisenberg_ce_matrices_alone(monkeypatch):
-    """No CE matrix of h3 or h5 needs the Fraction fallback, so a route that always fell back would fail here."""
-
-    def refuse(space, row):
-        raise RuntimeError("Fraction elimination reached")
-
+def test_rref_of_heisenberg_ce_matrices():
     matrices = [
         ce_differential(g, rep(g), n)
         for g in (corpus.heisenberg(), _heisenberg(2))
@@ -311,7 +281,6 @@ def test_modular_route_ranks_heisenberg_ce_matrices_alone(monkeypatch):
         for n in range(3)
     ]
     expected = [rref_oracle(m) for m in matrices]
-    monkeypatch.setattr(RowSpace, "add", refuse)
     assert [m.rref() for m in matrices] == expected
     assert [m.rank() for m in matrices] == [len(pivots) for _, pivots in expected]
     assert sum(m.rank() for m in matrices) > 0

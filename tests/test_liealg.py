@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RowSpace,
     bracket_dense,
     ce_differential_unit_vectors,
     ce_representatives_incremental,
@@ -15,7 +16,7 @@ from oracles import (
 )
 from twistrb import corpus
 from twistrb.errors import NotNijenhuis, NotNilpotent
-from twistrb.exactlin import Matrix, vec_is_zero
+from twistrb.exactlin import Matrix, sparse_row, vec_is_zero
 from twistrb.liealg import (
     Representation,
     Violation,
@@ -263,6 +264,31 @@ def test_cohomology_representatives_match_incremental_oracle(trb_corpus, algebra
         for n in range(3):
             got = ce_cohomology_representatives(algebra, rep, n)
             assert got == ce_representatives_incremental(algebra, rep, n), (k, n)
+
+
+# zero-heavy rows of any length up to 6, as many as 6 of them
+row_lists = st.integers(0, 6).flatmap(
+    lambda cols: st.lists(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+            min_size=cols,
+            max_size=cols,
+        ),
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=100)
+@given(row_lists)
+def test_row_space_keeps_exactly_the_rank_raising_rows(rows):
+    """The incremental oracle behind `ce_representatives_incremental` keeps a row exactly when it raises the rank."""
+    space, kept = RowSpace(), []
+    for row in rows:
+        raises = rank_oracle(kept + [row]) > rank_oracle(kept)
+        assert space.add(sparse_row(row)) == raises
+        if raises:
+            kept.append(row)
 
 
 def test_two_cocycle_examples(algebras):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import bracket_dense
+from oracles import bracket_dense, ce_differential_alternating, ce_differential_unit_vectors
 from twistrb import corpus
 from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
 from twistrb.exactlin import Matrix
@@ -11,7 +12,9 @@ from twistrb.liealg import (
     abelian,
     adjoint_rep,
     coadjoint_rep,
+    lie_algebra,
     lie_algebra_from_cochain,
+    trivial_rep,
     validate_lie,
     validate_rep,
 )
@@ -24,6 +27,7 @@ from twistrb.operators import (
     induced_bracket,
     induced_rep,
     is_one_cocycle,
+    is_scalar_cocycle,
     nijenhuis_trb_setup,
     r_matrix_check,
     reynolds_check,
@@ -333,19 +337,52 @@ def test_r_matrix_rejections(algebras):
         r_matrix_check(sl2, Matrix.identity(3), Cochain.zero(3, 3, 1))
     with pytest.raises(InvalidStructure):
         r_matrix_check(sl2, Matrix.zero(3, 2), Cochain.zero(3, 3, 1))
-    heis = algebras["heisenberg"]
     # a scalar 3-cochain on sl2 that is not closed does not exist in top degree;
-    # build a non-cocycle on a 4-dimensional algebra instead
-    four = abelian(4)
-    from twistrb.liealg import lie_algebra
+    # on aff + aff, delta e^{123} (e0, e1, e2, e3) = -e^{123}([e0, e1], e2, e3) = -1
+    g4 = lie_algebra(4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
+    psi_bad = Cochain.from_values(3, 4, 1, {(1, 2, 3): (1,)})
+    assert not is_scalar_cocycle(g4, psi_bad)
+    with pytest.raises(NotCocycle):
+        r_matrix_check(g4, Matrix.zero(4, 4), psi_bad)
 
-    g4 = lie_algebra(4, {(0, 1): (0, 0, 1, 0)})  # heisenberg + line
-    psi_bad = Cochain.from_values(3, 4, 1, {(0, 2, 3): (1,)})
-    from twistrb.operators import is_scalar_cocycle
 
-    if not is_scalar_cocycle(g4, psi_bad):
-        with pytest.raises(NotCocycle):
-            r_matrix_check(g4, Matrix.zero(4, 4), psi_bad)
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_cocycle_matches_alternating_sum_on_lie_algebras(seed):
+    """On h3 + line, aff + aff in two basis orders, sl2 + line and h5, for coboundaries of drawn scalar 2-cochains, for
+    drawn combinations of the oracle's 3-cocycles, for both moved at one entry and for drawn
+    3-cochains, each verdict equals the alternating-sum oracle; the first two are closed."""
+    rng = random.Random(seed)
+
+    def drawn(degree, dim):
+        return Cochain.from_vec(degree, dim, 1, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in ext_basis(dim, degree)])
+
+    algebras = [
+        lie_algebra(4, {(0, 1): (0, 0, 1, 0)}),
+        lie_algebra(4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)}),
+        lie_algebra(4, {(0, 1): (0, 2, 0, 0), (0, 2): (0, 0, -2, 0), (1, 2): (1, 0, 0, 0)}),
+        lie_algebra(4, {(0, 3): (0, 0, 0, 1), (1, 2): (0, 0, 1, 0)}),
+        lie_algebra(5, {(0, 2): (0, 0, 0, 0, 1), (1, 3): (0, 0, 0, 0, 1)}),
+    ]
+    verdicts = set()
+    for g in algebras:
+        scalars = trivial_rep(g, 1)
+        kernel = ce_differential_unit_vectors(g, scalars, 3).kernel_basis()
+        weights = [rng.randint(-3, 3) for _ in kernel]
+        closed = [
+            ce_differential_alternating(g.bracket, scalars, drawn(2, g.dim)),
+            Cochain.from_vec(3, g.dim, 1, [sum(w * v[i] for w, v in zip(weights, kernel)) for i in range(len(kernel[0]))]),
+        ]
+        samples = [drawn(3, g.dim)]
+        for psi in closed:
+            assert is_scalar_cocycle(g, psi)
+            entries = list(psi.matrix.entries)
+            entries[rng.randrange(len(entries))] += 1
+            samples += [psi, Cochain(3, g.dim, 1, Matrix(1, len(entries), entries))]
+        for c in samples:
+            closed = ce_differential_alternating(g.bracket, scalars, c).is_zero()
+            assert is_scalar_cocycle(g, c) is closed
+            verdicts.add(closed)
+    assert verdicts == {True, False}
 
 
 def test_reynolds_setup_is_twisted_frame(algebras):

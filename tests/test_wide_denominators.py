@@ -5,14 +5,14 @@ on one cochain) and the ranks of `ce_cohomology_dims` multiply the structure
 constants and the action matrices by one scale, the lcm of their
 denominators, and sum Python ints.  Every benchmark structure has integer
 entries, so there that scale is 1.  Here the corpus structures are divided
-by large q: 2^61 - 1 (the modulus of the modular elimination), 10^9 + 7 and
-2^64.  Dividing the bracket and the action by one q gives an isomorphic
-structure (x -> q x) with the same cohomology; dividing them by two
-different q gives a bracket and an action that are no representation, with
-wide-denominator witnesses.  The oracles in `oracles.py` compute in
-Fractions throughout.
+by large q: 2^61 - 1, 10^9 + 7 and 2^64.  Dividing the bracket and the
+action by one q gives an isomorphic structure (x -> q x) with the same
+cohomology; dividing them by two different q gives a bracket and an action
+that are no representation, with wide-denominator witnesses.  The oracles
+in `oracles.py` compute in Fractions throughout.
 """
 import itertools
+import random
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -22,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twistrb import corpus, exactlin, liealg
-from twistrb.exactlin import Matrix, RowSpace
+from twistrb import corpus, liealg
+from twistrb.exactlin import Matrix
 from twistrb.liealg import LieAlgebra, Representation, abelian, adjoint_rep, coadjoint_rep, trivial_rep
 from twistrb.linfty import induced_structure
 from twistrb.multilin import Cochain, ext_basis
+from twistrb.operators import setup_from_invertible_cochain
 from twistrb.report import first_failure
 
 WIDE = {"2^61-1": 2**61 - 1, "10^9+7": 10**9 + 7, "2^64": 2**64}
@@ -136,16 +137,20 @@ def test_ce_cohomology_dims_match_rank_oracle(q):
         assert liealg.ce_cohomology_dims(g, rep, 2) == oracle_dims(g, rep, 2), label
 
 
-def test_ce_cohomology_dims_take_the_fraction_route_past_the_reconstruction_bound(monkeypatch):
-    """delta^0 of the line acting on Q^2 by A/q is A/q; its reduced form holds 3^45/7, past the bound
-    of rational reconstruction, so the rank comes from `RowSpace`."""
-    big = 3**45
-    assert exactlin._reconstruct(big * pow(7, -1, exactlin._PRIME) % exactlin._PRIME, exactlin._PRIME, exactlin._BOUND) is None
-    calls, add = [], RowSpace.add
-    monkeypatch.setattr(RowSpace, "add", lambda space, row: calls.append(row) or add(space, row))
+def test_ce_cohomology_dims_of_a_line_with_an_entry_3_to_the_45_over_7():
+    """delta^0 of the line acting on Q^2 by A/q is A/q, whose reduced form holds 3^45/7."""
     for q in QS:
         line = abelian(1)
-        rep = Representation(2, (Matrix.from_rows([[Fraction(7, q), Fraction(big, q)], [0, 0]]),))
-        calls.clear()
+        rep = Representation(2, (Matrix.from_rows([[Fraction(7, q), Fraction(3**45, q)], [0, 0]]),))
         assert liealg.ce_cohomology_dims(line, rep, 1) == oracle_dims(line, rep, 1) == [1, 1]
-        assert calls and all(type(x) is Fraction for row in calls for x in row.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ce_cohomology_dims_of_a_dense_induced_h5(seed):
+    """T = h^{-1} for a unit upper-triangular h on h5 with its adjoint module: the induced
+    structure's differentials are dense and their reduced forms grow, as on the benchmark ladder."""
+    rng = random.Random(seed)
+    h5 = liealg.validate_lie(5, {(0, 2): (0, 0, 0, 0, 1), (1, 3): (0, 0, 0, 0, 1)})
+    h = Matrix.from_rows([[1 if i == j else rng.choice((-2, -1, 1, 3)) if j > i else 0 for j in range(5)] for i in range(5)])
+    g, rep = induced_structure(*setup_from_invertible_cochain(h5, adjoint_rep(h5), h))
+    assert liealg.ce_cohomology_dims(g, rep, 2) == oracle_dims(g, rep, 2)
