@@ -14,8 +14,19 @@ Each sample is one of three kinds of input:
 `Matrix.rref` and `Matrix.rank` of each matrix, and `ce_cohomology_dims` of
 each structure, are compared with `oracle_rref` below, which is written here
 and shares no code with the library's elimination.  Shapes reach 50 x 50,
-past the 6 x 9 of the hypothesis tests.  The sweep exits 1 at the first
-disagreement and 0 when every sample agrees.
+past the 6 x 9 of the hypothesis tests.
+
+Before the samples, `ce_cohomology_dims` is compared on fixed structures:
+the induced structures of the Heisenberg ladder h3, h5 and h7 (a sparse
+Reynolds operator of a nilpotent derivation, and a dense T = h^{-1} for a
+unit upper-triangular h drawn from the seed) up to degree 2, and up to
+degree 3 for h3 and h5, and the induced structures of the singular
+single-entry operators on sl2 acting on itself with H = 0, up to degree 3.
+On each, every degree n >= 1 also checks the lemma `ce_cohomology_dims`
+rests on: the columns of delta^n outside the pivots of the rref of the
+columns of delta^{n-1} have the rank of delta^n; the dense h7 checks it in
+degree 3 as well.  The sweep exits 1 at the first disagreement and 0 when
+every check agrees.
 """
 import argparse
 import random
@@ -25,6 +36,7 @@ from twistrb import corpus
 from twistrb.exactlin import Matrix
 from twistrb.liealg import Representation, adjoint_rep, ce_cohomology_dims, ce_differential, coadjoint_rep, lie_algebra
 from twistrb.linfty import induced_structure
+from twistrb.operators import reynolds_from_derivation, reynolds_setup, setup_from_invertible_cochain
 
 WIDE = (2**61 - 1, 10**9 + 7, 2**64)
 
@@ -82,12 +94,56 @@ def moved(rng: random.Random, algebra, rep):
 
 
 def structures():
-    h5 = lie_algebra(5, {(0, 2): (0, 0, 0, 0, 1), (1, 3): (0, 0, 0, 0, 1)})
-    out = [(g, rep(g)) for g in (corpus.heisenberg(), h5) for rep in (adjoint_rep, coadjoint_rep)]
+    out = [(corpus.heisenberg(k), rep(corpus.heisenberg(k))) for k in (1, 2) for rep in (adjoint_rep, coadjoint_rep)]
     for _, setup, t in corpus.trb_instances():
         out.append((setup.algebra, setup.rep))
         out.append(induced_structure(setup, t))
     return out
+
+
+def ladder(rng: random.Random):
+    """(label, algebra, representation, degree): the induced structures of the Heisenberg ladder
+    and of the singular single-entry operators on sl2 acting on itself with H = 0."""
+    out = []
+    for k in (1, 2, 3):
+        g, n = corpus.heisenberg(k), 2 * k + 1
+        # the Reynolds operator of the nilpotent derivation d(x_i) = y_i + z, d(y_i) = z
+        d = [[0] * n for _ in range(n)]
+        for i in range(k):
+            d[k + i][i] = d[n - 1][i] = d[n - 1][k + i] = 1
+        sparse = (reynolds_setup(g), reynolds_from_derivation(g, Matrix.from_rows(d)))
+        dense = setup_from_invertible_cochain(g, adjoint_rep(g), unit_triangular(rng, n)[0])
+        for kind, (setup, t) in (("sparse", sparse), ("dense", dense)):
+            out.append((f"h{n} {kind}", *induced_structure(setup, t), 2 if k == 3 else 3))
+    for name, setup, t in corpus.sl2_single_entry_operators():
+        out.append((name, *induced_structure(setup, t), 3))
+    return out
+
+
+def oracle_rank(m: Matrix) -> int:
+    return len(oracle_rref([list(m.row(i)) for i in range(m.rows)], m.cols)[1])
+
+
+def oracle_dims(deltas: list[Matrix]) -> list[int]:
+    ranks = [oracle_rank(d) for d in deltas]
+    return [d.cols - r - prev for d, r, prev in zip(deltas, ranks, [0] + ranks)]
+
+
+def complement_keeps_rank(prev: Matrix, delta: Matrix) -> bool:
+    """rank of the columns of delta outside the pivots of the rref of prev's columns == rank delta."""
+    _, pivots = oracle_rref([list(prev.col(j)) for j in range(prev.cols)], prev.rows)
+    outside = [j for j in range(delta.cols) if j not in set(pivots)]
+    return oracle_rank(Matrix.from_rows([[delta[i, j] for j in outside] for i in range(delta.rows)])) == oracle_rank(delta)
+
+
+def ladder_disagreement(label: str, algebra, rep, n_max: int) -> str | None:
+    deltas = [ce_differential(algebra, rep, n) for n in range(n_max + 1)]
+    if ce_cohomology_dims(algebra, rep, n_max) != oracle_dims(deltas):
+        return f"ce_cohomology_dims of {label} to degree {n_max}"
+    for n in range(1, n_max + 1):
+        if not complement_keeps_rank(deltas[n - 1], deltas[n]):
+            return f"the rank of delta^{n} of {label} on a complement of the previous image"
+    return None
 
 
 def entry(rng: random.Random, wide: bool) -> Fraction:
@@ -121,6 +177,18 @@ def main() -> int:
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
 
+    structures_checked = ladder(random.Random(args.seed))  # its own stream, so the samples stay those of the seed
+    for label, algebra, rep, n_max in structures_checked:
+        problem = ladder_disagreement(label, algebra, rep, n_max)
+        if problem is not None:
+            print(f"DISAGREEMENT: {problem}")
+            return 1
+    label, algebra, rep, _ = next(s for s in structures_checked if s[0] == "h7 dense")
+    if not complement_keeps_rank(ce_differential(algebra, rep, 2), ce_differential(algebra, rep, 3)):
+        print(f"DISAGREEMENT: the rank of delta^3 of {label} on a complement of the previous image")
+        return 1
+    print(f"{len(structures_checked)} ladder and sl2 structures agree with the dense Fraction oracle")
+
     frames = structures()
     largest = (0, 0)
     for k in range(args.count):
@@ -128,9 +196,7 @@ def main() -> int:
         if kind == 0:
             algebra, rep = moved(rng, *frames[rng.randrange(len(frames))])
             deltas = [ce_differential(algebra, rep, n) for n in range(3)]
-            ranks = [len(oracle_rref([list(d.row(i)) for i in range(d.rows)], d.cols)[1]) for d in deltas]
-            dims = [d.cols - r - prev for d, r, prev in zip(deltas, ranks, [0] + ranks)]
-            if ce_cohomology_dims(algebra, rep, 2) != dims:
+            if ce_cohomology_dims(algebra, rep, 2) != oracle_dims(deltas):
                 print(f"DISAGREEMENT in sample {k}: ce_cohomology_dims of a {algebra.dim}-dimensional algebra")
                 return 1
             matrices = deltas

@@ -26,6 +26,7 @@ from .multilin import Cochain
 from .operators import (
     Operator,
     TrbSetup,
+    check_trb,
     gauge_transform,
     is_one_cocycle,
     nijenhuis_trb_setup,
@@ -41,9 +42,10 @@ def sl2() -> LieAlgebra:
     return lie_algebra(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
 
 
-def heisenberg() -> LieAlgebra:
-    """[e1, e2] = e3."""
-    return lie_algebra(3, {(0, 1): (0, 0, 1)})
+def heisenberg(k: int = 1) -> LieAlgebra:
+    """h_{2k+1}: [x_i, y_i] = z in the basis x_1..x_k, y_1..y_k, z; h3 is [e1, e2] = e3."""
+    n = 2 * k + 1
+    return lie_algebra(n, {(i, k + i): tuple(int(j == n - 1) for j in range(n)) for i in range(k)})
 
 
 def affine_line() -> LieAlgebra:
@@ -97,6 +99,24 @@ def trb_instances() -> list[tuple[str, TrbSetup, Operator]]:
     b = _first_admissible_cocycle(base_s, base_t)
     if b is not None:
         out.append((f"{base_name}-gauged", base_s, gauge_transform(base_s, base_t, b)))
+    return out
+
+
+def sl2_single_entry_operators() -> list[tuple[str, TrbSetup, Operator]]:
+    """The operators E_ij (one entry 1, i and j 1-based) on sl2 acting on itself with H = 0
+    that pass the twisted Rota-Baxter check.
+
+    Each is singular and induces a nonzero bracket and action, unlike the two
+    singular operators of `trb_instances`, whose induced structures are zero.
+    """
+    g = sl2()
+    setup = trb_setup(g, adjoint_rep(g), None)
+    out = []
+    for i in range(3):
+        for j in range(3):
+            t = Matrix(3, 3, [int((r, c) == (i, j)) for r in range(3) for c in range(3)])
+            if check_trb(setup, t):
+                out.append((f"sl2-rb-e{i + 1}{j + 1}", setup, t))
     return out
 
 

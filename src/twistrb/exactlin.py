@@ -9,11 +9,16 @@ each free variable set to 1 in column order, which makes all outputs
 reproducible.
 
 `rref_rows`, behind `Matrix.rref`, is one exact fraction-free Gauss-Jordan
-elimination over Python ints (`_integer_rref`).  Each row is cleared of its
-denominators, and every kept row stays primitive, with a positive pivot and
-zeros in the other kept rows' pivot columns, so it is the reduced row of the
-rational form times its pivot; dividing it by the pivot gives that row.
-Every step is exact, so no result rests on a probabilistic argument.
+elimination over Python ints (`_integer_rref`), which
+`liealg.ce_cohomology_dims` also calls on the integer columns of each
+Chevalley-Eilenberg differential.  A row of Fractions is cleared of its
+denominators and a row of ints is taken as it is; each new row is reduced
+in a sparse `{column: int}` accumulator, so its cost follows the nonzeros
+it meets, not the width of the matrix.  Every kept row stays primitive,
+with a positive pivot and zeros in the other kept rows' pivot columns, so
+it is the reduced row of the rational form times its pivot; dividing it by
+the pivot gives that row.  Every step is exact, so no result rests on a
+probabilistic argument.
 
 No floating point anywhere.
 """
@@ -339,14 +344,16 @@ def rref_rows(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict[int
     """The reduced row echelon form of sparse rows, each row keyed by its pivot column.
 
     Each row is a `{column: nonzero int or Fraction}` dict of a matrix with
-    `width` columns.  `_integer_rref` reduces them over the integers; each of
-    its primitive rows is then divided by its pivot, so the pivot becomes 1.
-    The form is unique, so the order in which rows are taken does not show
-    in it.  `Matrix.rref` comes from here, and the ranks of
-    `liealg.ce_cohomology_dims` from `_integer_rref` itself.
+    `width` columns; the elimination touches only the columns the rows
+    hold, so `width` states the shape and bounds no loop.  `_integer_rref`
+    reduces them over the integers; each of its primitive rows is then
+    divided by its pivot, so the pivot becomes 1.  The form is unique, so
+    the order in which rows are taken does not show in it.  `Matrix.rref`
+    comes from here, and the ranks of `liealg.ce_cohomology_dims` from
+    `_integer_rref` itself.
     """
     reduced = {}
-    for c, row in _integer_rref(rows, width).items():
+    for c, row in _integer_rref(rows).items():
         pivot, quotients = row[c], {}  # entries repeat within a row
         out = reduced[c] = {}
         for k, x in row.items():
@@ -362,20 +369,23 @@ def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
     return {c: x for c, x in enumerate(v) if x}
 
 
-def _integer_rref(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict[int, dict[int, int]]:
+def _integer_rref(rows: Iterable[dict[int, int | Fraction]]) -> dict[int, dict[int, int]]:
     """The reduced row echelon form over Z: each row primitive, keyed by its pivot column.
 
     Each row is cleared to integers (`_integer_row`) and the rows are taken
     sparsest first, which keeps the kept rows sparse for longer.  Every kept
     row is primitive (the gcd of its entries is 1), has a positive pivot and
     is zero in every other kept row's pivot column, so it is the reduced row
-    of the rational form times its pivot.  A new row is reduced in a dense
-    list of plain ints: it is scaled once by the lcm D of the pivots p_c of
-    the kept rows it hits, and (row[c] * D / p_c) * kept[c] is subtracted for
-    each hit column c.  Kept rows are zero in each other's pivot columns, so
-    no subtraction changes another hit entry.  What is left is divided by
-    its content and by the sign of its pivot, and its pivot column is
-    cleared out of the kept rows the same way.  Every step is exact.
+    of the rational form times its pivot.  A new row is reduced in a sparse
+    `{column: int}` accumulator, which holds only the columns the row and
+    the kept rows it hits reach: it is scaled once by the lcm D of the
+    pivots p_c of the kept rows it hits, and (row[c] * D / p_c) * kept[c] is
+    subtracted for each hit column c.  Kept rows are zero in each other's
+    pivot columns, so no subtraction changes another hit entry.  What is
+    left is divided by its content and by the sign of its pivot, and its
+    pivot column is cleared out of the kept rows the same way.  No kept row
+    is changed in place (each clearing builds a new one), so a caller's row
+    may be kept as it is.  Every step is exact.
     """
     kept: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
@@ -385,15 +395,17 @@ def _integer_rref(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict
             scale = 1
             for c in hits:
                 scale = math.lcm(scale, kept[c][c])
-            acc = [0] * width
-            for k, x in row.items():
-                acc[k] = x * scale
+            acc = {k: x * scale for k, x in row.items()}
             for c in hits:
                 other = kept[c]
                 f = row[c] * scale // other[c]
                 for k, y in other.items():
-                    acc[k] -= f * y
-            row = {k: x for k, x in enumerate(acc) if x}
+                    x = acc.get(k, 0) - f * y
+                    if x:
+                        acc[k] = x
+                    else:
+                        del acc[k]
+            row = acc
         if not row:
             continue
         lead = min(row)
@@ -417,7 +429,9 @@ def _integer_rref(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict
 
 
 def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
-    """The row times the lcm of its denominators, as a row of ints."""
+    """The row times the lcm of its denominators, as a row of ints; a row of ints is returned as it is."""
+    if all(type(x) is int for x in row.values()):
+        return row
     lcm = math.lcm(*{x.denominator for x in row.values()})
     if lcm == 1:
         return {c: x.numerator for c, x in row.items()}

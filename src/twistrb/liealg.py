@@ -355,16 +355,28 @@ def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
 def ce_cohomology_dims(algebra: LieAlgebra, rep: Representation, n_max: int) -> list[int]:
     """dim H^n = nullity(delta^n) - rank(delta^{n-1}) for n in 0..n_max.
 
-    Each rank counts the rows `exactlin._integer_rref` keeps of the integer
-    rows of delta^n, with no Fraction in between.
+    Each rank is taken on the columns of delta^n, as vectors indexed by the
+    coordinates of C^{n+1}, and only on the columns outside the pivots of
+    the previous degree.  Eliminating the columns of delta^{n-1} keeps rows
+    whose pivot coordinates P project im delta^{n-1} bijectively onto Q^P,
+    so the unit vectors outside P span a complement W of im delta^{n-1} in
+    C^n.  delta^n delta^{n-1} = 0 puts im delta^{n-1} in ker delta^n, hence
+    delta^n(C^n) = delta^n(W) and rank delta^n = rank delta^n|_W: the
+    columns in P, which reduce to zero, are never eliminated.  Each rank
+    counts the rows `exactlin._integer_rref` keeps of the integer columns,
+    with no Fraction in between, and their pivots are the next degree's P.
     """
     dims = []
-    prev_rank = 0
+    prev_rank, pivots = 0, set()
     for n in range(n_max + 1):
         rows, width, _ = _differential_rows(algebra, rep, n)
-        rank = len(_integer_rref(rows, width))
-        dims.append(width - rank - prev_rank)
-        prev_rank = rank
+        cols: list[dict[int, int]] = [{} for _ in range(width)]
+        for r, row in enumerate(rows):
+            for c, x in row.items():
+                cols[c][r] = x
+        kept = _integer_rref(col for c, col in enumerate(cols) if c not in pivots)
+        dims.append(width - len(kept) - prev_rank)
+        prev_rank, pivots = len(kept), set(kept)
     return dims
 
 

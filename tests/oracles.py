@@ -130,6 +130,13 @@ def ce_differential_unit_vectors(algebra, rep, n: int) -> Matrix:
     )
 
 
+def ce_cohomology_dims_oracle(algebra, rep, n_max: int) -> list[int]:
+    """dim H^n from `rank_oracle` on the unit-vector matrices of delta_CE, the rows of each whole."""
+    deltas = [ce_differential_unit_vectors(algebra, rep, n) for n in range(n_max + 1)]
+    ranks = [rank_oracle(matrix_rows(d)) for d in deltas]
+    return [d.cols - rank - prev for d, rank, prev in zip(deltas, ranks, [0] + ranks)]
+
+
 def d_t_matrix_bracket3(setup, t, degree: int) -> Matrix:
     """d_T(f) = [[T,f]] - (1/2)[[T,T,f]] on each unit cochain, as columns."""
     return _unit_vector_matrix(

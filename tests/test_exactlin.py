@@ -231,7 +231,7 @@ def test_rref_matches_dense_oracle_rank_deficient_huge(m):
 def test_integer_rref_keeps_primitive_reduced_rows(m):
     """Every kept row is primitive, has a positive pivot at its key, is zero in the other pivot
     columns, and is the oracle's reduced row times that pivot."""
-    kept = exactlin._integer_rref([sparse_row(m.row(i)) for i in range(m.rows)], m.cols)
+    kept = exactlin._integer_rref([sparse_row(m.row(i)) for i in range(m.rows)])
     form, pivots = rref_oracle(m)
     assert sorted(kept) == list(pivots)
     for r, c in enumerate(pivots):

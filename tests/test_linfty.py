@@ -26,6 +26,7 @@ from twistrb.linfty import (
     d_t_matrix,
     d_t_unchecked,
     graded_perm_sign,
+    induced_structure,
     linfty_jacobi_defect,
     mc_defect,
     mc_defect_shifted,
@@ -230,6 +231,25 @@ def test_d_t_matrix_matches_bracket_route(trb_corpus):
 def test_cohomology_pipeline_equality(trb_corpus):
     for name, setup, t in trb_corpus:
         assert cohomology_of_t_dims(setup, t, 3) == cohomology_dims_oracle(setup, t, 3), name
+
+
+def test_cohomology_of_singular_operators_with_nonzero_induced_differentials():
+    """Both singular corpus operators induce zero structures; the single-entry operators on sl2
+    with H = 0 are singular and induce a nonzero bracket and action, so every degree ranks a
+    nonzero differential on a complement of a nonzero image."""
+    dims = {}
+    for name, setup, t in corpus.sl2_single_entry_operators():
+        algebra, rep = induced_structure(setup, t)
+        assert t.rank() < 3 and not algebra.bracket.is_zero() and not all(m.is_zero() for m in rep.action), name
+        dims[name] = cohomology_of_t_dims(setup, t, 3)
+        assert dims[name] == cohomology_dims_oracle(setup, t, 3), name
+    assert dims == {
+        "sl2-rb-e12": [1, 3, 3, 1],
+        "sl2-rb-e21": [1, 3, 3, 1],
+        "sl2-rb-e31": [0, 1, 2, 1],
+        "sl2-rb-e32": [0, 1, 2, 1],
+        "sl2-rb-e33": [1, 2, 1, 0],
+    }
 
 
 def test_cohomology_all_differentials_vanish_case():

@@ -57,13 +57,6 @@ def structures():
 STRUCTURES = structures()
 
 
-def oracle_dims(algebra, rep, n_max):
-    """dim H^n from `rank_oracle` on the unit-vector matrices of delta_CE."""
-    ranks = [oracles.rank_oracle(oracles.matrix_rows(oracles.ce_differential_unit_vectors(algebra, rep, n))) for n in range(n_max + 1)]
-    widths = [comb(algebra.dim, n) * rep.module_dim for n in range(n_max + 1)]
-    return [widths[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(n_max + 1)]
-
-
 @by_q
 def test_ce_differential_matches_unit_vectors(q):
     """Degrees 0-3 of every structure divided by q, entry for entry."""
@@ -134,7 +127,7 @@ def test_jacobi_defect_matches_terms_on_divided_brackets(q):
 def test_ce_cohomology_dims_match_rank_oracle(q):
     for label, g, rep in STRUCTURES:
         g, rep = divided(g, rep, q)
-        assert liealg.ce_cohomology_dims(g, rep, 2) == oracle_dims(g, rep, 2), label
+        assert liealg.ce_cohomology_dims(g, rep, 2) == oracles.ce_cohomology_dims_oracle(g, rep, 2), label
 
 
 def test_ce_cohomology_dims_of_a_line_with_an_entry_3_to_the_45_over_7():
@@ -142,15 +135,16 @@ def test_ce_cohomology_dims_of_a_line_with_an_entry_3_to_the_45_over_7():
     for q in QS:
         line = abelian(1)
         rep = Representation(2, (Matrix.from_rows([[Fraction(7, q), Fraction(3**45, q)], [0, 0]]),))
-        assert liealg.ce_cohomology_dims(line, rep, 1) == oracle_dims(line, rep, 1) == [1, 1]
+        assert liealg.ce_cohomology_dims(line, rep, 1) == oracles.ce_cohomology_dims_oracle(line, rep, 1) == [1, 1]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_ce_cohomology_dims_of_a_dense_induced_h5(seed):
     """T = h^{-1} for a unit upper-triangular h on h5 with its adjoint module: the induced
-    structure's differentials are dense and their reduced forms grow, as on the benchmark ladder."""
+    structure's differentials are dense and their reduced forms grow, as on the benchmark ladder.
+    Degrees 1-3 are ranked only on the columns outside the previous degree's pivots."""
     rng = random.Random(seed)
-    h5 = liealg.validate_lie(5, {(0, 2): (0, 0, 0, 0, 1), (1, 3): (0, 0, 0, 0, 1)})
+    h5 = corpus.heisenberg(2)
     h = Matrix.from_rows([[1 if i == j else rng.choice((-2, -1, 1, 3)) if j > i else 0 for j in range(5)] for i in range(5)])
     g, rep = induced_structure(*setup_from_invertible_cochain(h5, adjoint_rep(h5), h))
-    assert liealg.ce_cohomology_dims(g, rep, 2) == oracle_dims(g, rep, 2)
+    assert liealg.ce_cohomology_dims(g, rep, 3) == oracles.ce_cohomology_dims_oracle(g, rep, 3)
