@@ -17,16 +17,23 @@ and shares no code with the library's elimination.  Shapes reach 50 x 50,
 past the 6 x 9 of the hypothesis tests.
 
 Before the samples, `ce_cohomology_dims` is compared on fixed structures:
-the induced structures of the Heisenberg ladder h3, h5 and h7 (a sparse
-Reynolds operator of a nilpotent derivation, and a dense T = h^{-1} for a
-unit upper-triangular h drawn from the seed) up to degree 2, and up to
-degree 3 for h3 and h5, and the induced structures of the singular
-single-entry operators on sl2 acting on itself with H = 0, up to degree 3.
-On each, every degree n >= 1 also checks the lemma `ce_cohomology_dims`
-rests on: the columns of delta^n outside the pivots of the rref of the
-columns of delta^{n-1} have the rank of delta^n; the dense h7 checks it in
-degree 3 as well.  The sweep exits 1 at the first disagreement and 0 when
-every check agrees.
+the induced structures of the Heisenberg ladder h3, h5 and h7
+(`corpus.heisenberg_ladder`: a sparse Reynolds operator of a nilpotent
+derivation, and a dense T = h^{-1} for a unit upper-triangular h drawn from
+the seed) up to degree 2, and up to degree 3 for h3 and h5, and the induced
+structures of the singular single-entry operators on sl2 acting on itself
+with H = 0, up to degree 3.  On each, every degree n >= 1 also checks the
+lemma `ce_cohomology_dims` rests on: the columns of delta^n outside the
+pivots of the rref of the columns of delta^{n-1} have the rank of delta^n;
+the dense h7 checks it in degree 3 as well.
+
+On the operators the oracle finds invertible (the whole ladder), the two
+routes of operator cohomology are compared as well: H = -delta(T^{-1})
+exactly, the lemma behind the route; `ce_cohomology_dims` of g acting on M
+equals the oracle-checked dimensions of the induced structure; and
+`cohomology_of_t_dims`, which takes the (g, M) route for an invertible T,
+equals both.  The sweep exits 1 at the first disagreement and 0 when every
+check agrees.
 """
 import argparse
 import random
@@ -34,9 +41,17 @@ from fractions import Fraction
 
 from twistrb import corpus
 from twistrb.exactlin import Matrix
-from twistrb.liealg import Representation, adjoint_rep, ce_cohomology_dims, ce_differential, coadjoint_rep, lie_algebra
-from twistrb.linfty import induced_structure
-from twistrb.operators import reynolds_from_derivation, reynolds_setup, setup_from_invertible_cochain
+from twistrb.liealg import (
+    Representation,
+    adjoint_rep,
+    ce_cohomology_dims,
+    ce_differential,
+    ce_differential_cochain,
+    coadjoint_rep,
+    lie_algebra,
+)
+from twistrb.linfty import cohomology_of_t_dims, induced_structure
+from twistrb.multilin import Cochain
 
 WIDE = (2**61 - 1, 10**9 + 7, 2**64)
 
@@ -102,21 +117,10 @@ def structures():
 
 
 def ladder(rng: random.Random):
-    """(label, algebra, representation, degree): the induced structures of the Heisenberg ladder
-    and of the singular single-entry operators on sl2 acting on itself with H = 0."""
-    out = []
-    for k in (1, 2, 3):
-        g, n = corpus.heisenberg(k), 2 * k + 1
-        # the Reynolds operator of the nilpotent derivation d(x_i) = y_i + z, d(y_i) = z
-        d = [[0] * n for _ in range(n)]
-        for i in range(k):
-            d[k + i][i] = d[n - 1][i] = d[n - 1][k + i] = 1
-        sparse = (reynolds_setup(g), reynolds_from_derivation(g, Matrix.from_rows(d)))
-        dense = setup_from_invertible_cochain(g, adjoint_rep(g), unit_triangular(rng, n)[0])
-        for kind, (setup, t) in (("sparse", sparse), ("dense", dense)):
-            out.append((f"h{n} {kind}", *induced_structure(setup, t), 2 if k == 3 else 3))
-    for name, setup, t in corpus.sl2_single_entry_operators():
-        out.append((name, *induced_structure(setup, t), 3))
+    """(label, setup, operator, degree): the Heisenberg ladder and the singular single-entry
+    operators on sl2 acting on itself with H = 0."""
+    out = [(label, setup, t, 2 if label.startswith("h7") else 3) for label, setup, t in corpus.heisenberg_ladder(rng)]
+    out += [(name, setup, t, 3) for name, setup, t in corpus.sl2_single_entry_operators()]
     return out
 
 
@@ -143,6 +147,19 @@ def ladder_disagreement(label: str, algebra, rep, n_max: int) -> str | None:
     for n in range(1, n_max + 1):
         if not complement_keeps_rank(deltas[n - 1], deltas[n]):
             return f"the rank of delta^{n} of {label} on a complement of the previous image"
+    return None
+
+
+def routes_disagreement(label: str, setup, t: Matrix, induced_dims: list[int]) -> str | None:
+    """For an invertible T: H = -delta(T^{-1}), and both cohomology routes give `induced_dims`."""
+    h = Cochain.from_matrix_map(t.invert())
+    if setup.cocycle != -ce_differential_cochain(setup.algebra.bracket, setup.rep, h):
+        return f"H = -delta(T^-1) on {label}"
+    n_max = len(induced_dims) - 1
+    if ce_cohomology_dims(setup.algebra, setup.rep, n_max) != induced_dims:
+        return f"ce_cohomology_dims of (g, M) against the induced structure of {label} to degree {n_max}"
+    if cohomology_of_t_dims(setup, t, n_max) != induced_dims:
+        return f"cohomology_of_t_dims of {label} to degree {n_max}"
     return None
 
 
@@ -178,16 +195,23 @@ def main() -> int:
     print(f"seed: {args.seed}")
 
     structures_checked = ladder(random.Random(args.seed))  # its own stream, so the samples stay those of the seed
-    for label, algebra, rep, n_max in structures_checked:
-        problem = ladder_disagreement(label, algebra, rep, n_max)
+    invertible = 0
+    for label, setup, t, n_max in structures_checked:
+        induced = induced_structure(setup, t)
+        problem = ladder_disagreement(label, *induced, n_max)
+        if problem is None and t.rows == t.cols and oracle_rank(t) == t.rows:
+            invertible += 1
+            problem = routes_disagreement(label, setup, t, ce_cohomology_dims(*induced, n_max))
         if problem is not None:
             print(f"DISAGREEMENT: {problem}")
             return 1
-    label, algebra, rep, _ = next(s for s in structures_checked if s[0] == "h7 dense")
+    label, setup, t, _ = next(s for s in structures_checked if s[0] == "h7 dense")
+    algebra, rep = induced_structure(setup, t)
     if not complement_keeps_rank(ce_differential(algebra, rep, 2), ce_differential(algebra, rep, 3)):
         print(f"DISAGREEMENT: the rank of delta^3 of {label} on a complement of the previous image")
         return 1
     print(f"{len(structures_checked)} ladder and sl2 structures agree with the dense Fraction oracle")
+    print(f"{invertible} invertible operators agree on both cohomology routes")
 
     frames = structures()
     largest = (0, 0)

@@ -16,7 +16,7 @@ from typing import Any
 
 from . import deform as deform_mod
 from . import linfty, nslie, tgcs
-from .errors import InternalInconsistency, InvalidStructure, ToolkitError
+from .errors import InternalInconsistency, InvalidStructure, NotTwistedRB, ToolkitError
 from .exactlin import Matrix, scalar_str
 from .instances import (
     InstanceDocument,
@@ -213,8 +213,13 @@ def cmd_check_mc(doc, args):
 
 
 def cmd_cohomology_of_t(doc, args):
-    setup, t = _passing_operator(doc)
-    return _dimensions("H^{}_T", linfty.cohomology_of_t_dims(setup, t, args.nmax))
+    setup, t = _setup(doc), _operator(doc)
+    # the library call runs the one check_trb of the job; its failure is the handler's MathFailure
+    try:
+        dims = linfty.cohomology_of_t_dims(setup, t, args.nmax)
+    except NotTwistedRB as exc:
+        raise MathFailure("twisted Rota-Baxter identity", [str(exc)]) from None
+    return _dimensions("H^{}_T", dims)
 
 
 def cmd_check_reynolds(doc, args):

@@ -120,6 +120,27 @@ def sl2_single_entry_operators() -> list[tuple[str, TrbSetup, Operator]]:
     return out
 
 
+def heisenberg_ladder(rng: random.Random, ks: Iterable[int] = (1, 2, 3)) -> list[tuple[str, TrbSetup, Operator]]:
+    """Two invertible operators on each h_{2k+1} acting on itself, labelled "h{2k+1} sparse" and
+    "h{2k+1} dense".
+
+    The sparse one is the Reynolds operator of the nilpotent derivation
+    d(x_i) = y_i + z, d(y_i) = z (H = -[.,.]); the dense one is T = h^{-1}
+    for a unit upper-triangular h with entries in -2..2 above the diagonal,
+    drawn from `rng` row by row (H = -delta h).
+    """
+    out: list[tuple[str, TrbSetup, Operator]] = []
+    for k in ks:
+        g, n = heisenberg(k), 2 * k + 1
+        d = [[0] * n for _ in range(n)]
+        for i in range(k):
+            d[k + i][i] = d[n - 1][i] = d[n - 1][k + i] = 1
+        out.append((f"h{n} sparse", reynolds_setup(g), reynolds_from_derivation(g, Matrix.from_rows(d))))
+        h = [[1 if i == j else rng.choice((-2, -1, 0, 1, 2)) if j > i else 0 for j in range(n)] for i in range(n)]
+        out.append((f"h{n} dense", *setup_from_invertible_cochain(g, adjoint_rep(g), Matrix.from_rows(h))))
+    return out
+
+
 def _first_admissible_cocycle(setup: TrbSetup, t: Operator) -> Matrix | None:
     """A nonzero closed 1-cochain B with id + B.T invertible, if one exists."""
     delta1 = ce_differential(setup.algebra, setup.rep, 1)

@@ -132,6 +132,13 @@ def _action_rows(action: Sequence[Matrix], scale: int) -> list[list[list[tuple[i
     ]
 
 
+def _integer_structure(bracket: Cochain, action: Sequence[Matrix]) -> tuple[int, dict, list]:
+    """The scale that clears every denominator of the structure constants and the action
+    matrices, with `_bracket_table` and `_action_rows` times that scale."""
+    scale = _scale(bracket.matrix, *action)
+    return scale, _bracket_table(bracket, scale), _action_rows(action, scale)
+
+
 def _quotients(sums: list[int], denominator: int) -> Vector:
     """The integer sums over the denominator, in lowest terms."""
     if not any(sums):
@@ -140,9 +147,12 @@ def _quotients(sums: list[int], denominator: int) -> Vector:
 
 
 def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:
-    """`jacobi_defect` on any triple, from one integer table of the structure constants.
+    """The Jacobi defect [[e_j,e_k],e_i] + [[e_k,e_i],e_j] + [[e_i,e_j],e_k] on any triple,
+    from one integer table of the structure constants.
 
-    Each term [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a] is a product of two
+    This is the negative of [e_i,[e_j,e_k]] + cyclic; both vanish exactly
+    when the bracket satisfies Jacobi on the triple.  Each term
+    [[e_b,e_c], e_a] = sum_l c^l_bc [e_l, e_a] is a product of two
     constants, so the integer sums are over the square of the table's scale.
     """
     n = bracket.target_dim
@@ -158,15 +168,6 @@ def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:
         return _quotients(total, scale * scale)
 
     return defect
-
-
-def jacobi_defect(bracket: Cochain, i: int, j: int, k: int) -> Vector:
-    """[[e_j,e_k],e_i] + [[e_k,e_i],e_j] + [[e_i,e_j],e_k].
-
-    This is the negative of [e_i,[e_j,e_k]] + cyclic; both vanish exactly
-    when the bracket satisfies Jacobi on the triple.
-    """
-    return _jacobi_defects(bracket)(i, j, k)
 
 
 def _first_jacobi_violation(bracket: Cochain) -> Violation | None:
@@ -221,8 +222,7 @@ def validate_rep(
 
     # both terms are products of two entries, so the sums are over the square of one scale
     m = module_dim
-    scale = _scale(algebra.bracket.matrix, *action)
-    brackets, rows = _bracket_table(algebra.bracket, scale), _action_rows(action, scale)
+    scale, brackets, rows = _integer_structure(algebra.bracket, action)
 
     def defect(i: int, j: int) -> Vector:
         """rho([e_i,e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i), entry by entry in one list."""
@@ -272,7 +272,8 @@ def ce_differential_cochain(
     Works for any bracket/action data, valid or not: the integer rows of
     `_differential_rows` applied to f cleared of its denominators.
     """
-    rows, width, scale = _differential_rows(LieAlgebra(bracket.source_dim, bracket), rep, f.degree)
+    algebra = LieAlgebra(bracket.source_dim, bracket)
+    rows, width, scale = _differential_rows(algebra, rep, f.degree, _integer_structure(algebra.bracket, rep.action))
     flat = f.vec()
     if len(flat) != width:
         raise DimensionMismatch(f"a cochain of {len(flat)} coordinates given to a differential on {width}")
@@ -289,7 +290,7 @@ def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
 
 def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
     """delta_CE as a Fraction Matrix: the rows of `_differential_rows` over their scale."""
-    rows, width, scale = _differential_rows(algebra, rep, n)
+    rows, width, scale = _differential_rows(algebra, rep, n, _integer_structure(algebra.bracket, rep.action))
     entries = [ZERO] * (len(rows) * width)
     values: dict[int, Fraction] = {}  # entries repeat, so each is divided once
     for r, row in enumerate(rows):
@@ -301,11 +302,13 @@ def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Ma
     return Matrix._of(len(rows), width, entries)
 
 
-def _differential_rows(algebra: LieAlgebra, rep: Representation, n: int) -> tuple[list[dict[int, int]], int, int]:
+def _differential_rows(
+    algebra: LieAlgebra, rep: Representation, n: int, tables: tuple[int, dict, list]
+) -> tuple[list[dict[int, int]], int, int]:
     """The rows of delta_CE : C^n -> C^{n+1} times a scale, as sparse int rows, with their width and that scale.
 
-    The scale clears every denominator of the structure constants and the
-    action matrices.  Rows and columns come in blocks of the module
+    `tables` is `_integer_structure` of the bracket and the action, built once for all the
+    degrees a caller assembles.  Rows and columns come in blocks of the module
     dimension m, one block per lex basis tuple, as in `Cochain.vec`.  For
     each (n+1)-tuple x:
     - the action term at position p adds (-1)^p rho(x_p) at the block of x
@@ -315,8 +318,7 @@ def _differential_rows(algebra: LieAlgebra, rep: Representation, n: int) -> tupl
       sort, where rest is x without x_a and x_b; it vanishes when l is in rest.
     """
     dim, m = algebra.dim, rep.module_dim
-    scale = _scale(algebra.bracket.matrix, *rep.action)
-    constants, action = _bracket_table(algebra.bracket, scale), _action_rows(rep.action, scale)
+    scale, constants, action = tables
     col_block = {t: j * m for j, t in enumerate(ext_basis(dim, n))}
     rows = []
     for xs in ext_basis(dim, n + 1):
@@ -368,8 +370,9 @@ def ce_cohomology_dims(algebra: LieAlgebra, rep: Representation, n_max: int) -> 
     """
     dims = []
     prev_rank, pivots = 0, set()
+    tables = _integer_structure(algebra.bracket, rep.action)
     for n in range(n_max + 1):
-        rows, width, _ = _differential_rows(algebra, rep, n)
+        rows, width, _ = _differential_rows(algebra, rep, n, tables)
         cols: list[dict[int, int]] = [{} for _ in range(width)]
         for r, row in enumerate(rows):
             for c, x in row.items():

@@ -208,9 +208,19 @@ def cohomology_of_t_dims(setup: TrbSetup, t: Operator, n_max: int) -> list[int]:
     """Dimensions of the operator's cohomology in degrees 0..n_max.
 
     Signs do not change ranks, so these are the Chevalley-Eilenberg
-    dimensions of the induced structure.
+    dimensions of the induced structure (M, [.,.]_T) acting on g.
+
+    When T is invertible they are those of g acting on M, whose differentials
+    are far sparser.  With h = T^{-1}, [Tu,Tv] = T[u,v]_T makes T a Lie
+    algebra isomorphism from (M, [.,.]_T) onto g; the identity at a = Tu,
+    b = Tv reads H = -delta h; and the induced action moved along T becomes
+    a . x = h^{-1}(a.h(x)), so h is a module isomorphism onto M and
+    f -> h o f o h^{wedge n} an isomorphism of the two complexes.  One rank
+    of T picks the route; a singular or non-square T keeps the induced one.
     """
     require_trb(setup, t)
+    if t.rows == t.cols and t.rank() == t.rows:
+        return ce_cohomology_dims(setup.algebra, setup.rep, n_max)
     return ce_cohomology_dims(*induced_structure(setup, t), n_max)
 
 

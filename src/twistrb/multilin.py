@@ -424,9 +424,9 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
         # the value is that column of the table itself: shared, so never changed
         key = itemgetter(*nodes)
         return lambda case: table.get(key(case))
-    fs = [_closure(node) for node in nodes]
-    if len(fs) == 1:
-        (f,) = fs
+    if len(nodes) == 1:
+        # a lone slot took the branch above, so f is a closure
+        (f,) = nodes
 
         def unary(case):
             out: dict[int, int] = {}
@@ -443,8 +443,45 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
             return out
 
         return unary
-    if len(fs) == 2:
-        f, g = fs
+    if len(nodes) == 2:
+        f, g = nodes
+        # a slot beside a closure is read straight from the case, with coefficient 1
+        if type(f) is int:
+
+            def slot_first(case):
+                out: dict[int, int] = {}
+                second = g(case)
+                if second:
+                    i = case[f]
+                    for j, cj in second.items():
+                        col = table.get((i, j))
+                        if col:
+                            for row, y in col.items():
+                                if row in out:
+                                    out[row] += cj * y
+                                else:
+                                    out[row] = cj * y
+                return out
+
+            return slot_first
+        if type(g) is int:
+
+            def slot_second(case):
+                out: dict[int, int] = {}
+                first = f(case)
+                if first:
+                    j = case[g]
+                    for i, ci in first.items():
+                        col = table.get((i, j))
+                        if col:
+                            for row, y in col.items():
+                                if row in out:
+                                    out[row] += ci * y
+                                else:
+                                    out[row] = ci * y
+                return out
+
+            return slot_second
 
         def binary(case):
             out: dict[int, int] = {}
@@ -464,6 +501,7 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
             return out
 
         return binary
+    fs = [_closure(node) for node in nodes]
 
     def multi(case):
         out: dict[int, int] = {}

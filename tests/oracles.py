@@ -23,7 +23,7 @@ oracle reaches it, through the library's brackets, since it checks the
 Chevalley-Eilenberg route against the bracket route.  The term-by-term
 defect oracles build each identity from one evaluation and one vector or
 matrix temporary per term, where the library either accumulates the defect
-in one hand-fused list (`validate_rep`, `jacobi_defect`) or states the
+in one hand-fused list (`validate_rep`, `liealg._jacobi_defects`) or states the
 identity, or the insertion, as signed terms for `multilin.term_defect`.
 That evaluator sums integers over one scale per compiled node;
 `term_defect_fraction` evaluates the same signed terms on the same sparse

@@ -164,6 +164,25 @@ def test_deform_check_runs_check_trb_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["heisenberg_derivation.json", "heisenberg_failing_checks.json"])
+def test_cohomology_of_t_runs_check_trb_once(name, monkeypatch, capsys):
+    """The library call's check is the job's only one, on a passing and on a failing operator."""
+    from twistrb import cli, operators
+
+    calls = []
+    original = operators.check_trb
+
+    def counted(setup, t):
+        calls.append(1)
+        return original(setup, t)
+
+    monkeypatch.setattr(cli, "check_trb", counted)
+    monkeypatch.setattr(operators, "check_trb", counted)
+    code, _, _ = run_cli(["cohomology-of-t", str(INSTANCES / name)], capsys)
+    assert code == (0 if name == "heisenberg_derivation.json" else 1)
+    assert len(calls) == 1
+
+
 def test_check_r_matrix_runs_check_trb_once(monkeypatch, capsys):
     """The verdict's check is not repeated when the dual bracket is built."""
     from twistrb import operators

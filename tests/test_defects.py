@@ -1,6 +1,6 @@
 """Single-pass and signed-term defects against the term-by-term oracles.
 
-`validate_rep` and `jacobi_defect` accumulate each defect in one list;
+`validate_rep` and `liealg._jacobi_defects` accumulate each defect in one list;
 every other identity check, the twisted Rota-Baxter check included, states
 its identity as signed terms for `multilin.term_defect`, and the derived
 structures (induced bracket and action, the NS-Lie tables) and the graded
@@ -31,7 +31,7 @@ from oracles import jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, t
 from twistrb import corpus, deform, liealg, multilin, nslie, operators, report, tgcs
 from twistrb.errors import DimensionMismatch
 from twistrb.exactlin import Matrix, vector
-from twistrb.liealg import Representation, abelian, jacobi_defect, trivial_rep, validate_rep
+from twistrb.liealg import Representation, _jacobi_defects, abelian, trivial_rep, validate_rep
 from twistrb.linfty import nr_bracket
 from twistrb.multilin import Bilinear, Cochain, _int_table, ext_basis, term_defect
 from twistrb.operators import trb_setup
@@ -118,8 +118,9 @@ def test_jacobi_defect_matches_terms(data):
     """Any skew bracket (Jacobi need not hold), every index triple, repeats included."""
     dim = data.draw(st.integers(1, 5))
     bracket = data.draw(cochains(dim, 2))
+    jacobi_defect = _jacobi_defects(bracket)
     for i, j, k in itertools.product(range(dim), repeat=3):
-        assert_same(jacobi_defect(bracket, i, j, k), jacobi_defect_terms(bracket, i, j, k))
+        assert_same(jacobi_defect(i, j, k), jacobi_defect_terms(bracket, i, j, k))
 
 
 @settings(max_examples=100, deadline=None)
@@ -569,17 +570,32 @@ def identity_expr(data, maps, n, depth, kinds=("slot", "vector", "sum", "op")):
     return (op, *(identity_expr(data, maps, n, depth - 1) for _ in range(arity(op))))
 
 
+def slot_beside_compiled(data, maps, n, op=None):
+    """Two terms applying a binary map (`op`, or one drawn from `maps`) to a slot and a compiled
+    argument (a fixed vector or a map applied), the slot first in one and second in the other."""
+    terms = []
+    for slot_first in (True, False):
+        binary = op or data.draw(st.sampled_from([m for m in maps if arity(m) == 2]))
+        slot = data.draw(st.integers(0, SLOTS - 1))
+        compiled = identity_expr(data, maps, n, 1, kinds=("vector", "op"))
+        args = (slot, compiled) if slot_first else (compiled, slot)
+        terms.append((data.draw(st.sampled_from([1, -1])), (binary, *args)))
+    return terms
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_term_defect_matches_fraction_oracle(data):
     """Drawn identities over every kind of map, unary to ternary: nested sums of terms with
-    different scales, fixed vectors, all-zero maps, large coprime denominators; every basis tuple."""
+    different scales, fixed vectors, all-zero maps, large coprime denominators, and a binary map
+    with a slot on either side of a compiled argument; every basis tuple."""
     n = data.draw(st.integers(1, 3))
     maps = data.draw(identity_maps(n))
     terms = [
         (data.draw(st.sampled_from([1, -1])), identity_expr(data, maps, n, data.draw(st.integers(1, 3)), kinds=("op",)))
         for _ in range(data.draw(st.integers(1, 3)))
     ]
+    terms += slot_beside_compiled(data, maps, n)
     got, expected = term_defect(terms), term_defect_fraction(terms)
     for case in itertools.product(range(n), repeat=SLOTS):
         assert_same(got(*case), expected(*case))
@@ -587,12 +603,13 @@ def test_term_defect_matches_fraction_oracle(data):
 
 def shared_map_terms(data, maps, n):
     """A bare map on slots (the root is then that column of its table), or a sum of terms that all
-    apply one map, on slots or on drawn expressions that may apply it again."""
+    apply one map, on slots or on drawn expressions that may apply it again; a binary map is also
+    applied to a slot on either side of a compiled argument."""
     op = data.draw(st.sampled_from(maps))
     slots = st.integers(0, SLOTS - 1)
     if data.draw(st.booleans()):
         return [(1, (op, *(data.draw(slots) for _ in range(arity(op)))))]
-    terms = []
+    terms = slot_beside_compiled(data, (op, *maps), n, op) if arity(op) == 2 else []
     for _ in range(data.draw(st.integers(2, 4))):
         args = [
             data.draw(slots) if data.draw(st.booleans()) else identity_expr(data, (op, *maps), n, 1)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from oracles import (
     cohomology_dims_oracle,
     d_t_matrix_bracket3,
 )
-from twistrb import corpus
+from twistrb import corpus, linfty
 from twistrb.errors import NotTwistedRB
 from twistrb.exactlin import Matrix, vec_scale, vec_sub
 from twistrb.linfty import (
@@ -34,8 +36,9 @@ from twistrb.linfty import (
     twisted_bracket2,
     zero_element,
 )
+from twistrb.liealg import adjoint_rep, ce_cohomology_dims, ce_differential_cochain, coadjoint_rep, trivial_rep
 from twistrb.multilin import Cochain, ext_basis
-from twistrb.operators import check_trb
+from twistrb.operators import check_trb, setup_from_invertible_cochain
 
 
 def random_element(rng, setup, degree):
@@ -354,3 +357,99 @@ def test_d_t_unchecked_matches_brackets(data):
     te = operator_element(setup, t)
     expected = bracket2(setup, te, f) - bracket3(setup, te, te, f).scale(Fraction(1, 2))
     assert d_t_unchecked(setup, t, f) == expected, f.degree
+
+
+# -- the (g, M) route of operator cohomology for an invertible T ----------------
+
+# wide coprime denominators (2^61 - 1 and 10^9 + 7 are prime) next to small ones
+WIDE_SCALARS = st.builds(
+    Fraction, st.integers(-(2**64), 2**64), st.sampled_from([1, 2, 3, 2**61 - 1, 10**9 + 7])
+)
+NONZERO_WIDE = WIDE_SCALARS.filter(bool)
+SINGULAR = {"abelian-zero", "heis-reynolds-zero"}
+
+
+def invertible_cases():
+    """(label, setup, T, degree): the invertible corpus operators to degree 3, and the Heisenberg
+    ladder, sparse and dense, h3 and h5 to degree 3 and h7 to degree 2."""
+    out = [(name, setup, t, 3) for name, setup, t in CORPUS if name not in SINGULAR]
+    for label, setup, t in corpus.heisenberg_ladder(random.Random(20240817)):
+        out.append((label, setup, t, 2 if label.startswith("h7") else 3))
+    return out
+
+
+INVERTIBLE = invertible_cases()
+
+
+def singular_cases():
+    """The singular (heis-reynolds-zero, the single-entry operators on sl2) and non-square
+    (abelian-zero) operators."""
+    return [(name, setup, t) for name, setup, t in CORPUS if name in SINGULAR] + corpus.sl2_single_entry_operators()
+
+
+def no_induced_structure(setup, t):
+    raise AssertionError("the induced route was taken")
+
+
+def assert_lemma(setup, t):
+    """H = -delta(T^{-1}) exactly, the lemma behind the (g, M) route."""
+    h = Cochain.from_matrix_map(t.invert())
+    assert setup.cocycle == -ce_differential_cochain(setup.algebra.bracket, setup.rep, h)
+
+
+def test_corpus_operators_split_into_invertible_and_singular():
+    """Every corpus operator but the two zero ones is square and invertible, and the singular
+    cases all are singular or not square."""
+    assert {name for name, _, t in CORPUS if t.rows != t.cols or t.rank() < t.rows} == SINGULAR
+    for label, _, t, _ in INVERTIBLE:
+        assert t.rows == t.cols and t.rank() == t.rows, label
+    for name, _, t in singular_cases():
+        assert t.rows != t.cols or t.rank() < t.rows, name
+
+
+@pytest.mark.parametrize("label", [case[0] for case in INVERTIBLE])
+def test_invertible_operator_cohomology_is_ce_of_g_and_m(label, monkeypatch):
+    """The (g, M) route equals the induced route, and the bracket oracle on the dimension-2 and -3
+    cases; H = -delta(T^{-1}); the route does not reach `induced_structure`."""
+    _, setup, t, n_max = next(case for case in INVERTIBLE if case[0] == label)
+    expected = ce_cohomology_dims(*induced_structure(setup, t), n_max)
+    if setup.dim <= 3:
+        assert expected == cohomology_dims_oracle(setup, t, n_max)
+    assert_lemma(setup, t)
+    monkeypatch.setattr(linfty, "induced_structure", no_induced_structure)
+    assert cohomology_of_t_dims(setup, t, n_max) == expected
+
+
+@pytest.mark.parametrize("name", [case[0] for case in singular_cases()])
+def test_singular_operators_take_the_induced_route(name, monkeypatch):
+    _, setup, t = next(case for case in singular_cases() if case[0] == name)
+    expected = cohomology_of_t_dims(setup, t, 2)
+    assert expected == ce_cohomology_dims(*induced_structure(setup, t), 2)
+    monkeypatch.setattr(linfty, "induced_structure", no_induced_structure)
+    with pytest.raises(AssertionError, match="the induced route was taken"):
+        cohomology_of_t_dims(setup, t, 2)
+
+
+@st.composite
+def invertible_cochains(draw, n):
+    """h = L D U: unit lower and upper triangular factors and a diagonal of nonzero entries,
+    all with wide denominators."""
+    lower = [[Fraction(int(i == j)) if j >= i else draw(WIDE_SCALARS) for j in range(n)] for i in range(n)]
+    upper = [[Fraction(int(i == j)) if j <= i else draw(WIDE_SCALARS) for j in range(n)] for i in range(n)]
+    diagonal = Matrix(n, n, [draw(NONZERO_WIDE) if i == j else 0 for i in range(n) for j in range(n)])
+    return Matrix.from_rows(lower) @ diagonal @ Matrix.from_rows(upper)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_drawn_invertible_cochain_operator_cohomology(data):
+    """T = h^{-1} for drawn h on the named algebras acting on themselves (adjoint, coadjoint) or
+    trivially: both routes and the bracket oracle agree to degree 3, and H = -delta(T^{-1})."""
+    name, g = data.draw(st.sampled_from(corpus.named_algebras()))
+    rep = data.draw(st.sampled_from([adjoint_rep(g), coadjoint_rep(g), trivial_rep(g, g.dim)]))
+    setup, t = setup_from_invertible_cochain(g, rep, data.draw(invertible_cochains(g.dim)))
+    expected = ce_cohomology_dims(*induced_structure(setup, t), 3)
+    assert expected == cohomology_dims_oracle(setup, t, 3), name
+    assert_lemma(setup, t)
+    with mock.patch.object(linfty, "induced_structure", no_induced_structure):
+        assert cohomology_of_t_dims(setup, t, 3) == expected, name
