@@ -7,10 +7,12 @@ report-style: they return the structure or the lexicographically first
 violating tuple with its defect vector, never raising on mathematical
 failure.
 
-Validation and the Chevalley-Eilenberg differential run on integers: the
-structure constants and the action matrices are multiplied by the lcm of
-their denominators (`_scale`), sums are taken over ints, and a Fraction is
-formed only for a returned defect, matrix entry or cochain value.
+Validation and the Chevalley-Eilenberg differential run on integers: they
+read the one integer table `multilin._int_table` keeps on the bracket and on
+the representation, each map times the lcm of its own denominators.  Where
+the two meet, both are brought to the lcm of the two scales.  Sums are taken
+over ints, and a Fraction is formed only for a returned defect, matrix entry
+or cochain value.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .exactlin import (
     vec_sub,
     vector,
 )
-from .multilin import Cochain, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -104,39 +106,25 @@ def bracket_cochain(dim: int, table: BracketTable) -> tuple[Cochain | None, Viol
     return Cochain.from_values(2, dim, dim, values), None
 
 
-def _scale(*matrices: Matrix) -> int:
-    """The lcm of the denominators of every entry: the factor that clears them all."""
-    return lcm(*{x.denominator for m in matrices for x in m.entries})
+def _shared_tables(bracket: Cochain, rep: Representation) -> tuple[dict, int, list[list[list[tuple[int, int]]]], int]:
+    """The `_int_table` columns of the bracket, the factor that brings them to the common scale
+    lcm(s_bracket, s_action), the rows of the action at that scale and the common scale.
 
-
-def _bracket_table(bracket: Cochain, scale: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """{(a, b): [(l, scale * c^l_ab) for each nonzero constant]} on both orders of every pair with a nonzero bracket."""
-    m = bracket.matrix
-    table = {}
-    for j, (a, b) in enumerate(ext_basis(bracket.source_dim, 2)):
-        col = [(l, x.numerator * (scale // x.denominator)) for l in range(m.rows) if (x := m.entries[l * m.cols + j])]
-        if col:
-            table[a, b] = col
-            table[b, a] = [(l, -y) for l, y in col]
-    return table
-
-
-def _action_rows(action: Sequence[Matrix], scale: int) -> list[list[list[tuple[int, int]]]]:
-    """rows[x][i]: the nonzero (column, scale * entry) pairs of row i of rho(e_x)."""
-    return [
-        [
-            [(k, y.numerator * (scale // y.denominator)) for k, y in enumerate(rho.row(i)) if y]
-            for i in range(rho.rows)
-        ]
-        for rho in action
-    ]
-
-
-def _integer_structure(bracket: Cochain, action: Sequence[Matrix]) -> tuple[int, dict, list]:
-    """The scale that clears every denominator of the structure constants and the action
-    matrices, with `_bracket_table` and `_action_rows` times that scale."""
-    scale = _scale(bracket.matrix, *action)
-    return scale, _bracket_table(bracket, scale), _action_rows(action, scale)
+    rows[x][i] holds the nonzero (column, entry) pairs of row i of rho(e_x),
+    read in one pass over the action's `_int_table`.
+    """
+    constants, bracket_scale = _int_table(bracket)[:2]
+    if not rep.action:
+        return constants, 1, [], bracket_scale
+    columns, action_scale = _int_table(rep)[:2]
+    scale = lcm(bracket_scale, action_scale)
+    factor = scale // action_scale
+    rows: list[list[list[tuple[int, int]]]] = [[[] for _ in range(rho.rows)] for rho in rep.action]
+    for (x, k), col in columns.items():
+        rho_rows = rows[x]
+        for i, y in col.items():
+            rho_rows[i].append((k, y * factor))
+    return constants, scale // bracket_scale, rows, scale
 
 
 def _quotients(sums: list[int], denominator: int) -> Vector:
@@ -156,15 +144,18 @@ def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:
     constants, so the integer sums are over the square of the table's scale.
     """
     n = bracket.target_dim
-    scale = _scale(bracket.matrix)
-    table = _bracket_table(bracket, scale)
+    table, scale = _int_table(bracket)[:2]
 
     def defect(i: int, j: int, k: int) -> Vector:
         total = [0] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, x in table.get((b, c), ()):
-                for r, y in table.get((l, a), ()):
-                    total[r] += x * y
+            inner = table.get((b, c))
+            if inner:
+                for l, x in inner.items():
+                    outer = table.get((l, a))
+                    if outer:
+                        for r, y in outer.items():
+                            total[r] += x * y
         return _quotients(total, scale * scale)
 
     return defect
@@ -210,27 +201,35 @@ def abelian(dim: int) -> LieAlgebra:
 def validate_rep(
     algebra: LieAlgebra, module_dim: int, action: Sequence[Matrix]
 ) -> Union[Representation, Violation]:
-    """Check rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on all pairs."""
+    """Check rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on all pairs.
+
+    The checked object is the returned one, so the integer table of its action
+    built here is the one later checks of the same representation read.
+    """
+    rep = Representation(module_dim, tuple(action))
     # `where` holds basis indices only (`describe` prints them 1-based), so the
     # count and the shape go into the kind text
-    if len(action) != algebra.dim:
-        return Violation(f"action matrix count ({len(action)} for dimension {algebra.dim})", (), ())
-    for i, m in enumerate(action):
+    if len(rep.action) != algebra.dim:
+        return Violation(f"action matrix count ({len(rep.action)} for dimension {algebra.dim})", (), ())
+    for i, m in enumerate(rep.action):
         if m.rows != module_dim or m.cols != module_dim:
             kind = f"action matrix shape ({m.rows}x{m.cols} for module dimension {module_dim})"
             return Violation(kind, (i,), ())
 
     # both terms are products of two entries, so the sums are over the square of one scale
     m = module_dim
-    scale, brackets, rows = _integer_structure(algebra.bracket, action)
+    brackets, factor, rows, scale = _shared_tables(algebra.bracket, rep)
 
     def defect(i: int, j: int) -> Vector:
         """rho([e_i,e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i), entry by entry in one list."""
         out = [0] * (m * m)
-        for k, c in brackets.get((i, j), ()):
-            for r, row in enumerate(rows[k]):
-                for s, y in row:
-                    out[r * m + s] += c * y
+        constants = brackets.get((i, j))
+        if constants:
+            for k, c in constants.items():
+                c *= factor
+                for r, row in enumerate(rows[k]):
+                    for s, y in row:
+                        out[r * m + s] += c * y
         for left, right, sign in ((i, j, -1), (j, i, 1)):
             for r, row in enumerate(rows[left]):
                 for s, a in row:
@@ -240,7 +239,7 @@ def validate_rep(
         return _quotients(out, scale * scale)
 
     report = first_failure("representation", ext_basis(algebra.dim, 2), defect)
-    return Representation(module_dim, tuple(action)) if report.ok else report.violation
+    return rep if report.ok else report.violation
 
 
 def adjoint_rep(algebra: LieAlgebra) -> Representation:
@@ -273,7 +272,7 @@ def ce_differential_cochain(
     `_differential_rows` applied to f cleared of its denominators.
     """
     algebra = LieAlgebra(bracket.source_dim, bracket)
-    rows, width, scale = _differential_rows(algebra, rep, f.degree, _integer_structure(algebra.bracket, rep.action))
+    rows, width, scale = _differential_rows(algebra, rep, f.degree)
     flat = f.vec()
     if len(flat) != width:
         raise DimensionMismatch(f"a cochain of {len(flat)} coordinates given to a differential on {width}")
@@ -290,7 +289,7 @@ def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
 
 def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
     """delta_CE as a Fraction Matrix: the rows of `_differential_rows` over their scale."""
-    rows, width, scale = _differential_rows(algebra, rep, n, _integer_structure(algebra.bracket, rep.action))
+    rows, width, scale = _differential_rows(algebra, rep, n)
     entries = [ZERO] * (len(rows) * width)
     values: dict[int, Fraction] = {}  # entries repeat, so each is divided once
     for r, row in enumerate(rows):
@@ -302,13 +301,11 @@ def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Ma
     return Matrix._of(len(rows), width, entries)
 
 
-def _differential_rows(
-    algebra: LieAlgebra, rep: Representation, n: int, tables: tuple[int, dict, list]
-) -> tuple[list[dict[int, int]], int, int]:
+def _differential_rows(algebra: LieAlgebra, rep: Representation, n: int) -> tuple[list[dict[int, int]], int, int]:
     """The rows of delta_CE : C^n -> C^{n+1} times a scale, as sparse int rows, with their width and that scale.
 
-    `tables` is `_integer_structure` of the bracket and the action, built once for all the
-    degrees a caller assembles.  Rows and columns come in blocks of the module
+    The scale is that of `_shared_tables`, from the integer tables kept on the
+    bracket and the action.  Rows and columns come in blocks of the module
     dimension m, one block per lex basis tuple, as in `Cochain.vec`.  For
     each (n+1)-tuple x:
     - the action term at position p adds (-1)^p rho(x_p) at the block of x
@@ -318,7 +315,7 @@ def _differential_rows(
       sort, where rest is x without x_a and x_b; it vanishes when l is in rest.
     """
     dim, m = algebra.dim, rep.module_dim
-    scale, constants, action = tables
+    constants, factor, action, scale = _shared_tables(algebra.bracket, rep)
     col_block = {t: j * m for j, t in enumerate(ext_basis(dim, n))}
     rows = []
     for xs in ext_basis(dim, n + 1):
@@ -330,13 +327,16 @@ def _differential_rows(
                     col = block + k
                     row[col] = row.get(col, 0) + (-v if pos % 2 else v)
         for a, b in itertools.combinations(range(n + 1), 2):
+            bracket_ab = constants.get((xs[a], xs[b]))
+            if not bracket_ab:
+                continue
             rest = xs[:a] + xs[a + 1 : b] + xs[b + 1 :]
-            for l, c in constants.get((xs[a], xs[b]), ()):
+            for l, c in bracket_ab.items():
                 if l in rest:
                     continue
                 p = sum(1 for y in rest if y < l)
                 block = col_block[rest[:p] + (l,) + rest[p:]]
-                v = -c if (a + b + p) % 2 else c
+                v = -c * factor if (a + b + p) % 2 else c * factor
                 for i, row in enumerate(block_rows):
                     row[block + i] = row.get(block + i, 0) + v
         rows.extend({col: x for col, x in row.items() if x} for row in block_rows)
@@ -370,9 +370,8 @@ def ce_cohomology_dims(algebra: LieAlgebra, rep: Representation, n_max: int) -> 
     """
     dims = []
     prev_rank, pivots = 0, set()
-    tables = _integer_structure(algebra.bracket, rep.action)
     for n in range(n_max + 1):
-        rows, width, _ = _differential_rows(algebra, rep, n, tables)
+        rows, width, _ = _differential_rows(algebra, rep, n)
         cols: list[dict[int, int]] = [{} for _ in range(width)]
         for r, row in enumerate(rows):
             for c, x in row.items():

@@ -70,7 +70,11 @@ class TrbSetup:
 
 
 def trb_setup(algebra: LieAlgebra, rep: Representation, cocycle: Cochain | None = None) -> TrbSetup:
-    """Validating constructor: the action and the cocycle are re-checked."""
+    """Validating constructor: the action and the cocycle are re-checked.
+
+    The setup keeps the checked representation, which equals `rep`, so later
+    checks read the integer table its validation built.
+    """
     checked = validate_rep(algebra, rep.module_dim, rep.action)
     if isinstance(checked, Violation):
         raise InvalidStructure(checked.describe())
@@ -78,10 +82,10 @@ def trb_setup(algebra: LieAlgebra, rep: Representation, cocycle: Cochain | None 
         cocycle = Cochain.zero(2, algebra.dim, rep.module_dim)
     if cocycle.source_dim != algebra.dim or cocycle.target_dim != rep.module_dim or cocycle.degree != 2:
         raise InvalidStructure("cocycle shape does not match the setup")
-    closed = is_two_cocycle(algebra, rep, cocycle)
+    closed = is_two_cocycle(algebra, checked, cocycle)
     if not closed:
         raise NotCocycle(closed.violation.describe())
-    return TrbSetup(algebra, rep, cocycle)
+    return TrbSetup(algebra, checked, cocycle)
 
 
 def _check_shape(setup: TrbSetup, t: Operator) -> None:

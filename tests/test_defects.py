@@ -685,6 +685,35 @@ def test_integer_tables_are_built_once_per_map():
         assert result._ints is None
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_validation_builds_the_one_table_of_bracket_and_rep(name):
+    """`validate_lie` and `validate_rep` leave their integer tables on the maps they return, and
+    `check_trb` and `ce_cohomology_dims` read those: neither builds a table of the bracket or of
+    the representation again.  `trb_setup` keeps the representation it checked, with its table."""
+    setup, t = fresh(*CORPUS[name])
+    brackets = {pair: setup.algebra.bracket_basis(*pair) for pair in ext_basis(setup.dim, 2)}
+    algebra = liealg.validate_lie(setup.dim, brackets)
+    rep = validate_rep(algebra, setup.module_dim, setup.rep.action)
+    assert algebra.bracket._ints is not None and rep._ints is not None
+    assert rep == setup.rep
+
+    table, builds = multilin._table, []
+
+    def counted(op):
+        builds.append(op)
+        return table(op)
+
+    with mock.patch.object(multilin, "_table", counted):
+        assert operators.check_trb(operators.TrbSetup(algebra, rep, setup.cocycle), t)
+        liealg.ce_cohomology_dims(algebra, rep, 2)
+        kept = trb_setup(algebra, setup.rep, setup.cocycle)
+        assert kept.rep == setup.rep and kept.rep._ints is not None
+        before = len(builds)
+        assert operators.check_trb(kept, t)
+    assert not any(op is algebra.bracket or op is rep for op in builds)
+    assert not any(op is kept.rep for op in builds[before:])
+
+
 # x with a distinct odd-prime-power denominator in each coordinate
 FRACTIONAL_X = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 11), Fraction(11, 13))
 

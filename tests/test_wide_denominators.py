@@ -1,15 +1,17 @@
 """The integer Chevalley-Eilenberg pipeline against its Fraction oracles, on wide denominators.
 
 Jacobi and representation validation, the CE differential (as a matrix and
-on one cochain) and the ranks of `ce_cohomology_dims` multiply the structure
-constants and the action matrices by one scale, the lcm of their
-denominators, and sum Python ints.  Every benchmark structure has integer
-entries, so there that scale is 1.  Here the corpus structures are divided
-by large q: 2^61 - 1, 10^9 + 7 and 2^64.  Dividing the bracket and the
-action by one q gives an isomorphic structure (x -> q x) with the same
-cohomology; dividing them by two different q gives a bracket and an action
-that are no representation, with wide-denominator witnesses.  The oracles
-in `oracles.py` compute in Fractions throughout.
+on one cochain) and the ranks of `ce_cohomology_dims` read the integer
+tables `multilin._int_table` keeps on the bracket and on the action, each
+times the lcm of its own denominators, bring both to the lcm of the two
+scales where they meet, and sum Python ints.  Every benchmark structure has
+integer entries, so there every scale is 1.  Here the corpus structures are
+divided by large q: 2^61 - 1, 10^9 + 7 and 2^64.  Dividing the bracket and
+the action by one q gives an isomorphic structure (x -> q x) with the same
+cohomology; dividing them by two different, coprime q gives a bracket and an
+action that are no representation, with wide-denominator witnesses, and
+scales that only meet at their product.  The oracles in `oracles.py` compute
+in Fractions throughout.
 """
 import itertools
 import random
@@ -57,11 +59,21 @@ def structures():
 STRUCTURES = structures()
 
 
-@by_q
-def test_ce_differential_matches_unit_vectors(q):
-    """Degrees 0-3 of every structure divided by q, entry for entry."""
+PAIRS = list(itertools.product(WIDE, repeat=2))
+by_q_pair = pytest.mark.parametrize(
+    "q_bracket, q_action", [(WIDE[a], WIDE[b]) for a, b in PAIRS], ids=[f"{a},{b}" for a, b in PAIRS]
+)
+
+
+# an equal pair is named by its one q
+@pytest.mark.parametrize(
+    "q_bracket, q_action", [(WIDE[a], WIDE[b]) for a, b in PAIRS], ids=[a if a == b else f"{a},{b}" for a, b in PAIRS]
+)
+def test_ce_differential_matches_unit_vectors(q_bracket, q_action):
+    """Degrees 0-3 of every structure, its bracket divided by q_bracket and its action by
+    q_action, entry for entry."""
     for label, g, rep in STRUCTURES:
-        g, rep = divided(g, rep, q)
+        g, rep = divided(g, rep, q_bracket, q_action)
         for n in range(4):
             assert liealg.ce_differential(g, rep, n) == oracles.ce_differential_unit_vectors(g, rep, n), (label, n)
 
@@ -69,9 +81,10 @@ def test_ce_differential_matches_unit_vectors(q):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_ce_differential_cochain_matches_alternating_sum(data):
-    """A structure divided by q, applied to a cochain whose entries have other wide denominators."""
+    """A structure, its bracket and its action each divided by a drawn q, applied to a cochain whose
+    entries have other wide denominators."""
     label, g, rep = data.draw(st.sampled_from(STRUCTURES))
-    g, rep = divided(g, rep, data.draw(st.sampled_from(QS)))
+    g, rep = divided(g, rep, data.draw(st.sampled_from(QS)), data.draw(st.sampled_from(QS)))
     degree = data.draw(st.integers(0, 3))
     entry = st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from((1, 3, 2**61 - 1, 10**9 + 7)))
     cols = comb(g.dim, degree)
@@ -87,9 +100,7 @@ def rep_oracle(algebra, module_dim, action):
     ).violation
 
 
-@pytest.mark.parametrize(
-    "q_bracket, q_action", itertools.product(QS, repeat=2), ids=[f"{a},{b}" for a, b in itertools.product(WIDE, repeat=2)]
-)
+@by_q_pair
 def test_validate_rep_witness_matches_matrix_oracle(q_bracket, q_action):
     """Equal divisors keep each action a representation; different ones break every nonabelian one."""
     failures = 0
