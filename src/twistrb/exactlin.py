@@ -112,7 +112,9 @@ class Matrix:
     """Immutable dense matrix of exact rationals, row-major.
 
     `_ints` holds the integer table `multilin._int_table` builds of the
-    matrix as a linear map, on first use; it takes no part in `==` or `hash`.
+    matrix as a linear map, on first use (a matrix `multilin.tabulate`
+    returns carries the one it built from its integer sums); it takes no
+    part in `==` or `hash`.
     """
 
     __slots__ = ("rows", "cols", "entries", "_ints")

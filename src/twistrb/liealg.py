@@ -127,10 +127,11 @@ def _shared_tables(bracket: Cochain, rep: Representation) -> tuple[dict, int, li
     return constants, scale // bracket_scale, rows, scale
 
 
-def _quotients(sums: list[int], denominator: int) -> Vector:
-    """The integer sums over the denominator, in lowest terms."""
+def _quotients(sums: list[int], denominator: int, zero: Vector) -> Vector:
+    """The integer sums over the denominator, in lowest terms: `zero`, the caller's one zero tuple
+    of their length, when every sum is zero, so a passing case forms no Fraction."""
     if not any(sums):
-        return (ZERO,) * len(sums)
+        return zero
     return tuple(Fraction(x, denominator) if x else ZERO for x in sums)
 
 
@@ -145,6 +146,7 @@ def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:
     """
     n = bracket.target_dim
     table, scale = _int_table(bracket)[:2]
+    zero = (ZERO,) * n
 
     def defect(i: int, j: int, k: int) -> Vector:
         total = [0] * n
@@ -156,7 +158,7 @@ def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:
                     if outer:
                         for r, y in outer.items():
                             total[r] += x * y
-        return _quotients(total, scale * scale)
+        return _quotients(total, scale * scale, zero)
 
     return defect
 
@@ -219,6 +221,7 @@ def validate_rep(
     # both terms are products of two entries, so the sums are over the square of one scale
     m = module_dim
     brackets, factor, rows, scale = _shared_tables(algebra.bracket, rep)
+    zero = (ZERO,) * (m * m)
 
     def defect(i: int, j: int) -> Vector:
         """rho([e_i,e_j]) - rho(e_i)rho(e_j) + rho(e_j)rho(e_i), entry by entry in one list."""
@@ -236,7 +239,7 @@ def validate_rep(
                     a *= sign
                     for col, b in rows[right][s]:
                         out[r * m + col] += a * b
-        return _quotients(out, scale * scale)
+        return _quotients(out, scale * scale, zero)
 
     report = first_failure("representation", ext_basis(algebra.dim, 2), defect)
     return rep if report.ok else report.violation
@@ -279,7 +282,8 @@ def ce_differential_cochain(
     f_scale = lcm(*{x.denominator for x in flat})
     cleared = {c: x.numerator * (f_scale // x.denominator) for c, x in enumerate(flat) if x}
     sums = [sum(x * cleared[c] for c, x in row.items() if c in cleared) for row in rows]
-    return Cochain.from_vec(f.degree + 1, bracket.source_dim, rep.module_dim, _quotients(sums, scale * f_scale))
+    values = _quotients(sums, scale * f_scale, (ZERO,) * len(sums))
+    return Cochain.from_vec(f.degree + 1, bracket.source_dim, rep.module_dim, values)
 
 
 def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:

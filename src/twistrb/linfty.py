@@ -116,14 +116,18 @@ def _derived(setup: TrbSetup, elements: Sequence[Cochain], head: Cochain | None 
     """P[head, e_1], P[[head, e_1], e_2], ...: one projection per element.
 
     `head` is a skew map on g (+) M and defaults to the twisted semidirect
-    bracket Delta; each element is checked and embedded before it is
-    bracketed in.
+    bracket Delta; each distinct element is checked and embedded once,
+    before it is first bracketed in, so an element given again (T in
+    `mc_defect`) brings back the one embedding and its integer table.
     """
     raw = twisted_semidirect_cochain(setup) if head is None else head
-    out = []
+    out, embedded = [], {}
     for e in elements:
-        _check_element(setup, e)
-        raw = nr_bracket(raw, _embed(setup, e))
+        lifted = embedded.get(id(e))
+        if lifted is None:
+            _check_element(setup, e)
+            lifted = embedded[id(e)] = _embed(setup, e)
+        raw = nr_bracket(raw, lifted)
         out.append(_restrict(setup, raw))
     return out
 

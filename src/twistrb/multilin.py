@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -138,8 +138,8 @@ class Cochain:
         Rejects duplicate, non-increasing, or out-of-range tuples: callers
         must normalize before assigning.
         """
-        index = _tuple_index(source_dim, degree)
-        cols = [[ZERO] * target_dim for _ in range(comb(source_dim, degree))]
+        index, width = _tuple_index(source_dim, degree), comb(source_dim, degree)
+        entries = [ZERO] * (target_dim * width)
         seen = set()
         for key, value in assignments.items():
             t = tuple(key)
@@ -155,8 +155,8 @@ class Cochain:
             v = vector(value)
             if len(v) != target_dim:
                 raise DimensionMismatch(f"value for {t} has length {len(v)}, expected {target_dim}")
-            cols[index[t]] = list(v)
-        return cls(degree, source_dim, target_dim, Matrix.from_cols(cols, rows=target_dim))
+            entries[index[t] :: width] = v
+        return cls(degree, source_dim, target_dim, Matrix._of(target_dim, width, entries))
 
     @classmethod
     def from_matrix_map(cls, m: Matrix) -> "Cochain":
@@ -339,54 +339,67 @@ def _orderings(dim: int, degree: int) -> tuple[tuple[tuple, int], ...]:
     )
 
 
-def _table(op) -> tuple[dict, tuple[int, ...], int]:
-    """Sparse table {argument index or index tuple: nonzero (output index, coefficient)} of a map,
-    with the map's argument dimensions and target dimension.
+def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
+    """The sparse integer table of a map: {argument index or index tuple: {output index: integer
+    coefficient}}, each coefficient times the table's scale (the lcm of the map's denominators),
+    then that scale, the map's argument dimensions and its target dimension.
 
     `op` is a Matrix (linear), a Bilinear, a Representation (liealg), where
     the pair (x, u) maps to rho(e_x) e_u, or a Cochain of degree p >= 1: its
     matrix as a linear map for p = 1, and for p >= 2 every ordering of each
     basis tuple, signed by its permutation.  A degree-0 cochain is a
-    constant, not a map.
+    constant, not a map.  Zero coefficients are left out.
+
+    A Matrix is the one map whose entries are scanned, once, into its
+    column table; every other map's table is read off its matrices' column
+    tables: a positive ordering of a cochain shares its matrix's column
+    dicts, a negative one a negated copy of each, and the actions of a
+    Representation are brought to the lcm of their scales.  No table column
+    is ever written to, so sharing is safe.  The table is kept on the map
+    (its `_ints`) for its lifetime: every map it takes is immutable.
     """
+    cached = op._ints
+    if cached is not None:
+        return cached
     if isinstance(op, Matrix):
-        blocks, dims = [(op, range(op.cols), 1)], (op.cols,)
+        width, table = op.cols, {}
+        nonzero = [(idx, x) for idx, x in enumerate(op.entries) if x]
+        scale = lcm(*{x.denominator for _, x in nonzero})
+        for idx, x in nonzero:
+            row, col = divmod(idx, width)
+            column = table.get(col)
+            if column is None:
+                column = table[col] = {}
+            column[row] = x.numerator * (scale // x.denominator)
+        cached = table, scale, (width,), op.rows
     elif isinstance(op, Cochain):
         if op.degree < 1:
             raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a map")
-        blocks = [(op.matrix, keys, sign) for keys, sign in _orderings(op.source_dim, op.degree)]
+        columns, scale, _, rows = _int_table(op.matrix)
         dims = (op.source_dim,) * op.degree
+        if op.degree == 1:
+            table = columns
+        else:
+            table, negated = {}, {j: {row: -x for row, x in col.items()} for j, col in columns.items()}
+            for keys, sign in _orderings(op.source_dim, op.degree):
+                for j, col in (columns if sign > 0 else negated).items():
+                    table[keys[j]] = col
+        cached = table, scale, dims, rows
     elif isinstance(op, Bilinear):
-        blocks = [(op.matrix, [divmod(j, op.source_dim) for j in range(op.matrix.cols)], 1)]
-        dims = (op.source_dim, op.source_dim)
+        columns, scale, _, rows = _int_table(op.matrix)
+        table = {divmod(j, op.source_dim): col for j, col in columns.items()}
+        cached = table, scale, (op.source_dim, op.source_dim), rows
     else:
         action = op.action
-        blocks = [(rho, [(x, u) for u in range(rho.cols)], 1) for x, rho in enumerate(action)]
-        dims = (len(action), action[0].cols)
-    table: dict = {}
-    for matrix, keys, sign in blocks:
-        for idx, x in enumerate(matrix.entries):
-            if x:
-                row, col = divmod(idx, matrix.cols)
-                table.setdefault(keys[col], []).append((row, x if sign > 0 else -x))
-    return table, dims, blocks[0][0].rows
-
-
-def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
-    """`_table` with each column a {output index: integer coefficient} dict, each coefficient times
-    the table's scale (the lcm of its denominators), then that scale, the argument dimensions and
-    the target dimension.
-
-    Built once per map and kept on it (its `_ints`) for its lifetime: every
-    map `_table` takes is immutable.
-    """
-    cached = op._ints
-    if cached is None:
-        table, dims, dim = _table(op)
-        scale = lcm(*(x.denominator for col in table.values() for _, x in col))
-        ints = {key: {row: x.numerator * (scale // x.denominator) for row, x in col} for key, col in table.items()}
-        cached = ints, scale, dims, dim
-        object.__setattr__(op, "_ints", cached)
+        tables = [_int_table(rho) for rho in action]
+        scale = lcm(*(t[1] for t in tables))
+        table = {}
+        for x, (columns, s, _, _) in enumerate(tables):
+            f = scale // s
+            for u, col in columns.items():
+                table[x, u] = col if f == 1 else {row: f * y for row, y in col.items()}
+        cached = table, scale, (len(action), action[0].cols), action[0].rows
+    object.__setattr__(op, "_ints", cached)
     return cached
 
 
@@ -527,8 +540,8 @@ def term_defect(terms: list) -> Callable[..., Vector]:
 
     A term is (sign, expr) with sign +1 or -1.  An expr is an int (that slot
     of the basis tuple), a fixed Vector, a list of terms (their sum), or
-    (op, arg, ...): an op of `_table` applied to as many sub-expressions as
-    it takes arguments; a k-ary op visits the product of their supports.
+    (op, arg, ...): an op of `_int_table` applied to as many sub-expressions
+    as it takes arguments; a k-ary op visits the product of their supports.
     Dimensions that do not compose raise DimensionMismatch.
 
     Evaluation is over the integers.  Each op's table (`_int_table`, built
@@ -544,8 +557,24 @@ def term_defect(terms: list) -> Callable[..., Vector]:
     slots only looks up that column of its table, a sum of one +1 term is
     that term, and no closure changes a value another returned.  The defect
     is the root's integer sums over its scale, a dense tuple of Fractions in
-    lowest terms.
+    lowest terms; when every sum is zero it is one zero tuple, made once per
+    compiled identity, so a passing case forms no Fraction.
     """
+    value, dim, scale = _program(terms)
+    zero = None if dim is None else (ZERO,) * dim
+
+    def defect(*case) -> Vector:
+        sums = value(case) if value else None
+        if not sums or not any(sums.values()):
+            return zero
+        return tuple(Fraction(sums[k], scale) if sums.get(k) else ZERO for k in range(dim))
+
+    return defect
+
+
+def _program(terms: list) -> tuple[Callable[[tuple], dict[int, int] | None] | None, int | None, int]:
+    """The compiled root of signed terms (see `term_defect`): the closure from a basis tuple to its
+    integer sums, None when the terms compile to nothing, then their dimension and scale."""
 
     def compile(expr) -> tuple[object, int | None, int]:
         """The node of expr (a slot, a closure, or None when it is zero), its dimension (None for a slot) and scale.
@@ -600,28 +629,46 @@ def term_defect(terms: list) -> Callable[..., Vector]:
         return _apply(table, nodes), dim, scale
 
     root, dim, scale = compile(list(terms))
-    value = None if root is None else _closure(root)
-
-    def defect(*case) -> Vector:
-        sums = value(case) if value else None
-        if not sums:
-            return (ZERO,) * dim
-        return tuple(Fraction(sums[k], scale) if sums.get(k) else ZERO for k in range(dim))
-
-    return defect
+    return (None if root is None else _closure(root)), dim, scale
 
 
 def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
     """The values of signed terms on each case, one column per case, as a `rows`-row Matrix.
 
     No terms means the zero matrix: `term_defect` needs at least one term
-    to know its dimension.
+    to know its dimension.  The integer sums become the matrix's integer
+    table (`_int_table`), so a later identity that applies the matrix scans
+    nothing: its columns are fresh dicts of the nonzero sums, and the sums
+    and the scale are divided by their gcd, which makes the scale the lcm of
+    the entries' denominators, as a scan of the entries would find it.  Each
+    distinct entry becomes a Fraction once.
     """
     cases = list(cases)
     if not terms:
         return Matrix.zero(rows, len(cases))
-    value = term_defect(terms)
-    cols = [value(*case) for case in cases]
-    if cols and len(cols[0]) != rows:
-        raise DimensionMismatch(f"terms of dimension {len(cols[0])} tabulated in {rows} rows")
-    return Matrix._of(rows, len(cols), [col[i] for i in range(rows) for col in cols])
+    value, dim, scale = _program(terms)
+    if cases and dim != rows:
+        raise DimensionMismatch(f"terms of dimension {dim} tabulated in {rows} rows")
+    table, content = {}, scale
+    if value is not None:
+        for j, case in enumerate(cases):
+            sums = value(case)
+            if sums:
+                column = {k: x for k, x in sums.items() if x}
+                if column:
+                    table[j] = column
+                    if content != 1:
+                        content = gcd(content, *column.values())
+    if content != 1:
+        scale //= content
+        table = {j: {k: x // content for k, x in column.items()} for j, column in table.items()}
+    width, entries, fractions = len(cases), [ZERO] * (rows * len(cases)), {}
+    for j, column in table.items():
+        for k, x in column.items():
+            q = fractions.get(x)
+            if q is None:
+                q = fractions[x] = Fraction(x, scale)
+            entries[k * width + j] = q
+    m = Matrix._of(rows, width, entries)
+    object.__setattr__(m, "_ints", (table, scale, (width,), rows))
+    return m

@@ -88,10 +88,13 @@ def first_failure(
 
     `defect` takes the entries of a case as arguments; the first case whose
     defect has a nonzero entry is the witness of the failed identity `kind`.
+    Every zero entry is false, so `any` tells them apart without comparing
+    each entry with 0; a compiled defect (`multilin.term_defect`) returns
+    one zero tuple on every passing case, so a pass forms no Fraction.
     """
     for where in cases:
         values = defect(*where)
-        if any(c != 0 for c in values):
+        if any(values):
             return failed(kind, where, values)
     return passed()
 

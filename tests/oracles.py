@@ -26,11 +26,14 @@ matrix temporary per term, where the library either accumulates the defect
 in one hand-fused list (`validate_rep`, `liealg._jacobi_defects`) or states the
 identity, or the insertion, as signed terms for `multilin.term_defect`.
 That evaluator sums integers over one scale per compiled node;
-`term_defect_fraction` evaluates the same signed terms on the same sparse
-tables (`multilin._table`) in Fractions, term by term.  The derived-structure
-oracles build the induced bracket and action, the NS-Lie tables of the three
-constructions and the adjacent Lie algebra of an NS-Lie algebra by vector
-arithmetic on each basis tuple, where the library tabulates signed terms.
+`term_defect_fraction` evaluates the same signed terms in Fractions, term
+by term, on sparse tables `_table` scans here from each map's dense
+Fraction entries, where the library scans each matrix into integers once
+and derives the other maps' tables from those (`multilin._int_table`).
+The derived-structure oracles build the induced bracket and action, the
+NS-Lie tables of the three constructions and the adjacent Lie algebra of an
+NS-Lie algebra by vector arithmetic on each basis tuple, where the library
+tabulates signed terms.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ from twistrb.exactlin import (
 )
 from twistrb.liealg import ce_differential
 from twistrb.linfty import d_t_unchecked
-from twistrb.multilin import Bilinear, Cochain, _table, ext_basis, iter_unshuffles
+from twistrb.multilin import Bilinear, Cochain, _orderings, ext_basis, iter_unshuffles
 
 
 def rank_oracle(rows: list[list[Fraction]]) -> int:
@@ -796,6 +799,39 @@ def reynolds_defect(algebra, r: Matrix, i: int, j: int) -> Vector:
     mixed = partial(eval_mixed_dense, algebra.bracket)
     inner = vec_sub(mixed(rx, (j,)), mixed(ry, (i,)))
     return vec_sub(lhs, r.apply(vec_sub(inner, lhs)))
+
+
+def _table(op) -> tuple[dict, tuple[int, ...], int]:
+    """Sparse table {argument index or index tuple: nonzero (output index, coefficient)} of a map,
+    with the map's argument dimensions and target dimension.
+
+    `op` is a Matrix (linear), a Bilinear, a Representation (liealg), where
+    the pair (x, u) maps to rho(e_x) e_u, or a Cochain of degree p >= 1: its
+    matrix as a linear map for p = 1, and for p >= 2 every ordering of each
+    basis tuple, signed by its permutation.  A degree-0 cochain is a
+    constant, not a map.
+    """
+    if isinstance(op, Matrix):
+        blocks, dims = [(op, range(op.cols), 1)], (op.cols,)
+    elif isinstance(op, Cochain):
+        if op.degree < 1:
+            raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a map")
+        blocks = [(op.matrix, keys, sign) for keys, sign in _orderings(op.source_dim, op.degree)]
+        dims = (op.source_dim,) * op.degree
+    elif isinstance(op, Bilinear):
+        blocks = [(op.matrix, [divmod(j, op.source_dim) for j in range(op.matrix.cols)], 1)]
+        dims = (op.source_dim, op.source_dim)
+    else:
+        action = op.action
+        blocks = [(rho, [(x, u) for u in range(rho.cols)], 1) for x, rho in enumerate(action)]
+        dims = (len(action), action[0].cols)
+    table: dict = {}
+    for matrix, keys, sign in blocks:
+        for idx, x in enumerate(matrix.entries):
+            if x:
+                row, col = divmod(idx, matrix.cols)
+                table.setdefault(keys[col], []).append((row, x if sign > 0 else -x))
+    return table, dims, blocks[0][0].rows
 
 
 def term_defect_fraction(terms: list) -> Callable[..., Vector]:

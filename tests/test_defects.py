@@ -16,10 +16,10 @@ identities.
 import copy
 import itertools
 import re
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 from unittest import mock
 
 import pytest
@@ -619,6 +619,69 @@ def shared_map_terms(data, maps, n):
     return terms
 
 
+def oracle_int_table(op):
+    """The integer table of `op` read off the oracle's dense Fraction scan `oracles._table`: each
+    coefficient times the lcm of the map's denominators, then that lcm, the argument dimensions and
+    the target dimension."""
+    table, dims, rows = oracles._table(op)
+    scale = lcm(*(x.denominator for col in table.values() for _, x in col))
+    return {key: {row: int(x * scale) for row, x in col} for key, col in table.items()}, scale, dims, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tabulated_table_equals_a_scan(data):
+    """The integer table `tabulate` keeps on its matrix equals the table a scan of the matrix's
+    entries builds, scale included: drawn identities over every kind of map, all-zero maps and
+    wide denominators, some terms cancelled by their negatives so that sums reach an explicit 0."""
+    n = data.draw(st.integers(1, 3))
+    maps = data.draw(identity_maps(n))
+    terms = [
+        (data.draw(st.sampled_from([1, -1])), identity_expr(data, maps, n, data.draw(st.integers(1, 3)), kinds=("op",)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    terms += [(-sign, expr) for sign, expr in terms[: data.draw(st.integers(0, len(terms)))]]
+    m = multilin.tabulate(terms, itertools.product(range(n), repeat=SLOTS), n)
+    assert m._ints is not None
+    assert _int_table(m) == _int_table(Matrix(m.rows, m.cols, m.entries)) == oracle_int_table(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derived_tables_equal_the_oracle_scan(data):
+    """The tables `_int_table` derives from its matrices' column tables (a Cochain of degree 1, or of
+    degree 2 or 3 in every ordering, a Bilinear, a Representation whose action matrices have their
+    own scales)
+    equal the oracle's scan of the map, whether the matrices were scanned or come from `tabulate`."""
+    n = data.draw(st.integers(1, 4))
+    _, c1, c2, c3, b, rep = data.draw(identity_maps(n))
+    # each map again, its matrices tabulated from the map itself
+    again = [
+        Cochain(c.degree, n, n, multilin.tabulate([(1, (c, *range(c.degree)))], ext_basis(n, c.degree), n))
+        for c in (c1, c2, c3)
+    ]
+    again.append(Bilinear(n, n, multilin.tabulate([(1, (b, 0, 1))], itertools.product(range(n), repeat=2), n)))
+    action = tuple(multilin.tabulate([(1, (rep, 0, 1))], [(x, u) for u in range(n)], n) for x in range(n))
+    again.append(Representation(n, action))
+    for op in (c1, c2, c3, b, rep, *again):
+        assert _int_table(op) == oracle_int_table(op)
+    assert again[:4] == [c1, c2, c3, b] and again[4].action == rep.action
+
+
+def test_representation_table_brings_each_action_to_the_common_scale():
+    """Action matrices of scales 2, 3 and 1: the table's scale is 6, each column multiplied by the
+    factor of its matrix, and the columns of a matrix already at that scale are its own."""
+    halves = Matrix(2, 2, [Fraction(1, 2), 0, 0, 1])
+    thirds = Matrix(2, 2, [0, Fraction(2, 3), 0, 0])
+    ones = Matrix(2, 2, [0, 0, 3, 0])
+    rep = Representation(2, (halves, thirds, ones))
+    table, scale, dims, rows = _int_table(rep)
+    assert (scale, dims, rows) == (6, (3, 2), 2)
+    assert table == {(0, 0): {0: 3}, (0, 1): {1: 6}, (1, 1): {0: 4}, (2, 0): {1: 18}}
+    assert (table, scale, dims, rows) == oracle_int_table(rep)
+    assert _int_table(halves) == ({0: {0: 1}, 1: {1: 2}}, 2, (2,), 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compiled_defect_leaks_no_state_between_cases(data):
@@ -650,17 +713,28 @@ def fresh(setup, t):
     return operators.TrbSetup(algebra, rep, cochain(setup.cocycle)), matrix(t)
 
 
-def test_integer_tables_are_built_once_per_map():
-    """A second check of one (setup, T) builds no table; the cached table takes no part in `==`
-    or `hash`; a new map (an operation's result included) starts without one."""
-    table, builds = multilin._table, []
+@contextmanager
+def table_builds():
+    """The maps whose integer table is built while the block runs, in order: `multilin._int_table`,
+    the one table builder, wrapped where it is defined and where `liealg` imports it, records each
+    map it is given that keeps no table yet (the matrices a derived table is read from included)."""
+    build, builds = multilin._int_table, []
 
     def counted(op):
-        builds.append(op)
-        return table(op)
+        if op._ints is None:
+            builds.append(op)
+        return build(op)
 
+    with mock.patch.object(multilin, "_int_table", counted), mock.patch.object(liealg, "_int_table", counted):
+        yield builds
+
+
+def test_integer_tables_are_built_once_per_map():
+    """A second check of one (setup, T) builds no table; the cached table takes no part in `==`
+    or `hash`; a new map (the result of an operation other than `tabulate` included) starts
+    without one."""
     setup, t = fresh(*CORPUS[sorted(CORPUS)[0]])
-    with mock.patch.object(multilin, "_table", counted):
+    with table_builds() as builds:
         first = operators.check_trb(setup, t)
         built = len(builds)
         assert operators.check_trb(setup, t) == first
@@ -697,13 +771,7 @@ def test_validation_builds_the_one_table_of_bracket_and_rep(name):
     assert algebra.bracket._ints is not None and rep._ints is not None
     assert rep == setup.rep
 
-    table, builds = multilin._table, []
-
-    def counted(op):
-        builds.append(op)
-        return table(op)
-
-    with mock.patch.object(multilin, "_table", counted):
+    with table_builds() as builds:
         assert operators.check_trb(operators.TrbSetup(algebra, rep, setup.cocycle), t)
         liealg.ce_cohomology_dims(algebra, rep, 2)
         kept = trb_setup(algebra, setup.rep, setup.cocycle)

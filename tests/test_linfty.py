@@ -155,6 +155,18 @@ def test_mc_defect_biconditional(rng, trb_corpus):
             assert defect.is_zero() == direct.ok, name
 
 
+def test_mc_defect_embeds_the_operator_once(rng, trb_corpus):
+    """[[T,T]] and [[T,T,T]] come from one chain that brings T in three times: T is embedded on
+    g (+) M once per `mc_defect`, passing or not, and the defect is unchanged."""
+    embed = linfty._embed
+    for name, setup, t in trb_corpus:
+        for op in (t, corpus.random_operator(rng, setup)):
+            expected = mc_defect(setup, op)
+            with mock.patch.object(linfty, "_embed", side_effect=embed) as counted:
+                assert mc_defect(setup, op) == expected, name
+            assert counted.call_count == 1, name
+
+
 def test_mc_defect_closed_form(rng, trb_corpus):
     """defect(u,v) = T(Tu.v - Tv.u + H(Tu,Tv)) - [Tu,Tv], recomputed directly."""
     name, setup, _ = trb_corpus[0]
