@@ -3,16 +3,21 @@
 
 Draws operators over the corpus setups plus setups with randomly sampled
 closed twists, and reports the exact agreement count between "Maurer-Cartan
-defect vanishes" and the direct twisted Rota-Baxter check.  Any disagreement
-would be a sign error in the bracket transcription; the run aborts on the
-first one.
+defect vanishes" and the direct twisted Rota-Baxter check.  On every
+operator that passes, it also compares d_T f, from the derived brackets,
+with (-1)^n delta_CE f of the induced structure (`linfty.compare_dt_ce`)
+for a drawn cochain f of each degree 0, 1 and 2.  Any disagreement would be
+a sign error in the bracket transcription; the run stops at the first one
+and exits 1.
 """
 import argparse
 import random
 import time
+from math import comb
 
 from twistrb import corpus
-from twistrb.linfty import mc_defect
+from twistrb.linfty import compare_dt_ce, mc_defect
+from twistrb.multilin import Cochain
 from twistrb.operators import check_trb
 
 
@@ -26,7 +31,7 @@ def main() -> int:
 
     frames = [(name, setup) for name, setup, _ in corpus.trb_instances()]
     start = time.monotonic()
-    checked = passes = 0
+    checked = passes = compared = 0
     while checked < args.count:
         if checked % 5 == 4:
             setup = next(iter(corpus.random_setups(rng, 1)))
@@ -41,9 +46,19 @@ def main() -> int:
             return 1
         passes += direct
         checked += 1
+        if not direct:
+            continue
+        n, m = setup.operator_shape()
+        for degree in range(3):
+            f = Cochain(degree, m, n, corpus.random_matrix(rng, n, comb(m, degree)))
+            if not compare_dt_ce(setup, t, f):
+                print(f"DISAGREEMENT on {name}: d_T and delta_CE differ on a degree-{degree} cochain")
+                return 1
+            compared += 1
     elapsed = time.monotonic() - start
     print(f"{checked} instances, {passes} operators passed both routes, "
           f"100% agreement, {elapsed:.2f}s")
+    print(f"{compared} cochains of degrees 0-2 on the passing operators: d_T equals delta_CE on each")
     return 0
 
 

@@ -12,7 +12,9 @@ read the one integer table `multilin._int_table` keeps on the bracket and on
 the representation, each map times the lcm of its own denominators.  Where
 the two meet, both are brought to the lcm of the two scales.  Sums are taken
 over ints, and a Fraction is formed only for a returned defect, matrix entry
-or cochain value.
+or cochain value.  The adjoint and coadjoint actions are read off the
+bracket's table too (`multilin._partial`, `multilin._from_table`), with no
+Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .exactlin import (
     vec_sub,
     vector,
 )
-from .multilin import Cochain, _int_table, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _from_table, _int_table, _partial, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -52,9 +54,8 @@ class LieAlgebra:
         return self.bracket.value_on_tuple((i, j))
 
     def ad(self, i: int) -> Matrix:
-        """Matrix of ad(e_i)."""
-        cols = [self.bracket.value_on_tuple((i, j)) for j in range(self.dim)]
-        return Matrix.from_cols(cols, rows=self.dim)
+        """Matrix of ad(e_i): the columns (i, j) of the bracket's integer table."""
+        return _partial(self.bracket, i)
 
     def is_abelian(self) -> bool:
         return self.bracket.is_zero()
@@ -255,8 +256,18 @@ def trivial_rep(algebra: LieAlgebra, module_dim: int = 1) -> Representation:
 
 
 def coadjoint_rep(algebra: LieAlgebra) -> Representation:
-    """Coadjoint action (ad*_x a)(y) = -a([x,y]); matrices are -ad(e_i)^T."""
-    action = tuple((-algebra.ad(i)).transpose() for i in range(algebra.dim))
+    """Coadjoint action (ad*_x a)(y) = -a([x,y]); matrices are -ad(e_i)^T.
+
+    Entry (j, l) of -ad(e_i)^T is -c^l_ij, so column l of each matrix is read
+    off the bracket's integer table, transposed and negated.
+    """
+    n = algebra.dim
+    table, scale = _int_table(algebra.bracket)[:2]
+    columns: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    for (i, j), col in table.items():
+        for l, x in col.items():
+            columns[i].setdefault(l, {})[j] = -x
+    action = tuple(_from_table(n, n, cols, scale) for cols in columns)
     rep = validate_rep(algebra, algebra.dim, action)
     if isinstance(rep, Violation):
         raise InternalInconsistency(f"coadjoint action is not a representation: {rep.describe()}")

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactlin import Matrix, permutation_sign, zero_vector
+from .exactlin import Matrix, permutation_sign
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -32,7 +32,7 @@ from .liealg import (
     ce_differential,
     ce_differential_cochain,
 )
-from .multilin import Cochain, ext_basis, iter_unshuffles, tabulate
+from .multilin import Cochain, _from_table, _int_table, _tuple_index, ext_basis, iter_unshuffles, tabulate
 from .operators import (
     Operator,
     TrbSetup,
@@ -78,38 +78,45 @@ def _insertion_terms(a: Cochain, b: Cochain, sign: int) -> list:
     return terms
 
 
+def _nr_terms(a: Cochain, b: Cochain) -> list:
+    """Signed terms of the graded bracket A o B - (-1)^{|A||B|} B o A of skew maps, where the
+    grading is arity minus one; slot k is v_k."""
+    odd = (a.degree - 1) * (b.degree - 1) % 2
+    return _insertion_terms(a, b, 1) + _insertion_terms(b, a, 1 if odd else -1)
+
+
 def nr_bracket(a: Cochain, b: Cochain) -> Cochain:
-    """Graded bracket A o B - (-1)^{|A||B|} B o A of skew maps, where the
-    grading is arity minus one, tabulated on the basis tuples of its arity."""
+    """The graded bracket of skew maps (`_nr_terms`), tabulated on the basis tuples of its arity."""
     big = a.source_dim
     arity = a.degree + b.degree - 1
-    odd = (a.degree - 1) * (b.degree - 1) % 2
-    terms = _insertion_terms(a, b, 1) + _insertion_terms(b, a, 1 if odd else -1)
-    return Cochain(arity, big, big, tabulate(terms, ext_basis(big, arity), big))
+    return Cochain(arity, big, big, tabulate(_nr_terms(a, b), ext_basis(big, arity), big))
 
 
 def _embed(setup: TrbSetup, p: Cochain) -> Cochain:
-    """View a map wedge^p M -> g as a skew map on g (+) M (g first)."""
-    n = setup.dim
-    big = n + setup.module_dim
-    vals = {}
-    for t in ext_basis(big, p.degree):
-        if all(i >= n for i in t):
-            v = p.value_on_basis(tuple(i - n for i in t))
-            vals[t] = tuple(v) + zero_vector(setup.module_dim)
-    return Cochain.from_values(p.degree, big, big, vals)
+    """View a map wedge^p M -> g as a skew map on g (+) M (g first): p's integer table,
+    each column re-keyed by its tuple shifted past g."""
+    n, m = setup.dim, setup.module_dim
+    big, degree = n + m, p.degree
+    columns, scale = _int_table(p.matrix)[:2]
+    index, basis = _tuple_index(big, degree), ext_basis(m, degree)
+    table = {index[tuple(i + n for i in basis[j])]: col for j, col in columns.items()}
+    return Cochain(degree, big, big, _from_table(big, len(index), table, scale))
 
 
 def _restrict(setup: TrbSetup, a: Cochain) -> Cochain:
-    """Restrict inputs to M and project values to g; zero outside range."""
+    """Restrict inputs to M and project values to g; zero outside range: the columns of a's
+    integer table on the tuples of M (shifted past g), cut to the g rows."""
     n, m = setup.dim, setup.module_dim
-    out_deg = a.degree
-    if out_deg < 0 or out_deg > m:
-        return Cochain.zero(out_deg, m, n)
-    vals = {}
-    for t in ext_basis(m, out_deg):
-        vals[t] = a.value_on_basis(tuple(i + n for i in t))[:n]
-    return Cochain.from_values(out_deg, m, n, vals)
+    columns, scale = _int_table(a.matrix)[:2]
+    index, basis = _tuple_index(n + m, a.degree), ext_basis(m, a.degree)
+    table = {}
+    for j, t in enumerate(basis):
+        col = columns.get(index[tuple(i + n for i in t)])
+        if col:
+            kept = {row: x for row, x in col.items() if row < n}
+            if kept:
+                table[j] = kept
+    return Cochain(a.degree, m, n, _from_table(n, len(basis), table, scale))
 
 
 def _derived(setup: TrbSetup, elements: Sequence[Cochain], head: Cochain | None = None) -> list[Cochain]:
@@ -119,16 +126,26 @@ def _derived(setup: TrbSetup, elements: Sequence[Cochain], head: Cochain | None 
     bracket Delta; each distinct element is checked and embedded once,
     before it is first bracketed in, so an element given again (T in
     `mc_defect`) brings back the one embedding and its integer table.
+    Every bracket but the last is tabulated in full, since the next one
+    reads it; the last is read only through P, so it is tabulated only on
+    the tuples of M (shifted past g), through the projection onto g.
     """
+    n, m = setup.dim, setup.module_dim
     raw = twisted_semidirect_cochain(setup) if head is None else head
     out, embedded = [], {}
-    for e in elements:
+    for k, e in enumerate(elements):
         lifted = embedded.get(id(e))
         if lifted is None:
             _check_element(setup, e)
             lifted = embedded[id(e)] = _embed(setup, e)
-        raw = nr_bracket(raw, lifted)
-        out.append(_restrict(setup, raw))
+        if k + 1 < len(elements):
+            raw = nr_bracket(raw, lifted)
+            out.append(_restrict(setup, raw))
+        else:
+            arity = raw.degree + lifted.degree - 1
+            proj = _from_table(n, n + m, {i: {i: 1} for i in range(n)}, 1)
+            cases = [tuple(i + n for i in t) for t in ext_basis(m, arity)]
+            out.append(Cochain(arity, m, n, tabulate([(1, (proj, _nr_terms(raw, lifted)))], cases, n)))
     return out
 
 

@@ -9,6 +9,17 @@ use 1-based indices and are converted at the I/O boundary.
 
 Since source and target carry no internal grading, all Koszul signs on
 arguments are trivial and unshuffle signs are plain permutation parities.
+
+Every map an identity applies keeps one sparse integer table
+(`_int_table`).  `_from_table` is the one constructor from an integer
+column table to a Matrix: it divides the table and its scale by their
+common content, so the table it keeps on the matrix is the one a scan of
+the entries builds, and forms each distinct entry's Fraction once.
+`tabulate`, which evaluates signed terms on a list of cases, ends in it,
+and so does every derived map of the other modules (ad, the coadjoint
+action, psi-sharp, the twisted semidirect bracket, the maps of the derived
+brackets, the block operator J): each is its source maps' tables re-keyed,
+with no Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -636,12 +647,9 @@ def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
     """The values of signed terms on each case, one column per case, as a `rows`-row Matrix.
 
     No terms means the zero matrix: `term_defect` needs at least one term
-    to know its dimension.  The integer sums become the matrix's integer
-    table (`_int_table`), so a later identity that applies the matrix scans
-    nothing: its columns are fresh dicts of the nonzero sums, and the sums
-    and the scale are divided by their gcd, which makes the scale the lcm of
-    the entries' denominators, as a scan of the entries would find it.  Each
-    distinct entry becomes a Fraction once.
+    to know its dimension.  The integer sums, a fresh dict of the nonzero
+    ones per column, go to `_from_table` with the compiled scale, so a later
+    identity that applies the matrix scans nothing.
     """
     cases = list(cases)
     if not terms:
@@ -649,7 +657,7 @@ def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
     value, dim, scale = _program(terms)
     if cases and dim != rows:
         raise DimensionMismatch(f"terms of dimension {dim} tabulated in {rows} rows")
-    table, content = {}, scale
+    table = {}
     if value is not None:
         for j, case in enumerate(cases):
             sums = value(case)
@@ -657,12 +665,29 @@ def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
                 column = {k: x for k, x in sums.items() if x}
                 if column:
                     table[j] = column
-                    if content != 1:
-                        content = gcd(content, *column.values())
+    return _from_table(rows, len(cases), table, scale)
+
+
+def _from_table(rows: int, width: int, table: dict, scale: int) -> Matrix:
+    """The `rows` x `width` Matrix of an integer column table over `scale`, carrying the table.
+
+    `table` is {column: {row: nonzero integer}} with no empty column, every
+    entry times `scale`; its columns may be shared with another map's table,
+    since none is ever written.  The entries and the scale are divided by
+    their common content, which makes the scale the lcm of the entries'
+    denominators, so the table kept as the matrix's `_ints` is the one a
+    scan of its entries builds.  Each distinct entry becomes a Fraction once.
+    This is the one constructor from an integer table to a Matrix.
+    """
+    content = scale
+    for column in table.values():
+        if content == 1:
+            break
+        content = gcd(content, *column.values())
     if content != 1:
         scale //= content
         table = {j: {k: x // content for k, x in column.items()} for j, column in table.items()}
-    width, entries, fractions = len(cases), [ZERO] * (rows * len(cases)), {}
+    entries, fractions = [ZERO] * (rows * width), {}
     for j, column in table.items():
         for k, x in column.items():
             q = fractions.get(x)
@@ -672,3 +697,11 @@ def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
     m = Matrix._of(rows, width, entries)
     object.__setattr__(m, "_ints", (table, scale, (width,), rows))
     return m
+
+
+def _partial(op, i: int) -> Matrix:
+    """The matrix of x -> op(e_i, x) for a binary map op (a degree-2 Cochain or a Bilinear):
+    the columns (i, j) of its integer table, re-keyed by j."""
+    table, scale, (_, width), rows = _int_table(op)
+    columns = {j: col for j in range(width) if (col := table.get((i, j)))}
+    return _from_table(rows, width, columns, scale)

@@ -27,7 +27,7 @@ from .liealg import (
     nijenhuis_check,
     validate_rep,
 )
-from .multilin import Bilinear, Cochain, ext_basis, tabulate
+from .multilin import Bilinear, Cochain, _partial, ext_basis, tabulate
 from .operators import Operator, TrbSetup, require_trb, trb_setup
 from .report import EquationReport, Violation, identity_reports
 
@@ -72,10 +72,7 @@ def adjacent_lie(ns: NsLie) -> tuple[LieAlgebra, Representation]:
         raise NotNsLie(rep_check.first_violation().describe())
     star = tabulate(_star_terms(ns, 0, 1), ext_basis(ns.dim, 2), ns.dim)
     algebra = lie_algebra_from_cochain(Cochain(2, ns.dim, ns.dim, star))
-    action = []
-    for i in range(ns.dim):
-        cols = [ns.circ.value_on_basis(i, j) for j in range(ns.dim)]
-        action.append(Matrix.from_cols(cols, rows=ns.dim))
+    action = [_partial(ns.circ, i) for i in range(ns.dim)]
     rep = validate_rep(algebra, ns.dim, action)
     if isinstance(rep, Violation):
         raise InvalidStructure(f"adjacent action is not a representation: {rep.describe()}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     NotTwistedRB,
     SingularMatrix,
 )
-from .exactlin import Matrix, vector, zero_vector
+from .exactlin import Matrix, vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -43,7 +44,7 @@ from .liealg import (
     nilpotency_index,
     validate_rep,
 )
-from .multilin import Cochain, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _from_table, _int_table, _tuple_index, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 Operator = Matrix
@@ -134,16 +135,29 @@ def require_trb(setup: TrbSetup, t: Operator) -> None:
 def twisted_semidirect_cochain(setup: TrbSetup) -> Cochain:
     """Bracket [(x,u),(y,v)] = ([x,y], x.v - y.u + H(x,y)) on g + M, unvalidated.
 
-    Coordinates 0..dim-1 are g, the rest are M.
+    Coordinates 0..dim-1 are g, the rest are M.  The integer tables of the
+    bracket, H and the action are brought to the lcm of their scales and
+    re-keyed by the pairs of g + M: a pair in g takes the bracket in the g
+    rows and H in the M rows, a pair (x, u) the column rho(e_x) e_u in the
+    M rows, and a pair in M is zero.
     """
     n, m = setup.dim, setup.module_dim
-    values = {}
-    for i, j in ext_basis(n, 2):
-        values[(i, j)] = setup.algebra.bracket_basis(i, j) + setup.cocycle.value_on_basis((i, j))
-    for i in range(n):
-        for a in range(m):
-            values[(i, n + a)] = zero_vector(n) + setup.rep.act_basis(i, a)
-    return Cochain.from_values(2, n + m, n + m, values)
+    big = n + m
+    brackets, s_bracket = _int_table(setup.algebra.bracket.matrix)[:2]
+    twists, s_twist = _int_table(setup.cocycle.matrix)[:2]
+    actions, s_action = _int_table(setup.rep)[:2] if setup.rep.action else ({}, 1)
+    scale = lcm(s_bracket, s_twist, s_action)
+    f_bracket, f_twist, f_action = scale // s_bracket, scale // s_twist, scale // s_action
+    index = _tuple_index(big, 2)
+    table = {}
+    for j, pair in enumerate(ext_basis(n, 2)):
+        column = {row: f_bracket * x for row, x in brackets.get(j, {}).items()}
+        column.update((n + row, f_twist * x) for row, x in twists.get(j, {}).items())
+        if column:
+            table[index[pair]] = column
+    for (x, u), col in actions.items():
+        table[index[x, n + u]] = {n + row: f_action * y for row, y in col.items()}
+    return Cochain(2, big, big, _from_table(big, comb(big, 2), table, scale))
 
 
 def twisted_semidirect(setup: TrbSetup) -> LieAlgebra:
@@ -295,7 +309,9 @@ def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Op
 
 def reynolds_setup(algebra: LieAlgebra) -> TrbSetup:
     """Adjoint module with H = -bracket: its operators are Reynolds operators."""
-    h = -algebra.bracket.matrix
+    c = algebra.bracket.matrix
+    columns, scale = _int_table(c)[:2]
+    h = _from_table(c.rows, c.cols, {j: {row: -x for row, x in col.items()} for j, col in columns.items()}, scale)
     cocycle = Cochain(2, algebra.dim, algebra.dim, h)
     return trb_setup(algebra, adjoint_rep(algebra), cocycle)
 
@@ -371,14 +387,21 @@ def witt_report(n_max: int) -> list[WittRow]:
 
 
 def psi_sharp(algebra: LieAlgebra, psi: Cochain) -> Cochain:
-    """Turn a scalar 3-cochain into a 2-cochain valued in the dual space."""
+    """Turn a scalar 3-cochain into a 2-cochain valued in the dual space.
+
+    The value on (i, j) has psi(e_i, e_j, e_k) in row k: psi's integer table,
+    which holds every ordering of each triple, re-keyed by the pair.
+    """
     if psi.degree != 3 or psi.source_dim != algebra.dim or psi.target_dim != 1:
         raise InvalidStructure("psi must be a degree-3 cochain with scalar values")
     dim = algebra.dim
-    values = {}
-    for i, j in ext_basis(dim, 2):
-        values[(i, j)] = tuple(psi.value_on_tuple((i, j, k))[0] for k in range(dim))
-    return Cochain.from_values(2, dim, dim, values)
+    values, scale = _int_table(psi)[:2]
+    table = {}
+    for j, (a, b) in enumerate(ext_basis(dim, 2)):
+        column = {k: v[0] for k in range(dim) if (v := values.get((a, b, k)))}
+        if column:
+            table[j] = column
+    return Cochain(2, dim, dim, _from_table(dim, comb(dim, 2), table, scale))
 
 
 def is_scalar_cocycle(algebra: LieAlgebra, psi: Cochain) -> bool:

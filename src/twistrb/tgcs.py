@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
+from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
 from .exactlin import Matrix
 from .liealg import LieAlgebra, Representation, coadjoint_rep
-from .multilin import Cochain, ext_basis, term_defect
+from .multilin import Cochain, _from_table, _int_table, ext_basis, tabulate, term_defect
 from .operators import (
     Operator,
     TrbSetup,
@@ -39,15 +40,21 @@ class GcsComponents:
     s_map: Matrix
 
     def block(self) -> Matrix:
-        """Assemble J on g (+) M (the S block is rendered with its sign)."""
-        n = self.n_map.rows
-        m = self.s_map.rows
-        rows = []
-        for i in range(n):
-            rows.append(list(self.n_map.row(i)) + list(self.t_map.row(i)))
-        for a in range(m):
-            rows.append(list(self.sigma.row(a)) + [-x for x in self.s_map.row(a)])
-        return Matrix.from_rows(rows)
+        """Assemble J on g (+) M (the S block is rendered with its sign): the integer tables of the
+        four blocks, brought to the lcm of their scales and shifted to their rows and columns."""
+        nm, tm, sg, sm = self.n_map, self.t_map, self.sigma, self.s_map
+        if (tm.rows, sg.cols, sm.rows, sm.cols) != (nm.rows, nm.cols, sg.rows, tm.cols):
+            raise DimensionMismatch("the blocks of J do not fit together")
+        n, k = nm.rows, nm.cols
+        blocks = ((nm, 0, 0, 1), (tm, 0, k, 1), (sg, n, 0, 1), (sm, n, k, -1))
+        scale = lcm(*(_int_table(mat)[1] for mat, *_ in blocks))
+        table: dict[int, dict[int, int]] = {}
+        for mat, row0, col0, sign in blocks:
+            columns, s = _int_table(mat)[:2]
+            f = sign * (scale // s)
+            for j, col in columns.items():
+                table.setdefault(col0 + j, {}).update((row0 + row, f * x) for row, x in col.items())
+        return _from_table(n + sm.rows, k + tm.cols, table, scale)
 
 
 def gcs_components(setup: TrbSetup, n_map: Matrix, t_map: Matrix, sigma: Matrix, s_map: Matrix) -> GcsComponents:
@@ -57,6 +64,12 @@ def gcs_components(setup: TrbSetup, n_map: Matrix, t_map: Matrix, sigma: Matrix,
         if mat.rows != r or mat.cols != c:
             raise InvalidStructure("component shape does not match the setup")
     return GcsComponents(n_map, t_map, sigma, s_map)
+
+
+def _product_sum(terms: list, rows: int, cols: int) -> Matrix:
+    """A sum of matrix products as a `rows` x `cols` Matrix: signed terms on the unit vector e_j in
+    slot 0, tabulated column by column, so a bare slot term (1, 0) is the identity."""
+    return tabulate(terms, ext_basis(cols, 1), rows)
 
 
 def _integrability_terms(c: Cochain, j: Matrix) -> list:
@@ -69,7 +82,7 @@ def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     """J^2 = -id and the integrability defect over the twisted semidirect bracket."""
     total = setup.dim + setup.module_dim
     big = j.block()
-    square = vanishes("J^2 = -id", big @ big + Matrix.identity(total))
+    square = vanishes("J^2 = -id", _product_sum([(1, (big, (big, 0))), (1, 0)], total, total))
     semi = twisted_semidirect(setup)
     integ = first_failure("integrability", ext_basis(total, 2), term_defect(_integrability_terms(semi.bracket, big)))
     return EquationReport((("almost-complex", square), ("integrability", integ)))
@@ -117,11 +130,12 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     direct definition acts as a built-in oracle.
     """
     nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
+    n, m = setup.dim, setup.module_dim
     differences = (
-        ("NT = TS", nm @ tm - tm @ sm),
-        ("N^2 + T.sigma = -id", nm @ nm + tm @ sg + Matrix.identity(setup.dim)),
-        ("S.sigma = sigma.N", sm @ sg - sg @ nm),
-        ("S^2 + sigma.T = -id", sm @ sm + sg @ tm + Matrix.identity(setup.module_dim)),
+        ("NT = TS", _product_sum([(1, (nm, (tm, 0))), (-1, (tm, (sm, 0)))], n, m)),
+        ("N^2 + T.sigma = -id", _product_sum([(1, (nm, (nm, 0))), (1, (tm, (sg, 0))), (1, 0)], n, n)),
+        ("S.sigma = sigma.N", _product_sum([(1, (sm, (sg, 0))), (-1, (sg, (nm, 0)))], m, n)),
+        ("S^2 + sigma.T = -id", _product_sum([(1, (sm, (sm, 0))), (1, (sg, (tm, 0))), (1, 0)], m, m)),
     )
     matrix_eqs = tuple((label, vanishes(label, diff)) for label, diff in differences)
     report = EquationReport(matrix_eqs + identity_reports(_component_identities(setup, j)))
@@ -163,9 +177,9 @@ def complex_structure_check(
 ) -> EquationReport:
     """A complex structure on the module over the algebra: four conditions."""
     n, m = algebra.dim, rep.module_dim
-    square = vanishes("I^2 = -id", i_map @ i_map + Matrix.identity(n))
+    square = vanishes("I^2 = -id", _product_sum([(1, (i_map, (i_map, 0))), (1, 0)], n, n))
     integ = first_failure("integrability of I", ext_basis(n, 2), term_defect(_integrability_terms(algebra.bracket, i_map)))
-    square_m = vanishes("I_M^2 = -id", i_mod @ i_mod + Matrix.identity(m))
+    square_m = vanishes("I_M^2 = -id", _product_sum([(1, (i_mod, (i_mod, 0))), (1, 0)], m, m))
     inner = [(1, (rep, (i_map, 0), 1)), (1, (rep, 0, (i_mod, 1)))]
     terms = [(1, (rep, (i_map, 0), (i_mod, 1))), (-1, (rep, 0, 1)), (-1, (i_mod, inner))]
     kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"

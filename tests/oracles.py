@@ -33,7 +33,12 @@ and derives the other maps' tables from those (`multilin._int_table`).
 The derived-structure oracles build the induced bracket and action, the
 NS-Lie tables of the three constructions and the adjacent Lie algebra of an
 NS-Lie algebra by vector arithmetic on each basis tuple, where the library
-tabulates signed terms.
+tabulates signed terms.  The derived-map oracles (`ad`, `coadjoint_action`,
+`psi_sharp`, `twisted_semidirect_cochain`, `embed`, `restrict`, `block`)
+build each map from Fraction value vectors or rows, where the library
+re-keys its source maps' integer tables into `multilin._from_table`;
+`int_table` is the integer table read off `_table`'s dense scan, which the
+table a library matrix carries must equal.
 """
 from __future__ import annotations
 
@@ -523,6 +528,85 @@ def adjacent_tables(ns) -> tuple[Cochain, tuple[Matrix, ...]]:
         for i in range(dim)
     )
     return Cochain.from_values(2, dim, dim, star), action
+
+
+# -- derived maps by vector arithmetic ----------------------------------------
+
+
+def ad(algebra, i: int) -> Matrix:
+    """Matrix of ad(e_i), column j the bracket [e_i, e_j] through `Cochain.value_on_tuple`."""
+    cols = [algebra.bracket.value_on_tuple((i, j)) for j in range(algebra.dim)]
+    return Matrix.from_cols(cols, rows=algebra.dim)
+
+
+def coadjoint_action(algebra) -> tuple[Matrix, ...]:
+    """The coadjoint action matrices -ad(e_i)^T, negated and transposed in Fractions."""
+    return tuple((-ad(algebra, i)).transpose() for i in range(algebra.dim))
+
+
+def psi_sharp(algebra, psi: Cochain) -> Cochain:
+    """The 2-cochain (i, j) -> (psi(e_i, e_j, e_k))_k, each value through `Cochain.value_on_tuple`."""
+    dim = algebra.dim
+    values = {}
+    for i, j in ext_basis(dim, 2):
+        values[(i, j)] = tuple(psi.value_on_tuple((i, j, k))[0] for k in range(dim))
+    return Cochain.from_values(2, dim, dim, values)
+
+
+def twisted_semidirect_cochain(setup) -> Cochain:
+    """[(x,u),(y,v)] = ([x,y], x.v - y.u + H(x,y)) on g + M from the value vectors on each basis pair."""
+    n, m = setup.dim, setup.module_dim
+    values = {}
+    for i, j in ext_basis(n, 2):
+        values[(i, j)] = setup.algebra.bracket_basis(i, j) + setup.cocycle.value_on_basis((i, j))
+    for i in range(n):
+        for a in range(m):
+            values[(i, n + a)] = zero_vector(n) + setup.rep.act_basis(i, a)
+    return Cochain.from_values(2, n + m, n + m, values)
+
+
+def embed(setup, p: Cochain) -> Cochain:
+    """A map wedge^p M -> g as a skew map on g (+) M (g first), value by value."""
+    n = setup.dim
+    big = n + setup.module_dim
+    vals = {}
+    for t in ext_basis(big, p.degree):
+        if all(i >= n for i in t):
+            v = p.value_on_basis(tuple(i - n for i in t))
+            vals[t] = tuple(v) + zero_vector(setup.module_dim)
+    return Cochain.from_values(p.degree, big, big, vals)
+
+
+def restrict(setup, a: Cochain) -> Cochain:
+    """A skew map on g (+) M with inputs restricted to M and values projected to g; zero outside range."""
+    n, m = setup.dim, setup.module_dim
+    out_deg = a.degree
+    if out_deg < 0 or out_deg > m:
+        return Cochain.zero(out_deg, m, n)
+    vals = {}
+    for t in ext_basis(m, out_deg):
+        vals[t] = a.value_on_basis(tuple(i + n for i in t))[:n]
+    return Cochain.from_values(out_deg, m, n, vals)
+
+
+def block(j) -> Matrix:
+    """J = [[N, T], [sigma, -S]] from its rows, each the rows of two blocks side by side."""
+    n = j.n_map.rows
+    m = j.s_map.rows
+    rows = []
+    for i in range(n):
+        rows.append(list(j.n_map.row(i)) + list(j.t_map.row(i)))
+    for a in range(m):
+        rows.append(list(j.sigma.row(a)) + [-x for x in j.s_map.row(a)])
+    return Matrix.from_rows(rows)
+
+
+def int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
+    """The integer table of `op` read off the dense Fraction scan `_table`: each coefficient times the
+    lcm of the map's denominators, then that lcm, the argument dimensions and the target dimension."""
+    table, dims, rows = _table(op)
+    scale = math.lcm(*(x.denominator for col in table.values() for _, x in col))
+    return {key: {row: int(x * scale) for row, x in col} for key, col in table.items()}, scale, dims, rows
 
 
 # -- identity defects, one evaluation and one vector temporary per term -----

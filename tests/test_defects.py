@@ -11,15 +11,20 @@ makes to `report.first_failure`, so what is compared is what the check
 scans.  Inputs are zero-heavy with non-integer entries, all-zero data
 included.  `term_defect` itself, which sums integers over one scale per
 node, is also compared with `oracles.term_defect_fraction` on drawn
-identities.
+identities.  The maps built by re-keying integer tables (ad, the coadjoint
+action, psi-sharp, the semidirect bracket, the embedding and restriction of
+the derived brackets, J) are compared with the oracles' Fraction builds, and
+the table each carries with a scan of its entries; the whole-matrix
+identities with dense products.
 """
 import copy
 import itertools
+import random
 import re
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm
+from math import comb
 from unittest import mock
 
 import pytest
@@ -28,7 +33,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, term_defect_fraction, trb_defect_terms
-from twistrb import corpus, deform, liealg, multilin, nslie, operators, report, tgcs
+from twistrb import corpus, deform, liealg, linfty, multilin, nslie, operators, report, tgcs
 from twistrb.errors import DimensionMismatch
 from twistrb.exactlin import Matrix, vector
 from twistrb.liealg import Representation, _jacobi_defects, abelian, trivial_rep, validate_rep
@@ -358,6 +363,7 @@ def assert_adjacent_lie(ns):
     assert len(rep.action) == len(action) == ns.dim
     for a, b in zip(rep.action, action):
         assert_same(a.entries, b.entries)
+        assert a._ints is not None and a._ints == oracles.int_table(a)
 
 
 @settings(max_examples=80, deadline=None)
@@ -619,15 +625,6 @@ def shared_map_terms(data, maps, n):
     return terms
 
 
-def oracle_int_table(op):
-    """The integer table of `op` read off the oracle's dense Fraction scan `oracles._table`: each
-    coefficient times the lcm of the map's denominators, then that lcm, the argument dimensions and
-    the target dimension."""
-    table, dims, rows = oracles._table(op)
-    scale = lcm(*(x.denominator for col in table.values() for _, x in col))
-    return {key: {row: int(x * scale) for row, x in col} for key, col in table.items()}, scale, dims, rows
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_tabulated_table_equals_a_scan(data):
@@ -643,7 +640,7 @@ def test_tabulated_table_equals_a_scan(data):
     terms += [(-sign, expr) for sign, expr in terms[: data.draw(st.integers(0, len(terms)))]]
     m = multilin.tabulate(terms, itertools.product(range(n), repeat=SLOTS), n)
     assert m._ints is not None
-    assert _int_table(m) == _int_table(Matrix(m.rows, m.cols, m.entries)) == oracle_int_table(m)
+    assert _int_table(m) == _int_table(Matrix(m.rows, m.cols, m.entries)) == oracles.int_table(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -664,7 +661,7 @@ def test_derived_tables_equal_the_oracle_scan(data):
     action = tuple(multilin.tabulate([(1, (rep, 0, 1))], [(x, u) for u in range(n)], n) for x in range(n))
     again.append(Representation(n, action))
     for op in (c1, c2, c3, b, rep, *again):
-        assert _int_table(op) == oracle_int_table(op)
+        assert _int_table(op) == oracles.int_table(op)
     assert again[:4] == [c1, c2, c3, b] and again[4].action == rep.action
 
 
@@ -678,7 +675,7 @@ def test_representation_table_brings_each_action_to_the_common_scale():
     table, scale, dims, rows = _int_table(rep)
     assert (scale, dims, rows) == (6, (3, 2), 2)
     assert table == {(0, 0): {0: 3}, (0, 1): {1: 6}, (1, 1): {0: 4}, (2, 0): {1: 18}}
-    assert (table, scale, dims, rows) == oracle_int_table(rep)
+    assert (table, scale, dims, rows) == oracles.int_table(rep)
     assert _int_table(halves) == ({0: {0: 1}, 1: {1: 2}}, 2, (2,), 2)
 
 
@@ -803,3 +800,242 @@ def test_nijenhuis_element_witness_of_fractional_x_matches_oracle(name):
             assert lines[-1] == oracle.violation.describe()
     # x passes every identity on the Heisenberg and abelian setups; elsewhere the witnesses are not integral
     assert not lines or any("/" in line for line in lines)
+
+
+# -- derived maps built from integer tables ------------------------------------
+
+SETUPS = [setup for setup, _ in CORPUS.values()] + list(corpus.random_setups(random.Random(0), 12))
+ALGEBRAS = [g for _, g in corpus.named_algebras()] + [operators.twisted_semidirect(s) for s in SETUPS]
+# rescaling a basis vector by one of these gives structure constants with coprime denominators
+WIDE_FACTORS = (1, Fraction(-2, 3), Fraction(1, 2**61 - 1), 10**9 + 7, Fraction(5, 10**9 + 7))
+
+
+def over(denominator):
+    """Zero-heavy entries k / denominator."""
+    return st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(lambda k: Fraction(k, denominator)))
+
+
+def assert_built_from_table(got: Matrix, expected: Matrix):
+    """`got` equals the oracle's matrix entry for entry and carries the table a scan of its entries builds."""
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert_same(got.entries, expected.entries)
+    assert got._ints is not None and got._ints == oracles.int_table(got)
+
+
+def rescaled(algebra, factors):
+    """The algebra in the basis f_i = a_i e_i: [f_i, f_j] = sum_k (a_i a_j / a_k) c^k_ij f_k."""
+    values = {}
+    for i, j in ext_basis(algebra.dim, 2):
+        column = algebra.bracket_basis(i, j)
+        values[i, j] = [Fraction(factors[i] * factors[j]) / factors[k] * x for k, x in enumerate(column)]
+    return liealg.lie_algebra_from_cochain(Cochain.from_values(2, algebra.dim, algebra.dim, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjoint_coadjoint_and_reynolds_twist_are_built_from_the_bracket_table(data):
+    """ad, the adjoint and coadjoint actions and the Reynolds twist H = -[.,.] of the named algebras and
+    of the semidirect products of corpus and random setups, in bases rescaled by wide factors; ad also
+    of a drawn skew bracket that need not satisfy Jacobi."""
+    algebra = data.draw(st.sampled_from(ALGEBRAS))
+    algebra = rescaled(algebra, [data.draw(st.sampled_from(WIDE_FACTORS)) for _ in range(algebra.dim)])
+    adjoint = liealg.adjoint_rep(algebra)
+    for i in range(algebra.dim):
+        assert_built_from_table(algebra.ad(i), oracles.ad(algebra, i))
+        assert_built_from_table(adjoint.action[i], oracles.ad(algebra, i))
+    coadjoint = liealg.coadjoint_rep(algebra).action
+    assert len(coadjoint) == algebra.dim
+    for got, expected in zip(coadjoint, oracles.coadjoint_action(algebra)):
+        assert_built_from_table(got, expected)
+    assert_built_from_table(operators.reynolds_setup(algebra).cocycle.matrix, -algebra.bracket.matrix)
+    n = data.draw(st.integers(1, 4))
+    drawn = liealg.LieAlgebra(n, Cochain(2, n, n, data.draw(matrices(n, comb(n, 2), wide_sparse_rationals))))
+    for i in range(n):
+        assert_built_from_table(drawn.ad(i), oracles.ad(drawn, i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twisted_semidirect_bracket_is_built_from_three_tables(data):
+    """Corpus and random setups, and raw setups whose bracket, H and action have the coprime
+    denominators 2^61 - 1, 10^9 + 7 and 3 in a drawn order, so that each table is brought to an lcm
+    past its own scale."""
+    if data.draw(st.booleans()):
+        setup = data.draw(st.sampled_from(SETUPS))
+    else:
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        bracket_d, twist_d, action_d = data.draw(st.permutations([2**61 - 1, 10**9 + 7, 3]))
+        bracket = Cochain(2, n, n, data.draw(matrices(n, comb(n, 2), over(bracket_d))))
+        twist = Cochain(2, n, m, data.draw(matrices(m, comb(n, 2), over(twist_d))))
+        rep = Representation(m, tuple(data.draw(matrices(m, m, over(action_d))) for _ in range(n)))
+        setup = operators.TrbSetup(liealg.LieAlgebra(n, bracket), rep, twist)
+    got, expected = operators.twisted_semidirect_cochain(setup), oracles.twisted_semidirect_cochain(setup)
+    assert (got.degree, got.source_dim, got.target_dim) == (expected.degree, expected.source_dim, expected.target_dim)
+    assert_built_from_table(got.matrix, expected.matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_psi_sharp_is_built_from_the_table_of_psi(data):
+    """Drawn scalar 3-cochains with wide denominators, on dimensions 1-5."""
+    algebra = abelian(data.draw(st.integers(1, 5)))
+    n = algebra.dim
+    psi = Cochain(3, n, 1, data.draw(matrices(1, comb(n, 3), wide_sparse_rationals)))
+    assert_built_from_table(operators.psi_sharp(algebra, psi).matrix, oracles.psi_sharp(algebra, psi).matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_embedding_and_restriction_are_built_from_tables(data):
+    """Elements of degrees 0-3 and maps on g (+) M of the same degree, entries with wide denominators:
+    degrees past dim M included."""
+    setup = data.draw(st.sampled_from(SETUPS))
+    n, m = setup.dim, setup.module_dim
+    big, degree = n + m, data.draw(st.integers(0, 3))
+    wide = partial(matrices, entries=wide_sparse_rationals)
+    p = Cochain(degree, m, n, data.draw(wide(n, comb(m, degree))))
+    a = Cochain(degree, big, big, data.draw(wide(big, comb(big, degree))))
+    for got, expected in ((linfty._embed(setup, p), oracles.embed(setup, p)), (linfty._restrict(setup, a), oracles.restrict(setup, a))):
+        assert (got.degree, got.source_dim, got.target_dim) == (expected.degree, expected.source_dim, expected.target_dim)
+        assert_built_from_table(got.matrix, expected.matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_operator_is_built_from_four_tables(data):
+    """The blocks N, T, sigma and S have the denominators 1, 2^61 - 1, 10^9 + 7 and 6 in a drawn order."""
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    denominators = data.draw(st.permutations([1, 2**61 - 1, 10**9 + 7, 6]))
+    shapes = ((n, n), (n, m), (m, n), (m, m))
+    j = tgcs.GcsComponents(*(data.draw(matrices(r, c, over(d))) for (r, c), d in zip(shapes, denominators)))
+    assert_built_from_table(j.block(), oracles.block(j))
+
+
+def test_block_operator_refuses_blocks_that_do_not_fit():
+    j = tgcs.GcsComponents(Matrix.zero(2, 2), Matrix.zero(1, 1), Matrix.zero(1, 2), Matrix.zero(1, 1))
+    with pytest.raises(DimensionMismatch):
+        j.block()
+
+
+def vanished(check, *args):
+    """Run a tgcs check, keeping the matrix and verdict of each whole-matrix identity handed to `vanishes`."""
+    seen = {}
+    real = tgcs.vanishes
+
+    def recording(kind, m):
+        verdict = real(kind, m)
+        seen[kind] = m, verdict
+        return verdict
+
+    with mock.patch.object(tgcs, "vanishes", recording):
+        check(*args)
+    return seen
+
+
+def assert_matrix_identities(seen, expected: dict):
+    """Each identity's matrix equals the oracle's dense one, with the same `fails at ()` witness."""
+    assert sorted(seen) == sorted(expected)
+    for kind, (m, verdict) in seen.items():
+        assert_same(m.entries, expected[kind].entries)
+        assert verdict == report.vanishes(kind, expected[kind])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_whole_matrix_identities_equal_dense_products(data):
+    """The four matrix equations of the tgcs components, J^2 + id of the direct check, and I^2 + id and
+    I_M^2 + id of a complex structure, on passing and drawn (mostly failing) components."""
+    wide = partial(matrices, entries=wide_sparse_rationals)
+    if data.draw(st.booleans()):
+        setup, j = data.draw(st.sampled_from(PASSING_GCS))
+    else:
+        setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+        n, m = setup.dim, setup.module_dim
+        j = tgcs.GcsComponents(*(data.draw(wide(r, c)) for r, c in ((n, n), (n, m), (m, n), (m, m))))
+    n, m = setup.dim, setup.module_dim
+    nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
+    mul, big = oracles.matmul_dense, oracles.block(j)
+    expected = {
+        "NT = TS": mul(nm, tm) - mul(tm, sm),
+        "N^2 + T.sigma = -id": mul(nm, nm) + mul(tm, sg) + Matrix.identity(n),
+        "S.sigma = sigma.N": mul(sm, sg) - mul(sg, nm),
+        "S^2 + sigma.T = -id": mul(sm, sm) + mul(sg, tm) + Matrix.identity(m),
+        "J^2 = -id": mul(big, big) + Matrix.identity(n + m),
+    }
+    assert_matrix_identities(vanished(tgcs.tgcs_check_components, setup, j), expected)
+
+    i_map, i_mod = (ROT, ROT) if data.draw(st.booleans()) else (data.draw(wide(2, 2)), data.draw(wide(2, 2)))
+    g = abelian(2)
+    expected = {
+        "I^2 = -id": mul(i_map, i_map) + Matrix.identity(2),
+        "I_M^2 = -id": mul(i_mod, i_mod) + Matrix.identity(2),
+    }
+    assert_matrix_identities(vanished(tgcs.complex_structure_check, g, trivial_rep(g, 2), i_map, i_mod), expected)
+
+
+def derived_chain(setup, elements, head=None):
+    """The oracle's restriction of every bracket of the full `nr_bracket` chain from head (Delta by default)."""
+    raw = oracles.twisted_semidirect_cochain(setup) if head is None else head
+    out = []
+    for e in elements:
+        raw = nr_bracket(raw, oracles.embed(setup, e))
+        out.append(oracles.restrict(setup, raw))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_brackets_equal_the_restricted_full_chain(data):
+    """One to three elements of degrees 0-3 bracketed into Delta or a drawn head of degree 1-3:
+    arities past dim M and below 0 included (three constants bring the chain to arity -1)."""
+    setup = data.draw(st.sampled_from(SETUPS))
+    n, m = setup.dim, setup.module_dim
+    big = n + m
+    elements = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        degree = data.draw(st.integers(0, 3))
+        elements.append(Cochain(degree, m, n, data.draw(matrices(n, comb(m, degree)))))
+    head = None
+    if data.draw(st.booleans()):
+        degree = data.draw(st.integers(1, 3))
+        head = Cochain(degree, big, big, data.draw(matrices(big, comb(big, degree))))
+    got = linfty._derived(setup, elements, head)
+    assert got == derived_chain(setup, elements, head)
+    for c in got:
+        assert c.matrix._ints == oracles.int_table(c.matrix)
+
+
+@pytest.mark.parametrize("constants, degree", [(3, 0), (1, 3), (2, 3)])
+def test_derived_brackets_past_the_module_and_below_zero(constants, degree):
+    """Constants take the arity of the chain down to -1; degree-3 elements take it past dim M = 2."""
+    setup = operators.reynolds_setup(corpus.affine_line())
+    n, m = setup.dim, setup.module_dim
+    element = Cochain(degree, m, n, Matrix(n, comb(m, degree), [Fraction(k + 1, 2) for k in range(n * comb(m, degree))]))
+    elements = [element] * constants
+    got = linfty._derived(setup, elements)
+    assert got == derived_chain(setup, elements)
+    assert any(c.degree < 0 or c.degree > m for c in got)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_last_derived_bracket_is_tabulated_only_on_module_tuples(name):
+    """`mc_defect` and `d_t_unchecked` read their last bracket only through the projection P, so it is
+    tabulated on the pairs of M alone (shifted past g); each bracket before it, which the next one
+    reads, on every pair of g (+) M."""
+    setup, t = CORPUS[name]
+    n, m = setup.dim, setup.module_dim
+    real = linfty.tabulate
+    runs = (partial(linfty.mc_defect, setup, t), partial(linfty.d_t_unchecked, setup, t, linfty.operator_element(setup, t)))
+    for run in runs:
+        calls = []
+
+        def recording(terms, cases, rows):
+            cases = list(cases)
+            calls.append(cases)
+            return real(terms, cases, rows)
+
+        with mock.patch.object(linfty, "tabulate", recording):
+            run()
+        *full, last = calls
+        assert full and all(cases == list(ext_basis(n + m, 2)) for cases in full)
+        assert last == [(n + a, n + b) for a, b in ext_basis(m, 2)]
