@@ -14,7 +14,11 @@ Each sample is one of three kinds of input:
 `Matrix.rref` and `Matrix.rank` of each matrix, and `ce_cohomology_dims` of
 each structure, are compared with `oracle_rref` below, which is written here
 and shares no code with the library's elimination.  Shapes reach 50 x 50,
-past the 6 x 9 of the hypothesis tests.
+past the 6 x 9 of the hypothesis tests.  On each moved structure the two
+forms of the differential are compared as well: `ce_differential_cochain`
+of a drawn cochain of each degree 0-2 (its signed terms) against
+`ce_differential` applied to the cochain's coordinates (its integer
+columns).
 
 Before the samples, `ce_cohomology_dims` is compared on fixed structures:
 the induced structures of the Heisenberg ladder h3, h5 and h7
@@ -32,8 +36,9 @@ routes of operator cohomology are compared as well: H = -delta(T^{-1})
 exactly, the lemma behind the route; `ce_cohomology_dims` of g acting on M
 equals the oracle-checked dimensions of the induced structure; and
 `cohomology_of_t_dims`, which takes the (g, M) route for an invertible T,
-equals both.  The sweep exits 1 at the first disagreement and 0 when every
-check agrees.
+equals both.  The sweep exits 1 at the first disagreement, a disagreement
+of the two forms of the differential included, and 0 when every check
+agrees.
 """
 import argparse
 import random
@@ -175,6 +180,15 @@ def random_matrix(rng: random.Random, rows: int, cols: int, wide: bool) -> Matri
     return Matrix(rows, cols, [entry(rng, wide) for _ in range(rows * cols)])
 
 
+def forms_disagreement(rng: random.Random, algebra, rep, deltas: list[Matrix]) -> str | None:
+    """delta_CE of a drawn cochain of each degree by its signed terms against the matrix of that degree."""
+    for n, delta in enumerate(deltas):
+        f = Cochain.from_vec(n, algebra.dim, rep.module_dim, [entry(rng, rng.random() < 0.5) for _ in range(delta.cols)])
+        if ce_differential_cochain(algebra.bracket, rep, f).vec() != delta.apply(f.vec()):
+            return f"ce_differential_cochain against ce_differential in degree {n}"
+    return None
+
+
 def disagreement(m: Matrix) -> str | None:
     rows = [list(m.row(i)) for i in range(m.rows)]
     form, pivots = oracle_rref(rows, m.cols)
@@ -214,7 +228,8 @@ def main() -> int:
     print(f"{invertible} invertible operators agree on both cohomology routes")
 
     frames = structures()
-    largest = (0, 0)
+    cochains = random.Random(f"cochains {args.seed}")  # its own stream, so the samples stay those of the seed
+    largest, forms = (0, 0), 0
     for k in range(args.count):
         kind = k % 3
         if kind == 0:
@@ -223,6 +238,11 @@ def main() -> int:
             if ce_cohomology_dims(algebra, rep, 2) != oracle_dims(deltas):
                 print(f"DISAGREEMENT in sample {k}: ce_cohomology_dims of a {algebra.dim}-dimensional algebra")
                 return 1
+            problem = forms_disagreement(cochains, algebra, rep, deltas)
+            if problem is not None:
+                print(f"DISAGREEMENT in sample {k}: {problem}")
+                return 1
+            forms += len(deltas)
             matrices = deltas
         elif kind == 1:
             r, c = rng.randint(7, 24), rng.randint(7, 24)
@@ -238,6 +258,7 @@ def main() -> int:
                 return 1
             largest = max(largest, (m.rows, m.cols), key=lambda s: s[0] * s[1])
     print(f"{args.count} samples agree with the dense Fraction oracle (largest {largest[0]}x{largest[1]})")
+    print(f"{forms} drawn cochains agree on both forms of the differential")
     return 0
 
 

@@ -92,10 +92,6 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

@@ -15,16 +15,21 @@ over ints, and a Fraction is formed only for a returned defect, matrix entry
 or cochain value.  The adjoint and coadjoint actions are read off the
 bracket's table too (`multilin._partial`, `multilin._from_table`), with no
 Fraction arithmetic.
+
+delta_CE is stated once per form: on a single cochain as the signed terms
+of `_ce_terms`, and as a matrix by the integer columns of
+`_differential_columns`, which feed the rank and `_from_table` as they are.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
+from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
     ZERO,
     Matrix,
@@ -277,24 +282,38 @@ def coadjoint_rep(algebra: LieAlgebra) -> Representation:
 # -- Chevalley-Eilenberg complex ---------------------------------------
 
 
-def ce_differential_cochain(
-    bracket: Cochain, rep: Representation, f: Cochain
-) -> Cochain:
+@lru_cache(maxsize=None)
+def _ce_slots(n: int) -> tuple[tuple, tuple]:
+    """The (sign, p, other slots) action and (sign, a, b, other slots) bracket terms of `_ce_terms`, n >= 1."""
+    slots = range(n + 1)
+    acts = tuple(((-1) ** p, p, tuple(s for s in slots if s != p)) for p in slots)
+    pairs = itertools.combinations(slots, 2)
+    return acts, tuple(((-1) ** (a + b), a, b, tuple(s for s in slots if s not in (a, b))) for a, b in pairs)
+
+
+def _ce_terms(bracket: Cochain, action, f: Cochain) -> list:
+    """delta_CE f as signed terms on the basis (n+1)-tuple in slots 0..n, n the degree of f:
+    (-1)^p x_p.f(the others) for each slot p, and (-1)^{a+b} f([x_a,x_b], the others) for a < b.
+
+    `action` is any map (x, u) -> x.u of `multilin.term_defect`: a
+    Representation, the bracket itself for the adjoint module, or None for
+    the trivial module, which has no action terms.
+    """
+    if f.degree == 0:
+        return [] if action is None else [(1, (action, 0, f.matrix.col(0)))]
+    acts, brackets = _ce_slots(f.degree)
+    terms = [] if action is None else [(sign, (action, p, (f,) + rest)) for sign, p, rest in acts]
+    terms += [(sign, (f, (bracket, a, b)) + rest) for sign, a, b, rest in brackets]
+    return terms
+
+
+def ce_differential_cochain(bracket: Cochain, rep: Representation, f: Cochain) -> Cochain:
     """delta_CE f for a degree-n cochain with values in the module.
 
-    Works for any bracket/action data, valid or not: the integer rows of
-    `_differential_rows` applied to f cleared of its denominators.
+    Works for any bracket/action data, valid or not: `_ce_terms` on each basis (n+1)-tuple.
     """
-    algebra = LieAlgebra(bracket.source_dim, bracket)
-    rows, width, scale = _differential_rows(algebra, rep, f.degree)
-    flat = f.vec()
-    if len(flat) != width:
-        raise DimensionMismatch(f"a cochain of {len(flat)} coordinates given to a differential on {width}")
-    f_scale = lcm(*{x.denominator for x in flat})
-    cleared = {c: x.numerator * (f_scale // x.denominator) for c, x in enumerate(flat) if x}
-    sums = [sum(x * cleared[c] for c, x in row.items() if c in cleared) for row in rows]
-    values = _quotients(sums, scale * f_scale, (ZERO,) * len(sums))
-    return Cochain.from_vec(f.degree + 1, bracket.source_dim, rep.module_dim, values)
+    dim, m = bracket.source_dim, rep.module_dim
+    return Cochain(f.degree + 1, dim, m, tabulate(_ce_terms(bracket, rep, f), ext_basis(dim, f.degree + 1), m))
 
 
 def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
@@ -303,44 +322,37 @@ def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
 
 
 def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
-    """delta_CE as a Fraction Matrix: the rows of `_differential_rows` over their scale."""
-    rows, width, scale = _differential_rows(algebra, rep, n)
-    entries = [ZERO] * (len(rows) * width)
-    values: dict[int, Fraction] = {}  # entries repeat, so each is divided once
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            q = values.get(x)
-            if q is None:
-                q = values[x] = Fraction(x, scale)
-            entries[r * width + c] = q
-    return Matrix._of(len(rows), width, entries)
+    """delta_CE as a Fraction Matrix: the columns of `_differential_columns` through `_from_table`."""
+    return _from_table(*_differential_columns(algebra, rep, n))
 
 
-def _differential_rows(algebra: LieAlgebra, rep: Representation, n: int) -> tuple[list[dict[int, int]], int, int]:
-    """The rows of delta_CE : C^n -> C^{n+1} times a scale, as sparse int rows, with their width and that scale.
+def _differential_columns(algebra: LieAlgebra, rep: Representation, n: int) -> tuple[int, int, dict[int, dict[int, int]], int]:
+    """delta_CE : C^n -> C^{n+1} times a scale as sparse integer columns: the row count, the width,
+    {column: {row: int}} in ascending column order with no empty column and no zero entry, and that scale.
 
     The scale is that of `_shared_tables`, from the integer tables kept on the
     bracket and the action.  Rows and columns come in blocks of the module
     dimension m, one block per lex basis tuple, as in `Cochain.vec`.  For
-    each (n+1)-tuple x:
+    each (n+1)-tuple x, with the signs of `_ce_terms`:
     - the action term at position p adds (-1)^p rho(x_p) at the block of x
       with x_p removed;
     - the bracket term at positions a < b adds (-1)^{a+b} c^l_{x_a x_b} times
       the m x m identity at the block of sort(l, rest), with the sign of that
       sort, where rest is x without x_a and x_b; it vanishes when l is in rest.
+    A bracket term can cancel an entry, so a zero sum is removed.
     """
     dim, m = algebra.dim, rep.module_dim
     constants, factor, action, scale = _shared_tables(algebra.bracket, rep)
     col_block = {t: j * m for j, t in enumerate(ext_basis(dim, n))}
-    rows = []
-    for xs in ext_basis(dim, n + 1):
-        block_rows: list[dict[int, int]] = [{} for _ in range(m)]
+    columns: dict[int, dict[int, int]] = {c: {} for c in range(len(col_block) * m)}
+    tuples = ext_basis(dim, n + 1)
+    for top, xs in zip(itertools.count(0, m), tuples):
+        # the action terms of x reach distinct (row, column) entries, which nothing has written yet
         for pos, x in enumerate(xs):
             block = col_block[xs[:pos] + xs[pos + 1 :]]
-            for row, rho_row in zip(block_rows, action[x]):
+            for i, rho_row in enumerate(action[x]):
                 for k, v in rho_row:
-                    col = block + k
-                    row[col] = row.get(col, 0) + (-v if pos % 2 else v)
+                    columns[block + k][top + i] = -v if pos % 2 else v
         for a, b in itertools.combinations(range(n + 1), 2):
             bracket_ab = constants.get((xs[a], xs[b]))
             if not bracket_ab:
@@ -352,10 +364,12 @@ def _differential_rows(algebra: LieAlgebra, rep: Representation, n: int) -> tupl
                 p = sum(1 for y in rest if y < l)
                 block = col_block[rest[:p] + (l,) + rest[p:]]
                 v = -c * factor if (a + b + p) % 2 else c * factor
-                for i, row in enumerate(block_rows):
-                    row[block + i] = row.get(block + i, 0) + v
-        rows.extend({col: x for col, x in row.items() if x} for row in block_rows)
-    return rows, len(col_block) * m, scale
+                for i in range(m):
+                    column = columns[block + i]
+                    x = column.pop(top + i, 0) + v
+                    if x:
+                        column[top + i] = x
+    return len(tuples) * m, len(columns), {c: column for c, column in columns.items() if column}, scale
 
 
 def cohomology_dims_from_matrices(deltas: Sequence[Matrix]) -> list[int]:
@@ -386,12 +400,8 @@ def ce_cohomology_dims(algebra: LieAlgebra, rep: Representation, n_max: int) -> 
     dims = []
     prev_rank, pivots = 0, set()
     for n in range(n_max + 1):
-        rows, width, _ = _differential_rows(algebra, rep, n)
-        cols: list[dict[int, int]] = [{} for _ in range(width)]
-        for r, row in enumerate(rows):
-            for c, x in row.items():
-                cols[c][r] = x
-        kept = _integer_rref(col for c, col in enumerate(cols) if c not in pivots)
+        _, width, columns, _ = _differential_columns(algebra, rep, n)
+        kept = _integer_rref(column for c, column in columns.items() if c not in pivots)
         dims.append(width - len(kept) - prev_rank)
         prev_rank, pivots = len(kept), set(kept)
     return dims
@@ -426,12 +436,9 @@ def is_two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> Chec
     """True iff delta_CE h = 0; on failure carries the first violating triple.
 
     delta_CE h(x, y, z) = x.h(y,z) - y.h(x,z) + z.h(x,y) - h([x,y],z) + h([x,z],y) - h([y,z],x),
-    with the signs of `_differential_rows`, as signed terms on the basis triple in slots 0-2.
+    the terms of `_ce_terms` on the basis triple in slots 0-2.
     """
-    c = algebra.bracket
-    terms = [(1, (rep, 0, (h, 1, 2))), (-1, (rep, 1, (h, 0, 2))), (1, (rep, 2, (h, 0, 1)))]
-    terms += [(-1, (h, (c, 0, 1), 2)), (1, (h, (c, 0, 2), 1)), (-1, (h, (c, 1, 2), 0))]
-    return first_failure("2-cocycle", ext_basis(algebra.dim, 3), term_defect(terms))
+    return first_failure("2-cocycle", ext_basis(algebra.dim, h.degree + 1), term_defect(_ce_terms(algebra.bracket, rep, h)))
 
 
 # -- Nijenhuis operators ------------------------------------------------
@@ -471,9 +478,8 @@ def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:
 
 
 def derivation_check(algebra: LieAlgebra, d: Matrix) -> CheckReport:
-    """d[x,y] = [dx,y] + [x,dy] on basis pairs."""
-    c = algebra.bracket
-    terms = [(1, (d, (c, 0, 1))), (-1, (c, (d, 0), 1)), (-1, (c, 0, (d, 1)))]
+    """d[x,y] = [dx,y] + [x,dy] on basis pairs: the defect is -delta_CE d for the adjoint module."""
+    terms = [(-1, _ce_terms(algebra.bracket, algebra.bracket, Cochain.from_matrix_map(d)))]
     return first_failure("derivation", ext_basis(algebra.dim, 2), term_defect(terms))
 
 

@@ -33,6 +33,7 @@ from .exactlin import Matrix, vector
 from .liealg import (
     LieAlgebra,
     Representation,
+    _ce_terms,
     adjoint_rep,
     coadjoint_rep,
     ce_differential_cochain,
@@ -220,8 +221,7 @@ def induced_rep(setup: TrbSetup, t: Operator) -> Representation:
 
 def is_one_cocycle(setup: TrbSetup, b: Matrix) -> bool:
     """True iff delta_CE B(x, y) = x.B(y) - y.B(x) - B([x,y]) vanishes on every basis pair."""
-    rho, c = setup.rep, setup.algebra.bracket
-    terms = [(1, (rho, 0, (b, 1))), (-1, (rho, 1, (b, 0))), (-1, (b, (c, 0, 1)))]
+    terms = _ce_terms(setup.algebra.bracket, setup.rep, Cochain.from_matrix_map(b))
     return first_failure("1-cocycle", ext_basis(setup.dim, 2), term_defect(terms)).ok
 
 
@@ -408,13 +408,11 @@ def is_scalar_cocycle(algebra: LieAlgebra, psi: Cochain) -> bool:
     """delta_CE psi = 0 for a 3-cochain psi with values in the trivial module Q.
 
     delta_CE psi(x_0, x_1, x_2, x_3) is the sum over a < b of (-1)^{a+b} psi([x_a, x_b], rest), rest
-    the other two in order, with the signs of `liealg._differential_rows`, as signed terms on the
-    basis 4-tuple in slots 0-3.
+    the other two in order: the terms of `liealg._ce_terms` with no action, on the basis 4-tuple
+    in slots 0-3.
     """
-    c = algebra.bracket
-    terms = [(-1, (psi, (c, 0, 1), 2, 3)), (1, (psi, (c, 0, 2), 1, 3)), (-1, (psi, (c, 0, 3), 1, 2))]
-    terms += [(-1, (psi, (c, 1, 2), 0, 3)), (1, (psi, (c, 1, 3), 0, 2)), (-1, (psi, (c, 2, 3), 0, 1))]
-    return first_failure("3-cocycle", ext_basis(algebra.dim, 4), term_defect(terms)).ok
+    terms = _ce_terms(algebra.bracket, None, psi)
+    return first_failure("3-cocycle", ext_basis(algebra.dim, psi.degree + 1), term_defect(terms)).ok
 
 
 def r_matrix_check(

@@ -57,7 +57,6 @@ from twistrb.exactlin import (
     basis_vector,
     scalar,
     sparse_row,
-    vec_add,
     vec_scale,
     vec_sub,
     vector,
@@ -66,6 +65,10 @@ from twistrb.exactlin import (
 from twistrb.liealg import ce_differential
 from twistrb.linfty import d_t_unchecked
 from twistrb.multilin import Bilinear, Cochain, _orderings, ext_basis, iter_unshuffles
+
+
+def vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def rank_oracle(rows: list[list[Fraction]]) -> int:

@@ -450,6 +450,70 @@ def test_ce_differential_cochain_matches_alternating_sum(data):
     assert_same(got.matrix.entries, expected.matrix.entries)
 
 
+def drawn_structure(data):
+    """A corpus setup's algebra and module, or a drawn bracket and action (neither need be valid)
+    with entries whose denominators reach 2^61 - 1 and 10^9 + 7."""
+    if data.draw(st.booleans()):
+        setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
+        return setup.algebra, setup.rep
+    dim, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    wide = partial(matrices, entries=wide_sparse_rationals)
+    algebra = liealg.LieAlgebra(dim, Cochain(2, dim, dim, data.draw(wide(dim, comb(dim, 2)))))
+    return algebra, Representation(m, tuple(data.draw(wide(m, m)) for _ in range(dim)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ce_differential_cochain_matches_matrix_route(data):
+    """The two forms of delta_CE: the signed terms of `ce_differential_cochain` on one cochain equal
+    the integer columns of `ce_differential` applied to its coordinates, degrees 0 to dim + 1."""
+    algebra, rep = drawn_structure(data)
+    dim, m = algebra.dim, rep.module_dim
+    degree = data.draw(st.integers(0, dim + 1))
+    f = Cochain(degree, dim, m, data.draw(matrices(m, comb(dim, degree), wide_sparse_rationals)))
+    got = liealg.ce_differential_cochain(algebra.bracket, rep, f)
+    assert (got.degree, got.source_dim, got.target_dim) == (degree + 1, dim, m)
+    assert_same(got.vec(), liealg.ce_differential(algebra, rep, degree).apply(f.vec()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_differential_matrix_carries_the_table_of_its_entries(data):
+    """The table `_differential_matrix` keeps is the scan of its entries, in every degree up to
+    dim + 1: an empty C^{n+1} at n = dim and no columns past it."""
+    algebra, rep = drawn_structure(data)
+    for n in range(algebra.dim + 2):
+        delta = liealg._differential_matrix(algebra, rep, n)
+        assert delta._ints == oracles.int_table(delta), n
+
+
+def test_ce_differential_cochain_rejects_a_cochain_of_other_dimensions():
+    """A cochain on another source (degrees 1-3; a degree-0 cochain takes no argument) or with
+    values in another module."""
+    setup, _ = CORPUS[sorted(CORPUS)[0]]
+    bracket, rep = setup.algebra.bracket, setup.rep
+    n, m = setup.dim, setup.module_dim
+    for degree in range(4):
+        with pytest.raises(DimensionMismatch):
+            liealg.ce_differential_cochain(bracket, rep, Cochain.zero(degree, n, m + 1))
+        if degree:
+            with pytest.raises(DimensionMismatch):
+                liealg.ce_differential_cochain(bracket, rep, Cochain.zero(degree, n + 1, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_derivation_check_is_minus_delta_of_the_adjoint_module(data):
+    """`derivation_check` is the first failure of -delta_CE d for the adjoint module by the
+    alternating sum, witness included, on valid and drawn brackets and drawn maps."""
+    algebra, _ = drawn_structure(data)
+    n = algebra.dim
+    d = data.draw(matrices(n, n, wide_sparse_rationals))
+    minus_dd = -oracles.ce_differential_alternating(algebra.bracket, liealg.adjoint_rep(algebra), Cochain.from_matrix_map(d))
+    expected = first_failure("derivation", ext_basis(n, 2), lambda *t: minus_dd.value_on_basis(t))
+    assert liealg.derivation_check(algebra, d) == expected
+
+
 def drawn_cochain(data, algebra, rep, degree):
     """A degree-`degree` cochain of (algebra, rep): drawn, or delta_CE of a drawn one (a cocycle
     when both are valid), either of them possibly moved at one entry."""
@@ -474,14 +538,7 @@ def test_cocycle_checks_match_alternating_sum(data):
     and `is_scalar_cocycle` are delta_CE B = 0 and delta_CE psi = 0 (psi a scalar 3-cochain), on corpus setups and
     on drawn brackets and actions (neither need be valid), for H, B and psi drawn or coboundaries,
     moved or not; entries reach denominators 2^61 - 1 and 10^9 + 7."""
-    if data.draw(st.booleans()):
-        setup, _ = CORPUS[data.draw(st.sampled_from(sorted(CORPUS)))]
-        algebra, rep = setup.algebra, setup.rep
-    else:
-        dim, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-        wide = partial(matrices, entries=wide_sparse_rationals)
-        algebra = liealg.LieAlgebra(dim, Cochain(2, dim, dim, data.draw(wide(dim, comb(dim, 2)))))
-        rep = Representation(m, tuple(data.draw(wide(m, m)) for _ in range(dim)))
+    algebra, rep = drawn_structure(data)
     h = drawn_cochain(data, algebra, rep, 2)
     dh = oracles.ce_differential_alternating(algebra.bracket, rep, h)
     expected = first_failure("2-cocycle", ext_basis(algebra.dim, 3), lambda *t: dh.value_on_basis(t))

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 
-from oracles import act_dense, act_on_basis_dense, bracket_dense
+from oracles import act_dense, act_on_basis_dense, bracket_dense, vec_add
 from twistrb import corpus, deform, operators
 from twistrb.deform import (
     deformation_equation_defects,
@@ -178,7 +178,7 @@ def test_nijenhuis_element_grid_oracle(rng, algebras):
     s = setup
 
     def brute(x):
-        from twistrb.exactlin import vec_add, vec_is_zero, basis_vector
+        from twistrb.exactlin import vec_is_zero, basis_vector
         from twistrb.operators import induced_action_matrices
 
         ok = True

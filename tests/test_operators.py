@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bracket_dense, ce_differential_alternating, ce_differential_unit_vectors
+from oracles import bracket_dense, ce_differential_alternating, ce_differential_unit_vectors, vec_add
 from twistrb import corpus
 from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
 from twistrb.exactlin import Matrix
@@ -141,7 +141,7 @@ def test_twisted_semidirect_abelian_corner():
 
 def test_induced_rep_corner_cases(algebras, trb_corpus):
     from twistrb.liealg import abelian, trivial_rep
-    from twistrb.exactlin import basis_vector, vec_add, vec_sub
+    from twistrb.exactlin import basis_vector, vec_sub
 
     # T = 0, H = 0: the induced action vanishes
     g = abelian(2)
