@@ -11,9 +11,13 @@ Each sample is one of three kinds of input:
 - a rank-deficient product (r x k)(k x c) with k below both sides;
 - a zero-heavy matrix whose entries have denominators up to 2^61 - 1.
 
-`Matrix.rref` and `Matrix.rank` of each matrix, and `ce_cohomology_dims` of
-each structure, are compared with `oracle_rref` below, which is written here
-and shares no code with the library's elimination.  Shapes reach 50 x 50,
+`Matrix.rref`, `Matrix.rank` and `Matrix.kernel_basis` of each matrix,
+`Matrix.solve` of b = A y (y drawn) and, when the rank is below the row
+count, of b + w for a nonzero w with w^T A = 0 (off the image, so no
+solution), `Matrix.invert` of its leading square block (singular or not),
+and `ce_cohomology_dims` of each structure, are compared with `oracle_rref`
+below, which is written here and shares no code with the library's
+elimination.  Shapes reach 50 x 50,
 past the 6 x 9 of the hypothesis tests.  On each moved structure the two
 forms of the differential are compared as well: `ce_differential_cochain`
 of a drawn cochain of each degree 0-2 (its signed terms) against
@@ -45,6 +49,7 @@ import random
 from fractions import Fraction
 
 from twistrb import corpus
+from twistrb.errors import SingularMatrix
 from twistrb.exactlin import Matrix
 from twistrb.liealg import (
     Representation,
@@ -189,7 +194,63 @@ def forms_disagreement(rng: random.Random, algebra, rep, deltas: list[Matrix]) -
     return None
 
 
-def disagreement(m: Matrix) -> str | None:
+def oracle_kernel(form: list[list[Fraction]], pivots: tuple[int, ...], width: int) -> list[tuple[Fraction, ...]]:
+    """One null vector per free column in column order, that free variable 1 and the others 0."""
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            v = [Fraction(0)] * width
+            v[free] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -form[r][free]
+            basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(rows: list[list[Fraction]], b: list[Fraction], width: int) -> tuple[Fraction, ...] | None:
+    """The solution with every free variable 0, from the Gauss-Jordan of [A | b]; None when inconsistent."""
+    form, pivots = oracle_rref([row + [x] for row, x in zip(rows, b)], width + 1)
+    if width in pivots:
+        return None
+    x = [Fraction(0)] * width
+    for r, c in enumerate(pivots):
+        x[c] = form[r][width]
+    return tuple(x)
+
+
+def solved_disagreement(rng: random.Random, m: Matrix, rows: list[list[Fraction]], form, pivots) -> str | None:
+    """kernel_basis, solve of b = A y and of a b off the image, and invert of the leading square block."""
+    shape = f"{m.rows}x{m.cols}"
+    if m.kernel_basis() != oracle_kernel(form, pivots, m.cols):
+        return f"kernel_basis of a {shape} matrix"
+    y = [entry(rng, rng.random() < 0.5) for _ in range(m.cols)]
+    b = [sum((a * x for a, x in zip(row, y)), Fraction(0)) for row in rows]
+    expected = oracle_solve(rows, b, m.cols)
+    if expected is None or m.solve(b) != expected:
+        return f"solve of b = A y on a {shape} matrix"
+    if len(pivots) < m.rows:
+        # b + w is off the image for a nonzero w with w^T A = 0: w . (b + w) = w . w
+        t_form, t_pivots = oracle_rref([list(m.col(j)) for j in range(m.cols)], m.rows)
+        w = oracle_kernel(t_form, t_pivots, m.rows)[0]
+        off = [x + z for x, z in zip(b, w)]
+        if oracle_solve(rows, off, m.cols) is not None or m.solve(off) is not None:
+            return f"solve of a b off the image of a {shape} matrix"
+    k = min(m.rows, m.cols)
+    square = Matrix.from_rows([row[:k] for row in rows[:k]])
+    aug, aug_pivots = oracle_rref([row[:k] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(rows[:k])], 2 * k)
+    rank = sum(1 for c in aug_pivots if c < k)
+    try:
+        inverse = square.invert()
+    except SingularMatrix as exc:
+        if rank == k or str(exc) != f"rank {rank} < {k}":
+            return f"invert of the leading {k}x{k} block of a {shape} matrix"
+    else:
+        if rank < k or inverse != Matrix.from_rows([row[k:] for row in aug]):
+            return f"invert of the leading {k}x{k} block of a {shape} matrix"
+    return None
+
+
+def disagreement(rng: random.Random, m: Matrix) -> str | None:
     rows = [list(m.row(i)) for i in range(m.rows)]
     form, pivots = oracle_rref(rows, m.cols)
     expected = (Matrix(m.rows, m.cols, [x for row in form for x in row]), pivots)
@@ -197,7 +258,7 @@ def disagreement(m: Matrix) -> str | None:
         return f"rref of a {m.rows}x{m.cols} matrix"
     if m.rank() != len(pivots):
         return f"rank of a {m.rows}x{m.cols} matrix"
-    return None
+    return solved_disagreement(rng, m, rows, form, pivots)
 
 
 def main() -> int:
@@ -229,6 +290,7 @@ def main() -> int:
 
     frames = structures()
     cochains = random.Random(f"cochains {args.seed}")  # its own stream, so the samples stay those of the seed
+    solves = random.Random(f"solves {args.seed}")  # the same: the vectors y of b = A y
     largest, forms = (0, 0), 0
     for k in range(args.count):
         kind = k % 3
@@ -252,12 +314,13 @@ def main() -> int:
         else:
             matrices = [random_matrix(rng, rng.randint(7, 20), rng.randint(7, 20), True)]
         for m in matrices:
-            problem = disagreement(m)
+            problem = disagreement(solves, m)
             if problem is not None:
                 print(f"DISAGREEMENT in sample {k}: {problem}")
                 return 1
             largest = max(largest, (m.rows, m.cols), key=lambda s: s[0] * s[1])
-    print(f"{args.count} samples agree with the dense Fraction oracle (largest {largest[0]}x{largest[1]})")
+    print(f"{args.count} samples agree with the dense Fraction oracle (largest {largest[0]}x{largest[1]}),")
+    print("  on rref, rank, kernel_basis, solve and the invert of each leading square block")
     print(f"{forms} drawn cochains agree on both forms of the differential")
     return 0
 

@@ -118,6 +118,15 @@ def _passing_operator(doc: InstanceDocument) -> tuple[TrbSetup, Matrix]:
     return setup, t
 
 
+def _trb_checked(call, setup: TrbSetup, t: Matrix, *args):
+    """call(setup, t, *args), a library call that runs the job's one check_trb; its
+    NotTwistedRB is the handler's MathFailure."""
+    try:
+        return call(setup, t, *args)
+    except NotTwistedRB as exc:
+        raise MathFailure("twisted Rota-Baxter identity", [str(exc)]) from None
+
+
 # -- renderers: the one text and JSON form of each report kind ---------------
 # each returns (verdict_ok, payload dict, human lines), as the handlers do
 
@@ -214,12 +223,7 @@ def cmd_check_mc(doc, args):
 
 def cmd_cohomology_of_t(doc, args):
     setup, t = _setup(doc), _operator(doc)
-    # the library call runs the one check_trb of the job; its failure is the handler's MathFailure
-    try:
-        dims = linfty.cohomology_of_t_dims(setup, t, args.nmax)
-    except NotTwistedRB as exc:
-        raise MathFailure("twisted Rota-Baxter identity", [str(exc)]) from None
-    return _dimensions("H^{}_T", dims)
+    return _dimensions("H^{}_T", _trb_checked(linfty.cohomology_of_t_dims, setup, t, args.nmax))
 
 
 def cmd_check_reynolds(doc, args):
@@ -307,8 +311,7 @@ def cmd_nijenhuis_element(doc, args):
 
 
 def cmd_rigidity_probe(doc, args):
-    setup, t = _passing_operator(doc)
-    report = deform_mod.rigidity_probe(setup, t, grid=args.grid)
+    report = _trb_checked(deform_mod.rigidity_probe, _setup(doc), _operator(doc), args.grid)
     lines = [f"verdict: {report.verdict}"]
     for k, probe in enumerate(report.probes):
         status = "nijenhuis preimage found" if probe.nijenhuis else "no verified preimage"

@@ -3,22 +3,22 @@
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
 below is exact.  Matrices are dense; elimination runs on sparse rows of ints
-or Fractions (`rref_rows`) and pivots on the first nonzero entry in column
-order.  Kernel bases come from the reduced row echelon parametrization with
-each free variable set to 1 in column order, which makes all outputs
-reproducible.
+and pivots on the first nonzero entry in column order.  Kernel bases come
+from the reduced row echelon parametrization with each free variable set to
+1 in column order, which makes all outputs reproducible.
 
-`rref_rows`, behind `Matrix.rref`, is one exact fraction-free Gauss-Jordan
-elimination over Python ints (`_integer_rref`), which
-`liealg.ce_cohomology_dims` also calls on the integer columns of each
-Chevalley-Eilenberg differential.  A row of Fractions is cleared of its
-denominators and a row of ints is taken as it is; each new row is reduced
-in a sparse `{column: int}` accumulator, so its cost follows the nonzeros
-it meets, not the width of the matrix.  Every kept row stays primitive,
-with a positive pivot and zeros in the other kept rows' pivot columns, so
-it is the reduced row of the rational form times its pivot; dividing it by
-the pivot gives that row.  Every step is exact, so no result rests on a
-probabilistic argument.
+Every elimination reads the matrix's one integer table (`_int_columns`,
+which `multilin._int_table` reads too).  `Matrix._reduced` lays the tables
+of a matrix and of the blocks beside it side by side, at one scale, as
+`{column: int}` rows and reduces them by one exact fraction-free
+Gauss-Jordan elimination over Python ints (`_integer_rref`); `rank`, like
+`liealg.ce_cohomology_dims`, counts the rows it keeps of the table's
+columns.  Each new row is reduced in a sparse `{column: int}` accumulator,
+so its cost follows the nonzeros it meets, not the width of the matrix.
+Every kept row stays primitive, with a positive pivot and zeros in the
+other kept rows' pivot columns, so it is the reduced row of the rational
+form times its pivot; dividing it by the pivot gives that row.  Every step
+is exact, so no result rests on a probabilistic argument.
 
 No floating point anywhere.
 """
@@ -107,10 +107,10 @@ def vec_is_zero(v: Vector) -> bool:
 class Matrix:
     """Immutable dense matrix of exact rationals, row-major.
 
-    `_ints` holds the integer table `multilin._int_table` builds of the
-    matrix as a linear map, on first use (a matrix `multilin.tabulate`
-    returns carries the one it built from its integer sums); it takes no
-    part in `==` or `hash`.
+    `_ints` holds the integer table `_int_columns` builds of the matrix as
+    a linear map, on first use (a matrix `multilin.tabulate` returns carries
+    the one it built from its integer sums); it takes no part in `==` or
+    `hash`.
     """
 
     __slots__ = ("rows", "cols", "entries", "_ints")
@@ -273,9 +273,9 @@ class Matrix:
 
         The pivot of each row is its first nonzero entry in column order;
         pivot rows are scaled to pivot 1 and every other row is cleared in the
-        pivot columns.  The rows are reduced by `rref_rows`.
+        pivot columns.  The rows are reduced by `_reduced`.
         """
-        reduced = rref_rows((sparse_row(self.row(i)) for i in range(self.rows)), self.cols)
+        reduced = self._reduced()
         pivots = tuple(sorted(reduced))
         entries = [ZERO] * (self.rows * self.cols)
         for r, c in enumerate(pivots):
@@ -284,40 +284,33 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, entries), pivots
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return len(self.rref()[1])
+        """The count of rows `_integer_rref` keeps of the columns of the integer table, no Fraction formed."""
+        return len(_integer_rref(_int_columns(self)[0].values()))
 
     def nullity(self) -> int:
         return self.cols - self.rank()
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of the null space, one vector per free column in column order."""
-        if self.cols == 0:
-            return []
-        if self.rows == 0:
-            return [basis_vector(self.cols, j) for j in range(self.cols)]
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [ZERO] * self.cols
-            v[free] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, free]
-            basis.append(tuple(v))
-        return basis
+        reduced = self._reduced()
+        vectors = {j: [ZERO] * self.cols for j in range(self.cols) if j not in reduced}
+        for j, v in vectors.items():
+            v[j] = ONE
+        for c, row in reduced.items():
+            for k, x in row.items():
+                if k != c:
+                    vectors[k][c] = -x
+        return [tuple(v) for v in vectors.values()]
 
     def invert(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        aug, pivots = self.hstack(Matrix.identity(n)).rref()
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
-            raise SingularMatrix(f"rank {self.rank()} < {n}")
-        return Matrix._of(n, n, [aug[i, n + j] for i in range(n) for j in range(n)])
+        reduced = self._reduced(Matrix.identity(n))
+        rank = sum(1 for c in reduced if c < n)
+        if rank < n:
+            raise SingularMatrix(f"rank {rank} < {n}")
+        return Matrix._of(n, n, [reduced[i].get(n + j, ZERO) for i in range(n) for j in range(n)])
 
     def solve(self, b: Sequence[ScalarLike]) -> Vector | None:
         """One exact solution of self @ x = b, or None when inconsistent.
@@ -326,40 +319,62 @@ class Matrix:
         """
         if len(b) != self.rows:
             raise DimensionMismatch("right-hand side length mismatch")
-        if self.cols == 0:
-            return () if vec_is_zero(vector(b)) else None
-        rhs = Matrix(self.rows, 1, vector(b))
-        aug, pivots = self.hstack(rhs).rref()
-        if self.cols in pivots:
+        reduced = self._reduced(Matrix(self.rows, 1, b))
+        if self.cols in reduced:
             return None
         x = [ZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = aug[r, self.cols]
+        for c, row in reduced.items():
+            x[c] = row.get(self.cols, ZERO)
         return tuple(x)
 
+    def _reduced(self, *beside: "Matrix") -> dict[int, dict[int, Fraction]]:
+        """The reduced row echelon form of self with the blocks `beside` (as many rows) to its
+        right, each row keyed by its pivot column and divided by its pivot.  The blocks' tables
+        are brought to the lcm of their scales and laid side by side as fresh `{column: int}`
+        rows for `_integer_rref`; the form is unique, so the order of the rows does not show.
+        """
+        tables = [_int_columns(m) for m in (self, *beside)]
+        scale = math.lcm(*(s for _, s, _, _ in tables))
+        rows: dict[int, dict[int, int]] = {}
+        offset = 0
+        for table, s, (width,), _ in tables:
+            f = scale // s
+            for j, column in table.items():
+                for i, x in column.items():
+                    rows.setdefault(i, {})[offset + j] = f * x
+            offset += width
+        reduced = {}
+        for c, row in _integer_rref(rows.values()).items():
+            pivot, quotients = row[c], {}  # entries repeat within a row
+            out = reduced[c] = {}
+            for k, x in row.items():
+                q = quotients.get(x)
+                if q is None:
+                    q = quotients[x] = Fraction(x, pivot)
+                out[k] = q
+        return reduced
 
-def rref_rows(rows: Iterable[dict[int, int | Fraction]], width: int) -> dict[int, dict[int, Fraction]]:
-    """The reduced row echelon form of sparse rows, each row keyed by its pivot column.
 
-    Each row is a `{column: nonzero int or Fraction}` dict of a matrix with
-    `width` columns; the elimination touches only the columns the rows
-    hold, so `width` states the shape and bounds no loop.  `_integer_rref`
-    reduces them over the integers; each of its primitive rows is then
-    divided by its pivot, so the pivot becomes 1.  The form is unique, so
-    the order in which rows are taken does not show in it.  `Matrix.rref`
-    comes from here, and the ranks of `liealg.ce_cohomology_dims` from
-    `_integer_rref` itself.
+def _int_columns(m: Matrix) -> tuple[dict[int, dict[int, int]], int, tuple[int], int]:
+    """The integer table of a matrix, {column: {row: nonzero int}} with every entry times the
+    scale (the lcm of the denominators), then that scale, (cols,) and rows: scanned once and
+    kept on the matrix (its `_ints`), unless `multilin._from_table` put it there.  Nothing
+    writes to a table column, so `multilin._int_table` and every elimination share it.
     """
-    reduced = {}
-    for c, row in _integer_rref(rows).items():
-        pivot, quotients = row[c], {}  # entries repeat within a row
-        out = reduced[c] = {}
-        for k, x in row.items():
-            q = quotients.get(x)
-            if q is None:
-                q = quotients[x] = Fraction(x, pivot)
-            out[k] = q
-    return reduced
+    cached = m._ints
+    if cached is None:
+        width, table = m.cols, {}
+        nonzero = [(idx, x) for idx, x in enumerate(m.entries) if x]
+        scale = math.lcm(*{x.denominator for _, x in nonzero})
+        for idx, x in nonzero:
+            row, col = divmod(idx, width)
+            column = table.get(col)
+            if column is None:
+                column = table[col] = {}
+            column[row] = x.numerator * (scale // x.denominator)
+        cached = table, scale, (width,), m.rows
+        object.__setattr__(m, "_ints", cached)
+    return cached
 
 
 def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -367,10 +382,10 @@ def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
     return {c: x for c, x in enumerate(v) if x}
 
 
-def _integer_rref(rows: Iterable[dict[int, int | Fraction]]) -> dict[int, dict[int, int]]:
+def _integer_rref(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """The reduced row echelon form over Z: each row primitive, keyed by its pivot column.
 
-    Each row is cleared to integers (`_integer_row`) and the rows are taken
+    Each row is a `{column: nonzero int}` dict, and the rows are taken
     sparsest first, which keeps the kept rows sparse for longer.  Every kept
     row is primitive (the gcd of its entries is 1), has a positive pivot and
     is zero in every other kept row's pivot column, so it is the reduced row
@@ -387,7 +402,6 @@ def _integer_rref(rows: Iterable[dict[int, int | Fraction]]) -> dict[int, dict[i
     """
     kept: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
-        row = _integer_row(row)
         hits = [c for c in row if c in kept]
         if hits:
             scale = 1
@@ -424,16 +438,6 @@ def _integer_rref(rows: Iterable[dict[int, int | Fraction]]) -> dict[int, dict[i
                 kept[c] = _primitive(merged, merged[c])
         kept[lead] = new
     return kept
-
-
-def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
-    """The row times the lcm of its denominators, as a row of ints; a row of ints is returned as it is."""
-    if all(type(x) is int for x in row.values()):
-        return row
-    lcm = math.lcm(*{x.denominator for x in row.values()})
-    if lcm == 1:
-        return {c: x.numerator for c, x in row.items()}
-    return {c: x.numerator * (lcm // x.denominator) for c, x in row.items()}
 
 
 def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:

@@ -415,7 +415,7 @@ def ce_cohomology_representatives(
     Kernel vectors of the degree-n differential are kept greedily, in the
     deterministic kernel order, whenever they are independent modulo the
     image of the previous differential: they are the kernel columns that are
-    pivots in one RREF of the image columns followed by the kernel columns.
+    pivots of one reduction of the image columns with the kernel columns beside.
     Dimensions are the primary surface; representatives are library-only:
     no CLI command prints them.
     """
@@ -424,10 +424,9 @@ def ce_cohomology_representatives(
         return []
     candidates = Matrix.from_cols(kernel)
     prev = ce_differential(algebra, rep, n - 1) if n > 0 else Matrix.zero(candidates.rows, 0)
-    _, pivots = prev.hstack(candidates).rref()
     return [
         Cochain.from_vec(n, algebra.dim, rep.module_dim, kernel[c - prev.cols])
-        for c in pivots
+        for c in sorted(prev._reduced(candidates))
         if c >= prev.cols
     ]
 

@@ -35,6 +35,7 @@ from .exactlin import (
     Matrix,
     Vector,
     ZERO,
+    _int_columns,
     basis_vector,
     permutation_sign,
     vec_scale,
@@ -361,10 +362,10 @@ def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
     basis tuple, signed by its permutation.  A degree-0 cochain is a
     constant, not a map.  Zero coefficients are left out.
 
-    A Matrix is the one map whose entries are scanned, once, into its
-    column table; every other map's table is read off its matrices' column
-    tables: a positive ordering of a cochain shares its matrix's column
-    dicts, a negative one a negated copy of each, and the actions of a
+    A Matrix's entries are scanned once, by `exactlin._int_columns`;
+    every other map's table is read off its matrices' column tables: a
+    positive ordering of a cochain shares its matrix's column dicts, a
+    negative one a negated copy of each, and the actions of a
     Representation are brought to the lcm of their scales.  No table column
     is ever written to, so sharing is safe.  The table is kept on the map
     (its `_ints`) for its lifetime: every map it takes is immutable.
@@ -373,17 +374,8 @@ def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
     if cached is not None:
         return cached
     if isinstance(op, Matrix):
-        width, table = op.cols, {}
-        nonzero = [(idx, x) for idx, x in enumerate(op.entries) if x]
-        scale = lcm(*{x.denominator for _, x in nonzero})
-        for idx, x in nonzero:
-            row, col = divmod(idx, width)
-            column = table.get(col)
-            if column is None:
-                column = table[col] = {}
-            column[row] = x.numerator * (scale // x.denominator)
-        cached = table, scale, (width,), op.rows
-    elif isinstance(op, Cochain):
+        return _int_columns(op)
+    if isinstance(op, Cochain):
         if op.degree < 1:
             raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a map")
         columns, scale, _, rows = _int_table(op.matrix)

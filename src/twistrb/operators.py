@@ -176,7 +176,7 @@ def graph_subalgebra_check(setup: TrbSetup, t: Operator) -> bool:
     Independent oracle for check_trb: goes through the semidirect product's
     structure constants and exact rank computations only.  The brackets of
     all pairs of spanning vectors are tabulated at once, and the graph is
-    closed when adjoining them leaves the rank unchanged.
+    closed when adjoining them leaves the rank m (the spanning vectors' M rows are I).
     """
     _check_shape(setup, t)
     semi = twisted_semidirect(setup)
@@ -184,7 +184,7 @@ def graph_subalgebra_check(setup: TrbSetup, t: Operator) -> bool:
     span_cols = [tuple(t.col(a)) + tuple(1 if b == a else 0 for b in range(m)) for a in range(m)]
     span = Matrix.from_cols([vector(c) for c in span_cols], rows=n + m)
     brackets = tabulate([(1, (semi.bracket, (span, 0), (span, 1)))], ext_basis(m, 2), n + m)
-    return span.hstack(brackets).rank() == span.rank()
+    return len(span._reduced(brackets)) == m
 
 
 def induced_bracket_cochain(setup: TrbSetup, t: Operator) -> Cochain:

@@ -183,6 +183,26 @@ def test_cohomology_of_t_runs_check_trb_once(name, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["affine_hinv.json", "heisenberg_failing_checks.json"])
+def test_rigidity_probe_runs_check_trb_once(name, monkeypatch, capsys):
+    """The probe's own check is the job's only one, on a passing and on a failing operator."""
+    from twistrb import cli, operators
+
+    calls = []
+    original = operators.check_trb
+
+    def counted(setup, t):
+        calls.append(1)
+        return original(setup, t)
+
+    monkeypatch.setattr(cli, "check_trb", counted)
+    monkeypatch.setattr(operators, "check_trb", counted)
+    code, out, _ = run_cli(["rigidity-probe", str(INSTANCES / name)], capsys)
+    assert code == 1
+    assert ("verdict: inconclusive" if name == "affine_hinv.json" else "twisted Rota-Baxter identity: FAIL") in out
+    assert len(calls) == 1
+
+
 def test_check_r_matrix_runs_check_trb_once(monkeypatch, capsys):
     """The verdict's check is not repeated when the dual bracket is built."""
     from twistrb import operators

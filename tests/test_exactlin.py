@@ -1,15 +1,20 @@
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matmul_dense, matrix_rows, rank_oracle, rref_oracle
+from oracles import ce_representatives_incremental, matmul_dense, matrix_rows, rank_oracle, rref_oracle
 from twistrb import corpus, exactlin
 from twistrb.errors import DimensionMismatch, SingularMatrix
 from twistrb.exactlin import Matrix, scalar, scalar_str, sparse_row, vec_is_zero
-from twistrb.liealg import adjoint_rep, ce_differential, coadjoint_rep, validate_lie
+from twistrb.liealg import adjoint_rep, ce_cohomology_representatives, ce_differential, coadjoint_rep, validate_lie
+from twistrb.linfty import induced_structure
+from twistrb.multilin import _from_table
+from twistrb.operators import check_trb, graph_subalgebra_check
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -229,9 +234,14 @@ def test_rref_matches_dense_oracle_rank_deficient_huge(m):
 @settings(max_examples=200)
 @given(st.one_of(mixed(), rank_deficient_huge()))
 def test_integer_rref_keeps_primitive_reduced_rows(m):
-    """Every kept row is primitive, has a positive pivot at its key, is zero in the other pivot
-    columns, and is the oracle's reduced row times that pivot."""
-    kept = exactlin._integer_rref([sparse_row(m.row(i)) for i in range(m.rows)])
+    """Every kept row of the integer rows of the matrix's table is primitive, has a positive pivot
+    at its key, is zero in the other pivot columns, and is the oracle's reduced row times that
+    pivot."""
+    rows = {}
+    for c, column in exactlin._int_columns(m)[0].items():
+        for i, x in column.items():
+            rows.setdefault(i, {})[c] = x
+    kept = exactlin._integer_rref(rows.values())
     form, pivots = rref_oracle(m)
     assert sorted(kept) == list(pivots)
     for r, c in enumerate(pivots):
@@ -284,3 +294,160 @@ def test_rref_of_heisenberg_ce_matrices():
     assert [m.rref() for m in matrices] == expected
     assert [m.rank() for m in matrices] == [len(pivots) for _, pivots in expected]
     assert sum(m.rank() for m in matrices) > 0
+
+
+# -- the one reduction behind rank, kernel, solve and invert -----------------
+
+
+def oracle_kernel(m: Matrix) -> list[tuple]:
+    form, pivots = rref_oracle(m)
+    basis = []
+    for free in range(m.cols):
+        if free not in pivots:
+            v = [Fraction(0)] * m.cols
+            v[free] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -form[r, free]
+            basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(m: Matrix, b) -> tuple | None:
+    form, pivots = rref_oracle(m.hstack(Matrix(m.rows, 1, b)))
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = form[r, m.cols]
+    return tuple(x)
+
+
+def oracle_inverse(m: Matrix) -> Matrix | None:
+    n = m.rows
+    form, pivots = rref_oracle(m.hstack(Matrix.identity(n)))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return Matrix(n, n, [form[i, n + j] for i in range(n) for j in range(n)])
+
+
+def assert_agrees_with_oracle(m: Matrix, *rhs) -> None:
+    """rank, kernel_basis, solve of each right-hand side and, on a square, invert against the oracle."""
+    rank = len(rref_oracle(m)[1])
+    assert m.rank() == rank
+    assert m.kernel_basis() == oracle_kernel(m)
+    for b in rhs:
+        assert m.solve(b) == oracle_solve(m, b)
+    if m.rows == m.cols:
+        expected = oracle_inverse(m)
+        if expected is None:
+            with pytest.raises(SingularMatrix, match=f"^rank {rank} < {m.rows}$"):
+                m.invert()
+        else:
+            assert m.invert() == expected
+
+
+def over(denominator):
+    """Zero-heavy entries over one denominator, with numerators past a machine word."""
+    return st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-(2**64), 2**64), st.just(denominator)))
+
+
+@settings(max_examples=100)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda rc: st.tuples(
+        shaped(*rc, entries=over(2**61 - 1)),
+        st.lists(over(10**9 + 7), min_size=rc[1], max_size=rc[1]),
+        st.lists(over(10**9 + 7), min_size=rc[0], max_size=rc[0]),
+    )
+))
+def test_reduction_of_blocks_of_coprime_scales_matches_the_oracle(case):
+    """A over 2^61 - 1 beside a right-hand side over 10^9 + 7: b = A y, which solve must reach,
+    and a drawn b, inconsistent whenever it leaves the image."""
+    m, y, b = case
+    consistent = list(m.apply(y))
+    assert_agrees_with_oracle(m, consistent, b)
+    x = m.solve(consistent)
+    assert x is not None and list(m.apply(x)) == consistent
+
+
+mixed_scale_rows = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.sampled_from((1, 3, 2**61 - 1, 10**9 + 7)).flatmap(
+            lambda d: st.lists(over(d), min_size=n, max_size=n)
+        ),
+        min_size=n,
+        max_size=n,
+    ).map(lambda rows: Matrix(n, n, [x for row in rows for x in row]))
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(mixed_scale_rows, low_rank(5).map(lambda f: f[0] @ f[0].transpose())))
+def test_invert_of_rows_of_mixed_scales_and_of_singular_squares_matches_the_oracle(m):
+    """Squares whose rows each have their own denominator, and squares of rank at most 2."""
+    assert_agrees_with_oracle(m, [Fraction(i % 3 - 1) for i in range(m.rows)])
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_reduction_of_empty_shapes(k):
+    for m in (Matrix(0, k, []), Matrix(k, 0, []), Matrix(0, 0, [])):
+        assert_agrees_with_oracle(m, [0] * m.rows, [1] * m.rows)
+    assert Matrix(0, k, []).kernel_basis() == [exactlin.basis_vector(k, j) for j in range(k)]
+    assert Matrix(0, k, []).solve([]) == (Fraction(0),) * k
+    assert Matrix(k, 0, []).solve([0] * k) == ()
+    assert Matrix(k, 0, []).solve([1] * k) == (None if k else ())
+    assert Matrix(0, 0, []).invert() == Matrix(0, 0, [])
+
+
+@settings(max_examples=100)
+@given(rectangular(5), st.integers(2, 6))
+def test_a_matrix_built_from_its_table_reduces_as_a_fresh_copy(m, content):
+    """A matrix whose `_ints` came from `multilin._from_table` (here from its own table times a
+    content that the constructor divides out) gives what a fresh copy of its entries gives."""
+    table, scale = exactlin._int_columns(Matrix(m.rows, m.cols, m.entries))[:2]
+    built = _from_table(m.rows, m.cols, {j: {i: content * x for i, x in col.items()} for j, col in table.items()}, content * scale)
+    assert built == m and built._ints[:2] == (table, scale)
+    b = [Fraction(i - 1, 2) for i in range(m.rows)]
+    fresh = Matrix(m.rows, m.cols, m.entries)
+    assert built.rref() == fresh.rref()
+    assert built.rank() == fresh.rank()
+    assert built.kernel_basis() == fresh.kernel_basis()
+    assert built.solve(b) == fresh.solve(b)
+    if m.rows == m.cols:
+        try:
+            expected = fresh.invert()
+        except SingularMatrix as exc:
+            with pytest.raises(SingularMatrix, match=f"^{exc}$"):
+                built.invert()
+        else:
+            assert built.invert() == expected
+
+
+def test_differentials_reduce_as_fresh_copies():
+    """CE matrices carry the table `_from_table` built; their results are a fresh copy's."""
+    g = _heisenberg(2)
+    for rep in (adjoint_rep(g), coadjoint_rep(g)):
+        for n in range(3):
+            d = ce_differential(g, rep, n)
+            assert d._ints is not None
+            fresh = Matrix(d.rows, d.cols, d.entries)
+            assert (d.rank(), d.kernel_basis(), d.rref()) == (fresh.rank(), fresh.kernel_basis(), fresh.rref())
+            b = d.apply([Fraction(j % 3 - 1) for j in range(d.cols)])
+            assert d.solve(b) == fresh.solve(b)
+            assert fresh.solve(b) is not None
+
+
+def test_representatives_and_graph_check_do_without_hstack(trb_corpus, algebras):
+    """The library stacks no dense blocks: with `Matrix.hstack` failing, cohomology representatives
+    and the graph closure check still give the oracles' answers."""
+    structures = [induced_structure(setup, t) for _, setup, t in trb_corpus]
+    structures += [(g, rep(g)) for g in algebras.values() for rep in (adjoint_rep, coadjoint_rep)]
+    expected_reps = [[ce_representatives_incremental(g, rep, n) for n in range(3)] for g, rep in structures]
+    rng = random.Random(5)
+    operators = [(setup, t) for _, setup, t in trb_corpus[:5]]
+    operators += [(setup, corpus.random_operator(rng, setup, bound=1)) for setup, _ in operators for _ in range(4)]
+    expected_graph = [check_trb(setup, t).ok for setup, t in operators]
+    assert any(expected_graph) and not all(expected_graph)
+    with mock.patch.object(Matrix, "hstack", side_effect=AssertionError("hstack called")):
+        got = [[ce_cohomology_representatives(g, rep, n) for n in range(3)] for g, rep in structures]
+        assert got == expected_reps
+        assert [graph_subalgebra_check(setup, t) for setup, t in operators] == expected_graph

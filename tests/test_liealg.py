@@ -18,7 +18,7 @@ from oracles import (
 )
 from twistrb import corpus
 from twistrb.errors import NotNijenhuis, NotNilpotent
-from twistrb.exactlin import Matrix, _integer_rref, sparse_row, vec_is_zero
+from twistrb.exactlin import Matrix, _int_columns, _integer_rref, sparse_row, vec_is_zero
 from twistrb.liealg import (
     Representation,
     Violation,
@@ -255,7 +255,7 @@ def test_rank_on_the_columns_outside_the_previous_pivots():
     for n in (2, 3):
         prev, delta = ce_differential(g, rep, n - 1), ce_differential(g, rep, n)
         _, pivots = rref_oracle(prev.transpose())
-        assert set(_integer_rref(sparse_row(prev.col(c)) for c in range(prev.cols))) == set(pivots)
+        assert set(_integer_rref(_int_columns(prev)[0].values())) == set(pivots)
         outside = [c for c in range(delta.cols) if c not in set(pivots)]
         rows = [[delta[i, c] for c in outside] for i in range(delta.rows)]
         assert rank_oracle(rows) == rank_oracle(matrix_rows(delta)), n
