@@ -2,17 +2,18 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
-below is exact.  Matrices are dense; elimination runs on sparse rows of ints
-and pivots on the first nonzero entry in column order.  Kernel bases come
-from the reduced row echelon parametrization with each free variable set to
-1 in column order, which makes all outputs reproducible.
+below is exact.  A Matrix stores one integer column table over one scale
+(`_from_table`, the one constructor from a table, normalizes it); its
+Fraction entries are derived on demand.  Arithmetic and elimination run on
+the tables, over Python ints, and pivot on the first nonzero entry in
+column order.  Kernel bases come from the reduced row echelon
+parametrization with each free variable set to 1 in column order, which
+makes all outputs reproducible.
 
-Every elimination reads the matrix's one integer table (`_int_columns`,
-which `multilin._int_table` reads too).  `Matrix._reduced` lays the tables
-of a matrix and of the blocks beside it side by side, at one scale, as
-`{column: int}` rows and reduces them by one exact fraction-free
-Gauss-Jordan elimination over Python ints (`_integer_rref`); `rank`, like
-`liealg.ce_cohomology_dims`, counts the rows it keeps of the table's
+`Matrix._reduced` lays the tables of a matrix and of the blocks beside it
+side by side, at one scale, as `{column: int}` rows and reduces them by one
+exact fraction-free Gauss-Jordan elimination (`_integer_rref`); `rank`,
+like `liealg.ce_cohomology_dims`, counts the rows it keeps of the table's
 columns.  Each new row is reduced in a sparse `{column: int}` accumulator,
 so its cost follows the nonzeros it meets, not the width of the matrix.
 Every kept row stays primitive, with a positive pivot and zeros in the
@@ -105,35 +106,33 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, row-major.
+    """Immutable matrix of exact rationals: its integer column table `_table` over `_scale`.
 
-    `_ints` holds the integer table `_int_columns` builds of the matrix as
-    a linear map, on first use (a matrix `multilin.tabulate` returns carries
-    the one it built from its integer sums); it takes no part in `==` or
-    `hash`.
+    The table is {column: {row: nonzero int}} with no empty column, each
+    entry the rational entry times the scale, the lcm of the entries'
+    denominators (1 for a zero matrix).  That form is unique, so `==` and
+    `hash` compare it directly.  No table column is ever written to, so
+    `multilin._int_table` and every elimination read it as it is, and a
+    derived map may share its columns.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "_table", "_scale")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[ScalarLike]):
+    def __new__(cls, rows: int, cols: int, entries: Sequence[ScalarLike]) -> "Matrix":
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch(f"a matrix cannot be {rows}x{cols}")
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(scalar(e) for e in entries))
-        object.__setattr__(self, "_ints", None)
-
-    @classmethod
-    def _of(cls, rows: int, cols: int, entries: Sequence[Fraction]) -> "Matrix":
-        """A result whose `rows * cols` entries are Fractions already: no coercion, no check."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(entries))
-        object.__setattr__(m, "_ints", None)
-        return m
+        values = [e if type(e) is Fraction else scalar(e) for e in entries]
+        nonzero = [(idx, x) for idx, x in enumerate(values) if x]
+        scale = math.lcm(*{x.denominator for _, x in nonzero})
+        table: dict[int, dict[int, int]] = {}
+        for idx, x in nonzero:
+            row, col = divmod(idx, cols)
+            table.setdefault(col, {})[row] = x.numerator * (scale // x.denominator)
+        return _from_table(rows, cols, table, scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -165,15 +164,28 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [ZERO] * (rows * cols))
 
+    @property
+    def entries(self) -> Vector:
+        """The row-major Fraction entries."""
+        dense = [0] * (self.rows * self.cols)
+        for j, column in self._table.items():
+            for i, x in column.items():
+                dense[i * self.cols + j] = x
+        return _fractions(dense, self._scale)
+
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) of a {self.rows}x{self.cols} matrix")
+        x = self._table.get(j, {}).get(i)
+        return Fraction(x, self._scale) if x else ZERO
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _fractions([self._table.get(j, {}).get(i, 0) for j in range(self.cols)], self._scale)
 
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        column = self._table.get(j, {})
+        return _fractions([column.get(i, 0) for i in range(self.rows)], self._scale)
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -183,11 +195,13 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._scale == other._scale
+            and self._table == other._table
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        columns = frozenset((j, frozenset(column.items())) for j, column in self._table.items())
+        return hash((self.rows, self.cols, self._scale, columns))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -196,75 +210,73 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._of(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        """The sum of the two tables brought to the lcm of their scales."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        scale = math.lcm(self._scale, other._scale)
+        sums: dict[int, dict[int, int]] = {}
+        for m in (self, other):
+            f = scale // m._scale
+            for j, column in m._table.items():
+                out = sums.setdefault(j, {})
+                for i, x in column.items():
+                    out[i] = out.get(i, 0) + f * x
+        return _from_table(self.rows, self.cols, _nonzero(sums), scale)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._of(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(self.rows, self.cols, [-a for a in self.entries])
+        return self.scale(-1)
 
     def scale(self, c: ScalarLike) -> "Matrix":
         c = scalar(c)
-        return Matrix._of(self.rows, self.cols, [c * a for a in self.entries])
+        p = c.numerator
+        table = {j: {i: p * x for i, x in column.items()} for j, column in self._table.items()} if p else {}
+        return _from_table(self.rows, self.cols, table, c.denominator * self._scale)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Row i of the product accumulates a_ik * (row k of other) over nonzero a_ik."""
+        """Column j of the product accumulates b_kj * (column k of self) over nonzero b_kj."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        width = other.cols
-        other_rows = [sparse_row(other.row(k)).items() for k in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            acc = [ZERO] * width
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in other_rows[k]:
-                        acc[j] += a * b
-            out.extend(acc)
-        return Matrix._of(self.rows, width, out)
+        sums: dict[int, dict[int, int]] = {}
+        for j, column in other._table.items():
+            out = sums[j] = {}
+            for k, y in column.items():
+                for i, x in self._table.get(k, {}).items():
+                    out[i] = out.get(i, 0) + x * y
+        return _from_table(self.rows, other.cols, _nonzero(sums), self._scale * other._scale)
 
     def apply(self, v: Sequence[ScalarLike]) -> Vector:
         """self @ v, visiting only the columns where v is nonzero."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} matrix applied to length-{len(v)} vector")
-        width, entries = self.cols, self.entries
-        out = [ZERO] * self.rows
-        for k, c in enumerate(vector(v)):
+        v = vector(v)
+        scale = math.lcm(*{c.denominator for c in v})
+        out = [0] * self.rows
+        for k, c in enumerate(v):
             if c:
-                for i in range(self.rows):
-                    x = entries[i * width + k]
-                    if x:
-                        out[i] += c * x
-        return tuple(out)
+                c = c.numerator * (scale // c.denominator)
+                for i, x in self._table.get(k, {}).items():
+                    out[i] += c * x
+        return _fractions(out, scale * self._scale)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        table: dict[int, dict[int, int]] = {}
+        for j, column in self._table.items():
+            for i, x in column.items():
+                table.setdefault(i, {})[j] = x
+        return _from_table(self.cols, self.rows, table, self._scale)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not self._table
 
     def is_skew(self) -> bool:
+        """Every nonzero entry is the negative of its mirror, so the diagonal is zero."""
+        table = self._table
         return self.rows == self.cols and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i, self.cols)
+            table.get(i, {}).get(j) == -x for j, column in table.items() for i, x in column.items()
         )
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Matrix._of(self.rows, self.cols + other.cols, ent)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
     # -- elimination ---------------------------------------------------
 
@@ -276,16 +288,11 @@ class Matrix:
         pivot columns.  The rows are reduced by `_reduced`.
         """
         reduced = self._reduced()
-        pivots = tuple(sorted(reduced))
-        entries = [ZERO] * (self.rows * self.cols)
-        for r, c in enumerate(pivots):
-            for k, x in reduced[c].items():
-                entries[r * self.cols + k] = x
-        return Matrix._of(self.rows, self.cols, entries), pivots
+        return _divided(reduced, self.rows, self.cols, 0), tuple(sorted(reduced))
 
     def rank(self) -> int:
-        """The count of rows `_integer_rref` keeps of the columns of the integer table, no Fraction formed."""
-        return len(_integer_rref(_int_columns(self)[0].values()))
+        """The count of rows `_integer_rref` keeps of the columns of the table, no Fraction formed."""
+        return len(_integer_rref(self._table.values()))
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -299,10 +306,11 @@ class Matrix:
         for c, row in reduced.items():
             for k, x in row.items():
                 if k != c:
-                    vectors[k][c] = -x
+                    vectors[k][c] = Fraction(-x, row[c])
         return [tuple(v) for v in vectors.values()]
 
     def invert(self) -> "Matrix":
+        """The block beside self of the reduced form of [self | identity]."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
@@ -310,7 +318,7 @@ class Matrix:
         rank = sum(1 for c in reduced if c < n)
         if rank < n:
             raise SingularMatrix(f"rank {rank} < {n}")
-        return Matrix._of(n, n, [reduced[i].get(n + j, ZERO) for i in range(n) for j in range(n)])
+        return _divided(reduced, n, n, n)
 
     def solve(self, b: Sequence[ScalarLike]) -> Vector | None:
         """One exact solution of self @ x = b, or None when inconsistent.
@@ -324,62 +332,80 @@ class Matrix:
             return None
         x = [ZERO] * self.cols
         for c, row in reduced.items():
-            x[c] = row.get(self.cols, ZERO)
+            x[c] = Fraction(row.get(self.cols, 0), row[c])
         return tuple(x)
 
-    def _reduced(self, *beside: "Matrix") -> dict[int, dict[int, Fraction]]:
-        """The reduced row echelon form of self with the blocks `beside` (as many rows) to its
-        right, each row keyed by its pivot column and divided by its pivot.  The blocks' tables
-        are brought to the lcm of their scales and laid side by side as fresh `{column: int}`
-        rows for `_integer_rref`; the form is unique, so the order of the rows does not show.
+    def _reduced(self, *beside: "Matrix") -> dict[int, dict[int, int]]:
+        """The reduced row echelon form over Z of self with the blocks `beside` (as many rows) to
+        its right, as `_integer_rref` keeps it: each row keyed by its pivot column, and dividing it
+        by its pivot gives the rational row.  The blocks' tables are brought to the lcm of their
+        scales and laid side by side as fresh `{column: int}` rows; the form is unique, so the
+        order of the rows does not show.
         """
-        tables = [_int_columns(m) for m in (self, *beside)]
-        scale = math.lcm(*(s for _, s, _, _ in tables))
+        scale = math.lcm(*(m._scale for m in (self, *beside)))
         rows: dict[int, dict[int, int]] = {}
         offset = 0
-        for table, s, (width,), _ in tables:
-            f = scale // s
-            for j, column in table.items():
+        for m in (self, *beside):
+            f = scale // m._scale
+            for j, column in m._table.items():
                 for i, x in column.items():
                     rows.setdefault(i, {})[offset + j] = f * x
-            offset += width
-        reduced = {}
-        for c, row in _integer_rref(rows.values()).items():
-            pivot, quotients = row[c], {}  # entries repeat within a row
-            out = reduced[c] = {}
-            for k, x in row.items():
-                q = quotients.get(x)
-                if q is None:
-                    q = quotients[x] = Fraction(x, pivot)
-                out[k] = q
-        return reduced
+            offset += m.cols
+        return _integer_rref(rows.values())
 
 
-def _int_columns(m: Matrix) -> tuple[dict[int, dict[int, int]], int, tuple[int], int]:
-    """The integer table of a matrix, {column: {row: nonzero int}} with every entry times the
-    scale (the lcm of the denominators), then that scale, (cols,) and rows: scanned once and
-    kept on the matrix (its `_ints`), unless `multilin._from_table` put it there.  Nothing
-    writes to a table column, so `multilin._int_table` and every elimination share it.
+def _from_table(rows: int, cols: int, table: dict[int, dict[int, int]], scale: int) -> Matrix:
+    """The `rows` x `cols` Matrix of an integer column table over `scale`.
+
+    `table` is {column: {row: nonzero integer}} with no empty column, every
+    entry times `scale`; its columns may be shared with another map's table,
+    since none is ever written.  The entries and the scale are divided by
+    their common content, which makes the scale the lcm of the entries'
+    denominators, the one form a Matrix stores.  This is the one constructor
+    from an integer table to a Matrix, and every Matrix is built by it.
     """
-    cached = m._ints
-    if cached is None:
-        width, table = m.cols, {}
-        nonzero = [(idx, x) for idx, x in enumerate(m.entries) if x]
-        scale = math.lcm(*{x.denominator for _, x in nonzero})
-        for idx, x in nonzero:
-            row, col = divmod(idx, width)
-            column = table.get(col)
-            if column is None:
-                column = table[col] = {}
-            column[row] = x.numerator * (scale // x.denominator)
-        cached = table, scale, (width,), m.rows
-        object.__setattr__(m, "_ints", cached)
-    return cached
+    content = scale
+    for column in table.values():
+        if content == 1:
+            break
+        content = math.gcd(content, *column.values())
+    if content != 1:
+        scale //= content
+        table = {j: {k: x // content for k, x in column.items()} for j, column in table.items()}
+    m = object.__new__(Matrix)
+    for name, value in zip(Matrix.__slots__, (rows, cols, table, scale)):
+        object.__setattr__(m, name, value)
+    return m
 
 
-def sparse_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
-    """The nonzero entries of a vector, keyed by position."""
-    return {c: x for c, x in enumerate(v) if x}
+def _nonzero(sums: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The integer sums without their zero entries and empty columns."""
+    return {j: kept for j, column in sums.items() if (kept := {i: x for i, x in column.items() if x})}
+
+
+def _divided(reduced: dict[int, dict[int, int]], rows: int, cols: int, offset: int) -> Matrix:
+    """The rows of `_integer_rref`'s `reduced`, in pivot order, each divided by its pivot and cut to
+    the columns from `offset` on: a `rows` x `cols` Matrix over the lcm of the pivots."""
+    scale = math.lcm(*(row[c] for c, row in reduced.items()))
+    table: dict[int, dict[int, int]] = {}
+    for r, c in enumerate(sorted(reduced)):
+        f = scale // reduced[c][c]
+        for k, x in reduced[c].items():
+            if k >= offset:
+                table.setdefault(k - offset, {})[r] = f * x
+    return _from_table(rows, cols, table, scale)
+
+
+def _fractions(ints: list[int], scale: int) -> Vector:
+    """Each integer over `scale` as a Fraction in lowest terms, each distinct one formed once."""
+    seen = {0: ZERO}
+    out = []
+    for x in ints:
+        q = seen.get(x)
+        if q is None:
+            q = seen[x] = Fraction(x, scale)
+        out.append(q)
+    return tuple(out)
 
 
 def _integer_rref(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:

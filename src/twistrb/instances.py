@@ -117,7 +117,7 @@ def _parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str, seen
     entries = []
     for row in raw:
         entries.extend(_parse_vector(row, c, where, seen))
-    return Matrix._of(r, c, entries)
+    return Matrix(r, c, entries)
 
 
 def _parse_table(

@@ -13,7 +13,7 @@ the representation, each map times the lcm of its own denominators.  Where
 the two meet, both are brought to the lcm of the two scales.  Sums are taken
 over ints, and a Fraction is formed only for a returned defect, matrix entry
 or cochain value.  The adjoint and coadjoint actions are read off the
-bracket's table too (`multilin._partial`, `multilin._from_table`), with no
+bracket's table too (`multilin._partial`, `exactlin._from_table`), with no
 Fraction arithmetic.
 
 delta_CE is stated once per form: on a single cochain as the signed terms
@@ -34,13 +34,14 @@ from .exactlin import (
     ZERO,
     Matrix,
     Vector,
+    _from_table,
     _integer_rref,
     vec_is_zero,
     vec_scale,
     vec_sub,
     vector,
 )
-from .multilin import Cochain, _from_table, _int_table, _partial, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, _partial, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -54,9 +55,6 @@ class LieAlgebra:
 
     dim: int
     bracket: Cochain
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.bracket.value_on_tuple((i, j))
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): the columns (i, j) of the bracket's integer table."""
@@ -78,9 +76,6 @@ class Representation:
     module_dim: int
     action: tuple[Matrix, ...]
     _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def act_basis(self, i: int, u_idx: int) -> Vector:
-        return self.action[i].col(u_idx)
 
 
 BracketTable = Mapping[tuple[int, int], Sequence]
@@ -261,18 +256,9 @@ def trivial_rep(algebra: LieAlgebra, module_dim: int = 1) -> Representation:
 
 
 def coadjoint_rep(algebra: LieAlgebra) -> Representation:
-    """Coadjoint action (ad*_x a)(y) = -a([x,y]); matrices are -ad(e_i)^T.
-
-    Entry (j, l) of -ad(e_i)^T is -c^l_ij, so column l of each matrix is read
-    off the bracket's integer table, transposed and negated.
-    """
-    n = algebra.dim
-    table, scale = _int_table(algebra.bracket)[:2]
-    columns: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    for (i, j), col in table.items():
-        for l, x in col.items():
-            columns[i].setdefault(l, {})[j] = -x
-    action = tuple(_from_table(n, n, cols, scale) for cols in columns)
+    """Coadjoint action (ad*_x a)(y) = -a([x,y]); matrices are -ad(e_i)^T, each ad(e_i) read
+    off the bracket's integer table, then transposed and negated on its own table."""
+    action = tuple(-algebra.ad(i).transpose() for i in range(algebra.dim))
     rep = validate_rep(algebra, algebra.dim, action)
     if isinstance(rep, Violation):
         raise InternalInconsistency(f"coadjoint action is not a representation: {rep.describe()}")
@@ -322,7 +308,7 @@ def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
 
 
 def _differential_matrix(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
-    """delta_CE as a Fraction Matrix: the columns of `_differential_columns` through `_from_table`."""
+    """delta_CE as a Matrix: the columns of `_differential_columns` through `_from_table`."""
     return _from_table(*_differential_columns(algebra, rep, n))
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactlin import Matrix, permutation_sign
+from .exactlin import Matrix, _from_table
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -32,7 +32,7 @@ from .liealg import (
     ce_differential,
     ce_differential_cochain,
 )
-from .multilin import Cochain, _from_table, _int_table, _tuple_index, ext_basis, iter_unshuffles, tabulate
+from .multilin import Cochain, _int_table, _tuple_index, ext_basis, iter_unshuffles, tabulate
 from .operators import (
     Operator,
     TrbSetup,
@@ -280,11 +280,6 @@ def koszul_sign(degrees: Sequence[int], word: Sequence[int]) -> int:
             if word[a] > word[b] and degrees[word[a]] * degrees[word[b]] % 2 == 1:
                 sign = -sign
     return sign
-
-
-def graded_perm_sign(degrees: Sequence[int], word: Sequence[int]) -> int:
-    """Parity times Koszul sign: the sign in the graded skew-symmetry rule."""
-    return permutation_sign(word) * koszul_sign(degrees, word)
 
 
 def _apply_l(setup: TrbSetup, args: Sequence[Cochain]) -> Cochain | None:

@@ -11,22 +11,20 @@ Since source and target carry no internal grading, all Koszul signs on
 arguments are trivial and unshuffle signs are plain permutation parities.
 
 Every map an identity applies keeps one sparse integer table
-(`_int_table`).  `_from_table` is the one constructor from an integer
-column table to a Matrix: it divides the table and its scale by their
-common content, so the table it keeps on the matrix is the one a scan of
-the entries builds, and forms each distinct entry's Fraction once.
-`tabulate`, which evaluates signed terms on a list of cases, ends in it,
-and so does every derived map of the other modules (ad, the coadjoint
-action, psi-sharp, the twisted semidirect bracket, the maps of the derived
-brackets, the block operator J): each is its source maps' tables re-keyed,
-with no Fraction arithmetic.
+(`_int_table`): a Matrix stores its own (`exactlin.Matrix`), and every
+other map's is read off its matrices' tables.  `tabulate`, which evaluates
+signed terms on a list of cases, ends in `exactlin._from_table`, and so does
+every derived map of the other modules (ad, the coadjoint action,
+psi-sharp, the twisted semidirect bracket, the maps of the derived brackets,
+the block operator J): each is its source maps' tables re-keyed, with no
+Fraction arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,7 +33,8 @@ from .exactlin import (
     Matrix,
     Vector,
     ZERO,
-    _int_columns,
+    _from_table,
+    _nonzero,
     basis_vector,
     permutation_sign,
     vec_scale,
@@ -168,7 +167,7 @@ class Cochain:
             if len(v) != target_dim:
                 raise DimensionMismatch(f"value for {t} has length {len(v)}, expected {target_dim}")
             entries[index[t] :: width] = v
-        return cls(degree, source_dim, target_dim, Matrix._of(target_dim, width, entries))
+        return cls(degree, source_dim, target_dim, Matrix(target_dim, width, entries))
 
     @classmethod
     def from_matrix_map(cls, m: Matrix) -> "Cochain":
@@ -260,9 +259,7 @@ class Cochain:
 
     def vec(self) -> Vector:
         """Flatten column by column (basis tuple by basis tuple)."""
-        return tuple(
-            self.matrix[i, j] for j in range(self.matrix.cols) for i in range(self.target_dim)
-        )
+        return self.matrix.transpose().entries
 
     @classmethod
     def from_vec(cls, degree: int, source_dim: int, target_dim: int, flat: Sequence) -> "Cochain":
@@ -362,19 +359,19 @@ def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
     basis tuple, signed by its permutation.  A degree-0 cochain is a
     constant, not a map.  Zero coefficients are left out.
 
-    A Matrix's entries are scanned once, by `exactlin._int_columns`;
-    every other map's table is read off its matrices' column tables: a
-    positive ordering of a cochain shares its matrix's column dicts, a
-    negative one a negated copy of each, and the actions of a
-    Representation are brought to the lcm of their scales.  No table column
-    is ever written to, so sharing is safe.  The table is kept on the map
-    (its `_ints`) for its lifetime: every map it takes is immutable.
+    A Matrix's table is the one it stores; every other map's table is read
+    off its matrices' tables: a positive ordering of a cochain shares its
+    matrix's column dicts, a negative one a negated copy of each, and the
+    actions of a Representation are brought to the lcm of their scales.  No
+    table column is ever written to, so sharing is safe.  The table is kept
+    on the map (its `_ints`) for its lifetime: every map it takes is
+    immutable.
     """
+    if isinstance(op, Matrix):
+        return op._table, op._scale, (op.cols,), op.rows
     cached = op._ints
     if cached is not None:
         return cached
-    if isinstance(op, Matrix):
-        return _int_columns(op)
     if isinstance(op, Cochain):
         if op.degree < 1:
             raise DimensionMismatch(f"a degree-{op.degree} cochain applied as a map")
@@ -612,7 +609,7 @@ def _program(terms: list) -> tuple[Callable[[tuple], dict[int, int] | None] | No
             ints = {i: x.numerator * (scale // x.denominator) for i, x in enumerate(expr) if x}
             return (lambda case: ints) if ints else None, len(expr), scale
         op = expr[0]
-        table, scale, arg_dims, dim = op._ints or _int_table(op)
+        table, scale, arg_dims, dim = _int_table(op)
         bad, zero, nodes, dims = len(expr) != len(arg_dims) + 1, not table, [], []
         for k in range(1, len(expr)):
             a = expr[k]
@@ -640,8 +637,7 @@ def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
 
     No terms means the zero matrix: `term_defect` needs at least one term
     to know its dimension.  The integer sums, a fresh dict of the nonzero
-    ones per column, go to `_from_table` with the compiled scale, so a later
-    identity that applies the matrix scans nothing.
+    ones per column, go to `exactlin._from_table` with the compiled scale.
     """
     cases = list(cases)
     if not terms:
@@ -649,46 +645,8 @@ def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
     value, dim, scale = _program(terms)
     if cases and dim != rows:
         raise DimensionMismatch(f"terms of dimension {dim} tabulated in {rows} rows")
-    table = {}
-    if value is not None:
-        for j, case in enumerate(cases):
-            sums = value(case)
-            if sums:
-                column = {k: x for k, x in sums.items() if x}
-                if column:
-                    table[j] = column
-    return _from_table(rows, len(cases), table, scale)
-
-
-def _from_table(rows: int, width: int, table: dict, scale: int) -> Matrix:
-    """The `rows` x `width` Matrix of an integer column table over `scale`, carrying the table.
-
-    `table` is {column: {row: nonzero integer}} with no empty column, every
-    entry times `scale`; its columns may be shared with another map's table,
-    since none is ever written.  The entries and the scale are divided by
-    their common content, which makes the scale the lcm of the entries'
-    denominators, so the table kept as the matrix's `_ints` is the one a
-    scan of its entries builds.  Each distinct entry becomes a Fraction once.
-    This is the one constructor from an integer table to a Matrix.
-    """
-    content = scale
-    for column in table.values():
-        if content == 1:
-            break
-        content = gcd(content, *column.values())
-    if content != 1:
-        scale //= content
-        table = {j: {k: x // content for k, x in column.items()} for j, column in table.items()}
-    entries, fractions = [ZERO] * (rows * width), {}
-    for j, column in table.items():
-        for k, x in column.items():
-            q = fractions.get(x)
-            if q is None:
-                q = fractions[x] = Fraction(x, scale)
-            entries[k * width + j] = q
-    m = Matrix._of(rows, width, entries)
-    object.__setattr__(m, "_ints", (table, scale, (width,), rows))
-    return m
+    sums = {j: value(case) or {} for j, case in enumerate(cases)} if value else {}
+    return _from_table(rows, len(cases), _nonzero(sums), scale)
 
 
 def _partial(op, i: int) -> Matrix:

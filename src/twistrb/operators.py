@@ -29,7 +29,7 @@ from .errors import (
     NotTwistedRB,
     SingularMatrix,
 )
-from .exactlin import Matrix, vector
+from .exactlin import Matrix, _from_table, vector
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -45,7 +45,7 @@ from .liealg import (
     nilpotency_index,
     validate_rep,
 )
-from .multilin import Cochain, _from_table, _int_table, _tuple_index, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, _tuple_index, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 Operator = Matrix
@@ -309,10 +309,7 @@ def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Op
 
 def reynolds_setup(algebra: LieAlgebra) -> TrbSetup:
     """Adjoint module with H = -bracket: its operators are Reynolds operators."""
-    c = algebra.bracket.matrix
-    columns, scale = _int_table(c)[:2]
-    h = _from_table(c.rows, c.cols, {j: {row: -x for row, x in col.items()} for j, col in columns.items()}, scale)
-    cocycle = Cochain(2, algebra.dim, algebra.dim, h)
+    cocycle = Cochain(2, algebra.dim, algebra.dim, -algebra.bracket.matrix)
     return trb_setup(algebra, adjoint_rep(algebra), cocycle)
 
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
-from .exactlin import Matrix
+from .exactlin import Matrix, _from_table
 from .liealg import LieAlgebra, Representation, coadjoint_rep
-from .multilin import Cochain, _from_table, _int_table, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, ext_basis, tabulate, term_defect
 from .operators import (
     Operator,
     TrbSetup,

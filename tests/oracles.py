@@ -28,17 +28,20 @@ identity, or the insertion, as signed terms for `multilin.term_defect`.
 That evaluator sums integers over one scale per compiled node;
 `term_defect_fraction` evaluates the same signed terms in Fractions, term
 by term, on sparse tables `_table` scans here from each map's dense
-Fraction entries, where the library scans each matrix into integers once
-and derives the other maps' tables from those (`multilin._int_table`).
+Fraction entries, where the library reads the integer table each matrix
+stores and derives the other maps' tables from those (`multilin._int_table`).
 The derived-structure oracles build the induced bracket and action, the
 NS-Lie tables of the three constructions and the adjacent Lie algebra of an
 NS-Lie algebra by vector arithmetic on each basis tuple, where the library
 tabulates signed terms.  The derived-map oracles (`ad`, `coadjoint_action`,
 `psi_sharp`, `twisted_semidirect_cochain`, `embed`, `restrict`, `block`)
 build each map from Fraction value vectors or rows, where the library
-re-keys its source maps' integer tables into `multilin._from_table`;
+re-keys its source maps' integer tables into `exactlin._from_table`;
 `int_table` is the integer table read off `_table`'s dense scan, which the
-table a library matrix carries must equal.
+table a library matrix stores must equal.  The basis helpers
+(`bracket_basis`, `act_basis`), `hstack`, `sparse_row` and
+`graded_perm_sign` read the library's maps through their dense columns and
+rows; no library code needs them.
 """
 from __future__ import annotations
 
@@ -55,20 +58,47 @@ from twistrb.exactlin import (
     Matrix,
     Vector,
     basis_vector,
+    permutation_sign,
     scalar,
-    sparse_row,
     vec_scale,
     vec_sub,
     vector,
     zero_vector,
 )
 from twistrb.liealg import ce_differential
-from twistrb.linfty import d_t_unchecked
+from twistrb.linfty import d_t_unchecked, koszul_sign
 from twistrb.multilin import Bilinear, Cochain, _orderings, ext_basis, iter_unshuffles
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def sparse_row(v) -> dict[int, Fraction]:
+    """The nonzero entries of a vector, keyed by position."""
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """The blocks a and b side by side, through their dense rows."""
+    if a.rows != b.rows:
+        raise DimensionMismatch("row counts differ")
+    return Matrix(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in a.row(i) + b.row(i)])
+
+
+def bracket_basis(algebra, i: int, j: int) -> Vector:
+    """[e_i, e_j], read off the bracket cochain."""
+    return algebra.bracket.value_on_tuple((i, j))
+
+
+def act_basis(rep, i: int, u: int) -> Vector:
+    """rho(e_i) e_u: column u of the i-th action matrix."""
+    return rep.action[i].col(u)
+
+
+def graded_perm_sign(degrees, word) -> int:
+    """Parity times Koszul sign: the sign in the graded skew-symmetry rule."""
+    return permutation_sign(word) * koszul_sign(degrees, word)
 
 
 def rank_oracle(rows: list[list[Fraction]]) -> int:
@@ -407,7 +437,7 @@ def nr_insert_terms(a: Cochain, b: Cochain) -> Cochain:
 def rep_defect_matrices(algebra, module_dim: int, action, i: int, j: int) -> tuple:
     """rho([e_i,e_j]) - (rho(e_i)rho(e_j) - rho(e_j)rho(e_i)) through Matrix temporaries."""
     lhs = Matrix.zero(module_dim, module_dim)
-    for k, c in enumerate(algebra.bracket_basis(i, j)):
+    for k, c in enumerate(bracket_basis(algebra, i, j)):
         if c != 0:
             lhs = lhs + action[k].scale(c)
     rhs = action[i] @ action[j] - action[j] @ action[i]
@@ -484,7 +514,7 @@ def induced_action_matrices(setup, t: Matrix) -> tuple[Matrix, ...]:
             lead = eval_mixed_dense(setup.algebra.bracket, ta, (x,))
             # H(e_x, Tu) = -H(Tu, e_x)
             h_term = vec_scale(-1, eval_mixed_dense(setup.cocycle, ta, (x,)))
-            inner = vec_add(setup.rep.act_basis(x, a), h_term)
+            inner = vec_add(act_basis(setup.rep, x, a), h_term)
             cols.append(vec_add(lead, t.apply(inner)))
         mats.append(Matrix.from_cols(cols, rows=n))
     return tuple(mats)
@@ -498,7 +528,7 @@ def ns_tables_from_nijenhuis(algebra, n_op: Matrix) -> tuple[Bilinear, Cochain]:
     """x circ y = [Nx, y] and x vee y = -N[x, y] on basis tuples."""
     dim = algebra.dim
     circ_vals = {(i, j): eval_mixed_dense(algebra.bracket, n_op.col(i), (j,)) for i in range(dim) for j in range(dim)}
-    vee_vals = {t: vec_scale(-1, n_op.apply(algebra.bracket_basis(*t))) for t in ext_basis(dim, 2)}
+    vee_vals = {t: vec_scale(-1, n_op.apply(bracket_basis(algebra, *t))) for t in ext_basis(dim, 2)}
     return _ns_tables(dim, circ_vals, vee_vals)
 
 
@@ -561,10 +591,10 @@ def twisted_semidirect_cochain(setup) -> Cochain:
     n, m = setup.dim, setup.module_dim
     values = {}
     for i, j in ext_basis(n, 2):
-        values[(i, j)] = setup.algebra.bracket_basis(i, j) + setup.cocycle.value_on_basis((i, j))
+        values[(i, j)] = bracket_basis(setup.algebra, i, j) + setup.cocycle.value_on_basis((i, j))
     for i in range(n):
         for a in range(m):
-            values[(i, n + a)] = zero_vector(n) + setup.rep.act_basis(i, a)
+            values[(i, n + a)] = zero_vector(n) + act_basis(setup.rep, i, a)
     return Cochain.from_values(2, n + m, n + m, values)
 
 
@@ -650,7 +680,7 @@ def tgcs_component_defects(s, j) -> dict:
         lhs = sg.apply(bracket_dense(s.algebra, tu, x))
         lhs = vec_sub(lhs, act_dense(s.rep, tu, sg.col(i)))
         lhs = vec_sub(lhs, skew_eval_dense(s.cocycle, [tu, nm.col(i)]))
-        rhs = vec_add(s.rep.act_basis(i, a), act_dense(s.rep, nm.col(i), sm.col(a)))
+        rhs = vec_add(act_basis(s.rep, i, a), act_dense(s.rep, nm.col(i), sm.col(a)))
         inner = vec_sub(act_on_basis_dense(s.rep, nm.col(i), a), act_dense(s.rep, x, sm.col(a)))
         inner = vec_add(inner, skew_eval_dense(s.cocycle, [x, tu]))
         rhs = vec_sub(rhs, sm.apply(inner))
@@ -659,7 +689,7 @@ def tgcs_component_defects(s, j) -> dict:
     # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
     def eq9(i: int, k: int) -> Vector:
         x, y = basis_vector(n, i), basis_vector(n, k)
-        lhs = vec_sub(bracket_dense(s.algebra, nm.col(i), nm.col(k)), s.algebra.bracket_basis(i, k))
+        lhs = vec_sub(bracket_dense(s.algebra, nm.col(i), nm.col(k)), bracket_basis(s.algebra, i, k))
         mix = vec_add(bracket_dense(s.algebra, nm.col(i), y), bracket_dense(s.algebra, x, nm.col(k)))
         lhs = vec_sub(lhs, nm.apply(mix))
         inner = vec_sub(act_dense(s.rep, x, sg.col(k)), act_dense(s.rep, y, sg.col(i)))
@@ -697,14 +727,14 @@ def complex_structure_defects(algebra, rep, i_map: Matrix, i_mod: Matrix) -> dic
 
     def integrability(a: int, b: int) -> Vector:
         x, y = basis_vector(n, a), basis_vector(n, b)
-        defect = vec_sub(bracket_dense(algebra, i_map.col(a), i_map.col(b)), algebra.bracket_basis(a, b))
+        defect = vec_sub(bracket_dense(algebra, i_map.col(a), i_map.col(b)), bracket_basis(algebra, a, b))
         mix = vec_add(bracket_dense(algebra, i_map.col(a), y), bracket_dense(algebra, x, i_map.col(b)))
         return vec_sub(defect, i_map.apply(mix))
 
     def compatibility(a: int, u: int) -> Vector:
         x = basis_vector(n, a)
         lhs = act_dense(rep, i_map.col(a), i_mod.col(u))
-        lhs = vec_sub(lhs, rep.act_basis(a, u))
+        lhs = vec_sub(lhs, act_basis(rep, a, u))
         inner = vec_add(act_on_basis_dense(rep, i_map.col(a), u), act_dense(rep, x, i_mod.col(u)))
         return vec_sub(lhs, i_mod.apply(inner))
 
@@ -807,7 +837,7 @@ def nijenhuis_element_defects(s, t: Matrix, x, induced_action) -> dict:
 
     # H(x, T(y.u)) = y.H(x, Tu) for all y, u
     def action_pre_1(i: int, a: int) -> Vector:
-        lhs = skew_eval_dense(s.cocycle, [xv, t.apply(s.rep.act_basis(i, a))])
+        lhs = skew_eval_dense(s.cocycle, [xv, t.apply(act_basis(s.rep, i, a))])
         return vec_sub(lhs, s.rep.action[i].apply(skew_eval_dense(s.cocycle, [xv, t.col(a)])))
 
     # [x,y].(x.u + H(x,Tu)) = 0 for all y, u
@@ -863,7 +893,7 @@ def deformed_bracket_value(algebra, n_op: Matrix, i: int, j: int) -> Vector:
     """[Nx,y] + [x,Ny] - N[x,y] on a basis pair."""
     mixed = partial(eval_mixed_dense, algebra.bracket)
     v = vec_sub(mixed(n_op.col(i), (j,)), mixed(n_op.col(j), (i,)))
-    return vec_sub(v, n_op.apply(algebra.bracket_basis(i, j)))
+    return vec_sub(v, n_op.apply(bracket_basis(algebra, i, j)))
 
 
 def nijenhuis_defect(algebra, n_op: Matrix, i: int, j: int) -> Vector:
@@ -876,7 +906,7 @@ def derivation_defect(algebra, d: Matrix, i: int, j: int) -> Vector:
     """d[x,y] - [dx,y] - [x,dy] on a basis pair."""
     mixed = partial(eval_mixed_dense, algebra.bracket)
     rhs = vec_sub(mixed(d.col(i), (j,)), mixed(d.col(j), (i,)))
-    return vec_sub(d.apply(algebra.bracket_basis(i, j)), rhs)
+    return vec_sub(d.apply(bracket_basis(algebra, i, j)), rhs)
 
 
 def reynolds_defect(algebra, r: Matrix, i: int, j: int) -> Vector:

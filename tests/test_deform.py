@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 
-from oracles import act_dense, act_on_basis_dense, bracket_dense, vec_add
+from oracles import act_basis, act_dense, act_on_basis_dense, bracket_dense, vec_add
 from twistrb import corpus, deform, operators
 from twistrb.deform import (
     deformation_equation_defects,
@@ -198,7 +198,7 @@ def test_nijenhuis_element_grid_oracle(rng, algebras):
                     ok = False
         for i in range(n):
             for a in range(m):
-                yu = s.rep.act_basis(i, a)
+                yu = act_basis(s.rep, i, a)
                 lhs = s.cocycle.skew_eval([x, t.apply(yu)])
                 rhs = s.rep.action[i].apply(s.cocycle.skew_eval([x, t.col(a)]))
                 if lhs != rhs:

@@ -1,19 +1,20 @@
+import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ce_representatives_incremental, matmul_dense, matrix_rows, rank_oracle, rref_oracle
-from twistrb import corpus, exactlin
+import oracles
+from oracles import ce_representatives_incremental, hstack, matmul_dense, matrix_rows, rank_oracle, rref_oracle, sparse_row
+from twistrb import corpus, exactlin, instances, multilin
 from twistrb.errors import DimensionMismatch, SingularMatrix
-from twistrb.exactlin import Matrix, scalar, scalar_str, sparse_row, vec_is_zero
+from twistrb.exactlin import Matrix, _from_table, scalar, scalar_str, vec_is_zero
 from twistrb.liealg import adjoint_rep, ce_cohomology_representatives, ce_differential, coadjoint_rep, validate_lie
 from twistrb.linfty import induced_structure
-from twistrb.multilin import _from_table
+from twistrb.multilin import Cochain, _int_table, _partial
 from twistrb.operators import check_trb, graph_subalgebra_check
 
 rationals = st.fractions(
@@ -153,9 +154,9 @@ def test_rref_matches_dense_oracle_rank_deficient(factors):
 @settings(max_examples=100)
 @given(rectangular(5), st.integers(1, 6))
 def test_rref_matches_dense_oracle_wide_augmented(m, extra):
-    for aug in (m.hstack(Matrix.identity(m.rows)), m.hstack(Matrix(m.rows, 1, [1] * m.rows))):
+    for aug in (hstack(m, Matrix.identity(m.rows)), hstack(m, Matrix(m.rows, 1, [1] * m.rows))):
         assert aug.rref() == rref_oracle(aug)
-    wide = m.hstack(Matrix(m.rows, extra, [Fraction(i % 3 - 1) for i in range(m.rows * extra)]))
+    wide = hstack(m, Matrix(m.rows, extra, [Fraction(i % 3 - 1) for i in range(m.rows * extra)]))
     assert wide.rref() == rref_oracle(wide)
 
 
@@ -187,10 +188,9 @@ def test_arithmetic_results_hold_fractions(m):
         (m.transpose(), m.cols, m.rows, [m[i, j] for j in range(m.cols) for i in range(m.rows)]),
         (m @ m.transpose(), m.rows, m.rows, matmul_dense(m, m.transpose()).entries),
         (m.rref()[0], m.rows, m.cols, rref_oracle(m)[0].entries),
-        (m.hstack(other), m.rows, 2 * m.cols, [x for i in range(m.rows) for x in m.row(i) + other.row(i)]),
     ]
     if m.rows == m.cols and m.rank() == m.rows:
-        aug = rref_oracle(m.hstack(Matrix.identity(m.rows)))[0]
+        aug = rref_oracle(hstack(m, Matrix.identity(m.rows)))[0]
         results.append((m.invert(), m.rows, m.cols, [x for i in range(m.rows) for x in aug.row(i)[m.cols :]]))
     for got, rows, cols, entries in results:
         assert got == Matrix(rows, cols, list(entries))
@@ -238,7 +238,7 @@ def test_integer_rref_keeps_primitive_reduced_rows(m):
     at its key, is zero in the other pivot columns, and is the oracle's reduced row times that
     pivot."""
     rows = {}
-    for c, column in exactlin._int_columns(m)[0].items():
+    for c, column in oracles.int_table(m)[0].items():
         for i, x in column.items():
             rows.setdefault(i, {})[c] = x
     kept = exactlin._integer_rref(rows.values())
@@ -313,7 +313,7 @@ def oracle_kernel(m: Matrix) -> list[tuple]:
 
 
 def oracle_solve(m: Matrix, b) -> tuple | None:
-    form, pivots = rref_oracle(m.hstack(Matrix(m.rows, 1, b)))
+    form, pivots = rref_oracle(hstack(m, Matrix(m.rows, 1, b)))
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
@@ -324,7 +324,7 @@ def oracle_solve(m: Matrix, b) -> tuple | None:
 
 def oracle_inverse(m: Matrix) -> Matrix | None:
     n = m.rows
-    form, pivots = rref_oracle(m.hstack(Matrix.identity(n)))
+    form, pivots = rref_oracle(hstack(m, Matrix.identity(n)))
     if pivots[:n] != tuple(range(n)):
         return None
     return Matrix(n, n, [form[i, n + j] for i in range(n) for j in range(n)])
@@ -398,47 +398,145 @@ def test_reduction_of_empty_shapes(k):
     assert Matrix(0, 0, []).invert() == Matrix(0, 0, [])
 
 
-@settings(max_examples=100)
-@given(rectangular(5), st.integers(2, 6))
-def test_a_matrix_built_from_its_table_reduces_as_a_fresh_copy(m, content):
-    """A matrix whose `_ints` came from `multilin._from_table` (here from its own table times a
-    content that the constructor divides out) gives what a fresh copy of its entries gives."""
-    table, scale = exactlin._int_columns(Matrix(m.rows, m.cols, m.entries))[:2]
-    built = _from_table(m.rows, m.cols, {j: {i: content * x for i, x in col.items()} for j, col in table.items()}, content * scale)
-    assert built == m and built._ints[:2] == (table, scale)
-    b = [Fraction(i - 1, 2) for i in range(m.rows)]
-    fresh = Matrix(m.rows, m.cols, m.entries)
-    assert built.rref() == fresh.rref()
-    assert built.rank() == fresh.rank()
-    assert built.kernel_basis() == fresh.kernel_basis()
-    assert built.solve(b) == fresh.solve(b)
-    if m.rows == m.cols:
-        try:
-            expected = fresh.invert()
-        except SingularMatrix as exc:
-            with pytest.raises(SingularMatrix, match=f"^{exc}$"):
-                built.invert()
-        else:
-            assert built.invert() == expected
+# -- one stored form: the integer column table over one scale -----------------
+
+ROUTES = ("init", "strings", "from_rows", "from_cols", "parser", "table", "tabulate", "partial", "ce")
+# CE differentials of structures with fractional constants, in degrees 0-2
+CE_MATRICES = [
+    ce_differential(g, rep, n)
+    for g, rep in [(_heisenberg(2), coadjoint_rep(_heisenberg(2)))]
+    + [induced_structure(setup, t) for _, setup, t in corpus.trb_instances()[:6]]
+    for n in range(3)
+]
 
 
-def test_differentials_reduce_as_fresh_copies():
-    """CE matrices carry the table `_from_table` built; their results are a fresh copy's."""
-    g = _heisenberg(2)
-    for rep in (adjoint_rep(g), coadjoint_rep(g)):
-        for n in range(3):
-            d = ce_differential(g, rep, n)
-            assert d._ints is not None
-            fresh = Matrix(d.rows, d.cols, d.entries)
-            assert (d.rank(), d.kernel_basis(), d.rref()) == (fresh.rank(), fresh.kernel_basis(), fresh.rref())
-            b = d.apply([Fraction(j % 3 - 1) for j in range(d.cols)])
-            assert d.solve(b) == fresh.solve(b)
-            assert fresh.solve(b) is not None
+def built(data, route: str) -> tuple[Matrix, int, int, list[Fraction]]:
+    """A matrix built by one construction route, with the shape and dense entries it must have.
+
+    A CE differential comes with its own entries, which the unit-vector oracle checks in
+    `test_liealg`; here its stored table is checked against them."""
+    if route == "ce":
+        m = data.draw(st.sampled_from(CE_MATRICES))
+        return m, m.rows, m.cols, list(m.entries)
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 5))
+    if route == "partial":
+        # x -> c(e_i, x) of a degree-2 cochain c of wide denominators
+        n = max(cols, 2)
+        pairs = list(itertools.combinations(range(n), 2))
+        values = data.draw(st.lists(mixed_rationals, min_size=rows * len(pairs), max_size=rows * len(pairs)))
+        i = data.draw(st.integers(0, n - 1))
+
+        def value(k: int, j: int) -> Fraction:
+            """Row k of c(e_i, e_j), read off the drawn values of the pairs a < b."""
+            if j == i:
+                return Fraction(0)
+            return values[k * len(pairs) + pairs.index((min(i, j), max(i, j)))] * (1 if i < j else -1)
+
+        m = _partial(Cochain(2, n, rows, Matrix(rows, len(pairs), values)), i)
+        return m, rows, n, [value(k, j) for k in range(rows) for j in range(n)]
+    entries = data.draw(st.lists(mixed_rationals, min_size=rows * cols, max_size=rows * cols))
+    dense = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    if route == "init":
+        m = Matrix(rows, cols, entries)
+    elif route == "strings":
+        m = Matrix(rows, cols, [scalar_str(x) for x in entries])
+    elif route == "from_rows":
+        m = Matrix.from_rows(dense)
+    elif route == "from_cols":
+        m = Matrix.from_cols([[row[j] for row in dense] for j in range(cols)], rows=rows)
+    elif route == "parser":
+        raw = [[x.numerator if x.denominator == 1 else scalar_str(x) for x in row] for row in dense]
+        m = instances.parse_matrix(raw, rows, cols, "m")
+    elif route == "table":
+        # the oracle's table times a content the constructor divides out
+        content = data.draw(st.integers(1, 6))
+        table, scale = oracles.int_table(Matrix(rows, cols, entries))[:2]
+        m = _from_table(rows, cols, {j: {i: content * x for i, x in col.items()} for j, col in table.items()}, content * scale)
+    else:
+        # three terms that sum to the matrix, so its columns are fresh integer sums, not op's table
+        op = Matrix(rows, cols, entries)
+        m = multilin.tabulate([(1, (op, 0)), (1, (op, 0)), (-1, (op, 0))], [(j,) for j in range(cols)], rows)
+    return m, rows, cols, entries
+
+
+def assert_canonical(m: Matrix, rows: int, cols: int, entries: list[Fraction]) -> None:
+    """m has the shape and dense entries given, and stores the table the oracle scans from them."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.entries == tuple(entries) and all(type(x) is Fraction for x in m.entries)
+    assert _int_table(m) == oracles.int_table(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matrix_stores_one_canonical_table(data):
+    """Every construction route and every operation gives a matrix that stores the table an oracle
+    scans from its dense entries; `==` is equality of the dense entries and equal matrices hash
+    equal; each operation is Fraction arithmetic on the dense entries, wide denominators included."""
+    m, rows, cols, entries = built(data, data.draw(st.sampled_from(ROUTES)))
+    assert_canonical(m, rows, cols, entries)
+
+    def at(i: int, j: int) -> Fraction:
+        return entries[i * cols + j]
+
+    # the same entries by another route, and the entries with one of them redrawn
+    twin = Matrix(rows, cols, entries)
+    other_entries = list(entries)
+    if entries and data.draw(st.booleans()):
+        other_entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(mixed_rationals)
+    other = Matrix.from_cols([[other_entries[i * cols + j] for i in range(rows)] for j in range(cols)], rows=rows)
+    for candidate, dense in ((twin, entries), (other, other_entries)):
+        assert (m == candidate) == (candidate == m) == (dense == entries)
+        if m == candidate:
+            assert hash(m) == hash(candidate)
+    if rows > 1:
+        assert m != Matrix(1, rows * cols, entries)
+
+    assert [m[i, j] for i in range(rows) for j in range(cols)] == entries
+    assert [x for i in range(rows) for x in m.row(i)] == entries
+    assert [m.col(j)[i] for i in range(rows) for j in range(cols)] == entries
+    assert m.is_zero() == (not any(entries))
+    assert m.is_skew() == (rows == cols and all(at(i, j) == -at(j, i) for i in range(rows) for j in range(cols)))
+
+    c = data.draw(mixed_rationals)
+    k = data.draw(st.integers(0, 4))
+    right = Matrix(cols, k, data.draw(st.lists(mixed_rationals, min_size=cols * k, max_size=cols * k)))
+    v = data.draw(st.lists(mixed_rationals, min_size=cols, max_size=cols))
+    products = [sum((at(i, t) * right[t, j] for t in range(cols)), Fraction(0)) for i in range(rows) for j in range(k)]
+    results = [
+        (m + other, rows, cols, [a + b for a, b in zip(entries, other_entries)]),
+        (m - other, rows, cols, [a - b for a, b in zip(entries, other_entries)]),
+        (-m, rows, cols, [-a for a in entries]),
+        (m.scale(c), rows, cols, [c * a for a in entries]),
+        (m.transpose(), cols, rows, [at(i, j) for j in range(cols) for i in range(rows)]),
+        (m @ right, rows, k, products),
+        (m.rref()[0], rows, cols, list(rref_oracle(Matrix(rows, cols, entries))[0].entries)),
+    ]
+    if rows == cols:
+        results.append((m - m.transpose(), rows, cols, [at(i, j) - at(j, i) for i in range(rows) for j in range(cols)]))
+        assert results[-1][0].is_skew()
+        inverse = oracle_inverse(Matrix(rows, cols, entries))
+        if inverse is not None:
+            results.append((m.invert(), rows, cols, list(inverse.entries)))
+    for got, shape_rows, shape_cols, dense in results:
+        assert_canonical(got, shape_rows, shape_cols, dense)
+    assert m.apply(v) == tuple(sum((at(i, t) * v[t] for t in range(cols)), Fraction(0)) for i in range(rows))
+    assert all(type(x) is Fraction for x in m.apply(v))
+
+
+def test_constructor_rejects_negative_shapes():
+    """A negative row or column count is refused, even where rows * cols matches the entries."""
+    for rows, cols, entries in ((-1, -1, [5]), (-1, 0, []), (0, -3, []), (-2, -3, [1] * 6)):
+        with pytest.raises(DimensionMismatch):
+            Matrix(rows, cols, entries)
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(-1, 2)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([], rows=-1)
 
 
 def test_representatives_and_graph_check_do_without_hstack(trb_corpus, algebras):
-    """The library stacks no dense blocks: with `Matrix.hstack` failing, cohomology representatives
-    and the graph closure check still give the oracles' answers."""
+    """The library stacks no dense blocks (a Matrix has no `hstack`): cohomology representatives
+    and the graph closure check give the oracles' answers."""
     structures = [induced_structure(setup, t) for _, setup, t in trb_corpus]
     structures += [(g, rep(g)) for g in algebras.values() for rep in (adjoint_rep, coadjoint_rep)]
     expected_reps = [[ce_representatives_incremental(g, rep, n) for n in range(3)] for g, rep in structures]
@@ -447,7 +545,7 @@ def test_representatives_and_graph_check_do_without_hstack(trb_corpus, algebras)
     operators += [(setup, corpus.random_operator(rng, setup, bound=1)) for setup, _ in operators for _ in range(4)]
     expected_graph = [check_trb(setup, t).ok for setup, t in operators]
     assert any(expected_graph) and not all(expected_graph)
-    with mock.patch.object(Matrix, "hstack", side_effect=AssertionError("hstack called")):
-        got = [[ce_cohomology_representatives(g, rep, n) for n in range(3)] for g, rep in structures]
-        assert got == expected_reps
-        assert [graph_subalgebra_check(setup, t) for setup, t in operators] == expected_graph
+    assert not hasattr(Matrix, "hstack")
+    got = [[ce_cohomology_representatives(g, rep, n) for n in range(3)] for g, rep in structures]
+    assert got == expected_reps
+    assert [graph_subalgebra_check(setup, t) for setup, t in operators] == expected_graph

@@ -13,6 +13,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -106,8 +107,24 @@ def test_equal_strings_share_one_value_and_unreduced_ones_reduce():
     got = parsed_lists(parse_instance(with_lists(values)))
     halves = [x for row in got for x in row if x]
     assert halves == [Fraction(1, 2)] * 6
-    assert got[0][1] is got[2][0] is got[5][1]  # "1/2" in three sections
-    assert got[1][0] is got[4][1]  # "2/4" in two
+    # a matrix stores integers and derives its Fractions, so the sharing shows where lists are read:
+    # every list of the document is read with one memory of scalar strings
+    reads, read = [], instances._parse_vector
+
+    def recorded(raw, length, where, seen):
+        out = read(raw, length, where, seen)
+        reads.append((raw, out, seen))
+        return out
+
+    with mock.patch.object(instances, "_parse_vector", recorded):
+        parse_instance(with_lists(values))
+    assert len(reads) >= len(SCALAR_LISTS) and len({id(seen) for *_, seen in reads}) == 1
+    shared = {}
+    for raw, out, _ in reads:
+        for text, x in zip(raw, out):
+            if isinstance(text, str):
+                assert shared.setdefault(text, x) is x  # "1/2" in three sections, "2/4" in two
+    assert shared["1/2"] == shared["2/4"] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import bilinear_eval_dense, star_dense
+from oracles import bilinear_eval_dense, bracket_basis, star_dense
 from twistrb import corpus, nslie
 from twistrb.errors import NotNsLie
 from twistrb.exactlin import Matrix, basis_vector
@@ -51,7 +51,7 @@ def test_pre_lie_alone_is_ns():
     assert ns_check(ns).ok
     algebra, _ = adjacent_lie(ns)
     # the adjacent bracket is the commutator: [E11, E12] = E12
-    assert algebra.bracket_basis(0, 1) == (0, 1, 0)
+    assert bracket_basis(algebra, 0, 1) == (0, 1, 0)
 
 
 def test_ns_check_rejects_junk():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bracket_dense, ce_differential_alternating, ce_differential_unit_vectors, vec_add
+from oracles import act_basis, bracket_basis, bracket_dense, ce_differential_alternating, ce_differential_unit_vectors, vec_add
 from twistrb import corpus
 from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
 from twistrb.exactlin import Matrix
@@ -74,9 +74,9 @@ def test_twisted_semidirect_cochain_blocks(trb_corpus):
         assert delta == twisted_semidirect(setup).bracket, name
         for i, j in ext_basis(n + m, 2):
             if j < n:
-                expected = setup.algebra.bracket_basis(i, j) + setup.cocycle.value_on_basis((i, j))
+                expected = bracket_basis(setup.algebra, i, j) + setup.cocycle.value_on_basis((i, j))
             elif i < n:
-                expected = (0,) * n + setup.rep.act_basis(i, j - n)
+                expected = (0,) * n + act_basis(setup.rep, i, j - n)
             else:
                 expected = (0,) * (n + m)
             assert delta.value_on_basis((i, j)) == expected, (name, i, j)
@@ -95,7 +95,7 @@ def test_twisted_semidirect_jacobi(trb_corpus):
         semi = twisted_semidirect(setup)
         assert semi.dim == setup.dim + setup.module_dim
         assert not isinstance(
-            validate_lie(semi.dim, {t: semi.bracket_basis(*t) for t in ext_basis(semi.dim, 2)}),
+            validate_lie(semi.dim, {t: bracket_basis(semi, *t) for t in ext_basis(semi.dim, 2)}),
             Violation,
         ), name
 
@@ -326,8 +326,8 @@ def test_r_matrix_twisted_instance(algebras):
     verdict, dual = r_matrix_check(ab, r, psi)
     assert verdict.ok
     # the twist makes the dual bracket a Heisenberg algebra
-    assert dual.bracket_basis(0, 1) == (0, 0, 1)
-    assert dual.bracket_basis(0, 2) == (0, 0, 0)
+    assert bracket_basis(dual, 0, 1) == (0, 0, 1)
+    assert bracket_basis(dual, 0, 2) == (0, 0, 0)
     lie_algebra_from_cochain(dual.bracket)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import act_on_basis_dense, bracket_dense
+from oracles import act_on_basis_dense, bracket_dense, hstack
 from twistrb import corpus
 from twistrb.errors import NonzeroH, NotGcs, NotSkew
 from twistrb.exactlin import Matrix
@@ -188,7 +188,7 @@ def test_equation6_is_graph_closure_in_flipped_twist(rng, trb_corpus):
                 base_rank = span.rank()
                 for a, b in ext_basis(m, 2):
                     w = bracket_dense(semi, span.col(a), span.col(b))
-                    grown = span.hstack(Matrix.from_cols([w], rows=n + m)).rank()
+                    grown = hstack(span, Matrix.from_cols([w], rows=n + m)).rank()
                     assert grown == base_rank, name
 
 
