@@ -398,6 +398,44 @@ def test_reduction_of_empty_shapes(k):
     assert Matrix(0, 0, []).invert() == Matrix(0, 0, [])
 
 
+@settings(max_examples=100)
+@given(rectangular(5), st.integers(2, 6))
+def test_a_matrix_built_from_its_table_reduces_as_a_fresh_copy(m, content):
+    """A matrix built by `_from_table` (here from its own table times a content that the
+    constructor divides out) stores the fresh copy's table and gives what the copy gives."""
+    table, scale = oracles.int_table(Matrix(m.rows, m.cols, m.entries))[:2]
+    built = _from_table(m.rows, m.cols, {j: {i: content * x for i, x in col.items()} for j, col in table.items()}, content * scale)
+    assert built == m and _int_table(built)[:2] == (table, scale)
+    b = [Fraction(i - 1, 2) for i in range(m.rows)]
+    fresh = Matrix(m.rows, m.cols, m.entries)
+    assert built.rref() == fresh.rref()
+    assert built.rank() == fresh.rank()
+    assert built.kernel_basis() == fresh.kernel_basis()
+    assert built.solve(b) == fresh.solve(b)
+    if m.rows == m.cols:
+        try:
+            expected = fresh.invert()
+        except SingularMatrix as exc:
+            with pytest.raises(SingularMatrix, match=f"^{exc}$"):
+                built.invert()
+        else:
+            assert built.invert() == expected
+
+
+def test_differentials_reduce_as_fresh_copies():
+    """CE matrices store the table of their entries; their results are a fresh copy's."""
+    g = _heisenberg(2)
+    for rep in (adjoint_rep(g), coadjoint_rep(g)):
+        for n in range(3):
+            d = ce_differential(g, rep, n)
+            fresh = Matrix(d.rows, d.cols, d.entries)
+            assert _int_table(d) == _int_table(fresh) == oracles.int_table(d)
+            assert (d.rank(), d.kernel_basis(), d.rref()) == (fresh.rank(), fresh.kernel_basis(), fresh.rref())
+            b = d.apply([Fraction(j % 3 - 1) for j in range(d.cols)])
+            assert d.solve(b) == fresh.solve(b)
+            assert fresh.solve(b) is not None
+
+
 # -- one stored form: the integer column table over one scale -----------------
 
 ROUTES = ("init", "strings", "from_rows", "from_cols", "parser", "table", "tabulate", "partial", "ce")
