@@ -4,7 +4,9 @@ Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
 below is exact.  A Matrix stores one integer column table over one scale
 (`_from_table`, the one constructor from a table, normalizes it); its
-Fraction entries are derived on demand.  Arithmetic and elimination run on
+Fraction entries are derived on demand.  Exact scalars come in through
+`_from_scalars`, which takes a table of ints and Fractions and keeps the
+ints as they are.  Arithmetic and elimination run on
 the tables, over Python ints, and pivot on the first nonzero entry in
 column order.  Kernel bases come from the reduced row echelon
 parametrization with each free variable set to 1 in column order, which
@@ -125,14 +127,14 @@ class Matrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        values = [e if type(e) is Fraction else scalar(e) for e in entries]
-        nonzero = [(idx, x) for idx, x in enumerate(values) if x]
-        scale = math.lcm(*{x.denominator for _, x in nonzero})
-        table: dict[int, dict[int, int]] = {}
-        for idx, x in nonzero:
-            row, col = divmod(idx, cols)
-            table.setdefault(col, {})[row] = x.numerator * (scale // x.denominator)
-        return _from_table(rows, cols, table, scale)
+        table: dict[int, dict[int, int | Fraction]] = {}
+        for idx, x in _nonzero_scalars(entries).items():
+            i, j = divmod(idx, cols)
+            if j in table:
+                table[j][i] = x
+            else:
+                table[j] = {i: x}
+        return _from_scalars(rows, cols, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -158,11 +160,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls(rows, cols, [0] * (rows * cols))
 
     @property
     def entries(self) -> Vector:
@@ -230,7 +232,7 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c: ScalarLike) -> "Matrix":
-        c = scalar(c)
+        c = c if type(c) is int else scalar(c)
         p = c.numerator
         table = {j: {i: p * x for i, x in column.items()} for j, column in self._table.items()} if p else {}
         return _from_table(self.rows, self.cols, table, c.denominator * self._scale)
@@ -376,6 +378,48 @@ def _from_table(rows: int, cols: int, table: dict[int, dict[int, int]], scale: i
     for name, value in zip(Matrix.__slots__, (rows, cols, table, scale)):
         object.__setattr__(m, name, value)
     return m
+
+
+def _nonzero_scalars(values: Iterable[ScalarLike]) -> dict[int, int | Fraction]:
+    """{index: value} of the nonzero values: a column of a table for `_from_scalars`, or the
+    row-major entries of a Matrix.
+
+    An int is kept as it is; any other scalar is made a Fraction by `scalar`,
+    and kept as the int it equals when its denominator is 1, so an integer
+    table reaches `_from_scalars` as ints whichever way it was spelled.
+    """
+    column = {}
+    for i, x in enumerate(values):
+        if type(x) is int:
+            if x:
+                column[i] = x
+            continue
+        if type(x) is not Fraction:
+            x = scalar(x)
+        n = x.numerator
+        if n:
+            column[i] = n if x.denominator == 1 else x
+    return column
+
+
+def _from_scalars(rows: int, cols: int, table: dict[int, dict[int, int | Fraction]]) -> Matrix:
+    """The `rows` x `cols` Matrix of a table {column: {row: nonzero int or Fraction}} with no empty column.
+
+    An all-int table goes to `_from_table` as it is, over scale 1, so it is
+    shared, not copied; otherwise the scale is the lcm of the Fractions'
+    denominators and every entry is brought to it.  This is the one
+    constructor from exact scalars: `Matrix(...)`, the instance parser,
+    `Cochain.from_values`, `Bilinear.from_values` and `liealg.bracket_cochain`
+    all build their table and end here.
+    """
+    denominators = {x.denominator for column in table.values() for x in column.values() if type(x) is not int}
+    scale = math.lcm(*denominators)
+    if denominators:
+        table = {
+            j: {i: x * scale if type(x) is int else x.numerator * (scale // x.denominator) for i, x in column.items()}
+            for j, column in table.items()
+        }
+    return _from_table(rows, cols, table, scale)
 
 
 def _nonzero(sums: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:

@@ -9,18 +9,27 @@ type, shape and cross-dimension checks only; mathematical validation (Jacobi,
 representation and cocycle axioms) belongs to the commands.  Every index
 table (brackets, cochain values, vee, the bilinear maps) is read by
 `_parse_table` and written by `_index_table`.
+
+A scalar is read as an int when its value is integral ("-0", "007", "0/5"
+and "4/2" included) and as a Fraction only otherwise; JSON integers stay
+ints, and each distinct scalar string is parsed once per document.  Every
+matrix, cochain value table and bilinear table is built as the table
+{column: {row: nonzero scalar}} of `exactlin._from_scalars`, so an integer
+document reaches its integer tables without forming a Fraction.  The
+bracket table and `parse_vector` still hold Fractions.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from .errors import InvalidStructure
-from .exactlin import Matrix, scalar_str
+from .exactlin import Matrix, _from_scalars, scalar_str
 from .multilin import Bilinear, Cochain
 from .nslie import AssocNs, NsLie
 from .tgcs import LieGcsTriple
@@ -31,6 +40,8 @@ class MissingSection(InvalidStructure):
 
 
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+ParsedScalar = Union[int, Fraction]  # a parsed scalar: an int when integral, else a Fraction
 
 
 def _is_int(x: Any) -> bool:
@@ -68,12 +79,18 @@ def _parse_key(key: str, arity: int, dim: int, where: str) -> tuple[int, ...]:
 
 
 def parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]:
-    """A list of exact scalars: integers, or strings "p" or "p/q" with q > 0."""
-    return _parse_vector(raw, length, where, {})
+    """A list of exact scalars: integers, or strings "p" or "p/q" with q > 0, as Fractions."""
+    return _as_fractions(_parse_vector(raw, length, where, {}))
 
 
-def _parse_vector(raw: Sequence, length: int, where: str, seen: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    """`parse_vector`, remembering in `seen` the value of each scalar string it parses.
+def _as_fractions(values: Sequence[ParsedScalar]) -> tuple[Fraction, ...]:
+    """Parsed scalars as Fractions, the type `parse_vector` returns and the bracket table holds."""
+    return tuple([Fraction(x) if type(x) is int else x for x in values])
+
+
+def _parse_vector(raw: Sequence, length: int, where: str, seen: dict[str, ParsedScalar]) -> tuple[ParsedScalar, ...]:
+    """The scalars of a list, each an int when its value is integral and a Fraction otherwise,
+    remembering in `seen` the value of each scalar string it parses.
 
     `seen` is keyed by strings only, so a bool, a float or an int never
     passes for a remembered scalar it equals.  Every entry is checked before
@@ -95,18 +112,20 @@ def _parse_vector(raw: Sequence, length: int, where: str, seen: dict[str, Fracti
         raise InvalidStructure(f'{where}: bad scalar {x!r} (expected an integer or "p/q")')
     try:
         for x, match in new.items():
-            seen[x] = Fraction(int(match[1]), int(match[2] or 1))
+            p, q = int(match[1]), int(match[2] or 1)
+            seen[x] = Fraction(p, q) if p % q else p // q
     except ValueError:  # a numerator or denominator past Python's int-string digit limit
         raise InvalidStructure(f"{where}: a scalar has more digits than Python converts") from None
-    return tuple([seen[x] if isinstance(x, str) else Fraction(x) for x in raw])
+    return tuple([seen[x] if isinstance(x, str) else x for x in raw])
 
 
 def parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str) -> Matrix:
     return _parse_matrix(raw, rows, cols, where, {})
 
 
-def _parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str, seen: dict[str, Fraction]) -> Matrix:
-    """`parse_matrix`, with the scalar strings of `seen` as in `_parse_vector`."""
+def _parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str, seen: dict[str, ParsedScalar]) -> Matrix:
+    """`parse_matrix`, with the scalar strings of `seen` as in `_parse_vector`: the rows are read
+    in one pass into the table {column: {row: nonzero scalar}} of `exactlin._from_scalars`."""
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise InvalidStructure(f"{where}: expected a list of rows")
     r, c = len(raw), len(raw[0])
@@ -114,15 +133,20 @@ def _parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str, seen
         raise InvalidStructure(f"{where}: expected {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise InvalidStructure(f"{where}: expected {cols} columns, got {c}")
-    entries = []
-    for row in raw:
-        entries.extend(_parse_vector(row, c, where, seen))
-    return Matrix(r, c, entries)
+    table: dict[int, dict[int, ParsedScalar]] = {}
+    for i, row in enumerate(raw):
+        for j, x in enumerate(_parse_vector(row, c, where, seen)):
+            if x:
+                if j in table:
+                    table[j][i] = x
+                else:
+                    table[j] = {i: x}
+    return _from_scalars(r, c, table)
 
 
 def _parse_table(
-    raw: Any, arity: int, dim: int, length: int, where: str, increasing: bool, seen: dict[str, Fraction]
-) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+    raw: Any, arity: int, dim: int, length: int, where: str, increasing: bool, seen: dict[str, ParsedScalar]
+) -> dict[tuple[int, ...], tuple[ParsedScalar, ...]]:
     """An index table: keys list `arity` indices in 1..dim (strictly increasing
     if `increasing`), values `length` scalars, and no two keys name one tuple."""
     table = {}
@@ -137,7 +161,7 @@ def _parse_table(
 
 
 def _parse_cochain(
-    raw: Mapping, degree: int, source_dim: int, target_dim: int, where: str, seen: dict[str, Fraction]
+    raw: Mapping, degree: int, source_dim: int, target_dim: int, where: str, seen: dict[str, ParsedScalar]
 ) -> Cochain:
     _object(raw, where)
     for field, expected in (("degree", degree), ("source_dim", source_dim), ("target_dim", target_dim)):
@@ -147,7 +171,7 @@ def _parse_cochain(
     return Cochain.from_values(degree, source_dim, target_dim, values)
 
 
-def _parse_bilinear(raw: Mapping, dim: int, where: str, seen: dict[str, Fraction]) -> Bilinear:
+def _parse_bilinear(raw: Mapping, dim: int, where: str, seen: dict[str, ParsedScalar]) -> Bilinear:
     return Bilinear.from_values(dim, dim, _parse_table(raw, 2, dim, dim, where, increasing=False, seen=seen))
 
 
@@ -194,16 +218,15 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     if not isinstance(data, Mapping):
         raise InvalidStructure("instance document must be a JSON object")
     fields: dict[str, Any] = {}
-    seen: dict[str, Fraction] = {}  # the value of each scalar string read so far
+    seen: dict[str, ParsedScalar] = {}  # the value of each scalar string read so far
 
     lie = _section(data, "lie_algebra")
     dim = None
     if lie is not None:
         dim = _positive_int(lie.get("dim"), "lie_algebra.dim")
         fields["lie_dim"] = dim
-        fields["brackets"] = _parse_table(
-            lie.get("brackets", {}), 2, dim, dim, "lie_algebra.brackets", increasing=False, seen=seen
-        )
+        brackets = _parse_table(lie.get("brackets", {}), 2, dim, dim, "lie_algebra.brackets", increasing=False, seen=seen)
+        fields["brackets"] = {t: _as_fractions(v) for t, v in brackets.items()}
 
     mod = _section(data, "module")
     m_dim = None

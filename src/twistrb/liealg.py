@@ -29,19 +29,18 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
+from .errors import IndexOutOfRange, InternalInconsistency, InvalidStructure, NotNijenhuis, NotNilpotent
 from .exactlin import (
     ZERO,
     Matrix,
     Vector,
+    _from_scalars,
     _from_table,
     _integer_rref,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
+    _nonzero_scalars,
     vector,
 )
-from .multilin import Cochain, _int_table, _partial, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, _partial, _tuple_index, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -85,26 +84,34 @@ def bracket_cochain(dim: int, table: BracketTable) -> tuple[Cochain | None, Viol
     """Assemble a degree-2 cochain from an ordered-pair table, checking skewness.
 
     The table may carry any ordered pairs; (j, i) entries must negate (i, j)
-    entries and diagonal entries must vanish.
+    entries and diagonal entries must vanish.  Each value is kept as the
+    column of its nonzero entries (`exactlin._nonzero_scalars`), and the
+    columns go to `exactlin._from_scalars`; a Fraction is formed only for a
+    violation's defect.
     """
-    values: dict[tuple[int, ...], Vector] = {}
+    columns: dict[tuple[int, int], dict] = {}
     for (i, j), raw in sorted(table.items()):
-        v = vector(raw)
-        if len(v) != dim:
-            return None, Violation("bracket value length", (i, j), v)
+        column = _nonzero_scalars(raw)
+        if len(raw) != dim:
+            return None, Violation("bracket value length", (i, j), vector(raw))
         if i == j:
-            if not vec_is_zero(v):
-                return None, Violation("skewness (diagonal)", (i, j), v)
+            if column:
+                return None, Violation("skewness (diagonal)", (i, j), vector(raw))
             continue
-        key = (i, j) if i < j else (j, i)
-        signed = v if i < j else vec_scale(-1, v)
-        if key in values:
-            defect = vec_sub(values[key], signed)
-            if not vec_is_zero(defect):
-                return None, Violation("skewness", key, defect)
-        else:
-            values[key] = signed
-    return Cochain.from_values(2, dim, dim, values), None
+        key = (i, j)
+        if i > j:
+            key, column = (j, i), {k: -x for k, x in column.items()}
+        if key not in columns:
+            columns[key] = column
+        elif columns[key] != column:
+            defect = tuple(Fraction(columns[key].get(k, 0) - column.get(k, 0)) for k in range(dim))
+            return None, Violation("skewness", key, defect)
+    index = _tuple_index(dim, 2)
+    for key in columns:
+        if key not in index:
+            raise IndexOutOfRange(f"tuple {key} out of range for dimension {dim}")
+    table = {index[key]: column for key, column in columns.items() if column}
+    return Cochain(2, dim, dim, _from_scalars(dim, len(index), table)), None
 
 
 def _shared_tables(bracket: Cochain, rep: Representation) -> tuple[dict, int, list[list[list[tuple[int, int]]]], int]:

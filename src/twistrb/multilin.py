@@ -33,8 +33,10 @@ from .exactlin import (
     Matrix,
     Vector,
     ZERO,
+    _from_scalars,
     _from_table,
     _nonzero,
+    _nonzero_scalars,
     basis_vector,
     permutation_sign,
     vec_scale,
@@ -150,8 +152,7 @@ class Cochain:
         must normalize before assigning.
         """
         index, width = _tuple_index(source_dim, degree), comb(source_dim, degree)
-        entries = [ZERO] * (target_dim * width)
-        seen = set()
+        table, seen = {}, set()
         for key, value in assignments.items():
             t = tuple(key)
             if len(t) != degree:
@@ -163,11 +164,12 @@ class Cochain:
             if t in seen:
                 raise DuplicateAssignment(f"tuple {t} assigned twice")
             seen.add(t)
-            v = vector(value)
-            if len(v) != target_dim:
-                raise DimensionMismatch(f"value for {t} has length {len(v)}, expected {target_dim}")
-            entries[index[t] :: width] = v
-        return cls(degree, source_dim, target_dim, Matrix(target_dim, width, entries))
+            column = _nonzero_scalars(value)
+            if len(value) != target_dim:
+                raise DimensionMismatch(f"value for {t} has length {len(value)}, expected {target_dim}")
+            if column:
+                table[index[t]] = column
+        return cls(degree, source_dim, target_dim, _from_scalars(target_dim, width, table))
 
     @classmethod
     def from_matrix_map(cls, m: Matrix) -> "Cochain":
@@ -300,19 +302,19 @@ class Bilinear:
     def from_values(
         cls, source_dim: int, target_dim: int, assignments: Mapping[tuple[int, int], Sequence]
     ) -> "Bilinear":
-        cols = [[ZERO] * target_dim for _ in range(source_dim * source_dim)]
-        seen = set()
+        table, seen = {}, set()
         for (i, j), value in assignments.items():
             if not (0 <= i < source_dim and 0 <= j < source_dim):
                 raise IndexOutOfRange(f"pair ({i},{j}) out of range")
             if (i, j) in seen:
                 raise DuplicateAssignment(f"pair ({i},{j}) assigned twice")
             seen.add((i, j))
-            v = vector(value)
-            if len(v) != target_dim:
+            column = _nonzero_scalars(value)
+            if len(value) != target_dim:
                 raise DimensionMismatch("value length mismatch")
-            cols[i * source_dim + j] = list(v)
-        return cls(source_dim, target_dim, Matrix.from_cols(cols, rows=target_dim))
+            if column:
+                table[i * source_dim + j] = column
+        return cls(source_dim, target_dim, _from_scalars(target_dim, source_dim * source_dim, table))
 
     def value_on_basis(self, i: int, j: int) -> Vector:
         return self.matrix.col(i * self.source_dim + j)

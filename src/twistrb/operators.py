@@ -80,14 +80,28 @@ def trb_setup(algebra: LieAlgebra, rep: Representation, cocycle: Cochain | None 
     checked = validate_rep(algebra, rep.module_dim, rep.action)
     if isinstance(checked, Violation):
         raise InvalidStructure(checked.describe())
+    return _closed_setup(algebra, checked, cocycle)
+
+
+def _closed_setup(algebra: LieAlgebra, rep: Representation, cocycle: Cochain | None) -> TrbSetup:
+    """The setup of a representation already validated, once its cocycle is checked closed."""
     if cocycle is None:
         cocycle = Cochain.zero(2, algebra.dim, rep.module_dim)
     if cocycle.source_dim != algebra.dim or cocycle.target_dim != rep.module_dim or cocycle.degree != 2:
         raise InvalidStructure("cocycle shape does not match the setup")
-    closed = is_two_cocycle(algebra, checked, cocycle)
+    closed = is_two_cocycle(algebra, rep, cocycle)
     if not closed:
         raise NotCocycle(closed.violation.describe())
-    return TrbSetup(algebra, checked, cocycle)
+    return TrbSetup(algebra, rep, cocycle)
+
+
+def _coadjoint_setup(algebra: LieAlgebra, psi: Cochain) -> TrbSetup:
+    """The setup over the coadjoint module twisted by psi-sharp.
+
+    `coadjoint_rep` validates the action it returns, so only the cocycle is
+    checked here.
+    """
+    return _closed_setup(algebra, coadjoint_rep(algebra), psi_sharp(algebra, psi))
 
 
 def _check_shape(setup: TrbSetup, t: Operator) -> None:
@@ -427,7 +441,7 @@ def r_matrix_check(
         raise NotSkew("r must be skew-symmetric")
     if not is_scalar_cocycle(algebra, psi):
         raise NotCocycle("psi is not closed")
-    setup = trb_setup(algebra, coadjoint_rep(algebra), psi_sharp(algebra, psi))
+    setup = _coadjoint_setup(algebra, psi)
     verdict = check_trb(setup, r)
     if not verdict:
         return verdict, None

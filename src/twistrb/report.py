@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactlin import Matrix, scalar_str
+from .exactlin import ZERO, Matrix, scalar_str
 from .multilin import term_defect
 
 
@@ -88,13 +88,15 @@ def first_failure(
 
     `defect` takes the entries of a case as arguments; the first case whose
     defect has a nonzero entry is the witness of the failed identity `kind`.
-    Every zero entry is false, so `any` tells them apart without comparing
-    each entry with 0; a compiled defect (`multilin.term_defect`) returns
-    one zero tuple on every passing case, so a pass forms no Fraction.
+    A compiled defect (`multilin.term_defect`) and the hand-written ones
+    return one tuple of the shared `ZERO` on every passing case, which
+    `count` finds by identity in C, so a pass forms no Fraction and calls
+    no Fraction method; any other entry is still compared with zero by
+    value, so an int 0 or another Fraction equal to zero counts as zero.
     """
     for where in cases:
         values = defect(*where)
-        if any(values):
+        if values.count(ZERO) != len(values):
             return failed(kind, where, values)
     return passed()
 

@@ -16,13 +16,13 @@ from math import lcm
 
 from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
 from .exactlin import Matrix, _from_table
-from .liealg import LieAlgebra, Representation, coadjoint_rep
+from .liealg import LieAlgebra, Representation
 from .multilin import Cochain, _int_table, ext_basis, tabulate, term_defect
 from .operators import (
     Operator,
     TrbSetup,
+    _coadjoint_setup,
     is_scalar_cocycle,
-    psi_sharp,
     require_trb,
     trb_setup,
     twisted_semidirect,
@@ -231,7 +231,7 @@ def lie_tgcs_check(algebra: LieAlgebra, psi: Cochain, triple: LieGcsTriple) -> E
     if not is_scalar_cocycle(algebra, psi):
         raise NotCocycle("psi is not closed")
     n = algebra.dim
-    setup = trb_setup(algebra, coadjoint_rep(algebra), psi_sharp(algebra, psi))
+    setup = _coadjoint_setup(algebra, psi)
     j = GcsComponents(triple.n_map, triple.r, triple.sigma, triple.n_map.transpose())
     big = j.block()
     g = _pairing_matrix(n)

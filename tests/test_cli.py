@@ -488,6 +488,21 @@ def test_bad_scalar_in_a_file_message(path, value, line, tmp_path, capsys):
     assert run_cli(["validate", str(doc)], capsys) == (2, "", line + "\n")
 
 
+def test_a_thousand_digit_scalar_loads_within_the_digit_limit(tmp_path, capsys):
+    """A 1,000-digit scalar is read where Python's int-string digit limit allows it and is
+    refused with exit 2 below the limit (CI also runs this under a limit of 640)."""
+    wide = "1" * 1000
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps(with_values(AFFINE_DOC, (("operator_T", 0, 1), wide))))
+    limit = sys.get_int_max_str_digits()
+    if limit == 0 or limit >= len(wide):
+        assert load_instance(str(doc)).operator_t[0, 1] == int(wide)
+        assert run_cli(["validate", str(doc)], capsys)[0] == 0
+    else:
+        line = "error: operator_T: a scalar has more digits than Python converts\n"
+        assert run_cli(["validate", str(doc)], capsys) == (2, "", line)
+
+
 @pytest.mark.parametrize(
     "x, line",
     [

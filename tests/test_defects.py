@@ -35,7 +35,7 @@ import oracles
 from oracles import bracket_basis, jacobi_defect_terms, nr_insert_terms, rep_defect_matrices, term_defect_fraction, trb_defect_terms
 from twistrb import corpus, deform, liealg, linfty, multilin, nslie, operators, report, tgcs
 from twistrb.errors import DimensionMismatch
-from twistrb.exactlin import Matrix, vector
+from twistrb.exactlin import ZERO, Matrix, vector
 from twistrb.liealg import Representation, _jacobi_defects, abelian, trivial_rep, validate_rep
 from twistrb.linfty import nr_bracket
 from twistrb.multilin import Bilinear, Cochain, _int_table, ext_basis, term_defect
@@ -142,6 +142,21 @@ def test_trb_defect_matches_terms(data):
     [(_, _, defect, _)] = seen
     for i, j in itertools.product(range(setup.module_dim), repeat=2):
         assert_same(defect(i, j), expected(i, j))
+
+
+def test_first_failure_compares_each_entry_with_zero_by_value():
+    """A passing case is told apart by `count` of the shared ZERO, which still compares every other
+    entry by value: zero defects given as ints, as lists and as Fractions equal to ZERO that are
+    not that object all pass, and a nonzero last entry fails at its case."""
+    other_zero = Fraction(0)
+    assert other_zero == ZERO and other_zero is not ZERO
+    zeros = [(0, 0, 0), [0, 0, 0], [ZERO, 0, other_zero], (other_zero, Fraction(0, 5), ZERO), ()]
+    assert first_failure("zero", [(k,) for k in range(len(zeros))], lambda k: zeros[k]).ok
+    for last in (1, Fraction(-1, 3)):
+        defects = [(ZERO,) * 3, [0, ZERO, other_zero], [ZERO, 0, last]]
+        report = first_failure("last entry", [(k,) for k in range(3)], lambda k: defects[k])
+        assert not report.ok
+        assert report.violation == Violation("last entry", (2,), (0, 0, last))
 
 
 def rep_oracle(algebra, module_dim, action):

@@ -1,10 +1,14 @@
 """Parsing of instance documents: each distinct scalar string is parsed once per document.
 
-`parse_instance` remembers the Fraction of every scalar string it has read
-in one document; these tests pin that the remembered values equal a fresh
-parse, that only equal strings share one (never a bool, a float or an int
-equal to a remembered scalar), that errors keep their text and place, and
-that no two loads share anything.
+`parse_instance` remembers the value of every scalar string it has read in
+one document, an int when it is integral and a Fraction otherwise; these
+tests pin that the remembered values equal a fresh parse, that only equal
+strings share one (never a bool, a float or an int equal to a remembered
+scalar), that errors keep their text and place, and that no two loads share
+anything.  Every route to a table of exact scalars (the parser, `Matrix`,
+`Cochain.from_values`, `Bilinear.from_values`) stores the table and scale
+of the same entries given as Fractions, and a passing check of an integer
+instance forms no Fraction after loading.
 """
 from __future__ import annotations
 
@@ -19,9 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistrb import instances
+import oracles
+from twistrb import cli, instances
 from twistrb.errors import InvalidStructure
-from twistrb.instances import load_instance, parse_instance, parse_vector
+from twistrb.exactlin import Matrix
+from twistrb.instances import load_instance, parse_instance, parse_matrix, parse_vector
+from twistrb.multilin import Bilinear, Cochain, ext_basis
+from twistrb.operators import check_trb, r_matrix_check, reynolds_check
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 AFFINE = json.loads((INSTANCES / "affine_hinv.json").read_text())
@@ -171,3 +179,124 @@ def test_each_load_parses_each_distinct_string_once_and_shares_nothing(tmp_path,
     assert counts == [distinct_strings(raw)] * 2
     assert sorted(calls[: counts[0]]) == sorted(set(calls))
     assert first == second
+
+
+# -- every route to a table of exact scalars stores the table of their Fractions -------
+
+# Python values a library caller may give: the pool's spellings, ints and Fractions
+SCALARS = st.one_of(
+    st.sampled_from(POOL), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def assert_fraction_route(m: Matrix, dense) -> None:
+    """m stores the table and scale of the Matrix of the row-major `dense` scalars given as
+    Fractions, which is the table an oracle scans from the entries; `==` and `hash` agree."""
+    ref = Matrix(m.rows, m.cols, [Fraction(x) for x in dense])
+    assert m.entries == ref.entries == tuple(Fraction(x) for x in dense)
+    assert (m._table, m._scale) == (ref._table, ref._scale) == oracles.int_table(ref)[:2]
+    assert all(type(x) is int for column in m._table.values() for x in column.values())
+    assert m == ref and hash(m) == hash(ref)
+
+
+def dense_columns(columns: dict, rows: int, width: int) -> list:
+    """The row-major entries of a rows x width matrix given by some of its columns (the rest zero)."""
+    return [columns[j][i] if j in columns else 0 for i in range(rows) for j in range(width)]
+
+
+def json_key(t) -> str:
+    return json.dumps([i + 1 for i in t], separators=(",", ""))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_route_stores_the_table_of_the_fraction_route(data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    raw = data.draw(st.lists(st.lists(st.sampled_from(POOL), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    flat = [x for row in raw for x in row]
+    assert_fraction_route(parse_matrix(raw, rows, cols, "m"), flat)
+    assert_fraction_route(parse_instance({"operator_T": raw}).operator_t, flat)
+    mixed = data.draw(st.lists(SCALARS, min_size=rows * cols, max_size=rows * cols))
+    assert_fraction_route(Matrix(rows, cols, mixed), mixed)
+
+    n = data.draw(st.integers(2, 3))
+    tuples, pairs = ext_basis(n, 2), [(i, j) for i in range(n) for j in range(n)]
+
+    def values(keys, scalars):
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        return {t: data.draw(st.lists(scalars, min_size=n, max_size=n)) for t in chosen}
+
+    vee, circ = values(tuples, SCALARS), values(pairs, SCALARS)
+    width = len(tuples)
+    vee_dense = dense_columns({tuples.index(t): v for t, v in vee.items()}, n, width)
+    circ_dense = dense_columns({i * n + j: v for (i, j), v in circ.items()}, n, n * n)
+    assert_fraction_route(Cochain.from_values(2, n, n, vee).matrix, vee_dense)
+    assert_fraction_route(Bilinear.from_values(n, n, circ).matrix, circ_dense)
+
+    # the same tables read from a document, whose scalars are JSON strings and ints
+    vee, circ = values(tuples, st.sampled_from(POOL)), values(pairs, st.sampled_from(POOL))
+    doc = parse_instance({"ns_lie": {
+        "dim": n,
+        "circ": {json_key(t): v for t, v in circ.items()},
+        "vee": {json_key(t): v for t, v in vee.items()},
+    }})
+    assert_fraction_route(doc.ns.vee.matrix, dense_columns({tuples.index(t): v for t, v in vee.items()}, n, width))
+    assert_fraction_route(doc.ns.circ.matrix, dense_columns({i * n + j: v for (i, j), v in circ.items()}, n, n * n))
+
+
+# -- an integer instance reaches its verdict without a Fraction ----------------------
+
+
+def _r_matrix(doc):
+    psi = doc.psi if doc.psi is not None else Cochain.zero(3, doc.lie_dim, 1)
+    return r_matrix_check(cli._algebra(doc), doc.operator_t, psi)[0].ok
+
+
+# what each command's handler computes up to its verdict (check-r-matrix also renders the
+# dual bracket it found, whose entries are Fractions)
+VERDICTS = {
+    "check-trb": lambda doc: check_trb(cli._setup(doc), doc.operator_t).ok,
+    "validate": lambda doc: cli.cmd_validate(doc, None)[0],
+    "check-reynolds": lambda doc: reynolds_check(cli._algebra(doc), doc.operator_t).ok,
+    "check-r-matrix": _r_matrix,
+}
+PASSING = [
+    ("check-trb", "sl2_reynolds"),
+    ("check-trb", "affine_hinv"),
+    ("check-trb", "heisenberg_derivation"),
+    ("validate", "affine_failing_deformation"),
+    ("validate", "assoc_upper_triangular"),
+    ("validate", "abelian2_ns_lie_gcs"),
+    ("check-reynolds", "sl2_rb_rank1"),
+    ("check-reynolds", "heis_reynolds_zero"),
+    ("check-r-matrix", "abelian3_twisted_rmatrix"),
+    ("check-r-matrix", "heis_reynolds_zero"),
+]
+
+
+@pytest.mark.parametrize("command, name", PASSING, ids=[f"{c}-{n}" for c, n in PASSING])
+def test_a_passing_integer_instance_forms_no_fraction_after_loading(command, name, capsys):
+    """Scalars of an integer document are read as ints: loading forms Fractions only for the
+    bracket table (whose entries stay Fractions) and tests none for zero, and from the loaded
+    document to the verdict no Fraction is formed or tested for zero."""
+    path = INSTANCES / f"{name}.json"
+    assert cli.main([command, str(path)]) == 0
+    capsys.readouterr()
+    calls = {"__new__": 0, "__bool__": 0}
+
+    def counted(method):
+        real = getattr(Fraction, method)
+
+        def call(*args, **kwargs):
+            calls[method] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    with mock.patch.object(Fraction, "__new__", counted("__new__")), mock.patch.object(Fraction, "__bool__", counted("__bool__")):
+        doc = load_instance(str(path))
+        brackets = sum(len(v) for v in (doc.brackets or {}).values())
+        assert calls["__new__"] <= brackets and calls["__bool__"] == 0
+        calls.update({"__new__": 0, "__bool__": 0})
+        assert VERDICTS[command](doc)
+    assert calls == {"__new__": 0, "__bool__": 0}

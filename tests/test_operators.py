@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from oracles import act_basis, bracket_basis, bracket_dense, ce_differential_alternating, ce_differential_unit_vectors, vec_add
-from twistrb import corpus
+from twistrb import corpus, liealg, operators, tgcs
 from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
 from twistrb.exactlin import Matrix
 from twistrb.liealg import (
@@ -344,6 +345,28 @@ def test_r_matrix_rejections(algebras):
     assert not is_scalar_cocycle(g4, psi_bad)
     with pytest.raises(NotCocycle):
         r_matrix_check(g4, Matrix.zero(4, 4), psi_bad)
+
+
+@pytest.mark.parametrize("check", ["r_matrix_check", "lie_tgcs_check"])
+def test_coadjoint_checks_validate_the_action_once(check, algebras):
+    """`coadjoint_rep` validates the coadjoint action; the setup is built from what it returned,
+    so neither check validates the action again."""
+    g = algebras["heisenberg"]
+    psi = Cochain.from_values(3, 3, 1, {(0, 1, 2): (1,)})
+    r = Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    calls = []
+    real = liealg.validate_rep
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(liealg, "validate_rep", counted), mock.patch.object(operators, "validate_rep", counted):
+        if check == "r_matrix_check":
+            r_matrix_check(g, r, psi)
+        else:
+            tgcs.lie_tgcs_check(g, psi, tgcs.LieGcsTriple(Matrix.zero(3, 3), r, r))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
