@@ -2,11 +2,11 @@
 
 Scalars are `fractions.Fraction` (arbitrary-precision, always in lowest terms
 with positive denominator, zero is 0/1), so every rank, kernel and inverse
-below is exact.  A Matrix stores one integer column table over one scale
-(`_from_table`, the one constructor from a table, normalizes it); its
-Fraction entries are derived on demand.  Exact scalars come in through
-`_from_scalars`, which takes a table of ints and Fractions and keeps the
-ints as they are.  Arithmetic and elimination run on
+below is exact.  A Matrix, a frozen slotted dataclass, stores one integer
+column table over one scale (`_from_table`, the one constructor from a
+table, normalizes it); its Fraction entries are derived on demand.  Exact
+scalars come in through `_from_scalars`, which takes a table of ints and
+Fractions and keeps the ints as they are.  Arithmetic and elimination run on
 the tables, over Python ints, and pivot on the first nonzero entry in
 column order.  Kernel bases come from the reduced row echelon
 parametrization with each free variable set to 1 in column order, which
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -107,18 +108,23 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Matrix:
     """Immutable matrix of exact rationals: its integer column table `_table` over `_scale`.
 
     The table is {column: {row: nonzero int}} with no empty column, each
     entry the rational entry times the scale, the lcm of the entries'
     denominators (1 for a zero matrix).  That form is unique, so `==` and
-    `hash` compare it directly.  No table column is ever written to, so
+    `hash` compare it directly, the scale before the table (`hash` is written
+    out, as the table is a dict).  No table column is ever written to, so
     `multilin._int_table` and every elimination read it as it is, and a
     derived map may share its columns.
     """
 
-    __slots__ = ("rows", "cols", "_table", "_scale")
+    rows: int
+    cols: int
+    _scale: int
+    _table: dict[int, dict[int, int]]
 
     def __new__(cls, rows: int, cols: int, entries: Sequence[ScalarLike]) -> "Matrix":
         if rows < 0 or cols < 0:
@@ -135,9 +141,6 @@ class Matrix:
             else:
                 table[j] = {i: x}
         return _from_scalars(rows, cols, table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
@@ -191,15 +194,6 @@ class Matrix:
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._scale == other._scale
-            and self._table == other._table
-        )
 
     def __hash__(self) -> int:
         columns = frozenset((j, frozenset(column.items())) for j, column in self._table.items())
@@ -375,7 +369,7 @@ def _from_table(rows: int, cols: int, table: dict[int, dict[int, int]], scale: i
         scale //= content
         table = {j: {k: x // content for k, x in column.items()} for j, column in table.items()}
     m = object.__new__(Matrix)
-    for name, value in zip(Matrix.__slots__, (rows, cols, table, scale)):
+    for name, value in zip(Matrix.__slots__, (rows, cols, scale, table)):
         object.__setattr__(m, name, value)
     return m
 
@@ -438,6 +432,23 @@ def _divided(reduced: dict[int, dict[int, int]], rows: int, cols: int, offset: i
             if k >= offset:
                 table.setdefault(k - offset, {})[r] = f * x
     return _from_table(rows, cols, table, scale)
+
+
+def _quotients(sums: list[int] | dict[int, int], denominator: int, zero: Vector) -> Vector:
+    """The integer sums over the denominator, in lowest terms: `zero`, the caller's one zero tuple
+    of their length, when every sum is zero, so a passing case forms no Fraction.  Every defect of
+    an identity check ends here, so `report.first_failure` meets that shared tuple.
+
+    `sums` is the list of every sum (the hand-fused kernels) or a dict {index: sum} that may
+    leave zero sums out (a compiled identity); the dict is made dense only for a nonzero defect.
+    """
+    if type(sums) is dict:
+        if not any(sums.values()):
+            return zero
+        sums = [sums.get(k, 0) for k in range(len(zero))]
+    elif not any(sums):
+        return zero
+    return tuple(Fraction(x, denominator) if x else ZERO for x in sums)
 
 
 def _fractions(ints: list[int], scale: int) -> Vector:

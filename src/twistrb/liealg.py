@@ -2,10 +2,10 @@
 
 Everything is over the rationals with a fixed ordered basis.  A Lie algebra
 is its dimension plus the bracket stored as a degree-2 cochain; a
-representation is one action matrix per basis element.  Validators are
-report-style: they return the structure or the lexicographically first
-violating tuple with its defect vector, never raising on mathematical
-failure.
+representation is one action matrix per basis element; both are frozen,
+slotted dataclasses.  Validators are report-style: they return the
+structure or the lexicographically first violating tuple with its defect
+vector, never raising on mathematical failure.
 
 Validation and the Chevalley-Eilenberg differential run on integers: they
 read the one integer table `multilin._int_table` keeps on the bracket and on
@@ -38,13 +38,14 @@ from .exactlin import (
     _from_table,
     _integer_rref,
     _nonzero_scalars,
+    _quotients,
     vector,
 )
 from .multilin import Cochain, _int_table, _partial, _tuple_index, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LieAlgebra:
     """Finite-dimensional Lie algebra: dimension and bracket cochain.
 
@@ -63,7 +64,7 @@ class LieAlgebra:
         return self.bracket.is_zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Representation:
     """Action of a Lie algebra on a module, one matrix per generator.
 
@@ -133,14 +134,6 @@ def _shared_tables(bracket: Cochain, rep: Representation) -> tuple[dict, int, li
         for i, y in col.items():
             rho_rows[i].append((k, y * factor))
     return constants, scale // bracket_scale, rows, scale
-
-
-def _quotients(sums: list[int], denominator: int, zero: Vector) -> Vector:
-    """The integer sums over the denominator, in lowest terms: `zero`, the caller's one zero tuple
-    of their length, when every sum is zero, so a passing case forms no Fraction."""
-    if not any(sums):
-        return zero
-    return tuple(Fraction(x, denominator) if x else ZERO for x in sums)
 
 
 def _jacobi_defects(bracket: Cochain) -> Callable[[int, int, int], Vector]:

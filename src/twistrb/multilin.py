@@ -12,16 +12,19 @@ arguments are trivial and unshuffle signs are plain permutation parities.
 
 Every map an identity applies keeps one sparse integer table
 (`_int_table`): a Matrix stores its own (`exactlin.Matrix`), and every
-other map's is read off its matrices' tables.  `tabulate`, which evaluates
-signed terms on a list of cases, ends in `exactlin._from_table`, and so does
-every derived map of the other modules (ad, the coadjoint action,
-psi-sharp, the twisted semidirect bracket, the maps of the derived brackets,
-the block operator J): each is its source maps' tables re-keyed, with no
-Fraction arithmetic.
+other map's is read off its matrices' tables and kept in its `_ints` field,
+which the frozen dataclasses `Cochain`, `Bilinear` and `Representation`
+leave out of `__init__`, `==`, `hash` and `repr`.  `tabulate`, which
+evaluates signed terms on a list of cases, ends in `exactlin._from_table`,
+and so does every derived map of the other modules (ad, the coadjoint
+action, psi-sharp, the twisted semidirect bracket, the maps of the derived
+brackets, the block operator J): each is its source maps' tables re-keyed,
+with no Fraction arithmetic.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
@@ -37,6 +40,7 @@ from .exactlin import (
     _from_table,
     _nonzero,
     _nonzero_scalars,
+    _quotients,
     basis_vector,
     permutation_sign,
     vec_scale,
@@ -108,30 +112,27 @@ def iter_unshuffles(blocks: Sequence[int]) -> Iterable[tuple[tuple[int, ...], in
     yield from rec(universe, 0, (), 1)
 
 
+@dataclass(frozen=True, slots=True)
 class Cochain:
     """Skew p-linear map source^p -> target, columns over the lex exterior basis.
 
-    `_ints` holds the integer table `_int_table` builds of the map, on first
-    use; it takes no part in `==` or `hash`.
+    `repr` shows the shape only.  `_ints` holds the integer table
+    `_int_table` builds of the map, on first use; it takes no part in `==` or `hash`.
     """
 
-    __slots__ = ("degree", "source_dim", "target_dim", "matrix", "_ints")
+    degree: int
+    source_dim: int
+    target_dim: int
+    matrix: Matrix = field(repr=False)
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, degree: int, source_dim: int, target_dim: int, matrix: Matrix):
-        expected = comb(source_dim, degree) if degree >= 0 else 0
-        if matrix.cols != expected or matrix.rows != target_dim:
+    def __post_init__(self):
+        expected = comb(self.source_dim, self.degree) if self.degree >= 0 else 0
+        if self.matrix.cols != expected or self.matrix.rows != self.target_dim:
             raise DimensionMismatch(
-                f"degree-{degree} cochain on dim {source_dim} needs a "
-                f"{target_dim}x{expected} matrix, got {matrix.rows}x{matrix.cols}"
+                f"degree-{self.degree} cochain on dim {self.source_dim} needs a "
+                f"{self.target_dim}x{expected} matrix, got {self.matrix.rows}x{self.matrix.cols}"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_ints", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
 
     @classmethod
     def zero(cls, degree: int, source_dim: int, target_dim: int) -> "Cochain":
@@ -241,24 +242,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and self.source_dim == other.source_dim
-            and self.target_dim == other.target_dim
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.source_dim, self.target_dim, self.matrix))
-
-    def __repr__(self) -> str:
-        return (
-            f"Cochain(degree={self.degree}, source_dim={self.source_dim}, "
-            f"target_dim={self.target_dim})"
-        )
-
     def vec(self) -> Vector:
         """Flatten column by column (basis tuple by basis tuple)."""
         return self.matrix.transpose().entries
@@ -273,26 +256,23 @@ class Cochain:
         return cls(degree, source_dim, target_dim, Matrix.from_cols(columns, rows=target_dim))
 
 
+@dataclass(frozen=True, slots=True)
 class Bilinear:
     """A full (not necessarily skew) bilinear map source x source -> target.
 
     Columns run over ordered pairs (i, j) with index i * source_dim + j.
     `_ints` holds the integer table `_int_table` builds of the map, on first
-    use; it takes no part in `==` or `hash`.
+    use; it takes no part in `==`, `hash` or `repr`.
     """
 
-    __slots__ = ("source_dim", "target_dim", "matrix", "_ints")
+    source_dim: int
+    target_dim: int
+    matrix: Matrix
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, source_dim: int, target_dim: int, matrix: Matrix):
-        if matrix.cols != source_dim * source_dim or matrix.rows != target_dim:
+    def __post_init__(self):
+        if self.matrix.cols != self.source_dim * self.source_dim or self.matrix.rows != self.target_dim:
             raise DimensionMismatch("bilinear table shape mismatch")
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_ints", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bilinear is immutable")
 
     @classmethod
     def zero(cls, source_dim: int, target_dim: int) -> "Bilinear":
@@ -318,17 +298,6 @@ class Bilinear:
 
     def value_on_basis(self, i: int, j: int) -> Vector:
         return self.matrix.col(i * self.source_dim + j)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Bilinear)
-            and self.source_dim == other.source_dim
-            and self.target_dim == other.target_dim
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source_dim, self.target_dim, self.matrix))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -366,8 +335,8 @@ def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
     matrix's column dicts, a negative one a negated copy of each, and the
     actions of a Representation are brought to the lcm of their scales.  No
     table column is ever written to, so sharing is safe.  The table is kept
-    on the map (its `_ints`) for its lifetime: every map it takes is
-    immutable.
+    on the map (its `_ints`, set once past the frozen dataclass) for its
+    lifetime: every map it takes is immutable.
     """
     if isinstance(op, Matrix):
         return op._table, op._scale, (op.cols,), op.rows
@@ -558,18 +527,17 @@ def term_defect(terms: list) -> Callable[..., Vector]:
     its {output index: integer} values (None or empty when zero): an op on
     slots only looks up that column of its table, a sum of one +1 term is
     that term, and no closure changes a value another returned.  The defect
-    is the root's integer sums over its scale, a dense tuple of Fractions in
-    lowest terms; when every sum is zero it is one zero tuple, made once per
-    compiled identity, so a passing case forms no Fraction.
+    is the root's integer sums over its scale, through `exactlin._quotients`:
+    a dense tuple of Fractions in lowest terms, or, when every sum is zero,
+    one zero tuple made once per compiled identity, so a passing case forms
+    no Fraction.
     """
     value, dim, scale = _program(terms)
     zero = None if dim is None else (ZERO,) * dim
 
     def defect(*case) -> Vector:
         sums = value(case) if value else None
-        if not sums or not any(sums.values()):
-            return zero
-        return tuple(Fraction(sums[k], scale) if sums.get(k) else ZERO for k in range(dim))
+        return _quotients(sums or {}, scale, zero)
 
     return defect
 

@@ -28,7 +28,7 @@ from .liealg import (
     validate_rep,
 )
 from .multilin import Bilinear, Cochain, _partial, ext_basis, tabulate
-from .operators import Operator, TrbSetup, require_trb, trb_setup
+from .operators import Operator, TrbSetup, _closed_setup, require_trb
 from .report import EquationReport, Violation, identity_reports
 
 
@@ -151,9 +151,9 @@ def ns_from_trb(setup: TrbSetup, t: Operator) -> NsLie:
 
 
 def trb_from_ns(ns: NsLie) -> tuple[TrbSetup, Operator]:
-    """The identity map over the adjacent Lie algebra, twisted by vee."""
+    """The identity map over the adjacent Lie algebra, twisted by vee; `adjacent_lie` validates the action."""
     algebra, rep = adjacent_lie(ns)
-    setup = trb_setup(algebra, rep, ns.vee)
+    setup = _closed_setup(algebra, rep, ns.vee)
     ident = Matrix.identity(ns.dim)
     require_trb(setup, ident)
     return setup, ident

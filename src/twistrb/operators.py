@@ -24,7 +24,6 @@ from .errors import (
     NotAdmissible,
     NotCocycle,
     NotDerivation,
-    NotNijenhuis,
     NotSkew,
     NotTwistedRB,
     SingularMatrix,
@@ -41,7 +40,6 @@ from .liealg import (
     derivation_check,
     is_two_cocycle,
     lie_algebra_from_cochain,
-    nijenhuis_check,
     nilpotency_index,
     validate_rep,
 )
@@ -298,12 +296,10 @@ def setup_from_invertible_cochain(
 def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Operator]:
     """Setup (g_N acting on g by x.y = [Nx,y], H = -N[.,.]) with T = id.
 
-    The representation and cocycle axioms are re-validated; the identity map
-    then passes the twisted Rota-Baxter check.
+    `deformed_bracket` checks that N is a Nijenhuis operator; the
+    representation and cocycle axioms are re-validated once each, and the
+    identity map then passes the twisted Rota-Baxter check.
     """
-    check = nijenhuis_check(algebra, n_op)
-    if not check:
-        raise NotNijenhuis(check.violation.describe())
     g_n = deformed_bracket(algebra, n_op)
     dim, c = algebra.dim, algebra.bracket
     # x.y = [Nx, y] and H(x, y) = -N[x, y]
@@ -312,7 +308,7 @@ def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Op
     if isinstance(rep, Violation):
         raise InvalidStructure(f"Nijenhuis action is not a representation: {rep.describe()}")
     cocycle = Cochain(2, dim, dim, tabulate([(-1, (n_op, (c, 0, 1)))], ext_basis(dim, 2), dim))
-    setup = trb_setup(g_n, rep, cocycle)
+    setup = _closed_setup(g_n, rep, cocycle)
     t = Matrix.identity(dim)
     require_trb(setup, t)
     return setup, t

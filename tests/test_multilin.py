@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,14 +8,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistrb.errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
-from twistrb.exactlin import permutation_sign
+from twistrb.exactlin import Matrix, permutation_sign
+from twistrb.liealg import Representation, lie_algebra
 from twistrb.multilin import (
     Bilinear,
     Cochain,
+    _int_table,
     ext_basis,
     iter_unshuffles,
     sort_with_sign,
 )
+
+# each builds a fresh map of one structure-map type from the same entries on every call
+FRESH = {
+    "Matrix": lambda: Matrix.from_rows([[1, Fraction(1, 2)], [0, -3]]),
+    "Cochain": lambda: Cochain.from_values(2, 3, 2, {(0, 1): (1, 0), (1, 2): (Fraction(2, 3), -1)}),
+    "Bilinear": lambda: Bilinear.from_values(2, 2, {(0, 1): (1, Fraction(1, 2)), (1, 0): (0, 4)}),
+    "LieAlgebra": lambda: lie_algebra(2, {(0, 1): (0, Fraction(1, 2))}),
+    "Representation": lambda: Representation(2, (Matrix.identity(2), Matrix.from_rows([[0, Fraction(1, 3)], [0, 0]]))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRESH))
+def test_structure_maps_are_immutable_values(kind):
+    """No field can be assigned or deleted and no attribute added; a map whose integer table is built
+    still equals, hashes and prints like a fresh copy; a Cochain prints its shape only."""
+    value = FRESH[kind]()
+    assert type(value).__name__ == kind
+    for name in [f.name for f in dataclasses.fields(value)]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    # CPython's frozen `__setattr__` for a slotted class raises TypeError, not AttributeError, on a
+    # name that is not a field (its `super(cls, self)` names the class before slots were added)
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = None
+    assert not hasattr(value, "extra")
+    table_owner = value.bracket if kind == "LieAlgebra" else value
+    _int_table(table_owner)
+    assert kind == "Matrix" or table_owner._ints is not None
+    fresh = FRESH[kind]()
+    assert value is not fresh
+    assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
+    if kind == "Cochain":
+        assert repr(value) == "Cochain(degree=2, source_dim=3, target_dim=2)"
 
 
 def test_ext_basis_is_lexicographic():

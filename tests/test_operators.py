@@ -1,12 +1,15 @@
 import random
+import re
+from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from oracles import act_basis, bracket_basis, bracket_dense, ce_differential_alternating, ce_differential_unit_vectors, vec_add
-from twistrb import corpus, liealg, operators, tgcs
-from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotSkew
+from twistrb import corpus, liealg, nslie, operators, tgcs
+from twistrb.errors import InvalidStructure, NotAdmissible, NotCocycle, NotNijenhuis, NotSkew
 from twistrb.exactlin import Matrix
 from twistrb.liealg import (
     Violation,
@@ -367,6 +370,43 @@ def test_coadjoint_checks_validate_the_action_once(check, algebras):
         else:
             tgcs.lie_tgcs_check(g, psi, tgcs.LieGcsTriple(Matrix.zero(3, 3), r, r))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "construction, expected",
+    [("nijenhuis_trb_setup", {"nijenhuis_check": 1, "validate_rep": 1}), ("trb_from_ns", {"validate_rep": 1})],
+)
+def test_setup_constructions_run_each_check_once(construction, expected, algebras):
+    """`nijenhuis_trb_setup` checks the Nijenhuis identity once, inside `deformed_bracket`, and each
+    construction validates its action once and builds the setup from the representation it validated."""
+    g, n_op = algebras["affine"], Matrix.from_rows([[2, 0], [0, 3]])
+    ns = nslie.ns_from_nijenhuis(g, n_op)
+    calls = Counter()
+    with ExitStack() as stack:
+        for name in ("nijenhuis_check", "validate_rep"):
+
+            def counted(*args, name=name, real=getattr(liealg, name)):
+                calls[name] += 1
+                return real(*args)
+
+            for module in (liealg, operators, nslie):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name, counted))
+        if construction == "nijenhuis_trb_setup":
+            setup, t = nijenhuis_trb_setup(g, n_op)
+        else:
+            setup, t = nslie.trb_from_ns(ns)
+    assert check_trb(setup, t).ok
+    assert calls == expected
+
+
+def test_nijenhuis_setup_rejects_a_non_nijenhuis_operator_with_its_witness(algebras):
+    sl2 = algebras["sl2"]
+    bad = Matrix.from_rows([[-1, 1, -1], [0, -1, 0], [0, 0, 1]])
+    check = liealg.nijenhuis_check(sl2, bad)
+    assert not check.ok
+    with pytest.raises(NotNijenhuis, match=rf"^{re.escape(check.violation.describe())}$"):
+        nijenhuis_trb_setup(sl2, bad)
 
 
 @pytest.mark.parametrize("seed", range(4))
