@@ -438,7 +438,8 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on the first call and kept for the process.
+    """The parser `main` uses, built on the first call and kept for the process;
+    `_parse_args` reads argv with it, mostly through its sub-parsers.
 
     Parsing leaves no state on the parser: each call gets a fresh namespace
     filled from the declared defaults.
@@ -449,9 +450,35 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as `_parser().parse_args` parses it, in one pass when it names a command.
+
+    The full parser hands the arguments after the command to the command's
+    sub-parser, so calling that sub-parser directly parses, prints and exits
+    as it would.  The full parser runs only when argv names no command or
+    the sub-parser leaves arguments unconsumed: it stays the one source of
+    the top-level usage text.
+    """
+    parser = _parser()
+    # argparse keeps the sub-parsers on its one sub-parsers action, with no public accessor
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run the command argv names (`sys.argv[1:]` by default) and return its exit code.
+
+    argv is parsed once, by the command's own sub-parser (`_parse_args`);
+    usage errors and help exit as argparse makes them, with 2 or 0.
+    """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0

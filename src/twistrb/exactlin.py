@@ -199,6 +199,10 @@ class Matrix:
         columns = frozenset((j, frozenset(column.items())) for j, column in self._table.items())
         return hash((self.rows, self.cols, self._scale, columns))
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the matrix from its table, as `_from_table` builds every Matrix."""
+        return _from_table, (self.rows, self.cols, self._table, self._scale)
+
     def __repr__(self) -> str:
         body = "; ".join(
             " ".join(scalar_str(x) for x in self.row(i)) for i in range(self.rows)
@@ -369,9 +373,15 @@ def _from_table(rows: int, cols: int, table: dict[int, dict[int, int]], scale: i
         scale //= content
         table = {j: {k: x // content for k, x in column.items()} for j, column in table.items()}
     m = object.__new__(Matrix)
-    for name, value in zip(Matrix.__slots__, (rows, cols, scale, table)):
-        object.__setattr__(m, name, value)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_scale(m, scale)
+    _set_table(m, table)
     return m
+
+
+# the slot descriptors' setters, which write a field of the frozen Matrix without its __setattr__
+_set_rows, _set_cols, _set_scale, _set_table = (getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 def _nonzero_scalars(values: Iterable[ScalarLike]) -> dict[int, int | Fraction]:
@@ -390,9 +400,9 @@ def _nonzero_scalars(values: Iterable[ScalarLike]) -> dict[int, int | Fraction]:
             continue
         if type(x) is not Fraction:
             x = scalar(x)
-        n = x.numerator
+        n, d = x.as_integer_ratio()
         if n:
-            column[i] = n if x.denominator == 1 else x
+            column[i] = n if d == 1 else x
     return column
 
 
@@ -401,19 +411,27 @@ def _from_scalars(rows: int, cols: int, table: dict[int, dict[int, int | Fractio
 
     An all-int table goes to `_from_table` as it is, over scale 1, so it is
     shared, not copied; otherwise the scale is the lcm of the Fractions'
-    denominators and every entry is brought to it.  This is the one
-    constructor from exact scalars: `Matrix(...)`, the instance parser,
-    `Cochain.from_values`, `Bilinear.from_values` and `liealg.bracket_cochain`
-    all build their table and end here.
+    denominators and every entry is brought to it, each Fraction's numerator
+    and denominator read once.  This is the one constructor from exact
+    scalars: `Matrix(...)`, the instance parser, `Cochain.from_values`,
+    `Bilinear.from_values` and `liealg.bracket_cochain` all build their
+    table and end here.
     """
-    denominators = {x.denominator for column in table.values() for x in column.values() if type(x) is not int}
-    scale = math.lcm(*denominators)
-    if denominators:
-        table = {
-            j: {i: x * scale if type(x) is int else x.numerator * (scale // x.denominator) for i, x in column.items()}
-            for j, column in table.items()
-        }
-    return _from_table(rows, cols, table, scale)
+    ratios = [x.as_integer_ratio() for column in table.values() for x in column.values() if type(x) is not int]
+    if not ratios:
+        return _from_table(rows, cols, table, 1)
+    scale = math.lcm(*{q for _, q in ratios})
+    ratio = iter(ratios)  # each Fraction's (numerator, denominator), in table order
+    scaled = {}
+    for j, column in table.items():
+        out = scaled[j] = {}
+        for i, x in column.items():
+            if type(x) is int:
+                out[i] = x * scale
+            else:
+                p, q = next(ratio)
+                out[i] = p * (scale // q)
+    return _from_table(rows, cols, scaled, scale)
 
 
 def _nonzero(sums: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:

@@ -12,9 +12,11 @@ table (brackets, cochain values, vee, the bilinear maps) is read by
 
 A scalar is read as an int when its value is integral ("-0", "007", "0/5"
 and "4/2" included) and as a Fraction only otherwise; JSON integers stay
-ints, and each distinct scalar string is parsed once per document.  Every
-matrix, cochain value table and bilinear table is built as the table
-{column: {row: nonzero scalar}} of `exactlin._from_scalars`, so an integer
+ints, and each distinct scalar string is parsed once per document.  A list
+whose entries are all remembered strings is read by look-ups alone; any
+other list is checked entry by entry.  Every matrix, cochain value table
+and bilinear table is built as the table {column: {row: nonzero scalar}}
+of `exactlin._from_scalars`, skipping rows of "0" strings, so an integer
 document reaches its integer tables without forming a Fraction.  The
 bracket table and `parse_vector` still hold Fractions.
 """
@@ -30,7 +32,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 from .errors import InvalidStructure
 from .exactlin import Matrix, _from_scalars, scalar_str
-from .multilin import Bilinear, Cochain
+from .multilin import Bilinear, Cochain, _tuple_index
 from .nslie import AssocNs, NsLie
 from .tgcs import LieGcsTriple
 
@@ -92,12 +94,18 @@ def _parse_vector(raw: Sequence, length: int, where: str, seen: dict[str, Parsed
     """The scalars of a list, each an int when its value is integral and a Fraction otherwise,
     remembering in `seen` the value of each scalar string it parses.
 
-    `seen` is keyed by strings only, so a bool, a float or an int never
-    passes for a remembered scalar it equals.  Every entry is checked before
-    any is converted, as in a list read on its own.
+    A list of remembered strings only is read by look-ups in `seen`, in C;
+    any other list is checked entry by entry.  `seen` is keyed by strings
+    only, so a bool, a float or an int never passes for a remembered scalar
+    it equals.  Every entry is checked before any is converted, as in a list
+    read on its own.
     """
     if not isinstance(raw, list) or len(raw) != length:
         raise InvalidStructure(f"{where}: expected a list of {length} scalars")
+    try:
+        return tuple(map(seen.__getitem__, raw))
+    except (KeyError, TypeError):  # an entry that is not a remembered string, or is unhashable
+        pass
     new = {}
     for x in raw:
         if isinstance(x, str):
@@ -135,7 +143,10 @@ def _parse_matrix(raw: Any, rows: int | None, cols: int | None, where: str, seen
         raise InvalidStructure(f"{where}: expected {cols} columns, got {c}")
     table: dict[int, dict[int, ParsedScalar]] = {}
     for i, row in enumerate(raw):
-        for j, x in enumerate(_parse_vector(row, c, where, seen)):
+        values = _parse_vector(row, c, where, seen)
+        if row.count("0") == c:  # a row of "0" strings adds nothing to the table
+            continue
+        for j, x in enumerate(values):
             if x:
                 if j in table:
                     table[j][i] = x
@@ -168,11 +179,33 @@ def _parse_cochain(
         if field in raw and (not _is_int(raw[field]) or raw[field] != expected):
             raise InvalidStructure(f"{where}: {field} must be {expected}, got {raw[field]}")
     values = _parse_table(raw.get("values", {}), degree, source_dim, target_dim, f"{where}.values", increasing=True, seen=seen)
-    return Cochain.from_values(degree, source_dim, target_dim, values)
+    return _cochain(degree, source_dim, target_dim, values)
+
+
+def _cochain(degree: int, source_dim: int, target_dim: int, values: dict[tuple[int, ...], tuple[ParsedScalar, ...]]) -> Cochain:
+    """The cochain whose value on each basis tuple of an index table `_parse_table` checked is its list."""
+    index = _tuple_index(source_dim, degree)
+    table = _scalar_table(values, index.__getitem__)
+    return Cochain(degree, source_dim, target_dim, _from_scalars(target_dim, len(index), table))
 
 
 def _parse_bilinear(raw: Mapping, dim: int, where: str, seen: dict[str, ParsedScalar]) -> Bilinear:
-    return Bilinear.from_values(dim, dim, _parse_table(raw, 2, dim, dim, where, increasing=False, seen=seen))
+    values = _parse_table(raw, 2, dim, dim, where, increasing=False, seen=seen)
+    table = _scalar_table(values, lambda t: t[0] * dim + t[1])
+    return Bilinear(dim, dim, _from_scalars(dim, dim * dim, table))
+
+
+def _scalar_table(
+    values: dict[tuple[int, ...], tuple[ParsedScalar, ...]], column: Callable[[tuple[int, ...]], int]
+) -> dict[int, dict[int, ParsedScalar]]:
+    """The table {column: {row: nonzero scalar}} of `exactlin._from_scalars` of an index table
+    `_parse_table` has checked, each value the column `column` names of its index tuple."""
+    table = {}
+    for t, vec in values.items():
+        nonzero = {i: x for i, x in enumerate(vec) if x}
+        if nonzero:
+            table[column(t)] = nonzero
+    return table
 
 
 @dataclass(frozen=True)
@@ -267,7 +300,7 @@ def parse_instance(data: Mapping) -> InstanceDocument:
         ns_dim = _positive_int(ns.get("dim"), "ns_lie.dim")
         circ = _parse_bilinear(ns.get("circ", {}), ns_dim, "ns_lie.circ", seen)
         vee = _parse_table(ns.get("vee", {}), 2, ns_dim, ns_dim, "ns_lie.vee", increasing=True, seen=seen)
-        fields["ns"] = NsLie(ns_dim, circ, Cochain.from_values(2, ns_dim, ns_dim, vee))
+        fields["ns"] = NsLie(ns_dim, circ, _cochain(2, ns_dim, ns_dim, vee))
 
     assoc = _section(data, "assoc_ns")
     if assoc is not None:

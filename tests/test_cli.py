@@ -773,3 +773,56 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     )]
     assert codes == [0, 2, 0, 0, 2]
     assert len(built) == 1
+
+
+# -- one parse of argv: a command's arguments go straight to its sub-parser --------
+
+ZERO_2x2 = "[[0,0],[0,0]]"
+DISPATCH_ARGVS = [
+    # every command with valid arguments
+    ["validate", AFFINE],
+    ["ce-cohomology", SL2, "--nmax", "1"],
+    ["check-trb", SL2],
+    ["check-mc", SL2, "--json", "--seed", "3"],
+    ["cohomology-of-t", HEIS, "--nmax", "1"],
+    ["check-reynolds", SL2],
+    ["reynolds-from-derivation", HEIS],
+    ["witt-report", "--nmax", "2"],
+    ["check-r-matrix", str(INSTANCES / "abelian3_twisted_rmatrix.json")],
+    ["check-ns", str(INSTANCES / "abelian2_ns_lie_gcs.json")],
+    ["ns-from", "nijenhuis", AFFINE],
+    ["ns-from", "assoc", str(INSTANCES / "assoc_upper_triangular.json")],
+    ["ns-from", "trb", AFFINE],
+    ["trb-from-ns", str(INSTANCES / "abelian2_ns_lie_gcs.json")],
+    ["deform-check", AFFINE],
+    ["nijenhuis-element", AFFINE, "--x", "1/2,-2/3"],
+    ["rigidity-probe", AFFINE, "--grid", "1"],
+    ["check-tgcs", str(INSTANCES / "dim1_gcs.json")],
+    ["lie-tgcs", str(INSTANCES / "abelian2_ns_lie_gcs.json")],
+    ["gauge", AFFINE, "--b", ZERO_2x2],
+    ["shift", AFFINE, "--h", ZERO_2x2],
+    # usage errors, help and the spellings argparse accepts
+    ["no-such-command", SL2],
+    [],
+    ["-h"],
+    ["check-trb", "-h"],
+    ["check-trb", SL2, "extra"],
+    ["ce-cohomology", SL2, "--nmax", "-1"],
+    ["deform-check", AFFINE, "--order=3"],
+    ["check-trb", SL2, "--js"],
+    ["check-trb", "--", SL2],
+    ["check-trb"],
+    ["witt-report", "--nmax"],
+    ["ns-from", "bogus", SL2],
+    ["check-trb", SL2, "--no-such-flag", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[" ".join(Path(a).name for a in argv) or "empty" for argv in DISPATCH_ARGVS])
+def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
+    """Exit code, stdout and stderr equal those of a route that always parses with the full parser."""
+    from twistrb import cli
+
+    got = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == run_cli(argv, capsys)

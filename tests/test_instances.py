@@ -181,6 +181,81 @@ def test_each_load_parses_each_distinct_string_once_and_shares_nothing(tmp_path,
     assert first == second
 
 
+# -- a list of remembered strings is read by look-ups alone ---------------------------
+
+# entries that are no remembered string: bools, floats, unhashable values and bad strings
+STRANGERS = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.sampled_from([[], ["1"], {}, None, "1.5", " 1", "1/0", "", "x", "1/-2"]),
+)
+# the pool's strings drawn twice as often, so lists made only of remembered strings are common
+ENTRIES = st.one_of(st.sampled_from(POOL), st.sampled_from(POOL[:10]), STRANGERS)
+
+
+def read(raw, length, seen=None):
+    """`_parse_vector` with the memo `seen` (or a fresh one): its values, or the text of its refusal."""
+    try:
+        return instances._parse_vector(raw, length, "v", {} if seen is None else seen)
+    except InvalidStructure as exc:
+        return str(exc)
+
+
+def read_alone(raw, length):
+    """`parse_vector` on the list alone: its Fractions, or the text of its refusal."""
+    try:
+        return parse_vector(raw, length, "v")
+    except InvalidStructure as exc:
+        return str(exc)
+
+
+def assert_read_as_alone(raw, length, seen):
+    shared, fresh = read(raw, length, seen), read(raw, length)
+    assert shared == fresh and [type(x) for x in shared] == [type(x) for x in fresh]
+    alone = read_alone(raw, length)
+    assert (shared if isinstance(shared, str) else instances._as_fractions(shared)) == alone
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(ENTRIES, max_size=4), st.integers(-1, 1)), min_size=1, max_size=8))
+def test_lists_read_through_one_memo_read_as_each_alone(lists):
+    """Lists read in turn through one memo give the values, or the refusal text, of each list read
+    alone, whether every entry is a remembered string or not; `offset` makes some lengths wrong."""
+    seen = {}
+    for raw, offset in lists:
+        assert_read_as_alone(raw, len(raw) + offset, seen)
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        (["1", True], f"v: bad scalar True ({BAD_SCALAR}"),
+        ([True, "1"], f"v: bad scalar True ({BAD_SCALAR}"),
+        (["0", False], f"v: bad scalar False ({BAD_SCALAR}"),
+        (["1", 1.0], f"v: bad scalar 1.0 ({BAD_SCALAR}"),
+        (["1/2", ["1/2"]], f"v: bad scalar ['1/2'] ({BAD_SCALAR}"),
+        (["1", 1], (1, 1)),
+        (["0", 0, "1/2"], (0, 0, Fraction(1, 2))),
+    ],
+    ids=["true-after", "true-before", "false", "float", "list", "int", "ints-and-half"],
+)
+def test_remembered_strings_beside_a_bool_or_an_int_read_as_today(raw, expected):
+    """A bool, a float or a list is refused and an int read as itself, whatever its neighbours."""
+    seen = {}
+    instances._parse_vector(["0", "1", "1/2"], 3, "earlier", seen)
+    assert read(raw, len(raw), seen) == expected
+    assert_read_as_alone(raw, len(raw), seen)
+
+
+def test_remembered_strings_beside_a_long_digit_string_still_fail():
+    """A list of remembered strings and one past the int-string digit limit is refused as alone."""
+    seen = {}
+    instances._parse_vector(["0", "1", "-1/2"], 3, "earlier", seen)
+    raw = ["0", "1", "-1/2", LONG]
+    assert read(raw, 4, seen) == read_alone(raw, 4) == "v: a scalar has more digits than Python converts"
+    assert LONG not in seen
+
+
 # -- every route to a table of exact scalars stores the table of their Fractions -------
 
 # Python values a library caller may give: the pool's spellings, ints and Fractions

@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 
 from twistrb.errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
 from twistrb.exactlin import Matrix, permutation_sign
-from twistrb.liealg import Representation, lie_algebra
+from twistrb.instances import load_instance
+from twistrb.liealg import Representation, lie_algebra, validate_lie, validate_rep
 from twistrb.multilin import (
     Bilinear,
     Cochain,
@@ -18,6 +22,9 @@ from twistrb.multilin import (
     iter_unshuffles,
     sort_with_sign,
 )
+from twistrb.operators import check_trb, trb_setup
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 # each builds a fresh map of one structure-map type from the same entries on every call
 FRESH = {
@@ -53,6 +60,31 @@ def test_structure_maps_are_immutable_values(kind):
     assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
     if kind == "Cochain":
         assert repr(value) == "Cochain(degree=2, source_dim=3, target_dim=2)"
+
+
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("name", ["affine_hinv", "heisenberg_failing_checks"])
+def test_structure_maps_survive_copies_and_pickles(route, name):
+    """A Matrix, a Cochain whose integer table is built, a LieAlgebra, a Representation and a TrbSetup
+    come back equal, and check_trb on the copied setup and operator gives the same report."""
+    doc = load_instance(str(INSTANCES / f"{name}.json"))
+    algebra = validate_lie(doc.lie_dim, doc.brackets)
+    setup = trb_setup(algebra, validate_rep(algebra, doc.module_dim, doc.action), doc.cocycle_h)
+    t = doc.operator_t
+    report = check_trb(setup, t)
+    cochain = FRESH["Cochain"]()
+    _int_table(cochain)
+    assert cochain._ints is not None and setup.cocycle._ints is not None
+    values = [FRESH["Matrix"](), t, cochain, setup.cocycle, algebra, setup.rep, setup]
+    back = [ROUND_TRIPS[route](value) for value in values]
+    for before, after in zip(values, back):
+        assert after is not before and type(after) is type(before)
+        assert after == before and hash(after) == hash(before)
+    assert check_trb(back[-1], back[1]) == report
+    assert report.ok == (name == "affine_hinv")
 
 
 def test_ext_basis_is_lexicographic():
