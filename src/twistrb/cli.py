@@ -16,7 +16,7 @@ from typing import Any
 
 from . import deform as deform_mod
 from . import linfty, nslie, tgcs
-from .errors import InternalInconsistency, InvalidStructure, NotTwistedRB, ToolkitError
+from .errors import InternalInconsistency, InvalidStructure, NotCocycle, NotTwistedRB, ToolkitError
 from .exactlin import Matrix, scalar_str
 from .instances import (
     InstanceDocument,
@@ -42,6 +42,7 @@ from .liealg import (
 from .multilin import Cochain
 from .operators import (
     TrbSetup,
+    _closed_setup,
     check_trb,
     gauge_transform,
     r_matrix_check,
@@ -96,14 +97,13 @@ def _representation(doc: InstanceDocument, algebra: LieAlgebra) -> Representatio
 
 
 def _setup(doc: InstanceDocument) -> TrbSetup:
-    """The setup, each axiom checked once; the parser already matched the shapes."""
+    """The setup, each axiom checked once; `operators._closed_setup` checks H (zero when absent)."""
     algebra = _algebra(doc)
     rep = _representation(doc, algebra)
-    h = doc.cocycle_h
-    if h is None:
-        h = Cochain.zero(2, algebra.dim, rep.module_dim)
-    _need_pass("cocycle_H", is_two_cocycle(algebra, rep, h))
-    return TrbSetup(algebra, rep, h)
+    try:
+        return _closed_setup(algebra, rep, doc.cocycle_h)
+    except NotCocycle as exc:
+        raise MathFailure("cocycle_H", [str(exc)]) from None
 
 
 def _operator(doc: InstanceDocument):
@@ -111,16 +111,10 @@ def _operator(doc: InstanceDocument):
     return doc.operator_t
 
 
-def _passing_operator(doc: InstanceDocument) -> tuple[TrbSetup, Matrix]:
-    """The setup and the operator, which must pass the twisted Rota-Baxter identity."""
-    setup, t = _setup(doc), _operator(doc)
-    _need_pass("twisted Rota-Baxter identity", check_trb(setup, t))
-    return setup, t
-
-
 def _trb_checked(call, setup: TrbSetup, t: Matrix, *args):
-    """call(setup, t, *args), a library call that runs the job's one check_trb; its
-    NotTwistedRB is the handler's MathFailure."""
+    """call(setup, t, *args), the CLI's one path to a library call that presupposes T passes:
+    its `require_trb` is the job's one operator check, and its NotTwistedRB is the handler's
+    MathFailure.  Handlers read their flags first, so a malformed flag exits 2 whatever T."""
     try:
         return call(setup, t, *args)
     except NotTwistedRB as exc:
@@ -296,7 +290,6 @@ def cmd_deform_check(doc, args):
     t = _operator(doc)
     doc.require("deformation")
     _need_pass("twisted Rota-Baxter identity (base)", check_trb(setup, t))
-    # the coefficients were shape-checked on parsing
     d = deform_mod.FormalDeformation(setup, t, doc.deformation)
     defects = deform_mod.deformation_equation_defects(d, up_to=args.order)
     verdicts = [dd.is_zero() for dd in defects]
@@ -305,9 +298,9 @@ def cmd_deform_check(doc, args):
 
 
 def cmd_nijenhuis_element(doc, args):
-    setup, t = _passing_operator(doc)
+    setup, t = _setup(doc), _operator(doc)
     x = parse_vector([p.strip() for p in args.x.split(",")], setup.dim, "--x")
-    return _equations(deform_mod.nijenhuis_element_check(setup, t, x))
+    return _equations(_trb_checked(deform_mod.nijenhuis_element_check, setup, t, x))
 
 
 def cmd_rigidity_probe(doc, args):
@@ -348,15 +341,15 @@ def cmd_lie_tgcs(doc, args):
 
 
 def cmd_gauge(doc, args):
-    setup, t = _passing_operator(doc)
+    setup, t = _setup(doc), _operator(doc)
     b = _parse_matrix_flag(args.b, setup.module_dim, setup.dim, "--b")
-    return _operator_matrix("gauge transform:", gauge_transform(setup, t, b), "transformed operator passes")
+    return _operator_matrix("gauge transform:", _trb_checked(gauge_transform, setup, t, b), "transformed operator passes")
 
 
 def cmd_shift(doc, args):
-    setup, t = _passing_operator(doc)
+    setup, t = _setup(doc), _operator(doc)
     h = _parse_matrix_flag(args.h, setup.module_dim, setup.dim, "--h")
-    shifted, t_new = shift_by_coboundary(setup, t, h)
+    shifted, t_new = _trb_checked(shift_by_coboundary, setup, t, h)
     twist = cochain_json(shifted.cocycle)
     ok, payload, lines = _operator_matrix("shifted operator:", t_new, "shifted operator passes")
     return ok, {"cocycle_H": twist, **payload}, ["shifted twist: " + json.dumps(twist, sort_keys=True), *lines]

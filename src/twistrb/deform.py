@@ -25,11 +25,18 @@ from .report import EquationReport, identity_reports
 
 @dataclass(frozen=True)
 class FormalDeformation:
-    """Base operator plus higher coefficients T_1..T_k (all dim(g) x dim(M))."""
+    """Base operator plus higher coefficients T_1..T_k (all dim(g) x dim(M)), their shapes
+    checked on construction; that the base passes is checked by `formal_deformation`."""
 
     setup: TrbSetup
     base: Operator
     coefficients: tuple[Operator, ...]
+
+    def __post_init__(self):
+        rows, cols = self.setup.operator_shape()
+        for c in self.coefficients:
+            if c.rows != rows or c.cols != cols:
+                raise InvalidStructure("deformation coefficient shape mismatch")
 
     @property
     def order(self) -> int:
@@ -48,17 +55,6 @@ def formal_deformation(
     setup: TrbSetup, base: Operator, coefficients: Sequence[Operator]
 ) -> FormalDeformation:
     require_trb(setup, base)
-    return _deformation(setup, base, coefficients)
-
-
-def _deformation(
-    setup: TrbSetup, base: Operator, coefficients: Sequence[Operator]
-) -> FormalDeformation:
-    """`formal_deformation` for a base operator the caller has already checked."""
-    rows, cols = setup.operator_shape()
-    for c in coefficients:
-        if c.rows != rows or c.cols != cols:
-            raise InvalidStructure("deformation coefficient shape mismatch")
     return FormalDeformation(setup, base, tuple(coefficients))
 
 
@@ -81,7 +77,7 @@ def infinitesimal_is_cocycle(setup: TrbSetup, t: Operator, t1: Operator) -> bool
     """d_T(T_1) = 0; agrees with the vanishing of the order-1 defect."""
     require_trb(setup, t)
     closed = d_t_unchecked(setup, t, operator_element(setup, t1)).is_zero()
-    order1 = deformation_equation_defects(_deformation(setup, t, [t1]))[0].is_zero()
+    order1 = deformation_equation_defects(FormalDeformation(setup, t, (t1,)))[0].is_zero()
     if closed != order1:
         raise InternalInconsistency("cocycle route disagrees with order-1 defect")
     return closed

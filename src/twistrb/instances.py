@@ -16,9 +16,10 @@ ints, and each distinct scalar string is parsed once per document.  A list
 whose entries are all remembered strings is read by look-ups alone; any
 other list is checked entry by entry.  Every matrix, cochain value table
 and bilinear table is built as the table {column: {row: nonzero scalar}}
-of `exactlin._from_scalars`, skipping rows of "0" strings, so an integer
-document reaches its integer tables without forming a Fraction.  The
-bracket table and `parse_vector` still hold Fractions.
+of `exactlin._from_scalars`, skipping rows of "0" strings, and the bracket
+table keeps the parsed scalars, so an integer document reaches its integer
+tables without forming a Fraction.  The public `parse_vector` returns
+Fractions.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from .errors import InvalidStructure
-from .exactlin import Matrix, _from_scalars, scalar_str
+from .exactlin import Matrix, Vector, _from_scalars, scalar_str, vector
 from .multilin import Bilinear, Cochain, _tuple_index
 from .nslie import AssocNs, NsLie
 from .tgcs import LieGcsTriple
@@ -80,14 +81,9 @@ def _parse_key(key: str, arity: int, dim: int, where: str) -> tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
-def parse_vector(raw: Sequence, length: int, where: str) -> tuple[Fraction, ...]:
+def parse_vector(raw: Sequence, length: int, where: str) -> Vector:
     """A list of exact scalars: integers, or strings "p" or "p/q" with q > 0, as Fractions."""
-    return _as_fractions(_parse_vector(raw, length, where, {}))
-
-
-def _as_fractions(values: Sequence[ParsedScalar]) -> tuple[Fraction, ...]:
-    """Parsed scalars as Fractions, the type `parse_vector` returns and the bracket table holds."""
-    return tuple([Fraction(x) if type(x) is int else x for x in values])
+    return vector(_parse_vector(raw, length, where, {}))
 
 
 def _parse_vector(raw: Sequence, length: int, where: str, seen: dict[str, ParsedScalar]) -> tuple[ParsedScalar, ...]:
@@ -213,7 +209,7 @@ class InstanceDocument:
     """Parsed optional sections of one instance file."""
 
     lie_dim: int | None = None
-    brackets: dict | None = None
+    brackets: dict[tuple[int, ...], tuple[ParsedScalar, ...]] | None = None  # the parsed scalars
     module_dim: int | None = None
     action: tuple[Matrix, ...] | None = None
     cocycle_h: Cochain | None = None
@@ -258,8 +254,8 @@ def parse_instance(data: Mapping) -> InstanceDocument:
     if lie is not None:
         dim = _positive_int(lie.get("dim"), "lie_algebra.dim")
         fields["lie_dim"] = dim
-        brackets = _parse_table(lie.get("brackets", {}), 2, dim, dim, "lie_algebra.brackets", increasing=False, seen=seen)
-        fields["brackets"] = {t: _as_fractions(v) for t, v in brackets.items()}
+        raw_brackets = lie.get("brackets", {})
+        fields["brackets"] = _parse_table(raw_brackets, 2, dim, dim, "lie_algebra.brackets", increasing=False, seen=seen)
 
     mod = _section(data, "module")
     m_dim = None

@@ -243,7 +243,7 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
     The transport identity (id + B.T)[u,v]_T = [(id+B.T)u, (id+B.T)v]_{T_B}
     is checked on all basis pairs before returning.
     """
-    _check_shape(setup, t)
+    require_trb(setup, t)
     if b.rows != setup.module_dim or b.cols != setup.dim:
         raise InvalidStructure("gauge cochain must map g to M")
     if not is_one_cocycle(setup, b):
@@ -254,7 +254,8 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
     except SingularMatrix as exc:
         raise NotAdmissible("id + B.T is singular") from exc
     t_b = t @ inv
-    require_trb(setup, t_b)
+    if not (verdict := check_trb(setup, t_b)):  # T_B passes by the gauge theorem: a failure is a bug
+        raise InternalInconsistency(f"the gauge transform fails: {verdict.violation.describe()}")
     after = induced_bracket_cochain(setup, t_b)
     transport = [(1, (perturbed, bracket_terms(setup, (t,), 0))), (-1, (after, (perturbed, 0), (perturbed, 1)))]
     verdict = first_failure("gauge transport", ext_basis(setup.module_dim, 2), term_defect(transport))
@@ -265,7 +266,7 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
 
 def shift_by_coboundary(setup: TrbSetup, t: Operator, h: Matrix) -> tuple[TrbSetup, Operator]:
     """Move to the (H + delta h)-twisted setup with operator T(id - h.T)^{-1}."""
-    _check_shape(setup, t)
+    require_trb(setup, t)
     if h.rows != setup.module_dim or h.cols != setup.dim:
         raise InvalidStructure("shift cochain must map g to M")
     perturbed = Matrix.identity(setup.module_dim) - h @ t
@@ -274,9 +275,10 @@ def shift_by_coboundary(setup: TrbSetup, t: Operator, h: Matrix) -> tuple[TrbSet
     except SingularMatrix as exc:
         raise NotAdmissible("id - h.T is singular") from exc
     dh = ce_differential_cochain(setup.algebra.bracket, setup.rep, Cochain.from_matrix_map(h))
-    shifted = trb_setup(setup.algebra, setup.rep, setup.cocycle + dh)
+    shifted = _closed_setup(setup.algebra, setup.rep, setup.cocycle + dh)  # the action is checked already
     t_new = t @ inv
-    require_trb(shifted, t_new)
+    if not (verdict := check_trb(shifted, t_new)):  # it passes by the shift theorem: a failure is a bug
+        raise InternalInconsistency(f"the shifted operator fails: {verdict.violation.describe()}")
     return shifted, t_new
 
 

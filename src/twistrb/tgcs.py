@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
@@ -21,10 +20,10 @@ from .multilin import Cochain, _int_table, ext_basis, tabulate, term_defect
 from .operators import (
     Operator,
     TrbSetup,
+    _closed_setup,
     _coadjoint_setup,
     is_scalar_cocycle,
     require_trb,
-    trb_setup,
     twisted_semidirect,
 )
 from .report import EquationReport, first_failure, identity_reports, vanishes
@@ -165,7 +164,7 @@ def opposite(setup: TrbSetup, j: GcsComponents) -> tuple[TrbSetup, GcsComponents
     verdict = tgcs_check_direct(setup, j)
     if not verdict.ok:
         raise NotGcs("input does not pass the direct check")
-    flipped = trb_setup(setup.algebra, setup.rep, -setup.cocycle)
+    flipped = _closed_setup(setup.algebra, setup.rep, -setup.cocycle)
     out = GcsComponents(j.n_map, -j.t_map, -j.sigma, j.s_map)
     if not tgcs_check_direct(flipped, out).ok:
         raise InternalInconsistency("the opposite structure fails the direct definition")
@@ -204,17 +203,8 @@ class LieGcsTriple:
 
 
 def _pairing_matrix(n: int) -> Matrix:
-    """<(x,a),(y,b)> = (a(y) + b(x)) / 2 on g (+) g*."""
-    half = Fraction(1, 2)
-    rows = []
-    for i in range(2 * n):
-        row = [Fraction(0)] * (2 * n)
-        if i < n:
-            row[n + i] = half
-        else:
-            row[i - n] = half
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    """<(x,a),(y,b)> = (a(y) + b(x)) / 2 on g (+) g*: the halves pair each coordinate of g with its dual."""
+    return _from_table(2 * n, 2 * n, {j: {(j + n) % (2 * n): 1} for j in range(2 * n)}, 2)
 
 
 def lie_tgcs_check(algebra: LieAlgebra, psi: Cochain, triple: LieGcsTriple) -> EquationReport:
@@ -235,6 +225,7 @@ def lie_tgcs_check(algebra: LieAlgebra, psi: Cochain, triple: LieGcsTriple) -> E
     j = GcsComponents(triple.n_map, triple.r, triple.sigma, triple.n_map.transpose())
     big = j.block()
     g = _pairing_matrix(n)
-    orth_report = vanishes("orthogonality", big.transpose() @ g @ big - g)
+    orthogonality = [(1, (big.transpose(), (g, (big, 0)))), (-1, (g, 0))]  # J^T G J - G
+    orth_report = vanishes("orthogonality", _product_sum(orthogonality, 2 * n, 2 * n))
     components = tgcs_check_components(setup, j)
     return EquationReport((("orthogonality", orth_report),) + components.equations)

@@ -147,18 +147,23 @@ def test_deform_check(capsys):
     assert "order 1 defect zero: pass" in out
 
 
-def test_deform_check_runs_check_trb_once(monkeypatch, capsys):
-    from twistrb import cli, operators
-
+def counted_calls(monkeypatch, module: str, name: str) -> list:
+    """Record each call of the library function `name` of `module`, through every twistrb module that holds it."""
+    original = getattr(sys.modules[module], name)
     calls = []
-    original = operators.check_trb
 
-    def counted(setup, t):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(setup, t)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "check_trb", counted)
-    monkeypatch.setattr(operators, "check_trb", counted)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("twistrb") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_deform_check_runs_check_trb_once(monkeypatch, capsys):
+    calls = counted_calls(monkeypatch, "twistrb.operators", "check_trb")
     code, _, _ = run_cli(["deform-check", str(INSTANCES / "affine_hinv.json")], capsys)
     assert code == 0
     assert len(calls) == 1
@@ -167,17 +172,7 @@ def test_deform_check_runs_check_trb_once(monkeypatch, capsys):
 @pytest.mark.parametrize("name", ["heisenberg_derivation.json", "heisenberg_failing_checks.json"])
 def test_cohomology_of_t_runs_check_trb_once(name, monkeypatch, capsys):
     """The library call's check is the job's only one, on a passing and on a failing operator."""
-    from twistrb import cli, operators
-
-    calls = []
-    original = operators.check_trb
-
-    def counted(setup, t):
-        calls.append(1)
-        return original(setup, t)
-
-    monkeypatch.setattr(cli, "check_trb", counted)
-    monkeypatch.setattr(operators, "check_trb", counted)
+    calls = counted_calls(monkeypatch, "twistrb.operators", "check_trb")
     code, _, _ = run_cli(["cohomology-of-t", str(INSTANCES / name)], capsys)
     assert code == (0 if name == "heisenberg_derivation.json" else 1)
     assert len(calls) == 1
@@ -186,17 +181,7 @@ def test_cohomology_of_t_runs_check_trb_once(name, monkeypatch, capsys):
 @pytest.mark.parametrize("name", ["affine_hinv.json", "heisenberg_failing_checks.json"])
 def test_rigidity_probe_runs_check_trb_once(name, monkeypatch, capsys):
     """The probe's own check is the job's only one, on a passing and on a failing operator."""
-    from twistrb import cli, operators
-
-    calls = []
-    original = operators.check_trb
-
-    def counted(setup, t):
-        calls.append(1)
-        return original(setup, t)
-
-    monkeypatch.setattr(cli, "check_trb", counted)
-    monkeypatch.setattr(operators, "check_trb", counted)
+    calls = counted_calls(monkeypatch, "twistrb.operators", "check_trb")
     code, out, _ = run_cli(["rigidity-probe", str(INSTANCES / name)], capsys)
     assert code == 1
     assert ("verdict: inconclusive" if name == "affine_hinv.json" else "twisted Rota-Baxter identity: FAIL") in out
@@ -205,19 +190,29 @@ def test_rigidity_probe_runs_check_trb_once(name, monkeypatch, capsys):
 
 def test_check_r_matrix_runs_check_trb_once(monkeypatch, capsys):
     """The verdict's check is not repeated when the dual bracket is built."""
-    from twistrb import operators
-
-    calls = []
-    original = operators.check_trb
-
-    def counted(setup, t):
-        calls.append(1)
-        return original(setup, t)
-
-    monkeypatch.setattr(operators, "check_trb", counted)
+    calls = counted_calls(monkeypatch, "twistrb.operators", "check_trb")
     code, _, _ = run_cli(["check-r-matrix", str(INSTANCES / "abelian3_twisted_rmatrix.json")], capsys)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, count",
+    [
+        (["nijenhuis-element", "--x", "0,0"], "twistrb.operators", "check_trb", 1),
+        (["gauge", "--b", "[[0,0],[0,0]]"], "twistrb.operators", "check_trb", 2),
+        (["shift", "--h", "[[0,0],[0,0]]"], "twistrb.liealg", "validate_rep", 1),
+    ],
+    ids=["nijenhuis-element-check_trb", "gauge-check_trb", "shift-validate_rep"],
+)
+def test_operator_commands_check_each_hypothesis_once(argv, module, name, count, monkeypatch, capsys):
+    """The library function's own check is the job's only one.  `gauge` checks T and the transformed
+    operator once each; `shift` validates the representation once, when the setup is read, and
+    builds the shifted setup without validating it again."""
+    calls = counted_calls(monkeypatch, module, name)
+    code, _, _ = run_cli(argv[:1] + [str(INSTANCES / "affine_hinv.json")] + argv[1:], capsys)
+    assert code == 0
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("path", ["x.json", str(INSTANCES / "sl2_reynolds.json")])
@@ -268,6 +263,25 @@ def test_gauge_and_shift(capsys):
     assert json.loads(out)["operator"] == [["1", "-1"], ["0", "1"]]
     code, out, _ = run_cli(["shift", path, "--h", "[[0,0],[0,0]]", "--json"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "brackets, witness",
+    [
+        ({"[2,1]": ["0", "-1"]}, None),
+        ({"[1,2]": ["0", "1"], "[2,1]": ["0", "-1"], "[2,2]": ["0", "0"]}, None),
+        ({"[1,2]": ["0", "1"], "[2,1]": ["0", "1"]}, "skewness fails at (1,2): defect (0, 2)"),
+        ({"[1,1]": ["0", "1"]}, "skewness (diagonal) fails at (1,1): defect (0, 1)"),
+    ],
+    ids=["reversed-alone", "both-orders-and-zero-diagonal", "reversed-not-negated", "nonzero-diagonal"],
+)
+def test_bracket_keys_in_either_order_are_checked(brackets, witness, tmp_path, capsys):
+    """A [j,i] key stands for the negated [i,j] and must agree with it; an [i,i] key must be zero."""
+    path = tmp_path / "brackets.json"
+    path.write_text(json.dumps({"lie_algebra": {"dim": 2, "brackets": brackets}}))
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == (0 if witness is None else 1)
+    assert out.splitlines()[-1] == ("lie_algebra: pass" if witness is None else witness)
 
 
 def test_validate_fail_exit_one(tmp_path, capsys):
@@ -468,6 +482,46 @@ def with_values(doc, *changes):
             node = node[key]
         node[path[-1]] = value
     return doc
+
+
+# affine_hinv.json with an operator that fails the twisted Rota-Baxter identity
+FAILING_T_DOC = with_values(AFFINE_DOC, (("operator_T",), [["2", "0"], ["0", "2"]]))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nijenhuis-element", "--x", "0,x"], "error: --x: bad scalar 'x'"),
+        (["gauge", "--b", "[[0,0]]"], "error: --b: expected 2 rows, got 1"),
+        (["shift", "--h", "[[0,0],[0,0],[0,0]]"], "error: --h: expected 2 rows, got 3"),
+    ],
+    ids=["nijenhuis-element", "gauge", "shift"],
+)
+def test_a_malformed_flag_exits_two_before_the_operator_check(argv, message, tmp_path, capsys):
+    """Flags are read before the operator check: a failing T with a malformed flag exits 2 naming the
+    flag; with a well-formed flag the same document exits 1 naming the identity."""
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(FAILING_T_DOC))
+    code, out, err = run_cli(argv[:1] + [str(path)] + argv[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+    well_formed = {"--x": "0,0", "--b": "[[0,0],[0,0]]", "--h": "[[0,0],[0,0]]"}[argv[1]]
+    code, out, err = run_cli([argv[0], str(path), argv[1], well_formed], capsys)
+    assert (code, err) == (1, "")
+    assert "twisted Rota-Baxter identity: FAIL\ntwisted Rota-Baxter fails at (1,2): defect (-8, 4)\n" in out
+
+
+def test_deform_check_reports_a_failing_base(tmp_path, capsys):
+    """A base operator that fails the identity is reported under its own label, with the witness."""
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(FAILING_T_DOC))
+    code, out, err = run_cli(["deform-check", str(path)], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        "verdict: fail",
+        "twisted Rota-Baxter identity (base): FAIL",
+        "twisted Rota-Baxter fails at (1,2): defect (-8, 4)",
+    ]
 
 
 BAD_SCALAR = 'expected an integer or "p/q")'
@@ -675,6 +729,23 @@ def test_internal_inconsistency_exit_three(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("argv", [["gauge", "--b", "[[0,0],[0,0]]"], ["shift", "--h", "[[0,0],[0,0]]"]], ids=["gauge", "shift"])
+def test_a_constructed_operator_that_fails_is_an_internal_error(argv, monkeypatch, capsys):
+    """The new operator of `gauge` and `shift` passes by a theorem: its failing check exits 3, not as T's failure."""
+    from twistrb import operators
+
+    original, checked = operators.check_trb, []
+
+    def second_fails(setup, t):
+        checked.append(t)
+        return failed("twisted Rota-Baxter", (0, 1), (1, 0)) if len(checked) == 2 else original(setup, t)
+
+    monkeypatch.setattr(operators, "check_trb", second_fails)
+    code, out, err = run_cli(argv[:1] + [str(INSTANCES / "affine_hinv.json")] + argv[1:], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: the ") and "fails: twisted Rota-Baxter fails at (1,2): defect (1, 0)" in err
 
 
 def test_library_has_no_assert_statements():

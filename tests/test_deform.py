@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from oracles import act_basis, act_dense, act_on_basis_dense, bracket_dense, vec_add
 from twistrb import corpus, deform, operators
 from twistrb.deform import (
@@ -12,6 +14,7 @@ from twistrb.deform import (
     nijenhuis_element_check,
     rigidity_probe,
 )
+from twistrb.errors import InvalidStructure
 from twistrb.exactlin import Matrix
 from twistrb.liealg import Representation, abelian, adjoint_rep, trivial_rep, validate_rep
 from twistrb.linfty import d_t_unchecked, operator_element
@@ -42,6 +45,18 @@ def test_trb_terms_vanish_past_three_k(rng, trb_corpus):
             ts = (t, *(corpus.random_operator(rng, setup) for _ in range(k)))
             assert operators.trb_terms(setup, ts, 3 * k), name
             assert all(operators.trb_terms(setup, ts, n) == [] for n in range(3 * k + 1, 3 * k + 5)), name
+
+
+def test_formal_deformation_rejects_a_wrong_shaped_coefficient(trb_corpus):
+    """The constructor checks every coefficient's shape, whichever route builds the deformation."""
+    _, setup, t = trb_corpus[0]
+    good = Matrix.zero(setup.dim, setup.module_dim)
+    for bad in (Matrix.zero(setup.dim + 1, setup.module_dim), Matrix.zero(setup.dim, setup.module_dim + 1)):
+        with pytest.raises(InvalidStructure, match="deformation coefficient shape mismatch"):
+            deform.FormalDeformation(setup, t, (good, bad))
+        with pytest.raises(InvalidStructure, match="deformation coefficient shape mismatch"):
+            formal_deformation(setup, t, [bad])
+    assert deform.FormalDeformation(setup, t, (good,)).coefficient(1) == good
 
 
 def test_order_one_defect_iff_cocycle(rng, trb_corpus):

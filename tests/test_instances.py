@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import oracles
 from twistrb import cli, instances
 from twistrb.errors import InvalidStructure
-from twistrb.exactlin import Matrix
+from twistrb.exactlin import Matrix, vector
 from twistrb.instances import load_instance, parse_instance, parse_matrix, parse_vector
 from twistrb.multilin import Bilinear, Cochain, ext_basis
 from twistrb.operators import check_trb, r_matrix_check, reynolds_check
@@ -107,7 +107,10 @@ def test_repeated_scalars_equal_a_fresh_parse(values):
     fresh = [tuple(parse_vector([x], 1, "fresh")[0] for x in row) for row in values]
     got = parsed_lists(doc)
     assert got == fresh
-    assert all(type(x) is Fraction for row in got for x in row)
+    # the bracket table keeps the parsed scalars, an int when integral; the maps' rows are Fractions
+    bracket, *rows = got
+    assert [type(x) for x in bracket] == [int if x.denominator == 1 else Fraction for x in fresh[0]]
+    assert all(type(x) is Fraction for row in [*fresh, *rows] for x in row)
 
 
 def test_equal_strings_share_one_value_and_unreduced_ones_reduce():
@@ -213,7 +216,7 @@ def assert_read_as_alone(raw, length, seen):
     shared, fresh = read(raw, length, seen), read(raw, length)
     assert shared == fresh and [type(x) for x in shared] == [type(x) for x in fresh]
     alone = read_alone(raw, length)
-    assert (shared if isinstance(shared, str) else instances._as_fractions(shared)) == alone
+    assert (shared if isinstance(shared, str) else vector(shared)) == alone
 
 
 @settings(max_examples=150, deadline=None)
@@ -351,9 +354,9 @@ PASSING = [
 
 @pytest.mark.parametrize("command, name", PASSING, ids=[f"{c}-{n}" for c, n in PASSING])
 def test_a_passing_integer_instance_forms_no_fraction_after_loading(command, name, capsys):
-    """Scalars of an integer document are read as ints: loading forms Fractions only for the
-    bracket table (whose entries stay Fractions) and tests none for zero, and from the loaded
-    document to the verdict no Fraction is formed or tested for zero."""
+    """Scalars of an integer document are read as ints, the bracket table's included: loading
+    forms no Fraction and tests none for zero, and from the loaded document to the verdict no
+    Fraction is formed or tested for zero."""
     path = INSTANCES / f"{name}.json"
     assert cli.main([command, str(path)]) == 0
     capsys.readouterr()
@@ -370,8 +373,6 @@ def test_a_passing_integer_instance_forms_no_fraction_after_loading(command, nam
 
     with mock.patch.object(Fraction, "__new__", counted("__new__")), mock.patch.object(Fraction, "__bool__", counted("__bool__")):
         doc = load_instance(str(path))
-        brackets = sum(len(v) for v in (doc.brackets or {}).values())
-        assert calls["__new__"] <= brackets and calls["__bool__"] == 0
-        calls.update({"__new__": 0, "__bool__": 0})
+        assert calls == {"__new__": 0, "__bool__": 0}
         assert VERDICTS[command](doc)
     assert calls == {"__new__": 0, "__bool__": 0}
