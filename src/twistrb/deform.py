@@ -18,8 +18,8 @@ from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure
 from .exactlin import Matrix, Vector, vector
 from .liealg import Representation, ce_differential
 from .linfty import d_t_unchecked, induced_structure, operator_element
-from .multilin import Cochain, ext_basis, tabulate
-from .operators import Operator, TrbSetup, induced_action_matrices, require_trb, trb_terms
+from .multilin import Cochain, bind, ext_basis, tabulate
+from .operators import Operator, TrbSetup, _trb_maps, _trb_terms, induced_action_matrices, require_trb
 from .report import EquationReport, identity_reports
 
 
@@ -62,15 +62,21 @@ def deformation_equation_defects(d: FormalDeformation, up_to: int | None = None)
     """Defect 2-cochains for orders 1..k; all zero iff T_t is twisted RB mod t^{k+1}.
 
     The order-n defect is the t^n coefficient of the twisted Rota-Baxter
-    identity (`operators.trb_terms`).  Coefficients beyond the stored order
-    count as zero, so passing a larger `up_to` checks the polynomial
-    deformation at higher orders; past 3k the defects vanish identically.
-    `up_to` defaults to the stored order.
+    identity (`operators.trb_terms`), compiled once per (k + 1, n).
+    Coefficients beyond the stored order count as zero, so passing a larger
+    `up_to` checks the polynomial deformation at higher orders; past 3k the
+    coefficient has no terms, and its defect is the zero cochain, with no
+    program compiled for it.  `up_to` defaults to the stored order.
     """
     s, ts = d.setup, (d.base, *d.coefficients)
-    m = s.module_dim
+    m, maps = s.module_dim, _trb_maps(s, ts)
     orders = range(1, (d.order if up_to is None else up_to) + 1)
-    return [Cochain(2, m, s.dim, tabulate(trb_terms(s, ts, n), ext_basis(m, 2), s.dim)) for n in orders]
+    return [
+        Cochain(2, m, s.dim, tabulate(bind(_trb_terms, (len(ts), n), maps), ext_basis(m, 2), s.dim))
+        if n <= 3 * d.order
+        else Cochain.zero(2, m, s.dim)
+        for n in orders
+    ]
 
 
 def infinitesimal_is_cocycle(setup: TrbSetup, t: Operator, t1: Operator) -> bool:
@@ -91,26 +97,46 @@ def linear_deformation_check(
     return tuple(defect.is_zero() for defect in defects)
 
 
-def _nijenhuis_identities(setup: TrbSetup, t: Operator, x: Vector) -> list[tuple[str, str, list, list]]:
-    """The identities on a fixed x in g shared by Nijenhuis elements and equivalences.
-
-    Each is (name, kind, basis tuples, signed terms).
-    """
-    s = setup
-    if len(x) != s.dim:
-        raise DimensionMismatch(f"x has length {len(x)}, expected {s.dim}")
-    c, rho, h = s.algebra.bracket, s.rep, s.cocycle
-    pairs = ext_basis(s.dim, 2)
-    mixed = list(itertools.product(range(s.dim), range(s.module_dim)))
+def _nijenhuis_terms(maps: tuple, which: int) -> list:
+    """The signed terms of the `which`-th identity of `_NIJENHUIS` over (bracket, rho, H, T, x)."""
+    c, rho, h, t, x = maps
     x_dot_u = [(1, (rho, x, 1)), (1, (h, x, (t, 1)))]  # x.u + H(x,Tu), with u in slot 1
     # x.H(y,z) + H(x, T H(y,z)) = H([x,y], z) + H(y, [x,z])
     twist_1 = [(1, (rho, x, (h, 0, 1))), (1, (h, x, (t, (h, 0, 1)))), (-1, (h, (c, x, 0), 1)), (-1, (h, 0, (c, x, 1)))]
     return [
-        ("lie-hom", "[[x,y],[x,z]] = 0", pairs, [(1, (c, (c, x, 0), (c, x, 1)))]),
-        ("action-pre-1", "H(x,T(y.u)) = y.H(x,Tu)", mixed, [(1, (h, x, (t, (rho, 0, 1)))), (-1, (rho, 0, (h, x, (t, 1))))]),
-        ("action-pre-2", "[x,y].(x.u + H(x,Tu)) = 0", mixed, [(1, (rho, (c, x, 0), x_dot_u))]),
-        ("twist-compat-1", "x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])", pairs, twist_1),
-        ("twist-compat-2", "H([x,y],[x,z]) = 0", pairs, [(1, (h, (c, x, 0), (c, x, 1)))]),
+        [(1, (c, (c, x, 0), (c, x, 1)))],
+        [(1, (h, x, (t, (rho, 0, 1)))), (-1, (rho, 0, (h, x, (t, 1))))],
+        [(1, (rho, (c, x, 0), x_dot_u))],
+        twist_1,
+        [(1, (h, (c, x, 0), (c, x, 1)))],
+    ][which]
+
+
+# (name, kind, whether on the mixed pairs (x in g, u in M) rather than the pairs of g) of each `_nijenhuis_terms`
+_NIJENHUIS = (
+    ("lie-hom", "[[x,y],[x,z]] = 0", False),
+    ("action-pre-1", "H(x,T(y.u)) = y.H(x,Tu)", True),
+    ("action-pre-2", "[x,y].(x.u + H(x,Tu)) = 0", True),
+    ("twist-compat-1", "x.H(y,z)+H(x,TH(y,z)) = H([x,y],z)+H(y,[x,z])", False),
+    ("twist-compat-2", "H([x,y],[x,z]) = 0", False),
+)
+
+
+def _nijenhuis_identities(setup: TrbSetup, t: Operator, x: Vector) -> list[tuple[str, str, list, object]]:
+    """The identities on a fixed x in g shared by Nijenhuis elements and equivalences.
+
+    Each is (name, kind, basis tuples, identity bound to the maps and x); each is compiled once
+    per process, x a parameter like the maps.
+    """
+    s = setup
+    if len(x) != s.dim:
+        raise DimensionMismatch(f"x has length {len(x)}, expected {s.dim}")
+    maps = (s.algebra.bracket, s.rep, s.cocycle, t, x)
+    pairs = ext_basis(s.dim, 2)
+    mixed = list(itertools.product(range(s.dim), range(s.module_dim)))
+    return [
+        (name, kind, mixed if on_mixed else pairs, bind(_nijenhuis_terms, (which,), maps))
+        for which, (name, kind, on_mixed) in enumerate(_NIJENHUIS)
     ]
 
 
@@ -120,6 +146,12 @@ def nijenhuis_element_check(setup: TrbSetup, t: Operator, x: Sequence) -> Equati
     return _nijenhuis_element_report(setup, t, x, Representation(setup.dim, induced_action_matrices(setup, t)))
 
 
+def _bracket_action_terms(maps: tuple) -> list:
+    """[x, u.x] over (bracket, the induced action of M on g, x), with u in slot 0."""
+    c, induced_action, x = maps
+    return [(1, (c, x, (induced_action, 0, x)))]
+
+
 def _nijenhuis_element_report(
     setup: TrbSetup, t: Operator, x: Sequence, induced_action: Representation
 ) -> EquationReport:
@@ -127,9 +159,19 @@ def _nijenhuis_element_report(
     xv = vector(x)
     module_basis = [(a,) for a in range(setup.module_dim)]
     # [x, u.x] = 0 for the induced action of u in M on g
-    bracket_action = [(1, (setup.algebra.bracket, xv, (induced_action, 0, xv)))]
+    bracket_action = bind(_bracket_action_terms, (), (setup.algebra.bracket, induced_action, xv))
     identities = [("bracket-action", "[x, u.x] = 0", module_basis, bracket_action)]
     return EquationReport(identity_reports(identities + _nijenhuis_identities(setup, t, xv)))
+
+
+def _equivalence_terms(maps: tuple, higher: int) -> list:
+    """T_1(u) + [x,Tu] - T(x.u + H(x,Tu)) - T_1'(u), or with `higher` [x,T_1(u)] - T_1'(x.u + H(x,Tu)),
+    over (bracket, rho, H, T, x, T_1, T_1'), with u in slot 0."""
+    c, rho, h, t, x, t1, t1p = maps
+    x_dot_u = [(1, (rho, x, 0)), (1, (h, x, (t, 0)))]
+    if higher:
+        return [(1, (c, x, (t1, 0))), (-1, (t1p, x_dot_u))]
+    return [(1, (t1, 0)), (1, (c, x, (t, 0))), (-1, (t, x_dot_u)), (-1, (t1p, 0))]
 
 
 def equivalence_check(
@@ -143,15 +185,11 @@ def equivalence_check(
     s = setup
     xv = vector(x)
     n, m = s.dim, s.module_dim
-    c = s.algebra.bracket
-    x_dot_u = [(1, (s.rep, xv, 0)), (1, (s.cocycle, xv, (t, 0)))]
+    maps = (s.algebra.bracket, s.rep, s.cocycle, t, xv, t1, t1p)
     module_basis = [(a,) for a in range(m)]
-    # T_1(u) + [x,Tu] = T(x.u + H(x,Tu)) + T_1'(u) and [x,T_1(u)] = T_1'(x.u + H(x,Tu))
-    transport = [(1, (t1, 0)), (1, (c, xv, (t, 0))), (-1, (t, x_dot_u)), (-1, (t1p, 0))]
-    higher = [(1, (c, xv, (t1, 0))), (-1, (t1p, x_dot_u))]
     transports = [
-        ("transport", "T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)", module_basis, transport),
-        ("transport-higher", "[x,T1(u)] = T1'(x.u+H(x,Tu))", module_basis, higher),
+        ("transport", "T1(u)+[x,Tu] = T(x.u+H(x,Tu))+T1'(u)", module_basis, bind(_equivalence_terms, (0,), maps)),
+        ("transport-higher", "[x,T1(u)] = T1'(x.u+H(x,Tu))", module_basis, bind(_equivalence_terms, (1,), maps)),
     ]
     report = EquationReport(identity_reports(_nijenhuis_identities(setup, t, xv) + transports))
     if report.ok:

@@ -17,8 +17,9 @@ bracket's table too (`multilin._partial`, `exactlin._from_table`), with no
 Fraction arithmetic.
 
 delta_CE is stated once per form: on a single cochain as the signed terms
-of `_ce_terms`, and as a matrix by the integer columns of
-`_differential_columns`, which feed the rank and `_from_table` as they are.
+of `_ce_terms`, compiled once per degree (`multilin.bind`), and as a matrix
+by the integer columns of `_differential_columns`, which feed the rank and
+`_from_table` as they are.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .exactlin import (
     _quotients,
     vector,
 )
-from .multilin import Cochain, _int_table, _partial, _tuple_index, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, _partial, _tuple_index, bind, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 
@@ -277,20 +278,28 @@ def _ce_slots(n: int) -> tuple[tuple, tuple]:
     return acts, tuple(((-1) ** (a + b), a, b, tuple(s for s in slots if s not in (a, b))) for a, b in pairs)
 
 
-def _ce_terms(bracket: Cochain, action, f: Cochain) -> list:
+def _ce_terms(maps: tuple, n: int, acting: bool) -> list:
     """delta_CE f as signed terms on the basis (n+1)-tuple in slots 0..n, n the degree of f:
     (-1)^p x_p.f(the others) for each slot p, and (-1)^{a+b} f([x_a,x_b], the others) for a < b.
 
-    `action` is any map (x, u) -> x.u of `multilin.term_defect`: a
-    Representation, the bracket itself for the adjoint module, or None for
-    the trivial module, which has no action terms.
+    `maps` is (bracket, f), then the action when `acting`, with the constant
+    vector of f for n = 0.  The action is any map (x, u) -> x.u of
+    `multilin.term_defect`: a Representation, or the bracket itself for the
+    adjoint module; the trivial module has none, so no action terms.
     """
-    if f.degree == 0:
-        return [] if action is None else [(1, (action, 0, f.matrix.col(0)))]
-    acts, brackets = _ce_slots(f.degree)
-    terms = [] if action is None else [(sign, (action, p, (f,) + rest)) for sign, p, rest in acts]
+    bracket, f = maps[:2]
+    if n == 0:
+        return [(1, (maps[2], 0, f))] if acting else []
+    acts, brackets = _ce_slots(n)
+    terms = [(sign, (maps[2], p, (f,) + rest)) for sign, p, rest in acts] if acting else []
     terms += [(sign, (f, (bracket, a, b)) + rest) for sign, a, b, rest in brackets]
     return terms
+
+
+def _ce_bound(bracket: Cochain, action, f: Cochain):
+    """`_ce_terms` of f, with `action` None for the trivial module, bound to these maps."""
+    maps = (bracket, f.matrix.col(0) if f.degree == 0 else f) + (() if action is None else (action,))
+    return bind(_ce_terms, (f.degree, action is not None), maps)
 
 
 def ce_differential_cochain(bracket: Cochain, rep: Representation, f: Cochain) -> Cochain:
@@ -299,7 +308,7 @@ def ce_differential_cochain(bracket: Cochain, rep: Representation, f: Cochain) -
     Works for any bracket/action data, valid or not: `_ce_terms` on each basis (n+1)-tuple.
     """
     dim, m = bracket.source_dim, rep.module_dim
-    return Cochain(f.degree + 1, dim, m, tabulate(_ce_terms(bracket, rep, f), ext_basis(dim, f.degree + 1), m))
+    return Cochain(f.degree + 1, dim, m, tabulate(_ce_bound(bracket, rep, f), ext_basis(dim, f.degree + 1), m))
 
 
 def ce_differential(algebra: LieAlgebra, rep: Representation, n: int) -> Matrix:
@@ -423,28 +432,46 @@ def is_two_cocycle(algebra: LieAlgebra, rep: Representation, h: Cochain) -> Chec
     delta_CE h(x, y, z) = x.h(y,z) - y.h(x,z) + z.h(x,y) - h([x,y],z) + h([x,z],y) - h([y,z],x),
     the terms of `_ce_terms` on the basis triple in slots 0-2.
     """
-    return first_failure("2-cocycle", ext_basis(algebra.dim, h.degree + 1), term_defect(_ce_terms(algebra.bracket, rep, h)))
+    return first_failure("2-cocycle", ext_basis(algebra.dim, h.degree + 1), term_defect(_ce_bound(algebra.bracket, rep, h)))
 
 
 # -- Nijenhuis operators ------------------------------------------------
 
 
-def _deformed_terms(c: Cochain, n_op: Matrix) -> list:
-    """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as signed terms on the basis pair in slots 0, 1."""
+def _deformed_terms(maps: tuple) -> list:
+    """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as signed terms over (bracket, N) on the basis pair in slots 0, 1."""
+    c, n_op = maps
     return [(1, (c, (n_op, 0), 1)), (1, (c, 0, (n_op, 1))), (-1, (n_op, (c, 0, 1)))]
+
+
+def _nijenhuis_terms(maps: tuple) -> list:
+    """[Nx,Ny] - N[x,y]_N over (bracket, N)."""
+    c, n_op = maps
+    return [(1, (c, (n_op, 0), (n_op, 1))), (-1, (n_op, _deformed_terms(maps)))]
+
+
+def _n_action_terms(maps: tuple) -> list:
+    """x.y = [Nx, y] over (bracket, N): the action of g_N on g, and the circ of its NS-Lie algebra."""
+    c, n_op = maps
+    return [(1, (c, (n_op, 0), 1))]
+
+
+def _n_twist_terms(maps: tuple) -> list:
+    """H(x, y) = -N[x, y] over (bracket, N): the twist of g_N acting on g, and the vee of its NS-Lie algebra."""
+    c, n_op = maps
+    return [(-1, (n_op, (c, 0, 1)))]
 
 
 def nijenhuis_check(algebra: LieAlgebra, n_op: Matrix) -> CheckReport:
     """[Nx,Ny] = N[x,y]_N on basis pairs."""
-    c = algebra.bracket
-    terms = [(1, (c, (n_op, 0), (n_op, 1))), (-1, (n_op, _deformed_terms(c, n_op)))]
-    return first_failure("nijenhuis", ext_basis(algebra.dim, 2), term_defect(terms))
+    defect = term_defect(bind(_nijenhuis_terms, (), (algebra.bracket, n_op)))
+    return first_failure("nijenhuis", ext_basis(algebra.dim, 2), defect)
 
 
 def deformed_bracket_cochain(algebra: LieAlgebra, n_op: Matrix) -> Cochain:
     """[x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as a degree-2 cochain."""
     n = algebra.dim
-    return Cochain(2, n, n, tabulate(_deformed_terms(algebra.bracket, n_op), ext_basis(n, 2), n))
+    return Cochain(2, n, n, tabulate(bind(_deformed_terms, (), (algebra.bracket, n_op)), ext_basis(n, 2), n))
 
 
 def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:
@@ -462,10 +489,16 @@ def deformed_bracket(algebra: LieAlgebra, n_op: Matrix) -> LieAlgebra:
 # -- derivations ---------------------------------------------------------
 
 
+def _derivation_terms(maps: tuple) -> list:
+    """-delta_CE d for the adjoint module, over (bracket, d): the action is the bracket itself."""
+    c, d = maps
+    return [(-1, _ce_terms((c, d, c), 1, True))]
+
+
 def derivation_check(algebra: LieAlgebra, d: Matrix) -> CheckReport:
     """d[x,y] = [dx,y] + [x,dy] on basis pairs: the defect is -delta_CE d for the adjoint module."""
-    terms = [(-1, _ce_terms(algebra.bracket, algebra.bracket, Cochain.from_matrix_map(d)))]
-    return first_failure("derivation", ext_basis(algebra.dim, 2), term_defect(terms))
+    defect = term_defect(bind(_derivation_terms, (), (algebra.bracket, d)))
+    return first_failure("derivation", ext_basis(algebra.dim, 2), defect)
 
 
 def nilpotency_index(d: Matrix) -> int:

@@ -32,7 +32,7 @@ from .liealg import (
     ce_differential,
     ce_differential_cochain,
 )
-from .multilin import Cochain, _int_table, _tuple_index, ext_basis, iter_unshuffles, tabulate
+from .multilin import Cochain, _int_table, _tuple_index, bind, ext_basis, iter_unshuffles, tabulate
 from .operators import (
     Operator,
     TrbSetup,
@@ -67,29 +67,42 @@ def operator_element(setup: TrbSetup, t: Operator) -> Cochain:
 # degree-0 arguments, the six-sum display breaks the higher Jacobi identities.
 
 
-def _insertion_terms(a: Cochain, b: Cochain, sign: int) -> list:
-    """Signed terms of sign * (A o B), where (A o B)(v_*) is the sum over
-    Sh(arity B, arity A - 1) of sgn A(B(...), rest); slot k is v_k."""
-    alpha, beta = a.degree, b.degree
+def _insertion_terms(a, alpha: int, b, beta: int, constant, sign: int) -> list:
+    """Signed terms of sign * (A o B) for A of degree alpha and B of degree beta, where (A o B)(v_*)
+    is the sum over Sh(beta, alpha - 1) of sgn A(B(...), rest); slot k is v_k, and a degree-0 B
+    enters as its constant vector."""
     terms = []
     for word, sgn in iter_unshuffles((beta, alpha - 1)):
-        inner = (b, *word[:beta]) if beta else b.matrix.col(0)
+        inner = (b, *word[:beta]) if beta else constant
         terms.append((sign * sgn, (a, inner, *word[beta:])))
     return terms
 
 
-def _nr_terms(a: Cochain, b: Cochain) -> list:
-    """Signed terms of the graded bracket A o B - (-1)^{|A||B|} B o A of skew maps, where the
-    grading is arity minus one; slot k is v_k."""
-    odd = (a.degree - 1) * (b.degree - 1) % 2
-    return _insertion_terms(a, b, 1) + _insertion_terms(b, a, 1 if odd else -1)
+def _nr_maps(a: Cochain, b: Cochain) -> tuple:
+    """The maps of `_nr_terms`: (A, B, then the constant vector of each of A and B of degree 0, else None)."""
+    return (a, b, *(p.matrix.col(0) if p.degree == 0 else None for p in (a, b)))
+
+
+def _nr_terms(maps: tuple, alpha: int, beta: int) -> list:
+    """Signed terms of the graded bracket A o B - (-1)^{|A||B|} B o A of skew maps over `_nr_maps(A, B)`,
+    A of degree alpha and B of degree beta, where the grading is arity minus one; slot k is v_k."""
+    a, b, a0, b0 = maps
+    odd = (alpha - 1) * (beta - 1) % 2
+    return _insertion_terms(a, alpha, b, beta, b0, 1) + _insertion_terms(b, beta, a, alpha, a0, 1 if odd else -1)
+
+
+def _projected_nr_terms(maps: tuple, alpha: int, beta: int) -> list:
+    """P of the graded bracket of skew maps over (P, *`_nr_maps`(A, B))."""
+    proj, *nr = maps
+    return [(1, (proj, _nr_terms(tuple(nr), alpha, beta)))]
 
 
 def nr_bracket(a: Cochain, b: Cochain) -> Cochain:
     """The graded bracket of skew maps (`_nr_terms`), tabulated on the basis tuples of its arity."""
     big = a.source_dim
     arity = a.degree + b.degree - 1
-    return Cochain(arity, big, big, tabulate(_nr_terms(a, b), ext_basis(big, arity), big))
+    terms = bind(_nr_terms, (a.degree, b.degree), _nr_maps(a, b))
+    return Cochain(arity, big, big, tabulate(terms, ext_basis(big, arity), big))
 
 
 def _embed(setup: TrbSetup, p: Cochain) -> Cochain:
@@ -145,7 +158,8 @@ def _derived(setup: TrbSetup, elements: Sequence[Cochain], head: Cochain | None 
             arity = raw.degree + lifted.degree - 1
             proj = _from_table(n, n + m, {i: {i: 1} for i in range(n)}, 1)
             cases = [tuple(i + n for i in t) for t in ext_basis(m, arity)]
-            out.append(Cochain(arity, m, n, tabulate([(1, (proj, _nr_terms(raw, lifted)))], cases, n)))
+            terms = bind(_projected_nr_terms, (raw.degree, lifted.degree), (proj, *_nr_maps(raw, lifted)))
+            out.append(Cochain(arity, m, n, tabulate(terms, cases, n)))
     return out
 
 

@@ -20,6 +20,15 @@ and so does every derived map of the other modules (ad, the coadjoint
 action, psi-sharp, the twisted semidirect bracket, the maps of the derived
 brackets, the block operator J): each is its source maps' tables re-keyed,
 with no Fraction arithmetic.
+
+Identities are signed terms (`term_defect`), turned into integer closures
+by one compiler, `_compile`, with their maps and fixed vectors as
+parameters.  Each identity of the library is a builder over its maps plus
+the few integers its shape depends on (a degree, an order, which identity
+of a family); `bind` compiles it the first time that structure is met and
+keeps the program for the life of the process, so every later call only
+binds its maps: reads their integer tables, checks their dimensions and
+folds in their scales.
 """
 from __future__ import annotations
 
@@ -29,9 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange
+from .errors import DimensionMismatch, DuplicateAssignment, IndexOutOfRange, InternalInconsistency
 from .exactlin import (
     Matrix,
     Vector,
@@ -374,47 +383,61 @@ def _int_table(op) -> tuple[dict, int, tuple[int, ...], int]:
     return cached
 
 
-def _closure(node) -> Callable[[tuple], dict[int, int] | None]:
-    """A compiled node as a closure: a slot s becomes case -> {case[s]: 1}."""
+class _Param:
+    """Stands for the map or fixed vector at one position of a builder's maps while the builder runs."""
+
+    __slots__ = ("position",)
+
+    def __init__(self, position: int):
+        self.position = position
+
+
+# the events of a compiled program's script: a map's table read, a map applied, terms added
+_TABLE, _APPLY, _SUM = range(3)
+
+
+def _closure(node) -> Callable[[tuple, tuple], dict[int, int] | None]:
+    """A compiled node as a closure: a slot s becomes (env, case) -> {case[s]: 1}."""
     if type(node) is int:
-        return lambda case: {case[node]: 1}
+        return lambda env, case: {case[node]: 1}
     return node
 
 
-def _add(parts: list[tuple[int, Callable]]) -> Callable[[tuple], dict[int, int]]:
-    """The sum of (integer factor, closure) parts."""
+def _add(k: int, parts: list[Callable]) -> Callable[[tuple, tuple], dict[int, int]]:
+    """The sum of closures, the j-th times the integer factor env[k][j]."""
 
-    def total(case):
+    def total(env, case):
         out: dict[int, int] = {}
-        for f, part in parts:
-            value = part(case)
+        for f, part in zip(env[k], parts):
+            value = part(env, case)
             if value:
-                for k, x in value.items():
-                    if k in out:
-                        out[k] += f * x
+                for key, x in value.items():
+                    if key in out:
+                        out[key] += f * x
                     else:
-                        out[k] = f * x
+                        out[key] = f * x
         return out
 
     return total
 
 
-def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]:
-    """A map of integer table `table` applied to compiled nodes (slots or closures)."""
-    for node in nodes:
-        if type(node) is not int:
-            break
-    else:
+def _apply(p: int, nodes: list) -> Callable[[tuple, tuple], dict[int, int] | None]:
+    """The map of integer table env[p] applied to compiled nodes (slots or closures); an empty
+    table, a zero map, returns nothing before its arguments are evaluated."""
+    if nodes and all(type(node) is int for node in nodes):
         # the value is that column of the table itself: shared, so never changed
         key = itemgetter(*nodes)
-        return lambda case: table.get(key(case))
+        return lambda env, case: env[p].get(key(case))
     if len(nodes) == 1:
         # a lone slot took the branch above, so f is a closure
         (f,) = nodes
 
-        def unary(case):
+        def unary(env, case):
+            table = env[p]
+            if not table:
+                return None
             out: dict[int, int] = {}
-            arg = f(case)
+            arg = f(env, case)
             if arg:
                 for k, c in arg.items():
                     col = table.get(k)
@@ -432,9 +455,12 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
         # a slot beside a closure is read straight from the case, with coefficient 1
         if type(f) is int:
 
-            def slot_first(case):
+            def slot_first(env, case):
+                table = env[p]
+                if not table:
+                    return None
                 out: dict[int, int] = {}
-                second = g(case)
+                second = g(env, case)
                 if second:
                     i = case[f]
                     for j, cj in second.items():
@@ -450,9 +476,12 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
             return slot_first
         if type(g) is int:
 
-            def slot_second(case):
+            def slot_second(env, case):
+                table = env[p]
+                if not table:
+                    return None
                 out: dict[int, int] = {}
-                first = f(case)
+                first = f(env, case)
                 if first:
                     j = case[g]
                     for i, ci in first.items():
@@ -467,29 +496,37 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
 
             return slot_second
 
-        def binary(case):
+        def binary(env, case):
+            table = env[p]
+            if not table:
+                return None
             out: dict[int, int] = {}
-            first, second = f(case), g(case)
-            if first and second:
-                pairs = second.items()
-                for i, ci in first.items():
-                    for j, cj in pairs:
-                        col = table.get((i, j))
-                        if col:
-                            c = ci * cj
-                            for row, y in col.items():
-                                if row in out:
-                                    out[row] += c * y
-                                else:
-                                    out[row] = c * y
+            first = f(env, case)
+            if first:
+                second = g(env, case)
+                if second:
+                    pairs = second.items()
+                    for i, ci in first.items():
+                        for j, cj in pairs:
+                            col = table.get((i, j))
+                            if col:
+                                c = ci * cj
+                                for row, y in col.items():
+                                    if row in out:
+                                        out[row] += c * y
+                                    else:
+                                        out[row] = c * y
             return out
 
         return binary
     fs = [_closure(node) for node in nodes]
 
-    def multi(case):
+    def multi(env, case):
+        table = env[p]
+        if not table:
+            return None
         out: dict[int, int] = {}
-        args = [f(case) for f in fs]
+        args = [f(env, case) for f in fs]
         if all(args):
             coeffs = itertools.product(*[arg.values() for arg in args])
             for key, cs in zip(itertools.product(*args), coeffs):
@@ -506,8 +543,252 @@ def _apply(table: dict, nodes: list) -> Callable[[tuple], dict[int, int] | None]
     return multi
 
 
-def term_defect(terms: list) -> Callable[..., Vector]:
-    """Compile an identity stated as signed terms; the result is its defect on one basis tuple.
+@dataclass(slots=True)
+class _Bound:
+    """A compiled program bound to maps: its root closure (None when the terms are structurally
+    zero), the environment the closures read, the dimension and scale of the root, and whether
+    there were no terms at all."""
+
+    value: Callable | None
+    env: tuple
+    dim: int | None
+    scale: int
+    empty: bool
+
+
+@dataclass(frozen=True, slots=True)
+class _Program:
+    """Signed terms compiled once, with their maps and fixed vectors as parameters 0..P-1 in the
+    order the walk met them.  The closures read parameter p's integer table (a vector's
+    integer entries) as env[p] and the factors of the k-th sum as env[~k].
+
+    - `vectors`: whether each parameter is a fixed vector rather than a map;
+    - `dim`: the parameter whose dimension is the root's, or None;
+    - `script`: the walk's table reads, applications (parameter, argument dimension
+      parameters) and sums (term dimension parameters), in the order it checks them;
+    - `arities`, `left`, `right`: the same checks in one comparison over the dimensions
+      (each parameter's own, then every map's argument dimensions), or `arities` None when a
+      map is given two argument counts;
+    - `plan`, `reg`: the scales of the nodes from the parameters' scales (see `_scales`);
+    - `signs`: the sums' factors, in env order, when every scale is 1.
+    """
+
+    root: Callable | None
+    empty: bool
+    vectors: tuple[bool, ...]
+    dim: int | None
+    script: tuple
+    arities: tuple[int, ...] | None
+    left: Callable | None
+    right: Callable | None
+    plan: tuple
+    reg: int | None
+    signs: tuple
+
+    def bind(self, params: Sequence) -> _Bound:
+        """Read each parameter's table, check every dimension the walk checks and fold in the scales."""
+        tables, scales, dims, arg_dims = [], [], [], []
+        try:
+            for obj, is_vector in zip(params, self.vectors):
+                if is_vector:
+                    scale = lcm(*(x.denominator for x in obj))
+                    tables.append({i: x.numerator * (scale // x.denominator) for i, x in enumerate(obj) if x})
+                    dims.append(len(obj))
+                else:
+                    table, scale, args, dim = _int_table(obj)
+                    tables.append(table)
+                    dims.append(dim)
+                    arg_dims.append(args)
+                scales.append(scale)
+        except DimensionMismatch:
+            _replay(self.script, params)
+        if tuple(map(len, arg_dims)) != self.arities:
+            _replay(self.script, params)
+        elif self.left is not None:
+            dims += itertools.chain.from_iterable(arg_dims)
+            if self.left(dims) != self.right(dims):
+                _replay(self.script, params)
+        if scales.count(1) == len(scales):
+            env, scale = (*tables, *self.signs), 1
+        else:
+            factors, regs = _scales(self.plan, scales)
+            env, scale = (*tables, *reversed(factors)), 1 if self.reg is None else regs[self.reg]
+        return _Bound(self.root, env, None if self.dim is None else dims[self.dim], scale, self.empty)
+
+
+def _scales(plan: tuple, scales: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each sum's integer factors and every node's scale, from the parameters' scales.
+
+    The registers are the parameters' scales, then 1 (a slot's), then one per step of the plan:
+    an applied map's scale is its table's times its arguments', a sum's the lcm of its terms',
+    each term's sign folded into the factor sign * (lcm // scale).
+    """
+    regs, factors = [*scales, 1], []
+    for refs, signs in plan:
+        values = [regs[r] for r in refs]
+        if signs is None:
+            regs.append(prod(values))
+        else:
+            common = lcm(*values)
+            regs.append(common)
+            factors.append(tuple(sign * (common // s) for sign, s in zip(signs, values)))
+    return factors, regs
+
+
+def _replay(script: tuple, params: Sequence) -> NoReturn:
+    """Raise the DimensionMismatch the walk of the terms meets first on these maps: each map's table
+    read where the walk reaches the map, each application and sum checked once its arguments or
+    terms are walked."""
+    tables = {}
+
+    def dim(p):
+        if p is None:
+            return None
+        return tables[p][3] if p in tables else len(params[p])
+
+    for event in script:
+        if event[0] == _TABLE:
+            tables[event[1]] = _int_table(params[event[1]])
+        elif event[0] == _APPLY:
+            arg_dims, dims = tables[event[1]][2], [dim(p) for p in event[2]]
+            if len(dims) != len(arg_dims) or any(d is not None and d != a for d, a in zip(dims, arg_dims)):
+                raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {dims}")
+        else:
+            dims = [d for d in map(dim, event[1]) if d is not None]
+            if any(d != dims[0] for d in dims):
+                raise DimensionMismatch(f"terms of dimensions {sorted(set(dims))} added")
+    raise InternalInconsistency("the compiled dimension checks disagree with the walk of the terms")
+
+
+def _compile(terms: list) -> tuple[_Program, list]:
+    """Compile signed terms (see `term_defect`) in one walk, each distinct map and fixed vector
+    (by identity) a parameter: the program and those parameters, in the order the walk met them.
+
+    Nothing is pruned, since no data is read: a zero map is an empty table in the environment,
+    which its closure tests first.  Only a sum with no terms is zero here.
+    """
+    found: dict[int, int] = {}
+    objects, vectors, script, plan, signs = [], [], [], [], []
+    arities: dict[int, int] = {}
+    mixed = False
+
+    def param(obj, is_vector: bool) -> int:
+        p = found.get(id(obj))
+        if p is None:
+            p = found[id(obj)] = len(objects)
+            objects.append(obj)
+            vectors.append(is_vector)
+        return p
+
+    def walk(expr) -> tuple[object, int | None, int | None]:
+        """The node of expr (a slot, a closure, or None for no terms), the parameter whose
+        dimension is its own (None for a slot) and its scale register (None for scale 1, a
+        parameter's index, or ~step for a step of the plan)."""
+        nonlocal mixed
+        kind = type(expr)
+        if kind is int:
+            return expr, None, None
+        if kind is list:
+            refs, live = [], []
+            for sign, e in expr:
+                node, ref, reg = walk(e)
+                refs.append(ref)
+                if node is not None:
+                    live.append((sign, node, reg))
+            script.append((_SUM, tuple(refs)))
+            ref = next((r for r in refs if r is not None), None)
+            if not live:
+                return None, ref, None
+            if len(live) == 1 and live[0][0] == 1:
+                return live[0][1], ref, live[0][2]
+            k = len(signs)
+            signs.append(tuple(sign for sign, _, _ in live))
+            plan.append((tuple(reg for _, _, reg in live), signs[k]))
+            return _add(~k, [_closure(node) for _, node, _ in live]), ref, ~(len(plan) - 1)
+        if kind is _Param or not expr or type(expr[0]) is Fraction:
+            p = param(expr, True)
+            return (lambda env, case: env[p]), p, p
+        p = param(expr[0], False)
+        script.append((_TABLE, p))
+        args = [walk(a) for a in expr[1:]]
+        refs = tuple(ref for _, ref, _ in args)
+        script.append((_APPLY, p, refs))
+        if arities.setdefault(p, len(refs)) != len(refs):
+            mixed = True
+        nodes = [node for node, _, _ in args]
+        if any(node is None for node in nodes):
+            return None, p, None
+        regs = tuple(reg for _, _, reg in args if reg is not None)
+        if not regs:
+            return _apply(p, nodes), p, p
+        plan.append(((p, *regs), None))
+        return _apply(p, nodes), p, ~(len(plan) - 1)
+
+    root, ref, reg = walk(list(terms))
+    count = len(objects)
+
+    def register(r):
+        return count if r is None else count + 1 + ~r if r < 0 else r
+
+    maps = [p for p in range(count) if not vectors[p]]
+    offsets = dict(zip(maps, itertools.accumulate((arities[p] for p in maps), initial=count)))
+    pairs = []
+    for event in script:
+        if event[0] == _APPLY:
+            pairs += [(offsets[event[1]] + j, q) for j, q in enumerate(event[2]) if q is not None]
+        elif event[0] == _SUM:
+            refs = [q for q in event[1] if q is not None]
+            pairs += [(refs[0], q) for q in refs[1:] if q != refs[0]]
+    program = _Program(
+        root=None if root is None else _closure(root),
+        empty=not terms,
+        vectors=tuple(vectors),
+        dim=ref,
+        script=tuple(script),
+        arities=None if mixed else tuple(arities[p] for p in maps),
+        left=itemgetter(*(a for a, _ in pairs)) if pairs else None,
+        right=itemgetter(*(b for _, b in pairs)) if pairs else None,
+        plan=tuple((tuple(map(register, refs)), s) for refs, s in plan),
+        reg=None if reg is None else register(reg),
+        signs=tuple(reversed(signs)),
+    )
+    return program, objects
+
+
+# one program per identity and structure, for the life of the process (see `bind`)
+_PROGRAMS: dict[tuple, tuple[_Program, tuple[int, ...]]] = {}
+
+
+def bind(build: Callable[..., list], shape: tuple, maps: Sequence) -> _Bound:
+    """The identity `build(maps, *shape)` bound to `maps`, for `term_defect` or `tabulate`.
+
+    `build` is a module-level function stating the identity as signed terms over its maps (and
+    fixed vectors), and `shape` the small integers its terms depend on, such as a degree or an
+    order.  The first time (build, *shape) is met, `build` runs once on placeholders and its terms
+    are compiled; the program is kept for the life of the process, keyed by that structure alone,
+    never by the maps' scales, dimensions or zeros.  Every call then only binds: it reads each
+    map's integer table, checks the dimensions the compiler would check, with the same
+    DimensionMismatch, and folds in the scales.
+    """
+    key = (build, *shape)
+    entry = _PROGRAMS.get(key)
+    if entry is None:
+        program, objects = _compile(build(tuple(map(_Param, range(len(maps)))), *shape))
+        entry = _PROGRAMS[key] = program, tuple(p.position for p in objects)
+    program, positions = entry
+    return program.bind([maps[k] for k in positions])
+
+
+def _bound(identity: list | _Bound) -> _Bound:
+    """A bound program as it stands; literal signed terms compiled once, their distinct maps the parameters."""
+    if type(identity) is _Bound:
+        return identity
+    program, objects = _compile(identity)
+    return program.bind(objects)
+
+
+def term_defect(identity: list | _Bound) -> Callable[..., Vector]:
+    """The defect of an identity on one basis tuple: signed terms, or an identity `bind` compiled once.
 
     A term is (sign, expr) with sign +1 or -1.  An expr is an int (that slot
     of the basis tuple), a fixed Vector, a list of terms (their sum), or
@@ -515,108 +796,54 @@ def term_defect(terms: list) -> Callable[..., Vector]:
     as it takes arguments; a k-ary op visits the product of their supports.
     Dimensions that do not compose raise DimensionMismatch.
 
+    Literal terms are compiled on each call by the one compiler, `_compile`,
+    their distinct maps and fixed vectors its parameters, then bound; an
+    identity of the library is compiled once per process (`bind`).  Every
+    node compiles into a closure from the environment and the basis tuple
+    to its {output index: integer} values (None or empty when zero): an op
+    on slots only looks up that column of its table, a sum of one +1 term
+    is that term, an op whose table is empty (a zero map) returns nothing
+    before its arguments are evaluated, and no closure changes a value
+    another returned.
+
     Evaluation is over the integers.  Each op's table (`_int_table`, built
     once per op) and each fixed Vector is multiplied by the lcm of its
-    denominators, and every compiled node carries the integer scale of its
-    values: an op's is its table's times its arguments', a sum's is the lcm
-    of its terms', each term's sign folded into the integer factor
-    sign * (lcm // scale).  An op with an empty table, a zero Vector and a
-    sum of such compile to nothing once their dimensions are checked.
-
-    Every other node compiles once into a closure from the basis tuple to
-    its {output index: integer} values (None or empty when zero): an op on
-    slots only looks up that column of its table, a sum of one +1 term is
-    that term, and no closure changes a value another returned.  The defect
-    is the root's integer sums over its scale, through `exactlin._quotients`:
-    a dense tuple of Fractions in lowest terms, or, when every sum is zero,
-    one zero tuple made once per compiled identity, so a passing case forms
-    no Fraction.
+    denominators, and every node carries the integer scale of its values,
+    worked out when the maps are bound: an op's is its table's times its
+    arguments', a sum's is the lcm of its terms', each term's sign folded
+    into the integer factor sign * (lcm // scale).  The defect is the root's
+    integer sums over its scale, through `exactlin._quotients`: a dense
+    tuple of Fractions in lowest terms, or, when every sum is zero, one zero
+    tuple made once per binding, so a passing case forms no Fraction.
     """
-    value, dim, scale = _program(terms)
-    zero = None if dim is None else (ZERO,) * dim
+    bound = _bound(identity)
+    value, env, scale = bound.value, bound.env, bound.scale
+    zero = None if bound.dim is None else (ZERO,) * bound.dim
 
     def defect(*case) -> Vector:
-        sums = value(case) if value else None
+        sums = value(env, case) if value else None
         return _quotients(sums or {}, scale, zero)
 
     return defect
 
 
-def _program(terms: list) -> tuple[Callable[[tuple], dict[int, int] | None] | None, int | None, int]:
-    """The compiled root of signed terms (see `term_defect`): the closure from a basis tuple to its
-    integer sums, None when the terms compile to nothing, then their dimension and scale."""
-
-    def compile(expr) -> tuple[object, int | None, int]:
-        """The node of expr (a slot, a closure, or None when it is zero), its dimension (None for a slot) and scale.
-
-        One pass over the expression: dimensions are checked as its parts
-        come back, each before any of them is pruned as zero.
-        """
-        kind = type(expr)
-        if kind is int:
-            return expr, None, 1
-        if kind is list:
-            dim, others, live, scale = None, None, [], 1
-            for sign, e in expr:
-                node, d, s = (e, None, 1) if type(e) is int else compile(e)
-                if d is not None:
-                    if dim is None:
-                        dim = d
-                    elif d != dim:
-                        others = {dim, d} if others is None else others | {d}
-                if node is not None:
-                    live.append((sign, node, s))
-                    if s != scale:
-                        scale = lcm(scale, s)
-            if others is not None:
-                raise DimensionMismatch(f"terms of dimensions {sorted(others)} added")
-            if len(live) == 1 and live[0][0] == 1:
-                return live[0][1], dim, scale
-            parts = [(sign * (scale // s), _closure(node)) for sign, node, s in live]
-            return _add(parts) if parts else None, dim, scale
-        if not expr or type(expr[0]) is Fraction:
-            scale = lcm(*(x.denominator for x in expr))
-            ints = {i: x.numerator * (scale // x.denominator) for i, x in enumerate(expr) if x}
-            return (lambda case: ints) if ints else None, len(expr), scale
-        op = expr[0]
-        table, scale, arg_dims, dim = _int_table(op)
-        bad, zero, nodes, dims = len(expr) != len(arg_dims) + 1, not table, [], []
-        for k in range(1, len(expr)):
-            a = expr[k]
-            node, d, s = (a, None, 1) if type(a) is int else compile(a)
-            dims.append(d)
-            if d is not None and not bad and d != arg_dims[k - 1]:
-                bad = True
-            if node is None:
-                zero = True
-            else:
-                nodes.append(node)
-                scale *= s
-        if bad:
-            raise DimensionMismatch(f"a map on dimensions {arg_dims} applied to {dims}")
-        if zero:
-            return None, dim, 1
-        return _apply(table, nodes), dim, scale
-
-    root, dim, scale = compile(list(terms))
-    return (None if root is None else _closure(root)), dim, scale
-
-
-def tabulate(terms: list, cases: Iterable[tuple], rows: int) -> Matrix:
-    """The values of signed terms on each case, one column per case, as a `rows`-row Matrix.
+def tabulate(identity: list | _Bound, cases: Iterable[tuple], rows: int) -> Matrix:
+    """The values of an identity (signed terms, or one `bind` compiled) on each case, one column
+    per case, as a `rows`-row Matrix.
 
     No terms means the zero matrix: `term_defect` needs at least one term
     to know its dimension.  The integer sums, a fresh dict of the nonzero
-    ones per column, go to `exactlin._from_table` with the compiled scale.
+    ones per column, go to `exactlin._from_table` with the root's scale.
     """
     cases = list(cases)
-    if not terms:
+    bound = _bound(identity)
+    if bound.empty:
         return Matrix.zero(rows, len(cases))
-    value, dim, scale = _program(terms)
-    if cases and dim != rows:
-        raise DimensionMismatch(f"terms of dimension {dim} tabulated in {rows} rows")
-    sums = {j: value(case) or {} for j, case in enumerate(cases)} if value else {}
-    return _from_table(rows, len(cases), _nonzero(sums), scale)
+    value, env = bound.value, bound.env
+    if cases and bound.dim != rows:
+        raise DimensionMismatch(f"terms of dimension {bound.dim} tabulated in {rows} rows")
+    sums = {j: value(env, case) or {} for j, case in enumerate(cases)} if value else {}
+    return _from_table(rows, len(cases), _nonzero(sums), bound.scale)
 
 
 def _partial(op, i: int) -> Matrix:

@@ -32,7 +32,9 @@ from .exactlin import Matrix, _from_table, vector
 from .liealg import (
     LieAlgebra,
     Representation,
-    _ce_terms,
+    _ce_bound,
+    _n_action_terms,
+    _n_twist_terms,
     adjoint_rep,
     coadjoint_rep,
     ce_differential_cochain,
@@ -43,7 +45,7 @@ from .liealg import (
     nilpotency_index,
     validate_rep,
 )
-from .multilin import Cochain, _int_table, _tuple_index, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, _tuple_index, bind, ext_basis, tabulate, term_defect
 from .report import CheckReport, Violation, first_failure
 
 Operator = Matrix
@@ -110,33 +112,47 @@ def _check_shape(setup: TrbSetup, t: Operator) -> None:
         )
 
 
-def bracket_terms(setup: TrbSetup, ts: Sequence[Operator], n: int) -> list:
-    """Coefficient of t^n in [u,v]_T = Tu.v - Tv.u + H(Tu,Tv) for T = sum_k t^k ts[k], as signed terms.
+def _trb_maps(setup: TrbSetup, ts: Sequence[Operator]) -> tuple:
+    """The maps of `_bracket_terms` and `_trb_terms`: (bracket, rho, H, ts[0], ..., ts[k-1])."""
+    return (setup.algebra.bracket, setup.rep, setup.cocycle, *ts)
+
+
+def _bracket_terms(maps: tuple, k: int, n: int) -> list:
+    """Coefficient of t^n in [u,v]_T = Tu.v - Tv.u + H(Tu,Tv) for T = sum_k t^k ts[k], as signed terms
+    over `_trb_maps(setup, ts)`, k = len(ts).
 
     u and v are the basis vectors in slots 0 and 1.  Only the stored
-    coefficients enter, so past order 2(len(ts) - 1) there are no terms.
+    coefficients enter, so past order 2(k - 1) there are no terms.
     """
-    rho, h, k = setup.rep, setup.cocycle, len(ts)
+    _, rho, h, *ts = maps
     terms = [(1, (rho, (ts[n], 0), 1)), (-1, (rho, (ts[n], 1), 0))] if 0 <= n < k else []
     return terms + [(1, (h, (ts[a], 0), (ts[n - a], 1))) for a in range(k) if 0 <= n - a < k]
 
 
-def trb_terms(setup: TrbSetup, ts: Sequence[Operator], n: int) -> list:
-    """Coefficient of t^n in [Tu,Tv] - T[u,v]_T for T = sum_k t^k ts[k], as signed terms on slots 0 and 1.
+def _trb_terms(maps: tuple, k: int, n: int) -> list:
+    """Coefficient of t^n in [Tu,Tv] - T[u,v]_T for T = sum_k t^k ts[k], as signed terms on slots 0 and 1
+    over `_trb_maps(setup, ts)`, k = len(ts).
 
-    With (T,) and n = 0 this is the defining identity; with a deformation's
+    With k = 1 and n = 0 this is the defining identity; with a deformation's
     coefficients it is the order-n deformation equation.  Past order
-    3(len(ts) - 1) there are no terms: the coefficient vanishes identically.
+    3(k - 1) there are no terms: the coefficient vanishes identically.
     """
-    c, k = setup.algebra.bracket, len(ts)
+    c, _, _, *ts = maps
     terms = [(1, (c, (ts[a], 0), (ts[n - a], 1))) for a in range(k) if 0 <= n - a < k]
-    return terms + [(-1, (ts[a], inner)) for a in range(k) if (inner := bracket_terms(setup, ts, n - a))]
+    return terms + [(-1, (ts[a], inner)) for a in range(k) if (inner := _bracket_terms(maps, k, n - a))]
+
+
+def trb_terms(setup: TrbSetup, ts: Sequence[Operator], n: int) -> list:
+    """The signed terms of the t^n coefficient of the identity for T = sum_k t^k ts[k] (`_trb_terms`),
+    on the setup's maps; the checks compile them once per (len(ts), n) through `multilin.bind`."""
+    return _trb_terms(_trb_maps(setup, ts), len(ts), n)
 
 
 def check_trb(setup: TrbSetup, t: Operator) -> CheckReport:
     """The defining identity on all basis pairs, first defect as witness."""
     _check_shape(setup, t)
-    return first_failure("twisted Rota-Baxter", ext_basis(setup.module_dim, 2), term_defect(trb_terms(setup, (t,), 0)))
+    defect = term_defect(bind(_trb_terms, (1, 0), _trb_maps(setup, (t,))))
+    return first_failure("twisted Rota-Baxter", ext_basis(setup.module_dim, 2), defect)
 
 
 def require_trb(setup: TrbSetup, t: Operator) -> None:
@@ -195,14 +211,20 @@ def graph_subalgebra_check(setup: TrbSetup, t: Operator) -> bool:
     n, m = setup.dim, setup.module_dim
     span_cols = [tuple(t.col(a)) + tuple(1 if b == a else 0 for b in range(m)) for a in range(m)]
     span = Matrix.from_cols([vector(c) for c in span_cols], rows=n + m)
-    brackets = tabulate([(1, (semi.bracket, (span, 0), (span, 1)))], ext_basis(m, 2), n + m)
+    brackets = tabulate(bind(_span_bracket_terms, (), (semi.bracket, span)), ext_basis(m, 2), n + m)
     return len(span._reduced(brackets)) == m
+
+
+def _span_bracket_terms(maps: tuple) -> list:
+    """The bracket of the spanning vectors in slots 0 and 1, over (bracket, span matrix)."""
+    bracket, span = maps
+    return [(1, (bracket, (span, 0), (span, 1)))]
 
 
 def induced_bracket_cochain(setup: TrbSetup, t: Operator) -> Cochain:
     """[u,v]_T = T(u).v - T(v).u + H(Tu,Tv) as a degree-2 cochain on M."""
     m = setup.module_dim
-    return Cochain(2, m, m, tabulate(bracket_terms(setup, (t,), 0), ext_basis(m, 2), m))
+    return Cochain(2, m, m, tabulate(bind(_bracket_terms, (1, 0), _trb_maps(setup, (t,))), ext_basis(m, 2), m))
 
 
 def induced_bracket(setup: TrbSetup, t: Operator) -> LieAlgebra:
@@ -211,11 +233,16 @@ def induced_bracket(setup: TrbSetup, t: Operator) -> LieAlgebra:
     return lie_algebra_from_cochain(induced_bracket_cochain(setup, t))
 
 
+def _induced_action_terms(maps: tuple) -> list:
+    """u . x = [Tu, x] + T(x.u + H(x, Tu)) over `_trb_maps(setup, (T,))`, with u in slot 0 and x in slot 1."""
+    c, rho, h, t = maps
+    return [(1, (c, (t, 0), 1)), (1, (t, [(1, (rho, 1, 0)), (1, (h, 1, (t, 0)))]))]
+
+
 def induced_action_matrices(setup: TrbSetup, t: Operator) -> tuple[Matrix, ...]:
-    """Action of (M,[.,.]_T) on g: u . x = [Tu, x] + T(x.u + H(x, Tu)), with u in slot 0 and x in slot 1."""
-    n, c, rho, h = setup.dim, setup.algebra.bracket, setup.rep, setup.cocycle
-    terms = [(1, (c, (t, 0), 1)), (1, (t, [(1, (rho, 1, 0)), (1, (h, 1, (t, 0)))]))]
-    return tuple(tabulate(terms, [(a, x) for x in range(n)], n) for a in range(setup.module_dim))
+    """Action of (M,[.,.]_T) on g: u . x = [Tu, x] + T(x.u + H(x, Tu)), one matrix per basis vector u."""
+    n, action = setup.dim, bind(_induced_action_terms, (), _trb_maps(setup, (t,)))
+    return tuple(tabulate(action, [(a, x) for x in range(n)], n) for a in range(setup.module_dim))
 
 
 def induced_rep(setup: TrbSetup, t: Operator) -> Representation:
@@ -233,8 +260,14 @@ def induced_rep(setup: TrbSetup, t: Operator) -> Representation:
 
 def is_one_cocycle(setup: TrbSetup, b: Matrix) -> bool:
     """True iff delta_CE B(x, y) = x.B(y) - y.B(x) - B([x,y]) vanishes on every basis pair."""
-    terms = _ce_terms(setup.algebra.bracket, setup.rep, Cochain.from_matrix_map(b))
-    return first_failure("1-cocycle", ext_basis(setup.dim, 2), term_defect(terms)).ok
+    defect = term_defect(_ce_bound(setup.algebra.bracket, setup.rep, Cochain.from_matrix_map(b)))
+    return first_failure("1-cocycle", ext_basis(setup.dim, 2), defect).ok
+
+
+def _transport_terms(maps: tuple) -> list:
+    """(id + B.T)[u,v]_T - [(id+B.T)u, (id+B.T)v]_{T_B} over (`_trb_maps(setup, (T,))`, id + B.T, [.,.]_{T_B})."""
+    *trb, perturbed, after = maps
+    return [(1, (perturbed, _bracket_terms(trb, 1, 0))), (-1, (after, (perturbed, 0), (perturbed, 1)))]
 
 
 def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
@@ -257,7 +290,7 @@ def gauge_transform(setup: TrbSetup, t: Operator, b: Matrix) -> Operator:
     if not (verdict := check_trb(setup, t_b)):  # T_B passes by the gauge theorem: a failure is a bug
         raise InternalInconsistency(f"the gauge transform fails: {verdict.violation.describe()}")
     after = induced_bracket_cochain(setup, t_b)
-    transport = [(1, (perturbed, bracket_terms(setup, (t,), 0))), (-1, (after, (perturbed, 0), (perturbed, 1)))]
+    transport = bind(_transport_terms, (), (*_trb_maps(setup, (t,)), perturbed, after))
     verdict = first_failure("gauge transport", ext_basis(setup.module_dim, 2), term_defect(transport))
     if not verdict.ok:
         raise InternalInconsistency(verdict.violation.describe())
@@ -303,13 +336,14 @@ def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Op
     identity map then passes the twisted Rota-Baxter check.
     """
     g_n = deformed_bracket(algebra, n_op)
-    dim, c = algebra.dim, algebra.bracket
+    dim, maps = algebra.dim, (algebra.bracket, n_op)
     # x.y = [Nx, y] and H(x, y) = -N[x, y]
-    action = [tabulate([(1, (c, (n_op, 0), 1))], [(i, j) for j in range(dim)], dim) for i in range(dim)]
+    terms = bind(_n_action_terms, (), maps)
+    action = [tabulate(terms, [(i, j) for j in range(dim)], dim) for i in range(dim)]
     rep = validate_rep(g_n, dim, action)
     if isinstance(rep, Violation):
         raise InvalidStructure(f"Nijenhuis action is not a representation: {rep.describe()}")
-    cocycle = Cochain(2, dim, dim, tabulate([(-1, (n_op, (c, 0, 1)))], ext_basis(dim, 2), dim))
+    cocycle = Cochain(2, dim, dim, tabulate(bind(_n_twist_terms, (), maps), ext_basis(dim, 2), dim))
     setup = _closed_setup(g_n, rep, cocycle)
     t = Matrix.identity(dim)
     require_trb(setup, t)
@@ -320,9 +354,23 @@ def nijenhuis_trb_setup(algebra: LieAlgebra, n_op: Matrix) -> tuple[TrbSetup, Op
 
 
 def reynolds_setup(algebra: LieAlgebra) -> TrbSetup:
-    """Adjoint module with H = -bracket: its operators are Reynolds operators."""
+    """Adjoint module with H = -bracket: its operators are Reynolds operators.
+
+    Nothing is validated again: both hypotheses follow from the Jacobi
+    identity, which every LieAlgebra of the constructors has passed.  ad is
+    a representation exactly when Jacobi holds, and delta_CE of the bracket
+    as a 2-cochain with values in the adjoint module is twice the
+    Jacobiator, so -[.,.] is closed.
+    """
     cocycle = Cochain(2, algebra.dim, algebra.dim, -algebra.bracket.matrix)
-    return trb_setup(algebra, adjoint_rep(algebra), cocycle)
+    return TrbSetup(algebra, adjoint_rep(algebra), cocycle)
+
+
+def _reynolds_terms(maps: tuple) -> list:
+    """[Rx,Ry] - R([Rx,y] + [x,Ry] - [Rx,Ry]) over (bracket, R)."""
+    c, r = maps
+    inner = [(1, (c, (r, 0), 1)), (1, (c, 0, (r, 1))), (-1, (c, (r, 0), (r, 1)))]
+    return [(1, (c, (r, 0), (r, 1))), (-1, (r, inner))]
 
 
 def reynolds_check(algebra: LieAlgebra, r: Matrix) -> CheckReport:
@@ -333,10 +381,8 @@ def reynolds_check(algebra: LieAlgebra, r: Matrix) -> CheckReport:
     """
     if r.rows != algebra.dim or r.cols != algebra.dim:
         raise InvalidStructure("Reynolds operator must be square of the algebra dimension")
-    c = algebra.bracket
-    inner = [(1, (c, (r, 0), 1)), (1, (c, 0, (r, 1))), (-1, (c, (r, 0), (r, 1)))]
-    terms = [(1, (c, (r, 0), (r, 1))), (-1, (r, inner))]
-    direct = first_failure("reynolds", ext_basis(algebra.dim, 2), term_defect(terms))
+    defect = term_defect(bind(_reynolds_terms, (), (algebra.bracket, r)))
+    direct = first_failure("reynolds", ext_basis(algebra.dim, 2), defect)
     twisted = check_trb(reynolds_setup(algebra), r)
     if direct.ok != twisted.ok:
         raise InternalInconsistency("direct and twisted Reynolds routes disagree")
@@ -420,8 +466,14 @@ def is_scalar_cocycle(algebra: LieAlgebra, psi: Cochain) -> bool:
     the other two in order: the terms of `liealg._ce_terms` with no action, on the basis 4-tuple
     in slots 0-3.
     """
-    terms = _ce_terms(algebra.bracket, None, psi)
-    return first_failure("3-cocycle", ext_basis(algebra.dim, psi.degree + 1), term_defect(terms)).ok
+    defect = term_defect(_ce_bound(algebra.bracket, None, psi))
+    return first_failure("3-cocycle", ext_basis(algebra.dim, psi.degree + 1), defect).ok
+
+
+def _morphism_terms(maps: tuple) -> list:
+    """[r a, r b] - r[a, b]_r over (bracket, r, the dual bracket [.,.]_r)."""
+    c, r, dual = maps
+    return [(1, (c, (r, 0), (r, 1))), (-1, (r, (dual, 0, 1)))]
 
 
 def r_matrix_check(
@@ -444,9 +496,8 @@ def r_matrix_check(
     if not verdict:
         return verdict, None
     dual = lie_algebra_from_cochain(induced_bracket_cochain(setup, r))
-    c = algebra.bracket
-    morphism = [(1, (c, (r, 0), (r, 1))), (-1, (r, (dual.bracket, 0, 1)))]
-    morphism_check = first_failure("r morphism onto the dual bracket", ext_basis(algebra.dim, 2), term_defect(morphism))
+    morphism = term_defect(bind(_morphism_terms, (), (algebra.bracket, r, dual.bracket)))
+    morphism_check = first_failure("r morphism onto the dual bracket", ext_basis(algebra.dim, 2), morphism)
     if not morphism_check.ok:
         raise InternalInconsistency(morphism_check.violation.describe())
     return verdict, dual

@@ -101,6 +101,7 @@ def first_failure(
     return passed()
 
 
-def identity_reports(identities: Iterable[tuple[str, str, Iterable[tuple], list]]) -> tuple[tuple[str, CheckReport], ...]:
-    """(name, first-failure report) of each identity given as (name, kind, basis tuples, signed terms)."""
-    return tuple((name, first_failure(kind, cases, term_defect(terms))) for name, kind, cases, terms in identities)
+def identity_reports(identities: Iterable[tuple[str, str, Iterable[tuple], object]]) -> tuple[tuple[str, CheckReport], ...]:
+    """(name, first-failure report) of each identity given as (name, kind, basis tuples, identity), the
+    identity signed terms or one compiled once and bound to its maps (`multilin.bind`)."""
+    return tuple((name, first_failure(kind, cases, term_defect(identity))) for name, kind, cases, identity in identities)

@@ -16,7 +16,7 @@ from math import lcm
 from .errors import DimensionMismatch, InternalInconsistency, InvalidStructure, NonzeroH, NotCocycle, NotGcs, NotSkew
 from .exactlin import Matrix, _from_table
 from .liealg import LieAlgebra, Representation
-from .multilin import Cochain, _int_table, ext_basis, tabulate, term_defect
+from .multilin import Cochain, _int_table, bind, ext_basis, tabulate, term_defect
 from .operators import (
     Operator,
     TrbSetup,
@@ -65,14 +65,21 @@ def gcs_components(setup: TrbSetup, n_map: Matrix, t_map: Matrix, sigma: Matrix,
     return GcsComponents(n_map, t_map, sigma, s_map)
 
 
-def _product_sum(terms: list, rows: int, cols: int) -> Matrix:
-    """A sum of matrix products as a `rows` x `cols` Matrix: signed terms on the unit vector e_j in
-    slot 0, tabulated column by column, so a bare slot term (1, 0) is the identity."""
-    return tabulate(terms, ext_basis(cols, 1), rows)
+def _product_sum(identity, rows: int, cols: int) -> Matrix:
+    """A sum of matrix products as a `rows` x `cols` Matrix: signed terms (bound by `multilin.bind`) on
+    the unit vector e_j in slot 0, tabulated column by column, so a bare slot term (1, 0) is the identity."""
+    return tabulate(identity, ext_basis(cols, 1), rows)
 
 
-def _integrability_terms(c: Cochain, j: Matrix) -> list:
-    """[Jx,Jy] - [x,y] - J([Jx,y] + [x,Jy]) as signed terms on the basis pair in slots 0, 1."""
+def _square_terms(maps: tuple) -> list:
+    """J^2 + id over (J,)."""
+    (j,) = maps
+    return [(1, (j, (j, 0))), (1, 0)]
+
+
+def _integrability_terms(maps: tuple) -> list:
+    """[Jx,Jy] - [x,y] - J([Jx,y] + [x,Jy]) as signed terms over (bracket, J) on the basis pair in slots 0, 1."""
+    c, j = maps
     mix = [(1, (c, (j, 0), 1)), (1, (c, 0, (j, 1)))]
     return [(1, (c, (j, 0), (j, 1))), (-1, (c, 0, 1)), (-1, (j, mix))]
 
@@ -81,16 +88,27 @@ def tgcs_check_direct(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     """J^2 = -id and the integrability defect over the twisted semidirect bracket."""
     total = setup.dim + setup.module_dim
     big = j.block()
-    square = vanishes("J^2 = -id", _product_sum([(1, (big, (big, 0))), (1, 0)], total, total))
+    square = vanishes("J^2 = -id", _product_sum(bind(_square_terms, (), (big,)), total, total))
     semi = twisted_semidirect(setup)
-    integ = first_failure("integrability", ext_basis(total, 2), term_defect(_integrability_terms(semi.bracket, big)))
+    integ = first_failure("integrability", ext_basis(total, 2), term_defect(bind(_integrability_terms, (), (semi.bracket, big))))
     return EquationReport((("almost-complex", square), ("integrability", integ)))
 
 
-def _component_identities(s: TrbSetup, j: GcsComponents) -> list[tuple[str, str, list, list]]:
-    """Equations (5)-(10) as (name, kind, basis tuples, signed terms); x, y in g and u, v in M."""
-    c, rho, h = s.algebra.bracket, s.rep, s.cocycle
-    nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
+def _matrix_terms(maps: tuple, which: int) -> list:
+    """The `which`-th of NT - TS, N^2 + T.sigma + id, S.sigma - sigma.N and S^2 + sigma.T + id
+    over (N, T, sigma, S)."""
+    nm, tm, sg, sm = maps
+    return [
+        [(1, (nm, (tm, 0))), (-1, (tm, (sm, 0)))],
+        [(1, (nm, (nm, 0))), (1, (tm, (sg, 0))), (1, 0)],
+        [(1, (sm, (sg, 0))), (-1, (sg, (nm, 0)))],
+        [(1, (sm, (sm, 0))), (1, (sg, (tm, 0))), (1, 0)],
+    ][which]
+
+
+def _component_terms(maps: tuple, which: int) -> list:
+    """The signed terms of the `which`-th of equations (5)-(10) over (bracket, rho, H, N, T, sigma, S)."""
+    c, rho, h, nm, tm, sg, sm = maps
     tu_v = [(1, (rho, (tm, 0), 1)), (-1, (rho, (tm, 1), 0))]  # Tu.v - Tv.u
     nx_u = [(1, (rho, (nm, 0), 1)), (-1, (rho, 0, (sm, 1))), (1, (h, 0, (tm, 1)))]  # Nx.u - x.Su + H(x,Tu)
     x_sy = [(1, (rho, 0, (sg, 1))), (-1, (rho, 1, (sg, 0))), (1, (h, 0, (nm, 1))), (-1, (h, 1, (nm, 0)))]
@@ -105,20 +123,36 @@ def _component_identities(s: TrbSetup, j: GcsComponents) -> list[tuple[str, str,
     eq8 = [(1, (sg, (c, (tm, 1), 0))), (-1, (rho, (tm, 1), (sg, 0))), (-1, (h, (tm, 1), (nm, 0)))]
     eq8 += [(-1, (rho, 0, 1)), (-1, (rho, (nm, 0), (sm, 1))), (1, (sm, nx_u))]
     # (9) [Nx,Ny] - [x,y] - N([Nx,y] + [x,Ny]) = T(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
-    eq9 = _integrability_terms(c, nm) + [(-1, (tm, x_sy))]
+    eq9 = _integrability_terms((c, nm)) + [(-1, (tm, x_sy))]
     # (10) Nx.sigma(y) - Ny.sigma(x) + H(Nx,Ny) - H(x,y) - sigma([Nx,y] + [x,Ny])
     #      = -S(x.sigma(y) - y.sigma(x) + H(x,Ny) - H(y,Nx))
     eq10 = [(1, (rho, (nm, 0), (sg, 1))), (-1, (rho, (nm, 1), (sg, 0))), (1, (h, (nm, 0), (nm, 1))), (-1, (h, 0, 1))]
     eq10 += [(-1, (sg, n_xy)), (1, (sm, x_sy))]
-    pairs_m, pairs_n = ext_basis(s.module_dim, 2), ext_basis(s.dim, 2)
-    mixed = list(itertools.product(range(s.dim), range(s.module_dim)))
+    return [eq5, eq6, eq7, eq8, eq9, eq10][which]
+
+
+# (name, kind, the basis tuples: pairs of M, mixed (x in g, u in M) or pairs of g) of each `_component_terms`
+_COMPONENTS = (
+    ("untwisted-rb", "[Tu,Tv] = T(Tu.v - Tv.u)", "M"),
+    ("graph-TS", "Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)", "M"),
+    ("mixed-g", "[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))", "mixed"),
+    ("mixed-m", "sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...", "mixed"),
+    ("nijenhuis-type", "nijenhuis-type = T(...)", "g"),
+    ("dual-nijenhuis-type", "dual-nijenhuis-type = -S(...)", "g"),
+)
+
+
+def _component_identities(s: TrbSetup, j: GcsComponents) -> list[tuple[str, str, list, object]]:
+    """Equations (5)-(10) as (name, kind, basis tuples, identity bound to the maps); x, y in g and u, v in M."""
+    maps = (s.algebra.bracket, s.rep, s.cocycle, j.n_map, j.t_map, j.sigma, j.s_map)
+    cases = {
+        "M": ext_basis(s.module_dim, 2),
+        "mixed": list(itertools.product(range(s.dim), range(s.module_dim))),
+        "g": ext_basis(s.dim, 2),
+    }
     return [
-        ("untwisted-rb", "[Tu,Tv] = T(Tu.v - Tv.u)", pairs_m, eq5),
-        ("graph-TS", "Tu.Sv - Tv.Su - H(Tu,Tv) = S(Tu.v - Tv.u)", pairs_m, eq6),
-        ("mixed-g", "[Nx,Tu] - N[x,Tu] = T(Nx.u - x.Su + H(x,Tu))", mixed, eq7),
-        ("mixed-m", "sigma[Tu,x] - Tu.sigma(x) - H(Tu,Nx) = ...", mixed, eq8),
-        ("nijenhuis-type", "nijenhuis-type = T(...)", pairs_n, eq9),
-        ("dual-nijenhuis-type", "dual-nijenhuis-type = -S(...)", pairs_n, eq10),
+        (name, kind, cases[over], bind(_component_terms, (which,), maps))
+        for which, (name, kind, over) in enumerate(_COMPONENTS)
     ]
 
 
@@ -128,15 +162,13 @@ def tgcs_check_components(setup: TrbSetup, j: GcsComponents) -> EquationReport:
     The agreement with `tgcs_check_direct` is checked on every call: the
     direct definition acts as a built-in oracle.
     """
-    nm, tm, sg, sm = j.n_map, j.t_map, j.sigma, j.s_map
+    maps = (j.n_map, j.t_map, j.sigma, j.s_map)
     n, m = setup.dim, setup.module_dim
-    differences = (
-        ("NT = TS", _product_sum([(1, (nm, (tm, 0))), (-1, (tm, (sm, 0)))], n, m)),
-        ("N^2 + T.sigma = -id", _product_sum([(1, (nm, (nm, 0))), (1, (tm, (sg, 0))), (1, 0)], n, n)),
-        ("S.sigma = sigma.N", _product_sum([(1, (sm, (sg, 0))), (-1, (sg, (nm, 0)))], m, n)),
-        ("S^2 + sigma.T = -id", _product_sum([(1, (sm, (sm, 0))), (1, (sg, (tm, 0))), (1, 0)], m, m)),
+    shapes = (("NT = TS", n, m), ("N^2 + T.sigma = -id", n, n), ("S.sigma = sigma.N", m, n), ("S^2 + sigma.T = -id", m, m))
+    matrix_eqs = tuple(
+        (label, vanishes(label, _product_sum(bind(_matrix_terms, (which,), maps), rows, cols)))
+        for which, (label, rows, cols) in enumerate(shapes)
     )
-    matrix_eqs = tuple((label, vanishes(label, diff)) for label, diff in differences)
     report = EquationReport(matrix_eqs + identity_reports(_component_identities(setup, j)))
     direct = tgcs_check_direct(setup, j)
     if report.ok != direct.ok:
@@ -176,15 +208,22 @@ def complex_structure_check(
 ) -> EquationReport:
     """A complex structure on the module over the algebra: four conditions."""
     n, m = algebra.dim, rep.module_dim
-    square = vanishes("I^2 = -id", _product_sum([(1, (i_map, (i_map, 0))), (1, 0)], n, n))
-    integ = first_failure("integrability of I", ext_basis(n, 2), term_defect(_integrability_terms(algebra.bracket, i_map)))
-    square_m = vanishes("I_M^2 = -id", _product_sum([(1, (i_mod, (i_mod, 0))), (1, 0)], m, m))
-    inner = [(1, (rep, (i_map, 0), 1)), (1, (rep, 0, (i_mod, 1)))]
-    terms = [(1, (rep, (i_map, 0), (i_mod, 1))), (-1, (rep, 0, 1)), (-1, (i_mod, inner))]
+    square = vanishes("I^2 = -id", _product_sum(bind(_square_terms, (), (i_map,)), n, n))
+    integ = term_defect(bind(_integrability_terms, (), (algebra.bracket, i_map)))
+    integ = first_failure("integrability of I", ext_basis(n, 2), integ)
+    square_m = vanishes("I_M^2 = -id", _product_sum(bind(_square_terms, (), (i_mod,)), m, m))
     kind = "I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) = 0"
-    compat = first_failure(kind, itertools.product(range(n), range(m)), term_defect(terms))
+    compat = term_defect(bind(_module_compat_terms, (), (rep, i_map, i_mod)))
+    compat = first_failure(kind, itertools.product(range(n), range(m)), compat)
     eqs = (("I^2 = -id", square), ("integrability", integ), ("I_M^2 = -id", square_m), ("module-compat", compat))
     return EquationReport(eqs)
+
+
+def _module_compat_terms(maps: tuple) -> list:
+    """I(x).I_M(u) - x.u - I_M(I(x).u + x.I_M(u)) over (rho, I, I_M), x in slot 0 and u in slot 1."""
+    rep, i_map, i_mod = maps
+    inner = [(1, (rep, (i_map, 0), 1)), (1, (rep, 0, (i_mod, 1)))]
+    return [(1, (rep, (i_map, 0), (i_mod, 1))), (-1, (rep, 0, 1)), (-1, (i_mod, inner))]
 
 
 def embed_complex(i_map: Matrix, i_mod: Matrix) -> GcsComponents:
@@ -207,6 +246,12 @@ def _pairing_matrix(n: int) -> Matrix:
     return _from_table(2 * n, 2 * n, {j: {(j + n) % (2 * n): 1} for j in range(2 * n)}, 2)
 
 
+def _orthogonality_terms(maps: tuple) -> list:
+    """J^T G J - G over (J^T, G, J)."""
+    jt, g, j = maps
+    return [(1, (jt, (g, (j, 0)))), (-1, (g, 0))]
+
+
 def lie_tgcs_check(algebra: LieAlgebra, psi: Cochain, triple: LieGcsTriple) -> EquationReport:
     """Twisted generalized complex structure on g via the coadjoint module.
 
@@ -224,8 +269,8 @@ def lie_tgcs_check(algebra: LieAlgebra, psi: Cochain, triple: LieGcsTriple) -> E
     setup = _coadjoint_setup(algebra, psi)
     j = GcsComponents(triple.n_map, triple.r, triple.sigma, triple.n_map.transpose())
     big = j.block()
-    g = _pairing_matrix(n)
-    orthogonality = [(1, (big.transpose(), (g, (big, 0)))), (-1, (g, 0))]  # J^T G J - G
-    orth_report = vanishes("orthogonality", _product_sum(orthogonality, 2 * n, 2 * n))
+    orthogonality = bind(_orthogonality_terms, (), (big.transpose(), _pairing_matrix(n), big))
+    orthogonality = _product_sum(orthogonality, 2 * n, 2 * n)
+    orth_report = vanishes("orthogonality", orthogonality)
     components = tgcs_check_components(setup, j)
     return EquationReport((("orthogonality", orth_report),) + components.equations)

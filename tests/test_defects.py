@@ -607,7 +607,16 @@ def test_term_defect_rejects_maps_that_do_not_compose():
     ):
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             term_defect(terms)
+        # the same terms as an identity of `multilin.bind`, bound when compiled and again when kept
+        build, params = rebuilt(terms)
+        try:
+            for _ in range(2):
+                with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+                    multilin.bind(build, (), params)
+        finally:
+            multilin._PROGRAMS.pop((build,), None)
     _, sl2 = corpus.named_algebras()[0]
+    assert liealg.nijenhuis_check(sl2, Matrix.identity(sl2.dim)).ok  # the program is kept from here on
     with pytest.raises(DimensionMismatch, match=f"^{re.escape('a map on dimensions (3, 3) applied to [2, 2]')}$"):
         liealg.nijenhuis_check(sl2, Matrix.identity(sl2.dim - 1))
 
@@ -679,6 +688,84 @@ def test_term_defect_matches_fraction_oracle(data):
         assert_same(got(*case), expected(*case))
 
 
+def substituted(expr, index: dict, params):
+    """expr with each map and fixed vector o replaced by params[index[id(o)]]."""
+    if type(expr) is int:
+        return expr
+    if type(expr) is list:
+        return [(sign, substituted(e, index, params)) for sign, e in expr]
+    if id(expr) in index:
+        return params[index[id(expr)]]
+    return (params[index[id(expr[0])]], *(substituted(a, index, params) for a in expr[1:]))
+
+
+def rebuilt(terms, maps=()):
+    """A builder for `multilin.bind` whose terms on its own maps are `terms`, and those maps: `maps`,
+    then every other map and fixed vector of `terms`, each once, in the order they first appear."""
+    found = {id(op): op for op in maps}
+
+    def visit(expr):
+        if type(expr) is list:
+            for _, e in expr:
+                visit(e)
+        elif type(expr) is tuple:
+            if not expr or type(expr[0]) is Fraction:
+                found.setdefault(id(expr), expr)
+            else:
+                found.setdefault(id(expr[0]), expr[0])
+                for a in expr[1:]:
+                    visit(a)
+
+    visit(terms)
+    params = tuple(found.values())
+    return partial(substituted, terms, {k: j for j, k in enumerate(found)}), params
+
+
+def zero_maps(n):
+    """The all-zero map of each kind of `identity_maps(n)`."""
+    zero = Matrix.zero(n, n)
+    return (zero, *(Cochain.zero(p, n, n) for p in (1, 2, 3)), Bilinear.zero(n, n), Representation(n, (zero,) * n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_program_binds_maps_of_every_scale(data):
+    """A drawn identity (the strategies of `test_term_defect_matches_fraction_oracle`) compiled once by
+    `multilin.bind` and bound to three sets of maps and fixed vectors of its structure: those it was
+    drawn with, a second draw with wide denominators and all-zero ones.  Each binding equals the
+    Fraction oracle on every basis tuple, and the cache gains the one program."""
+    n = data.draw(st.integers(1, 3))
+    maps = data.draw(identity_maps(n))
+    terms = [
+        (data.draw(st.sampled_from([1, -1])), identity_expr(data, maps, n, data.draw(st.integers(1, 3)), kinds=("op",)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    terms += slot_beside_compiled(data, maps, n)
+    build, drawn = rebuilt(terms, maps)
+    vectors = len(drawn) - len(maps)
+    wide = [vector(data.draw(st.lists(wide_sparse_rationals, min_size=n, max_size=n))) for _ in range(vectors)]
+    sets = (drawn, (*data.draw(identity_maps(n)), *wide), (*zero_maps(n), *[vector([0] * n)] * vectors))
+    before = len(multilin._PROGRAMS)
+    try:
+        for params in sets:
+            got, expected = term_defect(multilin.bind(build, (), params)), term_defect_fraction(build(params))
+            for case in itertools.product(range(n), repeat=SLOTS):
+                assert_same(got(*case), expected(*case))
+        assert len(multilin._PROGRAMS) == before + 1
+    finally:
+        multilin._PROGRAMS.pop((build,), None)
+
+
+def test_binding_many_scales_keeps_one_program(monkeypatch, trb_corpus):
+    """Programs are kept by structure alone, never by scale, dimension or zero pattern: the twisted
+    Rota-Baxter check of every corpus operator, scaled by each wide factor and by 0, leaves one program."""
+    monkeypatch.setattr(multilin, "_PROGRAMS", {})
+    for _, setup, t in trb_corpus:
+        for factor in (*WIDE_FACTORS, 0):
+            operators.check_trb(setup, t.scale(factor))
+    assert list(multilin._PROGRAMS) == [(operators._trb_terms, 1, 0)]
+
+
 def shared_map_terms(data, maps, n):
     """A bare map on slots (the root is then that column of its table), or a sum of terms that all
     apply one map, on slots or on drawn expressions that may apply it again; a binary map is also
@@ -734,6 +821,21 @@ def test_derived_tables_equal_the_oracle_scan(data):
     for op in (c1, c2, c3, b, rep, *again):
         assert _int_table(op) == oracles.int_table(op)
     assert again[:4] == [c1, c2, c3, b] and again[4].action == rep.action
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reynolds_setup_needs_no_validation(data):
+    """`reynolds_setup` validates nothing, since on every Lie algebra ad is a representation and -[.,.] is
+    closed (delta_CE of the bracket in the adjoint module is twice the Jacobiator): both hold on the
+    drawn algebras in bases rescaled by wide factors, and the setup equals the validated one."""
+    algebra = data.draw(st.sampled_from(ALGEBRAS))
+    algebra = rescaled(algebra, [data.draw(st.sampled_from(WIDE_FACTORS)) for _ in range(algebra.dim)])
+    adjoint = liealg.adjoint_rep(algebra)
+    assert validate_rep(algebra, algebra.dim, adjoint.action) == adjoint
+    cocycle = Cochain(2, algebra.dim, algebra.dim, -algebra.bracket.matrix)
+    assert liealg.is_two_cocycle(algebra, adjoint, cocycle).ok
+    assert operators.reynolds_setup(algebra) == trb_setup(algebra, adjoint, cocycle)
 
 
 def test_representation_table_brings_each_action_to_the_common_scale():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import act_basis, act_dense, act_on_basis_dense, bracket_dense, vec_add
-from twistrb import corpus, deform, operators
+from twistrb import corpus, deform, multilin, operators
 from twistrb.deform import (
     deformation_equation_defects,
     equivalence_check,
@@ -308,3 +308,33 @@ def test_rigidity_probe_runs_check_trb_once(monkeypatch, trb_corpus):
         for probe in report.probes:
             if probe.nijenhuis:
                 assert nijenhuis_element_check(setup, t, probe.preimage).ok
+
+
+def test_rigidity_probe_compiles_each_identity_once(monkeypatch, trb_corpus):
+    """x is a parameter of the Nijenhuis-element identities: over a whole probe, however many grid
+    points it tries, each of the six is compiled once and bound at every point, every compile is a
+    kept program, and a second probe or a check at another x compiles nothing."""
+    compiles, attempts = [], []
+    real_compile, real_report = multilin._compile, deform._nijenhuis_element_report
+
+    def compiled(terms):
+        compiles.append(1)
+        return real_compile(terms)
+
+    def attempted(*args):
+        attempts.append(1)
+        return real_report(*args)
+
+    monkeypatch.setattr(multilin, "_PROGRAMS", {})
+    monkeypatch.setattr(multilin, "_compile", compiled)
+    monkeypatch.setattr(deform, "_nijenhuis_element_report", attempted)
+    _, setup, t = trb_corpus[0]
+    first = rigidity_probe(setup, t)
+    assert len(attempts) >= 2, "the probe tried fewer than two points"
+    builders = (deform._nijenhuis_terms, deform._bracket_action_terms)
+    assert sum(key[0] in builders for key in multilin._PROGRAMS) == 6
+    assert len(compiles) == len(multilin._PROGRAMS)
+    compiles.clear()
+    assert rigidity_probe(setup, t) == first
+    nijenhuis_element_check(setup, t, [Fraction(1, 3)] * setup.dim)
+    assert compiles == []

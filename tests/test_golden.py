@@ -7,7 +7,9 @@ test_cli.py, sized to the instance; the zero `--x` always passes, so
 `FLAG_CASES` adds a failing one.  `tests/golden/<instance>.json` maps
 each case to its recorded exit code and stdout; running this file as a
 script (with `src` on PYTHONPATH) re-records them; do so only for an
-intended output change.
+intended output change.  Each case runs twice, first with no compiled
+identity kept (`multilin.bind`), then with the programs the first run
+compiled, and both must give the recorded output.
 """
 import contextlib
 import io
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from twistrb import multilin
 from twistrb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,9 +104,11 @@ CASES = cases()
 
 
 @pytest.mark.parametrize("stem,name,argv", CASES, ids=[f"{s}:{n}" for s, n, _ in CASES])
-def test_golden_output(stem, name, argv):
+def test_golden_output(stem, name, argv, monkeypatch):
     expected = _load(stem)[name]
-    assert run(argv) == expected
+    monkeypatch.setattr(multilin, "_PROGRAMS", {})
+    assert run(argv) == expected, "with no program kept"
+    assert run(argv) == expected, "with the programs the first run kept"
 
 
 def record() -> None:
